@@ -12,12 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from capsim import deployment
+from capsim.cli import _write_outputs
 from capsim.descriptors import Tier
 from capsim.engine import Simulation
 from capsim.routing import RoutingWeights
 from capsim.scenario import Scenario
 from capsim.workload import generate_arrivals, generate_region_arrivals
 from conftest import random_placement_problem
+from test_golden import GOLDEN, output_digests
 from test_workload import CHI2_999, region
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,11 +57,14 @@ def test_criterion_1_placement_oracle_suite():
     report(1, elapsed < 10.0, f"50 instances, worst ratio {float(worst):.4f}, {elapsed:.2f}s")
 
 
-def test_criterion_2_routing_argmin_audit():
+def test_criterion_2_routing_argmin_audit(tmp_path):
     scenario = load("audit")
     sim = Simulation(scenario, audit=True)
     result = sim.run()
     assert len(result.audit) >= 10_000, f"only {len(result.audit)} routed requests"
+    # The audit run doubles as the golden-digest check for this scenario.
+    _write_outputs(tmp_path, scenario, sim, result, trace=False)
+    assert output_digests(tmp_path) == GOLDEN["audit"], "audit outputs differ from the golden digest"
 
     weights = RoutingWeights.from_dict(scenario.weights)
     w = (weights.alpha, weights.beta, weights.gamma, weights.delta, weights.epsilon, weights.zeta)
