@@ -159,9 +159,6 @@ class StateStore:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes()
 
-    def resident(self, compat_hash: str, scope_key: str | None) -> CacheEntry | None:
-        return self.entries.get(self.entry_key(compat_hash, scope_key))
-
     def live_benefit(self, entry: CacheEntry, now: int) -> Fraction:
         # Resident entries have sunk transfer and zero privacy cost; only
         # reuse value vs storage carry is live.
@@ -181,26 +178,6 @@ class StateStore:
             key=lambda e: (self.benefit_density(e, now), e.state_id),
         )
 
-    def evict_for(self, needed_bytes: int, now: int) -> list[CacheEntry]:
-        """Free at least ``needed_bytes`` by dropping lowest-density entries.
-
-        Pinned entries are skipped. Returns the evicted entries (possibly
-        empty when space already suffices).
-        """
-        if needed_bytes > self.capacity_bytes:
-            raise ValueError("needed_bytes exceeds store capacity")
-        evicted: list[CacheEntry] = []
-        if self.free_bytes() >= needed_bytes:
-            return evicted
-        for entry in self._eviction_order(now):
-            if entry.pins > 0:
-                continue
-            evicted.append(entry)
-            del self.entries[self.entry_key(entry.descriptor.compatibility_hash, entry.scope_key)]
-            if self.free_bytes() >= needed_bytes:
-                break
-        return evicted
-
     def scope_permitted(self, descriptor: StateDescriptor, node_trust: int, requester_min_trust: int) -> bool:
         if descriptor.sharing_scope is SharingScope.SESSION_PRIVATE:
             return node_trust >= requester_min_trust
@@ -217,7 +194,7 @@ class StateStore:
         token_count: int = 0,
         source_realization: str | None = None,
     ) -> CacheDecision:
-        if self.resident(descriptor.compatibility_hash, scope_key) is not None:
+        if self.peek(descriptor.compatibility_hash, scope_key) is not None:
             return CacheDecision(REJECT_ALREADY_RESIDENT)
         if not self.scope_permitted(descriptor, node_trust, requester_min_trust):
             return CacheDecision(REJECT_SCOPE_VIOLATION)
@@ -333,13 +310,6 @@ class CacheSystem:
     def store(self, node_id: str) -> StateStore:
         return self.stores[node_id]
 
-    def find_by_state_id(self, state_id: str) -> tuple[str, CacheEntry] | None:
-        for node_id in sorted(self.stores):
-            for entry in self.stores[node_id].entries.values():
-                if entry.state_id == state_id:
-                    return node_id, entry
-        return None
-
     def holders(self, compat_hash: str, scope_key: str | None) -> list[tuple[str, CacheEntry]]:
         """Nodes currently holding a matching entry, sorted by node id."""
         if not self.enabled:
@@ -361,32 +331,6 @@ class CacheSystem:
             raise ScopeViolation(entry.state_id)
         if entry.descriptor.privacy_label is not DataClass.PUBLIC and dst_trust < requester_min_trust:
             raise ScopeViolation(entry.state_id)
-
-    def plan_migration(
-        self,
-        state_id: str,
-        src_node: str,
-        dst_node: str,
-        topology,
-        dst_trust: int = 0,
-        requester_min_trust: int = 0,
-    ) -> tuple[CacheEntry, int, int]:
-        """Price a cooperative state move: (entry, transfer_us, core_bytes).
-
-        The state stays unavailable at ``dst_node`` until the returned
-        transfer time elapses; the source copy is retained. Raises
-        HardwareBound / ScopeViolation when the move is not permitted.
-        """
-        located = None
-        for entry in self.stores[src_node].entries.values():
-            if entry.state_id == state_id:
-                located = entry
-                break
-        if located is None:
-            raise KeyError(f"state {state_id} not resident at {src_node}")
-        self.check_migration(located, dst_trust, requester_min_trust)
-        transfer_us, core = topology.transfer_between(src_node, dst_node, located.descriptor.migration_cost)
-        return located, transfer_us, core
 
     def drop_session(self, session_id: str) -> list[tuple[str, str]]:
         dropped = []

@@ -10,7 +10,7 @@ as data, never as exceptions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any
@@ -678,7 +678,3 @@ def _security_violations(s: SecurityLabel) -> list[str]:
 def to_canonical_json(d: Descriptor) -> str:
     """Canonical single-line serialization used by receipt logs and tests."""
     return json.dumps(d.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def descriptor_field_names(cls: type) -> set[str]:
-    return {f.name for f in fields(cls)}

@@ -182,7 +182,6 @@ class Simulation:
         self._session_remaining: dict[str, int] = {}
         self._pending_loads: dict[str, list[str]] = {}
         self._arrival_history: list[Arrival] = []
-        self._horizon_rejected: list[tuple[int, Arrival]] = []
 
     # -- event plumbing ------------------------------------------------------
 
@@ -332,7 +331,13 @@ class Simulation:
                         self.router.artifact_repository, proj.node_id, realization.artifact_size_bytes
                     )
                     self.metrics.core_bytes_placement += core
-            node.reserve(self._seq, request.request_id, proj.realization_id, proj.ready_us, proj.duration_us)
+            reservation = node.reserve(proj.realization_id, proj.ready_us, proj.duration_us)
+            if (reservation.start_us, reservation.complete_us) != (proj.start_us, proj.complete_us):
+                raise RuntimeError(
+                    f"{request.request_id} on {proj.node_id}: realized schedule "
+                    f"({reservation.start_us}, {reservation.complete_us}) differs from scored "
+                    f"({proj.start_us}, {proj.complete_us})"
+                )
             self.metrics.max_queue_length[proj.node_id] = max(
                 self.metrics.max_queue_length.get(proj.node_id, 0), node.queue_length(now)
             )
@@ -375,20 +380,17 @@ class Simulation:
     # -- event handlers -----------------------------------------------------------
 
     def _on_dispatch(self, now: int, payload: dict) -> None:
-        node_id = payload["node_id"]
-        self.broker.refresh_queue_telemetry(node_id, now)
         self._trace(
             now,
             EventKind.DISPATCH.value,
             request_id=payload["request_id"],
-            node_id=node_id,
+            node_id=payload["node_id"],
             ready_us=payload["ready_us"],
         )
 
     def _on_stage_complete(self, now: int, payload: dict) -> None:
         node_id = payload["node_id"]
         rid = payload["realization_id"]
-        self.broker.refresh_queue_telemetry(node_id, now)
         self._trace(now, EventKind.STAGE_COMPLETE.value, request_id=payload["request_id"], node_id=node_id)
         self._maybe_complete_eviction(now, node_id, rid)
 
@@ -463,9 +465,8 @@ class Simulation:
                 continue
             self._start_load(now, node_id, rid)
         for node_id in sorted(self.broker.nodes):
-            state = self.broker.node(node_id)
-            self.broker.refresh_queue_telemetry(node_id, now)
-            self._push(now, EventKind.TELEMETRY, {"node_id": node_id, "queued_work_us": state.queued_work_us})
+            queued_work_us = self.broker.refresh_queue_telemetry(node_id, now)
+            self._push(now, EventKind.TELEMETRY, {"node_id": node_id, "queued_work_us": queued_work_us})
 
     def _demand_cells(self, start_us: int, end_us: int) -> list[deployment.DemandCell]:
         return deployment.cells_from_requests(
@@ -474,8 +475,7 @@ class Simulation:
 
     def _start_load(self, now: int, node_id: str, rid: str) -> None:
         realization = self.catalog.realizations[rid]
-        state = self.broker.node(node_id)
-        if state.free_memory_bytes({r: self.broker.footprint(r) for r in state.residency}) < self.broker.footprint(rid):
+        if self.broker.free_memory(node_id) < self.broker.footprint(rid):
             self._pending_loads.setdefault(node_id, []).append(rid)
             return
         if self.router.artifact_repository is not None:
@@ -519,12 +519,10 @@ class Simulation:
 
     def _on_node_offline(self, now: int, payload: dict) -> None:
         self.broker.node(payload["node_id"]).online = False
-        self.broker._invalidate(self.broker.node(payload["node_id"]).profile.domain_id)
         self._trace(now, EventKind.NODE_OFFLINE.value, node_id=payload["node_id"])
 
     def _on_node_online(self, now: int, payload: dict) -> None:
         self.broker.node(payload["node_id"]).online = True
-        self.broker._invalidate(self.broker.node(payload["node_id"]).profile.domain_id)
         self._trace(now, EventKind.NODE_ONLINE.value, node_id=payload["node_id"])
 
     def _on_revoke(self, now: int, payload: dict) -> None:
@@ -664,7 +662,7 @@ class Simulation:
         realization = self.catalog.realizations[prefill_rid]
         compat = self.router.state_hash_for(prefill_rid, request)
         store = self.caches.store(serving_node)
-        if store.resident(compat, arrival.session_id) is not None:
+        if store.peek(compat, arrival.session_id) is not None:
             return
         size = arrival.prefix_tokens * realization.kv_bytes_per_token
         speed = self.broker.node(serving_node).profile.hardware.speed_factor

@@ -2,8 +2,9 @@
 
 The catalog stores the class -> variant -> realization tree with referential
 integrity. The broker tracks live node state (residency, reservation
-calendars, memory) behind per-domain summaries; telemetry is push-based,
-last-writer-wins, and summaries recompute lazily on read.
+calendars, memory). Candidate lookup checks each node in turn: liveness,
+locality scope, effective trust, accelerator and free memory. Queued-work
+telemetry is read off the reservation calendar when it is reported.
 
 Candidate lookup returns warm and cold (placeable) candidates so routing can
 price activation instead of the registry hiding it.
@@ -23,7 +24,7 @@ from .descriptors import (
     ResourceProfile,
     Tier,
 )
-from .topology import Domain, Topology
+from .topology import Topology
 from .trust import TrustManager
 
 
@@ -80,14 +81,8 @@ class CapabilityCatalog:
             raise CatalogIntegrityError(f"duplicate realization {realization.realization_id}")
         self.realizations[realization.realization_id] = realization
 
-    def remove_realization(self, realization_id: str) -> None:
-        self.realizations.pop(realization_id, None)
-
     def variant_of(self, realization_id: str) -> CapabilityVariant:
         return self.variants[self.realizations[realization_id].variant_id]
-
-    def class_of(self, realization_id: str) -> CapabilityDescriptor:
-        return self.classes[self.variant_of(realization_id).parent_class]
 
     def realizations_of_class(self, class_name: str) -> list[CapabilityRealization]:
         if class_name not in self.classes:
@@ -104,16 +99,6 @@ class CapabilityCatalog:
         # Memory footprint for placement budgeting equals the artifact size.
         return self.realizations[realization_id].artifact_size_bytes
 
-    def check_integrity(self) -> list[str]:
-        problems = []
-        for v in self.variants.values():
-            if v.parent_class not in self.classes:
-                problems.append(f"variant {v.variant_id} dangling class {v.parent_class}")
-        for r in self.realizations.values():
-            if r.variant_id not in self.variants:
-                problems.append(f"realization {r.realization_id} dangling variant {r.variant_id}")
-        return problems
-
 
 @dataclass(slots=True)
 class Residency:
@@ -124,10 +109,7 @@ class Residency:
 
 @dataclass(slots=True)
 class Reservation:
-    seq: int
-    request_id: str
     realization_id: str
-    ready_us: int
     start_us: int
     complete_us: int
 
@@ -146,7 +128,6 @@ class NodeState:
     residency: dict[str, Residency] = field(default_factory=dict)
     reservations: list[Reservation] = field(default_factory=list)
     server_free_us: list[int] = field(default_factory=list)
-    queued_work_us: int = 0  # last pushed telemetry value
 
     def __post_init__(self) -> None:
         if not self.server_free_us:
@@ -156,12 +137,6 @@ class NodeState:
     @property
     def node_id(self) -> str:
         return self.profile.node_id
-
-    def used_memory_bytes(self, footprint: dict[str, int]) -> int:
-        return sum(footprint[rid] for rid in self.residency)
-
-    def free_memory_bytes(self, footprint: dict[str, int]) -> int:
-        return self.profile.capacity.memory_budget_bytes - self.used_memory_bytes(footprint)
 
     def prune(self, now: int) -> None:
         if any(r.complete_us <= now for r in self.reservations):
@@ -180,37 +155,18 @@ class NodeState:
         """Wait a stage ready at ``ready_us`` would incur; pure, no reservation."""
         return max(0, self.server_free_us[0] - ready_us)
 
-    def reserve(self, seq: int, request_id: str, realization_id: str, ready_us: int, duration_us: int) -> Reservation:
+    def reserve(self, realization_id: str, ready_us: int, duration_us: int) -> Reservation:
         free = heapq.heappop(self.server_free_us)
         start = max(ready_us, free)
         complete = start + duration_us
         heapq.heappush(self.server_free_us, complete)
-        res = Reservation(seq, request_id, realization_id, ready_us, start, complete)
+        res = Reservation(realization_id, start, complete)
         self.reservations.append(res)
         return res
-
-    def live_queued_work_us(self, now: int) -> int:
-        """Telemetry view: how long a ready-now stage would wait for a server."""
-        return max(0, min(self.server_free_us) - now)
 
     def outstanding_for_realization(self, realization_id: str, now: int) -> int:
         self.prune(now)
         return sum(1 for r in self.reservations if r.realization_id == realization_id)
-
-
-@dataclass(frozen=True, slots=True)
-class ClassSummary:
-    best_quality: int
-    warm_realizations: int
-
-
-@dataclass(frozen=True, slots=True)
-class DomainSummary:
-    domain_id: str
-    per_class: dict[str, ClassSummary]
-    free_memory_bytes: int
-    queue_estimate_us: int
-    max_trust: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +177,7 @@ class Candidate:
 
 
 class Broker:
-    """Admits nodes, absorbs telemetry, and answers candidate/summary queries."""
+    """Admits nodes, tracks their residency, and answers candidate queries."""
 
     def __init__(self, catalog: CapabilityCatalog, topology: Topology, trust: TrustManager | None = None):
         self.catalog = catalog
@@ -229,7 +185,6 @@ class Broker:
         self.trust = trust
         self.nodes: dict[str, NodeState] = {}
         self._footprint: dict[str, int] = {}
-        self._summary_cache: dict[str, DomainSummary] = {}
 
     # -- admission ---------------------------------------------------------
 
@@ -245,7 +200,6 @@ class Broker:
             )
         state = NodeState(profile=profile)
         self.nodes[profile.node_id] = state
-        self._invalidate(profile.domain_id)
         return state
 
     def node(self, node_id: str) -> NodeState:
@@ -267,90 +221,23 @@ class Broker:
         state = self.node(node_id)
         if realization_id in state.residency:
             return
-        fp = self.footprint(realization_id)
-        if state.free_memory_bytes(self._residency_footprints(state)) < fp:
+        if self.free_memory(node_id) < self.footprint(realization_id):
             raise MemoryError(f"node {node_id}: no room for {realization_id}")
         state.residency[realization_id] = Residency(realization_id, available_at_us)
-        self._invalidate(state.profile.domain_id)
 
     def evict(self, node_id: str, realization_id: str) -> None:
-        state = self.node(node_id)
-        state.residency.pop(realization_id, None)
-        self._invalidate(state.profile.domain_id)
-
-    def _residency_footprints(self, state: NodeState) -> dict[str, int]:
-        return {rid: self.footprint(rid) for rid in state.residency}
+        self.node(node_id).residency.pop(realization_id, None)
 
     def free_memory(self, node_id: str) -> int:
+        """Memory budget minus the footprints of every resident realization."""
         state = self.node(node_id)
-        return state.free_memory_bytes(self._residency_footprints(state))
+        return state.profile.capacity.memory_budget_bytes - sum(self.footprint(rid) for rid in state.residency)
 
     # -- telemetry ---------------------------------------------------------
 
-    def update_telemetry(
-        self,
-        node_id: str,
-        queued_work_us: int,
-        free_memory_bytes: int,
-        resident_realizations: tuple[str, ...] | list[str],
-    ) -> None:
-        state = self.node(node_id)
-        if queued_work_us < 0:
-            raise ValueError("queued_work_us must be >= 0")
-        if free_memory_bytes > state.profile.capacity.memory_budget_bytes:
-            raise ValueError("free memory exceeds memory budget")
-        state.queued_work_us = queued_work_us
-        state.residency = {
-            rid: state.residency.get(rid, Residency(rid, 0)) for rid in resident_realizations
-        }
-        self._invalidate(state.profile.domain_id)
-
-    def _invalidate(self, domain_id: str) -> None:
-        self._summary_cache.pop(domain_id, None)
-
-    def refresh_queue_telemetry(self, node_id: str, now: int) -> None:
-        state = self.node(node_id)
-        state.queued_work_us = state.live_queued_work_us(now)
-        self._invalidate(state.profile.domain_id)
-
-    # -- summaries ---------------------------------------------------------
-
-    def summarize(self, domain_id: str, now: int = 0) -> DomainSummary:
-        if domain_id not in self.topology.domains:
-            raise UnknownDomain(domain_id)
-        cached = self._summary_cache.get(domain_id)
-        if cached is not None:
-            return cached
-        members = sorted(
-            (s for s in self.nodes.values() if s.profile.domain_id == domain_id and s.online),
-            key=lambda s: s.node_id,
-        )
-        per_class: dict[str, ClassSummary] = {}
-        for class_name in sorted(self.catalog.classes):
-            best_quality = 0
-            warm = 0
-            for state in members:
-                for rid, res in state.residency.items():
-                    if res.available_at_us > now or res.pending_eviction:
-                        continue
-                    variant = self.catalog.variant_of(rid)
-                    if variant.parent_class != class_name:
-                        continue
-                    warm += 1
-                    best_quality = max(best_quality, variant.quality)
-            if warm:
-                per_class[class_name] = ClassSummary(best_quality, warm)
-        total_weight = sum(s.profile.capacity.max_concurrent for s in members)
-        weighted = sum(s.queued_work_us * s.profile.capacity.max_concurrent for s in members)
-        summary = DomainSummary(
-            domain_id=domain_id,
-            per_class=per_class,
-            free_memory_bytes=sum(s.free_memory_bytes(self._residency_footprints(s)) for s in members),
-            queue_estimate_us=weighted // total_weight if total_weight else 0,
-            max_trust=max((s.profile.trust for s in members), default=0),
-        )
-        self._summary_cache[domain_id] = summary
-        return summary
+    def refresh_queue_telemetry(self, node_id: str, now: int) -> int:
+        """Queued work on a node: the wait a stage ready at ``now`` would see."""
+        return self.node(node_id).peek_wait_us(now)
 
     # -- candidate lookup ---------------------------------------------------
 
@@ -395,23 +282,16 @@ class Broker:
         ]
         if not realizations:
             return []
-        # Domain summaries gate the per-node scan: skip domains whose
-        # aggregate view cannot satisfy the request at all.
-        viable_domains = set()
-        for domain_id in sorted(self.topology.domains):
-            summary = self.summarize(domain_id, now)
-            if summary.max_trust >= policy.min_trust:
-                viable_domains.add(domain_id)
         out: list[Candidate] = []
         for node_id in sorted(self.nodes):
             state = self.nodes[node_id]
-            if not state.online or state.profile.domain_id not in viable_domains:
+            if not state.online:
                 continue
             if not self._in_scope(state, policy, origin_region):
                 continue
             if self._effective_trust(state, now) < policy.min_trust:
                 continue
-            free = state.free_memory_bytes(self._residency_footprints(state))
+            free = self.free_memory(node_id)
             for realization in realizations:
                 if realization.accelerator != state.profile.hardware.accelerator:
                     continue

@@ -12,9 +12,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
-from .descriptors import ResourceProfile, Tier, fraction_str, parse_fraction
+from .descriptors import ResourceProfile, fraction_str, parse_fraction
 
 
 class Unreachable(Exception):
@@ -59,7 +58,6 @@ class Link:
 @dataclass(frozen=True, slots=True)
 class Node:
     profile: ResourceProfile
-    online: bool = True
 
     @property
     def node_id(self) -> str:
@@ -101,9 +99,6 @@ class Topology:
     @property
     def regions(self) -> set[str]:
         return {n.profile.locality.region for n in self.nodes.values()}
-
-    def nodes_in_tier(self, tier: Tier) -> list[Node]:
-        return [n for n in self.nodes.values() if n.profile.locality.tier is tier]
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
         """Minimum-propagation-delay link sequence from src to dst.
@@ -148,25 +143,6 @@ class Topology:
     def path_delay_us(self, path: tuple[Link, ...]) -> int:
         return sum(link.propagation_delay_us for link in path)
 
-    def transfer_time_us(self, path: tuple[Link, ...], payload_bytes: int) -> int:
-        """Propagation along the path plus serialization at the bottleneck link.
-
-        Empty paths (same endpoint) cost 0 regardless of payload.
-        """
-        if payload_bytes < 0:
-            raise ValueError("payload_bytes must be >= 0")
-        if not path:
-            return 0
-        delay = self.path_delay_us(path)
-        if payload_bytes == 0:
-            return delay
-        bottleneck = min(link.bandwidth_bytes_per_us for link in path)
-        return delay + ceil(Fraction(payload_bytes) / bottleneck)
-
-    def core_bytes(self, path: tuple[Link, ...], payload_bytes: int) -> int:
-        """Bytes attributed to wide-area links for WAN-traffic accounting."""
-        return sum(payload_bytes for link in path if link.is_core)
-
     def _route_info(self, src: str, dst: str) -> tuple[int, int, int, int]:
         """(delay_us, bottleneck numerator, bottleneck denominator, core link count)."""
         cached = self._route_cache.get((src, dst))
@@ -183,7 +159,12 @@ class Topology:
         return info
 
     def transfer_between(self, src: str, dst: str, payload_bytes: int) -> tuple[int, int]:
-        """Convenience: (transfer_time_us, core_bytes) for src -> dst."""
+        """(transfer_time_us, core_bytes) for a payload sent from src to dst.
+
+        Time is propagation along the path plus serialization at the
+        bottleneck link, rounded up; the same endpoint costs nothing. Core
+        bytes count the payload once per wide-area link on the path.
+        """
         delay, bw_num, bw_den, core_links = self._route_info(src, dst)
         if bw_den == 0:
             return 0, 0

@@ -114,10 +114,6 @@ class Arrival:
     total_turns: int
     prefix_tokens: int
 
-    @property
-    def final_turn(self) -> bool:
-        return self.turn_index == self.total_turns
-
 
 def _zipf_cdf(n: int, s: float) -> list[float]:
     weights = [1.0 / (k**s) for k in range(1, n + 1)]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from capsim.engine import Simulation
 from capsim.scenario import Scenario
 
@@ -138,6 +140,24 @@ def test_queue_waits_match_dispatch_trace():
         assert receipt.t_queue_us == waits[receipt.request_id]
         assert receipt.t_queue_us >= 0
     assert any(w > 0 for w in waits.values())
+
+
+def test_commit_raises_when_realized_schedule_differs_from_scored():
+    d = mini_scenario_dict()
+    d["requests"] = [scripted_request()]
+    sim = Simulation(Scenario.from_dict(d))
+    commit = sim._commit
+
+    def commit_after_phantom(now, arrival, selection):
+        # A stage reserved between selection and commit takes the server the
+        # scored plan counted on.
+        proj = selection.scored.stages[0]
+        sim.broker.node(proj.node_id).reserve("phantom", proj.ready_us, 1)
+        commit(now, arrival, selection)
+
+    sim._commit = commit_after_phantom
+    with pytest.raises(RuntimeError, match="realized schedule"):
+        sim.run()
 
 
 def test_node_concurrency_cap_never_exceeded():

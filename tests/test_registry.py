@@ -5,6 +5,7 @@ import pytest
 from capsim.descriptors import LocalityScope, PolicyConstraint, Tier
 from capsim.registry import (
     Broker,
+    CatalogIntegrityError,
     DuplicateNode,
     TrustBelowDomainFloor,
     UnknownCapabilityClass,
@@ -57,93 +58,17 @@ def test_register_unknown_domain_rejected():
 def test_telemetry_unknown_node():
     broker = fresh_broker()
     with pytest.raises(UnknownNode):
-        broker.update_telemetry("ghost", 0, 0, [])
+        broker.refresh_queue_telemetry("ghost", 0)
 
 
-def test_telemetry_rejects_memory_over_budget():
+def test_queue_telemetry_is_wait_of_a_stage_ready_now():
     broker = fresh_broker()
-    broker.register_node(make_profile("n1", memory=GIB))
-    with pytest.raises(ValueError):
-        broker.update_telemetry("n1", 0, 2 * GIB, [])
-
-
-def test_telemetry_last_writer_wins():
-    broker = fresh_broker()
-    broker.register_node(make_profile("n1"))
-    broker.update_telemetry("n1", 1000, 0, [])
-    broker.update_telemetry("n1", 3000, 0, [])
-    assert broker.node("n1").queued_work_us == 3000
-
-
-def test_summarize_empty_domain_is_zeroed():
-    broker = fresh_broker()
-    summary = broker.summarize("d1")
-    assert summary.per_class == {}
-    assert summary.free_memory_bytes == 0
-    assert summary.queue_estimate_us == 0
-    assert summary.max_trust == 0
-
-
-def test_summarize_unknown_domain():
-    broker = fresh_broker()
-    with pytest.raises(UnknownDomain):
-        broker.summarize("ghost")
-
-
-def test_queue_estimate_is_demand_weighted_mean():
-    broker = fresh_broker()
-    broker.register_node(make_profile("n1", max_concurrent=1))
-    broker.register_node(make_profile("n2", max_concurrent=1))
-    broker.update_telemetry("n1", 1000, 0, [])
-    broker.update_telemetry("n2", 3000, 0, [])
-    assert broker.summarize("d1").queue_estimate_us == 2000
-
-
-def test_offline_node_excluded_from_summary():
-    broker = fresh_broker()
-    broker.register_node(make_profile("n1", max_concurrent=1))
-    broker.register_node(make_profile("n2", max_concurrent=1))
-    broker.update_telemetry("n1", 1000, 0, [])
-    broker.update_telemetry("n2", 9000, 0, [])
-    broker.node("n2").online = False
-    broker._invalidate("d1")
-    assert broker.summarize("d1").queue_estimate_us == 1000
-
-
-def _recompute_summary(broker, domain_id):
-    members = [
-        s for s in broker.nodes.values()
-        if s.profile.domain_id == domain_id and s.online
-    ]
-    weight = sum(s.profile.capacity.max_concurrent for s in members)
-    queued = sum(s.queued_work_us * s.profile.capacity.max_concurrent for s in members)
-    return {
-        "queue": queued // weight if weight else 0,
-        "free": sum(
-            s.profile.capacity.memory_budget_bytes
-            - sum(broker.footprint(r) for r in s.residency)
-            for s in members
-        ),
-        "trust": max((s.profile.trust for s in members), default=0),
-    }
-
-
-def test_summary_matches_recompute_oracle_over_random_telemetry():
-    rng = random.Random(7)
-    broker = fresh_broker()
-    for i in range(4):
-        broker.register_node(make_profile(f"n{i}", max_concurrent=rng.randint(1, 4)))
-    for _ in range(200):
-        node = f"n{rng.randrange(4)}"
-        broker.update_telemetry(node, rng.randrange(10_000), 0, [])
-        if rng.random() < 0.2:
-            broker.node(node).online = not broker.node(node).online
-            broker._invalidate("d1")
-        summary = broker.summarize("d1")
-        oracle = _recompute_summary(broker, "d1")
-        assert summary.queue_estimate_us == oracle["queue"]
-        assert summary.free_memory_bytes == oracle["free"]
-        assert summary.max_trust == oracle["trust"]
+    state = broker.register_node(make_profile("n1", max_concurrent=2))
+    state.reserve("chat-v1-gpu", ready_us=0, duration_us=3000)
+    assert broker.refresh_queue_telemetry("n1", 1000) == 0  # one server still idle
+    state.reserve("chat-v1-gpu", ready_us=0, duration_us=5000)
+    assert broker.refresh_queue_telemetry("n1", 1000) == 2000
+    assert broker.refresh_queue_telemetry("n1", 4000) == 0
 
 
 # -- candidate lookup ----------------------------------------------------------
@@ -172,13 +97,13 @@ def candidate_broker():
     return broker
 
 
-def brute_force_candidates(broker, capability_class, quality_target, policy, origin_region):
+def brute_force_candidates(broker, capability_class, quality_target, policy, origin_region, now=0):
     out = set()
     for node_id, state in broker.nodes.items():
         if not state.online:
             continue
         profile = state.profile
-        if profile.trust < policy.min_trust:
+        if broker.trust.effective_trust(node_id, now) < policy.min_trust:
             continue
         if policy.allowed_domains is not None and profile.domain_id not in policy.allowed_domains:
             continue
@@ -233,6 +158,36 @@ def test_candidates_match_brute_force(quality_target, min_trust):
     assert got == want
 
 
+def test_offline_node_excluded_from_candidates():
+    broker = candidate_broker()
+    broker.node("edge-1").online = False
+    offline = {c.node_id for c in broker.lookup_candidates("chat", 1, PolicyConstraint(), "metro")}
+    broker.node("edge-1").online = True
+    online = {c.node_id for c in broker.lookup_candidates("chat", 1, PolicyConstraint(), "metro")}
+    assert offline == {"edge-2", "cloud-1"}
+    assert online == {"edge-1", "edge-2", "cloud-1"}
+
+
+def test_candidates_match_brute_force_under_random_churn():
+    rng = random.Random(7)
+    broker = candidate_broker()
+    for now in range(200):
+        node_id = rng.choice(sorted(broker.nodes))
+        state = broker.node(node_id)
+        if rng.random() < 0.3:
+            state.online = not state.online
+        else:
+            # Validation caps an attested level at the node's claimed trust.
+            broker.trust.attest(AttestationRecord(node_id, rng.randint(0, state.profile.trust), now, None))
+        policy = PolicyConstraint(min_trust=rng.randint(0, 3))
+        quality_target = rng.randint(1, 2)
+        got = {
+            (c.node_id, c.realization_id, c.warm)
+            for c in broker.lookup_candidates("chat", quality_target, policy, "metro", now=now)
+        }
+        assert got == brute_force_candidates(broker, "chat", quality_target, policy, "metro", now=now)
+
+
 def test_relaxing_policy_never_shrinks_candidates():
     broker = candidate_broker()
     strict = {
@@ -281,15 +236,19 @@ def test_catalog_referential_integrity_after_interleavings():
     for _ in range(20):
         catalog = CapabilityCatalog()
         catalog.add_class(make_class("chat"))
-        added = []
-        for i in range(rng.randint(1, 6)):
-            vid = f"v{i}"
-            catalog.add_variant(make_variant(vid, "chat"))
-            for j in range(rng.randint(0, 3)):
-                rid = f"v{i}-r{j}"
-                catalog.add_realization(make_realization(rid, vid))
-                added.append(rid)
-        rng.shuffle(added)
-        for rid in added[: len(added) // 2]:
-            catalog.remove_realization(rid)
-        assert catalog.check_integrity() == []
+        for i in range(rng.randint(1, 12)):
+            # Some additions name a parent that does not exist; the catalog
+            # must refuse exactly those.
+            if rng.random() < 0.5:
+                item = make_variant(f"v{i}", rng.choice(["chat", "ghost"]))
+                add, dangling = catalog.add_variant, item.parent_class not in catalog.classes
+            else:
+                item = make_realization(f"r{i}", rng.choice([*catalog.variants, "ghost"]))
+                add, dangling = catalog.add_realization, item.variant_id not in catalog.variants
+            if dangling:
+                with pytest.raises(CatalogIntegrityError):
+                    add(item)
+            else:
+                add(item)
+        assert all(v.parent_class in catalog.classes for v in catalog.variants.values())
+        assert all(r.variant_id in catalog.variants for r in catalog.realizations.values())

@@ -254,8 +254,8 @@ def test_admission_capped_node_excluded(simple_broker):
     router = make_router(broker, enable_split=False)
     edge1 = broker.node("edge-1")
     cap = edge1.profile.capacity.admission_cap
-    for i in range(cap):
-        edge1.reserve(i, f"bg-{i}", "chat-v1-gpu", ready_us=10_000, duration_us=1000)
+    for _ in range(cap):
+        edge1.reserve("chat-v1-gpu", ready_us=10_000, duration_us=1000)
     assert edge1.queue_length(0) >= cap
     outcome = router.select(chat_request(), now=0)
     assert isinstance(outcome, Selection)
@@ -385,8 +385,8 @@ def test_capped_decode_node_removes_split_plans(simple_broker):
     broker.install("edge-2", "chat-v1-gpu", 0)
     router = make_router(broker, enable_split=True)
     edge2 = broker.node("edge-2")
-    for i in range(edge2.profile.capacity.admission_cap):
-        edge2.reserve(i, f"bg-{i}", "chat-v1-gpu", ready_us=10_000, duration_us=1000)
+    for _ in range(edge2.profile.capacity.admission_cap):
+        edge2.reserve("chat-v1-gpu", ready_us=10_000, duration_us=1000)
     outcome = router.select(chat_request(), now=0)
     assert isinstance(outcome, Selection)
     assert all(s.node_id != "edge-2" for s in outcome.scored.stages)
@@ -414,7 +414,7 @@ def test_quadratic_load_penalty_grows_with_outstanding_work(simple_broker):
     plan = ExecutionPlan.of((PlanStage("edge-1", "chat-v1-gpu", PlanPhase.FULL),))
     idle = router.score(plan, chat_request(), now=0, warm_flags=(True,))
     node = broker.node("edge-1")
-    node.reserve(0, "bg", "chat-v1-gpu", ready_us=0, duration_us=50_000)
+    node.reserve("chat-v1-gpu", ready_us=0, duration_us=50_000)
     busy = router.score(plan, chat_request(), now=0, warm_flags=(True,))
     # One outstanding stage over max_concurrent 2: 1000 * 1/4 = 250.
     assert idle.cost.c_load == 0

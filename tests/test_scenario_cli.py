@@ -41,6 +41,19 @@ def test_dangling_realization_reports_path(tmp_path, capsys):
     assert "initial_placement" in err and "ghost-realization" in err
 
 
+def test_attestation_above_claimed_trust_reports_path(tmp_path, capsys):
+    # Candidate lookup relies on this rule: a node's effective trust never
+    # exceeds the trust it claims.
+    doc = json.loads((SCENARIOS / "trust_churn.json").read_text())
+    attestation = doc["trust_script"]["attestations"][0]
+    claimed = next(n["trust"] for n in doc["topology"]["nodes"] if n["node_id"] == attestation["node_id"])
+    attestation["level"] = claimed + 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert "trust_script.attestations[0].level" in capsys.readouterr().err
+
+
 def test_malformed_file_reports_line_position(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"name": "x",\n  "seed": }\n')

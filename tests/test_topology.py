@@ -31,7 +31,7 @@ def diamond_topology():
 def test_path_to_self_is_empty():
     topo = chain_topology()
     assert topo.path("edge-1", "edge-1") == ()
-    assert topo.transfer_time_us((), 10_000) == 0
+    assert topo.transfer_between("edge-1", "edge-1", 10_000) == (0, 0)
 
 
 def test_chain_path_delay_sums():
@@ -76,36 +76,33 @@ def test_unreachable_raises():
 
 def test_transfer_time_arithmetic():
     topo = chain_topology()
-    path = topo.path("edge-1", "cloud-1")
     # 10000 us propagation, bottleneck 500 bytes/us, ceil rounding.
-    assert topo.transfer_time_us(path, 0) == 10_000
-    assert topo.transfer_time_us(path, 50_000) == 10_000 + 100
-    assert topo.transfer_time_us(path, 50_001) == 10_000 + 101
+    assert topo.transfer_between("edge-1", "cloud-1", 0)[0] == 10_000
+    assert topo.transfer_between("edge-1", "cloud-1", 50_000)[0] == 10_000 + 100
+    assert topo.transfer_between("edge-1", "cloud-1", 50_001)[0] == 10_000 + 101
 
 
 def test_stated_transfer_example():
     profiles = [make_profile("x"), make_profile("y")]
     links = [Link("l", "x", "y", 10_000, Fraction(100))]
     topo = make_topology(profiles, links)
-    assert topo.transfer_time_us(topo.path("x", "y"), 50_000) == 10_500
+    assert topo.transfer_between("x", "y", 50_000)[0] == 10_500
 
 
 def test_core_bytes_accounting():
     topo = chain_topology()
-    path = topo.path("edge-1", "cloud-1")
-    assert topo.core_bytes(path, 1 << 20) == 1 << 20  # one core link
-    assert topo.core_bytes(topo.path("edge-1", "regional-1"), 1 << 20) == 0
+    assert topo.transfer_between("edge-1", "cloud-1", 1 << 20)[1] == 1 << 20  # one core link
+    assert topo.transfer_between("edge-1", "regional-1", 1 << 20)[1] == 0
     # Additivity over repeated transfers.
-    total = sum(topo.core_bytes(path, 1 << 20) for _ in range(2))
+    total = sum(topo.transfer_between("edge-1", "cloud-1", 1 << 20)[1] for _ in range(2))
     assert total == 2 << 20
 
 
 def test_transfer_monotone_in_payload():
     topo = diamond_topology()
-    path = topo.path("a", "d")
     previous = -1
     for payload in range(0, 5000, 37):
-        t = topo.transfer_time_us(path, payload)
+        t, _ = topo.transfer_between("a", "d", payload)
         assert t >= previous
         previous = t
 
