@@ -301,10 +301,12 @@ class CacheSystem:
         self.enabled = enabled
         self.policy = policy
         self.stores: dict[str, StateStore] = {}
+        self._node_ids: tuple[str, ...] = ()  # sorted keys of ``stores``
 
     def add_store(self, node_id: str, capacity_bytes: int) -> StateStore:
         store = StateStore(node_id, capacity_bytes, self.window_us, policy=self.policy)
         self.stores[node_id] = store
+        self._node_ids = tuple(sorted(self.stores))
         return store
 
     def store(self, node_id: str) -> StateStore:
@@ -315,7 +317,7 @@ class CacheSystem:
         if not self.enabled:
             return []
         out = []
-        for node_id in sorted(self.stores):
+        for node_id in self._node_ids:
             entry = self.stores[node_id].peek(compat_hash, scope_key)
             if entry is not None:
                 out.append((node_id, entry))
@@ -334,14 +336,14 @@ class CacheSystem:
 
     def drop_session(self, session_id: str) -> list[tuple[str, str]]:
         dropped = []
-        for node_id in sorted(self.stores):
+        for node_id in self._node_ids:
             for state_id in self.stores[node_id].drop_session(session_id):
                 dropped.append((node_id, state_id))
         return dropped
 
     def drop_by_realization(self, realization_id: str) -> list[tuple[str, str]]:
         dropped = []
-        for node_id in sorted(self.stores):
+        for node_id in self._node_ids:
             for state_id in self.stores[node_id].drop_by_realization(realization_id):
                 dropped.append((node_id, state_id))
         return dropped

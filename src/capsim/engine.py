@@ -10,6 +10,7 @@ event loop realizes exactly the timing the router scored; identical
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -160,6 +161,7 @@ class Simulation:
             enable_split=bool(scenario.routing_config.get("enable_split", True)),
             artifact_repository=scenario.artifact_repository,
             placement_tiers=placement_tiers,
+            audit=audit,
         )
 
         for rid, node_id in sorted(scenario.initial_placement):
@@ -181,7 +183,7 @@ class Simulation:
         self._in_flight: dict[str, InFlight] = {}
         self._session_remaining: dict[str, int] = {}
         self._pending_loads: dict[str, list[str]] = {}
-        self._arrival_history: list[Arrival] = []
+        self._arrival_history: deque[RequestDescriptor] = deque()  # arrival order = time order
 
     # -- event plumbing ------------------------------------------------------
 
@@ -257,7 +259,7 @@ class Simulation:
     def _on_arrival(self, now: int, payload: dict) -> None:
         arrival: Arrival = payload["arrival"]
         request = arrival.request
-        self._arrival_history.append(arrival)
+        self._arrival_history.append(request)
         self._trace(now, EventKind.ARRIVAL.value, request_id=request.request_id)
 
         outcome = self.router.select(request, now)
@@ -469,9 +471,12 @@ class Simulation:
             self._push(now, EventKind.TELEMETRY, {"node_id": node_id, "queued_work_us": queued_work_us})
 
     def _demand_cells(self, start_us: int, end_us: int) -> list[deployment.DemandCell]:
-        return deployment.cells_from_requests(
-            [a.request for a in self._arrival_history], start_us, end_us
-        )
+        # Replans come in time order with one window length, so an arrival
+        # before this window's start is before every later window's too.
+        history = self._arrival_history
+        while history and history[0].arrival_time < start_us:
+            history.popleft()
+        return deployment.cells_from_requests(list(history), start_us, end_us)
 
     def _start_load(self, now: int, node_id: str, rid: str) -> None:
         realization = self.catalog.realizations[rid]

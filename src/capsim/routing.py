@@ -6,6 +6,15 @@ all terms integers, so argmin decisions are scale-invariant and bit-stable.
 A scored plan carries its full projected schedule (per-stage ready/start/
 complete times); committing a plan reserves exactly that schedule, which is
 why realized queueing always equals the scored queueing term.
+
+Selection prices each candidate (node, realization) once as a stage half:
+its inbound and outbound transfer, state reuse, activation, execution, wait
+and penalties. A single-node plan is one half; a prefill/decode split adds
+the two halves, the KV transfer between them and the decode node's wait at
+the prefill's completion. J is compared as an exact integer numerator over
+the weights' common denominator, so the budget filter and the relative tie
+window need no rationals; only the winner is rescored into a full
+``ScoredPlan`` with ``score``.
 """
 
 from __future__ import annotations
@@ -119,7 +128,6 @@ class PlanCost:
         return (self.t_net_us, self.t_queue_us, self.t_exec_us, self.t_state_us, self.c_load, self.p_policy)
 
 
-@lru_cache(maxsize=64)
 def _weight_multipliers(weights: RoutingWeights) -> tuple[int, tuple[int, ...]]:
     """Common denominator and integer per-term multipliers for exact J sums."""
     parts = (weights.alpha, weights.beta, weights.gamma, weights.delta, weights.epsilon, weights.zeta)
@@ -127,9 +135,14 @@ def _weight_multipliers(weights: RoutingWeights) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(p.numerator * (scale // p.denominator) for p in parts)
 
 
+def _numerator(mult: tuple[int, ...], terms: tuple[int, ...]) -> int:
+    """J times the weights' common denominator."""
+    return sum(m * t for m, t in zip(mult, terms))
+
+
 def combine_terms(weights: RoutingWeights, terms: tuple[int, int, int, int, int, int]) -> Fraction:
     scale, mult = _weight_multipliers(weights)
-    return Fraction(sum(m * t for m, t in zip(mult, terms)), scale)
+    return Fraction(_numerator(mult, terms), scale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +200,41 @@ class Selection:
     scored: ScoredPlan
     served_quality: int
     degraded: bool
-    alternatives: tuple[tuple[str, tuple[int, int, int, int, int, int]], ...]  # (plan_id, terms) incl. chosen
+    # (plan_id, terms) of every plan incl. the chosen one; empty unless the router audits
+    alternatives: tuple[tuple[str, tuple[int, int, int, int, int, int]], ...]
+
+
+@dataclass(slots=True)
+class _Half:
+    """One candidate's share of every plan it appears in, priced once per select.
+
+    The prefill side (``t_in`` set) serves single-node and prefill stages, the
+    decode side (``t_out`` set) single-node and decode stages; a side is None
+    when the origin and the node are not connected in that direction.
+    ``pre_num`` and ``dec_num`` are each side's J numerator.
+    """
+
+    cand: Candidate
+    variant_id: str
+    free_us: int   # earliest server release: a stage ready at t waits max(0, free_us - t)
+    kv_bytes: int  # handed to the decode node when this half prefills
+    c_load: int
+    p_policy: int
+    t_in: int | None = None
+    wait: int = 0
+    prefill_exec: int = 0
+    t_state: int = 0
+    prefill_done_us: int = 0
+    pre_num: int = 0
+    t_out: int | None = None
+    decode_us: int = 0
+    decode_exec: int = 0
+    dec_num: int = 0
+
+
+# A priced plan: (J numerator, prefill-or-only half, decode half or None,
+# KV transfer time, decode wait).
+_Priced = tuple[int, _Half, _Half | None, int, int]
 
 
 class Router:
@@ -202,6 +249,7 @@ class Router:
         enable_split: bool = True,
         artifact_repository: str | None = None,
         placement_tiers: set[Tier] | None = None,
+        audit: bool = False,
     ):
         self.broker = broker
         self.topology = topology
@@ -212,13 +260,15 @@ class Router:
         self.enable_split = enable_split
         self.artifact_repository = artifact_repository
         self.placement_tiers = placement_tiers
+        self.audit = audit  # selections carry every plan's (plan_id, terms)
+        self._scale, self._mult = _weight_multipliers(self.weights)
 
     # -- helpers -------------------------------------------------------------
 
     def _eff_time_us(self, per_token_us: int, tokens: int, speed: Fraction) -> int:
         if tokens <= 0:
             return 0
-        if speed <= 0:
+        if speed.numerator <= 0:
             raise Unroutable("zero speed factor")
         return -(-per_token_us * tokens * speed.denominator // speed.numerator)
 
@@ -415,7 +465,7 @@ class Router:
 
         p_policy = 0 if zero_queue else self.weights.pi_soft * self._soft_misses(request, stages, now)
         terms = (t_net, t_queue, t_exec, t_state, c_load, p_policy)
-        cost = PlanCost(*terms, total=combine_terms(self.weights, terms))
+        cost = PlanCost(*terms, total=Fraction(_numerator(self._mult, terms), self._scale))
         finish = cursor + t_out
         state_core = state_use.core_bytes if (state_use and state_use.migrate) else 0
         return ScoredPlan(
@@ -498,6 +548,116 @@ class Router:
 
     # -- selection ----------------------------------------------------------------
 
+    def _half(self, request: RequestDescriptor, cand: Candidate, origin: str, now: int) -> _Half | None:
+        """Price ``cand`` as a stage half: what ``score`` charges it in any plan."""
+        node = self.broker.node(cand.node_id)
+        realization = self.broker.catalog.realizations[cand.realization_id]
+        try:
+            t_in, _ = self.topology.transfer_between(origin, cand.node_id, request.input_tokens * self.bytes_per_token)
+        except Unreachable:
+            t_in = None
+        try:
+            t_out, _ = self.topology.transfer_between(cand.node_id, origin, request.output_tokens * self.bytes_per_token)
+        except Unreachable:
+            t_out = None
+        if t_in is None and t_out is None:
+            return None
+        base_exec = realization.setup_time_us
+        if not cand.warm:
+            try:
+                activation, _ = self._cold_extras_us(cand.node_id, realization)
+            except Unreachable:
+                return None  # the artifact cannot reach the node: no plan may place it
+            base_exec += activation
+        m_net, m_queue, m_exec, m_state, m_load, m_policy = self._mult
+        half = _Half(
+            cand,
+            realization.variant_id,
+            free_us=node.server_free_us[0],
+            kv_bytes=request.input_tokens * realization.kv_bytes_per_token,
+            c_load=self._c_load_for(node, now),
+            p_policy=self.weights.pi_soft * self._soft_misses(request, [(node, realization)], now),
+        )
+        penalty = m_load * half.c_load + m_policy * half.p_policy
+        speed = node.profile.hardware.speed_factor
+        if t_in is not None:
+            use = self._resolve_state(request, node, realization)
+            covered = use.covered_tokens if use else 0
+            t_state = use.transfer_us if use else 0
+            migrate_wait = t_state if (use and use.migrate) else 0
+            ready = now + t_in + migrate_wait
+            half.t_in = t_in
+            half.wait = max(0, half.free_us - ready)
+            half.prefill_exec = base_exec + self._eff_time_us(
+                realization.prefill_time_per_token_us, max(0, request.input_tokens - covered), speed
+            )
+            half.t_state = t_state
+            # Recomputing covered tokens occupies the server after the prefill.
+            half.prefill_done_us = ready + half.wait + half.prefill_exec + (t_state - migrate_wait)
+            half.pre_num = m_net * t_in + m_queue * half.wait + m_exec * half.prefill_exec + m_state * t_state + penalty
+        if t_out is not None:
+            half.t_out = t_out
+            half.decode_us = self._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
+            half.decode_exec = base_exec + half.decode_us
+            half.dec_num = m_net * t_out + m_exec * half.decode_exec + penalty
+        return half
+
+    def _price_plans(self, request: RequestDescriptor, candidates: list[Candidate], now: int) -> list[_Priced]:
+        """Every plan ``_plans_from_candidates`` enumerates that ``score`` can price, with its J numerator."""
+        origin = region_vertex(request.origin_region)
+        halves = [h for h in (self._half(request, c, origin, now) for c in candidates) if h is not None]
+        m_net, m_queue, m_exec = self._mult[:3]
+        plans: list[_Priced] = [
+            (h.pre_num + m_net * h.t_out + m_exec * h.decode_us, h, None, 0, 0)
+            for h in halves
+            if h.t_in is not None and h.t_out is not None
+        ]
+        if self.enable_split:
+            decoders: dict[str, list[_Half]] = {}
+            for h in halves:
+                if h.t_out is not None:
+                    decoders.setdefault(h.variant_id, []).append(h)
+            transfer = self.topology.transfer_between
+            for pre in halves:
+                if pre.t_in is None:
+                    continue
+                pre_node = pre.cand.node_id
+                for dec in decoders.get(pre.variant_id, ()):
+                    if dec.cand.node_id == pre_node:
+                        continue
+                    try:
+                        t_inter, _ = transfer(pre_node, dec.cand.node_id, pre.kv_bytes)
+                    except Unreachable:
+                        continue
+                    wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
+                    num = pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait
+                    plans.append((num, pre, dec, t_inter, wait))
+        return plans
+
+    @staticmethod
+    def _plan_of(pre: _Half, dec: _Half | None) -> tuple[ExecutionPlan, tuple[bool, ...]]:
+        if dec is None:
+            stage = PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.FULL)
+            return ExecutionPlan.of((stage,)), (pre.cand.warm,)
+        stages = (
+            PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.PREFILL),
+            PlanStage(dec.cand.node_id, dec.cand.realization_id, PlanPhase.DECODE),
+        )
+        return ExecutionPlan.of(stages), (pre.cand.warm, dec.cand.warm)
+
+    @staticmethod
+    def _terms_of(pre: _Half, dec: _Half | None, t_inter: int, wait: int) -> tuple[int, int, int, int, int, int]:
+        if dec is None:
+            return (pre.t_in + pre.t_out, pre.wait, pre.prefill_exec + pre.decode_us, pre.t_state, pre.c_load, pre.p_policy)
+        return (
+            pre.t_in + t_inter + dec.t_out,
+            pre.wait + wait,
+            pre.prefill_exec + dec.decode_exec,
+            pre.t_state,
+            pre.c_load + dec.c_load,
+            pre.p_policy + dec.p_policy,
+        )
+
     def select(self, request: RequestDescriptor, now: int) -> Selection | Rejection:
         """Argmin-J selection with the overload/degradation ladder.
 
@@ -505,34 +665,57 @@ class Router:
         retries at quality_target - 1 while the request is degradable; plans
         existing only above budget reject as BudgetExceeded, none at all as
         NoFeasiblePlan.
+
+        Plans are compared on integer J numerators; the plan_id tie-break
+        hashes only the plans inside the tie window, and only the winner is
+        scored in full.
         """
         quality = request.quality_target
         saw_budget_only = False
+        limit = None if request.budget is None else request.budget * self._scale
         while quality >= 1:
             candidates = self._candidates(request, quality, now, respect_caps=True)
-            scored = self._score_enumerated(request, candidates, now)
-            if scored:
-                within = scored
-                if request.budget is not None:
-                    within = [s for s in scored if s.cost.total <= request.budget]
-                    if not within:
-                        saw_budget_only = True
-                if within:
-                    best = _argmin(within, self.weights.tie_eps)
-                    alternatives = tuple(
-                        (s.plan.plan_id, s.cost.terms()) for s in sorted(scored, key=lambda s: s.plan.plan_id)
-                    )
-                    return Selection(
-                        scored=best,
-                        served_quality=quality,
-                        degraded=quality < request.quality_target,
-                        alternatives=alternatives,
-                    )
+            plans = self._price_plans(request, candidates, now)
+            within = plans if limit is None else [p for p in plans if p[0] <= limit]
+            if within:
+                return self._selection(request, now, plans, within, quality)
+            if plans:
+                saw_budget_only = True
             if request.degradable and quality > 1:
                 quality -= 1
                 continue
             break
         return Rejection(REASON_BUDGET_EXCEEDED if saw_budget_only else REASON_NO_FEASIBLE_PLAN)
+
+    def _selection(
+        self, request: RequestDescriptor, now: int, plans: list[_Priced], within: list[_Priced], quality: int
+    ) -> Selection:
+        # J <= best + |best| * eps, multiplied through by eps's denominator;
+        # J is an integer, so the floor of the bound compares the same.
+        eps = self.weights.tie_eps
+        best = min(p[0] for p in within)
+        cut = (best * eps.denominator + abs(best) * eps.numerator) // eps.denominator
+        plan, warm_flags, priced = min(
+            ((*self._plan_of(p[1], p[2]), p) for p in within if p[0] <= cut),
+            key=lambda c: c[0].plan_id,
+        )
+        scored = self.score(plan, request, now, warm_flags)
+        priced_terms = self._terms_of(*priced[1:])
+        if scored.cost.terms() != priced_terms:
+            raise RuntimeError(
+                f"{request.request_id}: plan {plan.plan_id} scored {scored.cost.terms()}, priced {priced_terms}"
+            )
+        alternatives = ()
+        if self.audit:
+            alternatives = tuple(
+                sorted((self._plan_of(p[1], p[2])[0].plan_id, self._terms_of(*p[1:])) for p in plans)
+            )
+        return Selection(
+            scored=scored,
+            served_quality=quality,
+            degraded=quality < request.quality_target,
+            alternatives=alternatives,
+        )
 
 
 def _argmin(scored: list[ScoredPlan], tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)) -> ScoredPlan:

@@ -20,6 +20,10 @@ class Unreachable(Exception):
     """No path exists between the requested endpoints."""
 
 
+# Route-cache entry for a pair with no path between them.
+_NO_ROUTE = (-1, 0, 0, 0)
+
+
 def region_vertex(region_id: str) -> str:
     return f"region:{region_id}"
 
@@ -144,18 +148,27 @@ class Topology:
         return sum(link.propagation_delay_us for link in path)
 
     def _route_info(self, src: str, dst: str) -> tuple[int, int, int, int]:
-        """(delay_us, bottleneck numerator, bottleneck denominator, core link count)."""
-        cached = self._route_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        path = self.path(src, dst)
-        delay = self.path_delay_us(path)
-        if path:
-            bottleneck = min(link.bandwidth_bytes_per_us for link in path)
-            info = (delay, bottleneck.numerator, bottleneck.denominator, sum(1 for l in path if l.is_core))
-        else:
-            info = (0, 1, 0, 0)  # denominator 0 marks the empty path
-        self._route_cache[(src, dst)] = info
+        """(delay_us, bottleneck numerator, bottleneck denominator, core link count).
+
+        Raises Unreachable when the endpoints are not connected; a pair is
+        searched at most once, whether or not it is connected.
+        """
+        info = self._route_cache.get((src, dst))
+        if info is None:
+            try:
+                path = self.path(src, dst)
+            except Unreachable:
+                self._route_cache[(src, dst)] = _NO_ROUTE
+                raise
+            delay = self.path_delay_us(path)
+            if path:
+                bottleneck = min(link.bandwidth_bytes_per_us for link in path)
+                info = (delay, bottleneck.numerator, bottleneck.denominator, sum(1 for l in path if l.is_core))
+            else:
+                info = (0, 1, 0, 0)  # denominator 0 marks the empty path
+            self._route_cache[(src, dst)] = info
+        if info is _NO_ROUTE:
+            raise Unreachable(f"no path from {src!r} to {dst!r}")
         return info
 
     def transfer_between(self, src: str, dst: str, payload_bytes: int) -> tuple[int, int]:

@@ -285,6 +285,16 @@ def test_tenant_shared_requires_same_tenant():
 # -- migration ----------------------------------------------------------------------
 
 
+def test_holders_and_session_drops_follow_node_id_order():
+    system = CacheSystem()
+    for node_id in ("n3", "n1", "n2"):  # registration order is not id order
+        store = system.add_store(node_id, 10_000)
+        store.admit(make_state(f"s-{node_id}"), BenefitInputs(Fraction(1, 2), 1000), "sess-1", now=0)
+    assert [node_id for node_id, _ in system.holders("h1", "sess-1")] == ["n1", "n2", "n3"]
+    assert system.drop_session("sess-1") == [("n1", "s-n1"), ("n2", "s-n2"), ("n3", "s-n3")]
+    assert system.holders("h1", "sess-1") == []
+
+
 def test_hardware_bound_cannot_migrate():
     system = CacheSystem()
     store = system.add_store("n1", 10_000)

@@ -511,6 +511,48 @@ def test_replan_matches_exhaustive_oracle_on_shipped_scenario():
     assert [(r["realization_id"], r["node_id"]) for r in loads] == [("translate-lite-gpu", "edge-east-1")]
 
 
+def test_trimmed_arrival_history_gives_full_history_cells_at_every_replan(monkeypatch):
+    from pathlib import Path
+
+    from capsim import deployment
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "small_place.json").read_text())
+    # A window shorter than the run, so replans drop history they no longer need.
+    doc["deployment"].update(epoch_us=2_000_000, window_us=6_000_000, replan_enabled=True)
+    doc["duration_us"] = 40_000_000
+    doc["node_events"] = [
+        {"node_id": "edge-east-1", "time_us": t, "online": online}
+        for start in range(6_000_000, 40_000_000, 15_000_000)
+        for t, online in ((start, False), (start + 3_000_000, True))
+    ]
+    scenario = Scenario.from_dict(doc)
+    assert scenario.validate() == []
+    sim = Simulation(scenario)
+
+    arrived = []
+    select = sim.router.select
+
+    def recording_select(request, now):
+        arrived.append(request)
+        return select(request, now)
+
+    sim.router.select = recording_select
+    full_cells = deployment.cells_from_requests
+    scanned = []
+
+    def cells_against_full_history(requests, start_us, end_us):
+        cells = full_cells(requests, start_us, end_us)
+        assert cells == full_cells(arrived, start_us, end_us), f"replan at {end_us}"
+        scanned.append((len(requests), len(arrived)))
+        return cells
+
+    monkeypatch.setattr(deployment, "cells_from_requests", cells_against_full_history)
+    sim.run()
+    assert len(scanned) == 19
+    assert all(n <= total for n, total in scanned)
+    assert scanned[-1][0] < scanned[-1][1] // 2, "history was never trimmed"
+
+
 def test_replan_withdraws_placement_still_in_flight():
     d = mini_scenario_dict(duration_us=35_000_000)
     d["topology"]["nodes"][0]["memory_budget_bytes"] = 1 << 30  # exactly one artifact

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from capsim.caching import BenefitInputs, CacheSystem
 from capsim.descriptors import (
     REASON_BUDGET_EXCEEDED,
@@ -11,6 +13,7 @@ from capsim.descriptors import (
     SharingScope,
     StateDescriptor,
     StateType,
+    Tier,
 )
 from capsim.registry import Broker, CapabilityCatalog
 from capsim.routing import (
@@ -19,6 +22,7 @@ from capsim.routing import (
     Router,
     RoutingWeights,
     Selection,
+    _argmin,
     combine_terms,
     within_tie,
 )
@@ -35,7 +39,7 @@ from conftest import (
 )
 
 
-def make_router(broker, weights=None, bytes_per_token=4, enable_split=True, repo=None):
+def make_router(broker, weights=None, bytes_per_token=4, enable_split=True, repo=None, audit=False):
     caches = CacheSystem()
     for node_id in broker.nodes:
         caches.add_store(node_id, 64 * 1024 * 1024)
@@ -48,6 +52,7 @@ def make_router(broker, weights=None, bytes_per_token=4, enable_split=True, repo
         bytes_per_token=bytes_per_token,
         enable_split=enable_split,
         artifact_repository=repo,
+        audit=audit,
     )
 
 
@@ -419,3 +424,172 @@ def test_quadratic_load_penalty_grows_with_outstanding_work(simple_broker):
     # One outstanding stage over max_concurrent 2: 1000 * 1/4 = 250.
     assert idle.cost.c_load == 0
     assert busy.cost.c_load == 250
+
+
+# -- differential check: half scoring against exhaustive enumeration ----------
+
+WEIGHT_VALUES = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3), Fraction(2, 7)])
+EDGES = ("edge-1", "edge-2", "edge-3")
+NODES = EDGES + ("cloud-1", "island-1")  # island-1 has no links at all
+REALIZATIONS = (("chat-v1-gpu", "chat-v1"), ("chat-v1-alt", "chat-v1"), ("chat-v2-gpu", "chat-v2"))
+
+
+@st.composite
+def router_states(draw):
+    """A router over random reservations, residency, session state, weights and a request."""
+    catalog = CapabilityCatalog()
+    catalog.add_class(make_class("chat"))
+    catalog.add_variant(make_variant("chat-v1", "chat", quality=1, preferred_trust=draw(st.integers(0, 3))))
+    catalog.add_variant(make_variant("chat-v2", "chat", quality=2))
+    for rid, vid in REALIZATIONS:
+        catalog.add_realization(
+            make_realization(
+                rid,
+                vid,
+                prefill=draw(st.integers(1, 120)),
+                decode=draw(st.integers(1, 500)),
+                setup=draw(st.integers(0, 1000)),
+                kv_bytes=draw(st.sampled_from([0, 64, 256])),
+                load_time=draw(st.integers(0, 50_000)),
+            )
+        )
+    profiles = [
+        make_profile(
+            node_id,
+            domain_id="d-core" if node_id == "cloud-1" else "d1",
+            region="core" if node_id == "cloud-1" else "metro",
+            tier=Tier.CLOUD if node_id == "cloud-1" else Tier.EDGE,
+            speed=draw(st.sampled_from(["1", "3/2", "4"])),
+            memory=draw(st.sampled_from([GIB, 8 * GIB, 8 * GIB])),
+            max_concurrent=draw(st.integers(1, 3)),
+            admission_cap=draw(st.integers(1, 6)),
+            trust=draw(st.integers(1, 3)),
+        )
+        for node_id in NODES
+    ]
+    links = star_links("metro", list(EDGES), delay=draw(st.integers(0, 2000))) + [
+        Link(f"l-{e}-c", e, "cloud-1", draw(st.integers(0, 30_000)), Fraction(draw(st.integers(50, 500))), is_core=True)
+        for e in EDGES
+    ]
+    links.append(Link("l-e1-e2", "edge-1", "edge-2", draw(st.integers(0, 3000)), Fraction(1000)))
+    trust = TrustManager()
+    for p in profiles:
+        trust.attest(AttestationRecord(p.node_id, p.trust - draw(st.integers(0, 1)), 0, None))
+    broker = Broker(catalog, make_topology(profiles, links, domains=[Domain("d1"), Domain("d-core")]), trust=trust)
+    for p in profiles:
+        broker.register_node(p)
+
+    now = draw(st.integers(0, 20_000))
+    for node_id in NODES:
+        for rid, _ in REALIZATIONS:
+            residency = draw(st.sampled_from(["cold", "warm", "warm", "loading", "draining"]))
+            if residency == "cold" or broker.free_memory(node_id) < broker.footprint(rid):
+                continue
+            broker.install(node_id, rid, now + 1 if residency == "loading" else 0)
+            broker.node(node_id).residency[rid].pending_eviction = residency == "draining"
+        for _ in range(draw(st.integers(0, 4))):
+            broker.node(node_id).reserve(
+                "chat-v1-gpu", ready_us=draw(st.integers(0, 40_000)), duration_us=draw(st.integers(1, 30_000))
+            )
+
+    weights = RoutingWeights(
+        alpha=draw(WEIGHT_VALUES),
+        beta=draw(WEIGHT_VALUES),
+        gamma=draw(WEIGHT_VALUES),
+        delta=draw(WEIGHT_VALUES),
+        epsilon=draw(st.sampled_from([Fraction(0), Fraction(1)])),
+        zeta=draw(st.sampled_from([Fraction(0), Fraction(1)])),
+        kappa=draw(st.sampled_from([Fraction(0), Fraction(1000)])),
+        pi_soft=draw(st.sampled_from([0, 500])),
+        tie_eps=draw(st.sampled_from([Fraction(1, 10**9), Fraction(1, 50)])),
+    )
+    router = make_router(
+        broker,
+        weights=weights,
+        enable_split=draw(st.booleans()),
+        repo=draw(st.sampled_from([None, "cloud-1", "island-1"])),
+        audit=True,
+    )
+
+    affinity = draw(st.sampled_from([None, "sess-1:abc", "sess-2:def"]))
+    request = chat_request(
+        quality_target=draw(st.integers(1, 2)),
+        degradable=draw(st.booleans()),
+        budget=draw(st.sampled_from([None, None, 0, 20_000, 100_000, 2_000_000])),
+        input_tokens=draw(st.integers(0, 300)),
+        output_tokens=draw(st.integers(1, 400)),
+        affinity_token=affinity,
+        policy=PolicyConstraint(
+            min_trust=draw(st.integers(0, 1)),
+            preferred_domains=draw(st.sampled_from([None, ("d-core",), ("d1",)])),
+        ),
+        arrival_time=now,
+    )
+    if affinity is not None:
+        session, _, _ = affinity.partition(":")
+        for node_id in draw(st.lists(st.sampled_from(NODES), unique=True, max_size=4)):
+            rid = draw(st.sampled_from([r for r, _ in REALIZATIONS]))
+            tokens = draw(st.integers(1, 400))
+            bound = draw(st.booleans())
+            router.caches.store(node_id).admit(
+                StateDescriptor(
+                    state_id=f"st-{node_id}",
+                    state_type=StateType.TENSOR_STATE,
+                    compatibility_hash=router.state_hash_for(rid, request),
+                    sharing_scope=SharingScope.HARDWARE_BOUND if bound else SharingScope.SESSION_PRIVATE,
+                    size=tokens * 256,
+                    migration_cost=None if bound else tokens * 256,
+                ),
+                BenefitInputs(Fraction(1, 2), 10_000_000),
+                scope_key=session,
+                now=0,
+                node_trust=3,
+                requester_min_trust=request.policy.min_trust,
+                token_count=tokens,
+                source_realization=rid,
+            )
+    return router, request, now
+
+
+def exhaustive_select(router, request, now):
+    """The ladder over full enumeration: every plan scored, Fraction argmin."""
+    quality = request.quality_target
+    saw_budget_only = False
+    while quality >= 1:
+        candidates = router._candidates(request, quality, now, respect_caps=True)
+        scored = router._score_enumerated(request, candidates, now)
+        within = [s for s in scored if request.budget is None or s.cost.total <= request.budget]
+        if within:
+            alternatives = sorted((s.plan.plan_id, s.cost.terms()) for s in scored)
+            return _argmin(within, router.weights.tie_eps), quality, tuple(alternatives)
+        saw_budget_only = saw_budget_only or bool(scored)
+        if not (request.degradable and quality > 1):
+            break
+        quality -= 1
+    return REASON_BUDGET_EXCEEDED if saw_budget_only else REASON_NO_FEASIBLE_PLAN
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(router_states())
+def test_half_scoring_select_matches_exhaustive_enumeration(state):
+    router, request, now = state
+    expected = exhaustive_select(router, request, now)
+    outcome = router.select(request, now)
+    if isinstance(expected, str):
+        assert isinstance(outcome, Rejection) and outcome.reason == expected
+        return
+    best, quality, alternatives = expected
+    assert isinstance(outcome, Selection)
+    assert outcome.scored.plan.plan_id == best.plan.plan_id
+    assert outcome.scored == best
+    assert (outcome.served_quality, outcome.degraded) == (quality, quality < request.quality_target)
+    assert outcome.alternatives == alternatives
+
+
+def test_alternatives_are_built_only_when_auditing(simple_broker):
+    simple_broker.install("edge-1", "chat-v1-gpu", 0)
+    quiet = make_router(simple_broker).select(chat_request(), now=0)
+    audited = make_router(simple_broker, audit=True).select(chat_request(), now=0)
+    assert quiet.alternatives == ()
+    assert quiet.scored == audited.scored
+    assert audited.scored.plan.plan_id in {plan_id for plan_id, _ in audited.alternatives}

@@ -74,6 +74,23 @@ def test_unreachable_raises():
         topo.path("a", "b")
 
 
+def test_unreachable_route_is_searched_once():
+    profiles = [make_profile("a"), make_profile("b")]
+    topo = make_topology(profiles, [])
+    searches = []
+    path = topo.path
+
+    def counting_path(src, dst):
+        searches.append((src, dst))
+        return path(src, dst)
+
+    topo.path = counting_path
+    for _ in range(2):
+        with pytest.raises(Unreachable):
+            topo.transfer_between("a", "b", 100)
+    assert searches == [("a", "b")]
+
+
 def test_transfer_time_arithmetic():
     topo = chain_topology()
     # 10000 us propagation, bottleneck 500 bytes/us, ceil rounding.
