@@ -59,11 +59,11 @@ def test_criterion_1_placement_oracle_suite():
 
 def test_criterion_2_routing_argmin_audit(tmp_path):
     scenario = load("audit")
-    sim = Simulation(scenario, audit=True)
+    sim = Simulation(scenario, audit=True, trace=True)
     result = sim.run()
     assert len(result.audit) >= 10_000, f"only {len(result.audit)} routed requests"
     # The audit run doubles as the golden-digest check for this scenario.
-    _write_outputs(tmp_path, scenario, sim, result, trace=False)
+    _write_outputs(tmp_path, scenario, sim, result, trace=True)
     assert output_digests(tmp_path) == GOLDEN["audit"], "audit outputs differ from the golden digest"
 
     weights = RoutingWeights.from_dict(scenario.weights)

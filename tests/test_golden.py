@@ -1,9 +1,9 @@
 """Golden output digests for every shipped scenario.
 
-Each entry is the sha256 of the ``metrics.json`` and ``receipts.jsonl`` bytes
-that ``capsim run --out`` writes for the scenario at its own seed and
-duration. A change that alters output on purpose updates the digests here and
-gives the reason in CHANGES.md.
+Each entry is the sha256 of the ``metrics.json``, ``receipts.jsonl`` and
+``trace.csv`` bytes that ``capsim run --out --trace`` writes for the scenario
+at its own seed and duration. A change that alters output on purpose updates
+the digests here and gives the reason in CHANGES.md.
 
 ``audit`` takes about 10 s to run, so its digest is checked inside acceptance
 criterion 2, which runs it anyway (``audit=True`` leaves these bytes unchanged).
@@ -22,33 +22,40 @@ GOLDEN = {
     "audit": (
         "00fd09158986bec169fb4b27da1b70b4eb811faba14a6cf8c2300b3e5340a821",
         "cf51828dea1cac6899e7d3d8a4197cc055e5906fb31fce8129e3468d50082c02",
+        "970249f17cae8d1827923595fa6d3638a616f50b1548924b04b0be840c6875bf",
     ),
     "locality": (
         "0704c52ef192b26984ec95bb7796fc3d0d44a3610572b8585e8f72f0eb4a4248",
         "b3f47a96f9f20e3f00938d7ba843d6ff17aa73028f19b5ddd3054804092f2929",
+        "8efba76bb4728154f5ca0446e0ada15a89473179e2ba808ca13d588fe2c539fd",
     ),
     "overload": (
         "d58a2e0197f36f9cd16d495d32dc78f49bcb79994fa354b19396d70461bbf5cb",
         "804bb6d420ba39f7d56f82a164f0667b9344e0d11dba4569031b63c3d5ede014",
+        "01571b59055438716a0fdc41698f95532c68cff8424f1b326aeb6690a550d619",
     ),
     "session_heavy": (
         "1b19ec034adad7e08cdd75987b4c84316acc0f1994c39ecb97c53d805eeb2596",
         "c997dabc0ee2807534682ec0f2c468a7667367d4225c97f49a0e44053fd43549",
+        "6a86f14da11086d64b03cc009241404fe792605ad6f1c1ff0b49c2c73669cace",
     ),
     "small_place": (
         "d2bd3754502f56a4c82aac192fec1e8cbb027f1e2fd98914d6406fd231eab2f3",
         "523f55de2d2cee9b1f76eeac64005600c5885dc46204eec128ca6ab206b7c5aa",
+        "c92cd551d13cf01233561465d813623dbb99196380cd83805d9a6e9cbc3b6cf7",
     ),
     "trust_churn": (
         "f046110d983b72492ffe998abb12a4ea5c317eb89c778d3e976848c36afbd4c1",
         "47add689514c1dac37da6911fc8248749578c0430f942a507a508dc591587041",
+        "cb8c54895766f98c25d30c0c916d192f58ca759763309db9a674c394349561d9",
     ),
 }
 
 
-def output_digests(out_dir: Path) -> tuple[str, str]:
+def output_digests(out_dir: Path) -> tuple[str, str, str]:
     return tuple(
-        hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("metrics.json", "receipts.jsonl")
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("metrics.json", "receipts.jsonl", "trace.csv")
     )
 
 
@@ -58,5 +65,5 @@ def test_every_shipped_scenario_has_a_digest():
 
 @pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"audit"}))
 def test_run_output_matches_golden_digest(name, tmp_path):
-    assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path), "--trace"]) == 0
     assert output_digests(tmp_path) == GOLDEN[name]
