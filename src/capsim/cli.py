@@ -9,8 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__, deployment
 from .descriptors import Tier
@@ -33,6 +36,50 @@ TRACE_COLUMNS = [
     "bytes",
     "detail",
 ]
+_TRACE_COLUMN_SET = frozenset(TRACE_COLUMNS)
+
+
+class TraceWriter:
+    """``trace.csv``, written one row at a time as the engine produces them.
+
+    A row's known columns are its values under those names (empty when
+    absent); every other key goes into ``detail`` as sorted ``key=value``
+    pairs joined by ``;``.
+    """
+
+    def __init__(self, fp: TextIO) -> None:
+        self._fp = fp
+        self._rows = 0
+        fp.write(",".join(TRACE_COLUMNS) + "\n")
+
+    def append(self, row: dict) -> None:
+        cells = [str(row.get(c, "")) for c in TRACE_COLUMNS[:-1]]  # all but detail
+        cells.append(";".join(f"{k}={row[k]}" for k in sorted(row) if k not in _TRACE_COLUMN_SET))
+        self._fp.write(",".join(cells) + "\n")
+        self._rows += 1
+
+    def __len__(self) -> int:
+        return self._rows
+
+
+@contextmanager
+def _trace_writer(out_dir: Path | None) -> Iterator[TraceWriter | bool]:
+    """A ``TraceWriter`` for ``out_dir/trace.csv``, or False when ``out_dir`` is None.
+
+    Rows go to ``trace.csv.partial``, which becomes ``trace.csv`` only when
+    the block completes, so a failed run leaves no partial trace behind.
+    """
+    if out_dir is None:
+        yield False
+        return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    partial = out_dir / "trace.csv.partial"
+    try:
+        with partial.open("w") as fp:
+            yield TraceWriter(fp)
+        partial.replace(out_dir / "trace.csv")
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def frac_decimal(value: Fraction, places: int = 6) -> str:
@@ -71,10 +118,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_outputs(out_dir: Path, scenario: Scenario, sim: Simulation, result, trace: bool) -> None:
+def _write_outputs(out_dir: Path, scenario: Scenario, sim: Simulation, result) -> None:
+    """Write ``metrics.json``, ``receipts.jsonl`` and ``manifest.json``; the
+    trace, if any, was streamed to ``trace.csv`` during the run."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(result.metrics.to_json())
-    (out_dir / "receipts.jsonl").write_text(result.receipts_jsonl())
+    with (out_dir / "metrics.json").open("w") as fp:
+        result.metrics.to_json(fp)
+    with (out_dir / "receipts.jsonl").open("w") as fp:
+        result.receipts.to_jsonl(fp)
     manifest = {
         "scenario": scenario.name,
         "scenario_digest": scenario.digest,
@@ -83,14 +134,6 @@ def _write_outputs(out_dir: Path, scenario: Scenario, sim: Simulation, result, t
         "tool_version": __version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    if trace:
-        lines = [",".join(TRACE_COLUMNS)]
-        for row in result.trace:
-            known = {c: row.get(c, "") for c in TRACE_COLUMNS}
-            detail = {k: v for k, v in row.items() if k not in TRACE_COLUMNS}
-            known["detail"] = ";".join(f"{k}={detail[k]}" for k in sorted(detail))
-            lines.append(",".join(str(known[c]) for c in TRACE_COLUMNS))
-        (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
 
 
 def _summary_line(metrics_doc: dict) -> str:
@@ -110,15 +153,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     if not _validate_or_report(scenario):
         return EXIT_VALIDATION
+    out_dir = Path(args.out) if args.out else None
     try:
-        sim = Simulation(scenario, seed=args.seed, duration_us=args.duration_us, trace=args.trace)
-        result = sim.run()
-        if args.out:
-            _write_outputs(Path(args.out), scenario, sim, result, args.trace)
+        # Without --out there is nowhere to write a trace, so none is built.
+        with _trace_writer(out_dir if args.trace else None) as trace:
+            sim = Simulation(scenario, seed=args.seed, duration_us=args.duration_us, trace=trace)
+            result = sim.run()
+            if out_dir is not None:
+                _write_outputs(out_dir, scenario, sim, result)
     except Exception as exc:  # runtime failure contract
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(_summary_line(result.metrics.to_dict()))
+    print(_summary_line(result.metrics.summary()))
     return EXIT_OK
 
 
@@ -130,11 +176,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     try:
         sim_full = Simulation(scenario, seed=args.seed, duration_us=args.duration_us)
-        full = sim_full.run().metrics.to_dict()
+        full = sim_full.run().metrics.summary()
         sim_base = Simulation(
             scenario, seed=args.seed, duration_us=args.duration_us, placement_tiers={Tier.CLOUD}
         )
-        base = sim_base.run().metrics.to_dict()
+        base = sim_base.run().metrics.summary()
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -228,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--duration-us", type=int, default=None, help="override the scenario duration")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--trace", action="store_true", help="also write the event trace table")
+    p_run.add_argument(
+        "--trace", action="store_true", help="also write the event trace table, as it occurs, to --out/trace.csv"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="paired run against a cloud-only placement baseline")

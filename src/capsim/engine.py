@@ -1,6 +1,7 @@
 """Deterministic discrete-event core: drives arrivals through routing,
 execution, caching, and trust, applies epoch replanning and scripted events,
-and accumulates metrics, receipts, and an event trace.
+and accumulates metrics and receipts; event-trace rows go to a list or to a
+writer that streams them to disk.
 
 Stage schedules are fixed at selection time (reservation calendars), so the
 event loop realizes exactly the timing the router scored; identical
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import ceil
+from typing import Protocol
 
 from . import deployment
 from .caching import REJECT_ALREADY_RESIDENT, BenefitInputs, CacheSystem, estimate_p_hit
@@ -56,12 +58,14 @@ class EventKind(str, Enum):
     REVOKE = "revoke"
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    time_us: int
-    seq: int
-    kind: EventKind = field(compare=False)
-    payload: dict = field(compare=False, default_factory=dict)
+class TraceSink(Protocol):
+    """Where trace rows go: a list kept in memory, or a writer that streams
+    them to a file (``cli.TraceWriter``). Each row's ``seq`` is the sink's
+    length before the row is appended."""
+
+    def append(self, row: dict) -> None: ...
+
+    def __len__(self) -> int: ...
 
 
 @dataclass(slots=True)
@@ -85,7 +89,7 @@ class AuditEntry:
 class RunResult:
     metrics: MetricsFrame
     receipts: ReceiptLog
-    trace: list[dict]
+    trace: TraceSink
     audit: list[AuditEntry]
 
     def receipts_jsonl(self) -> str:
@@ -102,13 +106,15 @@ class Simulation:
         placement_tiers: set[Tier] | None = None,
         weights: RoutingWeights | None = None,
         audit: bool = False,
-        trace: bool = False,
+        trace: bool | TraceSink = False,
     ):
+        """``trace=True`` keeps trace rows in a list, ``result.trace``;
+        ``trace`` may also be a sink that takes the rows as they occur."""
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.duration_us = scenario.duration_us if duration_us is None else duration_us
         self.audit_enabled = audit
-        self.trace_enabled = trace
+        self.trace_enabled = trace is not False
 
         self.topology = scenario.build_topology()
         self.catalog = CapabilityCatalog()
@@ -175,10 +181,12 @@ class Simulation:
         for snode in scenario.nodes:
             self.metrics.node_capacity[snode.profile.node_id] = snode.profile.capacity.max_concurrent
         self.receipts = ReceiptLog()
-        self.trace: list[dict] = []
+        self.trace: TraceSink = [] if isinstance(trace, bool) else trace
         self.audit: list[AuditEntry] = []
 
-        self._events: list[Event] = []
+        # (time_us, seq, kind, payload): seq is unique, so tuples compare on
+        # (time_us, seq) alone, in C.
+        self._events: list[tuple[int, int, EventKind, dict]] = []
         self._seq = 0
         self._in_flight: dict[str, InFlight] = {}
         self._session_remaining: dict[str, int] = {}
@@ -188,7 +196,7 @@ class Simulation:
     # -- event plumbing ------------------------------------------------------
 
     def _push(self, time_us: int, kind: EventKind, payload: dict) -> None:
-        heapq.heappush(self._events, Event(time_us, self._seq, kind, payload))
+        heapq.heappush(self._events, (time_us, self._seq, kind, payload))
         self._seq += 1
 
     def _trace(self, time_us: int, kind: str, **fields) -> None:
@@ -248,9 +256,10 @@ class Simulation:
             EventKind.REVOKE: self._on_revoke,
             EventKind.TELEMETRY: self._on_telemetry,
         }
-        while self._events and self._events[0].time_us <= self.duration_us:
-            event = heapq.heappop(self._events)
-            handlers[event.kind](event.time_us, event.payload)
+        events = self._events
+        while events and events[0][0] <= self.duration_us:
+            time_us, _, kind, payload = heapq.heappop(events)
+            handlers[kind](time_us, payload)
         self._truncate_in_flight()
         return RunResult(metrics=self.metrics, receipts=self.receipts, trace=self.trace, audit=self.audit)
 

@@ -6,8 +6,11 @@ as fixed 6-decimal strings so documents are bit-stable across runs.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from typing import TextIO
 
 from .descriptors import StateType
 
@@ -69,6 +72,46 @@ class RequestRecord:
             "stages": [list(s) for s in self.stages],
         }
 
+    def to_json_item(self) -> str:
+        """This record as an item of ``metrics.json``'s ``per_request`` list:
+        ``json.dumps(self.to_dict(), sort_keys=True, indent=2)`` indented to
+        nesting depth 2, without building the dict."""
+        if self.stages:
+            stages = ",\n".join(
+                f"        [\n          {encode_basestring_ascii(node)},\n          {occupancy}\n        ]"
+                for node, occupancy in self.stages
+            )
+            stages = f"[\n{stages}\n      ]"
+        else:
+            stages = "[]"
+        return (
+            "    {\n"
+            f'      "arrival_us": {self.arrival_us},\n'
+            f'      "cache_hit": {_json_bool(self.cache_hit)},\n'
+            f'      "cache_lookup": {_json_bool(self.cache_lookup)},\n'
+            f'      "cache_state_type": {_json_str_or_null(self.cache_state_type)},\n'
+            f'      "core_bytes": {self.core_bytes},\n'
+            f'      "degraded": {_json_bool(self.degraded)},\n'
+            f'      "finish_us": {self.finish_us},\n'
+            f'      "latency_us": {self.latency_us},\n'
+            f'      "outcome": {encode_basestring_ascii(self.outcome)},\n'
+            f'      "reason": {_json_str_or_null(self.reason)},\n'
+            f'      "request_id": {encode_basestring_ascii(self.request_id)},\n'
+            f'      "stages": {stages},\n'
+            f'      "tokens_covered": {self.tokens_covered},\n'
+            f'      "tpot_us": {self.tpot_us},\n'
+            f'      "ttft_us": {self.ttft_us}\n'
+            "    }"
+        )
+
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _json_str_or_null(value: str | None) -> str:
+    return "null" if value is None else encode_basestring_ascii(value)
+
 
 @dataclass(slots=True)
 class MetricsFrame:
@@ -111,7 +154,8 @@ class MetricsFrame:
     def served_records(self) -> list[RequestRecord]:
         return [r for r in self.records if r.outcome == OUTCOME_SERVED]
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
+        """Every aggregate of ``to_dict``, without the per-request records."""
         served = self.served_records()
         latencies = [r.latency_us for r in served]
         ttfts = [r.ttft_us for r in served]
@@ -163,8 +207,34 @@ class MetricsFrame:
             },
             "placement_churn": self.placement_churn,
             "model_load_overhead_us": self.model_load_overhead_us,
-            "per_request": [r.to_dict() for r in self.records],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+    def to_dict(self) -> dict:
+        doc = self.summary()
+        doc["per_request"] = [r.to_dict() for r in self.records]
+        return doc
+
+    def to_json(self, fp: TextIO | None = None) -> str | None:
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``,
+        written to ``fp`` one record at a time; returned as a string when
+        ``fp`` is None."""
+        if fp is None:
+            buf = io.StringIO()
+            self.to_json(buf)
+            return buf.getvalue()
+        doc = self.summary()
+        doc["per_request"] = []
+        # Only the top-level key can hold an empty list, so the split is exact.
+        head, tail = json.dumps(doc, sort_keys=True, indent=2).split('"per_request": []')
+        fp.write(head)
+        if self.records:
+            fp.write('"per_request": [\n')
+            for i, record in enumerate(self.records):
+                if i:
+                    fp.write(",\n")
+                fp.write(record.to_json_item())
+            fp.write("\n  ]")
+        else:
+            fp.write('"per_request": []')
+        fp.write(tail + "\n")
+        return None

@@ -295,19 +295,31 @@ class Router:
         return _state_hash(realization_id, prefix_digest)
 
     def _resolve_state(
-        self, request: RequestDescriptor, prefill_node: NodeState, realization: CapabilityRealization
+        self,
+        request: RequestDescriptor,
+        prefill_node: NodeState,
+        realization: CapabilityRealization,
+        held: dict[str, list[tuple[str, CacheEntry]]] | None = None,
     ) -> StateUse | None:
-        """Locate reusable affinity state and price making it available."""
+        """Locate reusable affinity state and price making it available.
+
+        ``held`` memoizes the online holders per compatibility hash for
+        callers that resolve state for many candidates at one instant.
+        """
         parts = self._affinity_parts(request)
         if parts is None or not self.caches.enabled:
             return None
         session_id, _ = parts
         compat = self.state_hash_for(realization.realization_id, request)
-        holders = [
-            (node_id, entry)
-            for node_id, entry in self.caches.holders(compat, session_id)
-            if self.broker.node(node_id).online
-        ]
+        if held is None:
+            held = {}
+        holders = held.get(compat)
+        if holders is None:
+            holders = held[compat] = [
+                (node_id, entry)
+                for node_id, entry in self.caches.holders(compat, session_id)
+                if self.broker.node(node_id).online
+            ]
         if not holders:
             return None
         speed = prefill_node.profile.hardware.speed_factor
@@ -548,7 +560,14 @@ class Router:
 
     # -- selection ----------------------------------------------------------------
 
-    def _half(self, request: RequestDescriptor, cand: Candidate, origin: str, now: int) -> _Half | None:
+    def _half(
+        self,
+        request: RequestDescriptor,
+        cand: Candidate,
+        origin: str,
+        now: int,
+        held: dict[str, list[tuple[str, CacheEntry]]],
+    ) -> _Half | None:
         """Price ``cand`` as a stage half: what ``score`` charges it in any plan."""
         node = self.broker.node(cand.node_id)
         realization = self.broker.catalog.realizations[cand.realization_id]
@@ -581,7 +600,7 @@ class Router:
         penalty = m_load * half.c_load + m_policy * half.p_policy
         speed = node.profile.hardware.speed_factor
         if t_in is not None:
-            use = self._resolve_state(request, node, realization)
+            use = self._resolve_state(request, node, realization, held)
             covered = use.covered_tokens if use else 0
             t_state = use.transfer_us if use else 0
             migrate_wait = t_state if (use and use.migrate) else 0
@@ -605,7 +624,8 @@ class Router:
     def _price_plans(self, request: RequestDescriptor, candidates: list[Candidate], now: int) -> list[_Priced]:
         """Every plan ``_plans_from_candidates`` enumerates that ``score`` can price, with its J numerator."""
         origin = region_vertex(request.origin_region)
-        halves = [h for h in (self._half(request, c, origin, now) for c in candidates) if h is not None]
+        held: dict[str, list[tuple[str, CacheEntry]]] = {}  # holders per compatibility hash, this instant
+        halves = [h for h in (self._half(request, c, origin, now, held) for c in candidates) if h is not None]
         m_net, m_queue, m_exec = self._mult[:3]
         plans: list[_Priced] = [
             (h.pre_num + m_net * h.t_out + m_exec * h.decode_us, h, None, 0, 0)

@@ -10,8 +10,10 @@ between plan selection and execution.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from .descriptors import (
     REASON_LINEAGE_REVOKED,
@@ -126,5 +128,13 @@ class ReceiptLog:
     def __len__(self) -> int:
         return len(self.receipts)
 
-    def to_jsonl(self) -> str:
-        return "".join(to_canonical_json(r) + "\n" for r in self.receipts)
+    def to_jsonl(self, fp: TextIO | None = None) -> str | None:
+        """One canonical JSON line per receipt, written to ``fp`` line by
+        line; returned as a string when ``fp`` is None."""
+        if fp is None:
+            buf = io.StringIO()
+            self.to_jsonl(buf)
+            return buf.getvalue()
+        for receipt in self.receipts:
+            fp.write(to_canonical_json(receipt) + "\n")
+        return None

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from capsim import deployment
-from capsim.cli import _write_outputs
+from capsim.cli import TraceWriter, _write_outputs
 from capsim.descriptors import Tier
 from capsim.engine import Simulation
 from capsim.routing import RoutingWeights
@@ -59,11 +59,12 @@ def test_criterion_1_placement_oracle_suite():
 
 def test_criterion_2_routing_argmin_audit(tmp_path):
     scenario = load("audit")
-    sim = Simulation(scenario, audit=True, trace=True)
-    result = sim.run()
+    with (tmp_path / "trace.csv").open("w") as trace:
+        sim = Simulation(scenario, audit=True, trace=TraceWriter(trace))
+        result = sim.run()
     assert len(result.audit) >= 10_000, f"only {len(result.audit)} routed requests"
     # The audit run doubles as the golden-digest check for this scenario.
-    _write_outputs(tmp_path, scenario, sim, result, trace=True)
+    _write_outputs(tmp_path, scenario, sim, result)
     assert output_digests(tmp_path) == GOLDEN["audit"], "audit outputs differ from the golden digest"
 
     weights = RoutingWeights.from_dict(scenario.weights)

@@ -593,3 +593,25 @@ def test_alternatives_are_built_only_when_auditing(simple_broker):
     assert quiet.alternatives == ()
     assert quiet.scored == audited.scored
     assert audited.scored.plan.plan_id in {plan_id for plan_id, _ in audited.alternatives}
+
+
+def test_select_looks_up_state_holders_once_per_realization(simple_broker):
+    broker = simple_broker
+    for node_id in ("edge-1", "edge-2", "cloud-1"):
+        broker.install(node_id, "chat-v1-gpu", 0)
+    router = make_router(broker)
+    request = chat_request(affinity_token="sess-1:deadbeef")
+    _plant_affinity_state(router, broker, "edge-2", request, tokens=64)
+    candidates = router._candidates(request, request.quality_target, 0, respect_caps=True)
+    holders = router.caches.holders
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return holders(*args)
+
+    router.caches.holders = counted
+    outcome = router.select(request, now=0)
+    assert outcome.scored.state_use is not None
+    # One lookup per realization while pricing, one for the winner's rescore.
+    assert len(calls) == len({c.realization_id for c in candidates}) + 1 < len(candidates) + 1
