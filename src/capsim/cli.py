@@ -37,6 +37,7 @@ TRACE_COLUMNS = [
     "detail",
 ]
 _TRACE_COLUMN_SET = frozenset(TRACE_COLUMNS)
+_ROW_COLUMNS = TRACE_COLUMNS[:-1]  # every column but detail
 
 
 class TraceWriter:
@@ -53,7 +54,7 @@ class TraceWriter:
         fp.write(",".join(TRACE_COLUMNS) + "\n")
 
     def append(self, row: dict) -> None:
-        cells = [str(row.get(c, "")) for c in TRACE_COLUMNS[:-1]]  # all but detail
+        cells = [str(row.get(c, "")) for c in _ROW_COLUMNS]
         cells.append(";".join(f"{k}={row[k]}" for k in sorted(row) if k not in _TRACE_COLUMN_SET))
         self._fp.write(",".join(cells) + "\n")
         self._rows += 1

@@ -226,15 +226,10 @@ class MetricsFrame:
         doc["per_request"] = []
         # Only the top-level key can hold an empty list, so the split is exact.
         head, tail = json.dumps(doc, sort_keys=True, indent=2).split('"per_request": []')
-        fp.write(head)
-        if self.records:
-            fp.write('"per_request": [\n')
-            for i, record in enumerate(self.records):
-                if i:
-                    fp.write(",\n")
-                fp.write(record.to_json_item())
-            fp.write("\n  ]")
-        else:
-            fp.write('"per_request": []')
+        fp.write(head + '"per_request": [')
+        for i, record in enumerate(self.records):
+            fp.write(",\n" if i else "\n")
+            fp.write(record.to_json_item())
+        fp.write("\n  ]" if self.records else "]")
         fp.write(tail + "\n")
         return None
