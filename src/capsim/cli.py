@@ -232,15 +232,14 @@ def cmd_oracle_place(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     try:
         sim = Simulation(scenario)
-        at = args.at if args.at is not None else int(scenario.deployment_config.get("epoch_us", 60_000_000))
-        window = int(scenario.deployment_config.get("window_us", 300_000_000))
+        at = args.at if args.at is not None else scenario.deployment.epoch_us
         arrivals = generate_arrivals(scenario.workload, min(at, sim.duration_us), sim.seed)
         requests = [a.request for a in arrivals] + [s.request for s in scenario.scripted_requests]
-        cells = deployment.cells_from_requests(requests, max(0, at - window), at)
+        cells = deployment.cells_from_requests(requests, max(0, at - scenario.deployment.window_us), at)
         residency = {
             node_id: set(state.residency) for node_id, state in sim.broker.nodes.items()
         }
-        problem = deployment.build_problem(sim.router, cells, scenario.weights, residency, now=0)
+        problem = deployment.build_problem(sim.router, cells, scenario.placement_weights, residency, now=0)
         placement = deployment.solve_exact(problem)
         objective = deployment.objective(problem, placement)
     except deployment.InstanceTooLarge as exc:

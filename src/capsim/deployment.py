@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .descriptors import PlanPhase, PlanStage, PolicyConstraint, RequestDescriptor, parse_fraction
-from .routing import ExecutionPlan, Router
+from .descriptors import PlanPhase, PlanStage, PolicyConstraint, RequestDescriptor
+from .routing import Router
 from .topology import Unreachable
 
 ENUMERATION_BOUND = 20
@@ -38,6 +38,19 @@ class DemandCell:
     count: int
     input_tokens: int
     output_tokens: int
+
+
+@dataclass(frozen=True, slots=True)
+class PlacementWeights:
+    """The placement objective's weights: deploy, transfer and risk costs,
+    the latency charged per unservable demand unit, and the storage carry
+    per artifact byte."""
+
+    lambda_deploy: Fraction = Fraction(1)
+    mu_net: Fraction = Fraction(1)
+    nu_risk: Fraction = Fraction(1)
+    p_miss_us: int = 10_000_000
+    storage_unit_cost: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,7 +249,7 @@ def solve_exact(problem: PlacementProblem) -> Placement:
 def build_problem(
     router: Router,
     cells: list[DemandCell],
-    weights: dict,
+    weights: PlacementWeights,
     residency: dict[str, set[str]],
     now: int = 0,
 ) -> PlacementProblem:
@@ -248,11 +261,6 @@ def build_problem(
     """
     broker = router.broker
     catalog = broker.catalog
-    lambda_deploy = parse_fraction(weights.get("lambda", 1))
-    mu_net = parse_fraction(weights.get("mu", 1))
-    nu_risk = parse_fraction(weights.get("nu", 1))
-    p_miss_us = int(weights.get("p_miss_us", 10_000_000))
-    storage_unit_cost = parse_fraction(weights.get("storage_unit_cost", 0))
 
     classes = sorted({c.capability_class for c in cells})
     pairs: list[PlacementPair] = []
@@ -276,7 +284,7 @@ def build_problem(
                     deploy = Fraction(0)
                     net = 0
                 else:
-                    deploy = realization.load_time_us + storage_unit_cost * realization.artifact_size_bytes
+                    deploy = realization.load_time_us + weights.storage_unit_cost * realization.artifact_size_bytes
                     if router.artifact_repository is not None:
                         net, _ = router.topology.transfer_between(
                             router.artifact_repository, node_id, realization.artifact_size_bytes
@@ -313,7 +321,7 @@ def build_problem(
             if variant.parent_class != cell.capability_class or variant.quality < cell.quality:
                 row.append(None)
                 continue
-            plan = ExecutionPlan.of((PlanStage(pair.node_id, pair.realization_id, PlanPhase.FULL),))
+            plan = router.plan((PlanStage(pair.node_id, pair.realization_id, PlanPhase.FULL),))
             try:
                 scored = router.score(plan, probe, now, warm_flags=(True,), zero_queue=True)
             except Unreachable:
@@ -329,10 +337,10 @@ def build_problem(
             node_id: broker.nodes[node_id].profile.capacity.memory_budget_bytes
             for node_id in sorted(broker.nodes)
         },
-        lambda_deploy=lambda_deploy,
-        mu_net=mu_net,
-        nu_risk=nu_risk,
-        p_miss_us=p_miss_us,
+        lambda_deploy=weights.lambda_deploy,
+        mu_net=weights.mu_net,
+        nu_risk=weights.nu_risk,
+        p_miss_us=weights.p_miss_us,
         latency=latency,
     )
 
@@ -374,5 +382,5 @@ def plan_delta(solution: Placement, residency: dict[str, set[str]]) -> Placement
     return PlacementDelta(loads=loads, evictions=evictions)
 
 
-def solve(problem: PlacementProblem, local_search_rounds: int = 8) -> Placement:
+def solve(problem: PlacementProblem, local_search_rounds: int) -> Placement:
     return improve_local_search(problem, solve_greedy(problem), local_search_rounds)

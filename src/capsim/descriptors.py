@@ -1,10 +1,17 @@
 """Architectural descriptors: the five record types every other module consumes.
 
 All times are integer microseconds, all sizes integer bytes. Trust is an
-ordinal level in [0, 3]. Descriptors are immutable value types with a
-canonical dict serialization (``to_dict``/``from_dict``) used by scenario
-files and receipt logs; ``validate_descriptor`` reports invariant violations
-as data, never as exceptions.
+ordinal level in [0, 3]. Descriptors are immutable value types;
+``validate_descriptor`` reports invariant violations as data, never as
+exceptions.
+
+Each type keeps only the serialization direction a product path uses:
+``PolicyConstraint``, ``RequestDescriptor``, ``SecurityLabel``,
+``ResourceRequirement`` and the three catalog types are read with
+``from_dict`` by the scenario parser; ``PlanStage`` and ``ExecutionReceipt``
+are written with ``to_dict`` (plan ids, ``receipts.jsonl``). Resource
+profiles and their facets are built by ``scenario._parse_node``, and
+``StateDescriptor`` only by the engine, so neither has a dict form.
 """
 
 from __future__ import annotations
@@ -86,12 +93,6 @@ def parse_fraction(value: Any) -> Fraction:
     return Fraction(str(value))
 
 
-def fraction_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 @dataclass(frozen=True, slots=True)
 class PolicyConstraint:
     min_trust: int = 0
@@ -100,19 +101,10 @@ class PolicyConstraint:
     preferred_domains: tuple[str, ...] | None = None  # soft preference, priced not enforced
     data_class: DataClass = DataClass.PUBLIC
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "min_trust": self.min_trust,
-            "locality_scope": self.locality_scope.value,
-            "allowed_domains": sorted(self.allowed_domains) if self.allowed_domains is not None else None,
-            "preferred_domains": sorted(self.preferred_domains) if self.preferred_domains is not None else None,
-            "data_class": self.data_class.value,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PolicyConstraint":
         return cls(
-            min_trust=d.get("min_trust", 0),
+            min_trust=int(d.get("min_trust", 0)),
             locality_scope=LocalityScope(d.get("locality_scope", "any")),
             allowed_domains=tuple(sorted(d["allowed_domains"])) if d.get("allowed_domains") is not None else None,
             preferred_domains=tuple(sorted(d["preferred_domains"])) if d.get("preferred_domains") is not None else None,
@@ -137,35 +129,19 @@ class RequestDescriptor:
     degradable: bool = False
     tenant: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "request_id": self.request_id,
-            "capability_class": self.capability_class,
-            "quality_target": self.quality_target,
-            "policy": self.policy.to_dict(),
-            "affinity_token": self.affinity_token,
-            "budget": self.budget,
-            "origin_region": self.origin_region,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "arrival_time": self.arrival_time,
-            "degradable": self.degradable,
-            "tenant": self.tenant,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RequestDescriptor":
         return cls(
             request_id=d["request_id"],
             capability_class=d["capability_class"],
-            quality_target=d["quality_target"],
+            quality_target=int(d["quality_target"]),
             policy=PolicyConstraint.from_dict(d.get("policy", {})),
             affinity_token=d.get("affinity_token"),
-            budget=d.get("budget"),
+            budget=None if d.get("budget") is None else int(d["budget"]),
             origin_region=d.get("origin_region", ""),
-            input_tokens=d.get("input_tokens", 0),
-            output_tokens=d.get("output_tokens", 1),
-            arrival_time=d.get("arrival_time", 0),
+            input_tokens=int(d.get("input_tokens", 0)),
+            output_tokens=int(d.get("output_tokens", 1)),
+            arrival_time=int(d.get("arrival_time", 0)),
             degradable=d.get("degradable", False),
             tenant=d.get("tenant"),
         )
@@ -177,19 +153,12 @@ class SecurityLabel:
     preferred_trust: int = 0     # soft preference, priced as risk when missed
     data_class: DataClass = DataClass.PUBLIC
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "min_trust": self.min_trust,
-            "preferred_trust": self.preferred_trust,
-            "data_class": self.data_class.value,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SecurityLabel":
-        min_trust = d.get("min_trust", 0)
+        min_trust = int(d.get("min_trust", 0))
         return cls(
             min_trust=min_trust,
-            preferred_trust=d.get("preferred_trust", min_trust),
+            preferred_trust=int(d.get("preferred_trust", min_trust)),
             data_class=DataClass(d.get("data_class", "public")),
         )
 
@@ -201,21 +170,13 @@ class ResourceRequirement:
     accelerator: str = "cpu"
     load_time_us: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "memory_bytes": self.memory_bytes,
-            "storage_bytes": self.storage_bytes,
-            "accelerator": self.accelerator,
-            "load_time_us": self.load_time_us,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ResourceRequirement":
         return cls(
-            memory_bytes=d.get("memory_bytes", 0),
-            storage_bytes=d.get("storage_bytes", 0),
+            memory_bytes=int(d.get("memory_bytes", 0)),
+            storage_bytes=int(d.get("storage_bytes", 0)),
             accelerator=d.get("accelerator", "cpu"),
-            load_time_us=d.get("load_time_us", 0),
+            load_time_us=int(d.get("load_time_us", 0)),
         )
 
 
@@ -231,24 +192,13 @@ class CapabilityDescriptor:
     resource: ResourceRequirement
     lineage: tuple[tuple[str, str], ...]  # (parent model id, derivation tag)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "task": self.task,
-            "quality": self.quality,
-            "latency_us": self.latency_us,
-            "security": self.security.to_dict(),
-            "resource": self.resource.to_dict(),
-            "lineage": [list(pair) for pair in self.lineage],
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "CapabilityDescriptor":
         return cls(
             name=d["name"],
             task=d.get("task", ""),
-            quality=d.get("quality", 1),
-            latency_us=d.get("latency_us", 0),
+            quality=int(d.get("quality", 1)),
+            latency_us=int(d.get("latency_us", 0)),
             security=SecurityLabel.from_dict(d.get("security", {})),
             resource=ResourceRequirement.from_dict(d.get("resource", {})),
             lineage=tuple((p[0], p[1]) for p in d.get("lineage", [])),
@@ -263,22 +213,13 @@ class CapabilityVariant:
     latency_us: int
     security: SecurityLabel
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "variant_id": self.variant_id,
-            "parent_class": self.parent_class,
-            "quality": self.quality,
-            "latency_us": self.latency_us,
-            "security": self.security.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "CapabilityVariant":
         return cls(
             variant_id=d["variant_id"],
             parent_class=d["parent_class"],
-            quality=d.get("quality", 1),
-            latency_us=d.get("latency_us", 0),
+            quality=int(d.get("quality", 1)),
+            latency_us=int(d.get("latency_us", 0)),
             security=SecurityLabel.from_dict(d.get("security", {})),
         )
 
@@ -295,31 +236,18 @@ class CapabilityRealization:
     setup_time_us: int
     kv_bytes_per_token: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "realization_id": self.realization_id,
-            "variant_id": self.variant_id,
-            "accelerator": self.accelerator,
-            "artifact_size_bytes": self.artifact_size_bytes,
-            "load_time_us": self.load_time_us,
-            "prefill_time_per_token_us": self.prefill_time_per_token_us,
-            "decode_time_per_token_us": self.decode_time_per_token_us,
-            "setup_time_us": self.setup_time_us,
-            "kv_bytes_per_token": self.kv_bytes_per_token,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "CapabilityRealization":
         return cls(
             realization_id=d["realization_id"],
             variant_id=d["variant_id"],
             accelerator=d.get("accelerator", "cpu"),
-            artifact_size_bytes=d.get("artifact_size_bytes", 0),
-            load_time_us=d.get("load_time_us", 0),
-            prefill_time_per_token_us=d.get("prefill_time_per_token_us", 1),
-            decode_time_per_token_us=d.get("decode_time_per_token_us", 1),
-            setup_time_us=d.get("setup_time_us", 0),
-            kv_bytes_per_token=d.get("kv_bytes_per_token", 0),
+            artifact_size_bytes=int(d.get("artifact_size_bytes", 0)),
+            load_time_us=int(d.get("load_time_us", 0)),
+            prefill_time_per_token_us=int(d.get("prefill_time_per_token_us", 1)),
+            decode_time_per_token_us=int(d.get("decode_time_per_token_us", 1)),
+            setup_time_us=int(d.get("setup_time_us", 0)),
+            kv_bytes_per_token=int(d.get("kv_bytes_per_token", 0)),
         )
 
 
@@ -330,44 +258,12 @@ class Hardware:
     memory_bytes: int
     storage_bytes: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "accelerator": self.accelerator,
-            "speed_factor": fraction_str(self.speed_factor),
-            "memory_bytes": self.memory_bytes,
-            "storage_bytes": self.storage_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Hardware":
-        return cls(
-            accelerator=d.get("accelerator", "cpu"),
-            speed_factor=parse_fraction(d.get("speed_factor", 1)),
-            memory_bytes=d.get("memory_bytes", 0),
-            storage_bytes=d.get("storage_bytes", 0),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Capacity:
     max_concurrent: int = 1
     memory_budget_bytes: int = 0
     admission_cap: int = 16  # max reserved-not-started stages before routing excludes the node
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "max_concurrent": self.max_concurrent,
-            "memory_budget_bytes": self.memory_budget_bytes,
-            "admission_cap": self.admission_cap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Capacity":
-        return cls(
-            max_concurrent=d.get("max_concurrent", 1),
-            memory_budget_bytes=d.get("memory_budget_bytes", 0),
-            admission_cap=d.get("admission_cap", 16),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,33 +272,11 @@ class NodeDynamicState:
     resident_realizations: tuple[str, ...] = ()
     free_memory_bytes: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "queued_work_us": self.queued_work_us,
-            "resident_realizations": sorted(self.resident_realizations),
-            "free_memory_bytes": self.free_memory_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "NodeDynamicState":
-        return cls(
-            queued_work_us=d.get("queued_work_us", 0),
-            resident_realizations=tuple(sorted(d.get("resident_realizations", []))),
-            free_memory_bytes=d.get("free_memory_bytes", 0),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Locality:
     region: str
     tier: Tier
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"region": self.region, "tier": self.tier.value}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Locality":
-        return cls(region=d.get("region", ""), tier=Tier(d.get("tier", "cloud")))
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,31 +291,6 @@ class ResourceProfile:
     state: NodeDynamicState
     locality: Locality
     trust: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "node_id": self.node_id,
-            "domain_id": self.domain_id,
-            "hardware": self.hardware.to_dict(),
-            "runtime": sorted(self.runtime),
-            "capacity": self.capacity.to_dict(),
-            "state": self.state.to_dict(),
-            "locality": self.locality.to_dict(),
-            "trust": self.trust,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ResourceProfile":
-        return cls(
-            node_id=d["node_id"],
-            domain_id=d["domain_id"],
-            hardware=Hardware.from_dict(d.get("hardware", {})),
-            runtime=tuple(sorted(d.get("runtime", []))),
-            capacity=Capacity.from_dict(d.get("capacity", {})),
-            state=NodeDynamicState.from_dict(d.get("state", {})),
-            locality=Locality.from_dict(d.get("locality", {})),
-            trust=d.get("trust", 0),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,34 +307,6 @@ class StateDescriptor:
     decoding_config: str | None = None
     migration_cost: int | None = None  # bytes; None marks non-migratable (hardware_bound)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "state_id": self.state_id,
-            "state_type": self.state_type.value,
-            "compatibility_hash": self.compatibility_hash,
-            "sharing_scope": self.sharing_scope.value,
-            "size": self.size,
-            "reuse_stats": list(self.reuse_stats),
-            "privacy_label": self.privacy_label.value,
-            "decoding_config": self.decoding_config,
-            "migration_cost": self.migration_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "StateDescriptor":
-        stats = d.get("reuse_stats", [0, 0])
-        return cls(
-            state_id=d["state_id"],
-            state_type=StateType(d["state_type"]),
-            compatibility_hash=d.get("compatibility_hash", ""),
-            sharing_scope=SharingScope(d.get("sharing_scope", "public")),
-            size=d.get("size", 0),
-            reuse_stats=(stats[0], stats[1]),
-            privacy_label=DataClass(d.get("privacy_label", "public")),
-            decoding_config=d.get("decoding_config"),
-            migration_cost=d.get("migration_cost"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class PlanStage:
@@ -499,14 +320,6 @@ class PlanStage:
             "realization_id": self.realization_id,
             "phase": self.phase.value,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PlanStage":
-        return cls(
-            node_id=d["node_id"],
-            realization_id=d["realization_id"],
-            phase=PlanPhase(d.get("phase", "full")),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -551,40 +364,6 @@ class ExecutionReceipt:
             "arrival_time": self.arrival_time,
             "finish_time": self.finish_time,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ExecutionReceipt":
-        timing = d.get("timing", {})
-        return cls(
-            request_id=d["request_id"],
-            plan=tuple(PlanStage.from_dict(s) for s in d.get("plan", [])),
-            capability_versions=tuple((v[0], v[1]) for v in d.get("capability_versions", [])),
-            node_attestations=tuple((a[0], a[1]) for a in d.get("node_attestations", [])),
-            cache_states_reused=tuple(d.get("cache_states_reused", [])),
-            cache_tokens_covered=d.get("cache_tokens_covered", 0),
-            verdict=Verdict(d["verdict"]),
-            reason=d.get("reason"),
-            t_net_us=timing.get("t_net_us", 0),
-            t_queue_us=timing.get("t_queue_us", 0),
-            t_exec_us=timing.get("t_exec_us", 0),
-            t_state_us=timing.get("t_state_us", 0),
-            c_load=timing.get("c_load", 0),
-            p_policy=timing.get("p_policy", 0),
-            arrival_time=d.get("arrival_time", 0),
-            finish_time=d.get("finish_time", 0),
-        )
-
-
-Descriptor = (
-    RequestDescriptor
-    | CapabilityDescriptor
-    | CapabilityVariant
-    | CapabilityRealization
-    | ResourceProfile
-    | StateDescriptor
-    | ExecutionReceipt
-)
-
 
 def _check(violations: list[str], ok: bool, path: str, rule: str) -> None:
     if not ok:
@@ -675,6 +454,6 @@ def _security_violations(s: SecurityLabel) -> list[str]:
     return v
 
 
-def to_canonical_json(d: Descriptor) -> str:
-    """Canonical single-line serialization used by receipt logs and tests."""
+def to_canonical_json(d: ExecutionReceipt) -> str:
+    """Canonical single-line serialization of a receipt, one ``receipts.jsonl`` line."""
     return json.dumps(d.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -29,7 +29,6 @@ from .descriptors import (
     StateType,
     Tier,
     Verdict,
-    parse_fraction,
 )
 from .metrics import (
     OUTCOME_REJECTED,
@@ -131,29 +130,21 @@ class Simulation:
             self.trust.register_lineage(real.realization_id, self.catalog.classes[parent].lineage)
 
         self.broker = Broker(self.catalog, self.topology, trust=self.trust)
-        attested = {a["node_id"] for a in scenario.trust_script.attestations}
+        attested = {a.node_id for a in scenario.attestations}
         for snode in scenario.nodes:
             self.broker.register_node(snode.profile)
             if snode.profile.node_id not in attested:
                 self.trust.attest(AttestationRecord(snode.profile.node_id, snode.profile.trust, 0, None))
-        for att in scenario.trust_script.attestations:
-            self.trust.attest(
-                AttestationRecord(
-                    att["node_id"],
-                    att.get("level", 0),
-                    att.get("issue_time_us", 0),
-                    att.get("validity_window_us"),
-                )
-            )
+        for att in scenario.attestations:
+            self.trust.attest(att)
 
-        cache_cfg = scenario.cache_config
-        enabled = cache_cfg.get("enabled", True) if cache_enabled is None else cache_enabled
+        cache = scenario.cache
         self.caches = CacheSystem(
-            window_us=int(cache_cfg.get("window_us", 300_000_000)),
-            enabled=enabled,
-            policy=cache_cfg.get("eviction_policy", "benefit"),
+            window_us=cache.window_us,
+            enabled=cache.enabled if cache_enabled is None else cache_enabled,
+            policy=cache.eviction_policy,
         )
-        self.cache_storage_unit_cost = parse_fraction(cache_cfg.get("storage_unit_cost", 0))
+        self.cache_storage_unit_cost = cache.storage_unit_cost
         for snode in scenario.nodes:
             self.caches.add_store(snode.profile.node_id, snode.cache_capacity_bytes)
 
@@ -162,9 +153,9 @@ class Simulation:
             topology=self.topology,
             caches=self.caches,
             trust=self.trust,
-            weights=weights if weights is not None else RoutingWeights.from_dict(scenario.weights),
+            weights=weights if weights is not None else scenario.routing_weights,
             bytes_per_token=scenario.bytes_per_token,
-            enable_split=bool(scenario.routing_config.get("enable_split", True)),
+            enable_split=scenario.enable_split,
             artifact_repository=scenario.artifact_repository,
             placement_tiers=placement_tiers,
             audit=audit,
@@ -211,17 +202,14 @@ class Simulation:
         # Scripted control-plane events first so that, at equal timestamps,
         # they order before arrivals.
         for ev in self.scenario.node_events:
-            kind = EventKind.NODE_ONLINE if ev.get("online", True) else EventKind.NODE_OFFLINE
-            self._push(int(ev.get("time_us", 0)), kind, {"node_id": ev["node_id"]})
-        for rev in self.scenario.trust_script.revocations:
-            self._push(int(rev.get("time_us", 0)), EventKind.REVOKE, {"realization_id": rev["realization_id"]})
-        dep = self.scenario.deployment_config
-        if dep.get("replan_enabled", False):
-            epoch = int(dep.get("epoch_us", 60_000_000))
-            t = epoch
-            while t < self.duration_us:
+            kind = EventKind.NODE_ONLINE if ev.online else EventKind.NODE_OFFLINE
+            self._push(ev.time_us, kind, {"node_id": ev.node_id})
+        for rev in self.scenario.revocations:
+            self._push(rev.time_us, EventKind.REVOKE, {"realization_id": rev.realization_id})
+        dep = self.scenario.deployment
+        if dep.replan_enabled:
+            for t in range(dep.epoch_us, self.duration_us, dep.epoch_us):
                 self._push(t, EventKind.EPOCH_REPLAN, {})
-                t += epoch
 
         arrivals = generate_arrivals(self.scenario.workload, self.duration_us, self.seed)
         for scripted in self.scenario.scripted_requests:
@@ -449,15 +437,14 @@ class Simulation:
             self._trace(now, "cache_evict", state_id=victim, node_id=dst_node, reason="displaced")
 
     def _on_replan(self, now: int, payload: dict) -> None:
-        dep = self.scenario.deployment_config
-        window_us = int(dep.get("window_us", 300_000_000))
-        cells = self._demand_cells(now - window_us, now)
+        dep = self.scenario.deployment
+        cells = self._demand_cells(now - dep.window_us, now)
         residency = {
             node_id: {rid for rid, res in state.residency.items() if not res.pending_eviction}
             for node_id, state in self.broker.nodes.items()
         }
-        problem = deployment.build_problem(self.router, cells, self.scenario.weights, residency, now)
-        solution = deployment.solve(problem, int(dep.get("local_search_rounds", 8)))
+        problem = deployment.build_problem(self.router, cells, self.scenario.placement_weights, residency, now)
+        solution = deployment.solve(problem, dep.local_search_rounds)
         delta = deployment.plan_delta(solution, residency)
         self._trace(now, EventKind.EPOCH_REPLAN.value, loads=len(delta.loads), evictions=len(delta.evictions))
 

@@ -35,7 +35,6 @@ from .descriptors import (
     PlanStage,
     RequestDescriptor,
     Tier,
-    parse_fraction,
 )
 from .registry import Broker, Candidate, NodeState
 from .topology import Topology, Unreachable, region_vertex
@@ -64,23 +63,6 @@ class RoutingWeights:
     pi_soft: int = 0                # per soft-preference miss
     tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)  # relative argmin tie window
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoutingWeights":
-        def f(name: str, default: int) -> Fraction:
-            return parse_fraction(d.get(name, default))
-
-        return cls(
-            alpha=f("alpha", 1),
-            beta=f("beta", 1),
-            gamma=f("gamma", 1),
-            delta=f("delta", 1),
-            epsilon=f("epsilon", 0),
-            zeta=f("zeta", 0),
-            kappa=f("kappa", 0),
-            pi_soft=int(d.get("pi_soft", 0)),
-            tie_eps=parse_fraction(d["tie_epsilon"]) if "tie_epsilon" in d else Fraction(TIE_EPS_NUM, TIE_EPS_DEN),
-        )
-
     def scaled(self, factor: int) -> "RoutingWeights":
         """All six cost-term weights multiplied by a positive constant."""
         return RoutingWeights(
@@ -103,15 +85,9 @@ class ExecutionPlan:
 
     @classmethod
     def of(cls, stages: tuple[PlanStage, ...]) -> "ExecutionPlan":
-        cached = _PLAN_CACHE.get(stages)
-        if cached is None:
-            payload = json.dumps([s.to_dict() for s in stages], sort_keys=True, separators=(",", ":"))
-            cached = cls(stages=stages, plan_id=hashlib.sha256(payload.encode()).hexdigest()[:32])
-            _PLAN_CACHE[stages] = cached
-        return cached
-
-
-_PLAN_CACHE: dict[tuple[PlanStage, ...], ExecutionPlan] = {}
+        """The plan of ``stages``, its id hashed afresh; ``Router.plan`` memoizes it."""
+        payload = json.dumps([s.to_dict() for s in stages], sort_keys=True, separators=(",", ":"))
+        return cls(stages=stages, plan_id=hashlib.sha256(payload.encode()).hexdigest()[:32])
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,6 +238,14 @@ class Router:
         self.placement_tiers = placement_tiers
         self.audit = audit  # selections carry every plan's (plan_id, terms)
         self._scale, self._mult = _weight_multipliers(self.weights)
+        self._plans: dict[tuple[PlanStage, ...], ExecutionPlan] = {}
+
+    def plan(self, stages: tuple[PlanStage, ...]) -> ExecutionPlan:
+        """The plan of ``stages``, hashed once per router."""
+        plan = self._plans.get(stages)
+        if plan is None:
+            plan = self._plans[stages] = ExecutionPlan.of(stages)
+        return plan
 
     # -- helpers -------------------------------------------------------------
 
@@ -501,7 +485,7 @@ class Router:
         plans: list[tuple[ExecutionPlan, tuple[bool, ...]]] = []
         for cand in candidates:
             stage = PlanStage(cand.node_id, cand.realization_id, PlanPhase.FULL)
-            plans.append((ExecutionPlan.of((stage,)), (cand.warm,)))
+            plans.append((self.plan((stage,)), (cand.warm,)))
         if self.enable_split:
             catalog = self.broker.catalog
             for pre in candidates:
@@ -516,7 +500,7 @@ class Router:
                         PlanStage(pre.node_id, pre.realization_id, PlanPhase.PREFILL),
                         PlanStage(dec.node_id, dec.realization_id, PlanPhase.DECODE),
                     )
-                    plans.append((ExecutionPlan.of(stages), (pre.warm, dec.warm)))
+                    plans.append((self.plan(stages), (pre.warm, dec.warm)))
         plans.sort(key=lambda p: p[0].plan_id)
         return plans
 
@@ -654,16 +638,15 @@ class Router:
                     plans.append((num, pre, dec, t_inter, wait))
         return plans
 
-    @staticmethod
-    def _plan_of(pre: _Half, dec: _Half | None) -> tuple[ExecutionPlan, tuple[bool, ...]]:
+    def _plan_of(self, pre: _Half, dec: _Half | None) -> tuple[ExecutionPlan, tuple[bool, ...]]:
         if dec is None:
             stage = PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.FULL)
-            return ExecutionPlan.of((stage,)), (pre.cand.warm,)
+            return self.plan((stage,)), (pre.cand.warm,)
         stages = (
             PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.PREFILL),
             PlanStage(dec.cand.node_id, dec.cand.realization_id, PlanPhase.DECODE),
         )
-        return ExecutionPlan.of(stages), (pre.cand.warm, dec.cand.warm)
+        return self.plan(stages), (pre.cand.warm, dec.cand.warm)
 
     @staticmethod
     def _terms_of(pre: _Half, dec: _Half | None, t_inter: int, wait: int) -> tuple[int, int, int, int, int, int]:

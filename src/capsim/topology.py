@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .descriptors import ResourceProfile, fraction_str, parse_fraction
+from .descriptors import ResourceProfile
 
 
 class Unreachable(Exception):
@@ -33,30 +33,9 @@ class Link:
     link_id: str
     src: str  # node id or region gateway vertex
     dst: str
-    propagation_delay_us: int
-    bandwidth_bytes_per_us: Fraction
+    propagation_delay_us: int = 0
+    bandwidth_bytes_per_us: Fraction = Fraction(1)
     is_core: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "link_id": self.link_id,
-            "src": self.src,
-            "dst": self.dst,
-            "propagation_delay_us": self.propagation_delay_us,
-            "bandwidth_bytes_per_us": fraction_str(self.bandwidth_bytes_per_us),
-            "is_core": self.is_core,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Link":
-        return cls(
-            link_id=d["link_id"],
-            src=d["src"],
-            dst=d["dst"],
-            propagation_delay_us=d.get("propagation_delay_us", 0),
-            bandwidth_bytes_per_us=parse_fraction(d.get("bandwidth_bytes_per_us", 1)),
-            is_core=d.get("is_core", False),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,10 +78,6 @@ class Topology:
             peers.sort(key=lambda l: l.link_id)
         self._path_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
         self._route_cache: dict[tuple[str, str], tuple[int, int, int, int]] = {}
-
-    @property
-    def regions(self) -> set[str]:
-        return {n.profile.locality.region for n in self.nodes.values()}
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
         """Minimum-propagation-delay link sequence from src to dst.

@@ -32,8 +32,8 @@ class UnknownRealization(Exception):
 @dataclass(frozen=True, slots=True)
 class AttestationRecord:
     node_id: str
-    level: int
-    issue_time_us: int
+    level: int = 0
+    issue_time_us: int = 0
     validity_window_us: int | None = None  # None = never expires
 
     def valid_at(self, now: int) -> bool:

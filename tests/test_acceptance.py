@@ -15,7 +15,6 @@ from capsim import deployment
 from capsim.cli import TraceWriter, _write_outputs
 from capsim.descriptors import Tier
 from capsim.engine import Simulation
-from capsim.routing import RoutingWeights
 from capsim.scenario import Scenario
 from capsim.workload import generate_arrivals, generate_region_arrivals
 from conftest import random_placement_problem
@@ -67,7 +66,7 @@ def test_criterion_2_routing_argmin_audit(tmp_path):
     _write_outputs(tmp_path, scenario, sim, result)
     assert output_digests(tmp_path) == GOLDEN["audit"], "audit outputs differ from the golden digest"
 
-    weights = RoutingWeights.from_dict(scenario.weights)
+    weights = scenario.routing_weights
     w = (weights.alpha, weights.beta, weights.gamma, weights.delta, weights.epsilon, weights.zeta)
 
     def rescore(terms):

@@ -10,6 +10,7 @@ from capsim.deployment import (
     InstanceTooLarge,
     PlacementPair,
     PlacementProblem,
+    PlacementWeights,
     build_problem,
     cells_from_requests,
     improve_local_search,
@@ -182,7 +183,7 @@ def test_exact_bound_enforced():
 def test_solvers_are_deterministic():
     rng = random.Random(23)
     problem = random_placement_problem(rng)
-    assert solve(problem) == solve(problem)
+    assert solve(problem, 8) == solve(problem, 8)
     assert solve_exact(problem) == solve_exact(problem)
 
 
@@ -190,7 +191,7 @@ def test_heuristic_never_beats_oracle_and_stays_close():
     rng = random.Random(29)
     for _ in range(10):
         problem = random_placement_problem(rng)
-        heuristic = solve(problem)
+        heuristic = solve(problem, 8)
         exact = solve_exact(problem)
         h = objective(problem, heuristic)
         e = objective(problem, exact)
@@ -203,7 +204,7 @@ def test_every_solver_output_respects_budgets():
     rng = random.Random(31)
     for _ in range(20):
         problem = random_placement_problem(rng)
-        for solution in (solve_greedy(problem), solve(problem), solve_exact(problem)):
+        for solution in (solve_greedy(problem), solve(problem, 8), solve_exact(problem)):
             used: dict[str, int] = {}
             index = {p.key: p for p in problem.pairs}
             for key in solution:
@@ -245,12 +246,12 @@ def test_problem_built_from_live_broker_prices_residency(simple_broker):
     )
     cells = [DemandCell("chat", "metro", 1, count=10, input_tokens=100, output_tokens=10)]
     residency = {"edge-1": {"chat-v1-gpu"}}
-    problem = build_problem(router, cells, {"lambda": 1, "mu": 1, "nu": 1, "p_miss_us": 10_000_000}, residency)
+    problem = build_problem(router, cells, PlacementWeights(), residency)
     by_key = {p.key: p for p in problem.pairs}
     assert by_key[("chat-v1-gpu", "edge-1")].resident
     assert by_key[("chat-v1-gpu", "edge-1")].deploy_cost == 0
     assert by_key[("chat-v1-gpu", "edge-2")].net_cost_us > 0
     # The zero-queue scorer prices the resident edge pair as the cheapest for
     # local demand, so the solved placement keeps it.
-    solution = solve(problem)
+    solution = solve(problem, 8)
     assert ("chat-v1-gpu", "edge-1") in solution

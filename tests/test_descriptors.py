@@ -1,4 +1,3 @@
-import json
 from dataclasses import fields
 from fractions import Fraction
 
@@ -9,10 +8,7 @@ from capsim.descriptors import (
     CapabilityDescriptor,
     CapabilityRealization,
     DataClass,
-    ExecutionReceipt,
     LocalityScope,
-    PlanStage,
-    PlanPhase,
     PolicyConstraint,
     RequestDescriptor,
     ResourceProfile,
@@ -20,9 +16,7 @@ from capsim.descriptors import (
     SharingScope,
     StateDescriptor,
     StateType,
-    Verdict,
     parse_fraction,
-    to_canonical_json,
     validate_descriptor,
 )
 from conftest import make_class, make_profile, make_realization
@@ -118,41 +112,44 @@ def test_domain_scope_requires_allowed_domains():
     assert any("allowed_domains" in v for v in validate_descriptor(policy))
 
 
-# -- serialization round trips -------------------------------------------------
+# -- parsing -------------------------------------------------------------------
 
 
-def test_request_round_trip():
-    request = make_request(affinity_token="s1:abcd", budget=500, degradable=True, tenant="acme")
-    assert RequestDescriptor.from_dict(json.loads(to_canonical_json(request))) == request
-
-
-def test_profile_round_trip_preserves_fractional_speed():
-    profile = make_profile("n1", speed="3/2")
-    parsed = ResourceProfile.from_dict(profile.to_dict())
-    assert parsed == profile
-    assert parsed.hardware.speed_factor == Fraction(3, 2)
-
-
-def test_receipt_round_trip():
-    receipt = ExecutionReceipt(
-        request_id="r1",
-        plan=(PlanStage("n1", "real-1", PlanPhase.FULL),),
-        capability_versions=(("real-1", "deadbeef"),),
-        node_attestations=(("n1", 2),),
-        cache_states_reused=("st-1",),
-        cache_tokens_covered=64,
-        verdict=Verdict.ALLOWED,
-        reason=None,
-        t_net_us=5,
-        t_queue_us=10,
-        t_exec_us=20,
-        t_state_us=0,
-        c_load=3,
-        p_policy=0,
-        arrival_time=100,
-        finish_time=200,
+def test_request_from_dict():
+    doc = {
+        "request_id": "r1",
+        "capability_class": "chat",
+        "quality_target": 2,
+        "policy": {
+            "min_trust": 1,
+            "locality_scope": "domain",
+            "allowed_domains": ["d2", "d1"],
+            "preferred_domains": ["d1"],
+            "data_class": "tenant",
+        },
+        "affinity_token": "s1:abcd",
+        "budget": 500,
+        "origin_region": "metro",
+        "input_tokens": 128,
+        "output_tokens": 32,
+        "arrival_time": 7,
+        "degradable": True,
+        "tenant": "acme",
+    }
+    policy = PolicyConstraint(
+        min_trust=1,
+        locality_scope=LocalityScope.DOMAIN,
+        allowed_domains=("d1", "d2"),
+        preferred_domains=("d1",),
+        data_class=DataClass.TENANT,
     )
-    assert ExecutionReceipt.from_dict(receipt.to_dict()) == receipt
+    assert RequestDescriptor.from_dict(doc) == make_request(
+        quality_target=2, policy=policy, affinity_token="s1:abcd", budget=500, origin_region="metro",
+        arrival_time=7, degradable=True, tenant="acme",
+    )
+    # Absent keys take the documented defaults.
+    minimal = RequestDescriptor.from_dict({"request_id": "r2", "capability_class": "chat", "quality_target": 1})
+    assert minimal == RequestDescriptor("r2", "chat", 1, PolicyConstraint())
 
 
 state_types = st.sampled_from(list(StateType))
@@ -166,7 +163,7 @@ scopes = st.sampled_from(list(SharingScope))
     lookups=st.integers(min_value=0, max_value=1000),
     data=st.data(),
 )
-def test_state_descriptor_round_trip(state_type, scope, size, lookups, data):
+def test_generated_state_descriptors_validate(state_type, scope, size, lookups, data):
     hits = data.draw(st.integers(min_value=0, max_value=lookups))
     state = StateDescriptor(
         state_id="s",
@@ -179,7 +176,6 @@ def test_state_descriptor_round_trip(state_type, scope, size, lookups, data):
         decoding_config="cfg" if state_type is StateType.RESULT else None,
         migration_cost=None if scope is SharingScope.HARDWARE_BOUND else size,
     )
-    assert StateDescriptor.from_dict(json.loads(to_canonical_json(state))) == state
     assert validate_descriptor(state) == []
 
 

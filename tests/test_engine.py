@@ -490,17 +490,16 @@ def test_replan_matches_exhaustive_oracle_on_shipped_scenario():
     # deterministic arrival stream, against the initial residency (the 10 s
     # epoch changed nothing).
     arrivals = generate_arrivals(scenario.workload, 20_000_000, scenario.seed)
-    window = int(scenario.deployment_config["window_us"])
     cells = deployment.cells_from_requests(
-        [a.request for a in arrivals], 20_000_000 - window, 20_000_000
+        [a.request for a in arrivals], 20_000_000 - scenario.deployment.window_us, 20_000_000
     )
     residency = {s.profile.node_id: set() for s in scenario.nodes}
     for rid, node in scenario.initial_placement:
         residency[node].add(rid)
     fresh = Simulation(scenario)  # clean broker for zero-queue pricing
-    problem = deployment.build_problem(fresh.router, cells, scenario.weights, residency, now=0)
+    problem = deployment.build_problem(fresh.router, cells, scenario.placement_weights, residency, now=0)
     exact = deployment.solve_exact(problem)
-    heuristic = deployment.solve(problem, int(scenario.deployment_config["local_search_rounds"]))
+    heuristic = deployment.solve(problem, scenario.deployment.local_search_rounds)
     h, e = deployment.objective(problem, heuristic), deployment.objective(problem, exact)
     assert e <= h <= e * 3 / 2
 

@@ -615,3 +615,16 @@ def test_select_looks_up_state_holders_once_per_realization(simple_broker):
     assert outcome.scored.state_use is not None
     # One lookup per realization while pricing, one for the winner's rescore.
     assert len(calls) == len({c.realization_id for c in candidates}) + 1 < len(candidates) + 1
+
+
+def test_routers_share_no_plan_state(simple_broker):
+    stages = (PlanStage("edge-1", "chat-v1-gpu", PlanPhase.FULL),)
+    first, second = make_router(simple_broker), make_router(simple_broker)
+    plan = first.plan(stages)
+    assert first.plan(stages) is plan  # hashed once per router
+    assert second._plans == {}
+    other = second.plan(stages)
+    assert other is not plan and other == plan == ExecutionPlan.of(stages)
+    # Selection memoizes into its own router only.
+    assert isinstance(second.select(chat_request(), now=0), Selection)
+    assert set(first._plans) == {stages}

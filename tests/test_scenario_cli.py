@@ -1,5 +1,7 @@
 import json
 import shutil
+from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,104 @@ def test_attestation_above_claimed_trust_reports_path(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 1
     assert "trust_script.attestations[0].level" in capsys.readouterr().err
+
+
+def _set(path: str, value):
+    """A mutation that sets the value at a dotted path ("[i]" indexes lists)."""
+
+    def mutate(doc: dict) -> None:
+        keys = [int(k) if k.isdigit() else k for k in path.replace("[", ".").replace("]", "").split(".")]
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+def _rename_region(doc: dict, old: str, new: str) -> None:
+    for node in doc["topology"]["nodes"]:
+        if node["region"] == old:
+            node["region"] = new
+    for link in doc["topology"]["links"]:
+        for end in ("src", "dst"):
+            if link[end] == f"region:{old}":
+                link[end] = f"region:{new}"
+    for region in doc["workload"]["regions"]:
+        if region["region"] == old:
+            region["region"] = new
+
+
+def _add_request(request_id: str, session_id: str):
+    def mutate(doc: dict) -> None:
+        doc["requests"] = [
+            {"request_id": request_id, "capability_class": "chat", "quality_target": 1, "origin_region": "metro",
+             "input_tokens": 16, "output_tokens": 4, "session": {"session_id": session_id}}
+        ]
+
+    return mutate
+
+
+# Each of these passed ``validate`` once and then failed or hung ``run``; they
+# are only ever validated here.
+@pytest.mark.parametrize(
+    "name, mutate, field",
+    [
+        ("audit", _set("weights.tie_epsilon", "-1/2"), "weights.tie_epsilon"),
+        ("small_place", _set("deployment.local_search_rounds", "eight"), "deployment.local_search_rounds"),
+        ("audit", _set("weights.alpha", "abc"), "weights.alpha"),
+        ("small_place", _set("topology.domains[0].min_trust", 2), "topology.nodes[1].trust"),
+        ("small_place", _set("deployment.epoch_us", 0), "deployment.epoch_us"),
+        ("session_heavy", _set("routing.enable_split", "false"), "routing.enable_split"),
+        ("session_heavy", _set("catalog.classes[0].quality", "high"), "catalog.classes[0]"),
+    ],
+    ids=["tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality"],
+)
+def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert f"{field}:" in capsys.readouterr().err
+
+
+# trace.csv cells are unquoted, so an id with a comma or line break would
+# split its row.
+@pytest.mark.parametrize(
+    "mutate, fields_named",
+    [
+        (lambda doc: _rename_region(doc, "metro", "metro,x"), ["topology.nodes[0].region", "workload.regions[0].region"]),
+        (_set("topology.nodes[0].node_id", "edge\n1"), ["topology.nodes[0].node_id"]),
+        (_set("catalog.classes[0].variants[0].realizations[0].realization_id", "chat,small"),
+         ["catalog.realizations[0].realization_id"]),
+        (_add_request("q,1", "s1"), ["requests[0].request_id"]),
+        (_add_request("q1", "s\r1"), ["requests[0].session.session_id"]),
+    ],
+    ids=["region", "node_id", "realization_id", "request_id", "session_id"],
+)
+def test_validate_rejects_ids_that_split_trace_cells(tmp_path, capsys, mutate, fields_named):
+    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    for field in fields_named:
+        assert f"{field}: must not contain ','" in err
+
+
+def test_node_speed_factor_parses_exactly():
+    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
+    doc["topology"]["nodes"][0]["speed_factor"] = "3/2"
+    scenario = Scenario.from_dict(doc)
+    assert scenario.nodes[0].profile.hardware.speed_factor == Fraction(3, 2)
+    assert scenario.validate() == []
+
+
+def test_scenario_holds_no_raw_config_dicts():
+    # Every section is converted at load; nothing downstream reads raw keys.
+    assert not [f.name for f in fields(Scenario) if "dict" in str(f.type)]
 
 
 def test_malformed_file_reports_line_position(tmp_path, capsys):
@@ -151,10 +251,10 @@ def test_oracle_place_matches_library_oracle(capsys):
     sim = Simulation(scenario)
     arrivals = generate_arrivals(scenario.workload, at, sim.seed)
     cells = deployment.cells_from_requests(
-        [a.request for a in arrivals], at - int(scenario.deployment_config["window_us"]), at
+        [a.request for a in arrivals], at - scenario.deployment.window_us, at
     )
     residency = {n: set(s.residency) for n, s in sim.broker.nodes.items()}
-    problem = deployment.build_problem(sim.router, cells, scenario.weights, residency, now=0)
+    problem = deployment.build_problem(sim.router, cells, scenario.placement_weights, residency, now=0)
     expected = deployment.solve_exact(problem)
 
     main(["oracle-place", str(SCENARIOS / "small_place.json"), "--at", str(at)])
