@@ -7,14 +7,15 @@ A scored plan carries its full projected schedule (per-stage ready/start/
 complete times); committing a plan reserves exactly that schedule, which is
 why realized queueing always equals the scored queueing term.
 
-Selection prices each candidate (node, realization) once as a stage half:
-its inbound and outbound transfer, state reuse, activation, execution, wait
-and penalties. A single-node plan is one half; a prefill/decode split adds
-the two halves, the KV transfer between them and the decode node's wait at
-the prefill's completion. J is compared as an exact integer numerator over
-the weights' common denominator, so the budget filter and the relative tie
-window need no rationals; only the winner is rescored into a full
-``ScoredPlan`` with ``score``.
+Every plan is priced from stage halves: a half prices one candidate (node,
+realization) once, with its inbound and outbound transfer, state reuse,
+activation, execution, wait and penalties. A single-node plan is one half; a
+prefill/decode split adds the two halves, the KV transfer between them and
+the decode node's wait at the prefill's completion. ``select`` compares J as
+an exact integer numerator over the weights' common denominator, so the
+budget filter and the relative tie window need no rationals, and projects
+the schedule of the winner only. ``score`` prices one given plan from the
+same halves.
 """
 
 from __future__ import annotations
@@ -63,20 +64,6 @@ class RoutingWeights:
     pi_soft: int = 0                # per soft-preference miss
     tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)  # relative argmin tie window
 
-    def scaled(self, factor: int) -> "RoutingWeights":
-        """All six cost-term weights multiplied by a positive constant."""
-        return RoutingWeights(
-            alpha=self.alpha * factor,
-            beta=self.beta * factor,
-            gamma=self.gamma * factor,
-            delta=self.delta * factor,
-            epsilon=self.epsilon * factor,
-            zeta=self.zeta * factor,
-            kappa=self.kappa,
-            pi_soft=self.pi_soft,
-            tie_eps=self.tie_eps,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ExecutionPlan:
@@ -114,11 +101,6 @@ def _weight_multipliers(weights: RoutingWeights) -> tuple[int, tuple[int, ...]]:
 def _numerator(mult: tuple[int, ...], terms: tuple[int, ...]) -> int:
     """J times the weights' common denominator."""
     return sum(m * t for m, t in zip(mult, terms))
-
-
-def combine_terms(weights: RoutingWeights, terms: tuple[int, int, int, int, int, int]) -> Fraction:
-    scale, mult = _weight_multipliers(weights)
-    return Fraction(_numerator(mult, terms), scale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +169,8 @@ class _Half:
     The prefill side (``t_in`` set) serves single-node and prefill stages, the
     decode side (``t_out`` set) single-node and decode stages; a side is None
     when the origin and the node are not connected in that direction.
-    ``pre_num`` and ``dec_num`` are each side's J numerator.
+    ``pre_num`` and ``dec_num`` are each side's J numerator; ``use``,
+    ``activation`` and the core bytes are kept to project the winner's schedule.
     """
 
     cand: Candidate
@@ -196,13 +179,17 @@ class _Half:
     kv_bytes: int  # handed to the decode node when this half prefills
     c_load: int
     p_policy: int
+    activation: int  # cold load before the stage can run, 0 when warm
     t_in: int | None = None
+    core_in: int = 0
+    use: StateUse | None = None
     wait: int = 0
     prefill_exec: int = 0
     t_state: int = 0
     prefill_done_us: int = 0
     pre_num: int = 0
     t_out: int | None = None
+    core_out: int = 0
     decode_us: int = 0
     decode_exec: int = 0
     dec_num: int = 0
@@ -375,136 +362,78 @@ class Router:
     ) -> ScoredPlan:
         """Price one plan: the six cost terms plus the projected schedule.
 
+        Each stage is priced as a stage half, as ``select`` prices it.
         ``warm_flags`` marks per-stage residency (cold stages pay activation
         inside T_exec). ``zero_queue`` scores against an idle, penalty-free
-        substrate — the deployment planner's view.
+        substrate without state reuse — the deployment planner's view.
+        Raises ``Unreachable`` when a transfer the plan needs has no route.
         """
         origin = region_vertex(request.origin_region)
-        stages = [
-            (self.broker.node(s.node_id), self.broker.catalog.realizations[s.realization_id])
-            for s in plan.stages
+        held: dict[str, list[tuple[str, CacheEntry]]] = {}
+        halves = [
+            self._half(request, Candidate(s.node_id, s.realization_id, warm), origin, now, held, zero_queue)
+            for s, warm in zip(plan.stages, warm_flags)
         ]
-        in_payload = request.input_tokens * self.bytes_per_token
-        out_payload = request.output_tokens * self.bytes_per_token
+        if any(h is None for h in halves) or halves[0].t_in is None or halves[-1].t_out is None:
+            raise Unreachable(f"plan {plan.plan_id}: a transfer it needs has no route")
+        pre, dec = halves[0], (halves[1] if len(halves) == 2 else None)
+        t_inter = wait = 0
+        if dec is not None:
+            t_inter, _ = self.topology.transfer_between(pre.cand.node_id, dec.cand.node_id, pre.kv_bytes)
+            wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
+        return self._scored(plan, request, now, pre, dec, t_inter, wait)
 
-        first_node = stages[0][0]
-        last_node = stages[-1][0]
-        t_in, core_in = self.topology.transfer_between(origin, first_node.node_id, in_payload)
-        t_out, core_out = self.topology.transfer_between(last_node.node_id, origin, out_payload)
-        t_inter = core_inter = 0
-        if len(stages) == 2:
-            kv_bytes = request.input_tokens * stages[0][1].kv_bytes_per_token
-            t_inter, core_inter = self.topology.transfer_between(
-                first_node.node_id, last_node.node_id, kv_bytes
-            )
-        t_net = t_in + t_inter + t_out
-
-        state_use = None if zero_queue else self._resolve_state(request, first_node, stages[0][1])
-        covered = state_use.covered_tokens if state_use else 0
-        t_state = state_use.transfer_us if state_use else 0
-        uncovered = max(0, request.input_tokens - covered)
+    def _scored(
+        self,
+        plan: ExecutionPlan,
+        request: RequestDescriptor,
+        now: int,
+        pre: _Half,
+        dec: _Half | None,
+        t_inter: int,
+        wait: int,
+    ) -> ScoredPlan:
+        """The priced plan ``(pre, dec, t_inter, wait)`` with its projected schedule."""
+        use = pre.use
         # Migration is network wait before the stage is ready; the recompute
-        # branch is server work folded into the first stage's occupancy.
-        migrate_wait = t_state if (state_use and state_use.migrate) else 0
-        recompute_work = t_state if (state_use and not state_use.migrate) else 0
-
-        projections: list[StageProjection] = []
-        t_exec = 0
-        t_queue = 0
-        c_load = 0
-        cursor = now + t_in + migrate_wait
-        first_token_us = 0
-        decode_total_us = 0
-        for idx, ((node_state, realization), stage) in enumerate(zip(stages, plan.stages)):
-            speed = node_state.profile.hardware.speed_factor
-            exec_us = realization.setup_time_us
-            cold = not warm_flags[idx]
-            activation = 0
-            if cold:
-                activation, _ = self._cold_extras_us(node_state.node_id, realization)
-                exec_us += activation
-            decode_us = 0
-            if stage.phase in (PlanPhase.FULL, PlanPhase.PREFILL):
-                exec_us += self._eff_time_us(realization.prefill_time_per_token_us, uncovered, speed)
-            if stage.phase in (PlanPhase.FULL, PlanPhase.DECODE):
-                decode_us = self._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
-                exec_us += decode_us
-            t_exec += exec_us
-            occupancy_us = exec_us + (recompute_work if idx == 0 else 0)
-            if idx == 1:
-                cursor += t_inter
-            ready = cursor
-            wait = 0 if zero_queue else node_state.peek_wait_us(ready)
-            start = ready + wait
-            complete = start + occupancy_us
-            t_queue += wait
-            if not zero_queue:
-                c_load += self._c_load_for(node_state, now)
-            if stage.phase in (PlanPhase.FULL, PlanPhase.DECODE):
-                one_token = self._eff_time_us(realization.decode_time_per_token_us, 1, speed)
-                first_token_us = complete - decode_us + one_token
-                decode_total_us = decode_us
-            projections.append(
-                StageProjection(
-                    node_id=node_state.node_id,
-                    realization_id=realization.realization_id,
-                    phase=stage.phase,
-                    ready_us=ready,
-                    start_us=start,
-                    complete_us=complete,
-                    duration_us=occupancy_us,
-                    cold=cold,
-                    warm_available_at_us=start + activation,
-                )
+        # branch is server work inside the first stage's occupancy.
+        ready = now + pre.t_in + (use.transfer_us if use is not None and use.migrate else 0)
+        start = ready + pre.wait
+        if dec is None:
+            last, core_inter = pre, 0
+            complete = pre.prefill_done_us + pre.decode_us
+            stages = (_projection(pre, PlanPhase.FULL, ready, start, complete),)
+        else:
+            last = dec
+            _, core_inter = self.topology.transfer_between(pre.cand.node_id, dec.cand.node_id, pre.kv_bytes)
+            dec_ready = pre.prefill_done_us + t_inter
+            complete = dec_ready + wait + dec.decode_exec
+            stages = (
+                _projection(pre, PlanPhase.PREFILL, ready, start, pre.prefill_done_us),
+                _projection(dec, PlanPhase.DECODE, dec_ready, dec_ready + wait, complete),
             )
-            cursor = complete
-
-        p_policy = 0 if zero_queue else self.weights.pi_soft * self._soft_misses(request, stages, now)
-        terms = (t_net, t_queue, t_exec, t_state, c_load, p_policy)
-        cost = PlanCost(*terms, total=Fraction(_numerator(self._mult, terms), self._scale))
-        finish = cursor + t_out
-        state_core = state_use.core_bytes if (state_use and state_use.migrate) else 0
+        speed = self.broker.node(last.cand.node_id).profile.hardware.speed_factor
+        per_token = self.broker.catalog.realizations[last.cand.realization_id].decode_time_per_token_us
+        terms = self._terms_of(pre, dec, t_inter, wait)
         return ScoredPlan(
             plan=plan,
-            cost=cost,
-            stages=tuple(projections),
-            inbound_net_us=t_in,
+            cost=PlanCost(*terms, total=Fraction(_numerator(self._mult, terms), self._scale)),
+            stages=stages,
+            inbound_net_us=pre.t_in,
             interstage_net_us=t_inter,
-            outbound_net_us=t_out,
-            finish_us=finish,
-            first_token_us=first_token_us,
-            decode_total_us=decode_total_us,
-            state_use=state_use,
-            core_bytes=core_in + core_inter + core_out + state_core,
-            uncovered_prefill_tokens=uncovered,
+            outbound_net_us=last.t_out,
+            finish_us=complete + last.t_out,
+            first_token_us=complete - last.decode_us + self._eff_time_us(per_token, 1, speed),
+            decode_total_us=last.decode_us,
+            state_use=use,
+            core_bytes=pre.core_in + core_inter + last.core_out + (use.core_bytes if use is not None else 0),
+            uncovered_prefill_tokens=max(0, request.input_tokens - (use.covered_tokens if use is not None else 0)),
         )
 
-    # -- enumeration ------------------------------------------------------------
+    # -- selection ----------------------------------------------------------------
 
-    def _plans_from_candidates(self, candidates: list[Candidate]) -> list[tuple[ExecutionPlan, tuple[bool, ...]]]:
-        plans: list[tuple[ExecutionPlan, tuple[bool, ...]]] = []
-        for cand in candidates:
-            stage = PlanStage(cand.node_id, cand.realization_id, PlanPhase.FULL)
-            plans.append((self.plan((stage,)), (cand.warm,)))
-        if self.enable_split:
-            catalog = self.broker.catalog
-            for pre in candidates:
-                for dec in candidates:
-                    if pre.node_id == dec.node_id:
-                        continue
-                    if catalog.realizations[pre.realization_id].variant_id != (
-                        catalog.realizations[dec.realization_id].variant_id
-                    ):
-                        continue
-                    stages = (
-                        PlanStage(pre.node_id, pre.realization_id, PlanPhase.PREFILL),
-                        PlanStage(dec.node_id, dec.realization_id, PlanPhase.DECODE),
-                    )
-                    plans.append((self.plan(stages), (pre.warm, dec.warm)))
-        plans.sort(key=lambda p: p[0].plan_id)
-        return plans
-
-    def _candidates(self, request: RequestDescriptor, quality: int, now: int, respect_caps: bool) -> list[Candidate]:
+    def _candidates(self, request: RequestDescriptor, quality: int, now: int) -> list[Candidate]:
+        """Qualifying candidates on nodes below their admission cap."""
         candidates = self.broker.lookup_candidates(
             request.capability_class,
             quality,
@@ -513,8 +442,6 @@ class Router:
             now=now,
             tiers=self.placement_tiers,
         )
-        if not respect_caps:
-            return candidates
         kept = []
         for cand in candidates:
             state = self.broker.node(cand.node_id)
@@ -523,27 +450,6 @@ class Router:
             kept.append(cand)
         return kept
 
-    def _score_enumerated(
-        self, request: RequestDescriptor, candidates: list[Candidate], now: int
-    ) -> list[ScoredPlan]:
-        scored = []
-        for plan, warm_flags in self._plans_from_candidates(candidates):
-            try:
-                scored.append(self.score(plan, request, now, warm_flags))
-            except Unreachable:
-                continue  # a stage node the origin cannot reach is not a plan
-        return scored
-
-    def feasible_plans(self, request: RequestDescriptor, now: int) -> list[ScoredPlan]:
-        """The feasible plan set: quality/policy-filtered, budget-filtered, scored."""
-        candidates = self._candidates(request, request.quality_target, now, respect_caps=False)
-        scored = self._score_enumerated(request, candidates, now)
-        if request.budget is not None:
-            scored = [s for s in scored if s.cost.total <= request.budget]
-        return scored
-
-    # -- selection ----------------------------------------------------------------
-
     def _half(
         self,
         request: RequestDescriptor,
@@ -551,45 +457,51 @@ class Router:
         origin: str,
         now: int,
         held: dict[str, list[tuple[str, CacheEntry]]],
+        zero_queue: bool = False,
     ) -> _Half | None:
-        """Price ``cand`` as a stage half: what ``score`` charges it in any plan."""
+        """Price ``cand`` as a stage half: what it is charged in any plan.
+
+        ``zero_queue`` prices it on an idle server with no load or policy
+        penalty and no state reuse.
+        """
         node = self.broker.node(cand.node_id)
         realization = self.broker.catalog.realizations[cand.realization_id]
         try:
-            t_in, _ = self.topology.transfer_between(origin, cand.node_id, request.input_tokens * self.bytes_per_token)
+            t_in, core_in = self.topology.transfer_between(origin, cand.node_id, request.input_tokens * self.bytes_per_token)
         except Unreachable:
             t_in = None
         try:
-            t_out, _ = self.topology.transfer_between(cand.node_id, origin, request.output_tokens * self.bytes_per_token)
+            t_out, core_out = self.topology.transfer_between(cand.node_id, origin, request.output_tokens * self.bytes_per_token)
         except Unreachable:
             t_out = None
         if t_in is None and t_out is None:
             return None
-        base_exec = realization.setup_time_us
+        activation = 0
         if not cand.warm:
             try:
                 activation, _ = self._cold_extras_us(cand.node_id, realization)
             except Unreachable:
                 return None  # the artifact cannot reach the node: no plan may place it
-            base_exec += activation
+        base_exec = realization.setup_time_us + activation
         m_net, m_queue, m_exec, m_state, m_load, m_policy = self._mult
         half = _Half(
             cand,
             realization.variant_id,
-            free_us=node.server_free_us[0],
+            free_us=0 if zero_queue else node.server_free_us[0],  # 0: idle since before any ready time
             kv_bytes=request.input_tokens * realization.kv_bytes_per_token,
-            c_load=self._c_load_for(node, now),
-            p_policy=self.weights.pi_soft * self._soft_misses(request, [(node, realization)], now),
+            c_load=0 if zero_queue else self._c_load_for(node, now),
+            p_policy=0 if zero_queue else self.weights.pi_soft * self._soft_misses(request, [(node, realization)], now),
+            activation=activation,
         )
         penalty = m_load * half.c_load + m_policy * half.p_policy
         speed = node.profile.hardware.speed_factor
         if t_in is not None:
-            use = self._resolve_state(request, node, realization, held)
+            use = None if zero_queue else self._resolve_state(request, node, realization, held)
             covered = use.covered_tokens if use else 0
             t_state = use.transfer_us if use else 0
             migrate_wait = t_state if (use and use.migrate) else 0
             ready = now + t_in + migrate_wait
-            half.t_in = t_in
+            half.t_in, half.core_in, half.use = t_in, core_in, use
             half.wait = max(0, half.free_us - ready)
             half.prefill_exec = base_exec + self._eff_time_us(
                 realization.prefill_time_per_token_us, max(0, request.input_tokens - covered), speed
@@ -599,14 +511,15 @@ class Router:
             half.prefill_done_us = ready + half.wait + half.prefill_exec + (t_state - migrate_wait)
             half.pre_num = m_net * t_in + m_queue * half.wait + m_exec * half.prefill_exec + m_state * t_state + penalty
         if t_out is not None:
-            half.t_out = t_out
+            half.t_out, half.core_out = t_out, core_out
             half.decode_us = self._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
             half.decode_exec = base_exec + half.decode_us
             half.dec_num = m_net * t_out + m_exec * half.decode_exec + penalty
         return half
 
     def _price_plans(self, request: RequestDescriptor, candidates: list[Candidate], now: int) -> list[_Priced]:
-        """Every plan ``_plans_from_candidates`` enumerates that ``score`` can price, with its J numerator."""
+        """Every single-node and prefill/decode plan over ``candidates`` with a
+        route for each transfer it needs, with its J numerator."""
         origin = region_vertex(request.origin_region)
         held: dict[str, list[tuple[str, CacheEntry]]] = {}  # holders per compatibility hash, this instant
         halves = [h for h in (self._half(request, c, origin, now, held) for c in candidates) if h is not None]
@@ -638,15 +551,15 @@ class Router:
                     plans.append((num, pre, dec, t_inter, wait))
         return plans
 
-    def _plan_of(self, pre: _Half, dec: _Half | None) -> tuple[ExecutionPlan, tuple[bool, ...]]:
+    def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
         if dec is None:
-            stage = PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.FULL)
-            return self.plan((stage,)), (pre.cand.warm,)
-        stages = (
-            PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.PREFILL),
-            PlanStage(dec.cand.node_id, dec.cand.realization_id, PlanPhase.DECODE),
+            return self.plan((PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.FULL),))
+        return self.plan(
+            (
+                PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.PREFILL),
+                PlanStage(dec.cand.node_id, dec.cand.realization_id, PlanPhase.DECODE),
+            )
         )
-        return self.plan(stages), (pre.cand.warm, dec.cand.warm)
 
     @staticmethod
     def _terms_of(pre: _Half, dec: _Half | None, t_inter: int, wait: int) -> tuple[int, int, int, int, int, int]:
@@ -670,14 +583,14 @@ class Router:
         NoFeasiblePlan.
 
         Plans are compared on integer J numerators; the plan_id tie-break
-        hashes only the plans inside the tie window, and only the winner is
-        scored in full.
+        hashes only the plans inside the tie window, and only the winner's
+        schedule is projected.
         """
         quality = request.quality_target
         saw_budget_only = False
         limit = None if request.budget is None else request.budget * self._scale
         while quality >= 1:
-            candidates = self._candidates(request, quality, now, respect_caps=True)
+            candidates = self._candidates(request, quality, now)
             plans = self._price_plans(request, candidates, now)
             within = plans if limit is None else [p for p in plans if p[0] <= limit]
             if within:
@@ -698,39 +611,31 @@ class Router:
         eps = self.weights.tie_eps
         best = min(p[0] for p in within)
         cut = (best * eps.denominator + abs(best) * eps.numerator) // eps.denominator
-        plan, warm_flags, priced = min(
-            ((*self._plan_of(p[1], p[2]), p) for p in within if p[0] <= cut),
+        plan, (_, pre, dec, t_inter, wait) = min(
+            ((self._plan_of(p[1], p[2]), p) for p in within if p[0] <= cut),
             key=lambda c: c[0].plan_id,
         )
-        scored = self.score(plan, request, now, warm_flags)
-        priced_terms = self._terms_of(*priced[1:])
-        if scored.cost.terms() != priced_terms:
-            raise RuntimeError(
-                f"{request.request_id}: plan {plan.plan_id} scored {scored.cost.terms()}, priced {priced_terms}"
-            )
         alternatives = ()
         if self.audit:
-            alternatives = tuple(
-                sorted((self._plan_of(p[1], p[2])[0].plan_id, self._terms_of(*p[1:])) for p in plans)
-            )
+            alternatives = tuple(sorted((self._plan_of(p[1], p[2]).plan_id, self._terms_of(*p[1:])) for p in plans))
         return Selection(
-            scored=scored,
+            scored=self._scored(plan, request, now, pre, dec, t_inter, wait),
             served_quality=quality,
             degraded=quality < request.quality_target,
             alternatives=alternatives,
         )
 
 
-def _argmin(scored: list[ScoredPlan], tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)) -> ScoredPlan:
-    """Minimum-cost plan; totals within the relative tie window resolve to the
-    smallest plan_id."""
-    best_total = min(s.cost.total for s in scored)
-    bound = best_total + abs(best_total) * tie_eps
-    contenders = [s for s in scored if s.cost.total <= bound]
-    contenders.sort(key=lambda s: s.plan.plan_id)
-    return contenders[0]
-
-
-def within_tie(candidate: Fraction, best: Fraction, tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)) -> bool:
-    """True when ``candidate`` does not beat ``best`` by more than the tie window."""
-    return candidate >= best - abs(best) * tie_eps
+def _projection(half: _Half, phase: PlanPhase, ready: int, start: int, complete: int) -> StageProjection:
+    cand = half.cand
+    return StageProjection(
+        node_id=cand.node_id,
+        realization_id=cand.realization_id,
+        phase=phase,
+        ready_us=ready,
+        start_us=start,
+        complete_us=complete,
+        duration_us=complete - start,
+        cold=not cand.warm,
+        warm_available_at_us=start + half.activation,
+    )

@@ -310,6 +310,19 @@ class Scenario:
                     errors.append(f"{prefix}.classes: unknown class {cname}")
             if region.rate_per_s > 0 and not region.classes:
                 errors.append(f"{prefix}.classes: required when rate_per_s > 0")
+            for key in ("input_tokens", "output_tokens"):
+                if getattr(region, key).dist not in ("fixed", "lognormal"):
+                    errors.append(f"{prefix}.{key}.dist: must be fixed or lognormal")
+            for j, template in enumerate(region.policy_mix):
+                path = f"{prefix}.policy_mix[{j}]"
+                if not template.weight > 0:
+                    errors.append(f"{path}.weight: must be > 0")
+                if template.quality_target < 1:
+                    errors.append(f"{path}.quality_target: must be >= 1")
+                if template.budget is not None and not (type(template.budget) is int and template.budget >= 0):
+                    errors.append(f"{path}.budget: must be an integer >= 0")
+                for violation in validate_descriptor(template.policy):
+                    errors.append(f"{path}.{violation}")
 
         for i, scripted in enumerate(self.scripted_requests):
             request = scripted.request

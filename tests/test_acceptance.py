@@ -15,9 +15,11 @@ from capsim import deployment
 from capsim.cli import TraceWriter, _write_outputs
 from capsim.descriptors import Tier
 from capsim.engine import Simulation
+from capsim.routing import Router
 from capsim.scenario import Scenario
 from capsim.workload import generate_arrivals, generate_region_arrivals
 from conftest import random_placement_problem
+from reference_router import checked_select, scaled_weights
 from test_golden import GOLDEN, output_digests
 from test_workload import CHI2_999, region
 
@@ -56,11 +58,15 @@ def test_criterion_1_placement_oracle_suite():
     report(1, elapsed < 10.0, f"50 instances, worst ratio {float(worst):.4f}, {elapsed:.2f}s")
 
 
-def test_criterion_2_routing_argmin_audit(tmp_path):
+def test_criterion_2_routing_argmin_audit(tmp_path, monkeypatch):
     scenario = load("audit")
-    with (tmp_path / "trace.csv").open("w") as trace:
+    # Every selection's plan must also equal the reference router's score of it.
+    checked = checked_select(Router.select)
+    with monkeypatch.context() as patch, (tmp_path / "trace.csv").open("w") as trace:
+        patch.setattr(Router, "select", checked)
         sim = Simulation(scenario, audit=True, trace=TraceWriter(trace))
         result = sim.run()
+    assert checked.checks == len(result.audit), "a selection escaped the reference check"
     assert len(result.audit) >= 10_000, f"only {len(result.audit)} routed requests"
     # The audit run doubles as the golden-digest check for this scenario.
     _write_outputs(tmp_path, scenario, sim, result)
@@ -72,7 +78,7 @@ def test_criterion_2_routing_argmin_audit(tmp_path):
     def rescore(terms):
         return sum(wi * t for wi, t in zip(w, terms))
 
-    checked = 0
+    plan_scores = 0
     for entry in result.audit:
         costs = {plan_id: rescore(terms) for plan_id, terms in entry.alternatives}
         chosen = costs[entry.chosen_plan_id]
@@ -81,14 +87,14 @@ def test_criterion_2_routing_argmin_audit(tmp_path):
             assert cost >= floor, (
                 f"request {entry.request_id}: plan {plan_id} at {cost} beats chosen {chosen}"
             )
-        checked += len(costs)
+        plan_scores += len(costs)
 
-    scaled = Simulation(scenario, audit=True, weights=weights.scaled(10))
+    scaled = Simulation(scenario, audit=True, weights=scaled_weights(weights, 10))
     result10 = scaled.run()
     chosen_base = [(e.request_id, e.chosen_plan_id) for e in result.audit]
     chosen_scaled = [(e.request_id, e.chosen_plan_id) for e in result10.audit]
     assert chosen_base == chosen_scaled, "x10 weight rescale changed a selection"
-    report(2, True, f"{len(result.audit)} selections audited, {checked} plan scores, rescale invariant")
+    report(2, True, f"{len(result.audit)} selections audited, {plan_scores} plan scores, rescale invariant")
 
 
 def test_criterion_3_cache_admission_soundness():

@@ -92,8 +92,8 @@ def _add_request(request_id: str, session_id: str):
     return mutate
 
 
-# Each of these passed ``validate`` once and then failed or hung ``run``; they
-# are only ever validated here.
+# Each of these passed ``validate`` once and then failed, hung or was misread
+# by ``run``; they are only ever validated here.
 @pytest.mark.parametrize(
     "name, mutate, field",
     [
@@ -104,8 +104,17 @@ def _add_request(request_id: str, session_id: str):
         ("small_place", _set("deployment.epoch_us", 0), "deployment.epoch_us"),
         ("session_heavy", _set("routing.enable_split", "false"), "routing.enable_split"),
         ("session_heavy", _set("catalog.classes[0].quality", "high"), "catalog.classes[0]"),
+        ("session_heavy", _set("workload.regions[0].policy_mix[0].budget", "cheap"), "workload.regions[0].policy_mix[0].budget"),
+        ("session_heavy", _set("workload.regions[0].policy_mix[0].weight", 0), "workload.regions[0].policy_mix[0].weight"),
+        ("session_heavy", _set("workload.regions[0].policy_mix[0].quality_target", 0),
+         "workload.regions[0].policy_mix[0].quality_target"),
+        ("session_heavy", _set("workload.regions[0].input_tokens.dist", "poisson"), "workload.regions[0].input_tokens.dist"),
+        ("session_heavy", _set("workload.regions[0].policy_mix[0].min_trust", 9), "workload.regions[0].policy_mix[0].min_trust"),
     ],
-    ids=["tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality"],
+    ids=[
+        "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality",
+        "policy_budget", "policy_weights", "policy_quality_target", "token_dist", "policy_min_trust",
+    ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
