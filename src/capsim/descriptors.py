@@ -5,13 +5,12 @@ ordinal level in [0, 3]. Descriptors are immutable value types;
 ``validate_descriptor`` reports invariant violations as data, never as
 exceptions.
 
-Each type keeps only the serialization direction a product path uses:
-``PolicyConstraint``, ``RequestDescriptor``, ``SecurityLabel``,
-``ResourceRequirement`` and the three catalog types are read with
-``from_dict`` by the scenario parser; ``PlanStage`` and ``ExecutionReceipt``
-are written with ``to_dict`` (plan ids, ``receipts.jsonl``). Resource
-profiles and their facets are built by ``scenario._parse_node``, and
-``StateDescriptor`` only by the engine, so neither has a dict form.
+Only ``PlanStage`` and ``ExecutionReceipt`` have a dict form, ``to_dict``,
+for plan ids and ``receipts.jsonl``. The scenario reader
+(``scenario._record``) builds the request, policy and catalog types from the
+scenario file by their field annotations, so a field's default here is also
+its default in the file. Resource profiles and their facets are built by
+``scenario._parse_node``, and ``StateDescriptor`` only by the engine.
 """
 
 from __future__ import annotations
@@ -101,16 +100,6 @@ class PolicyConstraint:
     preferred_domains: tuple[str, ...] | None = None  # soft preference, priced not enforced
     data_class: DataClass = DataClass.PUBLIC
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PolicyConstraint":
-        return cls(
-            min_trust=int(d.get("min_trust", 0)),
-            locality_scope=LocalityScope(d.get("locality_scope", "any")),
-            allowed_domains=tuple(sorted(d["allowed_domains"])) if d.get("allowed_domains") is not None else None,
-            preferred_domains=tuple(sorted(d["preferred_domains"])) if d.get("preferred_domains") is not None else None,
-            data_class=DataClass(d.get("data_class", "public")),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class RequestDescriptor:
@@ -119,7 +108,7 @@ class RequestDescriptor:
     request_id: str
     capability_class: str
     quality_target: int
-    policy: PolicyConstraint
+    policy: PolicyConstraint = PolicyConstraint()
     affinity_token: str | None = None
     budget: int | None = None
     origin_region: str = ""
@@ -129,38 +118,12 @@ class RequestDescriptor:
     degradable: bool = False
     tenant: str | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RequestDescriptor":
-        return cls(
-            request_id=d["request_id"],
-            capability_class=d["capability_class"],
-            quality_target=int(d["quality_target"]),
-            policy=PolicyConstraint.from_dict(d.get("policy", {})),
-            affinity_token=d.get("affinity_token"),
-            budget=None if d.get("budget") is None else int(d["budget"]),
-            origin_region=d.get("origin_region", ""),
-            input_tokens=int(d.get("input_tokens", 0)),
-            output_tokens=int(d.get("output_tokens", 1)),
-            arrival_time=int(d.get("arrival_time", 0)),
-            degradable=d.get("degradable", False),
-            tenant=d.get("tenant"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class SecurityLabel:
     min_trust: int = 0           # hard floor for hosting nodes
-    preferred_trust: int = 0     # soft preference, priced as risk when missed
+    preferred_trust: int = 0     # soft preference, priced as risk when missed; a file's default is min_trust
     data_class: DataClass = DataClass.PUBLIC
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SecurityLabel":
-        min_trust = int(d.get("min_trust", 0))
-        return cls(
-            min_trust=min_trust,
-            preferred_trust=int(d.get("preferred_trust", min_trust)),
-            data_class=DataClass(d.get("data_class", "public")),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,85 +133,40 @@ class ResourceRequirement:
     accelerator: str = "cpu"
     load_time_us: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ResourceRequirement":
-        return cls(
-            memory_bytes=int(d.get("memory_bytes", 0)),
-            storage_bytes=int(d.get("storage_bytes", 0)),
-            accelerator=d.get("accelerator", "cpu"),
-            load_time_us=int(d.get("load_time_us", 0)),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class CapabilityDescriptor:
     """A capability class: the top level of the class/variant/realization tree."""
 
     name: str
-    task: str
-    quality: int
-    latency_us: int
-    security: SecurityLabel
-    resource: ResourceRequirement
-    lineage: tuple[tuple[str, str], ...]  # (parent model id, derivation tag)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CapabilityDescriptor":
-        return cls(
-            name=d["name"],
-            task=d.get("task", ""),
-            quality=int(d.get("quality", 1)),
-            latency_us=int(d.get("latency_us", 0)),
-            security=SecurityLabel.from_dict(d.get("security", {})),
-            resource=ResourceRequirement.from_dict(d.get("resource", {})),
-            lineage=tuple((p[0], p[1]) for p in d.get("lineage", [])),
-        )
+    task: str = ""
+    quality: int = 1
+    latency_us: int = 0
+    security: SecurityLabel = SecurityLabel()
+    resource: ResourceRequirement = ResourceRequirement()
+    lineage: tuple[tuple[str, str], ...] = ()  # (parent model id, derivation tag)
 
 
 @dataclass(frozen=True, slots=True)
 class CapabilityVariant:
     variant_id: str
     parent_class: str
-    quality: int
-    latency_us: int
-    security: SecurityLabel
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CapabilityVariant":
-        return cls(
-            variant_id=d["variant_id"],
-            parent_class=d["parent_class"],
-            quality=int(d.get("quality", 1)),
-            latency_us=int(d.get("latency_us", 0)),
-            security=SecurityLabel.from_dict(d.get("security", {})),
-        )
+    quality: int = 1
+    latency_us: int = 0
+    security: SecurityLabel = SecurityLabel()
 
 
 @dataclass(frozen=True, slots=True)
 class CapabilityRealization:
     realization_id: str
     variant_id: str
-    accelerator: str
-    artifact_size_bytes: int
-    load_time_us: int
-    prefill_time_per_token_us: int
-    decode_time_per_token_us: int
-    setup_time_us: int
-    kv_bytes_per_token: int
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CapabilityRealization":
-        return cls(
-            realization_id=d["realization_id"],
-            variant_id=d["variant_id"],
-            accelerator=d.get("accelerator", "cpu"),
-            artifact_size_bytes=int(d.get("artifact_size_bytes", 0)),
-            load_time_us=int(d.get("load_time_us", 0)),
-            prefill_time_per_token_us=int(d.get("prefill_time_per_token_us", 1)),
-            decode_time_per_token_us=int(d.get("decode_time_per_token_us", 1)),
-            setup_time_us=int(d.get("setup_time_us", 0)),
-            kv_bytes_per_token=int(d.get("kv_bytes_per_token", 0)),
-        )
+    accelerator: str = "cpu"
+    artifact_size_bytes: int = 0
+    load_time_us: int = 0
+    prefill_time_per_token_us: int = 1
+    decode_time_per_token_us: int = 1
+    setup_time_us: int = 0
+    kv_bytes_per_token: int = 0
 
 
 @dataclass(frozen=True, slots=True)

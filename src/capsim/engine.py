@@ -38,7 +38,7 @@ from .metrics import (
     RequestRecord,
 )
 from .registry import Broker, CapabilityCatalog
-from .routing import Rejection, Router, RoutingWeights, ScoredPlan, Selection
+from .routing import Rejection, Router, ScoredPlan, Selection
 from .scenario import Scenario
 from .trust import AttestationRecord, ReceiptLog, TrustManager
 from .workload import Arrival, generate_arrivals
@@ -91,9 +91,6 @@ class RunResult:
     trace: TraceSink
     audit: list[AuditEntry]
 
-    def receipts_jsonl(self) -> str:
-        return self.receipts.to_jsonl()
-
 
 class Simulation:
     def __init__(
@@ -101,9 +98,7 @@ class Simulation:
         scenario: Scenario,
         seed: int | None = None,
         duration_us: int | None = None,
-        cache_enabled: bool | None = None,
         placement_tiers: set[Tier] | None = None,
-        weights: RoutingWeights | None = None,
         audit: bool = False,
         trace: bool | TraceSink = False,
     ):
@@ -141,7 +136,7 @@ class Simulation:
         cache = scenario.cache
         self.caches = CacheSystem(
             window_us=cache.window_us,
-            enabled=cache.enabled if cache_enabled is None else cache_enabled,
+            enabled=cache.enabled,
             policy=cache.eviction_policy,
         )
         self.cache_storage_unit_cost = cache.storage_unit_cost
@@ -153,7 +148,7 @@ class Simulation:
             topology=self.topology,
             caches=self.caches,
             trust=self.trust,
-            weights=weights if weights is not None else scenario.routing_weights,
+            weights=scenario.routing_weights,
             bytes_per_token=scenario.bytes_per_token,
             enable_split=scenario.enable_split,
             artifact_repository=scenario.artifact_repository,

@@ -1,22 +1,30 @@
 """Scenario files: one JSON document carries topology, catalog, placement,
 workload, weights, cache/deployment config, and trust scripts.
 
-``Scenario.from_dict`` is the one reader of that document: every section is
-converted once, at load, into typed values, and a value that does not
-convert raises ``ScenarioParseError`` naming its field path. ``load`` also
-surfaces JSON syntax errors with line/position; ``validate`` returns
-referential and range errors as field-path strings, so a scenario either
-parses and validates or the CLI reports exactly what is wrong.
+``_record`` is the one rule by which that document becomes typed values: it
+reads each field of a dataclass from its key (``_KEYS`` names the keys that
+differ from the field's name) and converts the value by the field's
+annotation, recursing into nested records, enums, optionals and tuples. A
+field's default is its dataclass default, and a value that does not convert
+raises ``ScenarioParseError`` naming its field path, e.g.
+``workload.regions[0].policy_mix[0].locality_scope``. ``Scenario.from_dict``
+reads the whole document through it, with only the catalog tree and the
+node profiles assembled by hand. ``load`` also surfaces JSON syntax errors
+with line/position; ``validate`` returns referential and range errors as
+field-path strings, so a scenario either parses and validates or the CLI
+reports exactly what is wrong.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from types import UnionType
+from typing import Any, Callable, TypeVar, get_args, get_origin, get_type_hints
 
 from .deployment import PlacementWeights
 from .descriptors import (
@@ -29,6 +37,7 @@ from .descriptors import (
     NodeDynamicState,
     RequestDescriptor,
     ResourceProfile,
+    SecurityLabel,
     Tier,
     parse_fraction,
     validate_descriptor,
@@ -36,7 +45,7 @@ from .descriptors import (
 from .routing import RoutingWeights
 from .topology import Domain, Link, Node, Topology, region_vertex
 from .trust import AttestationRecord
-from .workload import WorkloadSpec
+from .workload import PolicyTemplate, RegionWorkload, WorkloadSpec
 
 T = TypeVar("T")
 
@@ -93,43 +102,31 @@ class ScriptedRequest:
     total_turns: int = 1
     prefix_tokens: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ScriptedRequest":
-        session = d.get("session", {})
-        request = RequestDescriptor.from_dict(d)
-        return cls(
-            request=request,
-            session_id=session.get("session_id", request.request_id),
-            turn_index=int(session.get("turn_index", 1)),
-            total_turns=int(session.get("total_turns", 1)),
-            prefix_tokens=int(session.get("prefix_tokens", 0)),
-        )
 
-
-@dataclass(slots=True)
+@dataclass(slots=True, kw_only=True)
 class Scenario:
-    name: str
-    seed: int
-    duration_us: int
-    bytes_per_token: int
-    artifact_repository: str | None
-    domains: list[Domain]
+    name: str = "scenario"
+    seed: int = 0
+    duration_us: int = 1_000_000
+    bytes_per_token: int = 4
+    artifact_repository: str | None = None
+    domains: list[Domain] = field(default_factory=list)
     nodes: list[ScenarioNode]
-    links: list[Link]
+    links: list[Link] = field(default_factory=list)
     classes: list[CapabilityDescriptor]
     variants: list[CapabilityVariant]
     realizations: list[CapabilityRealization]
-    initial_placement: list[tuple[str, str]]  # (realization_id, node_id)
-    routing_weights: RoutingWeights
-    placement_weights: PlacementWeights
-    cache: CacheConfig
-    deployment: DeploymentConfig
-    enable_split: bool
-    workload: WorkloadSpec
-    scripted_requests: list[ScriptedRequest]
-    attestations: tuple[AttestationRecord, ...]
-    revocations: tuple[Revocation, ...]  # file order
-    node_events: tuple[NodeEvent, ...]  # file order
+    initial_placement: list[tuple[str, str]] = field(default_factory=list)  # (realization_id, node_id)
+    routing_weights: RoutingWeights = RoutingWeights()
+    placement_weights: PlacementWeights = PlacementWeights()
+    cache: CacheConfig = CacheConfig()
+    deployment: DeploymentConfig = DeploymentConfig()
+    enable_split: bool = True
+    workload: WorkloadSpec = WorkloadSpec()
+    scripted_requests: list[ScriptedRequest] = field(default_factory=list)
+    attestations: tuple[AttestationRecord, ...] = ()
+    revocations: tuple[Revocation, ...] = ()  # file order
+    node_events: tuple[NodeEvent, ...] = ()  # file order
     digest: str = ""
 
     # -- construction --------------------------------------------------------
@@ -138,48 +135,21 @@ class Scenario:
     def from_dict(cls, d: dict[str, Any], digest: str = "") -> "Scenario":
         if not isinstance(d, dict):
             raise ScenarioParseError("scenario: expected a JSON object")
-        topo = _section(d, "topology")
         classes: list[CapabilityDescriptor] = []
         variants: list[CapabilityVariant] = []
         realizations: list[CapabilityRealization] = []
         for path, cls_d in _items(_section(d, "catalog"), "catalog.classes"):
-            classes.append(_parse(path, CapabilityDescriptor.from_dict, cls_d))
+            classes.append(_record(CapabilityDescriptor, cls_d, path))
             for var_path, var_d in _items(cls_d, f"{path}.variants"):
-                var_d = {"parent_class": cls_d["name"], "security": cls_d.get("security", {}), **var_d}
-                variants.append(_parse(var_path, CapabilityVariant.from_dict, var_d))
+                # A variant without its own label takes its class's whole label.
+                var_d = {"security": cls_d.get("security", {}), **var_d}
+                variants.append(_record(CapabilityVariant, var_d, var_path, parent_class=classes[-1].name))
                 for real_path, real_d in _items(var_d, f"{var_path}.realizations"):
-                    real_d = {"variant_id": var_d["variant_id"], **real_d}
-                    realizations.append(_parse(real_path, CapabilityRealization.from_dict, real_d))
-        weights = _section(d, "weights")
-        trust = _section(d, "trust_script")
-        return cls(
-            name=_parse("name", str, d.get("name", "scenario")),
-            seed=_parse("seed", int, d.get("seed", 0)),
-            duration_us=_parse("duration_us", int, d.get("duration_us", 1_000_000)),
-            bytes_per_token=_parse("bytes_per_token", int, d.get("bytes_per_token", 4)),
-            artifact_repository=_read(topo, "topology", "artifact_repository", _optional(str), None),
-            domains=[_record(Domain, dd, p) for p, dd in _items(topo, "topology.domains")],
-            nodes=[_parse_node(nd, p) for p, nd in _items(topo, "topology.nodes")],
-            links=[_record(Link, ld, p) for p, ld in _items(topo, "topology.links")],
-            classes=classes,
-            variants=variants,
-            realizations=realizations,
-            initial_placement=[
-                _parse(p, lambda pair: (str(pair[0]), str(pair[1])), pair)
-                for p, pair in _items(d, "initial_placement", list)
-            ],
-            routing_weights=_record(RoutingWeights, weights, "weights", tie_eps="tie_epsilon"),
-            placement_weights=_record(PlacementWeights, weights, "weights", lambda_deploy="lambda", mu_net="mu", nu_risk="nu"),
-            cache=_record(CacheConfig, _section(d, "cache"), "cache"),
-            deployment=_record(DeploymentConfig, _section(d, "deployment"), "deployment"),
-            enable_split=_read(_section(d, "routing"), "routing", "enable_split", _bool, True),
-            workload=_parse("workload", WorkloadSpec.from_dict, _section(d, "workload")),
-            scripted_requests=[_parse(p, ScriptedRequest.from_dict, r) for p, r in _items(d, "requests")],
-            attestations=tuple(_record(AttestationRecord, a, p) for p, a in _items(trust, "trust_script.attestations")),
-            revocations=tuple(_record(Revocation, r, p) for p, r in _items(trust, "trust_script.revocations")),
-            node_events=tuple(_record(NodeEvent, e, p) for p, e in _items(d, "node_events")),
-            digest=digest,
-        )
+                    realizations.append(
+                        _record(CapabilityRealization, real_d, real_path, variant_id=variants[-1].variant_id)
+                    )
+        nodes = [_parse_node(nd, p) for p, nd in _items(_section(d, "topology"), "topology.nodes")]
+        return _record(cls, d, "", nodes=nodes, classes=classes, variants=variants, realizations=realizations, digest=digest)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -311,16 +281,23 @@ class Scenario:
             if region.rate_per_s > 0 and not region.classes:
                 errors.append(f"{prefix}.classes: required when rate_per_s > 0")
             for key in ("input_tokens", "output_tokens"):
-                if getattr(region, key).dist not in ("fixed", "lognormal"):
+                tokens = getattr(region, key)
+                if tokens.dist not in ("fixed", "lognormal"):
                     errors.append(f"{prefix}.{key}.dist: must be fixed or lognormal")
+                if tokens.dist == "fixed" and tokens.value < 1:
+                    errors.append(f"{prefix}.{key}.value: must be >= 1")
+                if tokens.sigma < 0:
+                    errors.append(f"{prefix}.{key}.sigma: must be >= 0")
+            if not region.policy_mix:
+                errors.append(f"{prefix}.policy_mix: must not be empty")
             for j, template in enumerate(region.policy_mix):
                 path = f"{prefix}.policy_mix[{j}]"
                 if not template.weight > 0:
                     errors.append(f"{path}.weight: must be > 0")
                 if template.quality_target < 1:
                     errors.append(f"{path}.quality_target: must be >= 1")
-                if template.budget is not None and not (type(template.budget) is int and template.budget >= 0):
-                    errors.append(f"{path}.budget: must be an integer >= 0")
+                if template.budget is not None and template.budget < 0:
+                    errors.append(f"{path}.budget: must be >= 0")
                 for violation in validate_descriptor(template.policy):
                     errors.append(f"{path}.{violation}")
 
@@ -364,7 +341,7 @@ class Scenario:
 
 
 def _parse_node(nd: dict[str, Any], path: str) -> ScenarioNode:
-    memory_budget = _read(nd, path, "memory_budget_bytes", int, 0)
+    memory_budget = _read(nd, path, "memory_budget_bytes", _int, 0)
     profile = ResourceProfile(
         node_id=_parse(path, lambda node: str(node["node_id"]), nd),
         domain_id=_read(nd, path, "domain_id", str, ""),
@@ -372,19 +349,19 @@ def _parse_node(nd: dict[str, Any], path: str) -> ScenarioNode:
             accelerator=_read(nd, path, "accelerator", str, "cpu"),
             speed_factor=_read(nd, path, "speed_factor", parse_fraction, Fraction(1)),
             memory_bytes=memory_budget,
-            storage_bytes=_read(nd, path, "storage_bytes", int, 0),
+            storage_bytes=_read(nd, path, "storage_bytes", _int, 0),
         ),
         runtime=_read(nd, path, "runtimes", lambda r: tuple(sorted(r)), ("std",)),
         capacity=Capacity(
-            max_concurrent=_read(nd, path, "max_concurrent", int, 1),
+            max_concurrent=_read(nd, path, "max_concurrent", _int, 1),
             memory_budget_bytes=memory_budget,
-            admission_cap=_read(nd, path, "admission_cap", int, 16),
+            admission_cap=_read(nd, path, "admission_cap", _int, 16),
         ),
         state=NodeDynamicState(free_memory_bytes=memory_budget),
         locality=Locality(region=_read(nd, path, "region", str, ""), tier=_read(nd, path, "tier", Tier, Tier.CLOUD)),
-        trust=_read(nd, path, "trust", int, 0),
+        trust=_read(nd, path, "trust", _int, 0),
     )
-    return ScenarioNode(profile=profile, cache_capacity_bytes=_read(nd, path, "cache_capacity_bytes", int, 0))
+    return ScenarioNode(profile=profile, cache_capacity_bytes=_read(nd, path, "cache_capacity_bytes", _int, 0))
 
 
 def _parse(path: str, build: Callable[[Any], T], value: Any) -> T:
@@ -403,37 +380,102 @@ def _read(section: dict, path: str, key: str, convert: Callable[[Any], T], defau
     return _parse(f"{path}.{key}", convert, section[key]) if key in section else default
 
 
-def _record(cls: Callable[..., T], section: dict, path: str, **keys: str) -> T:
-    """The dataclass ``cls`` read from ``section``: each field from the key of
-    its name, or the key ``keys`` gives for it, converted by its annotated
-    type. An absent key keeps the field's default; a field without one is
-    required."""
-    values = {}
-    for f in fields(cls):
-        key = keys.get(f.name, f.name)
-        if key in section:
-            values[f.name] = _parse(f"{path}.{key}", _CONVERTERS[f.type], section[key])
-        elif f.default is MISSING:
-            raise ScenarioParseError(f"{path}.{key}: required")
+def _record(cls: type[T], section: dict, path: str, **given: Any) -> T:
+    """The dataclass ``cls`` read from ``section`` at field path ``path``:
+    each field but the ``given`` ones from the first of its keys present,
+    converted by its annotated type. An absent key keeps the field's
+    default; a field without one is required."""
+    values = dict(given)
+    for name, keys, convert, required in _fields(cls):
+        if name in given:
+            continue
+        for key in keys:
+            value = _lookup(section, path, key)
+            if value is not MISSING:
+                values[name] = convert(value, _join(path, key))
+                break
+        else:
+            if required:
+                raise ScenarioParseError(f"{_join(path, keys[0])}: required")
     return cls(**values)
 
 
+@cache
+def _fields(cls: type) -> tuple[tuple[str, tuple[str, ...], Callable[[Any, str], Any], bool], ...]:
+    """(name, document keys, converter, required) for each field of ``cls``."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        keys = _KEYS.get((cls, f.name), f.name)
+        required = f.default is MISSING and f.default_factory is MISSING
+        out.append((f.name, (keys,) if isinstance(keys, str) else keys, _converter(hints[f.name]), required))
+    return tuple(out)
+
+
+@cache
+def _converter(tp: Any) -> Callable[[Any, str], Any]:
+    """The converter of a document value, and its field path, to the
+    resolved annotation ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        convert = _converter(args[0])
+        return lambda value, path: None if value is None else convert(value, path)
+    if origin is list or (origin is tuple and args[-1] is Ellipsis):
+        convert = _converter(args[0])
+        return lambda value, path: origin(convert(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
+    if origin is tuple:
+        converts = [_converter(arg) for arg in args]
+
+        def fixed(value: Any, path: str) -> tuple:
+            if len(_list(value, path)) != len(converts):
+                raise ScenarioParseError(f"{path}: expected {len(converts)} items")
+            return tuple(convert(v, f"{path}[{i}]") for i, (convert, v) in enumerate(zip(converts, value)))
+
+        return fixed
+    if is_dataclass(tp):
+        return lambda value, path: _record(tp, _object(value, path), path)
+    leaf = _LEAVES.get(tp, tp)  # an enum converts by its own constructor
+    return lambda value, path: _parse(path, leaf, value)
+
+
+def _lookup(section: dict, path: str, key: str) -> Any:
+    """The value at the dotted ``key`` of ``section``, or ``MISSING``; the
+    key "" is ``section`` itself."""
+    if not key:
+        return section
+    *outer, last = key.split(".")
+    for part in outer:
+        if part not in section:
+            return MISSING
+        path = _join(path, part)
+        section = _object(section[part], path)
+    return section.get(last, MISSING)
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path and key else path or key
+
+
 def _section(d: dict, key: str) -> dict:
-    value = d.get(key, {})
+    return _object(d.get(key, {}), key)
+
+
+def _items(section: dict, path: str) -> list[tuple[str, dict]]:
+    """(field path, object) for each item of the list at ``path``."""
+    items = _list(section.get(path.rsplit(".", 1)[-1], []), path)
+    return [(f"{path}[{i}]", _object(item, f"{path}[{i}]")) for i, item in enumerate(items)]
+
+
+def _object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioParseError(f"{key}: expected an object")
+        raise ScenarioParseError(f"{path}: expected an object")
     return value
 
 
-def _items(section: dict, path: str, item_type: type = dict) -> list[tuple[str, Any]]:
-    """(field path, item) for each item of the list at ``path``."""
-    items = section.get(path.rsplit(".", 1)[-1], [])
-    if not isinstance(items, list):
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
         raise ScenarioParseError(f"{path}: expected a list")
-    for i, item in enumerate(items):
-        if not isinstance(item, item_type):
-            raise ScenarioParseError(f"{path}[{i}]: expected {'an object' if item_type is dict else 'a list'}")
-    return [(f"{path}[{i}]", item) for i, item in enumerate(items)]
+    return value
 
 
 def _bool(value: Any) -> bool:
@@ -442,8 +484,16 @@ def _bool(value: Any) -> bool:
     return value
 
 
-def _optional(convert: Callable[[Any], T]) -> Callable[[Any], T | None]:
-    return lambda value: None if value is None else convert(value)
+def _int(value: Any) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _float(value: Any) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _check_id(errors: list[str], path: str, value: Any) -> None:
@@ -451,6 +501,33 @@ def _check_id(errors: list[str], path: str, value: Any) -> None:
         errors.append(f"{path}: must not contain ',' or a line break")
 
 
-# Converters by annotated field type, for ``_record``; the record modules
-# postpone annotations, so each type is its source text.
-_CONVERTERS = {"bool": _bool, "int": int, "int | None": _optional(int), "str": str, "Fraction": parse_fraction}
+# Converters of the leaf annotations; any other leaf is an enum.
+_LEAVES = {bool: _bool, int: _int, float: _float, str: str, Fraction: parse_fraction}
+
+# Document keys of the fields not read from the key of their own name. A
+# dotted key reaches into a nested object, "" is the record's own object,
+# and of several keys the first one present is read.
+_KEYS: dict[tuple[type, str], str | tuple[str, ...]] = {
+    (Scenario, "artifact_repository"): "topology.artifact_repository",
+    (Scenario, "domains"): "topology.domains",
+    (Scenario, "links"): "topology.links",
+    (Scenario, "routing_weights"): "weights",
+    (Scenario, "placement_weights"): "weights",
+    (Scenario, "enable_split"): "routing.enable_split",
+    (Scenario, "scripted_requests"): "requests",
+    (Scenario, "attestations"): "trust_script.attestations",
+    (Scenario, "revocations"): "trust_script.revocations",
+    (RoutingWeights, "tie_eps"): "tie_epsilon",
+    (PlacementWeights, "lambda_deploy"): "lambda",
+    (PlacementWeights, "mu_net"): "mu",
+    (PlacementWeights, "nu_risk"): "nu",
+    (SecurityLabel, "preferred_trust"): ("preferred_trust", "min_trust"),
+    (RegionWorkload, "session_turns_g"): "session.turns_g",
+    (RegionWorkload, "session_prefix_tokens"): "session.prefix_tokens",
+    (PolicyTemplate, "policy"): "",  # a template's policy keys sit beside its own
+    (ScriptedRequest, "request"): "",
+    (ScriptedRequest, "session_id"): ("session.session_id", "request_id"),
+    (ScriptedRequest, "turn_index"): "session.turn_index",
+    (ScriptedRequest, "total_turns"): "session.total_turns",
+    (ScriptedRequest, "prefix_tokens"): "session.prefix_tokens",
+}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .descriptors import PolicyConstraint, RequestDescriptor
 
@@ -34,76 +34,36 @@ class TokenDist:
 
     def sample(self, rng: random.Random) -> int:
         if self.dist == "fixed":
-            return max(1, self.value)
+            return self.value
         return max(1, round(rng.lognormvariate(self.mu, self.sigma)))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TokenDist":
-        return cls(
-            dist=d.get("dist", "fixed"),
-            value=int(d.get("value", 1)),
-            mu=float(d.get("mu", 0.0)),
-            sigma=float(d.get("sigma", 0.0)),
-        )
 
 
 @dataclass(frozen=True, slots=True)
 class PolicyTemplate:
-    weight: float
-    policy: PolicyConstraint
+    weight: float = 1.0
+    policy: PolicyConstraint = PolicyConstraint()
     quality_target: int = 1
     budget: int | None = None
     degradable: bool = False
     tenant: str | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyTemplate":
-        return cls(
-            weight=float(d.get("weight", 1.0)),
-            policy=PolicyConstraint.from_dict(d),
-            quality_target=int(d.get("quality_target", 1)),
-            budget=d.get("budget"),
-            degradable=bool(d.get("degradable", False)),
-            tenant=d.get("tenant"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class RegionWorkload:
     region: str
-    rate_per_s: float
-    zipf_s: float
-    classes: tuple[str, ...]  # popularity-rank order, most popular first
+    rate_per_s: float = 0.0
+    zipf_s: float = 0.0
+    classes: tuple[str, ...] = ()  # popularity-rank order, most popular first
     session_turns_g: float = 1.0  # geometric success parameter; 1.0 = single-turn
     session_prefix_tokens: int = 0
-    input_tokens: TokenDist = field(default_factory=TokenDist)
-    output_tokens: TokenDist = field(default_factory=TokenDist)
-    policy_mix: tuple[PolicyTemplate, ...] = ()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegionWorkload":
-        session = d.get("session", {})
-        mix = tuple(PolicyTemplate.from_dict(t) for t in d.get("policy_mix", [{}]))
-        return cls(
-            region=d["region"],
-            rate_per_s=float(d.get("rate_per_s", 0.0)),
-            zipf_s=float(d.get("zipf_s", 0.0)),
-            classes=tuple(d.get("classes", [])),
-            session_turns_g=float(session.get("turns_g", 1.0)),
-            session_prefix_tokens=int(session.get("prefix_tokens", 0)),
-            input_tokens=TokenDist.from_dict(d.get("input_tokens", {})),
-            output_tokens=TokenDist.from_dict(d.get("output_tokens", {})),
-            policy_mix=mix,
-        )
+    input_tokens: TokenDist = TokenDist()
+    output_tokens: TokenDist = TokenDist()
+    policy_mix: tuple[PolicyTemplate, ...] = (PolicyTemplate(),)  # each session draws one
 
 
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
-    regions: tuple[RegionWorkload, ...]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorkloadSpec":
-        return cls(regions=tuple(RegionWorkload.from_dict(r) for r in d.get("regions", [])))
+    regions: tuple[RegionWorkload, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +111,7 @@ def generate_region_arrivals(
     if spec.rate_per_s <= 0 or not spec.classes:
         return []
     cdf = _zipf_cdf(len(spec.classes), spec.zipf_s)
-    mix_weights = [t.weight for t in spec.policy_mix] or [1.0]
+    mix_weights = [t.weight for t in spec.policy_mix]
     mix_total = sum(mix_weights)
     mix_cdf = []
     acc = 0.0
@@ -178,11 +138,7 @@ def generate_region_arrivals(
             session_counter += 1
             session_id = f"{spec.region}-s{session_counter:05d}"
             cls_idx = _sample_index(cdf, rng.random())
-            template = (
-                spec.policy_mix[_sample_index(mix_cdf, rng.random())]
-                if spec.policy_mix
-                else PolicyTemplate(weight=1.0, policy=PolicyConstraint())
-            )
+            template = spec.policy_mix[_sample_index(mix_cdf, rng.random())]
             open_session = {
                 "session_id": session_id,
                 "capability_class": spec.classes[cls_idx],

@@ -8,6 +8,7 @@ import math
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def test_criterion_2_routing_argmin_audit(tmp_path, monkeypatch):
             )
         plan_scores += len(costs)
 
-    scaled = Simulation(scenario, audit=True, weights=scaled_weights(weights, 10))
+    scaled = Simulation(replace(scenario, routing_weights=scaled_weights(weights, 10)), audit=True)
     result10 = scaled.run()
     chosen_base = [(e.request_id, e.chosen_plan_id) for e in result.audit]
     chosen_scaled = [(e.request_id, e.chosen_plan_id) for e in result10.audit]
@@ -140,16 +141,18 @@ def test_criterion_3_cache_admission_soundness():
 
 def test_criterion_4_prefix_reuse_latency():
     scenario = load("session_heavy")
-    on = Simulation(scenario, cache_enabled=True).run()
-    off_a = Simulation(scenario, cache_enabled=False).run()
-    off_b = Simulation(scenario, cache_enabled=False).run()
+    assert scenario.cache.enabled
+    uncached = replace(scenario, cache=replace(scenario.cache, enabled=False))
+    on = Simulation(scenario).run()
+    off_a = Simulation(uncached).run()
+    off_b = Simulation(uncached).run()
 
     mean_on = on.metrics.to_dict()["ttft_us"]["mean"]
     mean_off = off_a.metrics.to_dict()["ttft_us"]["mean"]
     cache = on.metrics.to_dict()["cache"]["tensor_state"]
     ratio = cache["hits"] / cache["lookups"]
     identical = (
-        off_a.receipts_jsonl() == off_b.receipts_jsonl()
+        off_a.receipts.to_jsonl() == off_b.receipts.to_jsonl()
         and off_a.metrics.to_json() == off_b.metrics.to_json()
     )
     ok = mean_on < mean_off and ratio > 0.3 and identical
@@ -188,7 +191,7 @@ def test_criterion_7_determinism():
     scenario = load("session_heavy")
     a = Simulation(scenario).run()
     b = Simulation(scenario).run()
-    identical = a.receipts_jsonl() == b.receipts_jsonl() and a.metrics.to_json() == b.metrics.to_json()
+    identical = a.receipts.to_jsonl() == b.receipts.to_jsonl() and a.metrics.to_json() == b.metrics.to_json()
     other_seed = generate_arrivals(scenario.workload, scenario.duration_us, scenario.seed + 1)
     base_seed = generate_arrivals(scenario.workload, scenario.duration_us, scenario.seed)
     differs = [x.request.arrival_time for x in other_seed] != [x.request.arrival_time for x in base_seed]

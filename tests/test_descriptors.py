@@ -19,6 +19,7 @@ from capsim.descriptors import (
     parse_fraction,
     validate_descriptor,
 )
+from capsim.scenario import Scenario, ScriptedRequest
 from conftest import make_class, make_profile, make_realization
 
 
@@ -135,21 +136,25 @@ def test_request_from_dict():
         "arrival_time": 7,
         "degradable": True,
         "tenant": "acme",
+        "session": {"session_id": "s1", "turn_index": 2, "total_turns": 3, "prefix_tokens": 64},
     }
     policy = PolicyConstraint(
         min_trust=1,
         locality_scope=LocalityScope.DOMAIN,
-        allowed_domains=("d1", "d2"),
+        allowed_domains=("d2", "d1"),
         preferred_domains=("d1",),
         data_class=DataClass.TENANT,
     )
-    assert RequestDescriptor.from_dict(doc) == make_request(
+    request = make_request(
         quality_target=2, policy=policy, affinity_token="s1:abcd", budget=500, origin_region="metro",
         arrival_time=7, degradable=True, tenant="acme",
     )
-    # Absent keys take the documented defaults.
-    minimal = RequestDescriptor.from_dict({"request_id": "r2", "capability_class": "chat", "quality_target": 1})
-    assert minimal == RequestDescriptor("r2", "chat", 1, PolicyConstraint())
+    (scripted,) = Scenario.from_dict({"requests": [doc]}).scripted_requests
+    assert scripted == ScriptedRequest(request, "s1", turn_index=2, total_turns=3, prefix_tokens=64)
+    # Absent keys take the documented defaults; the session id is the request id.
+    minimal = {"request_id": "r2", "capability_class": "chat", "quality_target": 1}
+    (scripted,) = Scenario.from_dict({"requests": [minimal]}).scripted_requests
+    assert scripted == ScriptedRequest(RequestDescriptor("r2", "chat", 1, PolicyConstraint()), "r2")
 
 
 state_types = st.sampled_from(list(StateType))

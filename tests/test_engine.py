@@ -391,7 +391,7 @@ def test_byte_identical_reruns():
     }
     a = run_scenario(d)
     b = run_scenario(d)
-    assert a.receipts_jsonl() == b.receipts_jsonl()
+    assert a.receipts.to_jsonl() == b.receipts.to_jsonl()
     assert a.metrics.to_json() == b.metrics.to_json()
 
 
@@ -707,7 +707,7 @@ def test_receipts_serialize_with_stable_field_names():
     d = mini_scenario_dict()
     d["requests"] = [scripted_request("q1")]
     result = run_scenario(d)
-    line = result.receipts_jsonl().strip()
+    line = result.receipts.to_jsonl().strip()
     doc = json.loads(line)
     assert set(doc) == {
         "request_id", "plan", "capability_versions", "node_attestations",

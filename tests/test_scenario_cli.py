@@ -103,17 +103,21 @@ def _add_request(request_id: str, session_id: str):
         ("small_place", _set("topology.domains[0].min_trust", 2), "topology.nodes[1].trust"),
         ("small_place", _set("deployment.epoch_us", 0), "deployment.epoch_us"),
         ("session_heavy", _set("routing.enable_split", "false"), "routing.enable_split"),
-        ("session_heavy", _set("catalog.classes[0].quality", "high"), "catalog.classes[0]"),
+        ("session_heavy", _set("catalog.classes[0].quality", "high"), "catalog.classes[0].quality"),
         ("session_heavy", _set("workload.regions[0].policy_mix[0].budget", "cheap"), "workload.regions[0].policy_mix[0].budget"),
         ("session_heavy", _set("workload.regions[0].policy_mix[0].weight", 0), "workload.regions[0].policy_mix[0].weight"),
         ("session_heavy", _set("workload.regions[0].policy_mix[0].quality_target", 0),
          "workload.regions[0].policy_mix[0].quality_target"),
         ("session_heavy", _set("workload.regions[0].input_tokens.dist", "poisson"), "workload.regions[0].input_tokens.dist"),
         ("session_heavy", _set("workload.regions[0].policy_mix[0].min_trust", 9), "workload.regions[0].policy_mix[0].min_trust"),
+        ("session_heavy", _set("workload.regions[0].output_tokens.value", -5), "workload.regions[0].output_tokens.value"),
+        ("session_heavy", _set("workload.regions[0].input_tokens.sigma", -1), "workload.regions[0].input_tokens.sigma"),
+        ("session_heavy", _set("workload.regions[0].policy_mix", []), "workload.regions[0].policy_mix"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality",
         "policy_budget", "policy_weights", "policy_quality_target", "token_dist", "policy_min_trust",
+        "token_value", "token_sigma", "policy_mix_empty",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
@@ -123,6 +127,44 @@ def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 1
     assert f"{field}:" in capsys.readouterr().err
+
+
+def _with_request(path: str, value):
+    def mutate(doc: dict) -> None:
+        _add_request("q1", "s1")(doc)
+        _set(path, value)(doc)
+
+    return mutate
+
+
+# Each value has the wrong JSON type for its field; the error names the
+# field's full path, not an enclosing section.
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set("workload.regions[0].policy_mix[0].degradable", "false"), "workload.regions[0].policy_mix[0].degradable"),
+        (_set("workload.regions[0].policy_mix[0].locality_scope", "moon"),
+         "workload.regions[0].policy_mix[0].locality_scope"),
+        (_set("workload.regions[0].policy_mix[0].allowed_domains", "abc"),
+         "workload.regions[0].policy_mix[0].allowed_domains"),
+        (_set("workload.regions[0].policy_mix[0].budget", 5.5), "workload.regions[0].policy_mix[0].budget"),
+        (_set("workload.regions[0].classes", "chat"), "workload.regions[0].classes"),
+        (_set("workload.regions[0].session.turns_g", "x"), "workload.regions[0].session.turns_g"),
+        (_set("catalog.classes[0].lineage", [["a"]]), "catalog.classes[0].lineage[0]"),
+        (_set("catalog.classes[0].security.data_class", "secret"), "catalog.classes[0].security.data_class"),
+        (_with_request("requests[0].degradable", "no"), "requests[0].degradable"),
+    ],
+    ids=["degradable", "locality_scope", "allowed_domains", "budget", "classes", "turns_g", "lineage", "data_class",
+         "request_degradable"],
+)
+def test_validate_names_the_exact_path_of_a_mistyped_value(tmp_path, capsys, mutate, field):
+    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+    assert paths == [field]
 
 
 # trace.csv cells are unquoted, so an id with a comma or line break would
