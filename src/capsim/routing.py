@@ -16,13 +16,20 @@ an exact integer numerator over the weights' common denominator, so the
 budget filter and the relative tie window need no rationals, and projects
 the schedule of the winner only. ``score`` prices one given plan from the
 same halves.
+
+Weights are >= 0, so every term of J is too, and the two halves' numerators
+alone bound a split's J from below. ``select`` uses that bound to skip the
+splits that cannot reach the tie window of the best within-budget plan seen
+so far; since that window only shrinks, the skipped splits could neither
+win nor tie, and the outcome is the one full enumeration gives. An auditing
+router lists every plan, so it prices every split.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -219,6 +226,9 @@ class Router:
         self.caches = caches
         self.trust = trust
         self.weights = weights or RoutingWeights()
+        negative = [f.name for f in fields(self.weights) if getattr(self.weights, f.name) < 0]
+        if negative:  # _price_plans' lower bound needs every term of J >= 0
+            raise ValueError(f"routing weights must be >= 0: {', '.join(negative)}")
         self.bytes_per_token = bytes_per_token
         self.enable_split = enable_split
         self.artifact_repository = artifact_repository
@@ -517,9 +527,32 @@ class Router:
             half.dec_num = m_net * t_out + m_exec * half.decode_exec + penalty
         return half
 
-    def _price_plans(self, request: RequestDescriptor, candidates: list[Candidate], now: int) -> list[_Priced]:
-        """Every single-node and prefill/decode plan over ``candidates`` with a
-        route for each transfer it needs, with its J numerator."""
+    def _tie_cut(self, best: int) -> int:
+        """The largest J numerator inside the tie window of ``best``.
+
+        J <= best + |best| * eps, multiplied through by eps's denominator;
+        J is an integer, so the floor of the bound compares the same.
+        """
+        eps = self.weights.tie_eps
+        return (best * eps.denominator + abs(best) * eps.numerator) // eps.denominator
+
+    def _price_plans(
+        self, request: RequestDescriptor, candidates: list[Candidate], now: int, limit: int | None
+    ) -> list[_Priced]:
+        """The single-node and prefill/decode plans over ``candidates`` with a
+        route for each transfer they need, with their J numerators.
+
+        Every single-node plan is listed; a split is skipped when it cannot
+        reach the tie window. Each term of J is >= 0, so ``pre_num + dec_num``
+        bounds a split's numerator from below (it leaves out the KV transfer
+        and the decode wait). Prefill halves are walked in ``pre_num`` order
+        and decode halves in ``dec_num`` order, and a loop stops once the
+        bound exceeds the cut of the smallest numerator within ``limit`` seen
+        so far. That cut only shrinks, so a skipped split is neither the
+        within-budget best nor inside the final window; while no plan within
+        budget is known nothing is skipped, so the budget outcome is unchanged.
+        An auditing router lists every plan, so it never skips one.
+        """
         origin = region_vertex(request.origin_region)
         held: dict[str, list[tuple[str, CacheEntry]]] = {}  # holders per compatibility hash, this instant
         halves = [h for h in (self._half(request, c, origin, now, held) for c in candidates) if h is not None]
@@ -529,26 +562,37 @@ class Router:
             for h in halves
             if h.t_in is not None and h.t_out is not None
         ]
-        if self.enable_split:
-            decoders: dict[str, list[_Half]] = {}
-            for h in halves:
-                if h.t_out is not None:
-                    decoders.setdefault(h.variant_id, []).append(h)
-            transfer = self.topology.transfer_between
-            for pre in halves:
-                if pre.t_in is None:
+        if not self.enable_split:
+            return plans
+        # The smallest within-budget numerator so far and its tie cut; unset while auditing.
+        best = None if self.audit else min((p[0] for p in plans if limit is None or p[0] <= limit), default=None)
+        cut = None if best is None else self._tie_cut(best)
+        decoders: dict[str, list[_Half]] = {}
+        for h in sorted(halves, key=lambda h: h.dec_num):
+            if h.t_out is not None:
+                decoders.setdefault(h.variant_id, []).append(h)
+        least_dec = min((d[0].dec_num for d in decoders.values()), default=0)
+        transfer = self.topology.transfer_between
+        for pre in sorted(halves, key=lambda h: h.pre_num):
+            if pre.t_in is None:
+                continue
+            if cut is not None and pre.pre_num + least_dec > cut:
+                break
+            pre_node = pre.cand.node_id
+            for dec in decoders.get(pre.variant_id, ()):
+                if cut is not None and pre.pre_num + dec.dec_num > cut:
+                    break
+                if dec.cand.node_id == pre_node:
                     continue
-                pre_node = pre.cand.node_id
-                for dec in decoders.get(pre.variant_id, ()):
-                    if dec.cand.node_id == pre_node:
-                        continue
-                    try:
-                        t_inter, _ = transfer(pre_node, dec.cand.node_id, pre.kv_bytes)
-                    except Unreachable:
-                        continue
-                    wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
-                    num = pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait
-                    plans.append((num, pre, dec, t_inter, wait))
+                try:
+                    t_inter, _ = transfer(pre_node, dec.cand.node_id, pre.kv_bytes)
+                except Unreachable:
+                    continue
+                wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
+                num = pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait
+                plans.append((num, pre, dec, t_inter, wait))
+                if not self.audit and (limit is None or num <= limit) and (best is None or num < best):
+                    best, cut = num, self._tie_cut(num)
         return plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
@@ -591,7 +635,7 @@ class Router:
         limit = None if request.budget is None else request.budget * self._scale
         while quality >= 1:
             candidates = self._candidates(request, quality, now)
-            plans = self._price_plans(request, candidates, now)
+            plans = self._price_plans(request, candidates, now, limit)
             within = plans if limit is None else [p for p in plans if p[0] <= limit]
             if within:
                 return self._selection(request, now, plans, within, quality)
@@ -606,11 +650,7 @@ class Router:
     def _selection(
         self, request: RequestDescriptor, now: int, plans: list[_Priced], within: list[_Priced], quality: int
     ) -> Selection:
-        # J <= best + |best| * eps, multiplied through by eps's denominator;
-        # J is an integer, so the floor of the bound compares the same.
-        eps = self.weights.tie_eps
-        best = min(p[0] for p in within)
-        cut = (best * eps.denominator + abs(best) * eps.numerator) // eps.denominator
+        cut = self._tie_cut(min(p[0] for p in within))
         plan, (_, pre, dec, t_inter, wait) = min(
             ((self._plan_of(p[1], p[2]), p) for p in within if p[0] <= cut),
             key=lambda c: c[0].plan_id,

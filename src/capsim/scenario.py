@@ -175,8 +175,10 @@ class Scenario:
             errors.append("deployment.epoch_us: must be > 0")
         if self.deployment.local_search_rounds < 0:
             errors.append("deployment.local_search_rounds: must be >= 0")
-        if self.routing_weights.tie_eps < 0:
-            errors.append("weights.tie_epsilon: must be >= 0")
+        for weights in (self.routing_weights, self.placement_weights):
+            for f in fields(weights):
+                if getattr(weights, f.name) < 0:
+                    errors.append(f"weights.{_KEYS.get((type(weights), f.name), f.name)}: must be >= 0")
 
         domains = {d.domain_id: d for d in self.domains}
         node_ids = set()
@@ -341,43 +343,46 @@ class Scenario:
 
 
 def _parse_node(nd: dict[str, Any], path: str) -> ScenarioNode:
-    memory_budget = _read(nd, path, "memory_budget_bytes", _int, 0)
+    memory_budget = _read(nd, path, "memory_budget_bytes", int, 0)
     profile = ResourceProfile(
-        node_id=_parse(path, lambda node: str(node["node_id"]), nd),
+        node_id=_read(nd, path, "node_id", str),
         domain_id=_read(nd, path, "domain_id", str, ""),
         hardware=Hardware(
             accelerator=_read(nd, path, "accelerator", str, "cpu"),
-            speed_factor=_read(nd, path, "speed_factor", parse_fraction, Fraction(1)),
+            speed_factor=_read(nd, path, "speed_factor", Fraction, Fraction(1)),
             memory_bytes=memory_budget,
-            storage_bytes=_read(nd, path, "storage_bytes", _int, 0),
+            storage_bytes=_read(nd, path, "storage_bytes", int, 0),
         ),
-        runtime=_read(nd, path, "runtimes", lambda r: tuple(sorted(r)), ("std",)),
+        runtime=tuple(sorted(_read(nd, path, "runtimes", tuple[str, ...], ("std",)))),
         capacity=Capacity(
-            max_concurrent=_read(nd, path, "max_concurrent", _int, 1),
+            max_concurrent=_read(nd, path, "max_concurrent", int, 1),
             memory_budget_bytes=memory_budget,
-            admission_cap=_read(nd, path, "admission_cap", _int, 16),
+            admission_cap=_read(nd, path, "admission_cap", int, 16),
         ),
         state=NodeDynamicState(free_memory_bytes=memory_budget),
         locality=Locality(region=_read(nd, path, "region", str, ""), tier=_read(nd, path, "tier", Tier, Tier.CLOUD)),
-        trust=_read(nd, path, "trust", _int, 0),
+        trust=_read(nd, path, "trust", int, 0),
     )
-    return ScenarioNode(profile=profile, cache_capacity_bytes=_read(nd, path, "cache_capacity_bytes", _int, 0))
+    return ScenarioNode(profile=profile, cache_capacity_bytes=_read(nd, path, "cache_capacity_bytes", int, 0))
 
 
 def _parse(path: str, build: Callable[[Any], T], value: Any) -> T:
-    """``build(value)``; a missing key or a value that does not convert
-    raises ``ScenarioParseError`` naming ``path``."""
+    """``build(value)``; a value that does not convert raises
+    ``ScenarioParseError`` naming ``path``."""
     try:
         return build(value)
-    except KeyError as exc:
-        raise ScenarioParseError(f"{path}.{exc.args[0]}: required") from exc
     except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
 
 
-def _read(section: dict, path: str, key: str, convert: Callable[[Any], T], default: T) -> T:
-    """``convert(section[key])``, or ``default`` when the key is absent."""
-    return _parse(f"{path}.{key}", convert, section[key]) if key in section else default
+def _read(section: dict, path: str, key: str, tp: Any, default: Any = MISSING) -> Any:
+    """``section[key]`` converted to the annotation ``tp``, or ``default``
+    when the key is absent; a key without a default is required."""
+    if key in section:
+        return _converter(tp)(section[key], f"{path}.{key}")
+    if default is MISSING:
+        raise ScenarioParseError(f"{path}.{key}: required")
+    return default
 
 
 def _record(cls: type[T], section: dict, path: str, **given: Any) -> T:
@@ -490,6 +495,12 @@ def _int(value: Any) -> int:
     return value
 
 
+def _str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _float(value: Any) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
@@ -502,7 +513,7 @@ def _check_id(errors: list[str], path: str, value: Any) -> None:
 
 
 # Converters of the leaf annotations; any other leaf is an enum.
-_LEAVES = {bool: _bool, int: _int, float: _float, str: str, Fraction: parse_fraction}
+_LEAVES = {bool: _bool, int: _int, float: _float, str: _str, Fraction: parse_fraction}
 
 # Document keys of the fields not read from the key of their own name. A
 # dotted key reaches into a nested object, "" is the record's own object,

@@ -2,7 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from capsim.caching import BenefitInputs, CacheSystem
 from capsim.descriptors import (
@@ -27,7 +27,7 @@ from capsim.routing import (
     Selection,
 )
 from capsim.scenario import Scenario
-from capsim.topology import Domain, Link, Unreachable
+from capsim.topology import Domain, Link, Topology, Unreachable
 from capsim.trust import AttestationRecord, TrustManager
 from conftest import (
     GIB,
@@ -522,7 +522,7 @@ def router_states(draw):
         weights=weights,
         enable_split=draw(st.booleans()),
         repo=draw(st.sampled_from([None, "cloud-1", "island-1"])),
-        audit=True,
+        audit=draw(st.booleans()),  # an auditing router prices every split, a quiet one skips some
     )
 
     affinity = draw(st.sampled_from([None, "sess-1:abc", "sess-2:def"]))
@@ -590,6 +590,56 @@ def exhaustive_select(router, request, now):
     return REASON_BUDGET_EXCEEDED if saw_budget_only else REASON_NO_FEASIBLE_PLAN
 
 
+def edge_router(edges, audit=False, tie_eps=Fraction(1, 10**9), setup=1000, kv_bytes=256):
+    """A split-enabled router over warm edges, given as (speed, gateway delay)
+    pairs, behind one metro gateway and all serving one realization."""
+    catalog = CapabilityCatalog()
+    catalog.add_class(make_class("chat"))
+    catalog.add_variant(make_variant("chat-v1", "chat"))
+    catalog.add_realization(make_realization("chat-v1-gpu", "chat-v1", setup=setup, kv_bytes=kv_bytes))
+    profiles = [make_profile(f"edge-{i}", speed=speed) for i, (speed, _) in enumerate(edges, 1)]
+    links = [
+        Link(f"l-gw-{p.node_id}", "region:metro", p.node_id, delay, Fraction(1000)) for p, (_, delay) in zip(profiles, edges)
+    ]
+    broker = Broker(catalog, make_topology(profiles, links))
+    for p in profiles:
+        broker.register_node(p)
+        broker.install(p.node_id, "chat-v1-gpu", 0)
+    return make_router(broker, weights=RoutingWeights(tie_eps=tie_eps), audit=audit)
+
+
+def held_prefix_state():
+    """edge-1 is slow but holds the session's whole prompt, bound to its
+    hardware, so prefilling there and decoding on a fast edge beats every
+    single-node plan. The fast edges sit 40 µs apart, so five splits fall
+    inside a 1/50 window of the best one, and the tie-break picks the second."""
+    edges = [("1/4", 0)] + [("4", delay) for delay in (0, 40, 80, 120, 160)]
+    router = edge_router(edges, tie_eps=Fraction(1, 50), setup=0, kv_bytes=0)
+    request = chat_request(affinity_token="sess-1:abc", output_tokens=400)
+    router.caches.store("edge-1").admit(
+        StateDescriptor(
+            state_id="st-edge-1",
+            state_type=StateType.TENSOR_STATE,
+            compatibility_hash=router.state_hash_for("chat-v1-gpu", request),
+            sharing_scope=SharingScope.HARDWARE_BOUND,
+            size=request.input_tokens * 256,
+        ),
+        BenefitInputs(Fraction(1, 2), 10_000_000),
+        scope_key="sess-1",
+        now=0,
+        node_trust=3,
+        requester_min_trust=0,
+        token_count=request.input_tokens,
+        source_realization="chat-v1-gpu",
+    )
+    return router, request, 0
+
+
+# Six identical edges with free set-up and no KV bytes: every split costs
+# exactly its single-node plan, so all 36 plans tie and the plan_id tie-break
+# decides among them; the slow seventh edge's pairs are skipped.
+@example((edge_router([("1", 0)] * 6 + [("1/4", 0)], setup=0, kv_bytes=0), chat_request(), 0))
+@example(held_prefix_state())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(router_states())
 def test_half_scoring_select_matches_exhaustive_enumeration(state):
@@ -609,7 +659,33 @@ def test_half_scoring_select_matches_exhaustive_enumeration(state):
     assert outcome.scored.plan.plan_id == best.plan.plan_id
     assert outcome.scored == best
     assert (outcome.served_quality, outcome.degraded) == (quality, quality < request.quality_target)
-    assert outcome.alternatives == alternatives
+    assert outcome.alternatives == (alternatives if router.audit else ())
+
+
+def test_split_pricing_skips_pairs_above_the_tie_cut(monkeypatch):
+    request = chat_request()
+    transfer_between = Topology.transfer_between
+    outcomes, pair_transfers = [], []
+    for audit in (False, True):
+        router = edge_router([(speed, 500) for speed in ("1", "3/2", "2", "1/2", "1/4", "3")], audit=audit)
+        calls = []
+
+        def counted(topology, src, dst, size):
+            calls.append((src, dst))
+            return transfer_between(topology, src, dst, size)
+
+        monkeypatch.setattr(Topology, "transfer_between", counted)
+        outcomes.append(router.select(request, now=0))
+        pair_transfers.append(sum(src in router.broker.nodes and dst in router.broker.nodes for src, dst in calls))
+    quiet, audited = outcomes
+    assert quiet.scored == audited.scored
+    assert len(audited.alternatives) == 6 * 6  # six single-node plans and every ordered pair
+    assert pair_transfers[0] < pair_transfers[1]
+
+
+def test_router_rejects_a_negative_weight(simple_broker):
+    with pytest.raises(ValueError, match="kappa"):
+        make_router(simple_broker, weights=RoutingWeights(kappa=Fraction(-1)))
 
 
 def test_alternatives_are_built_only_when_auditing(simple_broker):

@@ -113,11 +113,19 @@ def _add_request(request_id: str, session_id: str):
         ("session_heavy", _set("workload.regions[0].output_tokens.value", -5), "workload.regions[0].output_tokens.value"),
         ("session_heavy", _set("workload.regions[0].input_tokens.sigma", -1), "workload.regions[0].input_tokens.sigma"),
         ("session_heavy", _set("workload.regions[0].policy_mix", []), "workload.regions[0].policy_mix"),
+        # A negative weight would void the router's lower bound on split plans.
+        ("session_heavy", _set("weights.alpha", "-1"), "weights.alpha"),
+        ("session_heavy", _set("weights.kappa", "-5"), "weights.kappa"),
+        ("session_heavy", _set("weights.pi_soft", -3), "weights.pi_soft"),
+        ("session_heavy", _set("weights.lambda", "-1"), "weights.lambda"),
+        ("session_heavy", _set("weights.p_miss_us", -1), "weights.p_miss_us"),
+        ("session_heavy", _set("weights.storage_unit_cost", "-1/2"), "weights.storage_unit_cost"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality",
         "policy_budget", "policy_weights", "policy_quality_target", "token_dist", "policy_min_trust",
-        "token_value", "token_sigma", "policy_mix_empty",
+        "token_value", "token_sigma", "policy_mix_empty", "negative_alpha", "negative_kappa", "negative_pi_soft",
+        "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
@@ -153,9 +161,11 @@ def _with_request(path: str, value):
         (_set("catalog.classes[0].lineage", [["a"]]), "catalog.classes[0].lineage[0]"),
         (_set("catalog.classes[0].security.data_class", "secret"), "catalog.classes[0].security.data_class"),
         (_with_request("requests[0].degradable", "no"), "requests[0].degradable"),
+        (_set("workload.regions[0].policy_mix[0].tenant", 5), "workload.regions[0].policy_mix[0].tenant"),
+        (_set("topology.nodes[0].runtimes", "std"), "topology.nodes[0].runtimes"),
     ],
     ids=["degradable", "locality_scope", "allowed_domains", "budget", "classes", "turns_g", "lineage", "data_class",
-         "request_degradable"],
+         "request_degradable", "tenant", "runtimes"],
 )
 def test_validate_names_the_exact_path_of_a_mistyped_value(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
