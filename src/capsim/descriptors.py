@@ -39,24 +39,11 @@ class LocalityScope(str, Enum):
     NODE_LOCAL = "node-local"
 
 
-class DataClass(str, Enum):
-    PUBLIC = "public"
-    TENANT = "tenant"
-    PRIVATE = "private"
-
-
 class StateType(str, Enum):
     ARTIFACT = "artifact"
     PREFIX = "prefix"
     TENSOR_STATE = "tensor_state"
     RESULT = "result"
-
-
-class SharingScope(str, Enum):
-    PUBLIC = "public"
-    TENANT_SHARED = "tenant_shared"
-    SESSION_PRIVATE = "session_private"
-    HARDWARE_BOUND = "hardware_bound"
 
 
 class PlanPhase(str, Enum):
@@ -98,7 +85,6 @@ class PolicyConstraint:
     locality_scope: LocalityScope = LocalityScope.ANY
     allowed_domains: tuple[str, ...] | None = None
     preferred_domains: tuple[str, ...] | None = None  # soft preference, priced not enforced
-    data_class: DataClass = DataClass.PUBLIC
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,14 +102,12 @@ class RequestDescriptor:
     output_tokens: int = 1
     arrival_time: int = 0
     degradable: bool = False
-    tenant: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class SecurityLabel:
     min_trust: int = 0           # hard floor for hosting nodes
     preferred_trust: int = 0     # soft preference, priced as risk when missed; a file's default is min_trust
-    data_class: DataClass = DataClass.PUBLIC
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,17 +197,11 @@ class ResourceProfile:
 
 @dataclass(frozen=True, slots=True)
 class StateDescriptor:
-    """A reusable cached object: artifact, prefix, tensor state, or result."""
+    """A session's cached prefill KV state; migrating it moves ``size`` bytes."""
 
     state_id: str
-    state_type: StateType
     compatibility_hash: str
-    sharing_scope: SharingScope
     size: int
-    reuse_stats: tuple[int, int] = (0, 0)  # (lookups, hits) within the sliding window
-    privacy_label: DataClass = DataClass.PUBLIC
-    decoding_config: str | None = None
-    migration_cost: int | None = None  # bytes; None marks non-migratable (hardware_bound)
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,21 +310,6 @@ def validate_descriptor(d: Any) -> list[str]:
             "state.free_memory_bytes",
             "free memory <= memory budget",
         )
-    elif isinstance(d, StateDescriptor):
-        _check(v, d.size >= 0, "size", "size >= 0")
-        _check(v, d.reuse_stats[0] >= 0 and d.reuse_stats[1] >= 0, "reuse_stats", "counters >= 0")
-        _check(v, d.reuse_stats[1] <= d.reuse_stats[0], "reuse_stats", "hits <= lookups")
-        if d.state_type is StateType.RESULT:
-            _check(v, d.decoding_config is not None, "decoding_config", "result states carry a decoding_config")
-        if d.sharing_scope is SharingScope.HARDWARE_BOUND:
-            _check(v, d.migration_cost is None, "migration_cost", "hardware_bound states are non-migratable")
-        else:
-            _check(
-                v,
-                d.migration_cost is not None and d.migration_cost >= 0,
-                "migration_cost",
-                "migration_cost >= 0 for migratable states",
-            )
     elif isinstance(d, ExecutionReceipt):
         for name in ("t_net_us", "t_queue_us", "t_exec_us", "t_state_us", "c_load", "p_policy"):
             _check(v, getattr(d, name) >= 0, name, "timing terms >= 0")

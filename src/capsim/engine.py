@@ -24,7 +24,6 @@ from .descriptors import (
     REASON_HORIZON_TRUNCATED,
     ExecutionReceipt,
     RequestDescriptor,
-    SharingScope,
     StateDescriptor,
     StateType,
     Tier,
@@ -134,11 +133,7 @@ class Simulation:
             self.trust.attest(att)
 
         cache = scenario.cache
-        self.caches = CacheSystem(
-            window_us=cache.window_us,
-            enabled=cache.enabled,
-            policy=cache.eviction_policy,
-        )
+        self.caches = CacheSystem(window_us=cache.window_us, enabled=cache.enabled)
         self.cache_storage_unit_cost = cache.storage_unit_cost
         for snode in scenario.nodes:
             self.caches.add_store(snode.profile.node_id, snode.cache_capacity_bytes)
@@ -289,15 +284,11 @@ class Simulation:
             entry = use.entry
             store = self.caches.store(use.entry_node)
             counted, _ = store.lookup(
-                entry.descriptor.compatibility_hash,
-                entry.scope_key,
-                now,
-                requester_session=arrival.session_id,
-                requester_tenant=request.tenant,
+                entry.descriptor.compatibility_hash, entry.session_id, now, requester_session=arrival.session_id
             )
             if counted is not None:
                 counted.pins += 1
-                pinned = (use.entry_node, store.entry_key(entry.descriptor.compatibility_hash, entry.scope_key))
+                pinned = (use.entry_node, store.entry_key(entry.descriptor.compatibility_hash, entry.session_id))
             self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=True)
             if use.migrate:
                 migration_done = now + scored.inbound_net_us + use.transfer_us
@@ -405,13 +396,12 @@ class Simulation:
         inputs = BenefitInputs(
             p_hit=estimate_p_hit(entry, now, self.caches.window_us),
             latency_gain_us=entry.latency_gain_us,
-            transfer_cost_us=0,  # sunk: the copy already moved for this request
             storage_cost_us=entry.storage_cost_us,
         )
         decision = store.admit(
             entry.descriptor,
             inputs,
-            scope_key=entry.scope_key,
+            session_id=entry.session_id,
             now=now,
             node_trust=self.trust.effective_trust(dst_node, now),
             requester_min_trust=flight.arrival.request.policy.min_trust,
@@ -663,25 +653,16 @@ class Simulation:
         size = arrival.prefix_tokens * realization.kv_bytes_per_token
         speed = self.broker.node(serving_node).profile.hardware.speed_factor
         gain = ceil(Fraction(arrival.prefix_tokens * realization.prefill_time_per_token_us) / speed)
-        descriptor = StateDescriptor(
-            state_id=f"st-{request.request_id}",
-            state_type=StateType.TENSOR_STATE,
-            compatibility_hash=compat,
-            sharing_scope=SharingScope.SESSION_PRIVATE,
-            size=size,
-            privacy_label=request.policy.data_class,
-            migration_cost=size,
-        )
+        descriptor = StateDescriptor(state_id=f"st-{request.request_id}", compatibility_hash=compat, size=size)
         inputs = BenefitInputs(
             p_hit=Fraction(1, 2),
             latency_gain_us=gain,
-            transfer_cost_us=0,
             storage_cost_us=int(self.cache_storage_unit_cost * size),
         )
         decision = store.admit(
             descriptor,
             inputs,
-            scope_key=arrival.session_id,
+            session_id=arrival.session_id,
             now=now,
             node_trust=self.trust.effective_trust(serving_node, now),
             requester_min_trust=request.policy.min_trust,

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .caching import CacheEntry, CacheSystem, HardwareBound, ScopeViolation, compatibility_hash
+from .caching import CacheEntry, CacheSystem, ScopeViolation, compatibility_hash
 from .descriptors import (
     REASON_BUDGET_EXCEEDED,
     REASON_NO_FEASIBLE_PLAN,
@@ -317,17 +317,11 @@ class Router:
             if covered <= 0:
                 continue
             recompute_us = self._eff_time_us(realization.prefill_time_per_token_us, covered, speed)
-            migrate_us: int | None = None
-            core = 0
-            if self.caches.migratable(entry) and entry.descriptor.migration_cost is not None:
-                dst_trust = self._node_trust(prefill_node, now=None)
-                try:
-                    self.caches.check_migration(entry, dst_trust, request.policy.min_trust)
-                    migrate_us, core = self.topology.transfer_between(
-                        node_id, prefill_node.node_id, entry.descriptor.migration_cost
-                    )
-                except (HardwareBound, ScopeViolation, Unreachable):
-                    migrate_us = None
+            try:
+                self.caches.check_migration(entry, prefill_node.profile.trust, request.policy.min_trust)
+                migrate_us, core = self.topology.transfer_between(node_id, prefill_node.node_id, entry.size)
+            except (ScopeViolation, Unreachable):
+                migrate_us, core = None, 0
             if migrate_us is not None and migrate_us < recompute_us:
                 use = StateUse(node_id, entry, covered, migrate=True, transfer_us=migrate_us, core_bytes=core)
             else:
@@ -336,8 +330,8 @@ class Router:
                 best = use
         return best
 
-    def _node_trust(self, state: NodeState, now: int | None) -> int:
-        if self.trust is None or now is None:
+    def _node_trust(self, state: NodeState, now: int) -> int:
+        if self.trust is None:
             return state.profile.trust
         return self.trust.effective_trust(state.node_id, now)
 

@@ -68,7 +68,6 @@ class CacheConfig:
     enabled: bool = True
     window_us: int = 300_000_000  # hit-probability window
     storage_unit_cost: Fraction = Fraction(0)  # per cached byte, in the admission benefit
-    eviction_policy: str = "benefit"
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,10 +168,14 @@ class Scenario:
         if self.bytes_per_token < 0:
             errors.append("bytes_per_token: must be >= 0")
 
-        if self.cache.eviction_policy not in ("benefit", "lru"):
-            errors.append(f"cache.eviction_policy: unknown policy {self.cache.eviction_policy!r}")
+        if self.cache.window_us < 0:
+            errors.append("cache.window_us: must be >= 0")
+        if self.cache.storage_unit_cost < 0:
+            errors.append("cache.storage_unit_cost: must be >= 0")
         if self.deployment.epoch_us <= 0:
             errors.append("deployment.epoch_us: must be > 0")
+        if self.deployment.window_us < 0:
+            errors.append("deployment.window_us: must be >= 0")
         if self.deployment.local_search_rounds < 0:
             errors.append("deployment.local_search_rounds: must be >= 0")
         for weights in (self.routing_weights, self.placement_weights):
@@ -316,6 +319,10 @@ class Scenario:
                 errors.append(f"requests[{i}].session.turn_index: outside 1..total_turns")
             if scripted.prefix_tokens > request.input_tokens:
                 errors.append(f"requests[{i}].session.prefix_tokens: exceeds input_tokens")
+            # Routing finds cached state by the token's session part, and
+            # admission and lookup by the session id, so the two must agree.
+            if request.affinity_token and request.affinity_token.partition(":")[0] != scripted.session_id:
+                errors.append(f"requests[{i}].affinity_token: session part differs from session id {scripted.session_id}")
 
         for i, att in enumerate(self.attestations):
             prefix = f"trust_script.attestations[{i}]"

@@ -45,7 +45,6 @@ class PolicyTemplate:
     quality_target: int = 1
     budget: int | None = None
     degradable: bool = False
-    tenant: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +170,6 @@ def generate_region_arrivals(
             output_tokens=out_tokens,
             arrival_time=t_us,
             degradable=template.degradable,
-            tenant=template.tenant,
         )
         arrivals.append(
             Arrival(

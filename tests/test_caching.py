@@ -10,26 +10,17 @@ from capsim.caching import (
     REJECT_SCOPE_VIOLATION,
     BenefitInputs,
     CacheSystem,
-    HardwareBound,
     ScopeViolation,
     StateStore,
     benefit_us,
     compatibility_hash,
     estimate_p_hit,
 )
-from capsim.descriptors import DataClass, SharingScope, StateDescriptor, StateType
+from capsim.descriptors import StateDescriptor
 
 
-def make_state(state_id="s1", scope=SharingScope.SESSION_PRIVATE, size=1000, compat="h1", state_type=StateType.TENSOR_STATE):
-    return StateDescriptor(
-        state_id=state_id,
-        state_type=state_type,
-        compatibility_hash=compat,
-        sharing_scope=scope,
-        size=size,
-        privacy_label=DataClass.PUBLIC,
-        migration_cost=None if scope is SharingScope.HARDWARE_BOUND else size,
-    )
+def make_state(state_id="s1", size=1000, compat="h1"):
+    return StateDescriptor(state_id=state_id, compatibility_hash=compat, size=size)
 
 
 # -- compatibility hash ---------------------------------------------------------
@@ -57,24 +48,15 @@ def test_hash_sensitive_to_realization():
 
 
 def test_benefit_arithmetic():
-    inputs = BenefitInputs(
-        p_hit=Fraction(1, 2), latency_gain_us=100_000,
-        transfer_cost_us=10_000, storage_cost_us=5_000, privacy_cost_us=0,
-    )
+    inputs = BenefitInputs(p_hit=Fraction(1, 2), latency_gain_us=100_000, storage_cost_us=15_000)
     assert benefit_us(inputs) == 35_000
 
 
 def test_zero_hit_probability_never_positive():
-    inputs = BenefitInputs(p_hit=Fraction(0), latency_gain_us=10**9, transfer_cost_us=1, storage_cost_us=0)
+    inputs = BenefitInputs(p_hit=Fraction(0), latency_gain_us=10**9, storage_cost_us=1)
     assert benefit_us(inputs) <= 0
 
 
-def test_privacy_sentinel_is_never_admissible():
-    inputs = BenefitInputs(p_hit=Fraction(1), latency_gain_us=10**9, privacy_cost_us=None)
-    assert benefit_us(inputs) is None
-    store = StateStore("n1", 10_000)
-    decision = store.admit(make_state(), inputs, scope_key="sess-1", now=0)
-    assert decision.outcome == REJECT_NEGATIVE_BENEFIT
 
 
 # -- reuse probability -------------------------------------------------------------
@@ -122,7 +104,7 @@ def test_admit_with_space():
     store = StateStore("n1", 10_000)
     decision = store.admit(
         make_state(),
-        BenefitInputs(Fraction(1, 2), 100_000, transfer_cost_us=10_000, storage_cost_us=5_000),
+        BenefitInputs(Fraction(1, 2), 100_000, storage_cost_us=15_000),
         "sess-1",
         now=0,
     )
@@ -131,7 +113,7 @@ def test_admit_with_space():
 
 def test_negative_benefit_rejected():
     store = StateStore("n1", 10_000)
-    decision = store.admit(make_state(), BenefitInputs(Fraction(1, 2), 1000, transfer_cost_us=5_000), "sess-1", now=0)
+    decision = store.admit(make_state(), BenefitInputs(Fraction(1, 2), 1000, storage_cost_us=5_000), "sess-1", now=0)
     assert decision.outcome == REJECT_NEGATIVE_BENEFIT
 
 
@@ -194,34 +176,12 @@ def test_admit_larger_than_capacity_rejected():
     assert decision.outcome == REJECT_INSUFFICIENT_SPACE and store.entries == {}
 
 
-def test_lru_policy_orders_by_recency_not_value():
-    store = StateStore("n1", 2000, policy="lru")
-    store.admit(make_state("old-gold", compat="h-og"), BenefitInputs(Fraction(1, 2), 1_000_000), "s", now=0)
-    store.admit(make_state("new-dull", compat="h-nd"), BenefitInputs(Fraction(1, 2), 200), "s", now=10)
-    decision = store.admit(make_state("new", compat="h-new"), BenefitInputs(Fraction(1, 2), 200), "s", now=20)
-    # Benefit density would keep old-gold; LRU drops the stalest regardless.
-    assert decision.evicted == ("old-gold",)
 
 
-def test_lru_hit_refreshes_recency():
-    store = StateStore("n1", 2000, policy="lru")
-    store.admit(make_state("a", compat="h-a"), BenefitInputs(Fraction(1, 2), 1000), "s", now=0, token_count=8)
-    store.admit(make_state("b", compat="h-b"), BenefitInputs(Fraction(1, 2), 1000), "s", now=5)
-    store.lookup("h-a", "s", now=50, requester_session="s")
-    decision = store.admit(make_state("c", compat="h-c"), BenefitInputs(Fraction(1, 2), 1000), "s", now=60)
-    assert decision.evicted == ("b",)
 
 
-def test_lru_admission_displaces_stalest_unconditionally():
-    store = StateStore("n1", 1000, policy="lru")
-    store.admit(make_state("resident", compat="h-r"), BenefitInputs(Fraction(1, 2), 10**9), "s", now=0)
-    newcomer = store.admit(make_state("newcomer", compat="h-n"), BenefitInputs(Fraction(1, 2), 10), "s", now=5)
-    assert newcomer.admitted and newcomer.evicted == ("resident",)
 
 
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        StateStore("n1", 1000, policy="fifo")
 
 
 def test_pinned_entries_survive_eviction():
@@ -238,10 +198,10 @@ def test_session_end_drops_private_entries():
     system = CacheSystem()
     store = system.add_store("n1", 10_000)
     store.admit(make_state("a", compat="h-a"), BenefitInputs(Fraction(1, 2), 1000), "sess-1", now=0)
-    store.admit(make_state("b", compat="h-b", scope=SharingScope.PUBLIC), BenefitInputs(Fraction(1, 2), 1000), None, now=0)
+    store.admit(make_state("b", compat="h-b"), BenefitInputs(Fraction(1, 2), 1000), "sess-2", now=0)
     dropped = system.drop_session("sess-1")
     assert dropped == [("n1", "a")]
-    assert store.peek("h-b", None) is not None
+    assert store.peek("h-b", "sess-2") is not None
 
 
 # -- lookup scoping ------------------------------------------------------------------
@@ -261,25 +221,8 @@ def test_lookup_other_session_misses():
     assert entry is None and covered == 0
 
 
-def test_public_artifact_hits_for_anyone():
-    store = StateStore("n1", 10_000)
-    store.admit(
-        make_state(scope=SharingScope.PUBLIC, state_type=StateType.ARTIFACT),
-        BenefitInputs(Fraction(1, 2), 1000), None, now=0, token_count=0,
-    )
-    entry, _ = store.lookup("h1", None, now=1, requester_session=None)
-    assert entry is not None
 
 
-def test_tenant_shared_requires_same_tenant():
-    store = StateStore("n1", 10_000)
-    store.admit(
-        make_state(scope=SharingScope.TENANT_SHARED),
-        BenefitInputs(Fraction(1, 2), 1000), "acme", now=0,
-    )
-    hit, _ = store.lookup("h1", "acme", now=1, requester_tenant="acme")
-    miss, _ = store.lookup("h1", "acme", now=1, requester_tenant="rival")
-    assert hit is not None and miss is None
 
 
 # -- migration ----------------------------------------------------------------------
@@ -295,16 +238,6 @@ def test_holders_and_session_drops_follow_node_id_order():
     assert system.holders("h1", "sess-1") == []
 
 
-def test_hardware_bound_cannot_migrate():
-    system = CacheSystem()
-    store = system.add_store("n1", 10_000)
-    store.admit(
-        make_state(scope=SharingScope.HARDWARE_BOUND),
-        BenefitInputs(Fraction(1, 2), 1000), None, now=0,
-    )
-    entry = store.peek("h1", None)
-    with pytest.raises(HardwareBound):
-        system.check_migration(entry, dst_trust=3, requester_min_trust=0)
 
 
 def test_migration_transfer_arithmetic():
@@ -327,7 +260,7 @@ def test_migration_transfer_arithmetic():
     )
     entry = store.peek("h-kv", "sess-1")
     system.check_migration(entry, dst_trust=3, requester_min_trust=0)
-    transfer_us, core = topo.transfer_between("n1", "n2", entry.descriptor.migration_cost)
+    transfer_us, core = topo.transfer_between("n1", "n2", entry.size)
     # 10000 us propagation + ceil(1048576 / 100) serialization.
     assert transfer_us == 10_000 + 10_486
     assert core == 0

@@ -2,20 +2,15 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from capsim.descriptors import (
     CapabilityDescriptor,
     CapabilityRealization,
-    DataClass,
     LocalityScope,
     PolicyConstraint,
     RequestDescriptor,
     ResourceProfile,
     SecurityLabel,
-    SharingScope,
-    StateDescriptor,
-    StateType,
     parse_fraction,
     validate_descriptor,
 )
@@ -63,38 +58,8 @@ def test_empty_lineage_is_a_violation():
     assert any(v.startswith("lineage") for v in validate_descriptor(bad))
 
 
-def test_result_state_requires_decoding_config():
-    state = StateDescriptor(
-        state_id="s1",
-        state_type=StateType.RESULT,
-        compatibility_hash="abc",
-        sharing_scope=SharingScope.PUBLIC,
-        size=100,
-        migration_cost=100,
-    )
-    assert any(v.startswith("decoding_config") for v in validate_descriptor(state))
-    ok = StateDescriptor(
-        state_id="s1",
-        state_type=StateType.RESULT,
-        compatibility_hash="abc",
-        sharing_scope=SharingScope.PUBLIC,
-        size=100,
-        decoding_config="greedy",
-        migration_cost=100,
-    )
-    assert validate_descriptor(ok) == []
 
 
-def test_hardware_bound_state_is_non_migratable():
-    state = StateDescriptor(
-        state_id="s2",
-        state_type=StateType.TENSOR_STATE,
-        compatibility_hash="abc",
-        sharing_scope=SharingScope.HARDWARE_BOUND,
-        size=100,
-        migration_cost=50,
-    )
-    assert any("non-migratable" in v for v in validate_descriptor(state))
 
 
 def test_per_token_times_must_be_positive():
@@ -126,7 +91,6 @@ def test_request_from_dict():
             "locality_scope": "domain",
             "allowed_domains": ["d2", "d1"],
             "preferred_domains": ["d1"],
-            "data_class": "tenant",
         },
         "affinity_token": "s1:abcd",
         "budget": 500,
@@ -135,7 +99,6 @@ def test_request_from_dict():
         "output_tokens": 32,
         "arrival_time": 7,
         "degradable": True,
-        "tenant": "acme",
         "session": {"session_id": "s1", "turn_index": 2, "total_turns": 3, "prefix_tokens": 64},
     }
     policy = PolicyConstraint(
@@ -143,11 +106,10 @@ def test_request_from_dict():
         locality_scope=LocalityScope.DOMAIN,
         allowed_domains=("d2", "d1"),
         preferred_domains=("d1",),
-        data_class=DataClass.TENANT,
     )
     request = make_request(
         quality_target=2, policy=policy, affinity_token="s1:abcd", budget=500, origin_region="metro",
-        arrival_time=7, degradable=True, tenant="acme",
+        arrival_time=7, degradable=True,
     )
     (scripted,) = Scenario.from_dict({"requests": [doc]}).scripted_requests
     assert scripted == ScriptedRequest(request, "s1", turn_index=2, total_turns=3, prefix_tokens=64)
@@ -155,33 +117,6 @@ def test_request_from_dict():
     minimal = {"request_id": "r2", "capability_class": "chat", "quality_target": 1}
     (scripted,) = Scenario.from_dict({"requests": [minimal]}).scripted_requests
     assert scripted == ScriptedRequest(RequestDescriptor("r2", "chat", 1, PolicyConstraint()), "r2")
-
-
-state_types = st.sampled_from(list(StateType))
-scopes = st.sampled_from(list(SharingScope))
-
-
-@given(
-    state_type=state_types,
-    scope=scopes,
-    size=st.integers(min_value=0, max_value=2**40),
-    lookups=st.integers(min_value=0, max_value=1000),
-    data=st.data(),
-)
-def test_generated_state_descriptors_validate(state_type, scope, size, lookups, data):
-    hits = data.draw(st.integers(min_value=0, max_value=lookups))
-    state = StateDescriptor(
-        state_id="s",
-        state_type=state_type,
-        compatibility_hash="ff00",
-        sharing_scope=scope,
-        size=size,
-        reuse_stats=(lookups, hits),
-        privacy_label=data.draw(st.sampled_from(list(DataClass))),
-        decoding_config="cfg" if state_type is StateType.RESULT else None,
-        migration_cost=None if scope is SharingScope.HARDWARE_BOUND else size,
-    )
-    assert validate_descriptor(state) == []
 
 
 def test_parse_fraction_decimal_semantics():

@@ -69,7 +69,7 @@ def scripted_request(request_id="q1", arrival=0, input_tokens=100, output_tokens
         "request_id": request_id,
         "capability_class": "chat",
         "quality_target": 1,
-        "policy": {"min_trust": 0, "locality_scope": "any", "data_class": "public"},
+        "policy": {"min_trust": 0, "locality_scope": "any"},
         "origin_region": "metro",
         "input_tokens": input_tokens,
         "output_tokens": output_tokens,
@@ -183,8 +183,9 @@ def test_node_concurrency_cap_never_exceeded():
 def test_prefix_reuse_skips_covered_prefill():
     d = mini_scenario_dict()
     d["requests"] = [
-        scripted_request("q1", arrival=0, input_tokens=100, affinity_token="sess-1:aa"),
-        scripted_request("q2", arrival=2_000_000, input_tokens=100, affinity_token="sess-1:aa"),
+        scripted_request("q1", arrival=0, input_tokens=100, affinity_token="sess-1:aa", session={"session_id": "sess-1"}),
+        scripted_request("q2", arrival=2_000_000, input_tokens=100, affinity_token="sess-1:aa",
+                         session={"session_id": "sess-1"}),
     ]
     result = run_scenario(d)
     # The engine caches the session prefix only for generated sessions, so
@@ -476,6 +477,48 @@ def test_cooperative_migration_moves_session_state():
     assert {r["node_id"] for r in session_evictions} == {"edge-1", "edge-2"}
 
 
+def test_affinity_token_of_another_session_fails_validation(tmp_path, capsys):
+    from capsim.cli import main
+
+    # Routing finds holders by the token's session, admission and lookup by
+    # the session id: b would be routed to s1's state and served with it.
+    d = mini_scenario_dict()
+    d["requests"] = [
+        scripted_request("a", arrival=0, affinity_token="s1:x",
+                         session={"session_id": "s1", "total_turns": 2, "prefix_tokens": 64}),
+        scripted_request("b", arrival=1_000_000, affinity_token="s1:x", session={"session_id": "s2"}),
+        scripted_request("c", arrival=2_000_000, affinity_token="s1:x",
+                         session={"session_id": "s1", "turn_index": 2, "total_turns": 2}),
+    ]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert main(["validate", str(path)]) == 1
+    paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+    assert paths == ["requests[1].affinity_token"]
+
+
+@pytest.mark.parametrize(
+    "storage_unit_cost, admits, rejects, hits",
+    [("0", 14, 0, 26), ("1", 0, 40, 0)],
+    ids=["free_storage", "storage_one_per_byte"],
+)
+def test_storage_cost_enters_the_admission_benefit(storage_unit_cost, admits, rejects, hits):
+    from pathlib import Path
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "session_heavy.json").read_text())
+    doc["cache"]["storage_unit_cost"] = storage_unit_cost
+    scenario = Scenario.from_dict(doc)
+    assert scenario.validate() == []
+    result = Simulation(scenario, duration_us=20_000_000, trace=True).run()
+    kinds = [row for row in result.trace if row["kind"] in ("cache_admit", "cache_reject")]
+    assert sum(row["kind"] == "cache_admit" for row in kinds) == admits
+    # At one cost unit per byte, a state's storage charge outweighs half the
+    # prefill time a hit would save, so every offer is refused.
+    assert [row["outcome"] for row in kinds if row["kind"] == "cache_reject"] == ["NegativeBenefit"] * rejects
+    tensor = result.metrics.to_dict()["cache"]["tensor_state"]
+    assert (tensor["lookups"], tensor["hits"]) == (40, hits)
+
+
 def test_replan_matches_exhaustive_oracle_on_shipped_scenario():
     from pathlib import Path
 
@@ -611,7 +654,7 @@ def test_revocation_evicts_placements_and_dependent_states():
     from fractions import Fraction
 
     from capsim.caching import BenefitInputs
-    from capsim.descriptors import SharingScope, StateDescriptor, StateType
+    from capsim.descriptors import StateDescriptor
 
     d = mini_scenario_dict()
     d["topology"]["nodes"].append(
@@ -633,16 +676,9 @@ def test_revocation_evicts_placements_and_dependent_states():
     # Three dependent states planted before the run: two on edge-1, one on edge-2.
     for i, node in enumerate(("edge-1", "edge-1", "edge-2")):
         sim.caches.store(node).admit(
-            StateDescriptor(
-                state_id=f"dep-{i}",
-                state_type=StateType.TENSOR_STATE,
-                compatibility_hash=f"h-{i}",
-                sharing_scope=SharingScope.SESSION_PRIVATE,
-                size=100,
-                migration_cost=100,
-            ),
+            StateDescriptor(state_id=f"dep-{i}", compatibility_hash=f"h-{i}", size=100),
             BenefitInputs(Fraction(1, 2), 10_000),
-            scope_key=f"sess-{i}",
+            session_id=f"sess-{i}",
             now=0,
             node_trust=2,
             token_count=10,

@@ -12,9 +12,7 @@ from capsim.descriptors import (
     PlanStage,
     PolicyConstraint,
     RequestDescriptor,
-    SharingScope,
     StateDescriptor,
-    StateType,
     Tier,
 )
 from capsim.engine import Simulation
@@ -286,18 +284,11 @@ def _plant_affinity_state(router, broker, node_id, request, tokens=64):
     compat = router.state_hash_for(rid, request)
     session = request.affinity_token.split(":")[0]
     store = router.caches.store(node_id)
-    descriptor = StateDescriptor(
-        state_id="st-planted",
-        state_type=StateType.TENSOR_STATE,
-        compatibility_hash=compat,
-        sharing_scope=SharingScope.SESSION_PRIVATE,
-        size=tokens * 256,
-        migration_cost=tokens * 256,
-    )
+    descriptor = StateDescriptor(state_id="st-planted", compatibility_hash=compat, size=tokens * 256)
     decision = store.admit(
         descriptor,
         BenefitInputs(Fraction(1, 2), 10_000),
-        scope_key=session,
+        session_id=session,
         now=0,
         node_trust=3,
         requester_min_trust=request.policy.min_trust,
@@ -544,18 +535,14 @@ def router_states(draw):
         for node_id in draw(st.lists(st.sampled_from(NODES), unique=True, max_size=4)):
             rid = draw(st.sampled_from([r for r, _ in REALIZATIONS]))
             tokens = draw(st.integers(1, 400))
-            bound = draw(st.booleans())
             router.caches.store(node_id).admit(
                 StateDescriptor(
                     state_id=f"st-{node_id}",
-                    state_type=StateType.TENSOR_STATE,
                     compatibility_hash=router.state_hash_for(rid, request),
-                    sharing_scope=SharingScope.HARDWARE_BOUND if bound else SharingScope.SESSION_PRIVATE,
                     size=tokens * 256,
-                    migration_cost=None if bound else tokens * 256,
                 ),
                 BenefitInputs(Fraction(1, 2), 10_000_000),
-                scope_key=session,
+                session_id=session,
                 now=0,
                 node_trust=3,
                 requester_min_trust=request.policy.min_trust,
@@ -609,29 +596,28 @@ def edge_router(edges, audit=False, tie_eps=Fraction(1, 10**9), setup=1000, kv_b
 
 
 def held_prefix_state():
-    """edge-1 is slow but holds the session's whole prompt, bound to its
-    hardware, so prefilling there and decoding on a fast edge beats every
-    single-node plan. The fast edges sit 40 µs apart, so five splits fall
-    inside a 1/50 window of the best one, and the tie-break picks the second."""
+    """edge-1 is slow but holds the session's whole prompt in a 48 MiB state
+    that costs more to migrate than to recompute, so prefilling there and
+    decoding on a fast edge beats every single-node plan. The fast edges sit
+    40 µs apart, so five splits fall inside a 1/50 window of the best one,
+    and the tie-break picks the second."""
     edges = [("1/4", 0)] + [("4", delay) for delay in (0, 40, 80, 120, 160)]
     router = edge_router(edges, tie_eps=Fraction(1, 50), setup=0, kv_bytes=0)
     request = chat_request(affinity_token="sess-1:abc", output_tokens=400)
-    router.caches.store("edge-1").admit(
+    assert router.caches.store("edge-1").admit(
         StateDescriptor(
             state_id="st-edge-1",
-            state_type=StateType.TENSOR_STATE,
             compatibility_hash=router.state_hash_for("chat-v1-gpu", request),
-            sharing_scope=SharingScope.HARDWARE_BOUND,
-            size=request.input_tokens * 256,
+            size=48 << 20,
         ),
         BenefitInputs(Fraction(1, 2), 10_000_000),
-        scope_key="sess-1",
+        session_id="sess-1",
         now=0,
         node_trust=3,
         requester_min_trust=0,
         token_count=request.input_tokens,
         source_realization="chat-v1-gpu",
-    )
+    ).admitted
     return router, request, 0
 
 

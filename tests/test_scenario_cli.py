@@ -120,12 +120,17 @@ def _add_request(request_id: str, session_id: str):
         ("session_heavy", _set("weights.lambda", "-1"), "weights.lambda"),
         ("session_heavy", _set("weights.p_miss_us", -1), "weights.p_miss_us"),
         ("session_heavy", _set("weights.storage_unit_cost", "-1/2"), "weights.storage_unit_cost"),
+        ("session_heavy", _set("cache.window_us", -5), "cache.window_us"),
+        ("session_heavy", _set("cache.storage_unit_cost", "-1"), "cache.storage_unit_cost"),
+        # A negative demand window leaves every replan without demand.
+        ("small_place", _set("deployment.window_us", -5), "deployment.window_us"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality",
         "policy_budget", "policy_weights", "policy_quality_target", "token_dist", "policy_min_trust",
         "token_value", "token_sigma", "policy_mix_empty", "negative_alpha", "negative_kappa", "negative_pi_soft",
-        "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost",
+        "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost", "negative_cache_window_us",
+        "negative_cache_storage_unit_cost", "negative_deployment_window_us",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
@@ -159,9 +164,10 @@ def _with_request(path: str, value):
         (_set("workload.regions[0].classes", "chat"), "workload.regions[0].classes"),
         (_set("workload.regions[0].session.turns_g", "x"), "workload.regions[0].session.turns_g"),
         (_set("catalog.classes[0].lineage", [["a"]]), "catalog.classes[0].lineage[0]"),
-        (_set("catalog.classes[0].security.data_class", "secret"), "catalog.classes[0].security.data_class"),
+        (_set("catalog.classes[0].security.min_trust", "secret"), "catalog.classes[0].security.min_trust"),
         (_with_request("requests[0].degradable", "no"), "requests[0].degradable"),
-        (_set("workload.regions[0].policy_mix[0].tenant", 5), "workload.regions[0].policy_mix[0].tenant"),
+        (_set("workload.regions[0].policy_mix[0].preferred_domains", [5]),
+         "workload.regions[0].policy_mix[0].preferred_domains[0]"),
         (_set("topology.nodes[0].runtimes", "std"), "topology.nodes[0].runtimes"),
     ],
     ids=["degradable", "locality_scope", "allowed_domains", "budget", "classes", "turns_g", "lineage", "data_class",
