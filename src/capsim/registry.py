@@ -289,9 +289,10 @@ class Broker:
                 continue
             if not self._in_scope(state, policy, origin_region):
                 continue
-            if self._effective_trust(state, now) < policy.min_trust:
+            # Trust levels are >= 0, so a floor of 0 passes every node.
+            if policy.min_trust > 0 and self._effective_trust(state, now) < policy.min_trust:
                 continue
-            free = self.free_memory(node_id)
+            free = None  # summed at the first realization that would be placed cold
             for realization in realizations:
                 if realization.accelerator != state.profile.hardware.accelerator:
                     continue
@@ -305,6 +306,8 @@ class Broker:
                     continue
                 if tiers is not None and state.profile.locality.tier not in tiers:
                     continue
+                if free is None:
+                    free = self.free_memory(node_id)
                 if free >= self.footprint(realization.realization_id):
                     out.append(Candidate(node_id, realization.realization_id, warm=False))
         return out

@@ -17,12 +17,17 @@ budget filter and the relative tie window need no rationals, and projects
 the schedule of the winner only. ``score`` prices one given plan from the
 same halves.
 
-Weights are >= 0, so every term of J is too, and the two halves' numerators
-alone bound a split's J from below. ``select`` uses that bound to skip the
-splits that cannot reach the tie window of the best within-budget plan seen
-so far; since that window only shrinks, the skipped splits could neither
-win nor tie, and the outcome is the one full enumeration gives. An auditing
-router lists every plan, so it prices every split.
+Weights are >= 0, so every term of J is too, and parts of a plan's
+numerator bound its J from below. A half's prefill side is bounded before its
+state is resolved: it assumes the most prompt tokens any online holder covers
+are reused for free and that nothing waits. ``select`` walks single-node
+plans and prefill halves in the order of their bounds, resolves a half's
+state only when its bound can still reach the tie window of the best
+within-budget plan seen so far, and stops a walk once the bound passes that
+window; for a split, the two halves' numerators bound it in turn. Since the
+window only shrinks, the skipped plans could neither win nor tie, and the
+outcome is the one full enumeration gives. An auditing router lists every
+plan, so it resolves every candidate and prices every plan.
 """
 
 from __future__ import annotations
@@ -176,8 +181,10 @@ class _Half:
     The prefill side (``t_in`` set) serves single-node and prefill stages, the
     decode side (``t_out`` set) single-node and decode stages; a side is None
     when the origin and the node are not connected in that direction.
-    ``pre_num`` and ``dec_num`` are each side's J numerator; ``use``,
-    ``activation`` and the core bytes are kept to project the winner's schedule.
+    ``dec_num`` is the decode side's J numerator. The prefill side starts with
+    ``pre_lb``, a lower bound on its numerator; ``Router._prefill`` resolves
+    its state reuse and sets the exact ``pre_num``. ``use``, ``activation``
+    and the core bytes are kept to project the winner's schedule.
     """
 
     cand: Candidate
@@ -189,18 +196,23 @@ class _Half:
     activation: int  # cold load before the stage can run, 0 when warm
     t_in: int | None = None
     core_in: int = 0
+    pre_lb: int = 0
     use: StateUse | None = None
     wait: int = 0
     prefill_exec: int = 0
     t_state: int = 0
     prefill_done_us: int = 0
-    pre_num: int = 0
+    pre_num: int | None = None  # None until resolved
     t_out: int | None = None
     core_out: int = 0
     decode_us: int = 0
     decode_exec: int = 0
     dec_num: int = 0
 
+
+# Per realization: the online holders of the request's state and the most
+# prompt tokens one of them covers.
+_Held = dict[str, tuple[list[tuple[str, CacheEntry]], int]]
 
 # A priced plan: (J numerator, prefill-or-only half, decode half or None,
 # KV transfer time, decode wait).
@@ -262,46 +274,44 @@ class Router:
         )
         return transfer + realization.load_time_us, core
 
-    def _affinity_parts(self, request: RequestDescriptor) -> tuple[str, str] | None:
+    def state_hash_for(self, realization_id: str, request: RequestDescriptor) -> str | None:
         if not request.affinity_token:
             return None
-        session_id, _, prefix_digest = request.affinity_token.partition(":")
-        return session_id, prefix_digest
+        return _state_hash(realization_id, request.affinity_token.partition(":")[2])
 
-    def state_hash_for(self, realization_id: str, request: RequestDescriptor) -> str | None:
-        parts = self._affinity_parts(request)
-        if parts is None:
-            return None
-        _, prefix_digest = parts
-        return _state_hash(realization_id, prefix_digest)
+    def _holders(
+        self, request: RequestDescriptor, realization_id: str, held: _Held
+    ) -> tuple[list[tuple[str, CacheEntry]], int]:
+        """The online nodes holding the request's state for ``realization_id``,
+        and the most prompt tokens one of them covers; memoized in ``held``."""
+        found = held.get(realization_id)
+        if found is None:
+            holders, most = [], 0
+            if request.affinity_token and self.caches.enabled:
+                session_id, _, prefix_digest = request.affinity_token.partition(":")
+                holders = [
+                    (node_id, entry)
+                    for node_id, entry in self.caches.holders(_state_hash(realization_id, prefix_digest), session_id)
+                    if self.broker.node(node_id).online
+                ]
+                most = min(request.input_tokens, max((entry.token_count for _, entry in holders), default=0))
+            found = held[realization_id] = (holders, most)
+        return found
 
     def _resolve_state(
         self,
         request: RequestDescriptor,
         prefill_node: NodeState,
         realization: CapabilityRealization,
-        held: dict[str, list[tuple[str, CacheEntry]]] | None = None,
+        held: _Held | None = None,
     ) -> StateUse | None:
         """Locate reusable affinity state and price making it available.
 
-        ``held`` memoizes the online holders per compatibility hash for
-        callers that resolve state for many candidates at one instant.
+        ``held`` memoizes the holders per realization for callers that
+        resolve state for many candidates of one request at one instant.
         """
-        parts = self._affinity_parts(request)
-        if parts is None or not self.caches.enabled:
-            return None
-        session_id, _ = parts
-        compat = self.state_hash_for(realization.realization_id, request)
-        if held is None:
-            held = {}
-        holders = held.get(compat)
-        if holders is None:
-            holders = held[compat] = [
-                (node_id, entry)
-                for node_id, entry in self.caches.holders(compat, session_id)
-                if self.broker.node(node_id).online
-            ]
-        if not holders:
+        holders, most = self._holders(request, realization.realization_id, {} if held is None else held)
+        if most <= 0:
             return None
         speed = prefill_node.profile.hardware.speed_factor
         local = [(n, e) for n, e in holders if n == prefill_node.node_id]
@@ -343,16 +353,14 @@ class Router:
         cap = state.profile.capacity.max_concurrent
         return kappa.numerator * outstanding * outstanding // (kappa.denominator * cap * cap)
 
-    def _soft_misses(self, request: RequestDescriptor, stages: list[tuple[NodeState, CapabilityRealization]], now: int) -> int:
-        misses = 0
+    def _soft_misses(
+        self, request: RequestDescriptor, state: NodeState, realization: CapabilityRealization, now: int
+    ) -> int:
         preferred = request.policy.preferred_domains
-        for state, realization in stages:
-            if preferred is not None and state.profile.domain_id not in preferred:
-                misses += 1
-            variant = self.broker.catalog.variant_of(realization.realization_id)
-            if self._node_trust(state, now) < variant.security.preferred_trust:
-                misses += 1
-        return misses
+        variant = self.broker.catalog.variant_of(realization.realization_id)
+        return int(preferred is not None and state.profile.domain_id not in preferred) + int(
+            self._node_trust(state, now) < variant.security.preferred_trust
+        )
 
     # -- scoring --------------------------------------------------------------
 
@@ -373,7 +381,7 @@ class Router:
         Raises ``Unreachable`` when a transfer the plan needs has no route.
         """
         origin = region_vertex(request.origin_region)
-        held: dict[str, list[tuple[str, CacheEntry]]] = {}
+        held: _Held = {}
         halves = [
             self._half(request, Candidate(s.node_id, s.realization_id, warm), origin, now, held, zero_queue)
             for s, warm in zip(plan.stages, warm_flags)
@@ -381,6 +389,7 @@ class Router:
         if any(h is None for h in halves) or halves[0].t_in is None or halves[-1].t_out is None:
             raise Unreachable(f"plan {plan.plan_id}: a transfer it needs has no route")
         pre, dec = halves[0], (halves[1] if len(halves) == 2 else None)
+        self._prefill(request, pre, now, held, zero_queue)
         t_inter = wait = 0
         if dec is not None:
             t_inter, _ = self.topology.transfer_between(pre.cand.node_id, dec.cand.node_id, pre.kv_bytes)
@@ -446,13 +455,11 @@ class Router:
             now=now,
             tiers=self.placement_tiers,
         )
-        kept = []
-        for cand in candidates:
-            state = self.broker.node(cand.node_id)
-            if state.queue_length(now) >= state.profile.capacity.admission_cap:
-                continue
-            kept.append(cand)
-        return kept
+        capped: dict[str, bool] = {}
+        for node_id in dict.fromkeys(cand.node_id for cand in candidates):
+            state = self.broker.node(node_id)
+            capped[node_id] = state.queue_length(now) >= state.profile.capacity.admission_cap
+        return [cand for cand in candidates if not capped[cand.node_id]]
 
     def _half(
         self,
@@ -460,13 +467,15 @@ class Router:
         cand: Candidate,
         origin: str,
         now: int,
-        held: dict[str, list[tuple[str, CacheEntry]]],
+        held: _Held,
         zero_queue: bool = False,
     ) -> _Half | None:
-        """Price ``cand`` as a stage half: what it is charged in any plan.
+        """Price ``cand`` as a stage half, all but its prefill's state reuse.
 
-        ``zero_queue`` prices it on an idle server with no load or policy
-        penalty and no state reuse.
+        The decode side is exact. The prefill side gets ``pre_lb``: it charges
+        the prompt tokens no online holder covers, and leaves out the wait and
+        the state charge, which are >= 0. ``zero_queue`` prices the half on an
+        idle server with no load or policy penalty and no state reuse.
         """
         node = self.broker.node(cand.node_id)
         realization = self.broker.catalog.realizations[cand.realization_id]
@@ -487,39 +496,59 @@ class Router:
             except Unreachable:
                 return None  # the artifact cannot reach the node: no plan may place it
         base_exec = realization.setup_time_us + activation
-        m_net, m_queue, m_exec, m_state, m_load, m_policy = self._mult
+        m_net, _, m_exec, _, m_load, m_policy = self._mult
+        pi_soft = 0 if zero_queue else self.weights.pi_soft
         half = _Half(
             cand,
             realization.variant_id,
             free_us=0 if zero_queue else node.server_free_us[0],  # 0: idle since before any ready time
             kv_bytes=request.input_tokens * realization.kv_bytes_per_token,
             c_load=0 if zero_queue else self._c_load_for(node, now),
-            p_policy=0 if zero_queue else self.weights.pi_soft * self._soft_misses(request, [(node, realization)], now),
+            p_policy=pi_soft * self._soft_misses(request, node, realization, now) if pi_soft else 0,
             activation=activation,
         )
         penalty = m_load * half.c_load + m_policy * half.p_policy
         speed = node.profile.hardware.speed_factor
         if t_in is not None:
-            use = None if zero_queue else self._resolve_state(request, node, realization, held)
-            covered = use.covered_tokens if use else 0
-            t_state = use.transfer_us if use else 0
-            migrate_wait = t_state if (use and use.migrate) else 0
-            ready = now + t_in + migrate_wait
-            half.t_in, half.core_in, half.use = t_in, core_in, use
-            half.wait = max(0, half.free_us - ready)
-            half.prefill_exec = base_exec + self._eff_time_us(
-                realization.prefill_time_per_token_us, max(0, request.input_tokens - covered), speed
-            )
-            half.t_state = t_state
-            # Recomputing covered tokens occupies the server after the prefill.
-            half.prefill_done_us = ready + half.wait + half.prefill_exec + (t_state - migrate_wait)
-            half.pre_num = m_net * t_in + m_queue * half.wait + m_exec * half.prefill_exec + m_state * t_state + penalty
+            most = 0 if zero_queue else self._holders(request, cand.realization_id, held)[1]
+            half.t_in, half.core_in = t_in, core_in
+            uncovered = self._eff_time_us(realization.prefill_time_per_token_us, request.input_tokens - most, speed)
+            half.pre_lb = m_net * t_in + m_exec * (base_exec + uncovered) + penalty
         if t_out is not None:
             half.t_out, half.core_out = t_out, core_out
             half.decode_us = self._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
             half.decode_exec = base_exec + half.decode_us
             half.dec_num = m_net * t_out + m_exec * half.decode_exec + penalty
         return half
+
+    def _prefill(
+        self, request: RequestDescriptor, half: _Half, now: int, held: _Held, zero_queue: bool = False
+    ) -> None:
+        """Resolve ``half``'s prefill side: state reuse, wait, execution and ``pre_num``."""
+        node = self.broker.node(half.cand.node_id)
+        realization = self.broker.catalog.realizations[half.cand.realization_id]
+        use = None if zero_queue else self._resolve_state(request, node, realization, held)
+        covered = use.covered_tokens if use else 0
+        t_state = use.transfer_us if use else 0
+        migrate_wait = t_state if (use and use.migrate) else 0
+        ready = now + half.t_in + migrate_wait
+        half.use = use
+        half.wait = max(0, half.free_us - ready)
+        half.prefill_exec = realization.setup_time_us + half.activation + self._eff_time_us(
+            realization.prefill_time_per_token_us, request.input_tokens - covered, node.profile.hardware.speed_factor
+        )
+        half.t_state = t_state
+        # Recomputing covered tokens occupies the server after the prefill.
+        half.prefill_done_us = ready + half.wait + half.prefill_exec + (t_state - migrate_wait)
+        m_net, m_queue, m_exec, m_state, m_load, m_policy = self._mult
+        half.pre_num = (
+            m_net * half.t_in
+            + m_queue * half.wait
+            + m_exec * half.prefill_exec
+            + m_state * t_state
+            + m_load * half.c_load
+            + m_policy * half.p_policy
+        )
 
     def _tie_cut(self, best: int) -> int:
         """The largest J numerator inside the tie window of ``best``.
@@ -534,44 +563,60 @@ class Router:
         self, request: RequestDescriptor, candidates: list[Candidate], now: int, limit: int | None
     ) -> list[_Priced]:
         """The single-node and prefill/decode plans over ``candidates`` with a
-        route for each transfer they need, with their J numerators.
+        route for each transfer they need, with their J numerators, less the
+        plans that cannot reach the tie window.
 
-        Every single-node plan is listed; a split is skipped when it cannot
-        reach the tie window. Each term of J is >= 0, so ``pre_num + dec_num``
-        bounds a split's numerator from below (it leaves out the KV transfer
-        and the decode wait). Prefill halves are walked in ``pre_num`` order
-        and decode halves in ``dec_num`` order, and a loop stops once the
+        Each term of J is >= 0, so a single-node plan's numerator is bounded
+        from below by its half's ``pre_lb`` plus the decode side, and a split's
+        by ``pre_lb + dec_num`` and, once the prefill half is resolved, by
+        ``pre_num + dec_num`` (both leave out the KV transfer and the decode
+        wait). Single-node plans and prefill halves are walked in the order of
+        their bounds and decode halves in ``dec_num`` order; a half's state is
+        resolved only when a bound lets it through, and a walk stops once the
         bound exceeds the cut of the smallest numerator within ``limit`` seen
-        so far. That cut only shrinks, so a skipped split is neither the
+        so far. That cut only shrinks, so a skipped plan is neither the
         within-budget best nor inside the final window; while no plan within
         budget is known nothing is skipped, so the budget outcome is unchanged.
         An auditing router lists every plan, so it never skips one.
         """
         origin = region_vertex(request.origin_region)
-        held: dict[str, list[tuple[str, CacheEntry]]] = {}  # holders per compatibility hash, this instant
+        held: _Held = {}  # state holders per realization, this instant
         halves = [h for h in (self._half(request, c, origin, now, held) for c in candidates) if h is not None]
         m_net, m_queue, m_exec = self._mult[:3]
-        plans: list[_Priced] = [
-            (h.pre_num + m_net * h.t_out + m_exec * h.decode_us, h, None, 0, 0)
-            for h in halves
-            if h.t_in is not None and h.t_out is not None
+        plans: list[_Priced] = []
+        # The smallest within-budget numerator so far and its tie cut; unset while auditing.
+        best = cut = None
+
+        def keep(priced: _Priced) -> None:
+            nonlocal best, cut
+            plans.append(priced)
+            num = priced[0]
+            if not self.audit and (limit is None or num <= limit) and (best is None or num < best):
+                best, cut = num, self._tie_cut(num)
+
+        # A single-node plan is its half's prefill side plus the decode side's
+        # transfer and decode time; the set-up and penalties count once.
+        singles = [
+            (m_net * h.t_out + m_exec * h.decode_us, h) for h in halves if h.t_in is not None and h.t_out is not None
         ]
+        for tail, h in sorted(singles, key=lambda s: s[1].pre_lb + s[0]):
+            if cut is not None and h.pre_lb + tail > cut:
+                break
+            self._prefill(request, h, now, held)
+            keep((h.pre_num + tail, h, None, 0, 0))
         if not self.enable_split:
             return plans
-        # The smallest within-budget numerator so far and its tie cut; unset while auditing.
-        best = None if self.audit else min((p[0] for p in plans if limit is None or p[0] <= limit), default=None)
-        cut = None if best is None else self._tie_cut(best)
         decoders: dict[str, list[_Half]] = {}
         for h in sorted(halves, key=lambda h: h.dec_num):
             if h.t_out is not None:
                 decoders.setdefault(h.variant_id, []).append(h)
         least_dec = min((d[0].dec_num for d in decoders.values()), default=0)
         transfer = self.topology.transfer_between
-        for pre in sorted(halves, key=lambda h: h.pre_num):
-            if pre.t_in is None:
-                continue
-            if cut is not None and pre.pre_num + least_dec > cut:
+        for pre in sorted((h for h in halves if h.t_in is not None), key=lambda h: h.pre_lb):
+            if cut is not None and pre.pre_lb + least_dec > cut:
                 break
+            if pre.pre_num is None:
+                self._prefill(request, pre, now, held)
             pre_node = pre.cand.node_id
             for dec in decoders.get(pre.variant_id, ()):
                 if cut is not None and pre.pre_num + dec.dec_num > cut:
@@ -583,10 +628,7 @@ class Router:
                 except Unreachable:
                     continue
                 wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
-                num = pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait
-                plans.append((num, pre, dec, t_inter, wait))
-                if not self.audit and (limit is None or num <= limit) and (best is None or num < best):
-                    best, cut = num, self._tie_cut(num)
+                keep((pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait, pre, dec, t_inter, wait))
         return plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:

@@ -143,7 +143,8 @@ def score(
         )
         cursor = complete
 
-    p_policy = 0 if zero_queue else router.weights.pi_soft * router._soft_misses(request, stages, now)
+    misses = sum(router._soft_misses(request, node_state, realization, now) for node_state, realization in stages)
+    p_policy = 0 if zero_queue else router.weights.pi_soft * misses
     terms = (t_net, t_queue, t_exec, t_state, c_load, p_policy)
     cost = PlanCost(*terms, total=Fraction(_numerator(router._mult, terms), router._scale))
     finish = cursor + t_out

@@ -532,9 +532,11 @@ def router_states(draw):
     )
     if affinity is not None:
         session, _, _ = affinity.partition(":")
-        for node_id in draw(st.lists(st.sampled_from(NODES), unique=True, max_size=4)):
+        holders = draw(st.lists(st.sampled_from(NODES), unique=True, max_size=4))
+        for node_id in holders:
             rid = draw(st.sampled_from([r for r, _ in REALIZATIONS]))
-            tokens = draw(st.integers(1, 400))
+            # Fewer, as many or more tokens than the prompt: reuse covers at most the prompt.
+            tokens = max(1, request.input_tokens + draw(st.integers(-300, 100)))
             router.caches.store(node_id).admit(
                 StateDescriptor(
                     state_id=f"st-{node_id}",
@@ -549,6 +551,10 @@ def router_states(draw):
                 token_count=tokens,
                 source_realization=rid,
             )
+        if holders and draw(st.booleans()):
+            # An offline holder's state is neither reused nor counted in the prefill bound.
+            broker.node(draw(st.sampled_from(holders))).online = False
+    router.caches.enabled = draw(st.sampled_from([True, True, False]))
     return router, request, now
 
 
@@ -667,6 +673,49 @@ def test_split_pricing_skips_pairs_above_the_tie_cut(monkeypatch):
     assert quiet.scored == audited.scored
     assert len(audited.alternatives) == 6 * 6  # six single-node plans and every ordered pair
     assert pair_transfers[0] < pair_transfers[1]
+
+
+def test_select_resolves_state_only_inside_the_bound(monkeypatch):
+    resolve_state = Router._resolve_state
+    resolved = []
+
+    def counted(router, *args):
+        resolved.append(router.audit)
+        return resolve_state(router, *args)
+
+    monkeypatch.setattr(Router, "_resolve_state", counted)
+    outcomes = []
+    for audit in (False, True):
+        # edge-1 holds the whole prompt and is the closest to the origin.
+        router = edge_router([("1", delay) for delay in (0, 300, 600, 900)], audit=audit)
+        request = chat_request(affinity_token="sess-1:abc")
+        _plant_affinity_state(router, router.broker, "edge-1", request, tokens=request.input_tokens)
+        outcomes.append(router.select(request, now=0))
+    quiet, audited = outcomes
+    assert quiet.scored == audited.scored
+    assert quiet.scored.state_use.entry_node == "edge-1"
+    # The quiet router stops after the holder's plan; the auditing one resolves every edge.
+    assert (resolved.count(False), resolved.count(True)) == (1, 4)
+
+
+def test_session_heavy_resolves_state_at_most_twice_per_select(monkeypatch):
+    calls = {"select": 0, "resolve": 0}
+    select, resolve_state = Router.select, Router._resolve_state
+
+    def counted_select(router, *args):
+        calls["select"] += 1
+        return select(router, *args)
+
+    def counted_resolve(router, *args):
+        calls["resolve"] += 1
+        return resolve_state(router, *args)
+
+    monkeypatch.setattr(Router, "select", counted_select)
+    monkeypatch.setattr(Router, "_resolve_state", counted_resolve)
+    Simulation(Scenario.load(SCENARIOS / "session_heavy.json")).run()
+    # Each select here has four candidates with a route from the origin.
+    assert calls["select"] > 0
+    assert calls["resolve"] <= 2 * calls["select"]
 
 
 def test_router_rejects_a_negative_weight(simple_broker):
