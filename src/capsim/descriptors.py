@@ -7,10 +7,9 @@ exceptions.
 
 Only ``PlanStage`` and ``ExecutionReceipt`` have a dict form, ``to_dict``,
 for plan ids and ``receipts.jsonl``. The scenario reader
-(``scenario._record``) builds the request, policy and catalog types from the
-scenario file by their field annotations, so a field's default here is also
-its default in the file. Resource profiles and their facets are built by
-``scenario._parse_node``, and ``StateDescriptor`` only by the engine.
+(``scenario._record``) builds the node, request, policy and catalog types from
+the scenario file by their field annotations, so a field's default here is
+also its default in the file. ``StateDescriptor`` is built only by the engine.
 """
 
 from __future__ import annotations
@@ -111,23 +110,12 @@ class SecurityLabel:
 
 
 @dataclass(frozen=True, slots=True)
-class ResourceRequirement:
-    memory_bytes: int = 0
-    storage_bytes: int = 0
-    accelerator: str = "cpu"
-    load_time_us: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class CapabilityDescriptor:
     """A capability class: the top level of the class/variant/realization tree."""
 
     name: str
-    task: str = ""
     quality: int = 1
-    latency_us: int = 0
     security: SecurityLabel = SecurityLabel()
-    resource: ResourceRequirement = ResourceRequirement()
     lineage: tuple[tuple[str, str], ...] = ()  # (parent model id, derivation tag)
 
 
@@ -136,7 +124,6 @@ class CapabilityVariant:
     variant_id: str
     parent_class: str
     quality: int = 1
-    latency_us: int = 0
     security: SecurityLabel = SecurityLabel()
 
 
@@ -155,10 +142,8 @@ class CapabilityRealization:
 
 @dataclass(frozen=True, slots=True)
 class Hardware:
-    accelerator: str
-    speed_factor: Fraction
-    memory_bytes: int
-    storage_bytes: int
+    accelerator: str = "cpu"
+    speed_factor: Fraction = Fraction(1)  # divides per-token times
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,33 +151,25 @@ class Capacity:
     max_concurrent: int = 1
     memory_budget_bytes: int = 0
     admission_cap: int = 16  # max reserved-not-started stages before routing excludes the node
-
-
-@dataclass(frozen=True, slots=True)
-class NodeDynamicState:
-    queued_work_us: int = 0
-    resident_realizations: tuple[str, ...] = ()
-    free_memory_bytes: int = 0
+    cache_capacity_bytes: int = 0
 
 
 @dataclass(frozen=True, slots=True)
 class Locality:
-    region: str
-    tier: Tier
+    region: str = ""
+    tier: Tier = Tier.CLOUD
 
 
 @dataclass(frozen=True, slots=True)
 class ResourceProfile:
-    """What a node can execute and under which live conditions."""
+    """What a node can execute, how much of it at once, and where."""
 
     node_id: str
-    domain_id: str
-    hardware: Hardware
-    runtime: tuple[str, ...]
-    capacity: Capacity
-    state: NodeDynamicState
-    locality: Locality
-    trust: int
+    domain_id: str = ""
+    hardware: Hardware = Hardware()
+    capacity: Capacity = Capacity()
+    locality: Locality = Locality()
+    trust: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,15 +257,10 @@ def validate_descriptor(d: Any) -> list[str]:
         v.extend(_policy_violations(d))
     elif isinstance(d, CapabilityDescriptor):
         _check(v, d.quality >= 1, "quality", "quality >= 1")
-        _check(v, d.latency_us >= 0, "latency_us", "latency_us >= 0")
-        _check(v, d.resource.memory_bytes >= 0, "resource.memory_bytes", "memory_bytes >= 0")
-        _check(v, d.resource.storage_bytes >= 0, "resource.storage_bytes", "storage_bytes >= 0")
-        _check(v, d.resource.load_time_us >= 0, "resource.load_time_us", "load_time_us >= 0")
         _check(v, len(d.lineage) >= 1, "lineage", "lineage non-empty")
         v.extend(f"security.{s}" for s in _security_violations(d.security))
     elif isinstance(d, CapabilityVariant):
         _check(v, d.quality >= 1, "quality", "quality >= 1")
-        _check(v, d.latency_us >= 0, "latency_us", "latency_us >= 0")
         v.extend(f"security.{s}" for s in _security_violations(d.security))
     elif isinstance(d, CapabilityRealization):
         _check(v, d.prefill_time_per_token_us > 0, "prefill_time_per_token_us", "per-token times > 0")
@@ -297,19 +269,6 @@ def validate_descriptor(d: Any) -> list[str]:
         _check(v, d.artifact_size_bytes >= 0, "artifact_size_bytes", "artifact_size_bytes >= 0")
         _check(v, d.load_time_us >= 0, "load_time_us", "load_time_us >= 0")
         _check(v, d.setup_time_us >= 0, "setup_time_us", "setup_time_us >= 0")
-    elif isinstance(d, ResourceProfile):
-        _check(v, TRUST_MIN <= d.trust <= TRUST_MAX, "trust", f"trust in [{TRUST_MIN}, {TRUST_MAX}]")
-        _check(v, d.hardware.speed_factor >= 0, "hardware.speed_factor", "speed_factor >= 0")
-        _check(v, d.hardware.memory_bytes >= 0, "hardware.memory_bytes", "memory_bytes >= 0")
-        _check(v, d.capacity.max_concurrent >= 1, "capacity.max_concurrent", "max_concurrent >= 1")
-        _check(v, d.capacity.memory_budget_bytes >= 0, "capacity.memory_budget_bytes", "memory_budget_bytes >= 0")
-        _check(v, d.state.queued_work_us >= 0, "state.queued_work_us", "queued_work >= 0")
-        _check(
-            v,
-            d.state.free_memory_bytes <= d.capacity.memory_budget_bytes,
-            "state.free_memory_bytes",
-            "free memory <= memory budget",
-        )
     elif isinstance(d, ExecutionReceipt):
         for name in ("t_net_us", "t_queue_us", "t_exec_us", "t_state_us", "c_load", "p_policy"):
             _check(v, getattr(d, name) >= 0, name, "timing terms >= 0")

@@ -125,18 +125,18 @@ class Simulation:
 
         self.broker = Broker(self.catalog, self.topology, trust=self.trust)
         attested = {a.node_id for a in scenario.attestations}
-        for snode in scenario.nodes:
-            self.broker.register_node(snode.profile)
-            if snode.profile.node_id not in attested:
-                self.trust.attest(AttestationRecord(snode.profile.node_id, snode.profile.trust, 0, None))
+        for profile in scenario.nodes:
+            self.broker.register_node(profile)
+            if profile.node_id not in attested:
+                self.trust.attest(AttestationRecord(profile.node_id, profile.trust, 0, None))
         for att in scenario.attestations:
             self.trust.attest(att)
 
         cache = scenario.cache
         self.caches = CacheSystem(window_us=cache.window_us, enabled=cache.enabled)
         self.cache_storage_unit_cost = cache.storage_unit_cost
-        for snode in scenario.nodes:
-            self.caches.add_store(snode.profile.node_id, snode.cache_capacity_bytes)
+        for profile in scenario.nodes:
+            self.caches.add_store(profile.node_id, profile.capacity.cache_capacity_bytes)
 
         self.router = Router(
             broker=self.broker,
@@ -159,8 +159,8 @@ class Simulation:
             self.broker.install(node_id, rid, available_at_us=0)
 
         self.metrics = MetricsFrame(duration_us=self.duration_us)
-        for snode in scenario.nodes:
-            self.metrics.node_capacity[snode.profile.node_id] = snode.profile.capacity.max_concurrent
+        for profile in scenario.nodes:
+            self.metrics.node_capacity[profile.node_id] = profile.capacity.max_concurrent
         self.receipts = ReceiptLog()
         self.trace: TraceSink = [] if isinstance(trace, bool) else trace
         self.audit: list[AuditEntry] = []

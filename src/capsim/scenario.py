@@ -8,11 +8,11 @@ annotation, recursing into nested records, enums, optionals and tuples. A
 field's default is its dataclass default, and a value that does not convert
 raises ``ScenarioParseError`` naming its field path, e.g.
 ``workload.regions[0].policy_mix[0].locality_scope``. ``Scenario.from_dict``
-reads the whole document through it, with only the catalog tree and the
-node profiles assembled by hand. ``load`` also surfaces JSON syntax errors
-with line/position; ``validate`` returns referential and range errors as
-field-path strings, so a scenario either parses and validates or the CLI
-reports exactly what is wrong.
+reads the whole document through it; only the catalog tree, whose variants
+and realizations name their parents, is walked by hand. ``load`` also
+surfaces JSON syntax errors with line/position; ``validate`` returns
+referential and range errors as field-path strings, so a scenario either
+parses and validates or the CLI reports exactly what is wrong.
 """
 
 from __future__ import annotations
@@ -28,22 +28,19 @@ from typing import Any, Callable, TypeVar, get_args, get_origin, get_type_hints
 
 from .deployment import PlacementWeights
 from .descriptors import (
-    Capacity,
+    TRUST_MAX,
+    TRUST_MIN,
     CapabilityDescriptor,
     CapabilityRealization,
     CapabilityVariant,
-    Hardware,
-    Locality,
-    NodeDynamicState,
     RequestDescriptor,
     ResourceProfile,
     SecurityLabel,
-    Tier,
     parse_fraction,
     validate_descriptor,
 )
 from .routing import RoutingWeights
-from .topology import Domain, Link, Node, Topology, region_vertex
+from .topology import Domain, Link, Topology, region_vertex
 from .trust import AttestationRecord
 from .workload import PolicyTemplate, RegionWorkload, WorkloadSpec
 
@@ -55,12 +52,6 @@ _ID_FORBIDDEN = (",", "\n", "\r")
 
 class ScenarioParseError(Exception):
     pass
-
-
-@dataclass(slots=True)
-class ScenarioNode:
-    profile: ResourceProfile
-    cache_capacity_bytes: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +101,7 @@ class Scenario:
     bytes_per_token: int = 4
     artifact_repository: str | None = None
     domains: list[Domain] = field(default_factory=list)
-    nodes: list[ScenarioNode]
+    nodes: list[ResourceProfile] = field(default_factory=list)
     links: list[Link] = field(default_factory=list)
     classes: list[CapabilityDescriptor]
     variants: list[CapabilityVariant]
@@ -137,7 +128,7 @@ class Scenario:
         classes: list[CapabilityDescriptor] = []
         variants: list[CapabilityVariant] = []
         realizations: list[CapabilityRealization] = []
-        for path, cls_d in _items(_section(d, "catalog"), "catalog.classes"):
+        for path, cls_d in _items(_object(d.get("catalog", {}), "catalog"), "catalog.classes"):
             classes.append(_record(CapabilityDescriptor, cls_d, path))
             for var_path, var_d in _items(cls_d, f"{path}.variants"):
                 # A variant without its own label takes its class's whole label.
@@ -147,8 +138,7 @@ class Scenario:
                     realizations.append(
                         _record(CapabilityRealization, real_d, real_path, variant_id=variants[-1].variant_id)
                     )
-        nodes = [_parse_node(nd, p) for p, nd in _items(_section(d, "topology"), "topology.nodes")]
-        return _record(cls, d, "", nodes=nodes, classes=classes, variants=variants, realizations=realizations, digest=digest)
+        return _record(cls, d, "", classes=classes, variants=variants, realizations=realizations, digest=digest)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -184,11 +174,13 @@ class Scenario:
                     errors.append(f"weights.{_KEYS.get((type(weights), f.name), f.name)}: must be >= 0")
 
         domains = {d.domain_id: d for d in self.domains}
+        for i, domain in enumerate(self.domains):
+            if not TRUST_MIN <= domain.min_trust <= TRUST_MAX:
+                errors.append(f"topology.domains[{i}].min_trust: must be in [{TRUST_MIN}, {TRUST_MAX}]")
         node_ids = set()
         regions = set()
-        for i, snode in enumerate(self.nodes):
+        for i, profile in enumerate(self.nodes):
             prefix = f"topology.nodes[{i}]"
-            profile = snode.profile
             if profile.node_id in node_ids:
                 errors.append(f"{prefix}.node_id: duplicate {profile.node_id}")
             node_ids.add(profile.node_id)
@@ -198,14 +190,21 @@ class Scenario:
             domain = domains.get(profile.domain_id)
             if domain is None:
                 errors.append(f"{prefix}.domain_id: unknown domain {profile.domain_id}")
-            elif profile.trust < domain.min_trust:
+            if not TRUST_MIN <= profile.trust <= TRUST_MAX:
+                errors.append(f"{prefix}.trust: must be in [{TRUST_MIN}, {TRUST_MAX}]")
+            elif domain is not None and profile.trust < domain.min_trust <= TRUST_MAX:
                 errors.append(f"{prefix}.trust: below domain {domain.domain_id} min_trust {domain.min_trust}")
             if profile.hardware.speed_factor <= 0:
                 errors.append(f"{prefix}.speed_factor: must be > 0")
-            if snode.cache_capacity_bytes < 0:
+            capacity = profile.capacity
+            if capacity.max_concurrent < 1:
+                errors.append(f"{prefix}.max_concurrent: must be >= 1")
+            if capacity.admission_cap < 1:
+                errors.append(f"{prefix}.admission_cap: must be >= 1")
+            if capacity.memory_budget_bytes < 0:
+                errors.append(f"{prefix}.memory_budget_bytes: must be >= 0")
+            if capacity.cache_capacity_bytes < 0:
                 errors.append(f"{prefix}.cache_capacity_bytes: must be >= 0")
-            for violation in validate_descriptor(profile):
-                errors.append(f"{prefix}.{violation}")
 
         vertices = node_ids | {region_vertex(r) for r in regions}
         link_ids = set()
@@ -252,7 +251,7 @@ class Scenario:
             for violation in validate_descriptor(real):
                 errors.append(f"catalog.realizations[{i}].{violation}")
 
-        profiles = {s.profile.node_id: s.profile for s in self.nodes}
+        profiles = {p.node_id: p for p in self.nodes}
         placed: dict[str, int] = {}
         realization_by_id = {r.realization_id: r for r in self.realizations}
         for i, (rid, node_id) in enumerate(self.initial_placement):
@@ -268,7 +267,7 @@ class Scenario:
             if realization.accelerator != profile.hardware.accelerator:
                 errors.append(f"{prefix}: accelerator mismatch {realization.accelerator} on {node_id}")
             placed[node_id] = placed.get(node_id, 0) + realization.artifact_size_bytes
-            if placed[node_id] > profile.capacity.memory_budget_bytes:
+            if placed[node_id] > profile.capacity.memory_budget_bytes >= 0:  # a negative budget is the node's error
                 errors.append(f"{prefix}: memory budget exceeded on {node_id}")
 
         for i, region in enumerate(self.workload.regions):
@@ -342,35 +341,7 @@ class Scenario:
         return errors
 
     def build_topology(self) -> Topology:
-        return Topology(
-            nodes=[Node(profile=s.profile) for s in self.nodes],
-            domains=self.domains,
-            links=self.links,
-        )
-
-
-def _parse_node(nd: dict[str, Any], path: str) -> ScenarioNode:
-    memory_budget = _read(nd, path, "memory_budget_bytes", int, 0)
-    profile = ResourceProfile(
-        node_id=_read(nd, path, "node_id", str),
-        domain_id=_read(nd, path, "domain_id", str, ""),
-        hardware=Hardware(
-            accelerator=_read(nd, path, "accelerator", str, "cpu"),
-            speed_factor=_read(nd, path, "speed_factor", Fraction, Fraction(1)),
-            memory_bytes=memory_budget,
-            storage_bytes=_read(nd, path, "storage_bytes", int, 0),
-        ),
-        runtime=tuple(sorted(_read(nd, path, "runtimes", tuple[str, ...], ("std",)))),
-        capacity=Capacity(
-            max_concurrent=_read(nd, path, "max_concurrent", int, 1),
-            memory_budget_bytes=memory_budget,
-            admission_cap=_read(nd, path, "admission_cap", int, 16),
-        ),
-        state=NodeDynamicState(free_memory_bytes=memory_budget),
-        locality=Locality(region=_read(nd, path, "region", str, ""), tier=_read(nd, path, "tier", Tier, Tier.CLOUD)),
-        trust=_read(nd, path, "trust", int, 0),
-    )
-    return ScenarioNode(profile=profile, cache_capacity_bytes=_read(nd, path, "cache_capacity_bytes", int, 0))
+        return Topology(nodes=[p.node_id for p in self.nodes], domains=self.domains, links=self.links)
 
 
 def _parse(path: str, build: Callable[[Any], T], value: Any) -> T:
@@ -380,16 +351,6 @@ def _parse(path: str, build: Callable[[Any], T], value: Any) -> T:
         return build(value)
     except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
-
-
-def _read(section: dict, path: str, key: str, tp: Any, default: Any = MISSING) -> Any:
-    """``section[key]`` converted to the annotation ``tp``, or ``default``
-    when the key is absent; a key without a default is required."""
-    if key in section:
-        return _converter(tp)(section[key], f"{path}.{key}")
-    if default is MISSING:
-        raise ScenarioParseError(f"{path}.{key}: required")
-    return default
 
 
 def _record(cls: type[T], section: dict, path: str, **given: Any) -> T:
@@ -468,10 +429,6 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path and key else path or key
 
 
-def _section(d: dict, key: str) -> dict:
-    return _object(d.get(key, {}), key)
-
-
 def _items(section: dict, path: str) -> list[tuple[str, dict]]:
     """(field path, object) for each item of the list at ``path``."""
     items = _list(section.get(path.rsplit(".", 1)[-1], []), path)
@@ -528,6 +485,7 @@ _LEAVES = {bool: _bool, int: _int, float: _float, str: _str, Fraction: parse_fra
 _KEYS: dict[tuple[type, str], str | tuple[str, ...]] = {
     (Scenario, "artifact_repository"): "topology.artifact_repository",
     (Scenario, "domains"): "topology.domains",
+    (Scenario, "nodes"): "topology.nodes",
     (Scenario, "links"): "topology.links",
     (Scenario, "routing_weights"): "weights",
     (Scenario, "placement_weights"): "weights",
@@ -535,6 +493,9 @@ _KEYS: dict[tuple[type, str], str | tuple[str, ...]] = {
     (Scenario, "scripted_requests"): "requests",
     (Scenario, "attestations"): "trust_script.attestations",
     (Scenario, "revocations"): "trust_script.revocations",
+    (ResourceProfile, "hardware"): "",  # a node's facets sit beside its own keys
+    (ResourceProfile, "capacity"): "",
+    (ResourceProfile, "locality"): "",
     (RoutingWeights, "tie_eps"): "tie_epsilon",
     (PlacementWeights, "lambda_deploy"): "lambda",
     (PlacementWeights, "mu_net"): "mu",

@@ -13,8 +13,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .descriptors import ResourceProfile
-
 
 class Unreachable(Exception):
     """No path exists between the requested endpoints."""
@@ -39,28 +37,18 @@ class Link:
 
 
 @dataclass(frozen=True, slots=True)
-class Node:
-    profile: ResourceProfile
-
-    @property
-    def node_id(self) -> str:
-        return self.profile.node_id
-
-
-@dataclass(frozen=True, slots=True)
 class Domain:
     domain_id: str
     min_trust: int = 0  # admission floor for hosted nodes
-    operator: str = ""
 
 
 class Topology:
-    def __init__(self, nodes: list[Node], domains: list[Domain], links: list[Link]):
-        self.nodes: dict[str, Node] = {}
-        for node in nodes:
-            if node.node_id in self.nodes:
-                raise ValueError(f"duplicate node_id {node.node_id}")
-            self.nodes[node.node_id] = node
+    def __init__(self, nodes: list[str], domains: list[Domain], links: list[Link]):
+        self.nodes: set[str] = set()
+        for node_id in nodes:
+            if node_id in self.nodes:
+                raise ValueError(f"duplicate node_id {node_id}")
+            self.nodes.add(node_id)
         self.domains: dict[str, Domain] = {d.domain_id: d for d in domains}
         self.links: dict[str, Link] = {}
         self._adjacency: dict[str, list[Link]] = {}

@@ -15,14 +15,12 @@ from capsim.descriptors import (
     CapabilityVariant,
     Hardware,
     Locality,
-    NodeDynamicState,
     ResourceProfile,
-    ResourceRequirement,
     SecurityLabel,
     Tier,
 )
 from capsim.registry import Broker, CapabilityCatalog
-from capsim.topology import Domain, Link, Node, Topology
+from capsim.topology import Domain, Link, Topology
 from capsim.trust import AttestationRecord, TrustManager
 
 GIB = 1024**3
@@ -43,10 +41,8 @@ def make_profile(
     return ResourceProfile(
         node_id=node_id,
         domain_id=domain_id,
-        hardware=Hardware(accelerator=accelerator, speed_factor=Fraction(speed), memory_bytes=memory, storage_bytes=memory * 4),
-        runtime=("std",),
+        hardware=Hardware(accelerator=accelerator, speed_factor=Fraction(speed)),
         capacity=Capacity(max_concurrent=max_concurrent, memory_budget_bytes=memory, admission_cap=admission_cap),
-        state=NodeDynamicState(free_memory_bytes=memory),
         locality=Locality(region=region, tier=tier),
         trust=trust,
     )
@@ -60,11 +56,8 @@ def make_class(
 ) -> CapabilityDescriptor:
     return CapabilityDescriptor(
         name=name,
-        task="assistant",
         quality=quality,
-        latency_us=200_000,
         security=SecurityLabel(min_trust=min_trust, preferred_trust=preferred_trust),
-        resource=ResourceRequirement(memory_bytes=GIB, storage_bytes=GIB, accelerator="gpu", load_time_us=1_000_000),
         lineage=(("base-7b", "distill"),),
     )
 
@@ -74,7 +67,6 @@ def make_variant(variant_id: str, parent: str = "chat", quality: int = 1, min_tr
         variant_id=variant_id,
         parent_class=parent,
         quality=quality,
-        latency_us=150_000,
         security=SecurityLabel(min_trust=min_trust, preferred_trust=preferred_trust),
     )
 
@@ -106,7 +98,7 @@ def make_realization(
 def make_topology(profiles: list[ResourceProfile], links: list[Link], domains: list[Domain] | None = None) -> Topology:
     if domains is None:
         domains = [Domain(d) for d in sorted({p.domain_id for p in profiles})]
-    return Topology(nodes=[Node(profile=p) for p in profiles], domains=domains, links=links)
+    return Topology(nodes=[p.node_id for p in profiles], domains=domains, links=links)
 
 
 def star_links(region: str, node_ids: list[str], delay: int = 500, bandwidth: int = 1000) -> list[Link]:

@@ -108,7 +108,7 @@ def test_criterion_3_cache_admission_soundness():
     scenario = load("session_heavy")
     result = Simulation(scenario, trace=True).run()
 
-    capacities = {s.profile.node_id: s.cache_capacity_bytes for s in scenario.nodes}
+    capacities = {p.node_id: p.capacity.cache_capacity_bytes for p in scenario.nodes}
     sizes: dict[str, int] = {}
     occupancy: dict[str, int] = {node: 0 for node in capacities}
     admits = 0
@@ -180,7 +180,7 @@ def test_criterion_5_wan_reduction():
 def test_criterion_6_overload_discipline():
     scenario = load("overload")
     doc = Simulation(scenario).run().metrics.to_dict()
-    caps = {s.profile.node_id: s.profile.capacity.admission_cap for s in scenario.nodes}
+    caps = {p.node_id: p.capacity.admission_cap for p in scenario.nodes}
     over = {n: q for n, q in doc["max_queue_length"].items() if q > caps[n]}
     admitted = doc["arrivals"] - doc["rejected"]
     admitted_rate = doc["served"] / admitted

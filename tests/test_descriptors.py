@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from capsim.descriptors import (
+    Capacity,
     CapabilityDescriptor,
     CapabilityRealization,
+    Hardware,
+    Locality,
     LocalityScope,
     PolicyConstraint,
     RequestDescriptor,
@@ -15,7 +18,7 @@ from capsim.descriptors import (
     validate_descriptor,
 )
 from capsim.scenario import Scenario, ScriptedRequest
-from conftest import make_class, make_profile, make_realization
+from conftest import make_class, make_realization
 
 
 def make_request(**overrides) -> RequestDescriptor:
@@ -51,26 +54,14 @@ def test_wellformed_capability_descriptor_validates():
 
 
 def test_empty_lineage_is_a_violation():
-    bad = CapabilityDescriptor(
-        name="x", task="t", quality=1, latency_us=0,
-        security=SecurityLabel(), resource=make_class().resource, lineage=(),
-    )
+    bad = CapabilityDescriptor(name="x", quality=1, security=SecurityLabel(), lineage=())
     assert any(v.startswith("lineage") for v in validate_descriptor(bad))
-
-
-
-
 
 
 def test_per_token_times_must_be_positive():
     bad = make_realization("r", "v")
     bad = CapabilityRealization(**{**{f.name: getattr(bad, f.name) for f in fields(bad)}, "decode_time_per_token_us": 0})
     assert any("per-token" in v for v in validate_descriptor(bad))
-
-
-def test_profile_free_memory_within_budget():
-    profile = make_profile("n1")
-    assert validate_descriptor(profile) == []
 
 
 def test_domain_scope_requires_allowed_domains():
@@ -127,12 +118,19 @@ def test_parse_fraction_decimal_semantics():
 
 
 def test_every_cost_symbol_maps_to_exactly_one_type():
-    # Capability descriptor carries its seven advertised fields.
+    # A class is named by requests and its lineage goes into receipts; its
+    # quality and security remain because the file requires quality and a
+    # class's label is its variants' default.
     cap_fields = {f.name for f in fields(CapabilityDescriptor)}
-    assert {"name", "task", "quality", "latency_us", "security", "resource", "lineage"} <= cap_fields
-    # Resource profile carries its six facets.
+    assert cap_fields == {"name", "quality", "security", "lineage"}
+    # A node profile carries only what routing, placement, caching or trust reads.
     prof_fields = {f.name for f in fields(ResourceProfile)}
-    assert {"hardware", "runtime", "capacity", "state", "locality", "trust"} <= prof_fields
+    assert prof_fields == {"node_id", "domain_id", "hardware", "capacity", "locality", "trust"}
+    assert {f.name for f in fields(Hardware)} == {"accelerator", "speed_factor"}
+    assert {f.name for f in fields(Capacity)} == {
+        "max_concurrent", "memory_budget_bytes", "admission_cap", "cache_capacity_bytes"
+    }
+    assert {f.name for f in fields(Locality)} == {"region", "tier"}
     # Request carries class, quality, policy, affinity, budget.
     req_fields = {f.name for f in fields(RequestDescriptor)}
     assert {"capability_class", "quality_target", "policy", "affinity_token", "budget"} <= req_fields

@@ -31,13 +31,12 @@ def mini_scenario_dict(**overrides):
         "catalog": {
             "classes": [
                 {
-                    "name": "chat", "task": "assistant", "quality": 1, "latency_us": 100_000,
+                    "name": "chat", "quality": 1,
                     "security": {"min_trust": 0},
-                    "resource": {"memory_bytes": 1 << 30, "storage_bytes": 1 << 30, "accelerator": "gpu", "load_time_us": 1_000_000},
                     "lineage": [["base", "distill"]],
                     "variants": [
                         {
-                            "variant_id": "chat-v1", "quality": 1, "latency_us": 80_000,
+                            "variant_id": "chat-v1", "quality": 1,
                             "realizations": [
                                 {
                                     "realization_id": "chat-v1-gpu", "accelerator": "gpu",
@@ -536,7 +535,7 @@ def test_replan_matches_exhaustive_oracle_on_shipped_scenario():
     cells = deployment.cells_from_requests(
         [a.request for a in arrivals], 20_000_000 - scenario.deployment.window_us, 20_000_000
     )
-    residency = {s.profile.node_id: set() for s in scenario.nodes}
+    residency = {p.node_id: set() for p in scenario.nodes}
     for rid, node in scenario.initial_placement:
         residency[node].add(rid)
     fresh = Simulation(scenario)  # clean broker for zero-queue pricing

@@ -124,13 +124,20 @@ def _add_request(request_id: str, session_id: str):
         ("session_heavy", _set("cache.storage_unit_cost", "-1"), "cache.storage_unit_cost"),
         # A negative demand window leaves every replan without demand.
         ("small_place", _set("deployment.window_us", -5), "deployment.window_us"),
+        ("session_heavy", _set("topology.nodes[0].max_concurrent", 0), "topology.nodes[0].max_concurrent"),
+        ("session_heavy", _set("topology.nodes[0].speed_factor", "-1"), "topology.nodes[0].speed_factor"),
+        ("session_heavy", _set("topology.nodes[0].memory_budget_bytes", -1), "topology.nodes[0].memory_budget_bytes"),
+        # A node that admits no reserved stage is never routed to.
+        ("session_heavy", _set("topology.nodes[0].admission_cap", 0), "topology.nodes[0].admission_cap"),
+        ("session_heavy", _set("topology.domains[0].min_trust", -1), "topology.domains[0].min_trust"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality",
         "policy_budget", "policy_weights", "policy_quality_target", "token_dist", "policy_min_trust",
         "token_value", "token_sigma", "policy_mix_empty", "negative_alpha", "negative_kappa", "negative_pi_soft",
         "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost", "negative_cache_window_us",
-        "negative_cache_storage_unit_cost", "negative_deployment_window_us",
+        "negative_cache_storage_unit_cost", "negative_deployment_window_us", "node_max_concurrent",
+        "node_speed_factor", "node_memory_budget_bytes", "node_admission_cap", "domain_min_trust_range",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
@@ -139,7 +146,9 @@ def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 1
-    assert f"{field}:" in capsys.readouterr().err
+    # The bad value is reported once, at its document key, and nothing else is.
+    paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+    assert paths == [field]
 
 
 def _with_request(path: str, value):
@@ -168,10 +177,11 @@ def _with_request(path: str, value):
         (_with_request("requests[0].degradable", "no"), "requests[0].degradable"),
         (_set("workload.regions[0].policy_mix[0].preferred_domains", [5]),
          "workload.regions[0].policy_mix[0].preferred_domains[0]"),
-        (_set("topology.nodes[0].runtimes", "std"), "topology.nodes[0].runtimes"),
+        (_set("topology.nodes[0].max_concurrent", "2"), "topology.nodes[0].max_concurrent"),
+        (lambda doc: doc["topology"]["nodes"][0].pop("node_id"), "topology.nodes[0].node_id"),
     ],
-    ids=["degradable", "locality_scope", "allowed_domains", "budget", "classes", "turns_g", "lineage", "data_class",
-         "request_degradable", "tenant", "runtimes"],
+    ids=["degradable", "locality_scope", "allowed_domains", "budget", "classes", "turns_g", "lineage",
+         "security_min_trust", "request_degradable", "preferred_domains", "node_max_concurrent", "node_id_missing"],
 )
 def test_validate_names_the_exact_path_of_a_mistyped_value(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
@@ -212,7 +222,7 @@ def test_node_speed_factor_parses_exactly():
     doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
     doc["topology"]["nodes"][0]["speed_factor"] = "3/2"
     scenario = Scenario.from_dict(doc)
-    assert scenario.nodes[0].profile.hardware.speed_factor == Fraction(3, 2)
+    assert scenario.nodes[0].hardware.speed_factor == Fraction(3, 2)
     assert scenario.validate() == []
 
 

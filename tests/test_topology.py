@@ -157,5 +157,5 @@ def test_removing_off_path_link_keeps_selection():
         if not spare:
             continue
         removed = spare[0]
-        thinner = make_topology([topo.nodes[n].profile for n in nodes], [l for l in links if l.link_id != removed.link_id])
+        thinner = make_topology([make_profile(n) for n in nodes], [l for l in links if l.link_id != removed.link_id])
         assert tuple(l.link_id for l in thinner.path(a, b)) == tuple(l.link_id for l in chosen)
