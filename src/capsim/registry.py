@@ -8,6 +8,19 @@ telemetry is read off the reservation calendar when it is reported.
 
 Candidate lookup returns warm and cold (placeable) candidates so routing can
 price activation instead of the registry hiding it.
+
+The broker keeps a small index so a lookup recomputes nothing that has not
+changed since the last one:
+- each node's used memory, the footprints of its resident realizations,
+  updated by ``install`` and ``evict`` (the only writers of residency), so
+  free memory is one subtraction;
+- the nodes in id order, fixed when each node registers;
+- per (class, quality target), the class's realizations at or above the
+  target that are not revoked, with each one's accelerator and footprint.
+  The catalog is fixed once the broker serves lookups; a revocation
+  invalidates every list, seen as a change of ``TrustManager.revocations``.
+Liveness, trust, residency flags (loading, draining) and the admission state
+change between lookups and are read afresh each time.
 """
 
 from __future__ import annotations
@@ -126,6 +139,7 @@ class NodeState:
     profile: ResourceProfile
     online: bool = True
     residency: dict[str, Residency] = field(default_factory=dict)
+    used_memory_bytes: int = 0  # footprints of every resident realization, kept by Broker
     reservations: list[Reservation] = field(default_factory=list)
     server_free_us: list[int] = field(default_factory=list)
 
@@ -185,6 +199,11 @@ class Broker:
         self.trust = trust
         self.nodes: dict[str, NodeState] = {}
         self._footprint: dict[str, int] = {}
+        self._by_id: list[NodeState] = []  # self.nodes in node-id order
+        # (class, quality target) -> (realization id, accelerator, footprint) of
+        # each qualifying, unrevoked realization, as of ``_revocations`` revocations.
+        self._qualifying: dict[tuple[str, int], tuple[tuple[str, str, int], ...]] = {}
+        self._revocations = 0
 
     # -- admission ---------------------------------------------------------
 
@@ -200,6 +219,7 @@ class Broker:
             )
         state = NodeState(profile=profile)
         self.nodes[profile.node_id] = state
+        self._by_id = [self.nodes[node_id] for node_id in sorted(self.nodes)]
         return state
 
     def node(self, node_id: str) -> NodeState:
@@ -221,17 +241,21 @@ class Broker:
         state = self.node(node_id)
         if realization_id in state.residency:
             return
-        if self.free_memory(node_id) < self.footprint(realization_id):
+        footprint = self.footprint(realization_id)
+        if self.free_memory(node_id) < footprint:
             raise MemoryError(f"node {node_id}: no room for {realization_id}")
         state.residency[realization_id] = Residency(realization_id, available_at_us)
+        state.used_memory_bytes += footprint
 
     def evict(self, node_id: str, realization_id: str) -> None:
-        self.node(node_id).residency.pop(realization_id, None)
+        state = self.node(node_id)
+        if state.residency.pop(realization_id, None) is not None:
+            state.used_memory_bytes -= self.footprint(realization_id)
 
     def free_memory(self, node_id: str) -> int:
         """Memory budget minus the footprints of every resident realization."""
         state = self.node(node_id)
-        return state.profile.capacity.memory_budget_bytes - sum(self.footprint(rid) for rid in state.residency)
+        return state.profile.capacity.memory_budget_bytes - state.used_memory_bytes
 
     # -- telemetry ---------------------------------------------------------
 
@@ -274,17 +298,11 @@ class Broker:
         fits in free memory; routing prices the activation. ``tiers``
         restricts cold placement targets (used by the cloud-only baseline).
         """
-        realizations = [
-            r
-            for r in self.catalog.realizations_of_class(capability_class)
-            if self.catalog.variant_of(r.realization_id).quality >= quality_target
-            and not (self.trust is not None and self.trust.is_revoked(r.realization_id))
-        ]
+        realizations = self._qualifying_realizations(capability_class, quality_target)
         if not realizations:
             return []
         out: list[Candidate] = []
-        for node_id in sorted(self.nodes):
-            state = self.nodes[node_id]
+        for state in self._by_id:
             if not state.online:
                 continue
             if not self._in_scope(state, policy, origin_region):
@@ -292,22 +310,36 @@ class Broker:
             # Trust levels are >= 0, so a floor of 0 passes every node.
             if policy.min_trust > 0 and self._effective_trust(state, now) < policy.min_trust:
                 continue
-            free = None  # summed at the first realization that would be placed cold
-            for realization in realizations:
-                if realization.accelerator != state.profile.hardware.accelerator:
+            node_id, profile, residency = state.node_id, state.profile, state.residency
+            accelerator = profile.hardware.accelerator
+            placeable = tiers is None or profile.locality.tier in tiers
+            free = profile.capacity.memory_budget_bytes - state.used_memory_bytes
+            for realization_id, needs, footprint in realizations:
+                if needs != accelerator:
                     continue
-                res = state.residency.get(realization.realization_id)
+                res = residency.get(realization_id)
                 if res is not None:
-                    if res.pending_eviction:
-                        continue
-                    if res.available_at_us <= now:
-                        out.append(Candidate(node_id, realization.realization_id, warm=True))
-                    # Still loading: neither warm nor re-placeable.
-                    continue
-                if tiers is not None and state.profile.locality.tier not in tiers:
-                    continue
-                if free is None:
-                    free = self.free_memory(node_id)
-                if free >= self.footprint(realization.realization_id):
-                    out.append(Candidate(node_id, realization.realization_id, warm=False))
+                    # Draining is never served; still loading is neither warm nor re-placeable.
+                    if not res.pending_eviction and res.available_at_us <= now:
+                        out.append(Candidate(node_id, realization_id, warm=True))
+                elif placeable and free >= footprint:
+                    out.append(Candidate(node_id, realization_id, warm=False))
         return out
+
+    def _qualifying_realizations(self, capability_class: str, quality_target: int) -> tuple[tuple[str, str, int], ...]:
+        """(realization id, accelerator, footprint) of the class's unrevoked
+        realizations at or above ``quality_target``, in id order; cached until
+        the next revocation."""
+        if self.trust is not None and self.trust.revocations != self._revocations:
+            self._qualifying.clear()
+            self._revocations = self.trust.revocations
+        key = (capability_class, quality_target)
+        found = self._qualifying.get(key)
+        if found is None:
+            found = self._qualifying[key] = tuple(
+                (r.realization_id, r.accelerator, self.footprint(r.realization_id))
+                for r in self.catalog.realizations_of_class(capability_class)
+                if self.catalog.variant_of(r.realization_id).quality >= quality_target
+                and not (self.trust is not None and self.trust.is_revoked(r.realization_id))
+            )
+        return found

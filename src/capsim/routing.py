@@ -18,16 +18,24 @@ the schedule of the winner only. ``score`` prices one given plan from the
 same halves.
 
 Weights are >= 0, so every term of J is too, and parts of a plan's
-numerator bound its J from below. A half's prefill side is bounded before its
-state is resolved: it assumes the most prompt tokens any online holder covers
-are reused for free and that nothing waits. ``select`` walks single-node
-plans and prefill halves in the order of their bounds, resolves a half's
-state only when its bound can still reach the tie window of the best
-within-budget plan seen so far, and stops a walk once the bound passes that
-window; for a split, the two halves' numerators bound it in turn. Since the
-window only shrinks, the skipped plans could neither win nor tie, and the
-outcome is the one full enumeration gives. An auditing router lists every
-plan, so it resolves every candidate and prices every plan.
+numerator bound its J from below. What never changes during a run is kept per
+(origin, candidate) in a static row: the routes to and from the node, set-up
+and cold activation, the realization and the node's speed. From a row alone,
+each side of a candidate gets an exact integer lower bound: transfer,
+execution with the most prompt tokens any online holder covers reused for
+free, and decode, leaving out the wait, the state charge and the load and
+policy penalties. ``select`` walks single-node plans, prefill sides and
+decode sides in the order of these bounds. It builds a candidate's half (its
+queue, load and policy reads) only when the static bound can still reach the
+tie window of the best within-budget plan seen so far, resolves the half's
+state only when the half's own bound can, and stops a walk once the bound
+passes that window. Since the window only shrinks, the skipped plans could
+neither win nor tie, and the outcome is the one full enumeration gives.
+
+A node at its admission cap is checked when its half is built and then
+dropped. ``now`` is fixed for the whole select, so this is the same as
+excluding the node before pricing. An auditing router lists every plan, so
+it never sets a cut: it builds every half and prices every plan.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from .descriptors import (
     Tier,
 )
 from .registry import Broker, Candidate, NodeState
-from .topology import Topology, Unreachable, region_vertex
+from .topology import Route, Topology, Unreachable, region_vertex
 from .trust import TrustManager
 
 TIE_EPS_NUM = 1
@@ -174,6 +182,28 @@ class Selection:
     alternatives: tuple[tuple[str, tuple[int, int, int, int, int, int]], ...]
 
 
+@dataclass(frozen=True, slots=True)
+class _Row:
+    """What pricing a candidate from one origin needs that no event changes
+    during a run. A route is None when its endpoints are not connected;
+    ``activation_us`` is None when the artifact cannot reach the node, so the
+    realization can only run there warm."""
+
+    node: NodeState
+    realization: CapabilityRealization
+    route_in: Route | None
+    route_out: Route | None
+    setup_us: int
+    activation_us: int | None  # cold load before a stage can run
+    speed: Fraction
+
+
+# A candidate's static bounds for one request: (t_in, t_out, decode time,
+# set-up plus activation, prefill-side bound, decode-side bound); a side's
+# entries are None when its route is missing.
+_Bounds = tuple[int | None, int | None, int, int, int | None, int | None]
+
+
 @dataclass(slots=True)
 class _Half:
     """One candidate's share of every plan it appears in, priced once per select.
@@ -183,19 +213,18 @@ class _Half:
     when the origin and the node are not connected in that direction.
     ``dec_num`` is the decode side's J numerator. The prefill side starts with
     ``pre_lb``, a lower bound on its numerator; ``Router._prefill`` resolves
-    its state reuse and sets the exact ``pre_num``. ``use``, ``activation``
-    and the core bytes are kept to project the winner's schedule.
+    its state reuse and sets the exact ``pre_num``. ``use`` and ``activation``
+    are kept to project the winner's schedule.
     """
 
-    cand: Candidate
-    variant_id: str
+    row: _Row
+    warm: bool
     free_us: int   # earliest server release: a stage ready at t waits max(0, free_us - t)
     kv_bytes: int  # handed to the decode node when this half prefills
     c_load: int
     p_policy: int
     activation: int  # cold load before the stage can run, 0 when warm
     t_in: int | None = None
-    core_in: int = 0
     pre_lb: int = 0
     use: StateUse | None = None
     wait: int = 0
@@ -204,7 +233,6 @@ class _Half:
     prefill_done_us: int = 0
     pre_num: int | None = None  # None until resolved
     t_out: int | None = None
-    core_out: int = 0
     decode_us: int = 0
     decode_exec: int = 0
     dec_num: int = 0
@@ -248,6 +276,10 @@ class Router:
         self.audit = audit  # selections carry every plan's (plan_id, terms)
         self._scale, self._mult = _weight_multipliers(self.weights)
         self._plans: dict[tuple[PlanStage, ...], ExecutionPlan] = {}
+        self._rows: dict[tuple[str, str, str], _Row] = {}
+        # Work counters: halves built, and session states resolved for a prefill.
+        self.halves_priced = 0
+        self.states_resolved = 0
 
     def plan(self, stages: tuple[PlanStage, ...]) -> ExecutionPlan:
         """The plan of ``stages``, hashed once per router."""
@@ -310,6 +342,7 @@ class Router:
         ``held`` memoizes the holders per realization for callers that
         resolve state for many candidates of one request at one instant.
         """
+        self.states_resolved += 1
         holders, most = self._holders(request, realization.realization_id, {} if held is None else held)
         if most <= 0:
             return None
@@ -382,17 +415,18 @@ class Router:
         """
         origin = region_vertex(request.origin_region)
         held: _Held = {}
-        halves = [
-            self._half(request, Candidate(s.node_id, s.realization_id, warm), origin, now, held, zero_queue)
-            for s, warm in zip(plan.stages, warm_flags)
-        ]
+        halves = []
+        for stage, warm in zip(plan.stages, warm_flags):
+            row = self._row(origin, stage.node_id, stage.realization_id)
+            bounds = self._bounds(request, row, warm, held, zero_queue)
+            halves.append(None if bounds is None else self._half(request, row, warm, bounds, now, zero_queue))
         if any(h is None for h in halves) or halves[0].t_in is None or halves[-1].t_out is None:
             raise Unreachable(f"plan {plan.plan_id}: a transfer it needs has no route")
         pre, dec = halves[0], (halves[1] if len(halves) == 2 else None)
         self._prefill(request, pre, now, held, zero_queue)
         t_inter = wait = 0
         if dec is not None:
-            t_inter, _ = self.topology.transfer_between(pre.cand.node_id, dec.cand.node_id, pre.kv_bytes)
+            t_inter, _ = self.topology.transfer_between(pre.row.node.node_id, dec.row.node.node_id, pre.kv_bytes)
             wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
         return self._scored(plan, request, now, pre, dec, t_inter, wait)
 
@@ -418,16 +452,17 @@ class Router:
             stages = (_projection(pre, PlanPhase.FULL, ready, start, complete),)
         else:
             last = dec
-            _, core_inter = self.topology.transfer_between(pre.cand.node_id, dec.cand.node_id, pre.kv_bytes)
+            _, core_inter = self.topology.transfer_between(pre.row.node.node_id, dec.row.node.node_id, pre.kv_bytes)
             dec_ready = pre.prefill_done_us + t_inter
             complete = dec_ready + wait + dec.decode_exec
             stages = (
                 _projection(pre, PlanPhase.PREFILL, ready, start, pre.prefill_done_us),
                 _projection(dec, PlanPhase.DECODE, dec_ready, dec_ready + wait, complete),
             )
-        speed = self.broker.node(last.cand.node_id).profile.hardware.speed_factor
-        per_token = self.broker.catalog.realizations[last.cand.realization_id].decode_time_per_token_us
+        per_token = last.row.realization.decode_time_per_token_us
         terms = self._terms_of(pre, dec, t_inter, wait)
+        core_in = pre.row.route_in.core_bytes(request.input_tokens * self.bytes_per_token)
+        core_out = last.row.route_out.core_bytes(request.output_tokens * self.bytes_per_token)
         return ScoredPlan(
             plan=plan,
             cost=PlanCost(*terms, total=Fraction(_numerator(self._mult, terms), self._scale)),
@@ -436,98 +471,122 @@ class Router:
             interstage_net_us=t_inter,
             outbound_net_us=last.t_out,
             finish_us=complete + last.t_out,
-            first_token_us=complete - last.decode_us + self._eff_time_us(per_token, 1, speed),
+            first_token_us=complete - last.decode_us + self._eff_time_us(per_token, 1, last.row.speed),
             decode_total_us=last.decode_us,
             state_use=use,
-            core_bytes=pre.core_in + core_inter + last.core_out + (use.core_bytes if use is not None else 0),
+            core_bytes=core_in + core_inter + core_out + (use.core_bytes if use is not None else 0),
             uncovered_prefill_tokens=max(0, request.input_tokens - (use.covered_tokens if use is not None else 0)),
         )
 
     # -- selection ----------------------------------------------------------------
 
-    def _candidates(self, request: RequestDescriptor, quality: int, now: int) -> list[Candidate]:
-        """Qualifying candidates on nodes below their admission cap."""
-        candidates = self.broker.lookup_candidates(
-            request.capability_class,
-            quality,
-            request.policy,
-            origin_region=request.origin_region,
-            now=now,
-            tiers=self.placement_tiers,
-        )
-        capped: dict[str, bool] = {}
-        for node_id in dict.fromkeys(cand.node_id for cand in candidates):
-            state = self.broker.node(node_id)
-            capped[node_id] = state.queue_length(now) >= state.profile.capacity.admission_cap
-        return [cand for cand in candidates if not capped[cand.node_id]]
+    def _route(self, src: str, dst: str) -> Route | None:
+        try:
+            return self.topology.route(src, dst)
+        except Unreachable:
+            return None
+
+    def _row(self, origin: str, node_id: str, realization_id: str) -> _Row:
+        """The static row of candidate ``(node_id, realization_id)`` priced
+        from ``origin``, built once per router."""
+        key = (origin, node_id, realization_id)
+        row = self._rows.get(key)
+        if row is None:
+            node = self.broker.node(node_id)
+            realization = self.broker.catalog.realizations[realization_id]
+            try:
+                activation, _ = self._cold_extras_us(node_id, realization)
+            except Unreachable:
+                activation = None
+            row = self._rows[key] = _Row(
+                node,
+                realization,
+                route_in=self._route(origin, node_id),
+                route_out=self._route(node_id, origin),
+                setup_us=realization.setup_time_us,
+                activation_us=activation,
+                speed=node.profile.hardware.speed_factor,
+            )
+        return row
+
+    def _bounds(
+        self, request: RequestDescriptor, row: _Row, warm: bool, held: _Held, zero_queue: bool = False
+    ) -> _Bounds | None:
+        """Static lower bounds on the J numerators of a candidate's two sides.
+
+        Each side charges its transfer and its execution: set-up, the
+        activation when cold, and for the prefill side the prompt tokens no
+        online holder covers (every token when ``zero_queue``), for the decode
+        side the decode. The wait, the state charge and the load and policy
+        penalties are >= 0 and left out. None when the candidate can take no
+        stage: it has no route either way, or it is cold and its artifact
+        cannot reach the node.
+        """
+        if warm:
+            base = row.setup_us
+        elif row.activation_us is None:
+            return None
+        else:
+            base = row.setup_us + row.activation_us
+        m_net, m_exec = self._mult[0], self._mult[2]
+        realization = row.realization
+        t_in = t_out = pre = dec = None
+        decode_us = 0
+        if row.route_in is not None:
+            t_in = row.route_in.time_us(request.input_tokens * self.bytes_per_token)
+            most = 0 if zero_queue else self._holders(request, realization.realization_id, held)[1]
+            uncovered = self._eff_time_us(realization.prefill_time_per_token_us, request.input_tokens - most, row.speed)
+            pre = m_net * t_in + m_exec * (base + uncovered)
+        if row.route_out is not None:
+            t_out = row.route_out.time_us(request.output_tokens * self.bytes_per_token)
+            decode_us = self._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, row.speed)
+            dec = m_net * t_out + m_exec * (base + decode_us)
+        elif t_in is None:
+            return None
+        return t_in, t_out, decode_us, base, pre, dec
 
     def _half(
         self,
         request: RequestDescriptor,
-        cand: Candidate,
-        origin: str,
+        row: _Row,
+        warm: bool,
+        bounds: _Bounds,
         now: int,
-        held: _Held,
         zero_queue: bool = False,
-    ) -> _Half | None:
-        """Price ``cand`` as a stage half, all but its prefill's state reuse.
+    ) -> _Half:
+        """Price a candidate as a stage half, all but its prefill's state reuse.
 
-        The decode side is exact. The prefill side gets ``pre_lb``: it charges
-        the prompt tokens no online holder covers, and leaves out the wait and
-        the state charge, which are >= 0. ``zero_queue`` prices the half on an
-        idle server with no load or policy penalty and no state reuse.
+        The decode side is exact: its static bound plus the load and policy
+        penalties. The prefill side gets ``pre_lb``, its static bound plus the
+        same penalties. ``zero_queue`` prices the half on an idle server with
+        no load or policy penalty.
         """
-        node = self.broker.node(cand.node_id)
-        realization = self.broker.catalog.realizations[cand.realization_id]
-        try:
-            t_in, core_in = self.topology.transfer_between(origin, cand.node_id, request.input_tokens * self.bytes_per_token)
-        except Unreachable:
-            t_in = None
-        try:
-            t_out, core_out = self.topology.transfer_between(cand.node_id, origin, request.output_tokens * self.bytes_per_token)
-        except Unreachable:
-            t_out = None
-        if t_in is None and t_out is None:
-            return None
-        activation = 0
-        if not cand.warm:
-            try:
-                activation, _ = self._cold_extras_us(cand.node_id, realization)
-            except Unreachable:
-                return None  # the artifact cannot reach the node: no plan may place it
-        base_exec = realization.setup_time_us + activation
-        m_net, _, m_exec, _, m_load, m_policy = self._mult
+        self.halves_priced += 1
+        t_in, t_out, decode_us, base, pre, dec = bounds
+        node = row.node
         pi_soft = 0 if zero_queue else self.weights.pi_soft
         half = _Half(
-            cand,
-            realization.variant_id,
+            row,
+            warm,
             free_us=0 if zero_queue else node.server_free_us[0],  # 0: idle since before any ready time
-            kv_bytes=request.input_tokens * realization.kv_bytes_per_token,
+            kv_bytes=request.input_tokens * row.realization.kv_bytes_per_token,
             c_load=0 if zero_queue else self._c_load_for(node, now),
-            p_policy=pi_soft * self._soft_misses(request, node, realization, now) if pi_soft else 0,
-            activation=activation,
+            p_policy=pi_soft * self._soft_misses(request, node, row.realization, now) if pi_soft else 0,
+            activation=0 if warm else row.activation_us,
         )
-        penalty = m_load * half.c_load + m_policy * half.p_policy
-        speed = node.profile.hardware.speed_factor
+        penalty = self._mult[4] * half.c_load + self._mult[5] * half.p_policy
         if t_in is not None:
-            most = 0 if zero_queue else self._holders(request, cand.realization_id, held)[1]
-            half.t_in, half.core_in = t_in, core_in
-            uncovered = self._eff_time_us(realization.prefill_time_per_token_us, request.input_tokens - most, speed)
-            half.pre_lb = m_net * t_in + m_exec * (base_exec + uncovered) + penalty
+            half.t_in, half.pre_lb = t_in, pre + penalty
         if t_out is not None:
-            half.t_out, half.core_out = t_out, core_out
-            half.decode_us = self._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
-            half.decode_exec = base_exec + half.decode_us
-            half.dec_num = m_net * t_out + m_exec * half.decode_exec + penalty
+            half.t_out, half.decode_us, half.decode_exec, half.dec_num = t_out, decode_us, base + decode_us, dec + penalty
         return half
 
     def _prefill(
         self, request: RequestDescriptor, half: _Half, now: int, held: _Held, zero_queue: bool = False
     ) -> None:
         """Resolve ``half``'s prefill side: state reuse, wait, execution and ``pre_num``."""
-        node = self.broker.node(half.cand.node_id)
-        realization = self.broker.catalog.realizations[half.cand.realization_id]
-        use = None if zero_queue else self._resolve_state(request, node, realization, held)
+        realization = half.row.realization
+        use = None if zero_queue else self._resolve_state(request, half.row.node, realization, held)
         covered = use.covered_tokens if use else 0
         t_state = use.transfer_us if use else 0
         migrate_wait = t_state if (use and use.migrate) else 0
@@ -535,7 +594,7 @@ class Router:
         half.use = use
         half.wait = max(0, half.free_us - ready)
         half.prefill_exec = realization.setup_time_us + half.activation + self._eff_time_us(
-            realization.prefill_time_per_token_us, request.input_tokens - covered, node.profile.hardware.speed_factor
+            realization.prefill_time_per_token_us, request.input_tokens - covered, half.row.speed
         )
         half.t_state = t_state
         # Recomputing covered tokens occupies the server after the prefill.
@@ -564,24 +623,48 @@ class Router:
     ) -> list[_Priced]:
         """The single-node and prefill/decode plans over ``candidates`` with a
         route for each transfer they need, with their J numerators, less the
-        plans that cannot reach the tie window.
+        plans that cannot reach the tie window and those on a node at its
+        admission cap.
 
-        Each term of J is >= 0, so a single-node plan's numerator is bounded
-        from below by its half's ``pre_lb`` plus the decode side, and a split's
-        by ``pre_lb + dec_num`` and, once the prefill half is resolved, by
-        ``pre_num + dec_num`` (both leave out the KV transfer and the decode
-        wait). Single-node plans and prefill halves are walked in the order of
-        their bounds and decode halves in ``dec_num`` order; a half's state is
-        resolved only when a bound lets it through, and a walk stops once the
-        bound exceeds the cut of the smallest numerator within ``limit`` seen
-        so far. That cut only shrinks, so a skipped plan is neither the
-        within-budget best nor inside the final window; while no plan within
-        budget is known nothing is skipped, so the budget outcome is unchanged.
-        An auditing router lists every plan, so it never skips one.
+        Each term of J is >= 0. A single-node plan's numerator is bounded from
+        below by its static prefill and decode bounds (``_bounds``), then, once
+        its half is built, by the half's ``pre_lb`` plus the decode side's
+        transfer and decode time. A split is bounded by its static prefill and
+        least static decode bounds, then by the built halves' ``pre_lb`` or
+        ``pre_num`` plus ``dec_num`` (all leave out the KV transfer and the
+        decode wait). Single-node plans, prefill sides and each variant's
+        decode sides are walked in the order of their static bounds. A half is
+        built, and its node's admission cap checked, only when a static bound
+        lets it through, and its state is resolved only when the built half's
+        bound does; a walk stops once the static bound exceeds the cut of the
+        smallest numerator within ``limit`` seen so far. That cut only
+        shrinks, so a skipped plan is neither the within-budget best nor
+        inside the final window; while no plan within budget is known nothing
+        is skipped, so the budget outcome is unchanged. An auditing router
+        lists every plan, so it never sets a cut.
         """
         origin = region_vertex(request.origin_region)
         held: _Held = {}  # state holders per realization, this instant
-        halves = [h for h in (self._half(request, c, origin, now, held) for c in candidates) if h is not None]
+        rows: list[_Row] = []
+        warm: list[bool] = []
+        bounds: list[_Bounds] = []
+        for cand in candidates:
+            row = self._row(origin, cand.node_id, cand.realization_id)
+            b = self._bounds(request, row, cand.warm, held)
+            if b is not None:
+                rows.append(row)
+                warm.append(cand.warm)
+                bounds.append(b)
+        built: dict[int, _Half | None] = {}
+
+        def half(i: int) -> _Half | None:
+            """Candidate i's half, built on first use; None on a node at its admission cap."""
+            if i not in built:
+                node = rows[i].node
+                capped = node.queue_length(now) >= node.profile.capacity.admission_cap
+                built[i] = None if capped else self._half(request, rows[i], warm[i], bounds[i], now)
+            return built[i]
+
         m_net, m_queue, m_exec = self._mult[:3]
         plans: list[_Priced] = []
         # The smallest within-budget numerator so far and its tie cut; unset while auditing.
@@ -595,36 +678,49 @@ class Router:
                 best, cut = num, self._tie_cut(num)
 
         # A single-node plan is its half's prefill side plus the decode side's
-        # transfer and decode time; the set-up and penalties count once.
-        singles = [
-            (m_net * h.t_out + m_exec * h.decode_us, h) for h in halves if h.t_in is not None and h.t_out is not None
-        ]
-        for tail, h in sorted(singles, key=lambda s: s[1].pre_lb + s[0]):
-            if cut is not None and h.pre_lb + tail > cut:
+        # transfer and decode time (``tail``); the set-up and penalties count once.
+        singles = sorted(
+            (pre + dec - m_exec * base, i)
+            for i, (_, _, _, base, pre, dec) in enumerate(bounds)
+            if pre is not None and dec is not None
+        )
+        for bound, i in singles:
+            if cut is not None and bound > cut:
                 break
+            h = half(i)
+            if h is None:
+                continue
+            tail = bound - bounds[i][4]
+            if cut is not None and h.pre_lb + tail > cut:
+                continue
             self._prefill(request, h, now, held)
             keep((h.pre_num + tail, h, None, 0, 0))
         if not self.enable_split:
             return plans
-        decoders: dict[str, list[_Half]] = {}
-        for h in sorted(halves, key=lambda h: h.dec_num):
-            if h.t_out is not None:
-                decoders.setdefault(h.variant_id, []).append(h)
-        least_dec = min((d[0].dec_num for d in decoders.values()), default=0)
+        decoders: dict[str, list[tuple[int, int]]] = {}
+        for dec, j in sorted((b[5], j) for j, b in enumerate(bounds) if b[5] is not None):
+            decoders.setdefault(rows[j].realization.variant_id, []).append((dec, j))
+        least_dec = min((d[0][0] for d in decoders.values()), default=0)
         transfer = self.topology.transfer_between
-        for pre in sorted((h for h in halves if h.t_in is not None), key=lambda h: h.pre_lb):
-            if cut is not None and pre.pre_lb + least_dec > cut:
+        for bound, i in sorted((b[4], i) for i, b in enumerate(bounds) if b[4] is not None):
+            if cut is not None and bound + least_dec > cut:
                 break
+            pre = half(i)
+            if pre is None or (cut is not None and pre.pre_lb + least_dec > cut):
+                continue
             if pre.pre_num is None:
                 self._prefill(request, pre, now, held)
-            pre_node = pre.cand.node_id
-            for dec in decoders.get(pre.variant_id, ()):
-                if cut is not None and pre.pre_num + dec.dec_num > cut:
+            pre_node = rows[i].node
+            for dec_bound, j in decoders.get(rows[i].realization.variant_id, ()):
+                if cut is not None and pre.pre_num + dec_bound > cut:
                     break
-                if dec.cand.node_id == pre_node:
+                if rows[j].node is pre_node:
+                    continue
+                dec = half(j)
+                if dec is None or (cut is not None and pre.pre_num + dec.dec_num > cut):
                     continue
                 try:
-                    t_inter, _ = transfer(pre_node, dec.cand.node_id, pre.kv_bytes)
+                    t_inter, _ = transfer(pre_node.node_id, rows[j].node.node_id, pre.kv_bytes)
                 except Unreachable:
                     continue
                 wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
@@ -633,13 +729,8 @@ class Router:
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
         if dec is None:
-            return self.plan((PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.FULL),))
-        return self.plan(
-            (
-                PlanStage(pre.cand.node_id, pre.cand.realization_id, PlanPhase.PREFILL),
-                PlanStage(dec.cand.node_id, dec.cand.realization_id, PlanPhase.DECODE),
-            )
-        )
+            return self.plan((_stage(pre, PlanPhase.FULL),))
+        return self.plan((_stage(pre, PlanPhase.PREFILL), _stage(dec, PlanPhase.DECODE)))
 
     @staticmethod
     def _terms_of(pre: _Half, dec: _Half | None, t_inter: int, wait: int) -> tuple[int, int, int, int, int, int]:
@@ -657,10 +748,10 @@ class Router:
     def select(self, request: RequestDescriptor, now: int) -> Selection | Rejection:
         """Argmin-J selection with the overload/degradation ladder.
 
-        Ladder: admission-capped nodes are excluded first; an empty plan set
-        retries at quality_target - 1 while the request is degradable; plans
-        existing only above budget reject as BudgetExceeded, none at all as
-        NoFeasiblePlan.
+        Ladder: nodes at their admission cap are dropped as their halves are
+        built; an empty plan set retries at quality_target - 1 while the
+        request is degradable; plans existing only above budget reject as
+        BudgetExceeded, none at all as NoFeasiblePlan.
 
         Plans are compared on integer J numerators; the plan_id tie-break
         hashes only the plans inside the tie window, and only the winner's
@@ -670,7 +761,14 @@ class Router:
         saw_budget_only = False
         limit = None if request.budget is None else request.budget * self._scale
         while quality >= 1:
-            candidates = self._candidates(request, quality, now)
+            candidates = self.broker.lookup_candidates(
+                request.capability_class,
+                quality,
+                request.policy,
+                origin_region=request.origin_region,
+                now=now,
+                tiers=self.placement_tiers,
+            )
             plans = self._price_plans(request, candidates, now, limit)
             within = plans if limit is None else [p for p in plans if p[0] <= limit]
             if within:
@@ -702,16 +800,19 @@ class Router:
         )
 
 
+def _stage(half: _Half, phase: PlanPhase) -> PlanStage:
+    return PlanStage(half.row.node.node_id, half.row.realization.realization_id, phase)
+
+
 def _projection(half: _Half, phase: PlanPhase, ready: int, start: int, complete: int) -> StageProjection:
-    cand = half.cand
     return StageProjection(
-        node_id=cand.node_id,
-        realization_id=cand.realization_id,
+        node_id=half.row.node.node_id,
+        realization_id=half.row.realization.realization_id,
         phase=phase,
         ready_us=ready,
         start_us=start,
         complete_us=complete,
         duration_us=complete - start,
-        cold=not cand.warm,
+        cold=not half.warm,
         warm_available_at_us=start + half.activation,
     )

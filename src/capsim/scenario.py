@@ -173,8 +173,12 @@ class Scenario:
                 if getattr(weights, f.name) < 0:
                     errors.append(f"weights.{_KEYS.get((type(weights), f.name), f.name)}: must be >= 0")
 
-        domains = {d.domain_id: d for d in self.domains}
+        domains: dict[str, Domain] = {}
         for i, domain in enumerate(self.domains):
+            if domain.domain_id in domains:
+                errors.append(f"topology.domains[{i}].domain_id: duplicate {domain.domain_id}")
+            else:
+                domains[domain.domain_id] = domain
             if not TRUST_MIN <= domain.min_trust <= TRUST_MAX:
                 errors.append(f"topology.domains[{i}].min_trust: must be in [{TRUST_MIN}, {TRUST_MAX}]")
         node_ids = set()

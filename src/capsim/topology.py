@@ -18,10 +18,6 @@ class Unreachable(Exception):
     """No path exists between the requested endpoints."""
 
 
-# Route-cache entry for a pair with no path between them.
-_NO_ROUTE = (-1, 0, 0, 0)
-
-
 def region_vertex(region_id: str) -> str:
     return f"region:{region_id}"
 
@@ -34,6 +30,34 @@ class Link:
     propagation_delay_us: int = 0
     bandwidth_bytes_per_us: Fraction = Fraction(1)
     is_core: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class Route:
+    """The fixed transfer parameters of one path: propagation delay, the
+    bottleneck bandwidth ``bw_num / bw_den`` bytes per µs, and the number of
+    core (wide-area) links. ``bw_den == 0`` marks the empty path between a
+    vertex and itself, which costs nothing."""
+
+    delay_us: int
+    bw_num: int
+    bw_den: int
+    core_links: int
+
+    def time_us(self, payload_bytes: int) -> int:
+        """Propagation plus serialization at the bottleneck link, rounded up."""
+        if not payload_bytes or not self.bw_den:
+            return self.delay_us
+        return self.delay_us - (-payload_bytes * self.bw_den // self.bw_num)
+
+    def core_bytes(self, payload_bytes: int) -> int:
+        """The payload counted once per core link on the path."""
+        return payload_bytes * self.core_links
+
+
+_EMPTY_ROUTE = Route(0, 1, 0, 0)
+# Route-cache entry for a pair with no path between them.
+_NO_ROUTE = Route(-1, 0, 0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +89,7 @@ class Topology:
         for peers in self._adjacency.values():
             peers.sort(key=lambda l: l.link_id)
         self._path_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
-        self._route_cache: dict[tuple[str, str], tuple[int, int, int, int]] = {}
+        self._route_cache: dict[tuple[str, str], Route] = {}
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
         """Minimum-propagation-delay link sequence from src to dst.
@@ -110,29 +134,30 @@ class Topology:
     def path_delay_us(self, path: tuple[Link, ...]) -> int:
         return sum(link.propagation_delay_us for link in path)
 
-    def _route_info(self, src: str, dst: str) -> tuple[int, int, int, int]:
-        """(delay_us, bottleneck numerator, bottleneck denominator, core link count).
+    def route(self, src: str, dst: str) -> Route:
+        """The transfer parameters of the path from src to dst.
 
         Raises Unreachable when the endpoints are not connected; a pair is
         searched at most once, whether or not it is connected.
         """
-        info = self._route_cache.get((src, dst))
-        if info is None:
+        route = self._route_cache.get((src, dst))
+        if route is None:
             try:
                 path = self.path(src, dst)
             except Unreachable:
                 self._route_cache[(src, dst)] = _NO_ROUTE
                 raise
-            delay = self.path_delay_us(path)
             if path:
                 bottleneck = min(link.bandwidth_bytes_per_us for link in path)
-                info = (delay, bottleneck.numerator, bottleneck.denominator, sum(1 for l in path if l.is_core))
+                route = Route(
+                    self.path_delay_us(path), bottleneck.numerator, bottleneck.denominator, sum(1 for l in path if l.is_core)
+                )
             else:
-                info = (0, 1, 0, 0)  # denominator 0 marks the empty path
-            self._route_cache[(src, dst)] = info
-        if info is _NO_ROUTE:
+                route = _EMPTY_ROUTE
+            self._route_cache[(src, dst)] = route
+        if route is _NO_ROUTE:
             raise Unreachable(f"no path from {src!r} to {dst!r}")
-        return info
+        return route
 
     def transfer_between(self, src: str, dst: str, payload_bytes: int) -> tuple[int, int]:
         """(transfer_time_us, core_bytes) for a payload sent from src to dst.
@@ -141,11 +166,8 @@ class Topology:
         bottleneck link, rounded up; the same endpoint costs nothing. Core
         bytes count the payload once per wide-area link on the path.
         """
-        delay, bw_num, bw_den, core_links = self._route_info(src, dst)
-        if bw_den == 0:
-            return 0, 0
-        serialization = -(-payload_bytes * bw_den // bw_num) if payload_bytes else 0
-        return delay + serialization, payload_bytes * core_links
+        route = self.route(src, dst)
+        return route.time_us(payload_bytes), route.core_bytes(payload_bytes)
 
 
 def _path_key(path: tuple[Link, ...]) -> tuple[int, tuple[str, ...]]:

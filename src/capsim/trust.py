@@ -60,6 +60,7 @@ class TrustManager:
     def __init__(self) -> None:
         self._attestations: dict[str, list[AttestationRecord]] = {}
         self._lineage: dict[str, LineageRecord] = {}
+        self.revocations = 0  # bumped by every revoke; readers that cache lineage state compare it
 
     def register_lineage(self, realization_id: str, lineage: tuple[tuple[str, str], ...]) -> None:
         digests = tuple(
@@ -92,6 +93,7 @@ class TrustManager:
         if rec is None:
             raise UnknownRealization(realization_id)
         rec.revoked = True
+        self.revocations += 1
         return rec
 
     def verdict(

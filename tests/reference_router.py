@@ -202,20 +202,35 @@ def score_enumerated(
     return scored
 
 
-def feasible_plans(router: Router, request: RequestDescriptor, now: int) -> list[ScoredPlan]:
-    """The feasible plan set: quality/policy-filtered, budget-filtered, scored.
-
-    Admission caps are not applied.
-    """
-    candidates = router.broker.lookup_candidates(
+def lookup(router: Router, request: RequestDescriptor, quality: int, now: int) -> list[Candidate]:
+    """The broker's qualifying candidates for ``request`` at ``quality``."""
+    return router.broker.lookup_candidates(
         request.capability_class,
-        request.quality_target,
+        quality,
         request.policy,
         origin_region=request.origin_region,
         now=now,
         tiers=router.placement_tiers,
     )
-    scored = score_enumerated(router, request, candidates, now)
+
+
+def admitted_candidates(router: Router, request: RequestDescriptor, quality: int, now: int) -> list[Candidate]:
+    """The qualifying candidates on nodes below their admission cap: the set
+    a selection at ``now`` may place stages on."""
+    admitted = []
+    for cand in lookup(router, request, quality, now):
+        node = router.broker.node(cand.node_id)
+        if node.queue_length(now) < node.profile.capacity.admission_cap:
+            admitted.append(cand)
+    return admitted
+
+
+def feasible_plans(router: Router, request: RequestDescriptor, now: int) -> list[ScoredPlan]:
+    """The feasible plan set: quality/policy-filtered, budget-filtered, scored.
+
+    Admission caps are not applied.
+    """
+    scored = score_enumerated(router, request, lookup(router, request, request.quality_target, now), now)
     if request.budget is not None:
         scored = [s for s in scored if s.cost.total <= request.budget]
     return scored

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capsim.descriptors import LocalityScope, PolicyConstraint, Tier
 from capsim.registry import (
@@ -97,7 +98,14 @@ def candidate_broker():
     return broker
 
 
-def brute_force_candidates(broker, capability_class, quality_target, policy, origin_region, now=0):
+def recomputed_free_memory(broker, node_id):
+    """The node's memory budget less every resident footprint, summed afresh."""
+    state = broker.node(node_id)
+    resident = sum(broker.catalog.realizations[rid].artifact_size_bytes for rid in state.residency)
+    return state.profile.capacity.memory_budget_bytes - resident
+
+
+def brute_force_candidates(broker, capability_class, quality_target, policy, origin_region, now=0, tiers=None):
     out = set()
     for node_id, state in broker.nodes.items():
         if not state.online:
@@ -117,11 +125,15 @@ def brute_force_candidates(broker, capability_class, quality_target, policy, ori
             variant = broker.catalog.variant_of(rid)
             if variant.parent_class != capability_class or variant.quality < quality_target:
                 continue
-            if realization.accelerator != profile.hardware.accelerator:
+            if broker.trust.is_revoked(rid) or realization.accelerator != profile.hardware.accelerator:
                 continue
-            if rid in state.residency:
-                out.add((node_id, rid, True))
-            elif broker.free_memory(node_id) >= realization.artifact_size_bytes:
+            res = state.residency.get(rid)
+            if res is not None:
+                if not res.pending_eviction and res.available_at_us <= now:
+                    out.add((node_id, rid, True))
+            elif (tiers is None or profile.locality.tier in tiers) and (
+                recomputed_free_memory(broker, node_id) >= realization.artifact_size_bytes
+            ):
                 out.add((node_id, rid, False))
     return out
 
@@ -252,3 +264,50 @@ def test_catalog_referential_integrity_after_interleavings():
                 add(item)
         assert all(v.parent_class in catalog.classes for v in catalog.variants.values())
         assert all(r.variant_id in catalog.variants for r in catalog.realizations.values())
+
+
+BROKER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["install", "evict", "advance", "drain", "revoke", "toggle"]),
+        st.sampled_from(["edge-1", "edge-2", "cloud-1"]),
+        st.sampled_from(["chat-v1-gpu", "chat-v2-gpu"]),
+        st.integers(0, 3000),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(BROKER_OPS)
+def test_candidate_index_matches_recompute_under_interleaved_churn(ops):
+    broker = candidate_broker()
+    for rid in broker.catalog.realizations:
+        broker.trust.register_lineage(rid, (("base", rid),))
+    now = 0
+    for op, node_id, rid, amount in ops:
+        state = broker.node(node_id)
+        if op == "install":  # a load finishing ``amount`` µs from now
+            if rid not in state.residency and recomputed_free_memory(broker, node_id) < broker.footprint(rid):
+                with pytest.raises(MemoryError):
+                    broker.install(node_id, rid, now + amount)
+            else:
+                broker.install(node_id, rid, now + amount)
+        elif op == "evict":
+            broker.evict(node_id, rid)
+        elif op == "advance":  # loads due by then complete
+            now += amount
+        elif op == "drain":
+            if rid in state.residency:
+                state.residency[rid].pending_eviction = not state.residency[rid].pending_eviction
+        elif op == "revoke":
+            broker.trust.revoke(rid)
+        else:
+            state.online = not state.online
+        for n in broker.nodes:
+            assert broker.free_memory(n) == recomputed_free_memory(broker, n)
+        for quality_target in (1, 2):
+            for tiers in (None, {Tier.EDGE}):
+                got = broker.lookup_candidates("chat", quality_target, PolicyConstraint(), "metro", now=now, tiers=tiers)
+                want = brute_force_candidates(broker, "chat", quality_target, PolicyConstraint(), "metro", now, tiers)
+                # Node-id order, then realization-id order.
+                assert [(c.node_id, c.realization_id, c.warm) for c in got] == sorted(want)

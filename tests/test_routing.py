@@ -37,10 +37,12 @@ from conftest import (
     star_links,
 )
 from reference_router import (
+    admitted_candidates,
     argmin,
     checked_select,
     combine_terms,
     feasible_plans,
+    lookup,
     plans_from_candidates,
     scaled_weights,
     score,
@@ -458,14 +460,18 @@ def router_states(draw):
                 load_time=draw(st.integers(0, 50_000)),
             )
         )
+    # A node that would often win, as a single-node plan or a decode half, but
+    # is at its admission cap: the fastest speed, chat-v1-gpu warm, and a
+    # queue of tiny stages that barely delay a new one.
+    capped = draw(st.sampled_from([None, None, *NODES]))
     profiles = [
         make_profile(
             node_id,
             domain_id="d-core" if node_id == "cloud-1" else "d1",
             region="core" if node_id == "cloud-1" else "metro",
             tier=Tier.CLOUD if node_id == "cloud-1" else Tier.EDGE,
-            speed=draw(st.sampled_from(["1", "3/2", "4"])),
-            memory=draw(st.sampled_from([GIB, 8 * GIB, 8 * GIB])),
+            speed="4" if node_id == capped else draw(st.sampled_from(["1", "3/2", "4"])),
+            memory=8 * GIB if node_id == capped else draw(st.sampled_from([GIB, 8 * GIB, 8 * GIB])),
             max_concurrent=draw(st.integers(1, 3)),
             admission_cap=draw(st.integers(1, 6)),
             trust=draw(st.integers(1, 3)),
@@ -488,6 +494,8 @@ def router_states(draw):
     for node_id in NODES:
         for rid, _ in REALIZATIONS:
             residency = draw(st.sampled_from(["cold", "warm", "warm", "loading", "draining"]))
+            if node_id == capped and rid == "chat-v1-gpu":
+                residency = "warm"
             if residency == "cold" or broker.free_memory(node_id) < broker.footprint(rid):
                 continue
             broker.install(node_id, rid, now + 1 if residency == "loading" else 0)
@@ -496,6 +504,8 @@ def router_states(draw):
             broker.node(node_id).reserve(
                 "chat-v1-gpu", ready_us=draw(st.integers(0, 40_000)), duration_us=draw(st.integers(1, 30_000))
             )
+    if capped is not None:
+        fill_admission_queue(broker.node(capped), now)
 
     weights = RoutingWeights(
         alpha=draw(WEIGHT_VALUES),
@@ -558,6 +568,13 @@ def router_states(draw):
     return router, request, now
 
 
+def fill_admission_queue(node, now):
+    """Reserve stages of 1 µs, each starting after ``now``, until ``node`` is
+    at its admission cap."""
+    while node.queue_length(now) < node.profile.capacity.admission_cap:
+        node.reserve("chat-v1-gpu", ready_us=now + 1, duration_us=1)
+
+
 def scored_or_unreachable(score_plan, *args):
     try:
         return score_plan(*args)
@@ -570,7 +587,7 @@ def exhaustive_select(router, request, now):
     quality = request.quality_target
     saw_budget_only = False
     while quality >= 1:
-        candidates = router._candidates(request, quality, now)
+        candidates = admitted_candidates(router, request, quality, now)
         scored = score_enumerated(router, request, candidates, now)
         within = [s for s in scored if request.budget is None or s.cost.total <= request.budget]
         if within:
@@ -583,7 +600,7 @@ def exhaustive_select(router, request, now):
     return REASON_BUDGET_EXCEEDED if saw_budget_only else REASON_NO_FEASIBLE_PLAN
 
 
-def edge_router(edges, audit=False, tie_eps=Fraction(1, 10**9), setup=1000, kv_bytes=256):
+def edge_router(edges, audit=False, tie_eps=Fraction(1, 10**9), setup=1000, kv_bytes=256, weights=None):
     """A split-enabled router over warm edges, given as (speed, gateway delay)
     pairs, behind one metro gateway and all serving one realization."""
     catalog = CapabilityCatalog()
@@ -598,7 +615,7 @@ def edge_router(edges, audit=False, tie_eps=Fraction(1, 10**9), setup=1000, kv_b
     for p in profiles:
         broker.register_node(p)
         broker.install(p.node_id, "chat-v1-gpu", 0)
-    return make_router(broker, weights=RoutingWeights(tie_eps=tie_eps), audit=audit)
+    return make_router(broker, weights=weights or RoutingWeights(tie_eps=tie_eps), audit=audit)
 
 
 def held_prefix_state():
@@ -627,16 +644,28 @@ def held_prefix_state():
     return router, request, 0
 
 
+def loaded_tie_state():
+    """Three equal edges 0, 10 and 20 µs from the gateway. edge-2 runs a long
+    stage on one of its two servers: it waits for nothing, but its load
+    penalty puts it outside the 1/50 tie window that edge-3 is still inside,
+    and the tie-break picks edge-3. By static bounds, edge-2 comes first."""
+    weights = RoutingWeights(epsilon=Fraction(1), kappa=Fraction(100_000), tie_eps=Fraction(1, 50))
+    router = edge_router([("1", delay) for delay in (0, 10, 20)], weights=weights)
+    router.broker.node("edge-2").reserve("chat-v1-gpu", ready_us=0, duration_us=10**9)
+    return router, chat_request(), 0
+
+
 # Six identical edges with free set-up and no KV bytes: every split costs
 # exactly its single-node plan, so all 36 plans tie and the plan_id tie-break
 # decides among them; the slow seventh edge's pairs are skipped.
 @example((edge_router([("1", 0)] * 6 + [("1/4", 0)], setup=0, kv_bytes=0), chat_request(), 0))
 @example(held_prefix_state())
+@example(loaded_tie_state())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(router_states())
 def test_half_scoring_select_matches_exhaustive_enumeration(state):
     router, request, now = state
-    candidates = router._candidates(request, request.quality_target, now)
+    candidates = admitted_candidates(router, request, request.quality_target, now)
     for plan, warm_flags in plans_from_candidates(router, candidates):
         for zero_queue in (False, True):
             args = (plan, request, now, warm_flags, zero_queue)
@@ -652,6 +681,23 @@ def test_half_scoring_select_matches_exhaustive_enumeration(state):
     assert outcome.scored == best
     assert (outcome.served_quality, outcome.degraded) == (quality, quality < request.quality_target)
     assert outcome.alternatives == (alternatives if router.audit else ())
+
+
+@pytest.mark.parametrize("phase", [PlanPhase.FULL, PlanPhase.DECODE])
+def test_a_node_at_its_admission_cap_is_dropped_where_it_would_win(phase):
+    if phase is PlanPhase.FULL:
+        router, request, now = edge_router([("4", 0), ("1", 0), ("1", 40)]), chat_request(), 0
+    else:
+        router, request, now = held_prefix_state()
+    node_id = next(s.node_id for s in router.select(request, now).scored.plan.stages if s.phase is phase)
+    fill_admission_queue(router.broker.node(node_id), now)
+    # Without the cap it would still win: the queued stages delay it by a few µs.
+    uncapped = argmin(score_enumerated(router, request, lookup(router, request, 1, now), now), router.weights.tie_eps)
+    assert node_id in {s.node_id for s in uncapped.plan.stages}
+    outcome = router.select(request, now)
+    assert node_id not in {s.node_id for s in outcome.scored.plan.stages}
+    best, _, _ = exhaustive_select(router, request, now)
+    assert outcome.scored == best
 
 
 def test_split_pricing_skips_pairs_above_the_tie_cut(monkeypatch):
@@ -718,6 +764,15 @@ def test_session_heavy_resolves_state_at_most_twice_per_select(monkeypatch):
     assert calls["resolve"] <= 2 * calls["select"]
 
 
+# Exact counts of a quiet router's work; pricing every candidate eagerly
+# built 496 and 1,453 halves on these runs.
+@pytest.mark.parametrize("name, halves, states", [("session_heavy", 248, 248), ("small_place", 335, 311)])
+def test_work_counters_pin_the_pruning_on_shipped_scenarios(name, halves, states):
+    sim = Simulation(Scenario.load(SCENARIOS / f"{name}.json"))
+    sim.run()
+    assert (sim.router.halves_priced, sim.router.states_resolved) == (halves, states)
+
+
 def test_router_rejects_a_negative_weight(simple_broker):
     with pytest.raises(ValueError, match="kappa"):
         make_router(simple_broker, weights=RoutingWeights(kappa=Fraction(-1)))
@@ -739,7 +794,7 @@ def test_select_looks_up_state_holders_once_per_realization(simple_broker):
     router = make_router(broker)
     request = chat_request(affinity_token="sess-1:deadbeef")
     _plant_affinity_state(router, broker, "edge-2", request, tokens=64)
-    candidates = router._candidates(request, request.quality_target, 0)
+    candidates = admitted_candidates(router, request, request.quality_target, 0)
     holders = router.caches.holders
     calls = []
 

@@ -130,6 +130,9 @@ def _add_request(request_id: str, session_id: str):
         # A node that admits no reserved stage is never routed to.
         ("session_heavy", _set("topology.nodes[0].admission_cap", 0), "topology.nodes[0].admission_cap"),
         ("session_heavy", _set("topology.domains[0].min_trust", -1), "topology.domains[0].min_trust"),
+        # The last of two entries used to win, and the nodes' trust was blamed.
+        ("session_heavy", lambda doc: doc["topology"]["domains"].append({"domain_id": "d-metro", "min_trust": 3}),
+         "topology.domains[2].domain_id"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality",
@@ -138,6 +141,7 @@ def _add_request(request_id: str, session_id: str):
         "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost", "negative_cache_window_us",
         "negative_cache_storage_unit_cost", "negative_deployment_window_us", "node_max_concurrent",
         "node_speed_factor", "node_memory_budget_bytes", "node_admission_cap", "domain_min_trust_range",
+        "duplicate_domain",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
