@@ -684,9 +684,10 @@ class Simulation:
 
     def _end_turn(self, now: int, arrival: Arrival) -> None:
         sid = arrival.session_id
-        remaining = self._session_remaining.get(sid, 0) - 1
-        self._session_remaining[sid] = remaining
-        if remaining <= 0:
+        remaining = self._session_remaining.pop(sid, 0) - 1
+        if remaining > 0:
+            self._session_remaining[sid] = remaining
+        else:
             self._push(now, EventKind.SESSION_END, {"session_id": sid})
 
     def _truncate_in_flight(self) -> None:

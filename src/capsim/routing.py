@@ -25,12 +25,21 @@ each side of a candidate gets an exact integer lower bound: transfer,
 execution with the most prompt tokens any online holder covers reused for
 free, and decode, leaving out the wait, the state charge and the load and
 policy penalties. ``select`` walks single-node plans, prefill sides and
-decode sides in the order of these bounds. It builds a candidate's half (its
-queue, load and policy reads) only when the static bound can still reach the
-tie window of the best within-budget plan seen so far, resolves the half's
-state only when the half's own bound can, and stops a walk once the bound
-passes that window. Since the window only shrinks, the skipped plans could
-neither win nor tie, and the outcome is the one full enumeration gives.
+decode sides in the order of these bounds, equal single-node bounds in
+plan-id order. It builds a candidate's half (its queue, load and policy
+reads) only when the static bound can still reach the tie window of the best
+within-budget plan seen so far, resolves the half's state only when the
+half's own bound can, and stops a walk once the bound passes that window.
+
+A plan whose bound is at least that best J cannot lower it; it can only land
+in the final tie window, where the smallest plan id wins. So it is deferred,
+not priced. Once the walk ends, J* is final: the deferred plans whose bound is
+within the window and the budget are priced in plan-id order, only while
+their id is below the smallest id of a priced plan inside, and up to the
+first that lands inside. Since the window only shrinks, a skipped plan could
+neither win nor tie, and a deferred plan left unpriced either cannot reach
+the window or cannot win its tie-break, so the outcome is the one full
+enumeration gives.
 
 A node at its admission cap is checked when its half is built and then
 dropped. ``now`` is fixed for the whole select, so this is the same as
@@ -164,10 +173,6 @@ class ScoredPlan:
     uncovered_prefill_tokens: int
 
 
-class Unroutable(Exception):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class Rejection:
     reason: str
@@ -187,10 +192,12 @@ class _Row:
     """What pricing a candidate from one origin needs that no event changes
     during a run. A route is None when its endpoints are not connected;
     ``activation_us`` is None when the artifact cannot reach the node, so the
-    realization can only run there warm."""
+    realization can only run there warm. ``single`` is the candidate's
+    single-node plan, hashed when the row is built."""
 
     node: NodeState
     realization: CapabilityRealization
+    single: ExecutionPlan
     route_in: Route | None
     route_out: Route | None
     setup_us: int
@@ -293,8 +300,6 @@ class Router:
     def _eff_time_us(self, per_token_us: int, tokens: int, speed: Fraction) -> int:
         if tokens <= 0:
             return 0
-        if speed.numerator <= 0:
-            raise Unroutable("zero speed factor")
         return -(-per_token_us * tokens * speed.denominator // speed.numerator)
 
     def _cold_extras_us(self, node_id: str, realization: CapabilityRealization) -> tuple[int, int]:
@@ -501,6 +506,7 @@ class Router:
             row = self._rows[key] = _Row(
                 node,
                 realization,
+                single=self.plan((PlanStage(node_id, realization_id, PlanPhase.FULL),)),
                 route_in=self._route(origin, node_id),
                 route_out=self._route(node_id, origin),
                 setup_us=realization.setup_time_us,
@@ -632,16 +638,31 @@ class Router:
         transfer and decode time. A split is bounded by its static prefill and
         least static decode bounds, then by the built halves' ``pre_lb`` or
         ``pre_num`` plus ``dec_num`` (all leave out the KV transfer and the
-        decode wait). Single-node plans, prefill sides and each variant's
-        decode sides are walked in the order of their static bounds. A half is
-        built, and its node's admission cap checked, only when a static bound
-        lets it through, and its state is resolved only when the built half's
-        bound does; a walk stops once the static bound exceeds the cut of the
-        smallest numerator within ``limit`` seen so far. That cut only
-        shrinks, so a skipped plan is neither the within-budget best nor
-        inside the final window; while no plan within budget is known nothing
-        is skipped, so the budget outcome is unchanged. An auditing router
-        lists every plan, so it never sets a cut.
+        decode wait). Single-node plans (equal bounds in plan-id order),
+        prefill sides and each variant's decode sides are walked in the order
+        of their static bounds. A half is built, and its node's admission cap
+        checked, only when a static bound lets it through, and its state is
+        resolved only when the built half's bound does.
+
+        Against ``best``, the smallest numerator within ``limit`` seen so far,
+        each bound decides one of three ways. Above ``best``'s tie cut, the
+        plan is dropped, and a walk over static bounds stops. At or above
+        ``best``, the plan cannot lower it and can only tie, so it is
+        deferred with that bound. Below ``best``, the walk goes on to the next
+        bound or prices the plan. The cut only shrinks and J only rises above
+        each of its bounds, so a dropped plan is neither the within-budget
+        best nor inside the final window, and a deferred one is not the best.
+
+        After the walk ``best`` is J*. ``top``, the least of its tie cut and
+        ``limit``, bounds the plans ``select`` breaks the tie among by plan
+        id. Deferred plans with a bound <= ``top`` are priced in plan-id
+        order while their id is below the smallest id of a priced plan with
+        J <= ``top``, up to the first whose J is <= ``top``. Every plan left
+        unpriced has a bound above ``top`` or an id that loses the tie-break,
+        so the winner is the one full enumeration picks. While no plan within
+        budget is known nothing is dropped or deferred, so the budget outcome
+        is unchanged. An auditing router lists every plan, so it never sets a
+        cut or defers.
         """
         origin = region_vertex(request.origin_region)
         held: _Held = {}  # state holders per realization, this instant
@@ -666,70 +687,129 @@ class Router:
             return built[i]
 
         m_net, m_queue, m_exec = self._mult[:3]
+        transfer = self.topology.transfer_between
+
+        def price(i: int, j: int | None) -> _Priced | None:
+            """Plan (i, j) priced exactly: candidate i alone when j is None, else
+            i's prefill and j's decode. None when a node is at its admission
+            cap or the KV transfer has no route."""
+            pre = half(i)
+            dec = None if j is None else half(j)
+            if pre is None or (j is not None and dec is None):
+                return None
+            # A single adds the decode side's transfer and decode time; set-up and penalties count once.
+            rest = bounds[i][5] - m_exec * bounds[i][3] if dec is None else dec.dec_num
+            if pre.pre_num is None:
+                self._prefill(request, pre, now, held)
+            if dec is None:
+                return (pre.pre_num + rest, pre, None, 0, 0)
+            try:
+                t_inter, _ = transfer(rows[i].node.node_id, rows[j].node.node_id, pre.kv_bytes)
+            except Unreachable:
+                return None
+            wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
+            return (pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait, pre, dec, t_inter, wait)
+
         plans: list[_Priced] = []
         # The smallest within-budget numerator so far and its tie cut; unset while auditing.
         best = cut = None
+        # Plans that could only tie ``best``: (lower bound, candidate i, decode candidate j or None).
+        deferred: list[tuple[int, int, int | None]] = []
 
-        def keep(priced: _Priced) -> None:
+        def keep(priced: _Priced | None) -> None:
             nonlocal best, cut
+            if priced is None:
+                return
             plans.append(priced)
             num = priced[0]
             if not self.audit and (limit is None or num <= limit) and (best is None or num < best):
                 best, cut = num, self._tie_cut(num)
 
+        def waits(bound: int, i: int, j: int | None) -> bool:
+            """Whether plan (i, j), bounded below by ``bound``, stays unpriced:
+            dropped past the cut, or deferred when it can only tie ``best``."""
+            if best is None or bound < best:
+                return False
+            if bound <= cut:
+                deferred.append((bound, i, j))
+            return True
+
         # A single-node plan is its half's prefill side plus the decode side's
-        # transfer and decode time (``tail``); the set-up and penalties count once.
+        # transfer and decode time; the set-up and penalties count once.
         singles = sorted(
-            (pre + dec - m_exec * base, i)
+            (pre + dec - m_exec * base, rows[i].single.plan_id, i)
             for i, (_, _, _, base, pre, dec) in enumerate(bounds)
             if pre is not None and dec is not None
         )
-        for bound, i in singles:
+        for bound, _, i in singles:
             if cut is not None and bound > cut:
                 break
+            if waits(bound, i, None):
+                continue
             h = half(i)
-            if h is None:
+            if h is None or waits(bound - bounds[i][4] + h.pre_lb, i, None):
                 continue
-            tail = bound - bounds[i][4]
-            if cut is not None and h.pre_lb + tail > cut:
-                continue
-            self._prefill(request, h, now, held)
-            keep((h.pre_num + tail, h, None, 0, 0))
-        if not self.enable_split:
-            return plans
+            keep(price(i, None))
         decoders: dict[str, list[tuple[int, int]]] = {}
-        for dec, j in sorted((b[5], j) for j, b in enumerate(bounds) if b[5] is not None):
-            decoders.setdefault(rows[j].realization.variant_id, []).append((dec, j))
+        prefills: list[tuple[int, int]] = []
+        if self.enable_split:
+            for dec, j in sorted((b[5], j) for j, b in enumerate(bounds) if b[5] is not None):
+                decoders.setdefault(rows[j].realization.variant_id, []).append((dec, j))
+            prefills = sorted((b[4], i) for i, b in enumerate(bounds) if b[4] is not None)
         least_dec = min((d[0][0] for d in decoders.values()), default=0)
-        transfer = self.topology.transfer_between
-        for bound, i in sorted((b[4], i) for i, b in enumerate(bounds) if b[4] is not None):
+        for bound, i in prefills:
             if cut is not None and bound + least_dec > cut:
                 break
-            pre = half(i)
-            if pre is None or (cut is not None and pre.pre_lb + least_dec > cut):
-                continue
-            if pre.pre_num is None:
-                self._prefill(request, pre, now, held)
+            # The prefill side's bound: static, then the built half's, then exact.
+            # A bound that can only tie defers every pair below.
+            if best is None or bound + least_dec < best:
+                pre = half(i)
+                if pre is None:
+                    continue
+                bound = pre.pre_lb
+                if cut is not None and bound + least_dec > cut:
+                    continue
+                if best is None or bound + least_dec < best:
+                    if pre.pre_num is None:
+                        self._prefill(request, pre, now, held)
+                    bound = pre.pre_num
             pre_node = rows[i].node
             for dec_bound, j in decoders.get(rows[i].realization.variant_id, ()):
-                if cut is not None and pre.pre_num + dec_bound > cut:
+                if cut is not None and bound + dec_bound > cut:
                     break
-                if rows[j].node is pre_node:
+                if rows[j].node is pre_node or waits(bound + dec_bound, i, j):
                     continue
                 dec = half(j)
-                if dec is None or (cut is not None and pre.pre_num + dec.dec_num > cut):
+                if dec is None or waits(bound + dec.dec_num, i, j):
                     continue
-                try:
-                    t_inter, _ = transfer(pre_node.node_id, rows[j].node.node_id, pre.kv_bytes)
-                except Unreachable:
-                    continue
-                wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
-                keep((pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait, pre, dec, t_inter, wait))
+                keep(price(i, j))
+        if deferred:
+            # J* is final. The tie-break takes the smallest plan id with J <=
+            # top; a deferred plan can only beat the smallest priced one.
+            top = self._tie_cut(best) if limit is None else min(self._tie_cut(best), limit)
+            first = min(self._plan_of(p[1], p[2]).plan_id for p in plans if p[0] <= top)
+            waiting = sorted(
+                (self._plan_on(rows[i], None if j is None else rows[j]).plan_id, i, j)
+                for bound, i, j in deferred
+                if bound <= top
+            )
+            for plan_id, i, j in waiting:
+                if plan_id >= first:
+                    break
+                priced = price(i, j)
+                if priced is not None:
+                    plans.append(priced)
+                    if priced[0] <= top:
+                        break
         return plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
+        return self._plan_on(pre.row, None if dec is None else dec.row)
+
+    def _plan_on(self, pre: _Row, dec: _Row | None) -> ExecutionPlan:
+        """The plan with ``pre`` as its only or prefill stage and ``dec`` as its decode stage."""
         if dec is None:
-            return self.plan((_stage(pre, PlanPhase.FULL),))
+            return pre.single
         return self.plan((_stage(pre, PlanPhase.PREFILL), _stage(dec, PlanPhase.DECODE)))
 
     @staticmethod
@@ -754,8 +834,8 @@ class Router:
         BudgetExceeded, none at all as NoFeasiblePlan.
 
         Plans are compared on integer J numerators; the plan_id tie-break
-        hashes only the plans inside the tie window, and only the winner's
-        schedule is projected.
+        hashes only the plans inside the tie window and the deferred plans
+        that could join it, and only the winner's schedule is projected.
         """
         quality = request.quality_target
         saw_budget_only = False
@@ -800,8 +880,8 @@ class Router:
         )
 
 
-def _stage(half: _Half, phase: PlanPhase) -> PlanStage:
-    return PlanStage(half.row.node.node_id, half.row.realization.realization_id, phase)
+def _stage(row: _Row, phase: PlanPhase) -> PlanStage:
+    return PlanStage(row.node.node_id, row.realization.realization_id, phase)
 
 
 def _projection(half: _Half, phase: PlanPhase, ready: int, start: int, complete: int) -> StageProjection:

@@ -194,6 +194,27 @@ def test_prefix_reuse_skips_covered_prefill():
     assert first.t_exec_us == second.t_exec_us
 
 
+def test_ended_sessions_leave_no_turn_count():
+    d = mini_scenario_dict()
+    d["workload"] = {
+        "regions": [
+            {
+                "region": "metro", "rate_per_s": 2.0, "zipf_s": 0.0, "classes": ["chat"],
+                "session": {"turns_g": 0.5, "prefix_tokens": 64},
+                "input_tokens": {"dist": "fixed", "value": 20},
+                "output_tokens": {"dist": "fixed", "value": 4},
+                "policy_mix": [{"weight": 1.0, "min_trust": 0}],
+            }
+        ]
+    }
+    d["duration_us"] = 20_000_000
+    sim = Simulation(Scenario.from_dict(d), trace=True)
+    result = sim.run()
+    ended = {row["session_id"] for row in result.trace if row["kind"] == "session_end"}
+    assert len(ended) > 1
+    assert ended.isdisjoint(sim._session_remaining)
+
+
 def test_session_prefix_reuse_via_workload():
     d = mini_scenario_dict()
     d["workload"] = {

@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -700,6 +702,126 @@ def test_a_node_at_its_admission_cap_is_dropped_where_it_would_win(phase):
     assert outcome.scored == best
 
 
+TIE_EPS_VALUES = (Fraction(1, 10**9), Fraction(1, 50))
+
+
+def single_plan_id(node_id):
+    return ExecutionPlan.of((PlanStage(node_id, "chat-v1-gpu", PlanPhase.FULL),)).plan_id
+
+
+def lowest_single_plan_edge(router):
+    """The edge whose single-node plan has the smallest plan id: it wins every exact tie of singles."""
+    return min(router.broker.nodes, key=single_plan_id)
+
+
+def by_single_plan_id(k):
+    """The indexes of ``edge_router``'s k edges, by their single-node plan ids."""
+    return sorted(range(k), key=lambda i: single_plan_id(f"edge-{i + 1}"))
+
+
+@st.composite
+def tied_edge_states(draw):
+    """2-8 identical edges under random reservations and session state, the
+    edge that wins exact single-node ties perhaps at its admission cap, splits
+    on or off, and a budget share: None, or where in the tie window of the
+    unbudgeted best J the budget falls (-1 below it, 0 at the best J itself).
+    The edge with the largest plan id may sit ``spread`` µs nearer the
+    gateway, so that it is priced first and the others are deferred."""
+    k = draw(st.integers(2, 8))
+    speed, delay = draw(st.sampled_from(["1", "3/2", "4"])), draw(st.one_of(st.just(0), st.integers(0, 2000)))
+    spread = draw(st.sampled_from([0, 0, 10, 60]))
+    nearest = by_single_plan_id(k)[-1]
+    router = edge_router(
+        [(speed, delay if i == nearest else delay + spread) for i in range(k)],
+        tie_eps=draw(st.sampled_from(TIE_EPS_VALUES)),
+        setup=draw(st.sampled_from([0, 1000])),
+        kv_bytes=draw(st.sampled_from([0, 256])),
+    )
+    router.enable_split = draw(st.booleans())
+    now = draw(st.integers(0, 20_000))
+    for node_id in router.broker.nodes:
+        for _ in range(draw(st.integers(0, 2))):
+            router.broker.node(node_id).reserve(
+                "chat-v1-gpu", ready_us=draw(st.integers(0, 40_000)), duration_us=draw(st.integers(1, 30_000))
+            )
+    if draw(st.booleans()):
+        fill_admission_queue(router.broker.node(lowest_single_plan_edge(router)), now)
+    request = chat_request(
+        input_tokens=draw(st.integers(0, 300)),
+        output_tokens=draw(st.integers(1, 400)),
+        affinity_token=draw(st.sampled_from([None, "sess-1:abc"])),
+        arrival_time=now,
+    )
+    if request.affinity_token is not None and draw(st.booleans()):
+        holder = draw(st.sampled_from(sorted(router.broker.nodes)))
+        _plant_affinity_state(router, router.broker, holder, request, tokens=max(1, request.input_tokens))
+    return router, request, now, draw(st.sampled_from([None, Fraction(-1), Fraction(0), Fraction(1, 2)]))
+
+
+def spread_tie_state(delays, busy=None, budget_share=None):
+    """Idle edges ranked by their single-node plan ids, with ``delays[r]`` the
+    gateway delay of the edge of rank r; the one of rank ``busy`` runs a long
+    stage on both its servers. The 1/50 tie window of the nearest edge then
+    holds the edges up to 80 µs farther."""
+    order = by_single_plan_id(len(delays))
+    rank = {i: r for r, i in enumerate(order)}
+    router = edge_router([("1", delays[rank[i]]) for i in range(len(delays))], tie_eps=Fraction(1, 50))
+    router.enable_split = False
+    if busy is not None:
+        for _ in range(2):
+            router.broker.node(f"edge-{order[busy] + 1}").reserve("chat-v1-gpu", ready_us=0, duration_us=10**6)
+    return router, chat_request(), 0, budget_share
+
+
+# With free set-up and no KV bytes every split ties its single-node plan, and
+# splits with smaller plan ids than every single are deferred.
+@example((edge_router([("1", 0)] * 4, setup=0, kv_bytes=0), chat_request(), 0, None))
+# The nearest edge has the largest plan id, so the other two are deferred.
+# Halfway into the window the budget admits the edge 10 µs farther, but not
+# the one 60 µs farther, whose plan id is smaller still.
+@example(spread_tie_state([60, 10, 0], budget_share=Fraction(1, 2)))
+# The deferred edge with the smallest plan id lands outside the window, so
+# the tie-break goes on to the next one.
+@example(spread_tie_state([10, 10, 0], busy=0))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tied_edge_states())
+def test_tied_edges_select_as_the_auditing_router_and_full_enumeration(state):
+    router, request, now, budget_share = state
+    unbudgeted = exhaustive_select(router, request, now)
+    if budget_share is not None and not isinstance(unbudgeted, str):
+        least = min(combine_terms(router.weights, terms) for _, terms in unbudgeted[2])
+        request = replace(request, budget=math.floor(least * (1 + router.weights.tie_eps * budget_share)))
+    auditor = Router(
+        broker=router.broker,
+        topology=router.topology,
+        caches=router.caches,
+        trust=router.trust,
+        weights=router.weights,
+        enable_split=router.enable_split,
+        audit=True,
+    )
+    expected = exhaustive_select(router, request, now)
+    quiet, audited = router.select(request, now), auditor.select(request, now)
+    if isinstance(expected, str):
+        assert quiet == audited == Rejection(expected)
+        return
+    best, quality, _ = expected
+    assert quiet.scored == audited.scored == best
+    assert (quiet.served_quality, quiet.degraded) == (audited.served_quality, audited.degraded) == (quality, False)
+
+
+def test_tied_idle_edges_build_at_most_two_halves():
+    for k in range(2, 9):
+        for tie_eps in TIE_EPS_VALUES:
+            for split in (False, True):
+                router = edge_router([("1", 100)] * k, tie_eps=tie_eps)
+                router.enable_split = split
+                outcome = router.select(chat_request(), now=0)
+                assert [s.node_id for s in outcome.scored.plan.stages] == [lowest_single_plan_edge(router)]
+                assert outcome.scored == exhaustive_select(router, chat_request(), 0)[0]
+                assert router.halves_priced <= 2
+
+
 def test_split_pricing_skips_pairs_above_the_tie_cut(monkeypatch):
     request = chat_request()
     transfer_between = Topology.transfer_between
@@ -765,8 +887,9 @@ def test_session_heavy_resolves_state_at_most_twice_per_select(monkeypatch):
 
 
 # Exact counts of a quiet router's work; pricing every candidate eagerly
-# built 496 and 1,453 halves on these runs.
-@pytest.mark.parametrize("name, halves, states", [("session_heavy", 248, 248), ("small_place", 335, 311)])
+# built 496 and 1,453 halves on these runs. session_heavy's edges tie, so the
+# plan-id tie-break settles most selects after one priced plan.
+@pytest.mark.parametrize("name, halves, states", [("session_heavy", 124, 124), ("small_place", 335, 311)])
 def test_work_counters_pin_the_pruning_on_shipped_scenarios(name, halves, states):
     sim = Simulation(Scenario.load(SCENARIOS / f"{name}.json"))
     sim.run()
