@@ -7,9 +7,13 @@ the digests here and gives the reason in CHANGES.md.
 
 ``audit`` takes about 10 s to run, so its digest is checked inside acceptance
 criterion 2, which runs it anyway (``audit=True`` leaves these bytes unchanged).
+
+``small_place`` replans only twice in its 30 s, so ``REPLAN_HEAVY`` also pins
+an inline variant of it that replans every 2 s under node and trust churn.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -52,6 +56,34 @@ GOLDEN = {
 }
 
 
+# small_place replanning every 2 s: edge-east-1 goes offline for 3 s in every
+# 15 s, and its attestation lapses half-way through the run.
+REPLAN_HEAVY = (
+    "042a52ad50e38ecc0e006db404eed5a5733daf0402f1524b6b3966094818397d",
+    "98c96349e5ba05676821f93eb2b168403fa11cd9a2e21e07b3c1338775fce482",
+    "40757dea030f1f7faab36c238a1e6750c70a36ec620a1a2503be5aae77f291cd",
+)
+
+
+def replan_heavy_scenario() -> dict:
+    doc = json.loads((SCENARIOS / "small_place.json").read_text())
+    duration = 30_000_000
+    doc["deployment"].update(epoch_us=2_000_000, replan_enabled=True)
+    doc["workload"]["regions"][0]["rate_per_s"] = 40.0
+    doc["node_events"] = [
+        {"node_id": "edge-east-1", "time_us": t, "online": online}
+        for start in range(6_000_000, duration, 15_000_000)
+        for t, online in ((start, False), (start + 3_000_000, True))
+    ]
+    doc["trust_script"] = {
+        "attestations": [
+            {"node_id": "edge-east-1", "level": 2, "issue_time_us": 0, "validity_window_us": duration // 2}
+        ]
+    }
+    doc.update(name="replan-heavy", duration_us=duration)
+    return doc
+
+
 def output_digests(out_dir: Path) -> tuple[str, str, str]:
     return tuple(
         hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
@@ -67,3 +99,12 @@ def test_every_shipped_scenario_has_a_digest():
 def test_run_output_matches_golden_digest(name, tmp_path):
     assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path), "--trace"]) == 0
     assert output_digests(tmp_path) == GOLDEN[name]
+
+
+def test_replan_heavy_output_matches_golden_digest(tmp_path):
+    path = tmp_path / "replan_heavy.json"
+    path.write_text(json.dumps(replan_heavy_scenario()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--trace"]) == 0
+    assert json.loads((out / "metrics.json").read_text())["placement_churn"] > 0
+    assert output_digests(out) == REPLAN_HEAVY
