@@ -8,12 +8,19 @@ realizations, and a soft trust-risk count; hard trust violations never become
 candidate assignments. Already-resident realizations re-place at zero cost,
 so assignments whose demand has vanished drop out of the solution and the
 replan diff schedules their eviction.
+
+Every solver evaluates the objective through one evaluator, as exact integer
+numerators over one common denominator that ``PlacementProblem`` derives once
+with its integer view; greedy densities compare by cross-multiplying, so each
+choice is the one exact rational arithmetic makes. ``objective`` returns the
+exact ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .descriptors import PlanPhase, PlanStage, PolicyConstraint, RequestDescriptor
 from .routing import Router
@@ -80,19 +87,58 @@ class PlacementProblem:
     # latency[i][j]: J of serving cell i on pair j against an idle substrate,
     # or None when the pair cannot serve the cell.
     latency: list[list[Fraction | None]] = field(default_factory=list)
-    # cell_options[i]: (latency, pair index) ascending — first member of a
-    # placement encountered in this order is the cell's cheapest plan.
-    cell_options: list[list[tuple[Fraction, int]]] = field(default_factory=list)
+    # The integer view every solver evaluates, as numerators over ``scale``:
+    # scale: lcm of the denominators of every latency, of mu, of nu and of
+    #   lambda * deploy for each pair, so it divides out every fixed cost;
+    # cell_options[i]: (count * latency, pair bit), ascending by (latency,
+    #   pair index), so the first member of a placement met is the cell's
+    #   cheapest plan; cell_miss[i]: count * p_miss_us;
+    # fixed[j]: (pair bit, lambda*deploy + mu*net + nu*risk) of pair j;
+    # pair_node[j]: index of pair j's node; node_pairs[n]: (pair bit, memory)
+    #   of node n's pairs; budget[n]: node n's memory budget.
+    scale: int = field(init=False)
+    cell_options: list[tuple[tuple[int, int], ...]] = field(init=False)
+    cell_miss: list[int] = field(init=False)
+    fixed: tuple[tuple[int, int], ...] = field(init=False)
+    pair_node: list[int] = field(init=False)
+    node_pairs: list[tuple[tuple[int, int], ...]] = field(init=False)
+    budget: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.cell_options and self.latency:
-            self.cell_options = [
-                sorted(
-                    ((lat, j) for j, lat in enumerate(row) if lat is not None),
-                    key=lambda t: (t[0], t[1]),
-                )
-                for row in self.latency
-            ]
+        lam = self.lambda_deploy
+        scale = self.scale = lcm(
+            self.mu_net.denominator,
+            self.nu_risk.denominator,
+            *(lam.denominator * p.deploy_cost.denominator for p in self.pairs),
+            *(lat.denominator for row in self.latency for lat in row if lat is not None),
+        )
+        mu = self.mu_net.numerator * (scale // self.mu_net.denominator)
+        nu = self.nu_risk.numerator * (scale // self.nu_risk.denominator)
+        self.fixed = tuple(
+            (
+                1 << j,
+                lam.numerator * p.deploy_cost.numerator * (scale // (lam.denominator * p.deploy_cost.denominator))
+                + mu * p.net_cost_us
+                + nu * p.risk,
+            )
+            for j, p in enumerate(self.pairs)
+        )
+        self.cell_options = []
+        self.cell_miss = []
+        for cell, row in zip(self.cells, self.latency, strict=True):
+            options = sorted(
+                (lat.numerator * (scale // lat.denominator), j) for j, lat in enumerate(row) if lat is not None
+            )
+            self.cell_options.append(tuple((cell.count * lat, 1 << j) for lat, j in options))
+            self.cell_miss.append(cell.count * self.p_miss_us * scale)
+        nodes = sorted({p.node_id for p in self.pairs})
+        node_index = {node_id: n for n, node_id in enumerate(nodes)}
+        self.pair_node = [node_index[p.node_id] for p in self.pairs]
+        self.node_pairs = [
+            tuple((1 << j, p.memory_bytes) for j, p in enumerate(self.pairs) if p.node_id == node_id)
+            for node_id in nodes
+        ]
+        self.budget = [self.node_budget.get(node_id, 0) for node_id in nodes]
 
     def pair_index(self) -> dict[tuple[str, str], int]:
         return {p.key: i for i, p in enumerate(self.pairs)}
@@ -101,34 +147,33 @@ class PlacementProblem:
 Placement = frozenset[tuple[str, str]]
 
 
+def _node_fits(problem: PlacementProblem, mask: int, node: int) -> bool:
+    """Whether node ``node``'s pairs in ``mask`` fit its memory budget."""
+    used = 0
+    for bit, memory in problem.node_pairs[node]:
+        if mask & bit:
+            used += memory
+    return used <= problem.budget[node]
+
+
 def _memory_ok(problem: PlacementProblem, mask: int) -> bool:
-    used: dict[str, int] = {}
-    for j, pair in enumerate(problem.pairs):
-        if mask >> j & 1:
-            used[pair.node_id] = used.get(pair.node_id, 0) + pair.memory_bytes
-            if used[pair.node_id] > problem.node_budget.get(pair.node_id, 0):
-                return False
-    return True
+    return all(_node_fits(problem, mask, n) for n in range(len(problem.budget)))
 
 
-def _objective_mask(problem: PlacementProblem, mask: int) -> Fraction:
-    total = Fraction(0)
-    for i, cell in enumerate(problem.cells):
-        best: Fraction | None = None
-        for lat, j in problem.cell_options[i]:
-            if mask >> j & 1:
-                best = lat
+def _objective_mask(problem: PlacementProblem, mask: int) -> int:
+    """The objective of ``mask`` as an exact numerator over ``problem.scale``."""
+    total = 0
+    for options, miss in zip(problem.cell_options, problem.cell_miss):
+        for cost, bit in options:
+            if mask & bit:
+                total += cost
                 break
-        total += cell.count * (best if best is not None else Fraction(problem.p_miss_us))
-    deploy = Fraction(0)
-    net = 0
-    risk = 0
-    for j, pair in enumerate(problem.pairs):
-        if mask >> j & 1:
-            deploy += pair.deploy_cost
-            net += pair.net_cost_us
-            risk += pair.risk
-    return total + problem.lambda_deploy * deploy + problem.mu_net * net + problem.nu_risk * risk
+        else:
+            total += miss
+    for bit, cost in problem.fixed:
+        if mask & bit:
+            total += cost
+    return total
 
 
 def _mask_of(problem: PlacementProblem, placement: Placement) -> int:
@@ -151,7 +196,7 @@ def objective(problem: PlacementProblem, placement: Placement) -> Fraction:
     mask = _mask_of(problem, placement)
     if not _memory_ok(problem, mask):
         raise InfeasiblePlacement("memory budget exceeded")
-    return _objective_mask(problem, mask)
+    return Fraction(_objective_mask(problem, mask), problem.scale)
 
 
 def solve_greedy(problem: PlacementProblem) -> Placement:
@@ -162,21 +207,21 @@ def solve_greedy(problem: PlacementProblem) -> Placement:
     order = sorted(range(len(problem.pairs)), key=lambda j: problem.pairs[j].key)
     while True:
         best_j = None
-        best_density: Fraction | None = None
-        best_obj: Fraction | None = None
+        best_gain = best_memory = best_obj = 0
         for j in order:
             if mask >> j & 1:
                 continue
             trial = mask | 1 << j
-            if not _memory_ok(problem, trial):
+            if not _node_fits(problem, trial, problem.pair_node[j]):
                 continue
             obj = _objective_mask(problem, trial)
             gain = current - obj
             if gain <= 0:
                 continue
-            density = gain / max(1, problem.pairs[j].memory_bytes)
-            if best_density is None or density > best_density:
-                best_j, best_density, best_obj = j, density, obj
+            # gain / memory > best_gain / best_memory, cross-multiplied.
+            memory = max(1, problem.pairs[j].memory_bytes)
+            if best_j is None or gain * best_memory > best_gain * memory:
+                best_j, best_gain, best_memory, best_obj = j, gain, memory, obj
         if best_j is None:
             return _placement_of(problem, mask)
         mask |= 1 << best_j
@@ -184,18 +229,22 @@ def solve_greedy(problem: PlacementProblem) -> Placement:
 
 
 def improve_local_search(problem: PlacementProblem, placement: Placement, max_rounds: int) -> Placement:
-    """Best-improvement add/remove/swap moves; accepts only strict decreases."""
+    """Best-improvement add/remove/swap moves; accepts only strict decreases.
+
+    The current mask is always feasible and a move adds at most one pair, so
+    only the added pair's node needs its budget checked."""
     mask = _mask_of(problem, placement)
     if not _memory_ok(problem, mask):
         raise InfeasiblePlacement("memory budget exceeded")
     current = _objective_mask(problem, mask)
     n = len(problem.pairs)
+    pair_node = problem.pair_node
     for _ in range(max_rounds):
         best_mask = None
         best_obj = current
         for j in range(n):
             trial = mask ^ 1 << j  # add when absent, remove when present
-            if not _memory_ok(problem, trial):
+            if not (mask >> j & 1 or _node_fits(problem, trial, pair_node[j])):
                 continue
             obj = _objective_mask(problem, trial)
             if obj < best_obj:
@@ -207,7 +256,7 @@ def improve_local_search(problem: PlacementProblem, placement: Placement, max_ro
                 if mask >> k & 1 or k == j:
                     continue
                 trial = (mask & ~(1 << j)) | 1 << k
-                if not _memory_ok(problem, trial):
+                if not _node_fits(problem, trial, pair_node[k]):
                     continue
                 obj = _objective_mask(problem, trial)
                 if obj < best_obj:
@@ -239,7 +288,7 @@ def solve_exact(problem: PlacementProblem) -> Placement:
             return
         dfs(j + 1, mask)  # exclude-first yields smaller bitvectors first
         trial = mask | 1 << j
-        if _memory_ok(problem, trial):
+        if _node_fits(problem, trial, problem.pair_node[j]):
             dfs(j + 1, trial)
 
     dfs(0, 0)

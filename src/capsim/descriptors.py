@@ -114,8 +114,6 @@ class CapabilityDescriptor:
     """A capability class: the top level of the class/variant/realization tree."""
 
     name: str
-    quality: int = 1
-    security: SecurityLabel = SecurityLabel()
     lineage: tuple[tuple[str, str], ...] = ()  # (parent model id, derivation tag)
 
 
@@ -256,9 +254,7 @@ def validate_descriptor(d: Any) -> list[str]:
     elif isinstance(d, PolicyConstraint):
         v.extend(_policy_violations(d))
     elif isinstance(d, CapabilityDescriptor):
-        _check(v, d.quality >= 1, "quality", "quality >= 1")
         _check(v, len(d.lineage) >= 1, "lineage", "lineage non-empty")
-        v.extend(f"security.{s}" for s in _security_violations(d.security))
     elif isinstance(d, CapabilityVariant):
         _check(v, d.quality >= 1, "quality", "quality >= 1")
         v.extend(f"security.{s}" for s in _security_violations(d.security))

@@ -130,10 +130,13 @@ class Scenario:
         realizations: list[CapabilityRealization] = []
         for path, cls_d in _items(_object(d.get("catalog", {}), "catalog"), "catalog.classes"):
             classes.append(_record(CapabilityDescriptor, cls_d, path))
+            # A variant without its own label takes its class's whole label.
+            label = _record(SecurityLabel, _object(cls_d.get("security", {}), f"{path}.security"), f"{path}.security")
             for var_path, var_d in _items(cls_d, f"{path}.variants"):
-                # A variant without its own label takes its class's whole label.
-                var_d = {"security": cls_d.get("security", {}), **var_d}
-                variants.append(_record(CapabilityVariant, var_d, var_path, parent_class=classes[-1].name))
+                inherited = {} if "security" in var_d else {"security": label}
+                variants.append(
+                    _record(CapabilityVariant, var_d, var_path, parent_class=classes[-1].name, **inherited)
+                )
                 for real_path, real_d in _items(var_d, f"{var_path}.realizations"):
                     realizations.append(
                         _record(CapabilityRealization, real_d, real_path, variant_id=variants[-1].variant_id)

@@ -48,18 +48,8 @@ def make_profile(
     )
 
 
-def make_class(
-    name: str = "chat",
-    quality: int = 1,
-    min_trust: int = 0,
-    preferred_trust: int = 0,
-) -> CapabilityDescriptor:
-    return CapabilityDescriptor(
-        name=name,
-        quality=quality,
-        security=SecurityLabel(min_trust=min_trust, preferred_trust=preferred_trust),
-        lineage=(("base-7b", "distill"),),
-    )
+def make_class(name: str = "chat") -> CapabilityDescriptor:
+    return CapabilityDescriptor(name=name, lineage=(("base-7b", "distill"),))
 
 
 def make_variant(variant_id: str, parent: str = "chat", quality: int = 1, min_trust: int = 0, preferred_trust: int = 0) -> CapabilityVariant:
@@ -108,8 +98,14 @@ def star_links(region: str, node_ids: list[str], delay: int = 500, bandwidth: in
     ]
 
 
-def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3):
-    """Random small placement instance for solver-vs-oracle checks."""
+def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3, ties: bool = False):
+    """Random small placement instance for solver-vs-oracle checks.
+
+    With ``ties`` the draw is tie-heavy: latencies come from three values, one
+    of them non-integer, so many options and greedy densities are equal;
+    deploy costs carry a storage term at a non-integer unit cost; and the
+    deploy, transfer and risk weights are non-integer.
+    """
     from fractions import Fraction as F
 
     from capsim.deployment import DemandCell, PlacementPair, PlacementProblem
@@ -119,17 +115,26 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3)
     node_ids = [f"n{i}" for i in range(n_nodes)]
     budgets = {n: rng.randint(2, 12) for n in node_ids}
     footprints = [rng.randint(1, 6) for _ in range(n_real)]
+    storage_unit_cost = F(rng.randint(0, 5), 7) if ties else F(0)
     pairs = []
     for r in range(n_real):
         for n, node in enumerate(node_ids):
-            resident = rng.random() < 0.2
+            resident = rng.random() < (0.4 if ties else 0.2)
+            if resident:
+                deploy, net = F(0), 0
+            elif ties:
+                deploy = rng.choice([0, 1_000]) + storage_unit_cost * footprints[r]
+                net = rng.choice([0, 500])
+            else:
+                deploy = F(rng.randint(0, 50_000))
+                net = rng.randint(0, 80_000)
             pairs.append(
                 PlacementPair(
                     realization_id=f"r{r}",
                     node_id=node,
                     memory_bytes=footprints[r],
-                    deploy_cost=F(0) if resident else F(rng.randint(0, 50_000)),
-                    net_cost_us=0 if resident else rng.randint(0, 80_000),
+                    deploy_cost=deploy,
+                    net_cost_us=net,
                     risk=rng.randint(0, 1),
                     resident=resident,
                 )
@@ -151,7 +156,10 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3)
         row = []
         for pair in pairs:
             if pair.realization_id == cells[-1].capability_class and rng.random() < 0.9:
-                row.append(F(rng.randint(1_000, 60_000)))
+                if ties:
+                    row.append(rng.choice([F(2_000), F(2_000), F(7_000, 3)]))
+                else:
+                    row.append(F(rng.randint(1_000, 60_000)))
             else:
                 row.append(None)
         latency.append(row)
@@ -159,9 +167,9 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3)
         cells=tuple(cells),
         pairs=tuple(pairs),
         node_budget=budgets,
-        lambda_deploy=F(1),
-        mu_net=F(1),
-        nu_risk=F(rng.randint(0, 3)),
+        lambda_deploy=F(rng.randint(1, 5), 3) if ties else F(1),
+        mu_net=F(rng.randint(1, 5), 2) if ties else F(1),
+        nu_risk=F(rng.randint(0, 9), 4) if ties else F(rng.randint(0, 3)),
         p_miss_us=10_000_000,
         latency=latency,
     )

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capsim.caching import CacheSystem
 from capsim.deployment import (
+    _placement_of,
     DemandCell,
     InfeasiblePlacement,
     InstanceTooLarge,
@@ -23,6 +25,7 @@ from capsim.deployment import (
 from capsim.descriptors import RequestDescriptor, PolicyConstraint
 from capsim.routing import Router, RoutingWeights
 from conftest import random_placement_problem
+import reference_placement as reference
 
 
 def synth_problem(pairs, cells, latency, budgets, p_miss=10_000_000, nu=1):
@@ -212,6 +215,30 @@ def test_every_solver_output_respects_budgets():
                 used[p.node_id] = used.get(p.node_id, 0) + p.memory_bytes
             for node, total in used.items():
                 assert total <= problem.node_budget[node]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    masks=st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=6),
+)
+def test_integer_solvers_match_fraction_reference(seed, ties, masks):
+    # The integer objective equals the Fraction re-pricing exactly on every
+    # mask, and every solver picks the reference's placement, ties included.
+    problem = random_placement_problem(random.Random(seed), ties=ties)
+    for mask in masks:
+        mask &= (1 << len(problem.pairs)) - 1
+        placement = _placement_of(problem, mask)
+        if not reference.memory_ok(problem, mask):
+            with pytest.raises(InfeasiblePlacement):
+                objective(problem, placement)
+            continue
+        assert objective(problem, placement) == reference.objective(problem, placement)
+        assert improve_local_search(problem, placement, 3) == reference.improve_local_search(problem, placement, 3)
+    assert solve_greedy(problem) == reference.solve_greedy(problem)
+    assert solve(problem, 8) == reference.solve(problem, 8)
+    assert solve_exact(problem) == reference.solve_exact(problem)
 
 
 def test_plan_delta_diffs_against_residency():

@@ -13,7 +13,6 @@ from capsim.descriptors import (
     PolicyConstraint,
     RequestDescriptor,
     ResourceProfile,
-    SecurityLabel,
     parse_fraction,
     validate_descriptor,
 )
@@ -54,7 +53,7 @@ def test_wellformed_capability_descriptor_validates():
 
 
 def test_empty_lineage_is_a_violation():
-    bad = CapabilityDescriptor(name="x", quality=1, security=SecurityLabel(), lineage=())
+    bad = CapabilityDescriptor(name="x", lineage=())
     assert any(v.startswith("lineage") for v in validate_descriptor(bad))
 
 
@@ -118,11 +117,11 @@ def test_parse_fraction_decimal_semantics():
 
 
 def test_every_cost_symbol_maps_to_exactly_one_type():
-    # A class is named by requests and its lineage goes into receipts; its
-    # quality and security remain because the file requires quality and a
-    # class's label is its variants' default.
+    # A class is named by requests and its lineage goes into receipts.
+    # Admission and placement read a variant's quality and label; a class's
+    # label in the file is only its variants' default.
     cap_fields = {f.name for f in fields(CapabilityDescriptor)}
-    assert cap_fields == {"name", "quality", "security", "lineage"}
+    assert cap_fields == {"name", "lineage"}
     # A node profile carries only what routing, placement, caching or trust reads.
     prof_fields = {f.name for f in fields(ResourceProfile)}
     assert prof_fields == {"node_id", "domain_id", "hardware", "capacity", "locality", "trust"}

@@ -31,7 +31,7 @@ def mini_scenario_dict(**overrides):
         "catalog": {
             "classes": [
                 {
-                    "name": "chat", "quality": 1,
+                    "name": "chat",
                     "security": {"min_trust": 0},
                     "lineage": [["base", "distill"]],
                     "variants": [

@@ -103,7 +103,7 @@ def _add_request(request_id: str, session_id: str):
         ("small_place", _set("topology.domains[0].min_trust", 2), "topology.nodes[1].trust"),
         ("small_place", _set("deployment.epoch_us", 0), "deployment.epoch_us"),
         ("session_heavy", _set("routing.enable_split", "false"), "routing.enable_split"),
-        ("session_heavy", _set("catalog.classes[0].quality", "high"), "catalog.classes[0].quality"),
+        ("session_heavy", _set("catalog.classes[0].variants[0].quality", "high"), "catalog.classes[0].variants[0].quality"),
         ("session_heavy", _set("workload.regions[0].policy_mix[0].budget", "cheap"), "workload.regions[0].policy_mix[0].budget"),
         ("session_heavy", _set("workload.regions[0].policy_mix[0].weight", 0), "workload.regions[0].policy_mix[0].weight"),
         ("session_heavy", _set("workload.regions[0].policy_mix[0].quality_target", 0),
@@ -135,7 +135,7 @@ def _add_request(request_id: str, session_id: str):
          "topology.domains[2].domain_id"),
     ],
     ids=[
-        "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "class_quality",
+        "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "variant_quality",
         "policy_budget", "policy_weights", "policy_quality_target", "token_dist", "policy_min_trust",
         "token_value", "token_sigma", "policy_mix_empty", "negative_alpha", "negative_kappa", "negative_pi_soft",
         "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost", "negative_cache_window_us",
