@@ -88,8 +88,8 @@ class PlacementProblem:
     # or None when the pair cannot serve the cell.
     latency: list[list[Fraction | None]] = field(default_factory=list)
     # The integer view every solver evaluates, as numerators over ``scale``:
-    # scale: lcm of the denominators of every latency, of mu, of nu and of
-    #   lambda * deploy for each pair, so it divides out every fixed cost;
+    # scale: a common denominator of every latency and fixed cost, the lcm
+    #   of the denominators of each latency, mu, nu and lambda * deploy;
     # cell_options[i]: (count * latency, pair bit), ascending by (latency,
     #   pair index), so the first member of a placement met is the cell's
     #   cheapest plan; cell_miss[i]: count * p_miss_us;
@@ -131,14 +131,13 @@ class PlacementProblem:
             )
             self.cell_options.append(tuple((cell.count * lat, 1 << j) for lat, j in options))
             self.cell_miss.append(cell.count * self.p_miss_us * scale)
-        nodes = sorted({p.node_id for p in self.pairs})
-        node_index = {node_id: n for n, node_id in enumerate(nodes)}
+        node_pairs: dict[str, list[tuple[int, int]]] = {}
+        for j, p in enumerate(self.pairs):
+            node_pairs.setdefault(p.node_id, []).append((1 << j, p.memory_bytes))
+        node_index = {node_id: n for n, node_id in enumerate(node_pairs)}
         self.pair_node = [node_index[p.node_id] for p in self.pairs]
-        self.node_pairs = [
-            tuple((1 << j, p.memory_bytes) for j, p in enumerate(self.pairs) if p.node_id == node_id)
-            for node_id in nodes
-        ]
-        self.budget = [self.node_budget.get(node_id, 0) for node_id in nodes]
+        self.node_pairs = [tuple(members) for members in node_pairs.values()]
+        self.budget = [self.node_budget.get(node_id, 0) for node_id in node_pairs]
 
     def pair_index(self) -> dict[tuple[str, str], int]:
         return {p.key: i for i, p in enumerate(self.pairs)}
