@@ -10,8 +10,12 @@ criterion 2, which runs it anyway (``audit=True`` leaves these bytes unchanged).
 
 ``small_place`` replans only twice in its 30 s, so ``REPLAN_HEAVY`` also pins
 an inline variant of it that replans every 2 s under node and trust churn.
+No shipped scenario fills a session cache, so ``EVICTION_HEAVY`` pins one that
+does: ring-linked edges whose caches hold about one session state each, so
+admissions displace residents and states migrate between edges.
 """
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -84,6 +88,47 @@ def replan_heavy_scenario() -> dict:
     return doc
 
 
+# session_heavy's edge cloned into 8 ring-linked edges, one region each, with
+# long 1024-token-prefix sessions and a 512 KiB cache on every node: one
+# chat-small state (1024 tokens x 512 bytes) fills it.
+EVICTION_HEAVY = (
+    "bf9207ea557c9c4bbfd3df383a42583266a6d4741f20e995e8246799e776d421",
+    "30b049f441addbb291c070fe7440de9e78037dc3dbedaee733520a2f22b4ec83",
+    "59026c50e5b23f34f12b556f8dc11ba08384b3740f43908ea1a47c35a036d88e",
+)
+EVICTION_EDGES = 8
+
+
+def eviction_heavy_scenario() -> dict:
+    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
+    topo = doc["topology"]
+    by_id = {n["node_id"]: n for n in topo["nodes"]}
+    links = {l["link_id"]: l for l in topo["links"]}
+    gw, ring, core = links["l-gw-e1"], links["l-e1-e2"], links["l-e1-c"]
+    names = [f"edge-{i}" for i in range(1, EVICTION_EDGES + 1)]
+    topo["nodes"] = [dict(by_id["edge-1"], node_id=e, region=f"metro-{i}") for i, e in enumerate(names, 1)]
+    topo["nodes"].append(by_id["cloud-1"])
+    for node in topo["nodes"]:
+        node["cache_capacity_bytes"] = 524_288
+    topo["links"] = []
+    for i, e in enumerate(names, 1):
+        nxt = names[i % EVICTION_EDGES]
+        topo["links"] += [
+            dict(gw, link_id=f"l-gw-{e}", src=f"region:metro-{i}", dst=e),
+            dict(ring, link_id=f"l-{e}-{nxt}", src=e, dst=nxt),
+            dict(core, link_id=f"l-{e}-c", src=e),
+        ]
+    doc["initial_placement"] = [["chat-small-gpu", n] for n in names + ["cloud-1"]] + [["chat-large-gpu", "cloud-1"]]
+    doc["routing"] = {"enable_split": False}
+    template = doc["workload"]["regions"][0]
+    doc["workload"]["regions"] = [
+        dict(template, region=f"metro-{i}", rate_per_s=10.0, session={"turns_g": 0.05, "prefix_tokens": 1024})
+        for i in range(1, EVICTION_EDGES + 1)
+    ]
+    doc.update(name="eviction-heavy", seed=1, duration_us=10_000_000)
+    return doc
+
+
 def output_digests(out_dir: Path) -> tuple[str, str, str]:
     return tuple(
         hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
@@ -108,3 +153,14 @@ def test_replan_heavy_output_matches_golden_digest(tmp_path):
     assert main(["run", str(path), "--out", str(out), "--trace"]) == 0
     assert json.loads((out / "metrics.json").read_text())["placement_churn"] > 0
     assert output_digests(out) == REPLAN_HEAVY
+
+
+def test_eviction_heavy_output_matches_golden_digest(tmp_path):
+    path = tmp_path / "eviction_heavy.json"
+    path.write_text(json.dumps(eviction_heavy_scenario()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--trace"]) == 0
+    rows = list(csv.DictReader((out / "trace.csv").open()))
+    assert any(r["kind"] == "cache_evict" and "reason=displaced" in r["detail"] for r in rows)
+    assert any(r["kind"] == "cache_migrate" and "outcome=Admitted" in r["detail"] for r in rows)
+    assert output_digests(out) == EVICTION_HEAVY
