@@ -86,8 +86,6 @@ class Topology:
             self.links[link.link_id] = link
             self._adjacency.setdefault(link.src, []).append(link)
             self._adjacency.setdefault(link.dst, []).append(link)
-        for peers in self._adjacency.values():
-            peers.sort(key=lambda l: l.link_id)
         self._path_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
         self._route_cache: dict[tuple[str, str], Route] = {}
 
@@ -110,25 +108,19 @@ class Topology:
         # smallest path.
         heap: list[tuple[int, tuple[str, ...], str]] = [(0, (), src)]
         settled: set[str] = set()
-        best: dict[str, tuple[Link, ...]] = {src: ()}
         while heap:
             delay, ids, vertex = heapq.heappop(heap)
             if vertex in settled:
                 continue
             settled.add(vertex)
             if vertex == dst:
-                path = best[vertex]
+                path = tuple(self.links[link_id] for link_id in ids)
                 self._path_cache[(src, dst)] = path
                 return path
-            for link in self._adjacency.get(vertex, ()):  # sorted by link_id
+            for link in self._adjacency.get(vertex, ()):
                 other = link.dst if link.src == vertex else link.src
-                if other in settled:
-                    continue
-                candidate = best[vertex] + (link,)
-                heapq.heappush(heap, (delay + link.propagation_delay_us, ids + (link.link_id,), other))
-                prev = best.get(other)
-                if prev is None or _path_key(candidate) < _path_key(prev):
-                    best[other] = candidate
+                if other not in settled:
+                    heapq.heappush(heap, (delay + link.propagation_delay_us, ids + (link.link_id,), other))
         raise Unreachable(f"no path from {src!r} to {dst!r}")
 
     def path_delay_us(self, path: tuple[Link, ...]) -> int:
@@ -169,6 +161,3 @@ class Topology:
         route = self.route(src, dst)
         return route.time_us(payload_bytes), route.core_bytes(payload_bytes)
 
-
-def _path_key(path: tuple[Link, ...]) -> tuple[int, tuple[str, ...]]:
-    return (sum(l.propagation_delay_us for l in path), tuple(l.link_id for l in path))

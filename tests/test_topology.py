@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from capsim.topology import Link, Unreachable
+from capsim.topology import Link, Topology, Unreachable
 from conftest import make_profile, make_topology
 
 
@@ -159,3 +160,50 @@ def test_removing_off_path_link_keeps_selection():
         removed = spare[0]
         thinner = make_topology([make_profile(n) for n in nodes], [l for l in links if l.link_id != removed.link_id])
         assert tuple(l.link_id for l in thinner.path(a, b)) == tuple(l.link_id for l in chosen)
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 6 vertices joined by up to 10 links (parallel links and loops
+    included) with delays in {0, 1, 2} and short link ids over "ab", so equal
+    delays are common and ids can be prefixes of one another."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=10))
+    ids = draw(st.lists(st.text("ab", min_size=1, max_size=3), min_size=len(ends), max_size=len(ends), unique=True))
+    delays = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=len(ends), max_size=len(ends)))
+    links = [Link(link_id, a, b, delay) for link_id, (a, b), delay in zip(ids, ends, delays)]
+    return vertices, links
+
+
+def brute_force_path(links: list[Link], src: str, dst: str) -> tuple[int, tuple[str, ...]] | None:
+    """(delay, link ids) of the least simple path by delay, then by link-id
+    sequence, found by enumerating every simple path; None when there is none."""
+    found = []
+
+    def walk(vertex: str, visited: set[str], ids: tuple[str, ...], delay: int) -> None:
+        if vertex == dst:
+            found.append((delay, ids))
+            return
+        for link in links:
+            if vertex in (link.src, link.dst):
+                other = link.dst if link.src == vertex else link.src
+                if other not in visited:
+                    walk(other, visited | {other}, ids + (link.link_id,), delay + link.propagation_delay_us)
+
+    walk(src, {src}, (), 0)
+    return min(found, default=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_path_is_the_least_simple_path_by_delay_then_link_ids(graph):
+    vertices, links = graph
+    topo = Topology(nodes=vertices, domains=[], links=links)
+    for src, dst in itertools.permutations(vertices, 2):
+        expected = brute_force_path(links, src, dst)
+        if expected is None:
+            with pytest.raises(Unreachable):
+                topo.path(src, dst)
+        else:
+            path = topo.path(src, dst)
+            assert (topo.path_delay_us(path), tuple(l.link_id for l in path)) == expected
