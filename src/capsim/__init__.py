@@ -11,7 +11,6 @@ from .descriptors import (
     PolicyConstraint,
     RequestDescriptor,
     ResourceProfile,
-    StateDescriptor,
     validate_descriptor,
 )
 from .engine import Simulation
@@ -27,7 +26,6 @@ __all__ = [
     "ResourceProfile",
     "Scenario",
     "Simulation",
-    "StateDescriptor",
     "validate_descriptor",
     "__version__",
 ]

@@ -1,9 +1,11 @@
 """State-aware caching of session KV state: benefit-priced admission,
-density eviction, session-checked lookup, and migration between node stores.
+density eviction, and migration between node stores.
 
-The one kind of cached state is a session's prefill KV state. It is private
-to its session, stored under (compatibility hash, session id), and migrating
-it moves its own ``size`` bytes. Admission values it at
+The one kind of cached state is a session's prefill KV state, a
+``CacheEntry``. It is private to its session, stored under (state hash,
+session id), and migrating it moves its own ``size`` bytes. Scenario
+validation rejects an affinity token that names another session, so a
+lookup always finds the requester's own entry. Admission values an entry at
 ``p_hit * gain - storage``; eviction drops the lowest benefit-density
 residents first. Entries a selected plan depends on are pinned until the
 request completes so scored coverage cannot be evicted mid-flight.
@@ -16,8 +18,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .descriptors import StateDescriptor
+from functools import lru_cache
 
 ADMITTED = "Admitted"
 REJECT_NEGATIVE_BENEFIT = "NegativeBenefit"
@@ -26,77 +27,48 @@ REJECT_INSUFFICIENT_SPACE = "InsufficientSpace"
 REJECT_ALREADY_RESIDENT = "AlreadyResident"
 
 
-class ScopeViolation(Exception):
-    """Session state may not move to a node below the session's trust floor."""
-
-
-def compatibility_hash(
-    realization_id: str,
-    tokenizer_tag: str,
-    decoding_config: str | None,
-    prefix_token_digest: str,
-) -> str:
-    """Deterministic digest over the canonical serialization of the inputs."""
-    payload = json.dumps(
-        [realization_id, tokenizer_tag, decoding_config, prefix_token_digest],
-        separators=(",", ":"),
-    )
+@lru_cache(maxsize=8192)
+def state_hash(realization_id: str, prefix_digest: str) -> str:
+    """Digest of the prefill state a realization computes for a prompt prefix."""
+    # "default" and null fill fixed slots of the payload: every store key is
+    # derived from these bytes, so changing them changes every key.
+    payload = json.dumps([realization_id, "default", None, prefix_digest], separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
-
-
-@dataclass(frozen=True, slots=True)
-class BenefitInputs:
-    p_hit: Fraction            # predicted reuse probability in [0, 1]
-    latency_gain_us: int       # expected latency reduction per hit
-    storage_cost_us: int = 0
-
-
-def benefit_us(inputs: BenefitInputs) -> Fraction:
-    """Admission value: p_hit * gain - storage."""
-    return inputs.p_hit * inputs.latency_gain_us - inputs.storage_cost_us
 
 
 @dataclass(slots=True)
 class CacheEntry:
-    descriptor: StateDescriptor
+    """One session's cached prefill state."""
+
+    state_id: str
+    compatibility_hash: str
+    size: int                  # bytes held, and moved by a migration
     session_id: str            # the only session the entry serves
     latency_gain_us: int       # per-hit gain frozen at admission
-    storage_cost_us: int
+    storage_cost_us: int = 0
     token_count: int = 0       # tokens a hit covers
     source_realization: str | None = None  # for revocation invalidation
-    window: deque = field(default_factory=deque)  # (timestamp, was_hit)
+    window: deque = field(default_factory=deque)  # lookup timestamps
     pins: int = 0
 
-    @property
-    def state_id(self) -> str:
-        return self.descriptor.state_id
-
-    @property
-    def size(self) -> int:
-        return self.descriptor.size
-
-    def record_lookup(self, now: int, hit: bool) -> None:
-        self.window.append((now, hit))
-
-    def stats_in_window(self, now: int, window_us: int) -> tuple[int, int]:
-        cutoff = now - window_us
-        while self.window and self.window[0][0] < cutoff:
-            self.window.popleft()
-        lookups = len(self.window)
-        hits = sum(1 for _, h in self.window if h)
-        return lookups, hits
+    def benefit(self, p_hit: Fraction) -> Fraction:
+        """Value of holding the entry: p_hit * gain - storage."""
+        return p_hit * self.latency_gain_us - self.storage_cost_us
 
 
 def estimate_p_hit(entry: CacheEntry, now: int, window_us: int) -> Fraction:
-    """Laplace-smoothed reuse probability over the sliding window."""
-    lookups, hits = entry.stats_in_window(now, window_us)
-    return Fraction(hits + 1, lookups + 2)
+    """Laplace-smoothed reuse probability: every lookup in the window is a hit."""
+    cutoff = now - window_us
+    while entry.window and entry.window[0] < cutoff:
+        entry.window.popleft()
+    lookups = len(entry.window)
+    return Fraction(lookups + 1, lookups + 2)
 
 
 @dataclass(frozen=True, slots=True)
 class CacheDecision:
     outcome: str
-    benefit_us: Fraction | None = None  # None when the value was never priced
+    benefit: Fraction | None = None  # None when the value was never priced
     evicted: tuple[str, ...] = ()
 
     @property
@@ -127,47 +99,32 @@ class StateStore:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes()
 
-    def live_benefit(self, entry: CacheEntry, now: int) -> Fraction:
-        p_hit = estimate_p_hit(entry, now, self.window_us)
-        return p_hit * entry.latency_gain_us - entry.storage_cost_us
-
     def benefit_density(self, entry: CacheEntry, now: int) -> Fraction:
-        if entry.size <= 0:
-            return self.live_benefit(entry, now)
-        return self.live_benefit(entry, now) / entry.size
+        value = entry.benefit(estimate_p_hit(entry, now, self.window_us))
+        return value / entry.size if entry.size > 0 else value
 
     def admit(
         self,
-        descriptor: StateDescriptor,
-        inputs: BenefitInputs,
-        session_id: str,
+        entry: CacheEntry,
+        p_hit: Fraction,
         now: int,
         node_trust: int = 0,
         requester_min_trust: int = 0,
-        token_count: int = 0,
-        source_realization: str | None = None,
     ) -> CacheDecision:
-        if self.peek(descriptor.compatibility_hash, session_id) is not None:
+        key = self.entry_key(entry.compatibility_hash, entry.session_id)
+        if key in self.entries:
             return CacheDecision(REJECT_ALREADY_RESIDENT)
         if node_trust < requester_min_trust:
             return CacheDecision(REJECT_SCOPE_VIOLATION)
-        value = benefit_us(inputs)
+        value = entry.benefit(p_hit)
         if value <= 0:
-            return CacheDecision(REJECT_NEGATIVE_BENEFIT, benefit_us=value)
-        if descriptor.size > self.capacity_bytes:
-            return CacheDecision(REJECT_INSUFFICIENT_SPACE, benefit_us=value)
+            return CacheDecision(REJECT_NEGATIVE_BENEFIT, benefit=value)
+        if entry.size > self.capacity_bytes:
+            return CacheDecision(REJECT_INSUFFICIENT_SPACE, benefit=value)
 
-        entry = CacheEntry(
-            descriptor=descriptor,
-            session_id=session_id,
-            latency_gain_us=inputs.latency_gain_us,
-            storage_cost_us=inputs.storage_cost_us,
-            token_count=token_count,
-            source_realization=source_realization,
-        )
         evicted: list[CacheEntry] = []
-        if self.free_bytes() < descriptor.size:
-            density = (value / descriptor.size) if descriptor.size > 0 else value
+        if self.free_bytes() < entry.size:
+            density = (value / entry.size) if entry.size > 0 else value
             ranked = sorted(
                 ((self.benefit_density(e, now), e) for e in self.entries.values()),
                 key=lambda pair: (pair[0], pair[1].state_id),
@@ -180,33 +137,21 @@ class StateStore:
                     break
                 evicted.append(victim)
                 freed += victim.size
-                if freed >= descriptor.size:
+                if freed >= entry.size:
                     break
-            if freed < descriptor.size:
-                return CacheDecision(REJECT_INSUFFICIENT_SPACE, benefit_us=value)
+            if freed < entry.size:
+                return CacheDecision(REJECT_INSUFFICIENT_SPACE, benefit=value)
             for victim in evicted:
-                del self.entries[self.entry_key(victim.descriptor.compatibility_hash, victim.session_id)]
-        self.entries[self.entry_key(descriptor.compatibility_hash, session_id)] = entry
-        return CacheDecision(ADMITTED, benefit_us=value, evicted=tuple(e.state_id for e in evicted))
+                del self.entries[self.entry_key(victim.compatibility_hash, victim.session_id)]
+        self.entries[key] = entry
+        return CacheDecision(ADMITTED, benefit=value, evicted=tuple(e.state_id for e in evicted))
 
-    def lookup(
-        self,
-        compat_hash: str,
-        session_id: str,
-        now: int,
-        requester_session: str | None = None,
-    ) -> tuple[CacheEntry | None, int]:
-        """(entry, covered_tokens) on hit, (None, 0) on miss.
-
-        A hash match held for a session other than the requester's counts
-        as a lookup on the entry but misses.
-        """
+    def lookup(self, compat_hash: str, session_id: str, now: int) -> CacheEntry | None:
+        """The session's entry, its lookup recorded in the reuse window."""
         entry = self.entries.get(self.entry_key(compat_hash, session_id))
-        if entry is None:
-            return None, 0
-        hit = entry.session_id == requester_session
-        entry.record_lookup(now, hit)
-        return (entry, entry.token_count) if hit else (None, 0)
+        if entry is not None:
+            entry.window.append(now)
+        return entry
 
     def peek(self, compat_hash: str, session_id: str) -> CacheEntry | None:
         """Counter-free residency check used by plan scoring."""
@@ -258,10 +203,6 @@ class CacheSystem:
             if entry is not None:
                 out.append((node_id, entry))
         return out
-
-    def check_migration(self, entry: CacheEntry, dst_trust: int, requester_min_trust: int) -> None:
-        if dst_trust < requester_min_trust:
-            raise ScopeViolation(entry.state_id)
 
     def drop_session(self, session_id: str) -> list[tuple[str, str]]:
         dropped = []

@@ -68,7 +68,6 @@ class PlacementPair:
     deploy_cost: Fraction      # load time + storage carry, 0 when resident
     net_cost_us: int           # artifact transfer from the repository, 0 when resident
     risk: int                  # 1 when node trust misses the soft preferred trust
-    resident: bool
 
     @property
     def key(self) -> tuple[str, str]:
@@ -314,7 +313,7 @@ def build_problem(
     pairs: list[PlacementPair] = []
     for class_name in classes:
         for realization in catalog.realizations_of_class(class_name):
-            if router.trust is not None and router.trust.is_revoked(realization.realization_id):
+            if broker.trust is not None and broker.trust.is_revoked(realization.realization_id):
                 continue
             variant = catalog.variant_of(realization.realization_id)
             for node_id in sorted(broker.nodes):
@@ -327,8 +326,7 @@ def build_problem(
                     continue
                 if state.profile.trust < variant.security.min_trust:
                     continue  # hard violation: never a candidate
-                resident = realization.realization_id in residency.get(node_id, set())
-                if resident:
+                if realization.realization_id in residency.get(node_id, set()):
                     deploy = Fraction(0)
                     net = 0
                 else:
@@ -347,7 +345,6 @@ def build_problem(
                         deploy_cost=deploy,
                         net_cost_us=net,
                         risk=1 if state.profile.trust < variant.security.preferred_trust else 0,
-                        resident=resident,
                     )
                 )
     pairs.sort(key=lambda p: p.key)

@@ -1,4 +1,5 @@
-"""Architectural descriptors: the five record types every other module consumes.
+"""Architectural descriptors: the capability, resource, request, plan and
+receipt records every other module consumes.
 
 All times are integer microseconds, all sizes integer bytes. Trust is an
 ordinal level in [0, 3]. Descriptors are immutable value types;
@@ -9,7 +10,7 @@ Only ``PlanStage`` and ``ExecutionReceipt`` have a dict form, ``to_dict``,
 for plan ids and ``receipts.jsonl``. The scenario reader
 (``scenario._record``) builds the node, request, policy and catalog types from
 the scenario file by their field annotations, so a field's default here is
-also its default in the file. ``StateDescriptor`` is built only by the engine.
+also its default in the file. Cached session state is ``caching.CacheEntry``.
 """
 
 from __future__ import annotations
@@ -168,15 +169,6 @@ class ResourceProfile:
     capacity: Capacity = Capacity()
     locality: Locality = Locality()
     trust: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class StateDescriptor:
-    """A session's cached prefill KV state; migrating it moves ``size`` bytes."""
-
-    state_id: str
-    compatibility_hash: str
-    size: int
 
 
 @dataclass(frozen=True, slots=True)

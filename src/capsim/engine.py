@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import ceil
 from typing import Protocol
 
 from . import deployment
-from .caching import REJECT_ALREADY_RESIDENT, BenefitInputs, CacheSystem, estimate_p_hit
+from .caching import CacheEntry, CacheSystem, estimate_p_hit
 from .descriptors import (
     REASON_HORIZON_TRUNCATED,
     ExecutionReceipt,
     RequestDescriptor,
-    StateDescriptor,
     StateType,
     Tier,
     Verdict,
@@ -142,7 +141,6 @@ class Simulation:
             broker=self.broker,
             topology=self.topology,
             caches=self.caches,
-            trust=self.trust,
             weights=scenario.routing_weights,
             bytes_per_token=scenario.bytes_per_token,
             enable_split=scenario.enable_split,
@@ -281,14 +279,10 @@ class Simulation:
 
         if scored.state_use is not None:
             use = scored.state_use
-            entry = use.entry
             store = self.caches.store(use.entry_node)
-            counted, _ = store.lookup(
-                entry.descriptor.compatibility_hash, entry.session_id, now, requester_session=arrival.session_id
-            )
-            if counted is not None:
-                counted.pins += 1
-                pinned = (use.entry_node, store.entry_key(entry.descriptor.compatibility_hash, entry.session_id))
+            entry = store.lookup(use.entry.compatibility_hash, use.entry.session_id, now)
+            entry.pins += 1
+            pinned = (use.entry_node, store.entry_key(entry.compatibility_hash, entry.session_id))
             self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=True)
             if use.migrate:
                 migration_done = now + scored.inbound_net_us + use.transfer_us
@@ -392,21 +386,12 @@ class Simulation:
         if flight is None or flight.scored.state_use is None:
             return
         entry = flight.scored.state_use.entry
-        store = self.caches.store(dst_node)
-        inputs = BenefitInputs(
-            p_hit=estimate_p_hit(entry, now, self.caches.window_us),
-            latency_gain_us=entry.latency_gain_us,
-            storage_cost_us=entry.storage_cost_us,
-        )
-        decision = store.admit(
-            entry.descriptor,
-            inputs,
-            session_id=entry.session_id,
-            now=now,
+        decision = self.caches.store(dst_node).admit(
+            replace(entry, window=deque(), pins=0),
+            estimate_p_hit(entry, now, self.caches.window_us),
+            now,
             node_trust=self.trust.effective_trust(dst_node, now),
             requester_min_trust=flight.arrival.request.policy.min_trust,
-            token_count=entry.token_count,
-            source_realization=entry.source_realization,
         )
         self._trace(
             now,
@@ -415,7 +400,7 @@ class Simulation:
             node_id=dst_node,
             src_node=src_node,
             outcome=decision.outcome,
-            benefit=str(decision.benefit_us) if decision.benefit_us is not None else "-inf",
+            benefit=str(decision.benefit) if decision.benefit is not None else "-inf",
             bytes=entry.size,
         )
         for victim in decision.evicted:
@@ -653,34 +638,34 @@ class Simulation:
         size = arrival.prefix_tokens * realization.kv_bytes_per_token
         speed = self.broker.node(serving_node).profile.hardware.speed_factor
         gain = ceil(Fraction(arrival.prefix_tokens * realization.prefill_time_per_token_us) / speed)
-        descriptor = StateDescriptor(state_id=f"st-{request.request_id}", compatibility_hash=compat, size=size)
-        inputs = BenefitInputs(
-            p_hit=Fraction(1, 2),
+        entry = CacheEntry(
+            state_id=f"st-{request.request_id}",
+            compatibility_hash=compat,
+            size=size,
+            session_id=arrival.session_id,
             latency_gain_us=gain,
             storage_cost_us=int(self.cache_storage_unit_cost * size),
-        )
-        decision = store.admit(
-            descriptor,
-            inputs,
-            session_id=arrival.session_id,
-            now=now,
-            node_trust=self.trust.effective_trust(serving_node, now),
-            requester_min_trust=request.policy.min_trust,
             token_count=arrival.prefix_tokens,
             source_realization=prefill_rid,
         )
-        if decision.outcome != REJECT_ALREADY_RESIDENT:
-            self._trace(
-                now,
-                "cache_admit" if decision.admitted else "cache_reject",
-                state_id=descriptor.state_id,
-                node_id=serving_node,
-                outcome=decision.outcome,
-                benefit=str(decision.benefit_us) if decision.benefit_us is not None else "-inf",
-                bytes=size,
-            )
-            for victim in decision.evicted:
-                self._trace(now, "cache_evict", state_id=victim, node_id=serving_node, reason="displaced")
+        decision = store.admit(
+            entry,
+            Fraction(1, 2),
+            now,
+            node_trust=self.trust.effective_trust(serving_node, now),
+            requester_min_trust=request.policy.min_trust,
+        )
+        self._trace(
+            now,
+            "cache_admit" if decision.admitted else "cache_reject",
+            state_id=entry.state_id,
+            node_id=serving_node,
+            outcome=decision.outcome,
+            benefit=str(decision.benefit) if decision.benefit is not None else "-inf",
+            bytes=size,
+        )
+        for victim in decision.evicted:
+            self._trace(now, "cache_evict", state_id=victim, node_id=serving_node, reason="displaced")
 
     def _end_turn(self, now: int, arrival: Arrival) -> None:
         sid = arrival.session_id

@@ -265,7 +265,7 @@ class Broker:
 
     # -- candidate lookup ---------------------------------------------------
 
-    def _effective_trust(self, state: NodeState, now: int) -> int:
+    def effective_trust(self, state: NodeState, now: int) -> int:
         if self.trust is None:
             return state.profile.trust
         return self.trust.effective_trust(state.node_id, now)
@@ -308,7 +308,7 @@ class Broker:
             if not self._in_scope(state, policy, origin_region):
                 continue
             # Trust levels are >= 0, so a floor of 0 passes every node.
-            if policy.min_trust > 0 and self._effective_trust(state, now) < policy.min_trust:
+            if policy.min_trust > 0 and self.effective_trust(state, now) < policy.min_trust:
                 continue
             node_id, profile, residency = state.node_id, state.profile, state.residency
             accelerator = profile.hardware.accelerator

@@ -53,10 +53,9 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
-from .caching import CacheEntry, CacheSystem, ScopeViolation, compatibility_hash
+from .caching import CacheEntry, CacheSystem, state_hash
 from .descriptors import (
     REASON_BUDGET_EXCEEDED,
     REASON_NO_FEASIBLE_PLAN,
@@ -68,17 +67,9 @@ from .descriptors import (
 )
 from .registry import Broker, Candidate, NodeState
 from .topology import Route, Topology, Unreachable, region_vertex
-from .trust import TrustManager
 
 TIE_EPS_NUM = 1
 TIE_EPS_DEN = 10**9  # relative tie window for argmin, 1e-9
-
-DEFAULT_TOKENIZER_TAG = "default"
-
-
-@lru_cache(maxsize=8192)
-def _state_hash(realization_id: str, prefix_digest: str) -> str:
-    return compatibility_hash(realization_id, DEFAULT_TOKENIZER_TAG, None, prefix_digest)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,13 +155,11 @@ class ScoredPlan:
     stages: tuple[StageProjection, ...]
     inbound_net_us: int
     interstage_net_us: int
-    outbound_net_us: int
     finish_us: int
     first_token_us: int      # absolute time the first output token is produced
     decode_total_us: int     # full decode-phase duration on the decode stage
     state_use: StateUse | None
     core_bytes: int          # request+kv+response bytes over core links
-    uncovered_prefill_tokens: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,7 +249,6 @@ class Router:
         broker: Broker,
         topology: Topology,
         caches: CacheSystem,
-        trust: TrustManager | None = None,
         weights: RoutingWeights | None = None,
         bytes_per_token: int = 4,
         enable_split: bool = True,
@@ -271,7 +259,6 @@ class Router:
         self.broker = broker
         self.topology = topology
         self.caches = caches
-        self.trust = trust
         self.weights = weights or RoutingWeights()
         negative = [f.name for f in fields(self.weights) if getattr(self.weights, f.name) < 0]
         if negative:  # _price_plans' lower bound needs every term of J >= 0
@@ -314,7 +301,7 @@ class Router:
     def state_hash_for(self, realization_id: str, request: RequestDescriptor) -> str | None:
         if not request.affinity_token:
             return None
-        return _state_hash(realization_id, request.affinity_token.partition(":")[2])
+        return state_hash(realization_id, request.affinity_token.partition(":")[2])
 
     def _holders(
         self, request: RequestDescriptor, realization_id: str, held: _Held
@@ -328,7 +315,7 @@ class Router:
                 session_id, _, prefix_digest = request.affinity_token.partition(":")
                 holders = [
                     (node_id, entry)
-                    for node_id, entry in self.caches.holders(_state_hash(realization_id, prefix_digest), session_id)
+                    for node_id, entry in self.caches.holders(state_hash(realization_id, prefix_digest), session_id)
                     if self.broker.node(node_id).online
                 ]
                 most = min(request.input_tokens, max((entry.token_count for _, entry in holders), default=0))
@@ -366,9 +353,8 @@ class Router:
                 continue
             recompute_us = self._eff_time_us(realization.prefill_time_per_token_us, covered, speed)
             try:
-                self.caches.check_migration(entry, prefill_node.profile.trust, request.policy.min_trust)
                 migrate_us, core = self.topology.transfer_between(node_id, prefill_node.node_id, entry.size)
-            except (ScopeViolation, Unreachable):
+            except Unreachable:
                 migrate_us, core = None, 0
             if migrate_us is not None and migrate_us < recompute_us:
                 use = StateUse(node_id, entry, covered, migrate=True, transfer_us=migrate_us, core_bytes=core)
@@ -377,11 +363,6 @@ class Router:
             if best is None or (use.transfer_us, use.entry_node) < (best.transfer_us, best.entry_node):
                 best = use
         return best
-
-    def _node_trust(self, state: NodeState, now: int) -> int:
-        if self.trust is None:
-            return state.profile.trust
-        return self.trust.effective_trust(state.node_id, now)
 
     def _c_load_for(self, state: NodeState, now: int) -> int:
         kappa = self.weights.kappa
@@ -397,7 +378,7 @@ class Router:
         preferred = request.policy.preferred_domains
         variant = self.broker.catalog.variant_of(realization.realization_id)
         return int(preferred is not None and state.profile.domain_id not in preferred) + int(
-            self._node_trust(state, now) < variant.security.preferred_trust
+            self.broker.effective_trust(state, now) < variant.security.preferred_trust
         )
 
     # -- scoring --------------------------------------------------------------
@@ -474,13 +455,11 @@ class Router:
             stages=stages,
             inbound_net_us=pre.t_in,
             interstage_net_us=t_inter,
-            outbound_net_us=last.t_out,
             finish_us=complete + last.t_out,
             first_token_us=complete - last.decode_us + self._eff_time_us(per_token, 1, last.row.speed),
             decode_total_us=last.decode_us,
             state_use=use,
             core_bytes=core_in + core_inter + core_out + (use.core_bytes if use is not None else 0),
-            uncovered_prefill_tokens=max(0, request.input_tokens - (use.covered_tokens if use is not None else 0)),
         )
 
     # -- selection ----------------------------------------------------------------

@@ -119,8 +119,7 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3,
     pairs = []
     for r in range(n_real):
         for n, node in enumerate(node_ids):
-            resident = rng.random() < (0.4 if ties else 0.2)
-            if resident:
+            if rng.random() < (0.4 if ties else 0.2):  # already resident: free to keep
                 deploy, net = F(0), 0
             elif ties:
                 deploy = rng.choice([0, 1_000]) + storage_unit_cost * footprints[r]
@@ -136,7 +135,6 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3,
                     deploy_cost=deploy,
                     net_cost_us=net,
                     risk=rng.randint(0, 1),
-                    resident=resident,
                 )
             )
     pairs.sort(key=lambda p: p.key)

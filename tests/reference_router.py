@@ -155,13 +155,11 @@ def score(
         stages=tuple(projections),
         inbound_net_us=t_in,
         interstage_net_us=t_inter,
-        outbound_net_us=t_out,
         finish_us=finish,
         first_token_us=first_token_us,
         decode_total_us=decode_total_us,
         state_use=state_use,
         core_bytes=core_in + core_inter + core_out + state_core,
-        uncovered_prefill_tokens=uncovered,
     )
 
 

@@ -41,10 +41,10 @@ def synth_problem(pairs, cells, latency, budgets, p_miss=10_000_000, nu=1):
     )
 
 
-def pair(rid, node, memory=1, deploy=0, net=0, risk=0, resident=False):
+def pair(rid, node, memory=1, deploy=0, net=0, risk=0):
     return PlacementPair(
         realization_id=rid, node_id=node, memory_bytes=memory,
-        deploy_cost=Fraction(deploy), net_cost_us=net, risk=risk, resident=resident,
+        deploy_cost=Fraction(deploy), net_cost_us=net, risk=risk,
     )
 
 
@@ -64,7 +64,7 @@ def test_objective_matches_hand_sum():
     pairs = [
         pair("rA", "n0", memory=2, deploy=100, net=300, risk=0),
         pair("rA", "n1", memory=2, deploy=100, net=700, risk=1),
-        pair("rA", "n2", memory=2, deploy=0, net=0, risk=0, resident=True),
+        pair("rA", "n2", memory=2, deploy=0, net=0, risk=0),
         pair("rB", "n0", memory=3, deploy=200, net=400, risk=0),
         pair("rB", "n1", memory=3, deploy=200, net=900, risk=0),
         pair("rB", "n2", memory=3, deploy=200, net=100, risk=1),
@@ -115,7 +115,7 @@ def test_greedy_drops_residents_with_no_demand():
     # Resident but worthless: re-adding changes nothing, so the solution
     # excludes it and the diff schedules an eviction.
     problem = synth_problem(
-        [pair("r0", "n0", memory=1, resident=True)],
+        [pair("r0", "n0", memory=1)],
         [], [], {"n0": 4},
     )
     solution = solve_greedy(problem)
@@ -268,15 +268,15 @@ def test_problem_built_from_live_broker_prices_residency(simple_broker):
     for node_id in broker.nodes:
         caches.add_store(node_id, 1 << 20)
     router = Router(
-        broker=broker, topology=broker.topology, caches=caches, trust=broker.trust,
+        broker=broker, topology=broker.topology, caches=caches,
         weights=RoutingWeights(), artifact_repository="cloud-1",
     )
     cells = [DemandCell("chat", "metro", 1, count=10, input_tokens=100, output_tokens=10)]
     residency = {"edge-1": {"chat-v1-gpu"}}
     problem = build_problem(router, cells, PlacementWeights(), residency)
     by_key = {p.key: p for p in problem.pairs}
-    assert by_key[("chat-v1-gpu", "edge-1")].resident
     assert by_key[("chat-v1-gpu", "edge-1")].deploy_cost == 0
+    assert by_key[("chat-v1-gpu", "edge-1")].net_cost_us == 0
     assert by_key[("chat-v1-gpu", "edge-2")].net_cost_us > 0
     # The zero-queue scorer prices the resident edge pair as the cheapest for
     # local demand, so the solved placement keeps it.

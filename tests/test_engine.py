@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from capsim.caching import REJECT_SCOPE_VIOLATION
 from capsim.engine import Simulation
 from capsim.scenario import Scenario
 
@@ -517,6 +518,24 @@ def test_affinity_token_of_another_session_fails_validation(tmp_path, capsys):
     assert paths == ["requests[1].affinity_token"]
 
 
+def test_state_is_not_admitted_once_the_node_attestation_lapses():
+    # edge-1 meets the request's trust floor when it is selected, but its
+    # attestation lapses before the request completes, so the session state
+    # it offers at completion is refused at the admission trust check.
+    d = mini_scenario_dict()
+    d["trust_script"] = {
+        "attestations": [{"node_id": "edge-1", "level": 2, "issue_time_us": 0, "validity_window_us": 3000}]
+    }
+    d["requests"] = [
+        scripted_request(policy={"min_trust": 2, "locality_scope": "any"}, affinity_token="s1:x",
+                         session={"session_id": "s1", "total_turns": 2, "prefix_tokens": 50}),
+    ]
+    result = run_scenario(d, trace=True)
+    assert [r.verdict.value for r in result.receipts.receipts] == ["allowed"]
+    offers = [row for row in result.trace if row["kind"].startswith("cache_")]
+    assert [(row["kind"], row["outcome"]) for row in offers] == [("cache_reject", REJECT_SCOPE_VIOLATION)]
+
+
 @pytest.mark.parametrize(
     "storage_unit_cost, admits, rejects, hits",
     [("0", 14, 0, 26), ("1", 0, 40, 0)],
@@ -673,8 +692,7 @@ def test_replan_delta_is_empty_under_steady_demand():
 def test_revocation_evicts_placements_and_dependent_states():
     from fractions import Fraction
 
-    from capsim.caching import BenefitInputs
-    from capsim.descriptors import StateDescriptor
+    from capsim.caching import CacheEntry
 
     d = mini_scenario_dict()
     d["topology"]["nodes"].append(
@@ -696,13 +714,10 @@ def test_revocation_evicts_placements_and_dependent_states():
     # Three dependent states planted before the run: two on edge-1, one on edge-2.
     for i, node in enumerate(("edge-1", "edge-1", "edge-2")):
         sim.caches.store(node).admit(
-            StateDescriptor(state_id=f"dep-{i}", compatibility_hash=f"h-{i}", size=100),
-            BenefitInputs(Fraction(1, 2), 10_000),
-            session_id=f"sess-{i}",
+            CacheEntry(f"dep-{i}", f"h-{i}", 100, f"sess-{i}", 10_000, token_count=10, source_realization="chat-v1-gpu"),
+            Fraction(1, 2),
             now=0,
             node_trust=2,
-            token_count=10,
-            source_realization="chat-v1-gpu",
         )
     result = sim.run()
     placement_evictions = [r for r in result.trace if r["kind"] == "placement_evict"]

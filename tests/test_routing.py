@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from capsim.caching import BenefitInputs, CacheSystem
+from capsim.caching import CacheEntry, CacheSystem
 from capsim.descriptors import (
     REASON_BUDGET_EXCEEDED,
     REASON_NO_FEASIBLE_PLAN,
@@ -14,7 +14,6 @@ from capsim.descriptors import (
     PlanStage,
     PolicyConstraint,
     RequestDescriptor,
-    StateDescriptor,
     Tier,
 )
 from capsim.engine import Simulation
@@ -63,7 +62,6 @@ def make_router(broker, weights=None, bytes_per_token=4, enable_split=True, repo
         broker=broker,
         topology=broker.topology,
         caches=caches,
-        trust=broker.trust,
         weights=weights or RoutingWeights(),
         bytes_per_token=bytes_per_token,
         enable_split=enable_split,
@@ -288,17 +286,8 @@ def _plant_affinity_state(router, broker, node_id, request, tokens=64):
     compat = router.state_hash_for(rid, request)
     session = request.affinity_token.split(":")[0]
     store = router.caches.store(node_id)
-    descriptor = StateDescriptor(state_id="st-planted", compatibility_hash=compat, size=tokens * 256)
-    decision = store.admit(
-        descriptor,
-        BenefitInputs(Fraction(1, 2), 10_000),
-        session_id=session,
-        now=0,
-        node_trust=3,
-        requester_min_trust=request.policy.min_trust,
-        token_count=tokens,
-        source_realization=rid,
-    )
+    entry = CacheEntry("st-planted", compat, tokens * 256, session, 10_000, token_count=tokens, source_realization=rid)
+    decision = store.admit(entry, Fraction(1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust)
     assert decision.admitted
 
 
@@ -311,7 +300,7 @@ def test_state_local_to_plan_node_costs_nothing(simple_broker):
     scored = feasible_plans(router, request, 0)
     at_holder = [s for s in scored if s.stages[0].node_id == "edge-1" and not s.stages[0].cold][0]
     assert at_holder.cost.t_state_us == 0
-    assert at_holder.uncovered_prefill_tokens == 100 - 64
+    assert at_holder.state_use.covered_tokens == 64
     # Covered prefill tokens are skipped in the execution term.
     assert at_holder.cost.t_exec_us == 1000 + (100 - 64) * 50 + 2000
 
@@ -549,19 +538,17 @@ def router_states(draw):
             rid = draw(st.sampled_from([r for r, _ in REALIZATIONS]))
             # Fewer, as many or more tokens than the prompt: reuse covers at most the prompt.
             tokens = max(1, request.input_tokens + draw(st.integers(-300, 100)))
-            router.caches.store(node_id).admit(
-                StateDescriptor(
-                    state_id=f"st-{node_id}",
-                    compatibility_hash=router.state_hash_for(rid, request),
-                    size=tokens * 256,
-                ),
-                BenefitInputs(Fraction(1, 2), 10_000_000),
-                session_id=session,
-                now=0,
-                node_trust=3,
-                requester_min_trust=request.policy.min_trust,
+            entry = CacheEntry(
+                f"st-{node_id}",
+                router.state_hash_for(rid, request),
+                tokens * 256,
+                session,
+                10_000_000,
                 token_count=tokens,
                 source_realization=rid,
+            )
+            router.caches.store(node_id).admit(
+                entry, Fraction(1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust
             )
         if holders and draw(st.booleans()):
             # An offline holder's state is neither reused nor counted in the prefill bound.
@@ -629,20 +616,16 @@ def held_prefix_state():
     edges = [("1/4", 0)] + [("4", delay) for delay in (0, 40, 80, 120, 160)]
     router = edge_router(edges, tie_eps=Fraction(1, 50), setup=0, kv_bytes=0)
     request = chat_request(affinity_token="sess-1:abc", output_tokens=400)
-    assert router.caches.store("edge-1").admit(
-        StateDescriptor(
-            state_id="st-edge-1",
-            compatibility_hash=router.state_hash_for("chat-v1-gpu", request),
-            size=48 << 20,
-        ),
-        BenefitInputs(Fraction(1, 2), 10_000_000),
-        session_id="sess-1",
-        now=0,
-        node_trust=3,
-        requester_min_trust=0,
+    entry = CacheEntry(
+        "st-edge-1",
+        router.state_hash_for("chat-v1-gpu", request),
+        48 << 20,
+        "sess-1",
+        10_000_000,
         token_count=request.input_tokens,
         source_realization="chat-v1-gpu",
-    ).admitted
+    )
+    assert router.caches.store("edge-1").admit(entry, Fraction(1, 2), now=0, node_trust=3).admitted
     return router, request, 0
 
 
@@ -795,7 +778,6 @@ def test_tied_edges_select_as_the_auditing_router_and_full_enumeration(state):
         broker=router.broker,
         topology=router.topology,
         caches=router.caches,
-        trust=router.trust,
         weights=router.weights,
         enable_split=router.enable_split,
         audit=True,
