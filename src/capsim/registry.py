@@ -266,6 +266,7 @@ class Broker:
     # -- candidate lookup ---------------------------------------------------
 
     def effective_trust(self, state: NodeState, now: int) -> int:
+        """The node's attested trust at ``now``; its claimed trust without a trust manager."""
         if self.trust is None:
             return state.profile.trust
         return self.trust.effective_trust(state.node_id, now)
