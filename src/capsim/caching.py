@@ -9,12 +9,20 @@ lookup always finds the requester's own entry. Admission values an entry at
 ``p_hit * gain - storage``; eviction drops the lowest benefit-density
 residents first. Entries a selected plan depends on are pinned until the
 request completes so scored coverage cannot be evicted mid-flight.
+
+``CacheSystem`` keeps a session index: per session id, the ids of the nodes
+whose store admitted one of the session's entries, in node-id order. Admission
+fills it and the session's end clears it; evictions and invalidations leave it
+as it is. So it lists every node that holds an entry of the session, and
+perhaps some that no longer do. ``holders`` and ``drop_session`` visit only the
+listed nodes and read each store afresh, so a stale listing costs one peek.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,11 +91,19 @@ class StateStore:
     lower benefit density.
     """
 
-    def __init__(self, node_id: str, capacity_bytes: int, window_us: int = 300_000_000):
+    def __init__(
+        self,
+        node_id: str,
+        capacity_bytes: int,
+        window_us: int = 300_000_000,
+        sessions: dict[str, list[str]] | None = None,
+    ):
         self.node_id = node_id
         self.capacity_bytes = capacity_bytes
         self.window_us = window_us
         self.entries: dict[str, CacheEntry] = {}  # keyed by entry_key(hash, session)
+        # The owning CacheSystem's session index, told of every admission.
+        self._sessions = sessions
 
     @staticmethod
     def entry_key(compat_hash: str, session_id: str) -> str:
@@ -144,6 +160,10 @@ class StateStore:
             for victim in evicted:
                 del self.entries[self.entry_key(victim.compatibility_hash, victim.session_id)]
         self.entries[key] = entry
+        if self._sessions is not None:
+            nodes = self._sessions.setdefault(entry.session_id, [])
+            if self.node_id not in nodes:
+                insort(nodes, self.node_id)
         return CacheDecision(ADMITTED, benefit=value, evicted=tuple(e.state_id for e in evicted))
 
     def lookup(self, compat_hash: str, session_id: str, now: int) -> CacheEntry | None:
@@ -183,9 +203,11 @@ class CacheSystem:
         self.enabled = enabled
         self.stores: dict[str, StateStore] = {}
         self._node_ids: tuple[str, ...] = ()  # sorted keys of ``stores``
+        # session id -> sorted ids of the nodes that admitted one of its entries
+        self._sessions: dict[str, list[str]] = {}
 
     def add_store(self, node_id: str, capacity_bytes: int) -> StateStore:
-        store = StateStore(node_id, capacity_bytes, self.window_us)
+        store = StateStore(node_id, capacity_bytes, self.window_us, self._sessions)
         self.stores[node_id] = store
         self._node_ids = tuple(sorted(self.stores))
         return store
@@ -198,15 +220,16 @@ class CacheSystem:
         if not self.enabled:
             return []
         out = []
-        for node_id in self._node_ids:
+        for node_id in self._sessions.get(session_id, ()):
             entry = self.stores[node_id].peek(compat_hash, session_id)
             if entry is not None:
                 out.append((node_id, entry))
         return out
 
     def drop_session(self, session_id: str) -> list[tuple[str, str]]:
+        """Drop every entry of the session, in node-id order, and its index."""
         dropped = []
-        for node_id in self._node_ids:
+        for node_id in self._sessions.pop(session_id, ()):
             for state_id in self.stores[node_id].drop_session(session_id):
                 dropped.append((node_id, state_id))
         return dropped

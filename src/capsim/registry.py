@@ -2,31 +2,36 @@
 
 The catalog stores the class -> variant -> realization tree with referential
 integrity. The broker tracks live node state (residency, reservation
-calendars, memory). Candidate lookup checks each node in turn: liveness,
-locality scope, effective trust, accelerator and free memory. Queued-work
-telemetry is read off the reservation calendar when it is reported.
+calendars, memory) and answers candidate lookups. Queued-work telemetry is
+read off the reservation calendar when it is reported.
 
 Candidate lookup returns warm and cold (placeable) candidates so routing can
 price activation instead of the registry hiding it.
 
-The broker keeps a small index so a lookup recomputes nothing that has not
-changed since the last one:
+A lookup recomputes nothing that has not changed since the last one. The
+broker keeps:
 - each node's used memory, the footprints of its resident realizations,
   updated by ``install`` and ``evict`` (the only writers of residency), so
   free memory is one subtraction;
-- the nodes in id order, fixed when each node registers;
-- per (class, quality target), the class's realizations at or above the
-  target that are not revoked, with each one's accelerator and footprint.
-  The catalog is fixed once the broker serves lookups; a revocation
-  invalidates every list, seen as a change of ``TrustManager.revocations``.
-Liveness, trust, residency flags (loading, draining) and the admission state
-change between lookups and are read afresh each time.
+- one static candidate table per (class, quality target, origin region,
+  allowed domains, locality scope, placement tiers); the origin region is
+  part of the key only for the scopes that read it. A table lists, in node-id
+  order, each node the scope admits with the class's unrevoked realizations
+  at or above the target that match its accelerator, each one's footprint,
+  and whether the node may take a cold placement. The catalog and the node
+  profiles are fixed once the broker serves lookups, so a table changes only
+  when a node registers or a realization is revoked; both clear every table
+  (a revocation is seen as a change of ``TrustManager.revocations``).
+A lookup walks its table and reads afresh what changes between lookups:
+liveness, effective trust (only when the policy's floor is above 0),
+residency (loaded, loading or draining) and free memory.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .descriptors import (
     CapabilityDescriptor,
@@ -183,11 +188,22 @@ class NodeState:
         return sum(1 for r in self.reservations if r.realization_id == realization_id)
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    node_id: str
+class Candidate(NamedTuple):
+    """A (node, realization) pair able to serve a request; warm when the
+    realization is resident and loaded, cold when it would be placed."""
+
+    node: NodeState
     realization_id: str
     warm: bool
+
+    @property
+    def node_id(self) -> str:
+        return self.node.profile.node_id
+
+
+# One node of a static candidate table: the node, whether it may take a cold
+# placement, and (realization id, footprint) of each realization it can run.
+_TableRow = tuple[NodeState, bool, tuple[tuple[str, int], ...]]
 
 
 class Broker:
@@ -200,9 +216,8 @@ class Broker:
         self.nodes: dict[str, NodeState] = {}
         self._footprint: dict[str, int] = {}
         self._by_id: list[NodeState] = []  # self.nodes in node-id order
-        # (class, quality target) -> (realization id, accelerator, footprint) of
-        # each qualifying, unrevoked realization, as of ``_revocations`` revocations.
-        self._qualifying: dict[tuple[str, int], tuple[tuple[str, str, int], ...]] = {}
+        # Static candidate tables by lookup key, as of ``_revocations`` revocations.
+        self._tables: dict[tuple, tuple[_TableRow, ...]] = {}
         self._revocations = 0
 
     # -- admission ---------------------------------------------------------
@@ -220,6 +235,7 @@ class Broker:
         state = NodeState(profile=profile)
         self.nodes[profile.node_id] = state
         self._by_id = [self.nodes[node_id] for node_id in sorted(self.nodes)]
+        self._tables.clear()
         return state
 
     def node(self, node_id: str) -> NodeState:
@@ -293,54 +309,71 @@ class Broker:
         now: int = 0,
         tiers: set[Tier] | None = None,
     ) -> list[Candidate]:
-        """All (node, realization) pairs able to serve the request, warm-flagged.
+        """All (node, realization) pairs able to serve the request, warm-flagged,
+        in node-id then realization-id order.
 
         Cold candidates are nodes where the realization is not resident but
         fits in free memory; routing prices the activation. ``tiers``
         restricts cold placement targets (used by the cloud-only baseline).
         """
-        realizations = self._qualifying_realizations(capability_class, quality_target)
-        if not realizations:
-            return []
+        min_trust = policy.min_trust
         out: list[Candidate] = []
-        for state in self._by_id:
+        for state, placeable, realizations in self._table(capability_class, quality_target, policy, origin_region, tiers):
             if not state.online:
                 continue
-            if not self._in_scope(state, policy, origin_region):
-                continue
             # Trust levels are >= 0, so a floor of 0 passes every node.
-            if policy.min_trust > 0 and self.effective_trust(state, now) < policy.min_trust:
+            if min_trust > 0 and self.effective_trust(state, now) < min_trust:
                 continue
-            node_id, profile, residency = state.node_id, state.profile, state.residency
-            accelerator = profile.hardware.accelerator
-            placeable = tiers is None or profile.locality.tier in tiers
-            free = profile.capacity.memory_budget_bytes - state.used_memory_bytes
-            for realization_id, needs, footprint in realizations:
-                if needs != accelerator:
-                    continue
+            residency = state.residency
+            free = state.profile.capacity.memory_budget_bytes - state.used_memory_bytes
+            for realization_id, footprint in realizations:
                 res = residency.get(realization_id)
                 if res is not None:
                     # Draining is never served; still loading is neither warm nor re-placeable.
                     if not res.pending_eviction and res.available_at_us <= now:
-                        out.append(Candidate(node_id, realization_id, warm=True))
+                        out.append(Candidate(state, realization_id, True))
                 elif placeable and free >= footprint:
-                    out.append(Candidate(node_id, realization_id, warm=False))
+                    out.append(Candidate(state, realization_id, False))
         return out
 
-    def _qualifying_realizations(self, capability_class: str, quality_target: int) -> tuple[tuple[str, str, int], ...]:
-        """(realization id, accelerator, footprint) of the class's unrevoked
-        realizations at or above ``quality_target``, in id order; cached until
-        the next revocation."""
+    def _table(
+        self,
+        capability_class: str,
+        quality_target: int,
+        policy: PolicyConstraint,
+        origin_region: str,
+        tiers: set[Tier] | None,
+    ) -> tuple[_TableRow, ...]:
+        """The static candidate table of a lookup, built on first use and kept
+        until a node registers or a realization is revoked."""
         if self.trust is not None and self.trust.revocations != self._revocations:
-            self._qualifying.clear()
+            self._tables.clear()
             self._revocations = self.trust.revocations
-        key = (capability_class, quality_target)
-        found = self._qualifying.get(key)
-        if found is None:
-            found = self._qualifying[key] = tuple(
-                (r.realization_id, r.accelerator, self.footprint(r.realization_id))
+        scope = policy.locality_scope
+        regional = scope is LocalityScope.REGION or scope is LocalityScope.NODE_LOCAL
+        key = (
+            capability_class,
+            quality_target,
+            origin_region if regional else None,
+            policy.allowed_domains,
+            scope,
+            None if tiers is None else frozenset(tiers),
+        )
+        table = self._tables.get(key)
+        if table is None:
+            realizations = [
+                (r.accelerator, r.realization_id, self.footprint(r.realization_id))
                 for r in self.catalog.realizations_of_class(capability_class)
                 if self.catalog.variant_of(r.realization_id).quality >= quality_target
                 and not (self.trust is not None and self.trust.is_revoked(r.realization_id))
-            )
-        return found
+            ]
+            rows = []
+            for state in self._by_id:
+                if not self._in_scope(state, policy, origin_region):
+                    continue
+                profile = state.profile
+                own = tuple((rid, fp) for needs, rid, fp in realizations if needs == profile.hardware.accelerator)
+                if own:
+                    rows.append((state, tiers is None or profile.locality.tier in tiers, own))
+            table = self._tables[key] = tuple(rows)
+        return table

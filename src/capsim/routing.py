@@ -182,7 +182,8 @@ class _Row:
     during a run. A route is None when its endpoints are not connected;
     ``activation_us`` is None when the artifact cannot reach the node, so the
     realization can only run there warm. ``single`` is the candidate's
-    single-node plan, hashed when the row is built."""
+    single-node plan, hashed when the row is built. ``speed_num / speed_den``
+    is the node's speed factor."""
 
     node: NodeState
     realization: CapabilityRealization
@@ -191,7 +192,8 @@ class _Row:
     route_out: Route | None
     setup_us: int
     activation_us: int | None  # cold load before a stage can run
-    speed: Fraction
+    speed_num: int
+    speed_den: int
 
 
 # A candidate's static bounds for one request: (t_in, t_out, decode time,
@@ -284,11 +286,6 @@ class Router:
 
     # -- helpers -------------------------------------------------------------
 
-    def _eff_time_us(self, per_token_us: int, tokens: int, speed: Fraction) -> int:
-        if tokens <= 0:
-            return 0
-        return -(-per_token_us * tokens * speed.denominator // speed.numerator)
-
     def _cold_extras_us(self, node_id: str, realization: CapabilityRealization) -> tuple[int, int]:
         """(activation time, core bytes) to fetch and load the artifact."""
         if self.artifact_repository is None:
@@ -351,7 +348,7 @@ class Router:
             covered = min(entry.token_count, request.input_tokens)
             if covered <= 0:
                 continue
-            recompute_us = self._eff_time_us(realization.prefill_time_per_token_us, covered, speed)
+            recompute_us = _ceil_time(realization.prefill_time_per_token_us, covered, speed.numerator, speed.denominator)
             try:
                 migrate_us, core = self.topology.transfer_between(node_id, prefill_node.node_id, entry.size)
             except Unreachable:
@@ -403,7 +400,7 @@ class Router:
         held: _Held = {}
         halves = []
         for stage, warm in zip(plan.stages, warm_flags):
-            row = self._row(origin, stage.node_id, stage.realization_id)
+            row = self._row(origin, self.broker.node(stage.node_id), stage.realization_id)
             bounds = self._bounds(request, row, warm, held, zero_queue)
             halves.append(None if bounds is None else self._half(request, row, warm, bounds, now, zero_queue))
         if any(h is None for h in halves) or halves[0].t_in is None or halves[-1].t_out is None:
@@ -456,7 +453,7 @@ class Router:
             inbound_net_us=pre.t_in,
             interstage_net_us=t_inter,
             finish_us=complete + last.t_out,
-            first_token_us=complete - last.decode_us + self._eff_time_us(per_token, 1, last.row.speed),
+            first_token_us=complete - last.decode_us + _ceil_time(per_token, 1, last.row.speed_num, last.row.speed_den),
             decode_total_us=last.decode_us,
             state_use=use,
             core_bytes=core_in + core_inter + core_out + (use.core_bytes if use is not None else 0),
@@ -470,13 +467,13 @@ class Router:
         except Unreachable:
             return None
 
-    def _row(self, origin: str, node_id: str, realization_id: str) -> _Row:
-        """The static row of candidate ``(node_id, realization_id)`` priced
-        from ``origin``, built once per router."""
+    def _row(self, origin: str, node: NodeState, realization_id: str) -> _Row:
+        """The static row of candidate ``(node, realization_id)`` priced from
+        ``origin``, built once per router."""
+        node_id = node.profile.node_id
         key = (origin, node_id, realization_id)
         row = self._rows.get(key)
         if row is None:
-            node = self.broker.node(node_id)
             realization = self.broker.catalog.realizations[realization_id]
             try:
                 activation, _ = self._cold_extras_us(node_id, realization)
@@ -490,7 +487,8 @@ class Router:
                 route_out=self._route(node_id, origin),
                 setup_us=realization.setup_time_us,
                 activation_us=activation,
-                speed=node.profile.hardware.speed_factor,
+                speed_num=node.profile.hardware.speed_factor.numerator,
+                speed_den=node.profile.hardware.speed_factor.denominator,
             )
         return row
 
@@ -505,7 +503,9 @@ class Router:
         side the decode. The wait, the state charge and the load and policy
         penalties are >= 0 and left out. None when the candidate can take no
         stage: it has no route either way, or it is cold and its artifact
-        cannot reach the node.
+        cannot reach the node. The holders of the request's state are read
+        from ``held``, looked up on the realization's first miss. Times are
+        rounded up as ``_ceil_time`` does, inline.
         """
         if warm:
             base = row.setup_us
@@ -515,16 +515,22 @@ class Router:
             base = row.setup_us + row.activation_us
         m_net, m_exec = self._mult[0], self._mult[2]
         realization = row.realization
+        num, den = row.speed_num, row.speed_den
         t_in = t_out = pre = dec = None
         decode_us = 0
         if row.route_in is not None:
             t_in = row.route_in.time_us(request.input_tokens * self.bytes_per_token)
-            most = 0 if zero_queue else self._holders(request, realization.realization_id, held)[1]
-            uncovered = self._eff_time_us(realization.prefill_time_per_token_us, request.input_tokens - most, row.speed)
+            tokens = request.input_tokens
+            if not zero_queue:
+                found = held.get(realization.realization_id)
+                if found is None:
+                    found = self._holders(request, realization.realization_id, held)
+                tokens -= found[1]
+            uncovered = -(-realization.prefill_time_per_token_us * tokens * den // num)
             pre = m_net * t_in + m_exec * (base + uncovered)
         if row.route_out is not None:
             t_out = row.route_out.time_us(request.output_tokens * self.bytes_per_token)
-            decode_us = self._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, row.speed)
+            decode_us = -(-realization.decode_time_per_token_us * request.output_tokens * den // num)
             dec = m_net * t_out + m_exec * (base + decode_us)
         elif t_in is None:
             return None
@@ -578,8 +584,12 @@ class Router:
         ready = now + half.t_in + migrate_wait
         half.use = use
         half.wait = max(0, half.free_us - ready)
-        half.prefill_exec = realization.setup_time_us + half.activation + self._eff_time_us(
-            realization.prefill_time_per_token_us, request.input_tokens - covered, half.row.speed
+        half.prefill_exec = (
+            realization.setup_time_us
+            + half.activation
+            + _ceil_time(
+                realization.prefill_time_per_token_us, request.input_tokens - covered, half.row.speed_num, half.row.speed_den
+            )
         )
         half.t_state = t_state
         # Recomputing covered tokens occupies the server after the prefill.
@@ -648,12 +658,12 @@ class Router:
         rows: list[_Row] = []
         warm: list[bool] = []
         bounds: list[_Bounds] = []
-        for cand in candidates:
-            row = self._row(origin, cand.node_id, cand.realization_id)
-            b = self._bounds(request, row, cand.warm, held)
+        for node, realization_id, is_warm in candidates:
+            row = self._row(origin, node, realization_id)
+            b = self._bounds(request, row, is_warm, held)
             if b is not None:
                 rows.append(row)
-                warm.append(cand.warm)
+                warm.append(is_warm)
                 bounds.append(b)
         built: dict[int, _Half | None] = {}
 
@@ -857,6 +867,12 @@ class Router:
             degraded=quality < request.quality_target,
             alternatives=alternatives,
         )
+
+
+def _ceil_time(per_token_us: int, tokens: int, speed_num: int, speed_den: int) -> int:
+    """``tokens`` (>= 0) at ``per_token_us`` each on a node of speed factor
+    ``speed_num / speed_den``, rounded up."""
+    return -(-per_token_us * tokens * speed_den // speed_num)
 
 
 def _stage(row: _Row, phase: PlanPhase) -> PlanStage:

@@ -10,6 +10,7 @@ totals. Tests compare the router against it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 from capsim.descriptors import PlanPhase, PlanStage, RequestDescriptor
 from capsim.registry import Candidate
@@ -42,6 +43,11 @@ def scaled_weights(weights: RoutingWeights, factor: int) -> RoutingWeights:
         pi_soft=weights.pi_soft,
         tie_eps=weights.tie_eps,
     )
+
+
+def eff_time_us(per_token_us: int, tokens: int, speed: Fraction) -> int:
+    """Time for ``tokens`` at ``per_token_us`` each on a node of ``speed``, rounded up."""
+    return ceil(Fraction(per_token_us * max(0, tokens)) / speed)
 
 
 def combine_terms(weights: RoutingWeights, terms: tuple[int, int, int, int, int, int]) -> Fraction:
@@ -109,9 +115,9 @@ def score(
             exec_us += activation
         decode_us = 0
         if stage.phase in (PlanPhase.FULL, PlanPhase.PREFILL):
-            exec_us += router._eff_time_us(realization.prefill_time_per_token_us, uncovered, speed)
+            exec_us += eff_time_us(realization.prefill_time_per_token_us, uncovered, speed)
         if stage.phase in (PlanPhase.FULL, PlanPhase.DECODE):
-            decode_us = router._eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
+            decode_us = eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
             exec_us += decode_us
         t_exec += exec_us
         occupancy_us = exec_us + (recompute_work if idx == 0 else 0)
@@ -125,7 +131,7 @@ def score(
         if not zero_queue:
             c_load += router._c_load_for(node_state, now)
         if stage.phase in (PlanPhase.FULL, PlanPhase.DECODE):
-            one_token = router._eff_time_us(realization.decode_time_per_token_us, 1, speed)
+            one_token = eff_time_us(realization.decode_time_per_token_us, 1, speed)
             first_token_us = complete - decode_us + one_token
             decode_total_us = decode_us
         projections.append(

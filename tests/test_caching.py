@@ -1,6 +1,10 @@
 import hashlib
 import random
+from collections import deque
+from dataclasses import replace
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from capsim.caching import (
     REJECT_ALREADY_RESIDENT,
@@ -229,3 +233,53 @@ def test_capacity_never_exceeded_under_random_ops():
             # Pinned entries are skipped by admission's eviction loop.
             entry = rng.choice(sorted(store.entries.values(), key=lambda e: e.state_id))
             entry.pins = 1 - entry.pins
+
+
+CACHE_NODES = ["n3", "n1", "n2", "n4"]  # registration order is not id order
+
+CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["admit", "migrate", "drop_session", "drop_realization", "pin", "pop"]),
+        st.sampled_from(CACHE_NODES),
+        st.sampled_from(["sess-1", "sess-2", "sess-3"]),
+        st.sampled_from(["h1", "h2"]),
+        st.integers(1, 6),  # entry size
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CACHE_OPS)
+def test_session_index_holders_match_a_peek_of_every_store(ops):
+    """``holders`` and ``drop_session`` read the session index; a full scan of
+    every store, in node-id order, must give the same after any sequence of
+    admissions, migrations, displacements and drops."""
+    system = CacheSystem()
+    for node_id in CACHE_NODES:
+        system.add_store(node_id, 6)  # a few entries each, so admissions displace
+    for now, (op, node_id, session, compat, amount) in enumerate(ops):
+        store = system.store(node_id)
+        if op == "admit":
+            entry = make_entry(f"s{now}", size=amount, compat=compat, session=session, gain=100 * (now % 5 + 1))
+            entry.source_realization = compat
+            store.admit(entry, HALF, now)
+        elif op == "migrate":  # a copy of a held entry admitted on the next node, as the engine does
+            held = [e for n, e in system.holders(compat, session) if n != node_id]
+            if held:
+                store.admit(replace(held[0], window=deque(), pins=0), HALF, now)
+        elif op == "drop_session":
+            want = [(n, e.state_id) for n in sorted(CACHE_NODES) for e in system.store(n).entries.values() if e.session_id == session]
+            assert system.drop_session(session) == want
+        elif op == "drop_realization":
+            system.drop_by_realization(compat)
+        elif op == "pin":
+            entry = store.peek(compat, session)
+            if entry is not None:
+                entry.pins = 1 - entry.pins
+        else:  # removed behind the index's back, as a revoked pinned entry is
+            store.entries.pop(store.entry_key(compat, session), None)
+        for s in ("sess-1", "sess-2", "sess-3"):
+            for h in ("h1", "h2"):
+                want = [(n, system.store(n).peek(h, s)) for n in sorted(CACHE_NODES)]
+                assert system.holders(h, s) == [(n, e) for n, e in want if e is not None]

@@ -311,3 +311,98 @@ def test_candidate_index_matches_recompute_under_interleaved_churn(ops):
                 want = brute_force_candidates(broker, "chat", quality_target, PolicyConstraint(), "metro", now, tiers)
                 # Node-id order, then realization-id order.
                 assert [(c.node_id, c.realization_id, c.warm) for c in got] == sorted(want)
+
+
+# Nodes registered before the ops run, and one registered by a "register" op.
+TABLE_PROFILES = [
+    make_profile("box-1", tier=Tier.LOCAL, region="metro", trust=2, memory=2 * GIB),
+    make_profile("edge-1", trust=2, memory=4 * GIB),
+    make_profile("edge-cpu", accelerator="cpu", trust=1, memory=4 * GIB),
+    make_profile("far-1", domain_id="d2", region="far", trust=3, memory=4 * GIB),
+    make_profile("cloud-1", domain_id="d2", region="core", tier=Tier.CLOUD, trust=3, memory=8 * GIB),
+]
+LATE_PROFILE = make_profile("box-far", tier=Tier.LOCAL, region="far", trust=1, memory=4 * GIB)
+TABLE_REALIZATIONS = ["chat-v1-gpu", "chat-v1-cpu", "chat-v2-gpu"]
+
+# Every locality scope, floors above 0, placement tiers and both origins.
+TABLE_LOOKUPS = [
+    (1, PolicyConstraint(), "metro", None),
+    (2, PolicyConstraint(min_trust=2), "metro", {Tier.EDGE}),
+    (1, PolicyConstraint(min_trust=1, allowed_domains=("d2",)), "far", None),
+    (1, PolicyConstraint(locality_scope=LocalityScope.DOMAIN, allowed_domains=("d1",)), "metro", None),
+    (1, PolicyConstraint(min_trust=3, locality_scope=LocalityScope.DOMAIN, allowed_domains=("d2",)), "far", {Tier.CLOUD}),
+    (1, PolicyConstraint(locality_scope=LocalityScope.REGION), "metro", None),
+    (1, PolicyConstraint(locality_scope=LocalityScope.REGION), "far", None),
+    (2, PolicyConstraint(min_trust=1, locality_scope=LocalityScope.REGION), "far", {Tier.LOCAL, Tier.EDGE}),
+    (1, PolicyConstraint(locality_scope=LocalityScope.NODE_LOCAL), "metro", {Tier.LOCAL}),
+    (1, PolicyConstraint(locality_scope=LocalityScope.NODE_LOCAL), "far", {Tier.LOCAL}),
+    (1, PolicyConstraint(min_trust=1, locality_scope=LocalityScope.NODE_LOCAL), "far", None),
+]
+
+TABLE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["install", "evict", "drain", "toggle", "attest", "revoke", "register", "advance"]),
+        st.integers(0, len(TABLE_PROFILES)),  # index into the registered nodes, in id order
+        st.sampled_from(TABLE_REALIZATIONS),
+        st.integers(0, 3000),
+    ),
+    max_size=30,
+)
+
+
+def table_broker():
+    catalog = CapabilityCatalog()
+    catalog.add_class(make_class("chat"))
+    catalog.add_variant(make_variant("chat-v1", "chat", quality=1))
+    catalog.add_variant(make_variant("chat-v2", "chat", quality=2))
+    catalog.add_realization(make_realization("chat-v1-gpu", "chat-v1", artifact_size=GIB))
+    catalog.add_realization(make_realization("chat-v1-cpu", "chat-v1", accelerator="cpu", artifact_size=GIB))
+    catalog.add_realization(make_realization("chat-v2-gpu", "chat-v2", artifact_size=2 * GIB))
+    topology = make_topology(TABLE_PROFILES + [LATE_PROFILE], [], domains=[Domain("d1"), Domain("d2")])
+    trust = TrustManager()
+    for rid in catalog.realizations:
+        trust.register_lineage(rid, (("base", rid),))
+    broker = Broker(catalog, topology, trust=trust)
+    for p in TABLE_PROFILES:
+        broker.register_node(p)
+        trust.attest(AttestationRecord(p.node_id, p.trust, 0, None))
+    return broker
+
+
+@settings(max_examples=100, deadline=None)
+@given(TABLE_OPS)
+def test_candidate_tables_match_brute_force_under_churn(ops):
+    """The table-backed lookup against a full scan after every change a table
+    must survive (residency, liveness, lapsing trust, time) or be rebuilt for
+    (a revocation, a late registration)."""
+    broker = table_broker()
+    now = 0
+    for op, index, rid, amount in ops:
+        state = broker.node(sorted(broker.nodes)[index % len(broker.nodes)])
+        node_id = state.node_id
+        if op == "install":  # a load finishing ``amount`` µs from now
+            if rid in state.residency or broker.free_memory(node_id) >= broker.footprint(rid):
+                broker.install(node_id, rid, now + amount)
+        elif op == "evict":
+            broker.evict(node_id, rid)
+        elif op == "drain":
+            if rid in state.residency:
+                state.residency[rid].pending_eviction = not state.residency[rid].pending_eviction
+        elif op == "toggle":
+            state.online = not state.online
+        elif op == "attest":  # a level up to the claimed trust, lapsing ``amount`` µs from now
+            broker.trust.attest(AttestationRecord(node_id, amount % (state.profile.trust + 1), now, amount))
+        elif op == "revoke":
+            broker.trust.revoke(rid)
+        elif op == "register":
+            if LATE_PROFILE.node_id not in broker.nodes:
+                broker.register_node(LATE_PROFILE)
+                broker.trust.attest(AttestationRecord(LATE_PROFILE.node_id, LATE_PROFILE.trust, now, None))
+        else:
+            now += amount
+        for quality_target, policy, origin, tiers in TABLE_LOOKUPS:
+            got = broker.lookup_candidates("chat", quality_target, policy, origin, now=now, tiers=tiers)
+            want = brute_force_candidates(broker, "chat", quality_target, policy, origin, now, tiers)
+            # Node-id order, then realization-id order.
+            assert [(c.node_id, c.realization_id, c.warm) for c in got] == sorted(want)
+            assert all(c.node is broker.node(c.node_id) for c in got)
