@@ -6,6 +6,11 @@ writer that streams them to disk.
 Stage schedules are fixed at selection time (reservation calendars), so the
 event loop realizes exactly the timing the router scored; identical
 (scenario, seed) inputs produce byte-identical outputs.
+
+Some events only write a trace row: a stage's dispatch, the inbound and KV
+transfers, and queue telemetry after a replan. They are pushed only when
+trace is on. Each event's ``seq`` is taken in push order, so leaving them out
+keeps the order of every other event.
 """
 
 from __future__ import annotations
@@ -320,28 +325,30 @@ class Simulation:
             self.metrics.max_queue_length[proj.node_id] = max(
                 self.metrics.max_queue_length.get(proj.node_id, 0), node.queue_length(now)
             )
-            self._push(
-                proj.start_us,
-                EventKind.DISPATCH,
-                {"request_id": request.request_id, "node_id": proj.node_id, "ready_us": proj.ready_us},
-            )
+            if self.trace_enabled:
+                self._push(
+                    proj.start_us,
+                    EventKind.DISPATCH,
+                    {"request_id": request.request_id, "node_id": proj.node_id, "ready_us": proj.ready_us},
+                )
             self._push(
                 proj.complete_us,
                 EventKind.STAGE_COMPLETE,
                 {"request_id": request.request_id, "node_id": proj.node_id, "realization_id": proj.realization_id},
             )
 
-        self._push(
-            now + scored.inbound_net_us,
-            EventKind.TRANSFER_COMPLETE,
-            {"transfer": "inbound", "request_id": request.request_id, "bytes": request.input_tokens * self.router.bytes_per_token},
-        )
-        if len(scored.stages) == 2:
+        if self.trace_enabled:
             self._push(
-                scored.stages[0].complete_us + scored.interstage_net_us,
+                now + scored.inbound_net_us,
                 EventKind.TRANSFER_COMPLETE,
-                {"transfer": "kv", "request_id": request.request_id},
+                {"transfer": "inbound", "request_id": request.request_id, "bytes": request.input_tokens * self.router.bytes_per_token},
             )
+            if len(scored.stages) == 2:
+                self._push(
+                    scored.stages[0].complete_us + scored.interstage_net_us,
+                    EventKind.TRANSFER_COMPLETE,
+                    {"transfer": "kv", "request_id": request.request_id},
+                )
         self._push(
             scored.finish_us,
             EventKind.TRANSFER_COMPLETE,
@@ -374,7 +381,8 @@ class Simulation:
         self._maybe_complete_eviction(now, node_id, rid)
 
     def _on_transfer_complete(self, now: int, payload: dict) -> None:
-        self._trace(now, EventKind.TRANSFER_COMPLETE.value, **{k: v for k, v in payload.items() if k != "terminal"})
+        if self.trace_enabled:
+            self._trace(now, EventKind.TRANSFER_COMPLETE.value, **{k: v for k, v in payload.items() if k != "terminal"})
         if payload.get("transfer") == "state_migration":
             self._apply_migration(now, payload)
         if payload.get("terminal"):
@@ -432,9 +440,10 @@ class Simulation:
                 res.pending_eviction = False  # resurrected before it drained
                 continue
             self._start_load(now, node_id, rid)
-        for node_id in sorted(self.broker.nodes):
-            queued_work_us = self.broker.refresh_queue_telemetry(node_id, now)
-            self._push(now, EventKind.TELEMETRY, {"node_id": node_id, "queued_work_us": queued_work_us})
+        if self.trace_enabled:
+            for node_id in sorted(self.broker.nodes):
+                queued_work_us = self.broker.refresh_queue_telemetry(node_id, now)
+                self._push(now, EventKind.TELEMETRY, {"node_id": node_id, "queued_work_us": queued_work_us})
 
     def _demand_cells(self, start_us: int, end_us: int) -> list[deployment.DemandCell]:
         # Replans come in time order with one window length, so an arrival

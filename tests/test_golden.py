@@ -18,6 +18,9 @@ admissions displace residents and states migrate between edges.
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,11 +132,8 @@ def eviction_heavy_scenario() -> dict:
     return doc
 
 
-def output_digests(out_dir: Path) -> tuple[str, str, str]:
-    return tuple(
-        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in ("metrics.json", "receipts.jsonl", "trace.csv")
-    )
+def output_digests(out_dir: Path, names=("metrics.json", "receipts.jsonl", "trace.csv")) -> tuple[str, ...]:
+    return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names)
 
 
 def test_every_shipped_scenario_has_a_digest():
@@ -144,6 +144,25 @@ def test_every_shipped_scenario_has_a_digest():
 def test_run_output_matches_golden_digest(name, tmp_path):
     assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path), "--trace"]) == 0
     assert output_digests(tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"audit"}) + ["replan_heavy", "eviction_heavy"])
+def test_untraced_run_writes_the_golden_metrics_and_receipts(name, tmp_path):
+    # Events that only write trace rows are not scheduled without --trace.
+    variants = {
+        "replan_heavy": (replan_heavy_scenario, REPLAN_HEAVY),
+        "eviction_heavy": (eviction_heavy_scenario, EVICTION_HEAVY),
+    }
+    if name in variants:
+        make, digests = variants[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(make()))
+    else:
+        path, digests = SCENARIOS / f"{name}.json", GOLDEN[name]
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert not (out / "trace.csv").exists()
+    assert output_digests(out, ("metrics.json", "receipts.jsonl")) == digests[:2]
 
 
 def test_replan_heavy_output_matches_golden_digest(tmp_path):
@@ -164,3 +183,36 @@ def test_eviction_heavy_output_matches_golden_digest(tmp_path):
     assert any(r["kind"] == "cache_evict" and "reason=displaced" in r["detail"] for r in rows)
     assert any(r["kind"] == "cache_migrate" and "outcome=Admitted" in r["detail"] for r in rows)
     assert output_digests(out) == EVICTION_HEAVY
+
+
+# Runs scenarios with --trace and prints each one's output digests.
+DIGESTS_OF_RUNS = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from capsim.cli import main
+out = {}
+for name in sys.argv[1:]:
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["run", f"scenarios/{name}.json", "--out", tmp, "--trace"]) == 0
+        out[name] = [hashlib.sha256((Path(tmp) / f).read_bytes()).hexdigest()
+                     for f in ("metrics.json", "receipts.jsonl", "trace.csv")]
+print(json.dumps(out))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """String hashing, and so set and dict-of-set iteration order, changes
+    with ``PYTHONHASHSEED``; no output byte may follow it."""
+    names = ["session_heavy", "trust_churn"]
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", DIGESTS_OF_RUNS, *names],
+            cwd=SCENARIOS.parent,
+            env={**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got == {name: list(GOLDEN[name]) for name in names}, seed
