@@ -1,5 +1,6 @@
 """Output files written as the data is produced: metrics.json one record at a
-time, trace.csv one row at a time, and the run's failure contract for them."""
+time, receipts.jsonl one receipt at a time, trace.csv one row at a time, and
+the run's failure contract for them."""
 
 import io
 import json
@@ -8,8 +9,10 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from capsim.cli import TRACE_COLUMNS, TraceWriter, main
+from capsim.descriptors import ExecutionReceipt, PlanPhase, PlanStage, Verdict
 from capsim.engine import Simulation
 from capsim.metrics import OUTCOME_REJECTED, OUTCOME_SERVED, OUTCOME_TRUNCATED, MetricsFrame, RequestRecord
+from capsim.trust import ReceiptLog
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -75,7 +78,9 @@ def reference_trace_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-values = st.one_of(st.integers(), st.text(max_size=8), st.none(), st.booleans())
+values = st.one_of(
+    st.integers(), st.text(max_size=8), st.none(), st.booleans(), st.tuples(st.text(max_size=3), st.text(max_size=3))
+)
 trace_rows = st.builds(
     lambda ts, kind, known, extra: {"timestamp_us": ts, "seq": 0, "kind": kind, **known, **extra},
     st.integers(min_value=0),
@@ -87,6 +92,45 @@ trace_rows = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(trace_rows, max_size=8))
+# One key layout twice, with different values.
+@example(
+    [
+        {"timestamp_us": 1, "seq": 0, "kind": "dispatch", "request_id": "r1", "node_id": "n1", "ready_us": 5},
+        {"timestamp_us": 2, "seq": 0, "kind": "dispatch", "request_id": "r2", "node_id": "n2", "ready_us": 70},
+    ]
+)
+# The same keys inserted in another order.
+@example(
+    [
+        {"timestamp_us": 3, "seq": 0, "kind": "cache_evict", "state_id": "s1", "node_id": "n1", "reason": "a"},
+        {"reason": "b", "node_id": "n2", "seq": 0, "kind": "cache_evict", "timestamp_us": 4, "state_id": "s2"},
+        {"timestamp_us": 5, "seq": 0, "kind": "cache_evict", "state_id": "s3", "node_id": "n3", "reason": "c"},
+    ]
+)
+# Detail keys and values that mean something to str.format, %-formatting or the detail syntax.
+@example(
+    [
+        {"timestamp_us": 0, "seq": 0, "kind": "telemetry", "{": 1, "}": "}", "{0}": "{1}", "{{x}}": "{}"},
+        {"timestamp_us": 0, "seq": 0, "kind": "telemetry", "%s": "%d", "a=b": "c=d", "e;f": "g;h", "{!r}": 2},
+    ]
+)
+# A tuple value, as in state_entry, and the benefit strings cache rows carry.
+@example(
+    [
+        {
+            "timestamp_us": 6, "seq": 0, "kind": "transfer_complete", "transfer": "state_migration",
+            "request_id": "r3", "state_entry": ("edge-1", "edge-2"),
+        },
+        {
+            "timestamp_us": 6, "seq": 0, "kind": "cache_migrate", "state_id": "st-r3", "node_id": "edge-2",
+            "src_node": "edge-1", "outcome": "rejected", "benefit": "-inf", "bytes": 4096,
+        },
+        {
+            "timestamp_us": 7, "seq": 0, "kind": "cache_admit", "state_id": "st-r4", "node_id": "edge-2",
+            "outcome": "admitted", "benefit": "-355/113", "bytes": 2048,
+        },
+    ]
+)
 def test_trace_writer_matches_whole_file_formatter(rows):
     buf = io.StringIO()
     writer = TraceWriter(buf)
@@ -96,6 +140,92 @@ def test_trace_writer_matches_whole_file_formatter(rows):
         writer.append(row)
     assert len(writer) == len(rows)
     assert buf.getvalue() == reference_trace_csv(rows)
+
+
+def reference_receipt_dict(r: ExecutionReceipt) -> dict:
+    """The dict whose canonical JSON is a receipt's line in receipts.jsonl."""
+    return {
+        "request_id": r.request_id,
+        "plan": [
+            {"node_id": s.node_id, "realization_id": s.realization_id, "phase": s.phase.value} for s in r.plan
+        ],
+        "capability_versions": [list(v) for v in r.capability_versions],
+        "node_attestations": [list(a) for a in r.node_attestations],
+        "cache_states_reused": list(r.cache_states_reused),
+        "cache_tokens_covered": r.cache_tokens_covered,
+        "verdict": r.verdict.value,
+        "reason": r.reason,
+        "timing": {
+            "t_net_us": r.t_net_us,
+            "t_queue_us": r.t_queue_us,
+            "t_exec_us": r.t_exec_us,
+            "t_state_us": r.t_state_us,
+            "c_load": r.c_load,
+            "p_policy": r.p_policy,
+        },
+        "arrival_time": r.arrival_time,
+        "finish_time": r.finish_time,
+    }
+
+
+def reference_receipt_line(r: ExecutionReceipt) -> str:
+    return json.dumps(reference_receipt_dict(r), sort_keys=True, separators=(",", ":"))
+
+
+plan_stages = st.builds(PlanStage, node_id=texts, realization_id=texts, phase=st.sampled_from(PlanPhase))
+receipts = st.builds(
+    ExecutionReceipt,
+    request_id=texts,
+    plan=st.lists(plan_stages, max_size=2).map(tuple),
+    capability_versions=st.lists(st.tuples(texts, texts), max_size=2).map(tuple),
+    node_attestations=st.lists(st.tuples(texts, big_ints), max_size=2).map(tuple),
+    cache_states_reused=st.lists(texts, max_size=2).map(tuple),
+    cache_tokens_covered=big_ints,
+    verdict=st.sampled_from(Verdict),
+    reason=st.none() | texts,
+    t_net_us=big_ints,
+    t_queue_us=big_ints,
+    t_exec_us=big_ints,
+    t_state_us=big_ints,
+    c_load=big_ints,
+    p_policy=big_ints,
+    arrival_time=big_ints,
+    finish_time=big_ints,
+)
+_two_stages = (
+    PlanStage("edge-\u00e9", 'pre"fill\\', PlanPhase.PREFILL),
+    PlanStage("cloud\u2603", "dec\x00ode\n", PlanPhase.DECODE),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(receipts, max_size=4))
+@example([])
+@example(
+    [
+        ExecutionReceipt(
+            request_id="q-\u00e9\x1f", plan=(), capability_versions=(), node_attestations=(),
+            cache_states_reused=(), cache_tokens_covered=0, verdict=Verdict.REJECTED, reason="NoFeasiblePlan",
+        ),
+        ExecutionReceipt(
+            request_id='q"1', plan=_two_stages[:1], capability_versions=(("r\\", "\u2603" * 3),),
+            node_attestations=(("n\t", 2**70),), cache_states_reused=("st-\x7f",), cache_tokens_covered=2**64,
+            verdict=Verdict.ALLOWED, reason=None, t_net_us=1, c_load=-(2**70), finish_time=2**70,
+        ),
+        ExecutionReceipt(
+            request_id="q2", plan=_two_stages, capability_versions=(("a", "b"), ("c", "d")),
+            node_attestations=(("n1", 0), ("n2", 3)), cache_states_reused=(), cache_tokens_covered=7,
+            verdict=Verdict.DEGRADED, reason="quality-downgrade:1", t_queue_us=5, p_policy=9,
+        ),
+    ]
+)
+def test_receipt_lines_match_canonical_json_dumps(entries):
+    expected = "".join(reference_receipt_line(r) + "\n" for r in entries)
+    log = ReceiptLog(receipts=list(entries))
+    assert log.to_jsonl() == expected
+    streamed = io.StringIO()
+    assert log.to_jsonl(streamed) is None
+    assert streamed.getvalue() == expected
 
 
 def test_failed_run_leaves_no_partial_trace(tmp_path, monkeypatch, capsys):
