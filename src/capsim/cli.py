@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -43,24 +43,44 @@ _ROW_COLUMNS = TRACE_COLUMNS[:-1]  # every column but detail
 class TraceWriter:
     """``trace.csv``, written one row at a time as the engine produces them.
 
-    A row's known columns are its values under those names (empty when
-    absent); every other key goes into ``detail`` as sorted ``key=value``
-    pairs joined by ``;``.
+    A row's known columns are its values under those names, converted by
+    ``str()`` (empty when absent); every other key goes into ``detail`` as
+    sorted ``key=value`` pairs joined by ``;``, each value converted by
+    ``format()``. Rows come in a few key layouts, about one per event kind,
+    so the writer compiles one ``str.format`` template per layout (the row's
+    keys in insertion order) and fills it with the row's values.
     """
 
     def __init__(self, fp: TextIO) -> None:
         self._fp = fp
         self._rows = 0
+        self._formats: dict[tuple[str, ...], Callable[..., str]] = {}
         fp.write(",".join(TRACE_COLUMNS) + "\n")
 
     def append(self, row: dict) -> None:
-        cells = [str(row.get(c, "")) for c in _ROW_COLUMNS]
-        cells.append(";".join(f"{k}={row[k]}" for k in sorted(row) if k not in _TRACE_COLUMN_SET))
-        self._fp.write(",".join(cells) + "\n")
+        layout = tuple(row)
+        fmt = self._formats.get(layout)
+        if fmt is None:
+            fmt = self._formats[layout] = _row_format(layout)
+        self._fp.write(fmt(*row.values()))
         self._rows += 1
 
     def __len__(self) -> int:
         return self._rows
+
+
+def _row_format(layout: tuple[str, ...]) -> Callable[..., str]:
+    """The bound ``str.format`` of the line for rows whose keys are ``layout``,
+    taking the row's values in the same order."""
+    position = {key: i for i, key in enumerate(layout)}
+    cells = [f"{{{position[c]}!s}}" if c in position else "" for c in _ROW_COLUMNS]
+    detail = sorted(key for key in layout if key not in _TRACE_COLUMN_SET)
+    cells.append(";".join(f"{_escape_braces(key)}={{{position[key]}}}" for key in detail))
+    return (",".join(cells) + "\n").format
+
+
+def _escape_braces(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
 
 
 @contextmanager

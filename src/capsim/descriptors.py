@@ -6,8 +6,8 @@ ordinal level in [0, 3]. Descriptors are immutable value types;
 ``validate_descriptor`` reports invariant violations as data, never as
 exceptions.
 
-Only ``PlanStage`` and ``ExecutionReceipt`` have a dict form, ``to_dict``,
-for plan ids and ``receipts.jsonl``. The scenario reader
+Only ``PlanStage`` has a dict form, ``to_dict``, for plan ids;
+``ExecutionReceipt.to_json_line`` writes a ``receipts.jsonl`` line. The scenario reader
 (``scenario._record``) builds the node, request, policy and catalog types from
 the scenario file by their field annotations, so a field's default here is
 also its default in the file. Cached session state is ``caching.CacheEntry``.
@@ -15,10 +15,10 @@ also its default in the file. Cached session state is ``caching.CacheEntry``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 TRUST_MIN = 0
@@ -206,27 +206,31 @@ class ExecutionReceipt:
     arrival_time: int = 0
     finish_time: int = 0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "request_id": self.request_id,
-            "plan": [s.to_dict() for s in self.plan],
-            "capability_versions": [list(v) for v in self.capability_versions],
-            "node_attestations": [list(a) for a in self.node_attestations],
-            "cache_states_reused": list(self.cache_states_reused),
-            "cache_tokens_covered": self.cache_tokens_covered,
-            "verdict": self.verdict.value,
-            "reason": self.reason,
-            "timing": {
-                "t_net_us": self.t_net_us,
-                "t_queue_us": self.t_queue_us,
-                "t_exec_us": self.t_exec_us,
-                "t_state_us": self.t_state_us,
-                "c_load": self.c_load,
-                "p_policy": self.p_policy,
-            },
-            "arrival_time": self.arrival_time,
-            "finish_time": self.finish_time,
-        }
+    def to_json_line(self) -> str:
+        """This receipt's line of ``receipts.jsonl``, without the newline: the
+        bytes of ``json.dumps`` of its dict form with ``sort_keys=True`` and
+        ``separators=(",", ":")``, written without building the dict. Its
+        keys and the plan stages' and ``timing``'s are in sorted order, and
+        strings are escaped as ``json.dumps`` escapes them (``ensure_ascii``)."""
+        plan = ",".join(
+            f'{{"node_id":{_json_str(s.node_id)},"phase":{_json_str(s.phase.value)},'
+            f'"realization_id":{_json_str(s.realization_id)}}}'
+            for s in self.plan
+        )
+        versions = ",".join(f"[{_json_str(rid)},{_json_str(digest)}]" for rid, digest in self.capability_versions)
+        attestations = ",".join(f"[{_json_str(node_id)},{level}]" for node_id, level in self.node_attestations)
+        reused = ",".join(map(_json_str, self.cache_states_reused))
+        reason = "null" if self.reason is None else _json_str(self.reason)
+        return (
+            f'{{"arrival_time":{self.arrival_time},"cache_states_reused":[{reused}],'
+            f'"cache_tokens_covered":{self.cache_tokens_covered},"capability_versions":[{versions}],'
+            f'"finish_time":{self.finish_time},"node_attestations":[{attestations}],"plan":[{plan}],'
+            f'"reason":{reason},"request_id":{_json_str(self.request_id)},'
+            f'"timing":{{"c_load":{self.c_load},"p_policy":{self.p_policy},"t_exec_us":{self.t_exec_us},'
+            f'"t_net_us":{self.t_net_us},"t_queue_us":{self.t_queue_us},"t_state_us":{self.t_state_us}}},'
+            f'"verdict":{_json_str(self.verdict.value)}}}'
+        )
+
 
 def _check(violations: list[str], ok: bool, path: str, rule: str) -> None:
     if not ok:
@@ -281,7 +285,3 @@ def _security_violations(s: SecurityLabel) -> list[str]:
     _check(v, s.preferred_trust >= s.min_trust, "preferred_trust", "preferred_trust >= min_trust")
     return v
 
-
-def to_canonical_json(d: ExecutionReceipt) -> str:
-    """Canonical single-line serialization of a receipt, one ``receipts.jsonl`` line."""
-    return json.dumps(d.to_dict(), sort_keys=True, separators=(",", ":"))

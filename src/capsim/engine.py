@@ -185,9 +185,7 @@ class Simulation:
 
     def _trace(self, time_us: int, kind: str, **fields) -> None:
         if self.trace_enabled:
-            row = {"timestamp_us": time_us, "seq": len(self.trace), "kind": kind}
-            row.update(fields)
-            self.trace.append(row)
+            self.trace.append({"timestamp_us": time_us, "seq": len(self.trace), "kind": kind, **fields})
 
     # -- schedule construction -------------------------------------------------
 
@@ -381,11 +379,12 @@ class Simulation:
         self._maybe_complete_eviction(now, node_id, rid)
 
     def _on_transfer_complete(self, now: int, payload: dict) -> None:
+        terminal = payload.pop("terminal", False)
         if self.trace_enabled:
-            self._trace(now, EventKind.TRANSFER_COMPLETE.value, **{k: v for k, v in payload.items() if k != "terminal"})
+            self._trace(now, EventKind.TRANSFER_COMPLETE.value, **payload)
         if payload.get("transfer") == "state_migration":
             self._apply_migration(now, payload)
-        if payload.get("terminal"):
+        if terminal:
             self._finish_served(now, payload["request_id"])
 
     def _apply_migration(self, now: int, payload: dict) -> None:

@@ -21,7 +21,6 @@ from .descriptors import (
     ExecutionReceipt,
     PlanStage,
     RequestDescriptor,
-    to_canonical_json,
 )
 
 
@@ -137,6 +136,5 @@ class ReceiptLog:
             buf = io.StringIO()
             self.to_jsonl(buf)
             return buf.getvalue()
-        for receipt in self.receipts:
-            fp.write(to_canonical_json(receipt) + "\n")
+        fp.writelines(f"{receipt.to_json_line()}\n" for receipt in self.receipts)
         return None

@@ -220,6 +220,8 @@ _two_stages = (
     ]
 )
 def test_receipt_lines_match_canonical_json_dumps(entries):
+    for receipt in entries:
+        assert receipt.to_json_line() == reference_receipt_line(receipt)
     expected = "".join(reference_receipt_line(r) + "\n" for r in entries)
     log = ReceiptLog(receipts=list(entries))
     assert log.to_jsonl() == expected
