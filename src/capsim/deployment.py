@@ -18,6 +18,7 @@ exact ``Fraction``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -412,6 +413,55 @@ def cells_from_requests(requests: list[RequestDescriptor], start_us: int, end_us
             )
         )
     return cells
+
+
+class DemandWindow:
+    """The demand cells of a sliding arrival window, kept as running sums.
+
+    Each (class, region, quality) cell keeps its arrival count and input and
+    output token sums; ``add`` adds an arrival to them, and ``cells`` first
+    subtracts every arrival that has left the window. Arrivals must be added
+    in time order and windows asked for with non-decreasing starts, each
+    ending after every arrival added so far. ``cells(start_us)`` then equals
+    ``cells_from_requests`` over every arrival added, from ``start_us`` to the
+    window's end.
+    """
+
+    def __init__(self) -> None:
+        self._cell_ids: dict[tuple[str, str, int], int] = {}
+        self._sums: list[list[int]] = []  # per cell id: [count, input token sum, output token sum]
+        self._arrivals: deque[tuple[int, int, int, int]] = deque()  # (arrival_time, cell id, input, output)
+
+    def __len__(self) -> int:
+        """Arrivals still held: those not yet seen to leave the window."""
+        return len(self._arrivals)
+
+    def add(self, request: RequestDescriptor) -> None:
+        key = (request.capability_class, request.origin_region, request.quality_target)
+        cell = self._cell_ids.get(key)
+        if cell is None:
+            cell = self._cell_ids[key] = len(self._sums)
+            self._sums.append([0, 0, 0])
+        sums = self._sums[cell]
+        sums[0] += 1
+        sums[1] += request.input_tokens
+        sums[2] += request.output_tokens
+        self._arrivals.append((request.arrival_time, cell, request.input_tokens, request.output_tokens))
+
+    def cells(self, start_us: int) -> list[DemandCell]:
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] < start_us:
+            _, cell, input_tokens, output_tokens = arrivals.popleft()
+            sums = self._sums[cell]
+            sums[0] -= 1
+            sums[1] -= input_tokens
+            sums[2] -= output_tokens
+        cells = []
+        for key, cell in sorted(self._cell_ids.items()):
+            count, input_sum, output_sum = self._sums[cell]
+            if count:
+                cells.append(DemandCell(*key, count, input_sum // count, max(1, output_sum // count)))
+        return cells
 
 
 @dataclass(frozen=True, slots=True)

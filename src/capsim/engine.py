@@ -175,7 +175,8 @@ class Simulation:
         self._in_flight: dict[str, InFlight] = {}
         self._session_remaining: dict[str, int] = {}
         self._pending_loads: dict[str, list[str]] = {}
-        self._arrival_history: deque[RequestDescriptor] = deque()  # arrival order = time order
+        # Replan demand; arrivals are not recorded when nothing replans.
+        self._demand = deployment.DemandWindow() if scenario.deployment.replan_enabled else None
 
     # -- event plumbing ------------------------------------------------------
 
@@ -247,7 +248,8 @@ class Simulation:
     def _on_arrival(self, now: int, payload: dict) -> None:
         arrival: Arrival = payload["arrival"]
         request = arrival.request
-        self._arrival_history.append(request)
+        if self._demand is not None:
+            self._demand.add(request)
         self._trace(now, EventKind.ARRIVAL.value, request_id=request.request_id)
 
         outcome = self.router.select(request, now)
@@ -415,7 +417,9 @@ class Simulation:
 
     def _on_replan(self, now: int, payload: dict) -> None:
         dep = self.scenario.deployment
-        cells = self._demand_cells(now - dep.window_us, now)
+        # A replan pops before every arrival at its own time (its event was
+        # pushed first), so every arrival added is before the window's end.
+        cells = self._demand.cells(now - dep.window_us)
         residency = {
             node_id: {rid for rid, res in state.residency.items() if not res.pending_eviction}
             for node_id, state in self.broker.nodes.items()
@@ -443,14 +447,6 @@ class Simulation:
             for node_id in sorted(self.broker.nodes):
                 queued_work_us = self.broker.refresh_queue_telemetry(node_id, now)
                 self._push(now, EventKind.TELEMETRY, {"node_id": node_id, "queued_work_us": queued_work_us})
-
-    def _demand_cells(self, start_us: int, end_us: int) -> list[deployment.DemandCell]:
-        # Replans come in time order with one window length, so an arrival
-        # before this window's start is before every later window's too.
-        history = self._arrival_history
-        while history and history[0].arrival_time < start_us:
-            history.popleft()
-        return deployment.cells_from_requests(list(history), start_us, end_us)
 
     def _start_load(self, now: int, node_id: str, rid: str) -> None:
         realization = self.catalog.realizations[rid]

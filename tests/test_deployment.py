@@ -8,6 +8,7 @@ from capsim.caching import CacheSystem
 from capsim.deployment import (
     _placement_of,
     DemandCell,
+    DemandWindow,
     InfeasiblePlacement,
     InstanceTooLarge,
     PlacementPair,
@@ -259,6 +260,40 @@ def test_cells_aggregate_means_within_window():
     assert len(cells) == 1
     cell = cells[0]
     assert (cell.count, cell.input_tokens, cell.output_tokens) == (2, 150, 20)
+
+
+arrival_ops = st.tuples(
+    st.just("arrive"),
+    st.integers(min_value=0, max_value=3_000),  # gap after the previous step, us
+    st.sampled_from(["chat", "code"]),
+    st.sampled_from(["east", "west", "core"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=5_000),
+    st.integers(min_value=0, max_value=40),
+)
+# A replan comes strictly after every arrival before it, as in the engine.
+replan_ops = st.tuples(st.just("replan"), st.integers(min_value=1, max_value=6_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10_000), st.lists(st.one_of(arrival_ops, replan_ops), max_size=60))
+def test_demand_window_equals_regrouping_every_arrival(window_us, ops):
+    window = DemandWindow()
+    arrived = []
+    now = 0
+    for op in ops:
+        now += op[1]
+        if op[0] == "arrive":
+            _, _, cls, region, quality, input_tokens, output_tokens = op
+            request = RequestDescriptor(
+                f"r{len(arrived)}", cls, quality, origin_region=region,
+                input_tokens=input_tokens, output_tokens=output_tokens, arrival_time=now,
+            )
+            window.add(request)
+            arrived.append(request)
+        else:
+            assert window.cells(now - window_us) == cells_from_requests(arrived, now - window_us, now)
+            assert len(window) == sum(r.arrival_time >= now - window_us for r in arrived)
 
 
 def test_problem_built_from_live_broker_prices_residency(simple_broker):

@@ -618,20 +618,20 @@ def test_trimmed_arrival_history_gives_full_history_cells_at_every_replan(monkey
         return select(request, now)
 
     sim.router.select = recording_select
-    full_cells = deployment.cells_from_requests
-    scanned = []
+    build_problem = deployment.build_problem
+    held = []
 
-    def cells_against_full_history(requests, start_us, end_us):
-        cells = full_cells(requests, start_us, end_us)
-        assert cells == full_cells(arrived, start_us, end_us), f"replan at {end_us}"
-        scanned.append((len(requests), len(arrived)))
-        return cells
+    def build_against_full_history(router, cells, weights, residency, now):
+        start_us = now - scenario.deployment.window_us
+        assert cells == deployment.cells_from_requests(arrived, start_us, now), f"replan at {now}"
+        held.append((len(sim._demand), len(arrived)))
+        return build_problem(router, cells, weights, residency, now)
 
-    monkeypatch.setattr(deployment, "cells_from_requests", cells_against_full_history)
+    monkeypatch.setattr(deployment, "build_problem", build_against_full_history)
     sim.run()
-    assert len(scanned) == 19
-    assert all(n <= total for n, total in scanned)
-    assert scanned[-1][0] < scanned[-1][1] // 2, "history was never trimmed"
+    assert len(held) == 19
+    assert all(n <= total for n, total in held)
+    assert held[-1][0] < held[-1][1] // 2, "history was never trimmed"
 
 
 def test_replan_withdraws_placement_still_in_flight():
