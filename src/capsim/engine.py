@@ -566,12 +566,9 @@ class Simulation:
         versions = tuple(
             sorted(
                 {
-                    (
-                        proj.realization_id,
-                        (self.trust.lineage_for(proj.realization_id).chain_digests[-1]
-                         if self.trust.lineage_for(proj.realization_id) else ""),
-                    )
+                    (proj.realization_id, lineage.chain_digests[-1] if lineage is not None else "")
                     for proj in scored.stages
+                    for lineage in (self.trust.lineage_for(proj.realization_id),)
                 }
             )
         )
