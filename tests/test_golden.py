@@ -26,6 +26,8 @@ from pathlib import Path
 import pytest
 
 from capsim.cli import main
+from capsim.engine import Simulation
+from capsim.scenario import Scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -216,3 +218,21 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout.splitlines()[-1])
         assert got == {name: list(GOLDEN[name]) for name in names}, seed
+
+
+def receipt_lines(scenario: Scenario, duration_us: int) -> dict[str, str]:
+    lines = Simulation(scenario, duration_us=duration_us).run().receipts.to_jsonl().splitlines()
+    return {json.loads(line)["request_id"]: line for line in lines}
+
+
+@pytest.mark.parametrize("name", ["session_heavy", "trust_churn", "small_place"])
+def test_a_run_is_a_prefix_of_a_run_twice_as_long(name):
+    """No decision looks past the current time: each receipt of a run of
+    length T, but those cut off by its horizon, is the same request's
+    receipt in a run of length 2T."""
+    scenario = Scenario.load(SCENARIOS / f"{name}.json")
+    short = receipt_lines(scenario, scenario.duration_us)
+    long = receipt_lines(scenario, 2 * scenario.duration_us)
+    final = {rid: line for rid, line in short.items() if json.loads(line)["reason"] != "HorizonTruncated"}
+    assert final, "every receipt was truncated"
+    assert {rid: long.get(rid) for rid in final} == final
