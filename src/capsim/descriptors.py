@@ -7,10 +7,10 @@ ordinal level in [0, 3]. Descriptors are immutable value types;
 exceptions.
 
 Only ``PlanStage`` has a dict form, ``to_dict``, for plan ids;
-``ExecutionReceipt.to_json_line`` writes a ``receipts.jsonl`` line. The scenario reader
-(``scenario._record``) builds the node, request, policy and catalog types from
-the scenario file by their field annotations, so a field's default here is
-also its default in the file. Cached session state is ``caching.CacheEntry``.
+``ExecutionReceipt.to_json_line`` writes a ``receipts.jsonl`` line. The
+scenario reader (``scenario._record``) builds the node, request, policy and
+catalog types from the scenario file by their field annotations, so a field's
+default here is also its default in the file. Cached session state is ``caching.CacheEntry``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Output files written as the data is produced: metrics.json one record at a
-time, receipts.jsonl one receipt at a time, trace.csv one row at a time, and
-the run's failure contract for them."""
+"""Output files and their formatters: metrics.json written one record at a
+time, trace.csv one row at a time as the run produces it, receipts.jsonl one
+canonical JSON line per receipt, and the run's failure contract for them."""
 
 import io
 import json
