@@ -73,7 +73,7 @@ def estimate_p_hit(entry: CacheEntry, now: int, window_us: int) -> Fraction:
     return Fraction(lookups + 1, lookups + 2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CacheDecision:
     outcome: str
     benefit: Fraction | None = None  # None when the value was never priced

@@ -38,7 +38,7 @@ class InstanceTooLarge(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DemandCell:
     capability_class: str
     region: str

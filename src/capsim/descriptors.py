@@ -2,7 +2,13 @@
 receipt records every other module consumes.
 
 All times are integer microseconds, all sizes integer bytes. Trust is an
-ordinal level in [0, 3]. Descriptors are immutable value types;
+ordinal level in [0, 3]. A record built once, at load, is a frozen
+dataclass. A record built per request, per select or per replan
+(``RequestDescriptor`` and ``ExecutionReceipt`` here; ``Arrival``,
+``CacheDecision``, ``DemandCell`` and the routing records elsewhere) is a
+plain slotted dataclass, because a frozen ``__init__`` writes each field
+through ``object.__setattr__``. Nothing writes to one once it is built;
+``tests/test_golden.py`` checks that over whole runs.
 ``validate_descriptor`` reports invariant violations as data, never as
 exceptions.
 
@@ -58,6 +64,11 @@ class Verdict(str, Enum):
     REJECTED = "rejected"
 
 
+# The JSON string of each phase and verdict, escaped once rather than through
+# the enum's ``.value`` descriptor on every receipt line.
+_PHASE_JSON = {p: _json_str(p.value) for p in PlanPhase}
+_VERDICT_JSON = {v: _json_str(v.value) for v in Verdict}
+
 # Reason codes carried on rejected receipts and cache decisions.
 REASON_NO_FEASIBLE_PLAN = "NoFeasiblePlan"
 REASON_BUDGET_EXCEEDED = "BudgetExceeded"
@@ -87,7 +98,7 @@ class PolicyConstraint:
     preferred_domains: tuple[str, ...] | None = None  # soft preference, priced not enforced
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RequestDescriptor:
     """One intelligence request: what is asked for, under which constraints."""
 
@@ -185,7 +196,7 @@ class PlanStage:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ExecutionReceipt:
     """Audited record of how one request was served (or why it was not)."""
 
@@ -213,7 +224,7 @@ class ExecutionReceipt:
         keys and the plan stages' and ``timing``'s are in sorted order, and
         strings are escaped as ``json.dumps`` escapes them (``ensure_ascii``)."""
         plan = ",".join(
-            f'{{"node_id":{_json_str(s.node_id)},"phase":{_json_str(s.phase.value)},'
+            f'{{"node_id":{_json_str(s.node_id)},"phase":{_PHASE_JSON[s.phase]},'
             f'"realization_id":{_json_str(s.realization_id)}}}'
             for s in self.plan
         )
@@ -228,7 +239,7 @@ class ExecutionReceipt:
             f'"reason":{reason},"request_id":{_json_str(self.request_id)},'
             f'"timing":{{"c_load":{self.c_load},"p_policy":{self.p_policy},"t_exec_us":{self.t_exec_us},'
             f'"t_net_us":{self.t_net_us},"t_queue_us":{self.t_queue_us},"t_state_us":{self.t_state_us}}},'
-            f'"verdict":{_json_str(self.verdict.value)}}}'
+            f'"verdict":{_VERDICT_JSON[self.verdict]}}}'
         )
 
 

@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import ceil
 from typing import Protocol
 
 from . import deployment
@@ -41,7 +40,7 @@ from .metrics import (
     RequestRecord,
 )
 from .registry import Broker, CapabilityCatalog
-from .routing import Rejection, Router, ScoredPlan, Selection
+from .routing import Rejection, Router, ScoredPlan, Selection, _ceil_time
 from .scenario import Scenario
 from .trust import AttestationRecord, ReceiptLog, TrustManager
 from .workload import Arrival, generate_arrivals
@@ -58,6 +57,25 @@ class EventKind(str, Enum):
     NODE_OFFLINE = "node_offline"
     NODE_ONLINE = "node_online"
     REVOKE = "revoke"
+
+
+# Trace-row kinds as plain strings: ``str()`` of an ``EventKind`` member is its
+# qualified name, and each ``.value`` read goes through the enum's descriptor.
+_TRACE_ARRIVAL = EventKind.ARRIVAL.value
+_TRACE_DISPATCH = EventKind.DISPATCH.value
+_TRACE_STAGE_COMPLETE = EventKind.STAGE_COMPLETE.value
+_TRACE_TRANSFER_COMPLETE = EventKind.TRANSFER_COMPLETE.value
+_TRACE_EPOCH_REPLAN = EventKind.EPOCH_REPLAN.value
+_TRACE_TELEMETRY = EventKind.TELEMETRY.value
+_TRACE_SESSION_END = EventKind.SESSION_END.value
+_TRACE_NODE_OFFLINE = EventKind.NODE_OFFLINE.value
+_TRACE_NODE_ONLINE = EventKind.NODE_ONLINE.value
+_TRACE_REVOKE = EventKind.REVOKE.value
+# A cache hit's state type in ``metrics.json``, read once for the same reason.
+_TENSOR_STATE = StateType.TENSOR_STATE.value
+
+# The reuse probability a newly offered session state is admitted with.
+_NEW_ENTRY_P_HIT = Fraction(1, 2)
 
 
 class TraceSink(Protocol):
@@ -250,7 +268,7 @@ class Simulation:
         request = arrival.request
         if self._demand is not None:
             self._demand.add(request)
-        self._trace(now, EventKind.ARRIVAL.value, request_id=request.request_id)
+        self._trace(now, _TRACE_ARRIVAL, request_id=request.request_id)
 
         outcome = self.router.select(request, now)
         if isinstance(outcome, Rejection):
@@ -368,7 +386,7 @@ class Simulation:
     def _on_dispatch(self, now: int, payload: dict) -> None:
         self._trace(
             now,
-            EventKind.DISPATCH.value,
+            _TRACE_DISPATCH,
             request_id=payload["request_id"],
             node_id=payload["node_id"],
             ready_us=payload["ready_us"],
@@ -377,13 +395,13 @@ class Simulation:
     def _on_stage_complete(self, now: int, payload: dict) -> None:
         node_id = payload["node_id"]
         rid = payload["realization_id"]
-        self._trace(now, EventKind.STAGE_COMPLETE.value, request_id=payload["request_id"], node_id=node_id)
+        self._trace(now, _TRACE_STAGE_COMPLETE, request_id=payload["request_id"], node_id=node_id)
         self._maybe_complete_eviction(now, node_id, rid)
 
     def _on_transfer_complete(self, now: int, payload: dict) -> None:
         terminal = payload.pop("terminal", False)
         if self.trace_enabled:
-            self._trace(now, EventKind.TRANSFER_COMPLETE.value, **payload)
+            self._trace(now, _TRACE_TRANSFER_COMPLETE, **payload)
         if payload.get("transfer") == "state_migration":
             self._apply_migration(now, payload)
         if terminal:
@@ -427,7 +445,7 @@ class Simulation:
         problem = deployment.build_problem(self.router, cells, self.scenario.placement_weights, residency, now)
         solution = deployment.solve(problem, dep.local_search_rounds)
         delta = deployment.plan_delta(solution, residency)
-        self._trace(now, EventKind.EPOCH_REPLAN.value, loads=len(delta.loads), evictions=len(delta.evictions))
+        self._trace(now, _TRACE_EPOCH_REPLAN, loads=len(delta.loads), evictions=len(delta.evictions))
 
         for rid, node_id in delta.evictions:
             state = self.broker.node(node_id)
@@ -490,20 +508,20 @@ class Simulation:
         session_id = payload["session_id"]
         for node_id, state_id in self.caches.drop_session(session_id):
             self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="session_end")
-        self._trace(now, EventKind.SESSION_END.value, session_id=session_id)
+        self._trace(now, _TRACE_SESSION_END, session_id=session_id)
 
     def _on_node_offline(self, now: int, payload: dict) -> None:
         self.broker.node(payload["node_id"]).online = False
-        self._trace(now, EventKind.NODE_OFFLINE.value, node_id=payload["node_id"])
+        self._trace(now, _TRACE_NODE_OFFLINE, node_id=payload["node_id"])
 
     def _on_node_online(self, now: int, payload: dict) -> None:
         self.broker.node(payload["node_id"]).online = True
-        self._trace(now, EventKind.NODE_ONLINE.value, node_id=payload["node_id"])
+        self._trace(now, _TRACE_NODE_ONLINE, node_id=payload["node_id"])
 
     def _on_revoke(self, now: int, payload: dict) -> None:
         rid = payload["realization_id"]
         self.trust.revoke(rid)
-        self._trace(now, EventKind.REVOKE.value, realization_id=rid)
+        self._trace(now, _TRACE_REVOKE, realization_id=rid)
         for node_id in sorted(self.broker.nodes):
             state = self.broker.node(node_id)
             if rid in state.residency:
@@ -513,7 +531,7 @@ class Simulation:
             self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="revoked")
 
     def _on_telemetry(self, now: int, payload: dict) -> None:
-        self._trace(now, EventKind.TELEMETRY.value, **payload)
+        self._trace(now, _TRACE_TELEMETRY, **payload)
 
     # -- terminal bookkeeping ------------------------------------------------------
 
@@ -611,7 +629,7 @@ class Simulation:
             degraded=flight.degraded,
             cache_lookup=bool(request.affinity_token and self.caches.enabled),
             cache_hit=covered > 0,
-            cache_state_type=StateType.TENSOR_STATE.value if covered > 0 else None,
+            cache_state_type=_TENSOR_STATE if covered > 0 else None,
             tokens_covered=covered,
             stages=[(proj.node_id, proj.duration_us) for proj in scored.stages],
         )
@@ -638,7 +656,8 @@ class Simulation:
             return
         size = arrival.prefix_tokens * realization.kv_bytes_per_token
         speed = self.broker.node(serving_node).profile.hardware.speed_factor
-        gain = ceil(Fraction(arrival.prefix_tokens * realization.prefill_time_per_token_us) / speed)
+        per_token = realization.prefill_time_per_token_us
+        gain = _ceil_time(per_token, arrival.prefix_tokens, speed.numerator, speed.denominator)
         entry = CacheEntry(
             state_id=f"st-{request.request_id}",
             compatibility_hash=compat,
@@ -651,7 +670,7 @@ class Simulation:
         )
         decision = store.admit(
             entry,
-            Fraction(1, 2),
+            _NEW_ENTRY_P_HIT,
             now,
             node_trust=self.trust.effective_trust(serving_node, now),
             requester_min_trust=request.policy.min_trust,

@@ -97,7 +97,7 @@ class ExecutionPlan:
         return cls(stages=stages, plan_id=hashlib.sha256(payload.encode()).hexdigest()[:32])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PlanCost:
     t_net_us: int
     t_queue_us: int
@@ -123,7 +123,7 @@ def _numerator(mult: tuple[int, ...], terms: tuple[int, ...]) -> int:
     return sum(m * t for m, t in zip(mult, terms))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StageProjection:
     node_id: str
     realization_id: str
@@ -136,7 +136,7 @@ class StageProjection:
     warm_available_at_us: int  # when a cold load finishes (== start for warm)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StateUse:
     """How the plan satisfies the request's state affinity."""
 
@@ -148,7 +148,7 @@ class StateUse:
     core_bytes: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ScoredPlan:
     plan: ExecutionPlan
     cost: PlanCost
@@ -162,12 +162,12 @@ class ScoredPlan:
     core_bytes: int          # request+kv+response bytes over core links
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Rejection:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Selection:
     scored: ScoredPlan
     served_quality: int
@@ -271,6 +271,7 @@ class Router:
         self.placement_tiers = placement_tiers
         self.audit = audit  # selections carry every plan's (plan_id, terms)
         self._scale, self._mult = _weight_multipliers(self.weights)
+        self._eps_num, self._eps_den = self.weights.tie_eps.numerator, self.weights.tie_eps.denominator
         self._plans: dict[tuple[PlanStage, ...], ExecutionPlan] = {}
         self._rows: dict[tuple[str, str, str], _Row] = {}
         # Work counters: halves built, and session states resolved for a prefill.
@@ -610,8 +611,8 @@ class Router:
         J <= best + |best| * eps, multiplied through by eps's denominator;
         J is an integer, so the floor of the bound compares the same.
         """
-        eps = self.weights.tie_eps
-        return (best * eps.denominator + abs(best) * eps.numerator) // eps.denominator
+        den = self._eps_den
+        return (best * den + abs(best) * self._eps_num) // den
 
     def _price_plans(
         self, request: RequestDescriptor, candidates: list[Candidate], now: int, limit: int | None

@@ -65,7 +65,7 @@ class WorkloadSpec:
     regions: tuple[RegionWorkload, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Arrival:
     request: RequestDescriptor
     session_id: str

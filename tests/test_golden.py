@@ -13,6 +13,9 @@ an inline variant of it that replans every 2 s under node and trust churn.
 No shipped scenario fills a session cache, so ``EVICTION_HEAVY`` pins one that
 does: ring-linked edges whose caches hold about one session state each, so
 admissions displace residents and states migrate between edges.
+
+Two relations over whole runs sit here too: a run is a prefix of a run twice
+as long, and no per-request record is written after it is built.
 """
 
 import csv
@@ -25,9 +28,14 @@ from pathlib import Path
 
 import pytest
 
+from capsim.caching import CacheDecision
 from capsim.cli import main
+from capsim.deployment import DemandCell
+from capsim.descriptors import ExecutionReceipt, RequestDescriptor
 from capsim.engine import Simulation
+from capsim.routing import PlanCost, Rejection, ScoredPlan, Selection, StageProjection, StateUse
 from capsim.scenario import Scenario
+from capsim.workload import Arrival
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -236,3 +244,65 @@ def test_a_run_is_a_prefix_of_a_run_twice_as_long(name):
     final = {rid: line for rid, line in short.items() if json.loads(line)["reason"] != "HorizonTruncated"}
     assert final, "every receipt was truncated"
     assert {rid: long.get(rid) for rid in final} == final
+
+
+# Records built per request, per select or per replan. They are plain slotted
+# dataclasses, since a frozen one's __init__ writes every field through
+# object.__setattr__, so nothing in the program may write to one once built.
+PER_REQUEST_RECORDS = (
+    RequestDescriptor,
+    ExecutionReceipt,
+    Arrival,
+    StageProjection,
+    PlanCost,
+    StateUse,
+    ScoredPlan,
+    Selection,
+    Rejection,
+    CacheDecision,
+    DemandCell,
+)
+
+
+def test_per_request_records_are_never_written_after_construction(monkeypatch, tmp_path):
+    """Every write to a per-request record outside its own ``__init__`` is
+    recorded, over traced runs that admit session state, reject requests,
+    churn trust and nodes, and replan."""
+    building: set[int] = set()
+    built: dict[str, int] = {}
+    writes: list[str] = []
+
+    def guard(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            building.add(id(self))
+            try:
+                init(self, *args, **kwargs)
+            finally:
+                building.discard(id(self))
+            built[cls.__name__] = built.get(cls.__name__, 0) + 1
+
+        def __setattr__(self, name, value):
+            if id(self) not in building:
+                writes.append(f"{cls.__name__}.{name}")
+            object.__setattr__(self, name, value)
+
+        def __delattr__(self, name):
+            writes.append(f"del {cls.__name__}.{name}")
+            object.__delattr__(self, name)
+
+        monkeypatch.setattr(cls, "__init__", __init__)
+        monkeypatch.setattr(cls, "__setattr__", __setattr__)
+        monkeypatch.setattr(cls, "__delattr__", __delattr__)
+
+    for cls in PER_REQUEST_RECORDS:
+        assert not cls.__dataclass_params__.frozen, cls.__name__
+        guard(cls)
+    replan_heavy = tmp_path / "replan_heavy.json"
+    replan_heavy.write_text(json.dumps(replan_heavy_scenario()))
+    paths = [SCENARIOS / f"{name}.json" for name in ("session_heavy", "trust_churn", "small_place")] + [replan_heavy]
+    for i, path in enumerate(paths):
+        assert main(["run", str(path), "--out", str(tmp_path / str(i)), "--trace"]) == 0
+    assert writes == []
+    assert set(built) == {cls.__name__ for cls in PER_REQUEST_RECORDS}

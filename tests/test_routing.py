@@ -804,6 +804,22 @@ def test_tied_idle_edges_build_at_most_two_halves():
                 assert router.halves_priced <= 2
 
 
+@example(best=0, eps=Fraction(1, 10**9))
+@example(best=-(10**30) - 7, eps=Fraction(1, 50))
+@example(best=2**80 + 1, eps=Fraction(3, 7))
+@example(best=-1, eps=Fraction(0))
+@settings(max_examples=200, deadline=None)
+@given(
+    best=st.integers(-(2**90), 2**90),
+    eps=st.fractions(min_value=0, max_value=2, max_denominator=10**12),
+)
+def test_tie_cut_is_the_floor_of_the_fraction_window(best, eps):
+    """The integer cut equals the largest integer J with
+    J <= best + |best| * eps, computed in rationals."""
+    router = edge_router([("1", 0)], tie_eps=eps)
+    assert router._tie_cut(best) == math.floor(best + abs(best) * eps)
+
+
 def test_split_pricing_skips_pairs_above_the_tie_cut(monkeypatch):
     request = chat_request()
     transfer_between = Topology.transfer_between
