@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +52,11 @@ from reference_router import (
     within_tie,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's scenario generators, imported only)
 
 
 def make_router(broker, weights=None, bytes_per_token=4, enable_split=True, repo=None, audit=False):
@@ -884,12 +889,29 @@ def test_session_heavy_resolves_state_at_most_twice_per_select(monkeypatch):
     assert calls["resolve"] <= 2 * calls["select"]
 
 
+def scenario_named(name):
+    """A shipped scenario, or one of the benchmark's workloads at seed 1."""
+    if name in workloads.WORKLOADS:
+        return Scenario.from_dict(workloads.WORKLOADS[name][0](ROOT, 1))
+    return Scenario.load(SCENARIOS / f"{name}.json")
+
+
 # Exact counts of a quiet router's work; pricing every candidate eagerly
-# built 496 and 1,453 halves on these runs. session_heavy's edges tie, so the
-# plan-id tie-break settles most selects after one priced plan.
-@pytest.mark.parametrize("name, halves, states", [("session_heavy", 124, 124), ("small_place", 335, 311)])
+# built 496 and 1,453 halves on the two shipped scenarios, 2,624 on fanout17
+# and 20,470 on sessions. session_heavy's edges tie, so the plan-id tie-break
+# settles most selects after one priced plan.
+@pytest.mark.parametrize(
+    "name, halves, states",
+    [
+        ("session_heavy", 124, 124),
+        ("small_place", 335, 311),
+        ("fanout17", 259, 250),
+        ("sessions", 2156, 2156),
+        ("replan_churn", 5282, 4622),
+    ],
+)
 def test_work_counters_pin_the_pruning_on_shipped_scenarios(name, halves, states):
-    sim = Simulation(Scenario.load(SCENARIOS / f"{name}.json"))
+    sim = Simulation(scenario_named(name))
     sim.run()
     assert (sim.router.halves_priced, sim.router.states_resolved) == (halves, states)
 
