@@ -24,27 +24,23 @@ and cold activation, the realization and the node's speed. From a row alone,
 each side of a candidate gets an exact integer lower bound: transfer,
 execution with the most prompt tokens any online holder covers reused for
 free, and decode, leaving out the wait, the state charge and the load and
-policy penalties. ``select`` walks single-node plans, prefill sides and
-decode sides in the order of these bounds, equal single-node bounds in
-plan-id order. It builds a candidate's half (its queue, load and policy
-reads) only when the static bound can still reach the tie window of the best
-within-budget plan seen so far, resolves the half's state only when the
-half's own bound can, and stops a walk once the bound passes that window.
+policy penalties. Building the candidate's half (its queue, load and policy
+reads), then resolving its state, tighten the bound of every plan it is in.
 
-A plan whose bound is at least that best J cannot lower it; it can only land
-in the final tie window, where the smallest plan id wins. So it is deferred,
-not priced. Once the walk ends, J* is final: the deferred plans whose bound is
-within the window and the budget are priced in plan-id order, only while
-their id is below the smallest id of a priced plan inside, and up to the
-first that lands inside. Since the window only shrinks, a skipped plan could
-neither win nor tie, and a deferred plan left unpriced either cannot reach
-the window or cannot win its tie-break, so the outcome is the one full
-enumeration gives.
+``select`` is one best-first search over these bounds: a heap holds each
+plan at its current bound, and each pop takes one step on the plan with the
+least (build its prefill half, resolve that half's state, for a split build
+its decode half, price it exactly) and pushes it back at its tighter bound. The first
+exact plan popped has the least J of all; if it is within budget it is J*,
+otherwise no plan is. After J*, only plans whose bound is inside its tie
+window and the budget, and whose plan id is below the least one priced there,
+can change the plan-id tie-break, so every other plan is left unpriced and
+the outcome is the one full enumeration gives.
 
 A node at its admission cap is checked when its half is built and then
 dropped. ``now`` is fixed for the whole select, so this is the same as
 excluding the node before pricing. An auditing router lists every plan, so
-it never sets a cut: it builds every half and prices every plan.
+it never stops the search: it builds every half and prices every plan.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .caching import CacheEntry, CacheSystem, state_hash
@@ -179,11 +176,11 @@ class Selection:
 @dataclass(frozen=True, slots=True)
 class _Row:
     """What pricing a candidate from one origin needs that no event changes
-    during a run. A route is None when its endpoints are not connected;
-    ``activation_us`` is None when the artifact cannot reach the node, so the
-    realization can only run there warm. ``single`` is the candidate's
-    single-node plan, hashed when the row is built. ``speed_num / speed_den``
-    is the node's speed factor."""
+    during a run. The routes are None when the node and the origin are not
+    connected; ``activation_us`` is None when the artifact cannot reach the
+    node, so the realization can only run there warm. ``single`` is the
+    candidate's single-node plan, hashed when the row is built.
+    ``speed_num / speed_den`` is the node's speed factor."""
 
     node: NodeState
     realization: CapabilityRealization
@@ -197,22 +194,20 @@ class _Row:
 
 
 # A candidate's static bounds for one request: (t_in, t_out, decode time,
-# set-up plus activation, prefill-side bound, decode-side bound); a side's
-# entries are None when its route is missing.
-_Bounds = tuple[int | None, int | None, int, int, int | None, int | None]
+# set-up plus activation, prefill-side bound, decode-side bound).
+_Bounds = tuple[int, int, int, int, int, int]
 
 
 @dataclass(slots=True)
 class _Half:
     """One candidate's share of every plan it appears in, priced once per select.
 
-    The prefill side (``t_in`` set) serves single-node and prefill stages, the
-    decode side (``t_out`` set) single-node and decode stages; a side is None
-    when the origin and the node are not connected in that direction.
-    ``dec_num`` is the decode side's J numerator. The prefill side starts with
-    ``pre_lb``, a lower bound on its numerator; ``Router._prefill`` resolves
-    its state reuse and sets the exact ``pre_num``. ``use`` and ``activation``
-    are kept to project the winner's schedule.
+    The prefill side serves single-node and prefill stages, the decode side
+    single-node and decode stages. ``dec_num`` is the decode side's J
+    numerator. The prefill side starts with ``pre_lb``, a lower bound on its
+    numerator; ``Router._prefill`` resolves its state reuse and sets the
+    exact ``pre_num``. ``use`` and ``activation`` are kept to project the
+    winner's schedule.
     """
 
     row: _Row
@@ -222,18 +217,18 @@ class _Half:
     c_load: int
     p_policy: int
     activation: int  # cold load before the stage can run, 0 when warm
-    t_in: int | None = None
-    pre_lb: int = 0
+    t_in: int
+    pre_lb: int
+    t_out: int
+    decode_us: int
+    decode_exec: int
+    dec_num: int
     use: StateUse | None = None
     wait: int = 0
     prefill_exec: int = 0
     t_state: int = 0
     prefill_done_us: int = 0
     pre_num: int | None = None  # None until resolved
-    t_out: int | None = None
-    decode_us: int = 0
-    decode_exec: int = 0
-    dec_num: int = 0
 
 
 # Per realization: the online holders of the request's state and the most
@@ -272,6 +267,7 @@ class Router:
         self.audit = audit  # selections carry every plan's (plan_id, terms)
         self._scale, self._mult = _weight_multipliers(self.weights)
         self._eps_num, self._eps_den = self.weights.tie_eps.numerator, self.weights.tie_eps.denominator
+        self._kappa_num, self._kappa_den = self.weights.kappa.numerator, self.weights.kappa.denominator
         self._plans: dict[tuple[PlanStage, ...], ExecutionPlan] = {}
         self._rows: dict[tuple[str, str, str], _Row] = {}
         # Work counters: halves built, and session states resolved for a prefill.
@@ -363,12 +359,11 @@ class Router:
         return best
 
     def _c_load_for(self, state: NodeState, now: int) -> int:
-        kappa = self.weights.kappa
-        if kappa == 0:
+        if not self._kappa_num:
             return 0
         outstanding = state.outstanding(now)
         cap = state.profile.capacity.max_concurrent
-        return kappa.numerator * outstanding * outstanding // (kappa.denominator * cap * cap)
+        return self._kappa_num * outstanding * outstanding // (self._kappa_den * cap * cap)
 
     def _soft_misses(
         self, request: RequestDescriptor, state: NodeState, realization: CapabilityRealization, now: int
@@ -404,27 +399,24 @@ class Router:
             row = self._row(origin, self.broker.node(stage.node_id), stage.realization_id)
             bounds = self._bounds(request, row, warm, held, zero_queue)
             halves.append(None if bounds is None else self._half(request, row, warm, bounds, now, zero_queue))
-        if any(h is None for h in halves) or halves[0].t_in is None or halves[-1].t_out is None:
+        if any(h is None for h in halves):
             raise Unreachable(f"plan {plan.plan_id}: a transfer it needs has no route")
         pre, dec = halves[0], (halves[1] if len(halves) == 2 else None)
         self._prefill(request, pre, now, held, zero_queue)
-        t_inter = wait = 0
-        if dec is not None:
-            t_inter, _ = self.topology.transfer_between(pre.row.node.node_id, dec.row.node.node_id, pre.kv_bytes)
-            wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
-        return self._scored(plan, request, now, pre, dec, t_inter, wait)
+        return self._scored(plan, request, now, self._priced(pre, dec))
 
-    def _scored(
-        self,
-        plan: ExecutionPlan,
-        request: RequestDescriptor,
-        now: int,
-        pre: _Half,
-        dec: _Half | None,
-        t_inter: int,
-        wait: int,
-    ) -> ScoredPlan:
-        """The priced plan ``(pre, dec, t_inter, wait)`` with its projected schedule."""
+    def _priced(self, pre: _Half, dec: _Half | None) -> _Priced:
+        """The plan of ``pre``, resolved, alone or with ``dec`` decoding,
+        priced exactly."""
+        if dec is None:
+            return pre.pre_num + self._mult[0] * pre.t_out + self._mult[2] * pre.decode_us, pre, None, 0, 0
+        t_inter, _ = self.topology.transfer_between(pre.row.node.node_id, dec.row.node.node_id, pre.kv_bytes)
+        wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
+        return pre.pre_num + dec.dec_num + self._mult[0] * t_inter + self._mult[1] * wait, pre, dec, t_inter, wait
+
+    def _scored(self, plan: ExecutionPlan, request: RequestDescriptor, now: int, priced: _Priced) -> ScoredPlan:
+        """The priced plan with its projected schedule."""
+        _, pre, dec, t_inter, wait = priced
         use = pre.use
         # Migration is network wait before the stage is ready; the recompute
         # branch is server work inside the first stage's occupancy.
@@ -462,12 +454,6 @@ class Router:
 
     # -- selection ----------------------------------------------------------------
 
-    def _route(self, src: str, dst: str) -> Route | None:
-        try:
-            return self.topology.route(src, dst)
-        except Unreachable:
-            return None
-
     def _row(self, origin: str, node: NodeState, realization_id: str) -> _Row:
         """The static row of candidate ``(node, realization_id)`` priced from
         ``origin``, built once per router."""
@@ -480,12 +466,16 @@ class Router:
                 activation, _ = self._cold_extras_us(node_id, realization)
             except Unreachable:
                 activation = None
+            try:
+                route_in, route_out = self.topology.route(origin, node_id), self.topology.route(node_id, origin)
+            except Unreachable:  # links are undirected, so a node is reached both ways or neither
+                route_in = route_out = None
             row = self._rows[key] = _Row(
                 node,
                 realization,
                 single=self.plan((PlanStage(node_id, realization_id, PlanPhase.FULL),)),
-                route_in=self._route(origin, node_id),
-                route_out=self._route(node_id, origin),
+                route_in=route_in,
+                route_out=route_out,
                 setup_us=realization.setup_time_us,
                 activation_us=activation,
                 speed_num=node.profile.hardware.speed_factor.numerator,
@@ -503,11 +493,14 @@ class Router:
         online holder covers (every token when ``zero_queue``), for the decode
         side the decode. The wait, the state charge and the load and policy
         penalties are >= 0 and left out. None when the candidate can take no
-        stage: it has no route either way, or it is cold and its artifact
-        cannot reach the node. The holders of the request's state are read
-        from ``held``, looked up on the realization's first miss. Times are
-        rounded up as ``_ceil_time`` does, inline.
+        stage: it has no route from the origin (links are undirected, so then
+        none back either), or it is cold and its artifact cannot reach the
+        node. The holders of the request's state are read from ``held``,
+        looked up on the realization's first miss. Times are rounded up as
+        ``_ceil_time`` does, inline.
         """
+        if row.route_in is None:
+            return None
         if warm:
             base = row.setup_us
         elif row.activation_us is None:
@@ -517,24 +510,18 @@ class Router:
         m_net, m_exec = self._mult[0], self._mult[2]
         realization = row.realization
         num, den = row.speed_num, row.speed_den
-        t_in = t_out = pre = dec = None
-        decode_us = 0
-        if row.route_in is not None:
-            t_in = row.route_in.time_us(request.input_tokens * self.bytes_per_token)
-            tokens = request.input_tokens
-            if not zero_queue:
-                found = held.get(realization.realization_id)
-                if found is None:
-                    found = self._holders(request, realization.realization_id, held)
-                tokens -= found[1]
-            uncovered = -(-realization.prefill_time_per_token_us * tokens * den // num)
-            pre = m_net * t_in + m_exec * (base + uncovered)
-        if row.route_out is not None:
-            t_out = row.route_out.time_us(request.output_tokens * self.bytes_per_token)
-            decode_us = -(-realization.decode_time_per_token_us * request.output_tokens * den // num)
-            dec = m_net * t_out + m_exec * (base + decode_us)
-        elif t_in is None:
-            return None
+        t_in = row.route_in.time_us(request.input_tokens * self.bytes_per_token)
+        tokens = request.input_tokens
+        if not zero_queue:
+            found = held.get(realization.realization_id)
+            if found is None:
+                found = self._holders(request, realization.realization_id, held)
+            tokens -= found[1]
+        uncovered = -(-realization.prefill_time_per_token_us * tokens * den // num)
+        pre = m_net * t_in + m_exec * (base + uncovered)
+        t_out = row.route_out.time_us(request.output_tokens * self.bytes_per_token)
+        decode_us = -(-realization.decode_time_per_token_us * request.output_tokens * den // num)
+        dec = m_net * t_out + m_exec * (base + decode_us)
         return t_in, t_out, decode_us, base, pre, dec
 
     def _half(
@@ -557,21 +544,24 @@ class Router:
         t_in, t_out, decode_us, base, pre, dec = bounds
         node = row.node
         pi_soft = 0 if zero_queue else self.weights.pi_soft
-        half = _Half(
+        c_load = 0 if zero_queue else self._c_load_for(node, now)
+        p_policy = pi_soft * self._soft_misses(request, node, row.realization, now) if pi_soft else 0
+        penalty = self._mult[4] * c_load + self._mult[5] * p_policy
+        return _Half(
             row,
             warm,
             free_us=0 if zero_queue else node.server_free_us[0],  # 0: idle since before any ready time
             kv_bytes=request.input_tokens * row.realization.kv_bytes_per_token,
-            c_load=0 if zero_queue else self._c_load_for(node, now),
-            p_policy=pi_soft * self._soft_misses(request, node, row.realization, now) if pi_soft else 0,
+            c_load=c_load,
+            p_policy=p_policy,
             activation=0 if warm else row.activation_us,
+            t_in=t_in,
+            pre_lb=pre + penalty,
+            t_out=t_out,
+            decode_us=decode_us,
+            decode_exec=base + decode_us,
+            dec_num=dec + penalty,
         )
-        penalty = self._mult[4] * half.c_load + self._mult[5] * half.p_policy
-        if t_in is not None:
-            half.t_in, half.pre_lb = t_in, pre + penalty
-        if t_out is not None:
-            half.t_out, half.decode_us, half.decode_exec, half.dec_num = t_out, decode_us, base + decode_us, dec + penalty
-        return half
 
     def _prefill(
         self, request: RequestDescriptor, half: _Half, now: int, held: _Held, zero_queue: bool = False
@@ -617,42 +607,31 @@ class Router:
     def _price_plans(
         self, request: RequestDescriptor, candidates: list[Candidate], now: int, limit: int | None
     ) -> list[_Priced]:
-        """The single-node and prefill/decode plans over ``candidates`` with a
-        route for each transfer they need, with their J numerators, less the
-        plans that cannot reach the tie window and those on a node at its
-        admission cap.
+        """The single-node and prefill/decode plans over ``candidates`` with
+        their J numerators, less the plans that cannot change ``select``'s
+        outcome and those on a node at its admission cap.
 
-        Each term of J is >= 0. A single-node plan's numerator is bounded from
-        below by its static prefill and decode bounds (``_bounds``), then, once
-        its half is built, by the half's ``pre_lb`` plus the decode side's
-        transfer and decode time. A split is bounded by its static prefill and
-        least static decode bounds, then by the built halves' ``pre_lb`` or
-        ``pre_num`` plus ``dec_num`` (all leave out the KV transfer and the
-        decode wait). Single-node plans (equal bounds in plan-id order),
-        prefill sides and each variant's decode sides are walked in the order
-        of their static bounds. A half is built, and its node's admission cap
-        checked, only when a static bound lets it through, and its state is
-        resolved only when the built half's bound does.
+        One best-first search. A heap entry is a plan at a lower bound on its
+        J numerator: plan (i, k) is candidate i alone when k < 0, else i's
+        prefill and the decode of its k-th partner, the candidates of its
+        variant on other nodes in order of their static decode bounds. A
+        popped plan takes its next step (build i's half, resolve its state,
+        for a split build the decode half, price it exactly) and is pushed
+        back at the bound that step gives (``bound_of``). Halves are shared, so an
+        entry's bound can be stale: such an entry is pushed back at its
+        current bound with no work done. Splits enter lazily: each prefill
+        side holds one entry for its next partner, pushed when the one before
+        is first popped, and a partner's static bound is no less than the one
+        before it, so the heap's least bound bounds every plan not yet exact.
 
-        Against ``best``, the smallest numerator within ``limit`` seen so far,
-        each bound decides one of three ways. Above ``best``'s tie cut, the
-        plan is dropped, and a walk over static bounds stops. At or above
-        ``best``, the plan cannot lower it and can only tie, so it is
-        deferred with that bound. Below ``best``, the walk goes on to the next
-        bound or prices the plan. The cut only shrinks and J only rises above
-        each of its bounds, so a dropped plan is neither the within-budget
-        best nor inside the final window, and a deferred one is not the best.
-
-        After the walk ``best`` is J*. ``top``, the least of its tie cut and
-        ``limit``, bounds the plans ``select`` breaks the tie among by plan
-        id. Deferred plans with a bound <= ``top`` are priced in plan-id
-        order while their id is below the smallest id of a priced plan with
-        J <= ``top``, up to the first whose J is <= ``top``. Every plan left
-        unpriced has a bound above ``top`` or an id that loses the tie-break,
-        so the winner is the one full enumeration picks. While no plan within
-        budget is known nothing is dropped or deferred, so the budget outcome
-        is unchanged. An auditing router lists every plan, so it never sets a
-        cut or defers.
+        The first exact plan popped thus has the least J. Over ``limit``,
+        every plan is, and the search stops. Otherwise it is J*, and ``top``,
+        the least of J*'s tie cut and ``limit``, bounds the plans ``select``
+        breaks the tie among by plan id. The search goes on only while the
+        least bound is <= ``top``, and refines only plans whose id is below
+        the least id priced with J <= ``top``: any other plan either cannot
+        reach the window or loses the tie-break. An auditing router lists
+        every plan, so it never stops or skips.
         """
         origin = region_vertex(request.origin_region)
         held: _Held = {}  # state holders per realization, this instant
@@ -666,131 +645,86 @@ class Router:
                 rows.append(row)
                 warm.append(is_warm)
                 bounds.append(b)
-        built: dict[int, _Half | None] = {}
-
-        def half(i: int) -> _Half | None:
-            """Candidate i's half, built on first use; None on a node at its admission cap."""
-            if i not in built:
-                node = rows[i].node
-                capped = node.queue_length(now) >= node.profile.capacity.admission_cap
-                built[i] = None if capped else self._half(request, rows[i], warm[i], bounds[i], now)
-            return built[i]
-
-        m_net, m_queue, m_exec = self._mult[:3]
-        transfer = self.topology.transfer_between
-
-        def price(i: int, j: int | None) -> _Priced | None:
-            """Plan (i, j) priced exactly: candidate i alone when j is None, else
-            i's prefill and j's decode. None when a node is at its admission
-            cap or the KV transfer has no route."""
-            pre = half(i)
-            dec = None if j is None else half(j)
-            if pre is None or (j is not None and dec is None):
-                return None
-            # A single adds the decode side's transfer and decode time; set-up and penalties count once.
-            rest = bounds[i][5] - m_exec * bounds[i][3] if dec is None else dec.dec_num
-            if pre.pre_num is None:
-                self._prefill(request, pre, now, held)
-            if dec is None:
-                return (pre.pre_num + rest, pre, None, 0, 0)
-            try:
-                t_inter, _ = transfer(rows[i].node.node_id, rows[j].node.node_id, pre.kv_bytes)
-            except Unreachable:
-                return None
-            wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
-            return (pre.pre_num + dec.dec_num + m_net * t_inter + m_queue * wait, pre, dec, t_inter, wait)
-
-        plans: list[_Priced] = []
-        # The smallest within-budget numerator so far and its tie cut; unset while auditing.
-        best = cut = None
-        # Plans that could only tie ``best``: (lower bound, candidate i, decode candidate j or None).
-        deferred: list[tuple[int, int, int | None]] = []
-
-        def keep(priced: _Priced | None) -> None:
-            nonlocal best, cut
-            if priced is None:
-                return
-            plans.append(priced)
-            num = priced[0]
-            if not self.audit and (limit is None or num <= limit) and (best is None or num < best):
-                best, cut = num, self._tie_cut(num)
-
-        def waits(bound: int, i: int, j: int | None) -> bool:
-            """Whether plan (i, j), bounded below by ``bound``, stays unpriced:
-            dropped past the cut, or deferred when it can only tie ``best``."""
-            if best is None or bound < best:
-                return False
-            if bound <= cut:
-                deferred.append((bound, i, j))
-            return True
-
-        # A single-node plan is its half's prefill side plus the decode side's
-        # transfer and decode time; the set-up and penalties count once.
-        singles = sorted(
-            (pre + dec - m_exec * base, rows[i].single.plan_id, i)
-            for i, (_, _, _, base, pre, dec) in enumerate(bounds)
-            if pre is not None and dec is not None
-        )
-        for bound, _, i in singles:
-            if cut is not None and bound > cut:
-                break
-            if waits(bound, i, None):
-                continue
-            h = half(i)
-            if h is None or waits(bound - bounds[i][4] + h.pre_lb, i, None):
-                continue
-            keep(price(i, None))
-        decoders: dict[str, list[tuple[int, int]]] = {}
-        prefills: list[tuple[int, int]] = []
+        m_net, m_exec = self._mult[0], self._mult[2]
+        # A single-node plan adds to its prefill side the decode side's transfer
+        # and decode time; the set-up and penalties count once.
+        rest = [m_net * t_out + m_exec * decode_us for _, t_out, decode_us, _, _, _ in bounds]
+        partners: dict[str, list[int]] = {}
         if self.enable_split:
-            for dec, j in sorted((b[5], j) for j, b in enumerate(bounds) if b[5] is not None):
-                decoders.setdefault(rows[j].realization.variant_id, []).append((dec, j))
-            prefills = sorted((b[4], i) for i, b in enumerate(bounds) if b[4] is not None)
-        least_dec = min((d[0][0] for d in decoders.values()), default=0)
-        for bound, i in prefills:
-            if cut is not None and bound + least_dec > cut:
+            for _, j in sorted((b[5], j) for j, b in enumerate(bounds)):
+                partners.setdefault(rows[j].realization.variant_id, []).append(j)
+        decoders = [partners.get(row.realization.variant_id, []) for row in rows]
+        built: dict[int, _Half | None] = {}  # None: the node is at its admission cap
+
+        def bound_of(i: int, j: int) -> tuple[int, int] | None:
+            """Plan (i, j)'s least J numerator given the halves built so far,
+            and the steps done toward it; j < 0 for i alone. None when a node
+            of the plan is at its admission cap."""
+            if i not in built:
+                lb, steps = bounds[i][4], 0
+            elif (pre := built[i]) is None:
+                return None
+            else:
+                lb, steps = (pre.pre_lb, 1) if pre.pre_num is None else (pre.pre_num, 2)
+            if j < 0:
+                return lb + rest[i], steps
+            if j not in built:
+                return lb + bounds[j][5], steps
+            dec = built[j]
+            return None if dec is None else (lb + dec.dec_num, steps + 1)
+
+        # (bound, -steps done, k, single plan id or "", i, priced plan or None):
+        # on equal bounds, plans further along pop first, then single-node
+        # plans in plan-id order.
+        heap: list[tuple[int, int, int, str, int, _Priced | None]] = []
+        for i, (_, _, _, _, pre, _) in enumerate(bounds):
+            heap.append((pre + rest[i], 0, -1, rows[i].single.plan_id, i, None))
+            if decoders[i]:
+                heap.append((pre + bounds[decoders[i][0]][5], 0, 0, "", i, None))
+        heapify(heap)
+        entered = [0] * len(rows)  # each prefill side's last partner entered
+        plans: list[_Priced] = []
+        top = best_id = None  # set once J* is popped; never while auditing
+        while heap:
+            bound, _, k, tie, i, priced = heappop(heap)
+            if top is not None and bound > top:
                 break
-            # The prefill side's bound: static, then the built half's, then exact.
-            # A bound that can only tie defers every pair below.
-            if best is None or bound + least_dec < best:
-                pre = half(i)
-                if pre is None:
+            j = -1 if k < 0 else decoders[i][k]
+            if 0 <= k == entered[i] and k + 1 < len(decoders[i]):
+                entered[i] = k + 1
+                heappush(heap, (bounds[i][4] + bounds[decoders[i][k + 1]][5], 0, k + 1, "", i, None))
+            if j >= 0 and rows[j].node is rows[i].node:
+                continue
+            if top is not None and (tie or self._plan_on(rows[i], rows[j]).plan_id) >= best_id:
+                continue
+            if priced is not None:
+                if self.audit:
                     continue
-                bound = pre.pre_lb
-                if cut is not None and bound + least_dec > cut:
-                    continue
-                if best is None or bound + least_dec < best:
-                    if pre.pre_num is None:
-                        self._prefill(request, pre, now, held)
-                    bound = pre.pre_num
-            pre_node = rows[i].node
-            for dec_bound, j in decoders.get(rows[i].realization.variant_id, ()):
-                if cut is not None and bound + dec_bound > cut:
-                    break
-                if rows[j].node is pre_node or waits(bound + dec_bound, i, j):
-                    continue
-                dec = half(j)
-                if dec is None or waits(bound + dec.dec_num, i, j):
-                    continue
-                keep(price(i, j))
-        if deferred:
-            # J* is final. The tie-break takes the smallest plan id with J <=
-            # top; a deferred plan can only beat the smallest priced one.
-            top = self._tie_cut(best) if limit is None else min(self._tie_cut(best), limit)
-            first = min(self._plan_of(p[1], p[2]).plan_id for p in plans if p[0] <= top)
-            waiting = sorted(
-                (self._plan_on(rows[i], None if j is None else rows[j]).plan_id, i, j)
-                for bound, i, j in deferred
-                if bound <= top
-            )
-            for plan_id, i, j in waiting:
-                if plan_id >= first:
-                    break
-                priced = price(i, j)
-                if priced is not None:
+                if top is None:
+                    if limit is not None and bound > limit:
+                        break  # the least J is over budget, and so is every plan's
+                    top = self._tie_cut(bound) if limit is None else min(self._tie_cut(bound), limit)
+                best_id = tie or self._plan_on(rows[i], rows[j]).plan_id
+                continue
+            state = bound_of(i, j)
+            if state is None:
+                continue
+            if state[0] == bound:  # not stale: take the next step
+                pre = built.get(i)
+                if pre is not None and pre.pre_num is None:
+                    self._prefill(request, pre, now, held)
+                elif pre is None or (j >= 0 and j not in built):
+                    c = i if pre is None else j
+                    node = rows[c].node
+                    capped = node.queue_length(now) >= node.profile.capacity.admission_cap
+                    built[c] = None if capped else self._half(request, rows[c], warm[c], bounds[c], now)
+                else:
+                    priced = self._priced(pre, None if j < 0 else built[j])
                     plans.append(priced)
-                    if priced[0] <= top:
-                        break
+                state = (priced[0], 4) if priced is not None else bound_of(i, j)
+                if state is None:
+                    continue
+            heappush(heap, (state[0], -state[1], k, tie, i, priced))
         return plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
@@ -824,8 +758,8 @@ class Router:
         BudgetExceeded, none at all as NoFeasiblePlan.
 
         Plans are compared on integer J numerators; the plan_id tie-break
-        hashes only the plans inside the tie window and the deferred plans
-        that could join it, and only the winner's schedule is projected.
+        hashes only the plans the search reaches inside the tie window, and
+        only the winner's schedule is projected.
         """
         quality = request.quality_target
         saw_budget_only = False
@@ -855,7 +789,7 @@ class Router:
         self, request: RequestDescriptor, now: int, plans: list[_Priced], within: list[_Priced], quality: int
     ) -> Selection:
         cut = self._tie_cut(min(p[0] for p in within))
-        plan, (_, pre, dec, t_inter, wait) = min(
+        plan, priced = min(
             ((self._plan_of(p[1], p[2]), p) for p in within if p[0] <= cut),
             key=lambda c: c[0].plan_id,
         )
@@ -863,7 +797,7 @@ class Router:
         if self.audit:
             alternatives = tuple(sorted((self._plan_of(p[1], p[2]).plan_id, self._terms_of(*p[1:])) for p in plans))
         return Selection(
-            scored=self._scored(plan, request, now, pre, dec, t_inter, wait),
+            scored=self._scored(plan, request, now, priced),
             served_quality=quality,
             degraded=quality < request.quality_target,
             alternatives=alternatives,

@@ -102,7 +102,7 @@ def test_criterion_2_routing_argmin_audit(tmp_path, monkeypatch):
     _write_outputs(scaled_dir, scaled_scenario, scaled, result10)
     assert output_digests(scaled_dir) == GOLDEN["audit"], "x10 rescaled, unaudited outputs differ from the golden digest"
     # The quiet router's work: halves built and session states resolved.
-    assert (scaled.router.halves_priced, scaled.router.states_resolved) == (14_860, 14_350)
+    assert (scaled.router.halves_priced, scaled.router.states_resolved) == (14_860, 12_195)
     report(2, True, f"{len(result.audit)} selections audited, {plan_scores} plan scores, rescale invariant")
 
 

@@ -809,6 +809,21 @@ def test_tied_idle_edges_build_at_most_two_halves():
                 assert router.halves_priced <= 2
 
 
+def test_a_select_over_budget_builds_one_half():
+    """The plan with the least J is the nearest edge's single-node plan;
+    once it is priced over budget, so is every plan left."""
+    for split in (False, True):
+        router = edge_router([("1", delay) for delay in (0, 300, 600, 900, 1200)])
+        router.enable_split = split
+        request = chat_request(degradable=False)
+        least = exhaustive_select(router, request, 0)[0].cost.total
+        request = replace(request, budget=int(least) - 1)
+        assert exhaustive_select(router, request, 0) == REASON_BUDGET_EXCEEDED
+        before = router.halves_priced
+        assert router.select(request, now=0) == Rejection(REASON_BUDGET_EXCEEDED)
+        assert router.halves_priced - before == 1
+
+
 @example(best=0, eps=Fraction(1, 10**9))
 @example(best=-(10**30) - 7, eps=Fraction(1, 50))
 @example(best=2**80 + 1, eps=Fraction(3, 7))
@@ -905,7 +920,7 @@ def scenario_named(name):
     [
         ("session_heavy", 124, 124),
         ("small_place", 335, 311),
-        ("fanout17", 259, 250),
+        ("fanout17", 259, 207),
         ("sessions", 2156, 2156),
         ("replan_churn", 5282, 4622),
     ],
