@@ -4,7 +4,8 @@
 schedule. This module keeps the independent implementation it must agree
 with: ``score`` prices one plan stage by stage, ``feasible_plans`` enumerates
 and scores every plan, and ``argmin`` picks the winner over exact ``Fraction``
-totals. Tests compare the router against it.
+values of J, combined from each plan's terms. Tests compare the router
+against it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ def eff_time_us(per_token_us: int, tokens: int, speed: Fraction) -> int:
 def combine_terms(weights: RoutingWeights, terms: tuple[int, int, int, int, int, int]) -> Fraction:
     scale, mult = _weight_multipliers(weights)
     return Fraction(_numerator(mult, terms), scale)
+
+
+def plan_j(weights: RoutingWeights, scored: ScoredPlan) -> Fraction:
+    """J of a scored plan under ``weights``, from its six terms."""
+    return combine_terms(weights, scored.cost.terms())
 
 
 def score(
@@ -236,16 +242,16 @@ def feasible_plans(router: Router, request: RequestDescriptor, now: int) -> list
     """
     scored = score_enumerated(router, request, lookup(router, request, request.quality_target, now), now)
     if request.budget is not None:
-        scored = [s for s in scored if s.cost.total <= request.budget]
+        scored = [s for s in scored if plan_j(router.weights, s) <= request.budget]
     return scored
 
 
-def argmin(scored: list[ScoredPlan], tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)) -> ScoredPlan:
-    """Minimum-cost plan; totals within the relative tie window resolve to the
-    smallest plan_id."""
-    best_total = min(s.cost.total for s in scored)
-    bound = best_total + abs(best_total) * tie_eps
-    contenders = [s for s in scored if s.cost.total <= bound]
+def argmin(scored: list[ScoredPlan], weights: RoutingWeights) -> ScoredPlan:
+    """Minimum-J plan under ``weights``; values of J within the relative tie
+    window resolve to the smallest plan_id."""
+    best_total = min(plan_j(weights, s) for s in scored)
+    bound = best_total + abs(best_total) * weights.tie_eps
+    contenders = [s for s in scored if plan_j(weights, s) <= bound]
     contenders.sort(key=lambda s: s.plan.plan_id)
     return contenders[0]
 

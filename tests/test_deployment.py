@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -317,3 +318,55 @@ def test_problem_built_from_live_broker_prices_residency(simple_broker):
     # local demand, so the solved placement keeps it.
     solution = solve(problem, 8)
     assert ("chat-v1-gpu", "edge-1") in solution
+
+
+@pytest.mark.parametrize("name", ["small_place", "replan_heavy"])
+def test_replan_latency_is_the_reference_idle_score_of_each_warm_single_plan(name, monkeypatch):
+    """At every replan, each (cell, pair) latency is the reference router's
+    idle-substrate score of the pair's warm single-node plan for a request of
+    the cell's class, region, quality and mean tokens; None when the pair's
+    variant cannot serve the cell or its node has no route to the region."""
+    from capsim import deployment
+    from capsim.descriptors import PlanPhase, PlanStage
+    from capsim.engine import Simulation
+    from capsim.scenario import Scenario
+    from capsim.topology import Unreachable
+    from reference_router import combine_terms, score
+    from test_golden import SCENARIOS, replan_heavy_scenario
+
+    doc = replan_heavy_scenario() if name == "replan_heavy" else json.loads((SCENARIOS / f"{name}.json").read_text())
+    sim = Simulation(Scenario.from_dict(doc))
+    build_problem = deployment.build_problem
+    checked = []
+
+    def checked_build(router, cells, *args, **kwargs):
+        problem = build_problem(router, cells, *args, **kwargs)
+        catalog = router.broker.catalog
+        for cell, latencies in zip(cells, problem.latency, strict=True):
+            probe = RequestDescriptor(
+                request_id="probe",
+                capability_class=cell.capability_class,
+                quality_target=cell.quality,
+                policy=PolicyConstraint(),
+                origin_region=cell.region,
+                input_tokens=cell.input_tokens,
+                output_tokens=cell.output_tokens,
+            )
+            for pair, latency in zip(problem.pairs, latencies, strict=True):
+                variant = catalog.variant_of(pair.realization_id)
+                expected = None
+                if variant.parent_class == cell.capability_class and variant.quality >= cell.quality:
+                    plan = router.plan((PlanStage(pair.node_id, pair.realization_id, PlanPhase.FULL),))
+                    try:
+                        scored = score(router, plan, probe, 0, (True,), zero_queue=True)
+                    except Unreachable:
+                        pass
+                    else:
+                        expected = combine_terms(router.weights, scored.cost.terms())
+                assert latency == expected, (cell, pair.key)
+                checked.append(latency is not None)
+        return problem
+
+    monkeypatch.setattr(deployment, "build_problem", checked_build)
+    sim.run()
+    assert any(checked) and len(checked) > len(sim.scenario.nodes)

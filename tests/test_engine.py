@@ -579,7 +579,7 @@ def test_replan_matches_exhaustive_oracle_on_shipped_scenario():
     for rid, node in scenario.initial_placement:
         residency[node].add(rid)
     fresh = Simulation(scenario)  # clean broker for zero-queue pricing
-    problem = deployment.build_problem(fresh.router, cells, scenario.placement_weights, residency, now=0)
+    problem = deployment.build_problem(fresh.router, cells, scenario.placement_weights, residency)
     exact = deployment.solve_exact(problem)
     heuristic = deployment.solve(problem, scenario.deployment.local_search_rounds)
     h, e = deployment.objective(problem, heuristic), deployment.objective(problem, exact)
@@ -619,13 +619,16 @@ def test_trimmed_arrival_history_gives_full_history_cells_at_every_replan(monkey
 
     sim.router.select = recording_select
     build_problem = deployment.build_problem
+    epoch_us = scenario.deployment.epoch_us
+    replans = iter(range(epoch_us, scenario.duration_us, epoch_us))
     held = []
 
-    def build_against_full_history(router, cells, weights, residency, now):
+    def build_against_full_history(router, cells, *args, **kwargs):
+        now = next(replans)
         start_us = now - scenario.deployment.window_us
         assert cells == deployment.cells_from_requests(arrived, start_us, now), f"replan at {now}"
         held.append((len(sim._demand), len(arrived)))
-        return build_problem(router, cells, weights, residency, now)
+        return build_problem(router, cells, *args, **kwargs)
 
     monkeypatch.setattr(deployment, "build_problem", build_against_full_history)
     sim.run()

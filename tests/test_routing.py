@@ -45,6 +45,7 @@ from reference_router import (
     combine_terms,
     feasible_plans,
     lookup,
+    plan_j,
     plans_from_candidates,
     scaled_weights,
     score,
@@ -122,7 +123,7 @@ def test_minimal_request_cost_is_setup_plus_one_decode(simple_broker):
     assert scored.cost.t_net_us == 0
     assert scored.cost.t_queue_us == 0
     assert scored.cost.t_exec_us == 1000 + 200
-    assert scored.cost.total == 1200
+    assert plan_j(router.weights, scored) == 1200
 
 
 def test_warm_single_stage_cost_closed_form(simple_broker):
@@ -137,7 +138,7 @@ def test_warm_single_stage_cost_closed_form(simple_broker):
     assert scored.cost.t_net_us == 501 + 501
     # setup + 100 prefill tokens * 50 + 10 decode tokens * 200.
     assert scored.cost.t_exec_us == 1000 + 5000 + 2000
-    assert scored.cost.total == 1002 + 8000
+    assert plan_j(router.weights, scored) == 1002 + 8000
 
 
 def test_speed_factor_divides_per_token_times(simple_broker):
@@ -194,8 +195,8 @@ def test_select_picks_smaller_cost(simple_broker):
     assert isinstance(outcome, Selection)
     # Edge is closer and the exec gap does not cover two core-link crossings.
     assert outcome.scored.stages[0].node_id == "edge-1"
-    rescored = {s.plan.plan_id: s.cost.total for s in feasible_plans(router, chat_request(), 0)}
-    assert all(within_tie(total, outcome.scored.cost.total) for total in rescored.values())
+    rescored = {s.plan.plan_id: plan_j(router.weights, s) for s in feasible_plans(router, chat_request(), 0)}
+    assert all(within_tie(total, plan_j(router.weights, outcome.scored)) for total in rescored.values())
 
 
 def test_equal_costs_tie_to_smaller_plan_id(simple_broker):
@@ -207,7 +208,7 @@ def test_equal_costs_tie_to_smaller_plan_id(simple_broker):
     plan_ids = {o.scored.plan.plan_id for o in outcomes}
     assert len(plan_ids) == 1
     scored = feasible_plans(router, chat_request(), 0)
-    tied = [s for s in scored if s.cost.total == outcomes[0].scored.cost.total]
+    tied = [s for s in scored if plan_j(router.weights, s) == plan_j(router.weights, outcomes[0].scored)]
     assert outcomes[0].scored.plan.plan_id == min(s.plan.plan_id for s in tied)
 
 
@@ -349,7 +350,7 @@ def test_weight_rescaling_leaves_selection_unchanged(simple_broker):
         b = router10.select(request, now=0)
         assert isinstance(a, Selection) and isinstance(b, Selection)
         assert a.scored.plan.plan_id == b.scored.plan.plan_id
-        assert b.scored.cost.total == a.scored.cost.total * 10
+        assert plan_j(router10.weights, b.scored) == plan_j(router.weights, a.scored) * 10
 
 
 def test_unreachable_node_is_not_a_plan():
@@ -583,10 +584,10 @@ def exhaustive_select(router, request, now):
     while quality >= 1:
         candidates = admitted_candidates(router, request, quality, now)
         scored = score_enumerated(router, request, candidates, now)
-        within = [s for s in scored if request.budget is None or s.cost.total <= request.budget]
+        within = [s for s in scored if request.budget is None or plan_j(router.weights, s) <= request.budget]
         if within:
             alternatives = sorted((s.plan.plan_id, s.cost.terms()) for s in scored)
-            return argmin(within, router.weights.tie_eps), quality, tuple(alternatives)
+            return argmin(within, router.weights), quality, tuple(alternatives)
         saw_budget_only = saw_budget_only or bool(scored)
         if not (request.degradable and quality > 1):
             break
@@ -682,7 +683,7 @@ def test_a_node_at_its_admission_cap_is_dropped_where_it_would_win(phase):
     node_id = next(s.node_id for s in router.select(request, now).scored.plan.stages if s.phase is phase)
     fill_admission_queue(router.broker.node(node_id), now)
     # Without the cap it would still win: the queued stages delay it by a few µs.
-    uncapped = argmin(score_enumerated(router, request, lookup(router, request, 1, now), now), router.weights.tie_eps)
+    uncapped = argmin(score_enumerated(router, request, lookup(router, request, 1, now), now), router.weights)
     assert node_id in {s.node_id for s in uncapped.plan.stages}
     outcome = router.select(request, now)
     assert node_id not in {s.node_id for s in outcome.scored.plan.stages}
@@ -816,7 +817,7 @@ def test_a_select_over_budget_builds_one_half():
         router = edge_router([("1", delay) for delay in (0, 300, 600, 900, 1200)])
         router.enable_split = split
         request = chat_request(degradable=False)
-        least = exhaustive_select(router, request, 0)[0].cost.total
+        least = plan_j(router.weights, exhaustive_select(router, request, 0)[0])
         request = replace(request, budget=int(least) - 1)
         assert exhaustive_select(router, request, 0) == REASON_BUDGET_EXCEEDED
         before = router.halves_priced

@@ -335,7 +335,7 @@ def test_oracle_place_matches_library_oracle(capsys):
         [a.request for a in arrivals], at - scenario.deployment.window_us, at
     )
     residency = {n: set(s.residency) for n, s in sim.broker.nodes.items()}
-    problem = deployment.build_problem(sim.router, cells, scenario.placement_weights, residency, now=0)
+    problem = deployment.build_problem(sim.router, cells, scenario.placement_weights, residency)
     expected = deployment.solve_exact(problem)
 
     main(["oracle-place", str(SCENARIOS / "small_place.json"), "--at", str(at)])
