@@ -259,7 +259,7 @@ def cmd_oracle_place(args: argparse.Namespace) -> int:
         residency = {
             node_id: set(state.residency) for node_id, state in sim.broker.nodes.items()
         }
-        problem = deployment.build_problem(sim.router, cells, scenario.placement_weights, residency, now=0)
+        problem = deployment.build_problem(sim.router, cells, scenario.placement_weights, residency)
         placement = deployment.solve_exact(problem)
         objective = deployment.objective(problem, placement)
     except deployment.InstanceTooLarge as exc:

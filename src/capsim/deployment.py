@@ -2,12 +2,13 @@
 planning epoch by greedy density ascent plus local search, with an exhaustive
 enumerator as the small-instance oracle.
 
-The objective prices expected service latency (via the routing scorer against
-an idle substrate), activation and artifact-transfer costs for not-yet-resident
-realizations, and a soft trust-risk count; hard trust violations never become
-candidate assignments. Already-resident realizations re-place at zero cost,
-so assignments whose demand has vanished drop out of the solution and the
-replan diff schedules their eviction.
+The objective prices expected service latency (``Router.idle_cost``: the J
+of each pair's warm single-node plan on an idle, penalty-free node, read from
+the router's static rows), activation and artifact-transfer costs for
+not-yet-resident realizations, and a soft trust-risk count; hard trust
+violations never become candidate assignments. Already-resident realizations
+re-place at zero cost, so assignments whose demand has vanished drop out of
+the solution and the replan diff schedules their eviction.
 
 Every solver evaluates the objective through one evaluator, as exact integer
 numerators over one common denominator that ``PlacementProblem`` derives once
@@ -23,9 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .descriptors import PlanPhase, PlanStage, PolicyConstraint, RequestDescriptor
+from .descriptors import PolicyConstraint, RequestDescriptor
 from .routing import Router
-from .topology import Unreachable
 
 ENUMERATION_BOUND = 20
 
@@ -299,7 +299,6 @@ def build_problem(
     cells: list[DemandCell],
     weights: PlacementWeights,
     residency: dict[str, set[str]],
-    now: int = 0,
 ) -> PlacementProblem:
     """Assemble the placement instance against the live broker and topology.
 
@@ -332,12 +331,7 @@ def build_problem(
                     net = 0
                 else:
                     deploy = realization.load_time_us + weights.storage_unit_cost * realization.artifact_size_bytes
-                    if router.artifact_repository is not None:
-                        net, _ = router.topology.transfer_between(
-                            router.artifact_repository, node_id, realization.artifact_size_bytes
-                        )
-                    else:
-                        net = 0
+                    net, _ = router.artifact_fetch(node_id, realization)
                 pairs.append(
                     PlacementPair(
                         realization_id=realization.realization_id,
@@ -367,13 +361,8 @@ def build_problem(
             if variant.parent_class != cell.capability_class or variant.quality < cell.quality:
                 row.append(None)
                 continue
-            plan = router.plan((PlanStage(pair.node_id, pair.realization_id, PlanPhase.FULL),))
-            try:
-                scored = router.score(plan, probe, now, warm_flags=(True,), zero_queue=True)
-            except Unreachable:
-                row.append(None)  # node cannot serve this region at all
-                continue
-            row.append(scored.cost.total)
+            cost = router.idle_cost(probe, broker.nodes[pair.node_id], pair.realization_id)
+            row.append(None if cost is None else Fraction(cost, router._scale))
         latency.append(row)
 
     return PlacementProblem(

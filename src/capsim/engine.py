@@ -18,9 +18,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
-from typing import Protocol
+from typing import Callable, Protocol
 
 from . import deployment
 from .caching import CacheEntry, CacheSystem, estimate_p_hit
@@ -46,32 +45,8 @@ from .trust import AttestationRecord, ReceiptLog, TrustManager
 from .workload import Arrival, generate_arrivals
 
 
-class EventKind(str, Enum):
-    ARRIVAL = "arrival"
-    DISPATCH = "dispatch"
-    STAGE_COMPLETE = "stage_complete"
-    TRANSFER_COMPLETE = "transfer_complete"
-    EPOCH_REPLAN = "epoch_replan"
-    TELEMETRY = "telemetry"
-    SESSION_END = "session_end"
-    NODE_OFFLINE = "node_offline"
-    NODE_ONLINE = "node_online"
-    REVOKE = "revoke"
-
-
-# Trace-row kinds as plain strings: ``str()`` of an ``EventKind`` member is its
-# qualified name, and each ``.value`` read goes through the enum's descriptor.
-_TRACE_ARRIVAL = EventKind.ARRIVAL.value
-_TRACE_DISPATCH = EventKind.DISPATCH.value
-_TRACE_STAGE_COMPLETE = EventKind.STAGE_COMPLETE.value
-_TRACE_TRANSFER_COMPLETE = EventKind.TRANSFER_COMPLETE.value
-_TRACE_EPOCH_REPLAN = EventKind.EPOCH_REPLAN.value
-_TRACE_TELEMETRY = EventKind.TELEMETRY.value
-_TRACE_SESSION_END = EventKind.SESSION_END.value
-_TRACE_NODE_OFFLINE = EventKind.NODE_OFFLINE.value
-_TRACE_NODE_ONLINE = EventKind.NODE_ONLINE.value
-_TRACE_REVOKE = EventKind.REVOKE.value
-# A cache hit's state type in ``metrics.json``, read once for the same reason.
+# A cache hit's state type in ``metrics.json``, read once: each ``.value``
+# read goes through the enum's descriptor.
 _TENSOR_STATE = StateType.TENSOR_STATE.value
 
 # The reuse probability a newly offered session state is admitted with.
@@ -186,9 +161,9 @@ class Simulation:
         self.trace: TraceSink = [] if isinstance(trace, bool) else trace
         self.audit: list[AuditEntry] = []
 
-        # (time_us, seq, kind, payload): seq is unique, so tuples compare on
+        # (time_us, seq, handler, payload): seq is unique, so tuples compare on
         # (time_us, seq) alone, in C.
-        self._events: list[tuple[int, int, EventKind, dict]] = []
+        self._events: list[tuple[int, int, Callable[[int, dict], None], dict]] = []
         self._seq = 0
         self._in_flight: dict[str, InFlight] = {}
         self._session_remaining: dict[str, int] = {}
@@ -198,8 +173,9 @@ class Simulation:
 
     # -- event plumbing ------------------------------------------------------
 
-    def _push(self, time_us: int, kind: EventKind, payload: dict) -> None:
-        heapq.heappush(self._events, (time_us, self._seq, kind, payload))
+    def _push(self, time_us: int, handler: Callable[[int, dict], None], payload: dict) -> None:
+        """Schedule ``handler(time_us, payload)``."""
+        heapq.heappush(self._events, (time_us, self._seq, handler, payload))
         self._seq += 1
 
     def _trace(self, time_us: int, kind: str, **fields) -> None:
@@ -212,14 +188,14 @@ class Simulation:
         # Scripted control-plane events first so that, at equal timestamps,
         # they order before arrivals.
         for ev in self.scenario.node_events:
-            kind = EventKind.NODE_ONLINE if ev.online else EventKind.NODE_OFFLINE
-            self._push(ev.time_us, kind, {"node_id": ev.node_id})
+            handler = self._on_node_online if ev.online else self._on_node_offline
+            self._push(ev.time_us, handler, {"node_id": ev.node_id})
         for rev in self.scenario.revocations:
-            self._push(rev.time_us, EventKind.REVOKE, {"realization_id": rev.realization_id})
+            self._push(rev.time_us, self._on_revoke, {"realization_id": rev.realization_id})
         dep = self.scenario.deployment
         if dep.replan_enabled:
             for t in range(dep.epoch_us, self.duration_us, dep.epoch_us):
-                self._push(t, EventKind.EPOCH_REPLAN, {})
+                self._push(t, self._on_replan, {})
 
         arrivals = generate_arrivals(self.scenario.workload, self.duration_us, self.seed)
         for scripted in self.scenario.scripted_requests:
@@ -233,8 +209,9 @@ class Simulation:
                 )
             )
         arrivals.sort(key=lambda a: (a.request.arrival_time, a.request.origin_region, a.request.request_id))
+        on_arrival = self._on_arrival  # one bound method for every arrival's event
         for arrival in arrivals:
-            self._push(arrival.request.arrival_time, EventKind.ARRIVAL, {"arrival": arrival})
+            self._push(arrival.request.arrival_time, on_arrival, {"arrival": arrival})
             sid = arrival.session_id
             self._session_remaining[sid] = self._session_remaining.get(sid, 0) + 1
 
@@ -242,22 +219,10 @@ class Simulation:
 
     def run(self) -> RunResult:
         self._schedule_initial_events()
-        handlers = {
-            EventKind.ARRIVAL: self._on_arrival,
-            EventKind.DISPATCH: self._on_dispatch,
-            EventKind.STAGE_COMPLETE: self._on_stage_complete,
-            EventKind.TRANSFER_COMPLETE: self._on_transfer_complete,
-            EventKind.EPOCH_REPLAN: self._on_replan,
-            EventKind.SESSION_END: self._on_session_end,
-            EventKind.NODE_OFFLINE: self._on_node_offline,
-            EventKind.NODE_ONLINE: self._on_node_online,
-            EventKind.REVOKE: self._on_revoke,
-            EventKind.TELEMETRY: self._on_telemetry,
-        }
         events = self._events
         while events and events[0][0] <= self.duration_us:
-            time_us, _, kind, payload = heapq.heappop(events)
-            handlers[kind](time_us, payload)
+            time_us, _, handler, payload = heapq.heappop(events)
+            handler(time_us, payload)
         self._truncate_in_flight()
         return RunResult(metrics=self.metrics, receipts=self.receipts, trace=self.trace, audit=self.audit)
 
@@ -268,7 +233,7 @@ class Simulation:
         request = arrival.request
         if self._demand is not None:
             self._demand.add(request)
-        self._trace(now, _TRACE_ARRIVAL, request_id=request.request_id)
+        self._trace(now, "arrival", request_id=request.request_id)
 
         outcome = self.router.select(request, now)
         if isinstance(outcome, Rejection):
@@ -311,7 +276,7 @@ class Simulation:
                 migration_done = now + scored.inbound_net_us + use.transfer_us
                 self._push(
                     migration_done,
-                    EventKind.TRANSFER_COMPLETE,
+                    self._on_transfer_complete,
                     {
                         "transfer": "state_migration",
                         "request_id": request.request_id,
@@ -328,11 +293,7 @@ class Simulation:
                 realization = self.catalog.realizations[proj.realization_id]
                 self.metrics.model_load_overhead_us += proj.warm_available_at_us - proj.start_us
                 self.metrics.placement_churn += 1
-                if self.router.artifact_repository is not None:
-                    _, core = self.topology.transfer_between(
-                        self.router.artifact_repository, proj.node_id, realization.artifact_size_bytes
-                    )
-                    self.metrics.core_bytes_placement += core
+                self.metrics.core_bytes_placement += self.router.artifact_fetch(proj.node_id, realization)[1]
             reservation = node.reserve(proj.realization_id, proj.ready_us, proj.duration_us)
             if (reservation.start_us, reservation.complete_us) != (proj.start_us, proj.complete_us):
                 raise RuntimeError(
@@ -346,30 +307,30 @@ class Simulation:
             if self.trace_enabled:
                 self._push(
                     proj.start_us,
-                    EventKind.DISPATCH,
+                    self._on_dispatch,
                     {"request_id": request.request_id, "node_id": proj.node_id, "ready_us": proj.ready_us},
                 )
             self._push(
                 proj.complete_us,
-                EventKind.STAGE_COMPLETE,
+                self._on_stage_complete,
                 {"request_id": request.request_id, "node_id": proj.node_id, "realization_id": proj.realization_id},
             )
 
         if self.trace_enabled:
             self._push(
                 now + scored.inbound_net_us,
-                EventKind.TRANSFER_COMPLETE,
+                self._on_transfer_complete,
                 {"transfer": "inbound", "request_id": request.request_id, "bytes": request.input_tokens * self.router.bytes_per_token},
             )
             if len(scored.stages) == 2:
                 self._push(
                     scored.stages[0].complete_us + scored.interstage_net_us,
-                    EventKind.TRANSFER_COMPLETE,
+                    self._on_transfer_complete,
                     {"transfer": "kv", "request_id": request.request_id},
                 )
         self._push(
             scored.finish_us,
-            EventKind.TRANSFER_COMPLETE,
+            self._on_transfer_complete,
             {"transfer": "response", "request_id": request.request_id, "terminal": True},
         )
 
@@ -386,7 +347,7 @@ class Simulation:
     def _on_dispatch(self, now: int, payload: dict) -> None:
         self._trace(
             now,
-            _TRACE_DISPATCH,
+            "dispatch",
             request_id=payload["request_id"],
             node_id=payload["node_id"],
             ready_us=payload["ready_us"],
@@ -395,13 +356,13 @@ class Simulation:
     def _on_stage_complete(self, now: int, payload: dict) -> None:
         node_id = payload["node_id"]
         rid = payload["realization_id"]
-        self._trace(now, _TRACE_STAGE_COMPLETE, request_id=payload["request_id"], node_id=node_id)
+        self._trace(now, "stage_complete", request_id=payload["request_id"], node_id=node_id)
         self._maybe_complete_eviction(now, node_id, rid)
 
     def _on_transfer_complete(self, now: int, payload: dict) -> None:
         terminal = payload.pop("terminal", False)
         if self.trace_enabled:
-            self._trace(now, _TRACE_TRANSFER_COMPLETE, **payload)
+            self._trace(now, "transfer_complete", **payload)
         if payload.get("transfer") == "state_migration":
             self._apply_migration(now, payload)
         if terminal:
@@ -442,10 +403,10 @@ class Simulation:
             node_id: {rid for rid, res in state.residency.items() if not res.pending_eviction}
             for node_id, state in self.broker.nodes.items()
         }
-        problem = deployment.build_problem(self.router, cells, self.scenario.placement_weights, residency, now)
+        problem = deployment.build_problem(self.router, cells, self.scenario.placement_weights, residency)
         solution = deployment.solve(problem, dep.local_search_rounds)
         delta = deployment.plan_delta(solution, residency)
-        self._trace(now, _TRACE_EPOCH_REPLAN, loads=len(delta.loads), evictions=len(delta.evictions))
+        self._trace(now, "epoch_replan", loads=len(delta.loads), evictions=len(delta.evictions))
 
         for rid, node_id in delta.evictions:
             state = self.broker.node(node_id)
@@ -464,19 +425,14 @@ class Simulation:
         if self.trace_enabled:
             for node_id in sorted(self.broker.nodes):
                 queued_work_us = self.broker.refresh_queue_telemetry(node_id, now)
-                self._push(now, EventKind.TELEMETRY, {"node_id": node_id, "queued_work_us": queued_work_us})
+                self._push(now, self._on_telemetry, {"node_id": node_id, "queued_work_us": queued_work_us})
 
     def _start_load(self, now: int, node_id: str, rid: str) -> None:
         realization = self.catalog.realizations[rid]
         if self.broker.free_memory(node_id) < self.broker.footprint(rid):
             self._pending_loads.setdefault(node_id, []).append(rid)
             return
-        if self.router.artifact_repository is not None:
-            transfer, core = self.topology.transfer_between(
-                self.router.artifact_repository, node_id, realization.artifact_size_bytes
-            )
-        else:
-            transfer, core = 0, 0
+        transfer, core = self.router.artifact_fetch(node_id, realization)
         available = now + transfer + realization.load_time_us
         self.broker.install(node_id, rid, available)
         self.metrics.placement_churn += 1
@@ -484,7 +440,7 @@ class Simulation:
         self.metrics.core_bytes_placement += core
         self._push(
             available,
-            EventKind.TRANSFER_COMPLETE,
+            self._on_transfer_complete,
             {"transfer": "artifact", "node_id": node_id, "realization_id": rid, "bytes": realization.artifact_size_bytes},
         )
 
@@ -508,20 +464,20 @@ class Simulation:
         session_id = payload["session_id"]
         for node_id, state_id in self.caches.drop_session(session_id):
             self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="session_end")
-        self._trace(now, _TRACE_SESSION_END, session_id=session_id)
+        self._trace(now, "session_end", session_id=session_id)
 
     def _on_node_offline(self, now: int, payload: dict) -> None:
         self.broker.node(payload["node_id"]).online = False
-        self._trace(now, _TRACE_NODE_OFFLINE, node_id=payload["node_id"])
+        self._trace(now, "node_offline", node_id=payload["node_id"])
 
     def _on_node_online(self, now: int, payload: dict) -> None:
         self.broker.node(payload["node_id"]).online = True
-        self._trace(now, _TRACE_NODE_ONLINE, node_id=payload["node_id"])
+        self._trace(now, "node_online", node_id=payload["node_id"])
 
     def _on_revoke(self, now: int, payload: dict) -> None:
         rid = payload["realization_id"]
         self.trust.revoke(rid)
-        self._trace(now, _TRACE_REVOKE, realization_id=rid)
+        self._trace(now, "revoke", realization_id=rid)
         for node_id in sorted(self.broker.nodes):
             state = self.broker.node(node_id)
             if rid in state.residency:
@@ -531,7 +487,7 @@ class Simulation:
             self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="revoked")
 
     def _on_telemetry(self, now: int, payload: dict) -> None:
-        self._trace(now, _TRACE_TELEMETRY, **payload)
+        self._trace(now, "telemetry", **payload)
 
     # -- terminal bookkeeping ------------------------------------------------------
 
@@ -693,7 +649,7 @@ class Simulation:
         if remaining > 0:
             self._session_remaining[sid] = remaining
         else:
-            self._push(now, EventKind.SESSION_END, {"session_id": sid})
+            self._push(now, self._on_session_end, {"session_id": sid})
 
     def _truncate_in_flight(self) -> None:
         for request_id in sorted(self._in_flight):

@@ -27,6 +27,13 @@ free, and decode, leaving out the wait, the state charge and the load and
 policy penalties. Building the candidate's half (its queue, load and policy
 reads), then resolving its state, tighten the bound of every plan it is in.
 
+Routing is the one module that prices a candidate. On an idle node with no
+load or policy penalty, a request without session state waits for nothing
+and pays no state charge, so the static bound of its warm single-node plan is
+its exact J: ``idle_cost`` gives it to the placement planner. The artifact
+fetch from the repository is priced by ``artifact_fetch`` alone, for a row's
+cold activation, the engine's loads and placement's transfer cost.
+
 ``select`` is one best-first search over these bounds: a heap holds each
 plan at its current bound, and each pop takes one step on the plan with the
 least (build its prefill half, resolve that half's state, for a split build
@@ -49,7 +56,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heappushpop
 from math import lcm
 
 from .caching import CacheEntry, CacheSystem, state_hash
@@ -102,7 +109,6 @@ class PlanCost:
     t_state_us: int
     c_load: int
     p_policy: int
-    total: Fraction
 
     def terms(self) -> tuple[int, int, int, int, int, int]:
         return (self.t_net_us, self.t_queue_us, self.t_exec_us, self.t_state_us, self.c_load, self.p_policy)
@@ -113,11 +119,6 @@ def _weight_multipliers(weights: RoutingWeights) -> tuple[int, tuple[int, ...]]:
     parts = (weights.alpha, weights.beta, weights.gamma, weights.delta, weights.epsilon, weights.zeta)
     scale = lcm(*(p.denominator for p in parts))
     return scale, tuple(p.numerator * (scale // p.denominator) for p in parts)
-
-
-def _numerator(mult: tuple[int, ...], terms: tuple[int, ...]) -> int:
-    """J times the weights' common denominator."""
-    return sum(m * t for m, t in zip(mult, terms))
 
 
 @dataclass(slots=True)
@@ -283,14 +284,13 @@ class Router:
 
     # -- helpers -------------------------------------------------------------
 
-    def _cold_extras_us(self, node_id: str, realization: CapabilityRealization) -> tuple[int, int]:
-        """(activation time, core bytes) to fetch and load the artifact."""
+    def artifact_fetch(self, node_id: str, realization: CapabilityRealization) -> tuple[int, int]:
+        """(transfer time, core bytes) to fetch ``realization``'s artifact to
+        ``node_id`` from the repository; (0, 0) when there is none. Raises
+        ``Unreachable`` when the repository has no route to the node."""
         if self.artifact_repository is None:
-            return realization.load_time_us, 0
-        transfer, core = self.topology.transfer_between(
-            self.artifact_repository, node_id, realization.artifact_size_bytes
-        )
-        return transfer + realization.load_time_us, core
+            return 0, 0
+        return self.topology.transfer_between(self.artifact_repository, node_id, realization.artifact_size_bytes)
 
     def state_hash_for(self, realization_id: str, request: RequestDescriptor) -> str | None:
         if not request.affinity_token:
@@ -382,28 +382,38 @@ class Router:
         request: RequestDescriptor,
         now: int,
         warm_flags: tuple[bool, ...],
-        zero_queue: bool = False,
     ) -> ScoredPlan:
         """Price one plan: the six cost terms plus the projected schedule.
 
         Each stage is priced as a stage half, as ``select`` prices it.
         ``warm_flags`` marks per-stage residency (cold stages pay activation
-        inside T_exec). ``zero_queue`` scores against an idle, penalty-free
-        substrate without state reuse — the deployment planner's view.
-        Raises ``Unreachable`` when a transfer the plan needs has no route.
+        inside T_exec). Raises ``Unreachable`` when a transfer the plan needs
+        has no route.
         """
         origin = region_vertex(request.origin_region)
         held: _Held = {}
         halves = []
         for stage, warm in zip(plan.stages, warm_flags):
             row = self._row(origin, self.broker.node(stage.node_id), stage.realization_id)
-            bounds = self._bounds(request, row, warm, held, zero_queue)
-            halves.append(None if bounds is None else self._half(request, row, warm, bounds, now, zero_queue))
+            bounds = self._bounds(request, row, warm, held)
+            halves.append(None if bounds is None else self._half(request, row, warm, bounds, now))
         if any(h is None for h in halves):
             raise Unreachable(f"plan {plan.plan_id}: a transfer it needs has no route")
         pre, dec = halves[0], (halves[1] if len(halves) == 2 else None)
-        self._prefill(request, pre, now, held, zero_queue)
+        self._prefill(request, pre, now, held)
         return self._scored(plan, request, now, self._priced(pre, dec))
+
+    def idle_cost(self, request: RequestDescriptor, node: NodeState, realization_id: str) -> int | None:
+        """The J numerator of ``request``'s warm single-node plan on ``node``
+        as placement sees it: an idle node, no load or policy penalty. The
+        request carries no affinity token, so there is no state charge either,
+        and the plan's static bound is exact. None when the node has no route
+        from the request's origin."""
+        bounds = self._bounds(request, self._row(region_vertex(request.origin_region), node, realization_id), True, {})
+        if bounds is None:
+            return None
+        _, t_out, decode_us, _, pre, _ = bounds
+        return pre + self._mult[0] * t_out + self._mult[2] * decode_us
 
     def _priced(self, pre: _Half, dec: _Half | None) -> _Priced:
         """The plan of ``pre``, resolved, alone or with ``dec`` decoding,
@@ -441,7 +451,7 @@ class Router:
         core_out = last.row.route_out.core_bytes(request.output_tokens * self.bytes_per_token)
         return ScoredPlan(
             plan=plan,
-            cost=PlanCost(*terms, total=Fraction(_numerator(self._mult, terms), self._scale)),
+            cost=PlanCost(*terms),
             stages=stages,
             inbound_net_us=pre.t_in,
             interstage_net_us=t_inter,
@@ -463,7 +473,7 @@ class Router:
         if row is None:
             realization = self.broker.catalog.realizations[realization_id]
             try:
-                activation, _ = self._cold_extras_us(node_id, realization)
+                activation = self.artifact_fetch(node_id, realization)[0] + realization.load_time_us
             except Unreachable:
                 activation = None
             try:
@@ -483,21 +493,18 @@ class Router:
             )
         return row
 
-    def _bounds(
-        self, request: RequestDescriptor, row: _Row, warm: bool, held: _Held, zero_queue: bool = False
-    ) -> _Bounds | None:
+    def _bounds(self, request: RequestDescriptor, row: _Row, warm: bool, held: _Held) -> _Bounds | None:
         """Static lower bounds on the J numerators of a candidate's two sides.
 
         Each side charges its transfer and its execution: set-up, the
         activation when cold, and for the prefill side the prompt tokens no
-        online holder covers (every token when ``zero_queue``), for the decode
-        side the decode. The wait, the state charge and the load and policy
-        penalties are >= 0 and left out. None when the candidate can take no
-        stage: it has no route from the origin (links are undirected, so then
-        none back either), or it is cold and its artifact cannot reach the
-        node. The holders of the request's state are read from ``held``,
-        looked up on the realization's first miss. Times are rounded up as
-        ``_ceil_time`` does, inline.
+        online holder covers, for the decode side the decode. The wait, the
+        state charge and the load and policy penalties are >= 0 and left out.
+        None when the candidate can take no stage: it has no route from the
+        origin (links are undirected, so then none back either), or it is cold
+        and its artifact cannot reach the node. The holders of the request's
+        state are read from ``held``, looked up on the realization's first
+        miss. Times are rounded up as ``_ceil_time`` does, inline.
         """
         if row.route_in is None:
             return None
@@ -511,13 +518,10 @@ class Router:
         realization = row.realization
         num, den = row.speed_num, row.speed_den
         t_in = row.route_in.time_us(request.input_tokens * self.bytes_per_token)
-        tokens = request.input_tokens
-        if not zero_queue:
-            found = held.get(realization.realization_id)
-            if found is None:
-                found = self._holders(request, realization.realization_id, held)
-            tokens -= found[1]
-        uncovered = -(-realization.prefill_time_per_token_us * tokens * den // num)
+        found = held.get(realization.realization_id)
+        if found is None:
+            found = self._holders(request, realization.realization_id, held)
+        uncovered = -(-realization.prefill_time_per_token_us * (request.input_tokens - found[1]) * den // num)
         pre = m_net * t_in + m_exec * (base + uncovered)
         t_out = row.route_out.time_us(request.output_tokens * self.bytes_per_token)
         decode_us = -(-realization.decode_time_per_token_us * request.output_tokens * den // num)
@@ -531,26 +535,24 @@ class Router:
         warm: bool,
         bounds: _Bounds,
         now: int,
-        zero_queue: bool = False,
     ) -> _Half:
         """Price a candidate as a stage half, all but its prefill's state reuse.
 
         The decode side is exact: its static bound plus the load and policy
         penalties. The prefill side gets ``pre_lb``, its static bound plus the
-        same penalties. ``zero_queue`` prices the half on an idle server with
-        no load or policy penalty.
+        same penalties.
         """
         self.halves_priced += 1
         t_in, t_out, decode_us, base, pre, dec = bounds
         node = row.node
-        pi_soft = 0 if zero_queue else self.weights.pi_soft
-        c_load = 0 if zero_queue else self._c_load_for(node, now)
+        pi_soft = self.weights.pi_soft
+        c_load = self._c_load_for(node, now)
         p_policy = pi_soft * self._soft_misses(request, node, row.realization, now) if pi_soft else 0
         penalty = self._mult[4] * c_load + self._mult[5] * p_policy
         return _Half(
             row,
             warm,
-            free_us=0 if zero_queue else node.server_free_us[0],  # 0: idle since before any ready time
+            free_us=node.server_free_us[0],
             kv_bytes=request.input_tokens * row.realization.kv_bytes_per_token,
             c_load=c_load,
             p_policy=p_policy,
@@ -563,12 +565,10 @@ class Router:
             dec_num=dec + penalty,
         )
 
-    def _prefill(
-        self, request: RequestDescriptor, half: _Half, now: int, held: _Held, zero_queue: bool = False
-    ) -> None:
+    def _prefill(self, request: RequestDescriptor, half: _Half, now: int, held: _Held) -> None:
         """Resolve ``half``'s prefill side: state reuse, wait, execution and ``pre_num``."""
         realization = half.row.realization
-        use = None if zero_queue else self._resolve_state(request, half.row.node, realization, held)
+        use = self._resolve_state(request, half.row.node, realization, held)
         covered = use.covered_tokens if use else 0
         t_state = use.transfer_us if use else 0
         migrate_wait = t_state if (use and use.migrate) else 0
@@ -685,8 +685,10 @@ class Router:
         entered = [0] * len(rows)  # each prefill side's last partner entered
         plans: list[_Priced] = []
         top = best_id = None  # set once J* is popped; never while auditing
-        while heap:
-            bound, _, k, tie, i, priced = heappop(heap)
+        back = None  # the entry the last step pushes back, held out of the heap until the next pop
+        while heap or back is not None:
+            bound, _, k, tie, i, priced = heappop(heap) if back is None else heappushpop(heap, back)
+            back = None
             if top is not None and bound > top:
                 break
             j = -1 if k < 0 else decoders[i][k]
@@ -724,7 +726,7 @@ class Router:
                 state = (priced[0], 4) if priced is not None else bound_of(i, j)
                 if state is None:
                     continue
-            heappush(heap, (state[0], -state[1], k, tie, i, priced))
+            back = (state[0], -state[1], k, tie, i, priced)
         return plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:

@@ -25,7 +25,6 @@ from capsim.routing import (
     ScoredPlan,
     Selection,
     StageProjection,
-    _numerator,
     _weight_multipliers,
 )
 from capsim.topology import Unreachable, region_vertex
@@ -52,8 +51,9 @@ def eff_time_us(per_token_us: int, tokens: int, speed: Fraction) -> int:
 
 
 def combine_terms(weights: RoutingWeights, terms: tuple[int, int, int, int, int, int]) -> Fraction:
+    """J: the weighted sum of the six terms, exact."""
     scale, mult = _weight_multipliers(weights)
-    return Fraction(_numerator(mult, terms), scale)
+    return Fraction(sum(m * t for m, t in zip(mult, terms)), scale)
 
 
 def plan_j(weights: RoutingWeights, scored: ScoredPlan) -> Fraction:
@@ -117,7 +117,7 @@ def score(
         cold = not warm_flags[idx]
         activation = 0
         if cold:
-            activation, _ = router._cold_extras_us(node_state.node_id, realization)
+            activation = router.artifact_fetch(node_state.node_id, realization)[0] + realization.load_time_us
             exec_us += activation
         decode_us = 0
         if stage.phase in (PlanPhase.FULL, PlanPhase.PREFILL):
@@ -158,7 +158,7 @@ def score(
     misses = sum(router._soft_misses(request, node_state, realization, now) for node_state, realization in stages)
     p_policy = 0 if zero_queue else router.weights.pi_soft * misses
     terms = (t_net, t_queue, t_exec, t_state, c_load, p_policy)
-    cost = PlanCost(*terms, total=Fraction(_numerator(router._mult, terms), router._scale))
+    cost = PlanCost(*terms)
     finish = cursor + t_out
     state_core = state_use.core_bytes if (state_use and state_use.migrate) else 0
     return ScoredPlan(
