@@ -314,8 +314,8 @@ def test_problem_built_from_live_broker_prices_residency(simple_broker):
     assert by_key[("chat-v1-gpu", "edge-1")].deploy_cost == 0
     assert by_key[("chat-v1-gpu", "edge-1")].net_cost_us == 0
     assert by_key[("chat-v1-gpu", "edge-2")].net_cost_us > 0
-    # The zero-queue scorer prices the resident edge pair as the cheapest for
-    # local demand, so the solved placement keeps it.
+    # Idle pricing makes the resident edge pair the cheapest for local
+    # demand, so the solved placement keeps it.
     solution = solve(problem, 8)
     assert ("chat-v1-gpu", "edge-1") in solution
 
@@ -331,7 +331,7 @@ def test_replan_latency_is_the_reference_idle_score_of_each_warm_single_plan(nam
     from capsim.engine import Simulation
     from capsim.scenario import Scenario
     from capsim.topology import Unreachable
-    from reference_router import combine_terms, score
+    from reference_router import plan_j, score
     from test_golden import SCENARIOS, replan_heavy_scenario
 
     doc = replan_heavy_scenario() if name == "replan_heavy" else json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -362,7 +362,7 @@ def test_replan_latency_is_the_reference_idle_score_of_each_warm_single_plan(nam
                     except Unreachable:
                         pass
                     else:
-                        expected = combine_terms(router.weights, scored.cost.terms())
+                        expected = plan_j(router.weights, scored)
                 assert latency == expected, (cell, pair.key)
                 checked.append(latency is not None)
         return problem

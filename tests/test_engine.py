@@ -578,7 +578,7 @@ def test_replan_matches_exhaustive_oracle_on_shipped_scenario():
     residency = {p.node_id: set() for p in scenario.nodes}
     for rid, node in scenario.initial_placement:
         residency[node].add(rid)
-    fresh = Simulation(scenario)  # clean broker for zero-queue pricing
+    fresh = Simulation(scenario)  # clean broker: the initial residency, every node online
     problem = deployment.build_problem(fresh.router, cells, scenario.placement_weights, residency)
     exact = deployment.solve_exact(problem)
     heuristic = deployment.solve(problem, scenario.deployment.local_search_rounds)

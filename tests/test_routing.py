@@ -666,7 +666,7 @@ def test_half_scoring_select_matches_exhaustive_enumeration(state):
             idle = scored_or_unreachable(score, router, plan, stateless, now, warm_flags, True)
             stage = plan.stages[0]
             cost = router.idle_cost(stateless, router.broker.node(stage.node_id), stage.realization_id)
-            expected = None if idle == "unreachable" else combine_terms(router.weights, idle.cost.terms())
+            expected = None if idle == "unreachable" else plan_j(router.weights, idle)
             assert (None if cost is None else Fraction(cost, router._scale)) == expected
     expected = exhaustive_select(router, request, now)
     outcome = router.select(request, now)
