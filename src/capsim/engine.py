@@ -294,11 +294,11 @@ class Simulation:
                 self.metrics.model_load_overhead_us += proj.warm_available_at_us - proj.start_us
                 self.metrics.placement_churn += 1
                 self.metrics.core_bytes_placement += self.router.artifact_fetch(proj.node_id, realization)[1]
-            reservation = node.reserve(proj.realization_id, proj.ready_us, proj.duration_us)
-            if (reservation.start_us, reservation.complete_us) != (proj.start_us, proj.complete_us):
+            realized = node.reserve(proj.realization_id, proj.ready_us, proj.duration_us)
+            if realized != (proj.start_us, proj.complete_us):
                 raise RuntimeError(
                     f"{request.request_id} on {proj.node_id}: realized schedule "
-                    f"({reservation.start_us}, {reservation.complete_us}) differs from scored "
+                    f"{realized} differs from scored "
                     f"({proj.start_us}, {proj.complete_us})"
                 )
             self.metrics.max_queue_length[proj.node_id] = max(

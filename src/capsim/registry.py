@@ -5,33 +5,31 @@ integrity. The broker tracks live node state (residency, reservation
 calendars, memory) and answers candidate lookups. Queued-work telemetry is
 read off the reservation calendar when it is reported.
 
-Candidate lookup returns warm and cold (placeable) candidates so routing can
-price activation instead of the registry hiding it.
+A candidate lookup has a static part and a per-lookup part. ``table`` gives
+the static part, one ``CandidateTable`` per (class, quality target, origin
+region, allowed domains, locality scope, placement tiers); the origin region
+is part of the key only for the scopes that read it. A table lists, in
+node-id then realization-id order, each (node, realization) pair the scope
+admits (the class's unrevoked realizations at or above the target that match
+the node's accelerator), its footprint and whether its node may take a cold
+placement. The catalog and the node profiles are fixed once the broker
+serves lookups, so a table changes only when a node registers or a
+realization is revoked (seen as a change of ``TrustManager.revocations``).
+Both clear every table and advance ``epoch``, so what others derived from the
+tables can be dropped too.
 
-A lookup recomputes nothing that has not changed since the last one. The
-broker keeps:
-- each node's used memory, the footprints of its resident realizations,
-  updated by ``install`` and ``evict`` (the only writers of residency), so
-  free memory is one subtraction;
-- one static candidate table per (class, quality target, origin region,
-  allowed domains, locality scope, placement tiers); the origin region is
-  part of the key only for the scopes that read it. A table lists, in node-id
-  order, each node the scope admits with the class's unrevoked realizations
-  at or above the target that match its accelerator, each one's footprint,
-  and whether the node may take a cold placement. The catalog and the node
-  profiles are fixed once the broker serves lookups, so a table changes only
-  when a node registers or a realization is revoked; both clear every table
-  (a revocation is seen as a change of ``TrustManager.revocations``).
-A lookup walks its table and reads afresh what changes between lookups:
-liveness, effective trust (only when the policy's floor is above 0),
-residency (loaded, loading or draining) and free memory.
+``lookup_candidates`` walks a table and reads afresh what changes between
+lookups: liveness, effective trust (only when the policy's floor is above 0),
+residency (loaded, loading or draining) and free memory, one subtraction of
+the used memory that ``install`` and ``evict`` keep. Each pair able to serve
+is a hit: its position in the table, and whether it is warm (resident and
+loaded) or cold, so that routing prices the activation.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .descriptors import (
     CapabilityDescriptor,
@@ -126,13 +124,6 @@ class Residency:
 
 
 @dataclass(slots=True)
-class Reservation:
-    realization_id: str
-    start_us: int
-    complete_us: int
-
-
-@dataclass(slots=True)
 class NodeState:
     """Live per-node bookkeeping: residency, memory, and the reservation calendar.
 
@@ -145,8 +136,11 @@ class NodeState:
     online: bool = True
     residency: dict[str, Residency] = field(default_factory=dict)
     used_memory_bytes: int = 0  # footprints of every resident realization, kept by Broker
-    reservations: list[Reservation] = field(default_factory=list)
     server_free_us: list[int] = field(default_factory=list)
+    # Heaps, as of the last count: start times of the reservations not yet
+    # started, (completion time, realization id) of those not yet complete.
+    starts: list[int] = field(default_factory=list)
+    completions: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.server_free_us:
@@ -157,53 +151,58 @@ class NodeState:
     def node_id(self) -> str:
         return self.profile.node_id
 
-    def prune(self, now: int) -> None:
-        if any(r.complete_us <= now for r in self.reservations):
-            self.reservations = [r for r in self.reservations if r.complete_us > now]
+    def _advance(self, now: int) -> None:
+        """Pop what started or completed by ``now``; time never runs backwards."""
+        starts, completions = self.starts, self.completions
+        while starts and starts[0] <= now:
+            heapq.heappop(starts)
+        while completions and completions[0][0] <= now:
+            heapq.heappop(completions)
 
     def queue_length(self, now: int) -> int:
         """Reserved stages not yet started; the admission-cap quantity."""
-        self.prune(now)
-        return sum(1 for r in self.reservations if r.start_us > now)
+        self._advance(now)
+        return len(self.starts)
 
     def outstanding(self, now: int) -> int:
-        self.prune(now)
-        return len(self.reservations)
+        """Reserved stages not yet complete."""
+        self._advance(now)
+        return len(self.completions)
 
     def peek_wait_us(self, ready_us: int) -> int:
         """Wait a stage ready at ``ready_us`` would incur; pure, no reservation."""
         return max(0, self.server_free_us[0] - ready_us)
 
-    def reserve(self, realization_id: str, ready_us: int, duration_us: int) -> Reservation:
+    def reserve(self, realization_id: str, ready_us: int, duration_us: int) -> tuple[int, int]:
+        """Reserve the first free server for a stage; its (start, completion) time."""
         free = heapq.heappop(self.server_free_us)
         start = max(ready_us, free)
         complete = start + duration_us
         heapq.heappush(self.server_free_us, complete)
-        res = Reservation(realization_id, start, complete)
-        self.reservations.append(res)
-        return res
+        heapq.heappush(self.starts, start)
+        heapq.heappush(self.completions, (complete, realization_id))
+        return start, complete
 
     def outstanding_for_realization(self, realization_id: str, now: int) -> int:
-        self.prune(now)
-        return sum(1 for r in self.reservations if r.realization_id == realization_id)
+        self._advance(now)
+        return sum(1 for _, r in self.completions if r == realization_id)
 
 
-class Candidate(NamedTuple):
-    """A (node, realization) pair able to serve a request; warm when the
-    realization is resident and loaded, cold when it would be placed."""
-
-    node: NodeState
-    realization_id: str
-    warm: bool
-
-    @property
-    def node_id(self) -> str:
-        return self.node.profile.node_id
+# A hit of a candidate lookup: the position of a (node, realization) pair in
+# its table, and whether the realization is resident and loaded there.
+Hit = tuple[int, bool]
 
 
-# One node of a static candidate table: the node, whether it may take a cold
-# placement, and (realization id, footprint) of each realization it can run.
-_TableRow = tuple[NodeState, bool, tuple[tuple[str, int], ...]]
+@dataclass(frozen=True, slots=True, eq=False)
+class CandidateTable:
+    """The static part of a candidate lookup, equal only to itself.
+    ``pairs`` holds each (node, realization id) pair a lookup may yield, by
+    position; ``nodes`` the same pairs per node, for the walk: the node, its
+    memory budget, and per pair its realization id, footprint and warm and
+    cold hits. The cold hit is None when the pair can never be placed."""
+
+    pairs: tuple[tuple[NodeState, str], ...]
+    nodes: tuple[tuple[NodeState, int, tuple[tuple[str, int, Hit, Hit | None], ...]], ...]
 
 
 class Broker:
@@ -217,8 +216,9 @@ class Broker:
         self._footprint: dict[str, int] = {}
         self._by_id: list[NodeState] = []  # self.nodes in node-id order
         # Static candidate tables by lookup key, as of ``_revocations`` revocations.
-        self._tables: dict[tuple, tuple[_TableRow, ...]] = {}
+        self._tables: dict[tuple, CandidateTable] = {}
         self._revocations = 0
+        self.epoch = 0  # times the tables were cleared
 
     # -- admission ---------------------------------------------------------
 
@@ -236,6 +236,7 @@ class Broker:
         self.nodes[profile.node_id] = state
         self._by_id = [self.nodes[node_id] for node_id in sorted(self.nodes)]
         self._tables.clear()
+        self.epoch += 1
         return state
 
     def node(self, node_id: str) -> NodeState:
@@ -300,54 +301,44 @@ class Broker:
             return loc.tier is Tier.LOCAL and loc.region == origin_region
         return False
 
-    def lookup_candidates(
-        self,
-        capability_class: str,
-        quality_target: int,
-        policy: PolicyConstraint,
-        origin_region: str = "",
-        now: int = 0,
-        tiers: set[Tier] | None = None,
-    ) -> list[Candidate]:
-        """All (node, realization) pairs able to serve the request, warm-flagged,
-        in node-id then realization-id order.
-
-        Cold candidates are nodes where the realization is not resident but
-        fits in free memory; routing prices the activation. ``tiers``
-        restricts cold placement targets (used by the cloud-only baseline).
-        """
-        min_trust = policy.min_trust
-        out: list[Candidate] = []
-        for state, placeable, realizations in self._table(capability_class, quality_target, policy, origin_region, tiers):
+    def lookup_candidates(self, table: CandidateTable, now: int = 0, min_trust: int = 0) -> list[Hit]:
+        """The hits of ``table``'s pairs able to serve at ``now`` on a node of
+        effective trust at least ``min_trust``, in table order: warm when the
+        realization is resident and loaded, cold when it is not resident but
+        its node may place it and has the free memory."""
+        out: list[Hit] = []
+        for state, budget, realizations in table.nodes:
             if not state.online:
                 continue
             # Trust levels are >= 0, so a floor of 0 passes every node.
             if min_trust > 0 and self.effective_trust(state, now) < min_trust:
                 continue
             residency = state.residency
-            free = state.profile.capacity.memory_budget_bytes - state.used_memory_bytes
-            for realization_id, footprint in realizations:
+            free = budget - state.used_memory_bytes
+            for realization_id, footprint, warm, cold in realizations:
                 res = residency.get(realization_id)
                 if res is not None:
                     # Draining is never served; still loading is neither warm nor re-placeable.
                     if not res.pending_eviction and res.available_at_us <= now:
-                        out.append(Candidate(state, realization_id, True))
-                elif placeable and free >= footprint:
-                    out.append(Candidate(state, realization_id, False))
+                        out.append(warm)
+                elif cold is not None and free >= footprint:
+                    out.append(cold)
         return out
 
-    def _table(
+    def table(
         self,
         capability_class: str,
         quality_target: int,
         policy: PolicyConstraint,
-        origin_region: str,
-        tiers: set[Tier] | None,
-    ) -> tuple[_TableRow, ...]:
+        origin_region: str = "",
+        tiers: set[Tier] | None = None,
+    ) -> CandidateTable:
         """The static candidate table of a lookup, built on first use and kept
-        until a node registers or a realization is revoked."""
+        until a node registers or a realization is revoked. ``tiers``
+        restricts cold placement targets (used by the cloud-only baseline)."""
         if self.trust is not None and self.trust.revocations != self._revocations:
             self._tables.clear()
+            self.epoch += 1
             self._revocations = self.trust.revocations
         scope = policy.locality_scope
         regional = scope is LocalityScope.REGION or scope is LocalityScope.NODE_LOCAL
@@ -367,13 +358,20 @@ class Broker:
                 if self.catalog.variant_of(r.realization_id).quality >= quality_target
                 and not (self.trust is not None and self.trust.is_revoked(r.realization_id))
             ]
-            rows = []
+            pairs, nodes = [], []
             for state in self._by_id:
                 if not self._in_scope(state, policy, origin_region):
                     continue
                 profile = state.profile
-                own = tuple((rid, fp) for needs, rid, fp in realizations if needs == profile.hardware.accelerator)
+                budget = profile.capacity.memory_budget_bytes
+                placeable = tiers is None or profile.locality.tier in tiers
+                own = []
+                for needs, rid, fp in realizations:
+                    if needs == profile.hardware.accelerator:
+                        p = len(pairs)
+                        pairs.append((state, rid))
+                        own.append((rid, fp, (p, True), (p, False) if placeable and fp <= budget else None))
                 if own:
-                    rows.append((state, tiers is None or profile.locality.tier in tiers, own))
-            table = self._tables[key] = tuple(rows)
+                    nodes.append((state, budget, tuple(own)))
+            table = self._tables[key] = CandidateTable(tuple(pairs), tuple(nodes))
         return table

@@ -18,14 +18,19 @@ the schedule of the winner only. ``score`` prices one given plan from the
 same halves.
 
 Weights are >= 0, so every term of J is too, and parts of a plan's
-numerator bound its J from below. What never changes during a run is kept per
-(origin, candidate) in a static row: the routes to and from the node, set-up
-and cold activation, the realization and the node's speed. From a row alone,
-each side of a candidate gets an exact integer lower bound: transfer,
-execution with the most prompt tokens any online holder covers reused for
-free, and decode, leaving out the wait, the state charge and the load and
-policy penalties. Building the candidate's half (its queue, load and policy
-reads), then resolving its state, tighten the bound of every plan it is in.
+numerator bound its J from below. A select's work splits in two. What depends
+only on the broker's static candidate table and the origin is a static row
+per candidate: its routes, its prefill and decode µs per token on the node's
+speed as integers, and set-up with and without the cold activation. The rows
+of a (table, origin) are built in table order on its first select and kept
+until the broker clears its tables. The lookup's hits, the token counts and
+the state holders are read per select. From these, one formula (``_bounds``,
+also behind ``score`` and ``idle_cost``) gives each side of a candidate an
+exact integer lower bound: transfer, execution with the most prompt tokens
+any online holder covers reused for free, and decode, leaving out the wait,
+the state charge and the load and policy penalties. Building the candidate's
+half (its queue, load and policy reads), then resolving its state, tighten
+the bound of every plan it is in.
 
 Routing is the one module that prices a candidate. On an idle node with no
 load or policy penalty, a request without session state waits for nothing
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heappushpop
@@ -69,7 +75,7 @@ from .descriptors import (
     RequestDescriptor,
     Tier,
 )
-from .registry import Broker, Candidate, NodeState
+from .registry import Broker, CandidateTable, Hit, NodeState
 from .topology import Route, Topology, Unreachable, region_vertex
 
 TIE_EPS_NUM = 1
@@ -177,26 +183,28 @@ class Selection:
 @dataclass(frozen=True, slots=True)
 class _Row:
     """What pricing a candidate from one origin needs that no event changes
-    during a run. The routes are None when the node and the origin are not
-    connected; ``activation_us`` is None when the artifact cannot reach the
-    node, so the realization can only run there warm. ``single`` is the
-    candidate's single-node plan, hashed when the row is built.
-    ``speed_num / speed_den`` is the node's speed factor."""
+    during a run. ``prefill_us`` and ``decode_us`` are the realization's µs
+    per token times the denominator of the node's speed factor, so n tokens
+    take n * ``prefill_us / speed_num`` µs, rounded up. ``cold_us`` is set-up
+    plus the cold activation, None when the artifact cannot reach the node,
+    so the realization can only run there warm. ``single`` is the
+    candidate's single-node plan, hashed when the row is built."""
 
     node: NodeState
     realization: CapabilityRealization
     single: ExecutionPlan
-    route_in: Route | None
-    route_out: Route | None
-    setup_us: int
-    activation_us: int | None  # cold load before a stage can run
+    route_in: Route
+    route_out: Route
+    prefill_us: int
+    decode_us: int
     speed_num: int
-    speed_den: int
+    setup_us: int
+    cold_us: int | None
 
 
-# A candidate's static bounds for one request: (t_in, t_out, decode time,
-# set-up plus activation, prefill-side bound, decode-side bound).
-_Bounds = tuple[int, int, int, int, int, int]
+# A candidate's static bounds for one request: (row, warm, t_in, t_out, decode time, set-up
+# plus activation, prefill-side bound, decode-side bound, its transfer and decode alone).
+_Bound = tuple[_Row, bool, int, int, int, int, int, int, int]
 
 
 @dataclass(slots=True)
@@ -270,7 +278,10 @@ class Router:
         self._eps_num, self._eps_den = self.weights.tie_eps.numerator, self.weights.tie_eps.denominator
         self._kappa_num, self._kappa_den = self.weights.kappa.numerator, self.weights.kappa.denominator
         self._plans: dict[tuple[PlanStage, ...], ExecutionPlan] = {}
-        self._rows: dict[tuple[str, str, str], _Row] = {}
+        self._rows: dict[tuple[str, str, str], _Row | None] = {}
+        # The rows of each (candidate table, origin region) as of the broker's ``epoch``.
+        self._specialised: dict[tuple[CandidateTable, str], tuple[_Row | None, ...]] = {}
+        self._epoch = broker.epoch
         # Work counters: halves built, and session states resolved for a prefill.
         self.halves_priced = 0
         self.states_resolved = 0
@@ -307,12 +318,10 @@ class Router:
             holders, most = [], 0
             if request.affinity_token and self.caches.enabled:
                 session_id, _, prefix_digest = request.affinity_token.partition(":")
-                holders = [
-                    (node_id, entry)
-                    for node_id, entry in self.caches.holders(state_hash(realization_id, prefix_digest), session_id)
-                    if self.broker.node(node_id).online
-                ]
-                most = min(request.input_tokens, max((entry.token_count for _, entry in holders), default=0))
+                nodes = self.broker.nodes
+                holders = self.caches.holders(state_hash(realization_id, prefix_digest), session_id)
+                holders = [(node_id, entry) for node_id, entry in holders if nodes[node_id].online]
+                most = min(request.input_tokens, max([entry.token_count for _, entry in holders], default=0))
             found = held[realization_id] = (holders, most)
         return found
 
@@ -391,14 +400,12 @@ class Router:
         has no route.
         """
         origin = region_vertex(request.origin_region)
+        rows = [self._row(origin, self.broker.node(s.node_id), s.realization_id) for s in plan.stages]
         held: _Held = {}
-        halves = []
-        for stage, warm in zip(plan.stages, warm_flags):
-            row = self._row(origin, self.broker.node(stage.node_id), stage.realization_id)
-            bounds = self._bounds(request, row, warm, held)
-            halves.append(None if bounds is None else self._half(request, row, warm, bounds, now))
-        if any(h is None for h in halves):
+        bounds = self._bounds(request, rows, enumerate(warm_flags), held)
+        if len(bounds) < len(rows):
             raise Unreachable(f"plan {plan.plan_id}: a transfer it needs has no route")
+        halves = [self._half(request, b, now) for b in bounds]
         pre, dec = halves[0], (halves[1] if len(halves) == 2 else None)
         self._prefill(request, pre, now, held)
         return self._scored(plan, request, now, self._priced(pre, dec))
@@ -409,11 +416,9 @@ class Router:
         request carries no affinity token, so there is no state charge either,
         and the plan's static bound is exact. None when the node has no route
         from the request's origin."""
-        bounds = self._bounds(request, self._row(region_vertex(request.origin_region), node, realization_id), True, {})
-        if bounds is None:
-            return None
-        _, t_out, decode_us, _, pre, _ = bounds
-        return pre + self._mult[0] * t_out + self._mult[2] * decode_us
+        row = self._row(region_vertex(request.origin_region), node, realization_id)
+        bounds = self._bounds(request, (row,), ((0, True),), {})
+        return bounds[0][6] + bounds[0][8] if bounds else None
 
     def _priced(self, pre: _Half, dec: _Half | None) -> _Priced:
         """The plan of ``pre``, resolved, alone or with ``dec`` decoding,
@@ -445,7 +450,6 @@ class Router:
                 _projection(pre, PlanPhase.PREFILL, ready, start, pre.prefill_done_us),
                 _projection(dec, PlanPhase.DECODE, dec_ready, dec_ready + wait, complete),
             )
-        per_token = last.row.realization.decode_time_per_token_us
         terms = self._terms_of(pre, dec, t_inter, wait)
         core_in = pre.row.route_in.core_bytes(request.input_tokens * self.bytes_per_token)
         core_out = last.row.route_out.core_bytes(request.output_tokens * self.bytes_per_token)
@@ -456,7 +460,7 @@ class Router:
             inbound_net_us=pre.t_in,
             interstage_net_us=t_inter,
             finish_us=complete + last.t_out,
-            first_token_us=complete - last.decode_us + _ceil_time(per_token, 1, last.row.speed_num, last.row.speed_den),
+            first_token_us=complete - last.decode_us - (-last.row.decode_us // last.row.speed_num),
             decode_total_us=last.decode_us,
             state_use=use,
             core_bytes=core_in + core_inter + core_out + (use.core_bytes if use is not None else 0),
@@ -464,78 +468,89 @@ class Router:
 
     # -- selection ----------------------------------------------------------------
 
-    def _row(self, origin: str, node: NodeState, realization_id: str) -> _Row:
+    def _row(self, origin: str, node: NodeState, realization_id: str) -> _Row | None:
         """The static row of candidate ``(node, realization_id)`` priced from
-        ``origin``, built once per router."""
+        ``origin``, built once per router; None when the node has no route
+        from the origin (links are undirected, so then none back either)."""
         node_id = node.profile.node_id
         key = (origin, node_id, realization_id)
-        row = self._rows.get(key)
-        if row is None:
-            realization = self.broker.catalog.realizations[realization_id]
-            try:
-                activation = self.artifact_fetch(node_id, realization)[0] + realization.load_time_us
-            except Unreachable:
-                activation = None
-            try:
-                route_in, route_out = self.topology.route(origin, node_id), self.topology.route(node_id, origin)
-            except Unreachable:  # links are undirected, so a node is reached both ways or neither
-                route_in = route_out = None
-            row = self._rows[key] = _Row(
-                node,
-                realization,
-                single=self.plan((PlanStage(node_id, realization_id, PlanPhase.FULL),)),
-                route_in=route_in,
-                route_out=route_out,
-                setup_us=realization.setup_time_us,
-                activation_us=activation,
-                speed_num=node.profile.hardware.speed_factor.numerator,
-                speed_den=node.profile.hardware.speed_factor.denominator,
-            )
+        if key in self._rows:
+            return self._rows[key]
+        try:
+            route_in, route_out = self.topology.route(origin, node_id), self.topology.route(node_id, origin)
+        except Unreachable:
+            self._rows[key] = None
+            return None
+        realization = self.broker.catalog.realizations[realization_id]
+        try:
+            cold = realization.setup_time_us + self.artifact_fetch(node_id, realization)[0] + realization.load_time_us
+        except Unreachable:
+            cold = None
+        speed = node.profile.hardware.speed_factor
+        row = self._rows[key] = _Row(
+            node,
+            realization,
+            single=self.plan((PlanStage(node_id, realization_id, PlanPhase.FULL),)),
+            route_in=route_in,
+            route_out=route_out,
+            prefill_us=realization.prefill_time_per_token_us * speed.denominator,
+            decode_us=realization.decode_time_per_token_us * speed.denominator,
+            speed_num=speed.numerator,
+            setup_us=realization.setup_time_us,
+            cold_us=cold,
+        )
         return row
 
-    def _bounds(self, request: RequestDescriptor, row: _Row, warm: bool, held: _Held) -> _Bounds | None:
-        """Static lower bounds on the J numerators of a candidate's two sides.
+    def _specialise(self, table: CandidateTable, origin_region: str) -> tuple[_Row | None, ...]:
+        """The rows of ``table``'s pairs priced from ``origin_region``, by position;
+        all are dropped once the broker clears its tables, as those are gone."""
+        if self._epoch != self.broker.epoch:
+            self._specialised.clear()
+            self._epoch = self.broker.epoch
+        origin = region_vertex(origin_region)
+        rows = self._specialised[table, origin_region] = tuple(self._row(origin, n, r) for n, r in table.pairs)
+        return rows
+
+    def _bounds(
+        self, request: RequestDescriptor, rows: Sequence[_Row | None], hits: Iterable[Hit], held: _Held
+    ) -> list[_Bound]:
+        """Static lower bounds on the J numerators of the two sides of each
+        hit's candidate, ``rows[position]``, in hit order.
 
         Each side charges its transfer and its execution: set-up, the
         activation when cold, and for the prefill side the prompt tokens no
-        online holder covers, for the decode side the decode. The wait, the
-        state charge and the load and policy penalties are >= 0 and left out.
-        None when the candidate can take no stage: it has no route from the
-        origin (links are undirected, so then none back either), or it is cold
-        and its artifact cannot reach the node. The holders of the request's
-        state are read from ``held``, looked up on the realization's first
-        miss. Times are rounded up as ``_ceil_time`` does, inline.
+        online holder covers (``held``, filled on a realization's first
+        miss), for the decode side the decode. The wait, the state charge and
+        the penalties are >= 0 and left out. A candidate without a row (no
+        route from the origin), or cold with no route for its artifact, can
+        take no stage and is left out. Times round up as ``Route.time_us`` does.
         """
-        if row.route_in is None:
-            return None
-        if warm:
-            base = row.setup_us
-        elif row.activation_us is None:
-            return None
-        else:
-            base = row.setup_us + row.activation_us
         m_net, m_exec = self._mult[0], self._mult[2]
-        realization = row.realization
-        num, den = row.speed_num, row.speed_den
-        t_in = row.route_in.time_us(request.input_tokens * self.bytes_per_token)
-        found = held.get(realization.realization_id)
-        if found is None:
-            found = self._holders(request, realization.realization_id, held)
-        uncovered = -(-realization.prefill_time_per_token_us * (request.input_tokens - found[1]) * den // num)
-        pre = m_net * t_in + m_exec * (base + uncovered)
-        t_out = row.route_out.time_us(request.output_tokens * self.bytes_per_token)
-        decode_us = -(-realization.decode_time_per_token_us * request.output_tokens * den // num)
-        dec = m_net * t_out + m_exec * (base + decode_us)
-        return t_in, t_out, decode_us, base, pre, dec
+        tokens_in, tokens_out = request.input_tokens, request.output_tokens
+        bytes_in, bytes_out = tokens_in * self.bytes_per_token, tokens_out * self.bytes_per_token
+        out = []
+        for p, warm in hits:
+            row = rows[p]
+            if row is None:
+                continue
+            base = row.setup_us if warm else row.cold_us
+            if base is None:
+                continue
+            realization_id = row.realization.realization_id
+            found = held.get(realization_id)
+            if found is None:
+                found = self._holders(request, realization_id, held)
+            num, route_in, route_out = row.speed_num, row.route_in, row.route_out
+            t_in = route_in.delay_us - (-bytes_in * route_in.bw_den // route_in.bw_num)
+            t_out = route_out.delay_us - (-bytes_out * route_out.bw_den // route_out.bw_num)
+            decode_us = -(-row.decode_us * tokens_out // num)
+            rest = m_net * t_out + m_exec * decode_us
+            uncovered = -(-row.prefill_us * (tokens_in - found[1]) // num)
+            pre = m_net * t_in + m_exec * (base + uncovered)
+            out.append((row, warm, t_in, t_out, decode_us, base, pre, rest + m_exec * base, rest))
+        return out
 
-    def _half(
-        self,
-        request: RequestDescriptor,
-        row: _Row,
-        warm: bool,
-        bounds: _Bounds,
-        now: int,
-    ) -> _Half:
+    def _half(self, request: RequestDescriptor, bound: _Bound, now: int) -> _Half:
         """Price a candidate as a stage half, all but its prefill's state reuse.
 
         The decode side is exact: its static bound plus the load and policy
@@ -543,7 +558,7 @@ class Router:
         same penalties.
         """
         self.halves_priced += 1
-        t_in, t_out, decode_us, base, pre, dec = bounds
+        row, warm, t_in, t_out, decode_us, base, pre, dec, _ = bound
         node = row.node
         pi_soft = self.weights.pi_soft
         c_load = self._c_load_for(node, now)
@@ -556,7 +571,7 @@ class Router:
             kv_bytes=request.input_tokens * row.realization.kv_bytes_per_token,
             c_load=c_load,
             p_policy=p_policy,
-            activation=0 if warm else row.activation_us,
+            activation=base - row.setup_us,
             t_in=t_in,
             pre_lb=pre + penalty,
             t_out=t_out,
@@ -567,21 +582,16 @@ class Router:
 
     def _prefill(self, request: RequestDescriptor, half: _Half, now: int, held: _Held) -> None:
         """Resolve ``half``'s prefill side: state reuse, wait, execution and ``pre_num``."""
-        realization = half.row.realization
-        use = self._resolve_state(request, half.row.node, realization, held)
+        row = half.row
+        use = self._resolve_state(request, row.node, row.realization, held)
         covered = use.covered_tokens if use else 0
         t_state = use.transfer_us if use else 0
         migrate_wait = t_state if (use and use.migrate) else 0
         ready = now + half.t_in + migrate_wait
         half.use = use
         half.wait = max(0, half.free_us - ready)
-        half.prefill_exec = (
-            realization.setup_time_us
-            + half.activation
-            + _ceil_time(
-                realization.prefill_time_per_token_us, request.input_tokens - covered, half.row.speed_num, half.row.speed_den
-            )
-        )
+        uncovered = request.input_tokens - covered
+        half.prefill_exec = row.setup_us + half.activation - (-row.prefill_us * uncovered // row.speed_num)
         half.t_state = t_state
         # Recomputing covered tokens occupies the server after the prefill.
         half.prefill_done_us = ready + half.wait + half.prefill_exec + (t_state - migrate_wait)
@@ -605,11 +615,12 @@ class Router:
         return (best * den + abs(best) * self._eps_num) // den
 
     def _price_plans(
-        self, request: RequestDescriptor, candidates: list[Candidate], now: int, limit: int | None
+        self, request: RequestDescriptor, rows: tuple[_Row | None, ...], hits: list[Hit], now: int, limit: int | None
     ) -> list[_Priced]:
-        """The single-node and prefill/decode plans over ``candidates`` with
-        their J numerators, less the plans that cannot change ``select``'s
-        outcome and those on a node at its admission cap.
+        """The single-node and prefill/decode plans over the candidates of
+        ``hits``, ``rows[position]`` each, with their J numerators, less the
+        plans that cannot change ``select``'s outcome and those on a node at
+        its admission cap.
 
         One best-first search. A heap entry is a plan at a lower bound on its
         J numerator: plan (i, k) is candidate i alone when k < 0, else i's
@@ -617,8 +628,8 @@ class Router:
         variant on other nodes in order of their static decode bounds. A
         popped plan takes its next step (build i's half, resolve its state,
         for a split build the decode half, price it exactly) and is pushed
-        back at the bound that step gives (``bound_of``). Halves are shared, so an
-        entry's bound can be stale: such an entry is pushed back at its
+        back at the bound that step gives. Halves are shared, so an entry's
+        bound can be stale (``bound_of``): such an entry is pushed back at its
         current bound with no work done. Splits enter lazily: each prefill
         side holds one entry for its next partner, pushed when the one before
         is first popped, and a partner's static bound is no less than the one
@@ -633,56 +644,41 @@ class Router:
         reach the window or loses the tie-break. An auditing router lists
         every plan, so it never stops or skips.
         """
-        origin = region_vertex(request.origin_region)
         held: _Held = {}  # state holders per realization, this instant
-        rows: list[_Row] = []
-        warm: list[bool] = []
-        bounds: list[_Bounds] = []
-        for node, realization_id, is_warm in candidates:
-            row = self._row(origin, node, realization_id)
-            b = self._bounds(request, row, is_warm, held)
-            if b is not None:
-                rows.append(row)
-                warm.append(is_warm)
-                bounds.append(b)
-        m_net, m_exec = self._mult[0], self._mult[2]
-        # A single-node plan adds to its prefill side the decode side's transfer
-        # and decode time; the set-up and penalties count once.
-        rest = [m_net * t_out + m_exec * decode_us for _, t_out, decode_us, _, _, _ in bounds]
-        partners: dict[str, list[int]] = {}
-        if self.enable_split:
-            for _, j in sorted((b[5], j) for j, b in enumerate(bounds)):
-                partners.setdefault(rows[j].realization.variant_id, []).append(j)
-        decoders = [partners.get(row.realization.variant_id, []) for row in rows]
+        bounds = self._bounds(request, rows, hits, held)
         built: dict[int, _Half | None] = {}  # None: the node is at its admission cap
 
         def bound_of(i: int, j: int) -> tuple[int, int] | None:
-            """Plan (i, j)'s least J numerator given the halves built so far,
-            and the steps done toward it; j < 0 for i alone. None when a node
-            of the plan is at its admission cap."""
+            """Plan (i, j)'s least J numerator given the halves built so far, and the
+            steps done toward it; j < 0 for i alone. None when a node is at its cap."""
             if i not in built:
-                lb, steps = bounds[i][4], 0
+                lb, steps = bounds[i][6], 0
             elif (pre := built[i]) is None:
                 return None
             else:
                 lb, steps = (pre.pre_lb, 1) if pre.pre_num is None else (pre.pre_num, 2)
             if j < 0:
-                return lb + rest[i], steps
+                return lb + bounds[i][8], steps
             if j not in built:
-                return lb + bounds[j][5], steps
+                return lb + bounds[j][7], steps
             dec = built[j]
             return None if dec is None else (lb + dec.dec_num, steps + 1)
 
         # (bound, -steps done, k, single plan id or "", i, priced plan or None):
         # on equal bounds, plans further along pop first, then single-node
         # plans in plan-id order.
-        heap: list[tuple[int, int, int, str, int, _Priced | None]] = []
-        for i, (_, _, _, _, pre, _) in enumerate(bounds):
-            heap.append((pre + rest[i], 0, -1, rows[i].single.plan_id, i, None))
-            if decoders[i]:
-                heap.append((pre + bounds[decoders[i][0]][5], 0, 0, "", i, None))
+        heap: list[tuple[int, int, int, str, int, _Priced | None]] = [
+            (b[6] + b[8], 0, -1, b[0].single.plan_id, i, None) for i, b in enumerate(bounds)
+        ]
+        decoders: list[list[int]] = []  # per prefill side, its variant's candidates by static decode bound
+        if self.enable_split:
+            partners: dict[str, list[int]] = {}
+            for _, j in sorted((b[7], j) for j, b in enumerate(bounds)):
+                partners.setdefault(bounds[j][0].realization.variant_id, []).append(j)
+            decoders = [partners[b[0].realization.variant_id] for b in bounds]
+            heap += [(b[6] + bounds[d[0]][7], 0, 0, "", i, None) for i, (b, d) in enumerate(zip(bounds, decoders))]
         heapify(heap)
-        entered = [0] * len(rows)  # each prefill side's last partner entered
+        entered = [0] * len(bounds)  # each prefill side's last partner entered
         plans: list[_Priced] = []
         top = best_id = None  # set once J* is popped; never while auditing
         back = None  # the entry the last step pushes back, held out of the heap until the next pop
@@ -694,10 +690,10 @@ class Router:
             j = -1 if k < 0 else decoders[i][k]
             if 0 <= k == entered[i] and k + 1 < len(decoders[i]):
                 entered[i] = k + 1
-                heappush(heap, (bounds[i][4] + bounds[decoders[i][k + 1]][5], 0, k + 1, "", i, None))
-            if j >= 0 and rows[j].node is rows[i].node:
+                heappush(heap, (bounds[i][6] + bounds[decoders[i][k + 1]][7], 0, k + 1, "", i, None))
+            if j >= 0 and bounds[j][0].node is bounds[i][0].node:
                 continue
-            if top is not None and (tie or self._plan_on(rows[i], rows[j]).plan_id) >= best_id:
+            if top is not None and (tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id) >= best_id:
                 continue
             if priced is not None:
                 if self.audit:
@@ -706,27 +702,33 @@ class Router:
                     if limit is not None and bound > limit:
                         break  # the least J is over budget, and so is every plan's
                     top = self._tie_cut(bound) if limit is None else min(self._tie_cut(bound), limit)
-                best_id = tie or self._plan_on(rows[i], rows[j]).plan_id
+                best_id = tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id
                 continue
             state = bound_of(i, j)
             if state is None:
                 continue
-            if state[0] == bound:  # not stale: take the next step
-                pre = built.get(i)
-                if pre is not None and pre.pre_num is None:
-                    self._prefill(request, pre, now, held)
-                elif pre is None or (j >= 0 and j not in built):
-                    c = i if pre is None else j
-                    node = rows[c].node
-                    capped = node.queue_length(now) >= node.profile.capacity.admission_cap
-                    built[c] = None if capped else self._half(request, rows[c], warm[c], bounds[c], now)
-                else:
-                    priced = self._priced(pre, None if j < 0 else built[j])
-                    plans.append(priced)
-                state = (priced[0], 4) if priced is not None else bound_of(i, j)
-                if state is None:
+            if state[0] != bound:  # stale: back at its current bound, no work done
+                back = (state[0], -state[1], k, tie, i, None)
+                continue
+            # Take the next step; it moves one side's bound, or prices the plan.
+            steps = state[1] + 1
+            pre = built.get(i)
+            if pre is not None and pre.pre_num is None:
+                self._prefill(request, pre, now, held)
+                bound += pre.pre_num - pre.pre_lb
+            elif pre is None or (j >= 0 and j not in built):
+                c = i if pre is None else j
+                node = bounds[c][0].node
+                if node.queue_length(now) >= node.profile.capacity.admission_cap:
+                    built[c] = None
                     continue
-            back = (state[0], -state[1], k, tie, i, priced)
+                half = built[c] = self._half(request, bounds[c], now)
+                bound += half.pre_lb - bounds[c][6] if c == i else half.dec_num - bounds[c][7]
+            else:
+                priced = self._priced(pre, None if j < 0 else built[j])
+                plans.append(priced)
+                bound, steps = priced[0], 4
+            back = (bound, -steps, k, tie, i, priced)
         return plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
@@ -766,16 +768,14 @@ class Router:
         quality = request.quality_target
         saw_budget_only = False
         limit = None if request.budget is None else request.budget * self._scale
+        origin, policy = request.origin_region, request.policy
         while quality >= 1:
-            candidates = self.broker.lookup_candidates(
-                request.capability_class,
-                quality,
-                request.policy,
-                origin_region=request.origin_region,
-                now=now,
-                tiers=self.placement_tiers,
-            )
-            plans = self._price_plans(request, candidates, now, limit)
+            table = self.broker.table(request.capability_class, quality, policy, origin, self.placement_tiers)
+            hits = self.broker.lookup_candidates(table, now, policy.min_trust)
+            rows = self._specialised.get((table, origin))
+            if rows is None:
+                rows = self._specialise(table, origin)
+            plans = self._price_plans(request, rows, hits, now, limit)
             within = plans if limit is None else [p for p in plans if p[0] <= limit]
             if within:
                 return self._selection(request, now, plans, within, quality)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil
 
 from capsim.descriptors import PlanPhase, PlanStage, RequestDescriptor
-from capsim.registry import Candidate
+from capsim.registry import CandidateTable, Hit, NodeState
 from capsim.routing import (
     TIE_EPS_DEN,
     TIE_EPS_NUM,
@@ -175,33 +175,67 @@ def score(
     )
 
 
-def plans_from_candidates(router: Router, candidates: list[Candidate]) -> list[tuple[ExecutionPlan, tuple[bool, ...]]]:
+# A candidate as tests name it: (node id, realization id, warm).
+Named = tuple[str, str, bool]
+
+
+def named_hits(table: CandidateTable, hits: list[Hit]) -> list[Named]:
+    """The candidates of a lookup's ``hits`` in ``table``, named."""
+    return [(table.pairs[p][0].node_id, table.pairs[p][1], warm) for p, warm in hits]
+
+
+def static_bounds(
+    router: Router, request: RequestDescriptor, node: NodeState, realization_id: str, warm: bool, covered: int
+) -> tuple[int, int, int, int, int, int] | None:
+    """One candidate's static bounds, priced from its routes and the node's
+    ``Fraction`` speed: (t_in, t_out, decode time, set-up plus activation,
+    prefill-side bound, decode-side bound). ``covered`` prompt tokens are
+    reused for free. None when the candidate can take no stage: no route
+    from the origin, or cold with no route for its artifact."""
+    origin = region_vertex(request.origin_region)
+    realization = router.broker.catalog.realizations[realization_id]
+    try:
+        route_in, route_out = router.topology.route(origin, node.node_id), router.topology.route(node.node_id, origin)
+        fetch = 0 if warm else router.artifact_fetch(node.node_id, realization)[0]
+    except Unreachable:
+        return None
+    base = realization.setup_time_us + (0 if warm else fetch + realization.load_time_us)
+    speed = node.profile.hardware.speed_factor
+    _, mult = _weight_multipliers(router.weights)
+    t_in = route_in.time_us(request.input_tokens * router.bytes_per_token)
+    t_out = route_out.time_us(request.output_tokens * router.bytes_per_token)
+    prefill_us = eff_time_us(realization.prefill_time_per_token_us, request.input_tokens - covered, speed)
+    decode_us = eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
+    pre = mult[0] * t_in + mult[2] * (base + prefill_us)
+    dec = mult[0] * t_out + mult[2] * (base + decode_us)
+    return t_in, t_out, decode_us, base, pre, dec
+
+
+def plans_from_candidates(router: Router, candidates: list[Named]) -> list[tuple[ExecutionPlan, tuple[bool, ...]]]:
     """Every single-node plan and every same-variant prefill/decode pair, by plan_id."""
     plans: list[tuple[ExecutionPlan, tuple[bool, ...]]] = []
-    for cand in candidates:
-        stage = PlanStage(cand.node_id, cand.realization_id, PlanPhase.FULL)
-        plans.append((router.plan((stage,)), (cand.warm,)))
+    for node_id, realization_id, warm in candidates:
+        stage = PlanStage(node_id, realization_id, PlanPhase.FULL)
+        plans.append((router.plan((stage,)), (warm,)))
     if router.enable_split:
         catalog = router.broker.catalog
-        for pre in candidates:
-            for dec in candidates:
-                if pre.node_id == dec.node_id:
+        for pre_node, pre_rid, pre_warm in candidates:
+            for dec_node, dec_rid, dec_warm in candidates:
+                if pre_node == dec_node:
                     continue
-                if catalog.realizations[pre.realization_id].variant_id != (
-                    catalog.realizations[dec.realization_id].variant_id
-                ):
+                if catalog.realizations[pre_rid].variant_id != catalog.realizations[dec_rid].variant_id:
                     continue
                 stages = (
-                    PlanStage(pre.node_id, pre.realization_id, PlanPhase.PREFILL),
-                    PlanStage(dec.node_id, dec.realization_id, PlanPhase.DECODE),
+                    PlanStage(pre_node, pre_rid, PlanPhase.PREFILL),
+                    PlanStage(dec_node, dec_rid, PlanPhase.DECODE),
                 )
-                plans.append((router.plan(stages), (pre.warm, dec.warm)))
+                plans.append((router.plan(stages), (pre_warm, dec_warm)))
     plans.sort(key=lambda p: p[0].plan_id)
     return plans
 
 
 def score_enumerated(
-    router: Router, request: RequestDescriptor, candidates: list[Candidate], now: int
+    router: Router, request: RequestDescriptor, candidates: list[Named], now: int
 ) -> list[ScoredPlan]:
     scored = []
     for plan, warm_flags in plans_from_candidates(router, candidates):
@@ -212,24 +246,19 @@ def score_enumerated(
     return scored
 
 
-def lookup(router: Router, request: RequestDescriptor, quality: int, now: int) -> list[Candidate]:
+def lookup(router: Router, request: RequestDescriptor, quality: int, now: int) -> list[Named]:
     """The broker's qualifying candidates for ``request`` at ``quality``."""
-    return router.broker.lookup_candidates(
-        request.capability_class,
-        quality,
-        request.policy,
-        origin_region=request.origin_region,
-        now=now,
-        tiers=router.placement_tiers,
-    )
+    broker = router.broker
+    table = broker.table(request.capability_class, quality, request.policy, request.origin_region, router.placement_tiers)
+    return named_hits(table, broker.lookup_candidates(table, now, request.policy.min_trust))
 
 
-def admitted_candidates(router: Router, request: RequestDescriptor, quality: int, now: int) -> list[Candidate]:
+def admitted_candidates(router: Router, request: RequestDescriptor, quality: int, now: int) -> list[Named]:
     """The qualifying candidates on nodes below their admission cap: the set
     a selection at ``now`` may place stages on."""
     admitted = []
     for cand in lookup(router, request, quality, now):
-        node = router.broker.node(cand.node_id)
+        node = router.broker.node(cand[0])
         if node.queue_length(now) < node.profile.capacity.admission_cap:
             admitted.append(cand)
     return admitted

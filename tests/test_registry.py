@@ -8,6 +8,7 @@ from capsim.registry import (
     Broker,
     CatalogIntegrityError,
     DuplicateNode,
+    NodeState,
     TrustBelowDomainFloor,
     UnknownCapabilityClass,
     UnknownDomain,
@@ -17,6 +18,13 @@ from capsim.topology import Domain
 from capsim.trust import AttestationRecord, TrustManager
 from conftest import GIB, make_class, make_profile, make_realization, make_topology, make_variant, star_links
 from capsim.registry import CapabilityCatalog
+from reference_router import named_hits
+
+
+def lookup(broker, capability_class, quality_target, policy, origin_region, now=0, tiers=None):
+    """A lookup's candidates, named (node id, realization id, warm), in table order."""
+    table = broker.table(capability_class, quality_target, policy, origin_region, tiers)
+    return named_hits(table, broker.lookup_candidates(table, now, policy.min_trust))
 
 
 def fresh_broker(domains=None):
@@ -70,6 +78,43 @@ def test_queue_telemetry_is_wait_of_a_stage_ready_now():
     state.reserve("chat-v1-gpu", ready_us=0, duration_us=5000)
     assert broker.refresh_queue_telemetry("n1", 1000) == 2000
     assert broker.refresh_queue_telemetry("n1", 4000) == 0
+
+
+RESERVATION_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["reserve", "advance", "queue_length", "outstanding", "for_realization"]),
+        st.integers(0, 60),
+        st.integers(0, 60),
+        st.sampled_from(["r1", "r2"]),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RESERVATION_OPS, st.integers(1, 3))
+def test_reservation_counts_match_a_scan(ops, servers):
+    """Each count against a scan of every reservation made, over reserve and
+    query sequences with a non-decreasing ``now``; stages may be ready before
+    ``now`` and take no time. The node keeps only its unfinished work."""
+    state = NodeState(make_profile("n1", max_concurrent=servers))
+    booked = []  # (realization id, start, completion)
+    now = 0
+    for op, a, b, rid in ops:
+        if op == "reserve":
+            booked.append((rid, *state.reserve(rid, ready_us=max(0, now + a - 20), duration_us=b)))
+        elif op == "advance":
+            now += a
+        elif op == "queue_length":
+            assert state.queue_length(now) == sum(1 for _, start, _ in booked if start > now)
+        elif op == "outstanding":
+            assert state.outstanding(now) == sum(1 for _, _, complete in booked if complete > now)
+        else:
+            want = sum(1 for r, _, complete in booked if r == rid and complete > now)
+            assert state.outstanding_for_realization(rid, now) == want
+        if op not in ("reserve", "advance"):  # any count keeps both heaps to the unfinished work
+            assert len(state.starts) == sum(1 for _, start, _ in booked if start > now)
+            assert len(state.completions) == sum(1 for _, _, complete in booked if complete > now)
 
 
 # -- candidate lookup ----------------------------------------------------------
@@ -143,21 +188,21 @@ def test_no_node_meets_min_trust_gives_empty_set():
     policy = PolicyConstraint(min_trust=3)
     # Only cloud-1 has trust 3; restrict domains to exclude it too.
     policy = PolicyConstraint(min_trust=3, allowed_domains=("d1",))
-    assert broker.lookup_candidates("chat", 1, policy, "metro") == []
+    assert lookup(broker, "chat", 1, policy, "metro") == []
 
 
 def test_single_warm_candidate_flagged():
     broker = candidate_broker()
     policy = PolicyConstraint(min_trust=2, allowed_domains=("d1",))
-    candidates = broker.lookup_candidates("chat", 1, policy, "metro")
-    warm = [c for c in candidates if c.warm]
-    assert [(c.node_id, c.realization_id) for c in warm] == [("edge-1", "chat-v1-gpu")]
+    candidates = lookup(broker, "chat", 1, policy, "metro")
+    warm = [(node_id, rid) for node_id, rid, is_warm in candidates if is_warm]
+    assert warm == [("edge-1", "chat-v1-gpu")]
 
 
 def test_unknown_class_raises():
     broker = candidate_broker()
     with pytest.raises(UnknownCapabilityClass):
-        broker.lookup_candidates("nope", 1, PolicyConstraint(), "metro")
+        lookup(broker, "nope", 1, PolicyConstraint(), "metro")
 
 
 @pytest.mark.parametrize("quality_target", [1, 2])
@@ -165,7 +210,7 @@ def test_unknown_class_raises():
 def test_candidates_match_brute_force(quality_target, min_trust):
     broker = candidate_broker()
     policy = PolicyConstraint(min_trust=min_trust)
-    got = {(c.node_id, c.realization_id, c.warm) for c in broker.lookup_candidates("chat", quality_target, policy, "metro")}
+    got = set(lookup(broker, "chat", quality_target, policy, "metro"))
     want = brute_force_candidates(broker, "chat", quality_target, policy, "metro")
     assert got == want
 
@@ -173,9 +218,9 @@ def test_candidates_match_brute_force(quality_target, min_trust):
 def test_offline_node_excluded_from_candidates():
     broker = candidate_broker()
     broker.node("edge-1").online = False
-    offline = {c.node_id for c in broker.lookup_candidates("chat", 1, PolicyConstraint(), "metro")}
+    offline = {c[0] for c in lookup(broker, "chat", 1, PolicyConstraint(), "metro")}
     broker.node("edge-1").online = True
-    online = {c.node_id for c in broker.lookup_candidates("chat", 1, PolicyConstraint(), "metro")}
+    online = {c[0] for c in lookup(broker, "chat", 1, PolicyConstraint(), "metro")}
     assert offline == {"edge-2", "cloud-1"}
     assert online == {"edge-1", "edge-2", "cloud-1"}
 
@@ -193,22 +238,19 @@ def test_candidates_match_brute_force_under_random_churn():
             broker.trust.attest(AttestationRecord(node_id, rng.randint(0, state.profile.trust), now, None))
         policy = PolicyConstraint(min_trust=rng.randint(0, 3))
         quality_target = rng.randint(1, 2)
-        got = {
-            (c.node_id, c.realization_id, c.warm)
-            for c in broker.lookup_candidates("chat", quality_target, policy, "metro", now=now)
-        }
+        got = set(lookup(broker, "chat", quality_target, policy, "metro", now=now))
         assert got == brute_force_candidates(broker, "chat", quality_target, policy, "metro", now=now)
 
 
 def test_relaxing_policy_never_shrinks_candidates():
     broker = candidate_broker()
     strict = {
-        (c.node_id, c.realization_id)
-        for c in broker.lookup_candidates("chat", 1, PolicyConstraint(min_trust=2, locality_scope=LocalityScope.REGION), "metro")
+        c[:2]
+        for c in lookup(broker, "chat", 1, PolicyConstraint(min_trust=2, locality_scope=LocalityScope.REGION), "metro")
     }
     relaxed = {
-        (c.node_id, c.realization_id)
-        for c in broker.lookup_candidates("chat", 1, PolicyConstraint(min_trust=0), "metro")
+        c[:2]
+        for c in lookup(broker, "chat", 1, PolicyConstraint(min_trust=0), "metro")
     }
     assert strict <= relaxed
 
@@ -229,7 +271,7 @@ def test_node_local_scope_requires_local_tier_in_region():
     for p in profiles:
         broker.install(p.node_id, "chat-v1-gpu", 0)
     policy = PolicyConstraint(locality_scope=LocalityScope.NODE_LOCAL)
-    got = {c.node_id for c in broker.lookup_candidates("chat", 1, policy, "metro")}
+    got = {c[0] for c in lookup(broker, "chat", 1, policy, "metro")}
     assert got == {"box-1"}
 
 
@@ -237,10 +279,10 @@ def test_loading_residency_is_neither_warm_nor_cold():
     broker = candidate_broker()
     broker.install("cloud-1", "chat-v2-gpu", available_at_us=5_000)
     policy = PolicyConstraint()
-    before = broker.lookup_candidates("chat", 2, policy, "metro", now=0)
-    after = broker.lookup_candidates("chat", 2, policy, "metro", now=5_000)
-    assert ("cloud-1", "chat-v2-gpu") not in {(c.node_id, c.realization_id) for c in before}
-    assert ("cloud-1", "chat-v2-gpu", True) in {(c.node_id, c.realization_id, c.warm) for c in after}
+    before = lookup(broker, "chat", 2, policy, "metro", now=0)
+    after = lookup(broker, "chat", 2, policy, "metro", now=5_000)
+    assert ("cloud-1", "chat-v2-gpu") not in {c[:2] for c in before}
+    assert ("cloud-1", "chat-v2-gpu", True) in after
 
 
 def test_catalog_referential_integrity_after_interleavings():
@@ -307,10 +349,10 @@ def test_candidate_index_matches_recompute_under_interleaved_churn(ops):
             assert broker.free_memory(n) == recomputed_free_memory(broker, n)
         for quality_target in (1, 2):
             for tiers in (None, {Tier.EDGE}):
-                got = broker.lookup_candidates("chat", quality_target, PolicyConstraint(), "metro", now=now, tiers=tiers)
+                got = lookup(broker, "chat", quality_target, PolicyConstraint(), "metro", now=now, tiers=tiers)
                 want = brute_force_candidates(broker, "chat", quality_target, PolicyConstraint(), "metro", now, tiers)
                 # Node-id order, then realization-id order.
-                assert [(c.node_id, c.realization_id, c.warm) for c in got] == sorted(want)
+                assert got == sorted(want)
 
 
 # Nodes registered before the ops run, and one registered by a "register" op.
@@ -401,8 +443,9 @@ def test_candidate_tables_match_brute_force_under_churn(ops):
         else:
             now += amount
         for quality_target, policy, origin, tiers in TABLE_LOOKUPS:
-            got = broker.lookup_candidates("chat", quality_target, policy, origin, now=now, tiers=tiers)
+            table = broker.table("chat", quality_target, policy, origin, tiers)
+            hits = broker.lookup_candidates(table, now, policy.min_trust)
             want = brute_force_candidates(broker, "chat", quality_target, policy, origin, now, tiers)
             # Node-id order, then realization-id order.
-            assert [(c.node_id, c.realization_id, c.warm) for c in got] == sorted(want)
-            assert all(c.node is broker.node(c.node_id) for c in got)
+            assert named_hits(table, hits) == sorted(want)
+            assert all(table.pairs[p][0] is broker.node(table.pairs[p][0].node_id) for p, _ in hits)

@@ -50,6 +50,7 @@ from reference_router import (
     scaled_weights,
     score,
     score_enumerated,
+    static_bounds,
     within_tie,
 )
 
@@ -170,19 +171,17 @@ def test_plan_set_matches_brute_force_enumeration(simple_broker):
     request = chat_request(quality_target=1)
     plans = {tuple((s.node_id, s.realization_id, s.phase.value) for s in p.plan.stages) for p in feasible_plans(router, request, 0)}
 
-    candidates = broker.lookup_candidates("chat", 1, request.policy, "metro")
+    candidates = lookup(router, request, 1, 0)
     expected = set()
-    for c in candidates:
-        expected.add(((c.node_id, c.realization_id, "full"),))
-    for pre in candidates:
-        for dec in candidates:
-            if pre.node_id == dec.node_id:
+    for node_id, realization_id, _ in candidates:
+        expected.add(((node_id, realization_id, "full"),))
+    for pre_node, pre_rid, _ in candidates:
+        for dec_node, dec_rid, _ in candidates:
+            if pre_node == dec_node:
                 continue
-            if broker.catalog.realizations[pre.realization_id].variant_id != broker.catalog.realizations[dec.realization_id].variant_id:
+            if broker.catalog.realizations[pre_rid].variant_id != broker.catalog.realizations[dec_rid].variant_id:
                 continue
-            expected.add(
-                ((pre.node_id, pre.realization_id, "prefill"), (dec.node_id, dec.realization_id, "decode"))
-            )
+            expected.add(((pre_node, pre_rid, "prefill"), (dec_node, dec_rid, "decode")))
     assert plans == expected
 
 
@@ -943,6 +942,121 @@ def test_work_counters_pin_the_pruning_on_shipped_scenarios(name, halves, states
     assert (sim.router.halves_priced, sim.router.states_resolved) == (halves, states)
 
 
+def test_rows_are_built_once_per_table_and_origin(monkeypatch):
+    """Over a sessions run, each (candidate table, origin) pair a select
+    meets builds its static rows once."""
+    pairs, builds = [], []
+    table, specialise = Broker.table, Router._specialise
+
+    def recorded_table(broker, capability_class, quality, policy, origin_region="", tiers=None):
+        found = table(broker, capability_class, quality, policy, origin_region, tiers)
+        pairs.append((found, origin_region))  # keeps each table alive, so ids stay unique
+        return found
+
+    def counted_specialise(router, *args):
+        builds.append(args)
+        return specialise(router, *args)
+
+    monkeypatch.setattr(Broker, "table", recorded_table)
+    monkeypatch.setattr(Router, "_specialise", counted_specialise)
+    Simulation(scenario_named("sessions")).run()
+    distinct = {(id(t), origin) for t, origin in pairs}
+    assert len(builds) == len(distinct) == 8  # one table, eight origin regions
+    assert len(pairs) > 200 * len(builds)
+
+
+def cache_lifetime_router():
+    """edge-1 runs a fast and a slow realization of one variant; edge-2, much
+    nearer the gateway, is in the topology but not yet registered."""
+    catalog = CapabilityCatalog()
+    catalog.add_class(make_class("chat"))
+    catalog.add_variant(make_variant("chat-v1", "chat"))
+    catalog.add_realization(make_realization("chat-v1-fast", "chat-v1", prefill=10))
+    catalog.add_realization(make_realization("chat-v1-slow", "chat-v1", prefill=50))
+    profiles = [make_profile("edge-1"), make_profile("edge-2")]
+    links = [
+        Link("l-gw-edge-1", "region:metro", "edge-1", 50_000, Fraction(1000)),
+        Link("l-gw-edge-2", "region:metro", "edge-2", 100, Fraction(1000)),
+    ]
+    trust = TrustManager()
+    for rid in catalog.realizations:
+        trust.register_lineage(rid, (("base-7b", "distill"),))
+    broker = Broker(catalog, make_topology(profiles, links), trust=trust)
+    broker.register_node(profiles[0])
+    for rid in catalog.realizations:
+        broker.install("edge-1", rid, 0)
+    return make_router(broker, enable_split=False), profiles[1]
+
+
+def test_selects_see_the_table_after_a_registration_or_a_revocation():
+    """The rows the router derived from a candidate table go when the broker
+    drops the table: a select sees the table's new rows, and the router keeps
+    rows of current tables only."""
+    router, late = cache_lifetime_router()
+    broker = router.broker
+
+    def chosen():
+        outcome = router.select(chat_request(), now=0)
+        current = list(broker._tables.values())
+        assert [any(t is c for c in current) for t, _ in router._specialised] == [True]
+        return tuple((s.node_id, s.realization_id) for s in outcome.scored.stages)
+
+    assert chosen() == (("edge-1", "chat-v1-fast"),)
+    broker.register_node(late)
+    broker.install("edge-2", "chat-v1-slow", 0)
+    assert chosen() == (("edge-2", "chat-v1-slow"),)
+    broker.trust.revoke("chat-v1-slow")
+    assert chosen() == (("edge-1", "chat-v1-fast"),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 100_000),  # gateway delay
+    st.fractions(Fraction(1, 1000), 10_000),  # gateway bandwidth, bytes per µs
+    st.sampled_from(["one hop", "no route", Fraction(1, 3), Fraction(7, 2)]),  # or a second hop's bandwidth
+    st.fractions(Fraction(1, 8), 8),  # speed factor
+    st.integers(0, 16),  # bytes per token
+    st.integers(0, 4096),  # input tokens
+    st.integers(0, 1024),  # output tokens
+    st.integers(0, 4096),  # covered tokens, capped at the input
+    st.booleans(),  # warm
+    st.booleans(),  # the artifact repository reaches the node
+    st.tuples(st.integers(1, 500), st.integers(1, 2000), st.integers(0, 5000), st.integers(0, 10**6)),
+    st.tuples(st.fractions(0, 5), st.fractions(0, 5)),  # alpha, gamma
+)
+def test_row_coefficients_reproduce_the_per_candidate_bounds(
+    delay, bandwidth, second_hop, speed, bytes_per_token, tokens_in, tokens_out, covered, warm, repo_linked, times, weights
+):
+    prefill, decode, setup, load = times
+    catalog = CapabilityCatalog()
+    catalog.add_class(make_class("chat"))
+    catalog.add_variant(make_variant("chat-v1", "chat"))
+    catalog.add_realization(make_realization("chat-v1-gpu", "chat-v1", prefill=prefill, decode=decode, setup=setup, load_time=load))
+    profiles = [make_profile("edge-1", speed=str(speed)), make_profile("repo")]
+    if second_hop == "one hop":
+        links = [Link("l-gw", "region:metro", "edge-1", delay, bandwidth)]
+    elif second_hop == "no route":
+        links = [Link("l-gw", "region:metro", "hub", delay, bandwidth)]
+    else:
+        links = [Link("l-gw", "region:metro", "hub", delay, bandwidth), Link("l-hub", "hub", "edge-1", 7, second_hop, is_core=True)]
+    if repo_linked:
+        links.append(Link("l-repo", "repo", "edge-1", 3_000, Fraction(500)))
+    broker = Broker(catalog, make_topology(profiles, links))
+    node = broker.register_node(profiles[0])
+    router = make_router(broker, RoutingWeights(alpha=weights[0], gamma=weights[1]), bytes_per_token, repo="repo")
+    request = chat_request(input_tokens=tokens_in, output_tokens=tokens_out)
+    covered = min(covered, tokens_in)
+    want = static_bounds(router, request, node, "chat-v1-gpu", warm, covered)
+    row = router._row("region:metro", node, "chat-v1-gpu")
+    got = router._bounds(request, (row,), ((0, warm),), {"chat-v1-gpu": ([], covered)})
+    if want is None:
+        assert got == []
+    else:
+        assert [b[2:8] for b in got] == [want]
+        _, _, _, base, _, dec = want
+        assert got[0][8] == dec - router._mult[2] * base  # the decode side without set-up and activation
+
+
 def test_router_rejects_a_negative_weight(simple_broker):
     with pytest.raises(ValueError, match="kappa"):
         make_router(simple_broker, weights=RoutingWeights(kappa=Fraction(-1)))
@@ -976,7 +1090,7 @@ def test_select_looks_up_state_holders_once_per_realization(simple_broker):
     outcome = router.select(request, now=0)
     assert outcome.scored.state_use is not None
     # One lookup per realization while pricing; the winner is not rescored.
-    assert len(calls) == len({c.realization_id for c in candidates}) < len(candidates)
+    assert len(calls) == len({realization_id for _, realization_id, _ in candidates}) < len(candidates)
 
 
 def test_routers_share_no_plan_state(simple_broker):
