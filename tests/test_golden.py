@@ -246,6 +246,58 @@ def test_a_run_is_a_prefix_of_a_run_twice_as_long(name):
     assert {rid: long.get(rid) for rid in final} == final
 
 
+def item_of_receipt(receipt: dict) -> dict:
+    """The fields of a ``metrics.json`` ``per_request`` item that its
+    ``receipts.jsonl`` line determines, by the rules docs/formats.md states."""
+    served = receipt["verdict"] != "rejected"
+    if served:
+        outcome = "served"
+    else:
+        outcome = "truncated" if receipt["reason"] == "HorizonTruncated" else "rejected"
+    covered = receipt["cache_tokens_covered"]
+    return {
+        "request_id": receipt["request_id"],
+        "outcome": outcome,
+        "reason": None if served else receipt["reason"],
+        "arrival_us": receipt["arrival_time"],
+        "finish_us": receipt["finish_time"],
+        "latency_us": receipt["finish_time"] - receipt["arrival_time"] if served else 0,
+        "degraded": receipt["verdict"] == "degraded",
+        "cache_hit": covered > 0,
+        "cache_state_type": "tensor_state" if covered > 0 else None,
+        "tokens_covered": covered,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["replan_heavy", "eviction_heavy"])
+def test_per_request_items_follow_the_receipts(name, tmp_path):
+    """``metrics.json``'s ``per_request`` list and ``receipts.jsonl`` name the
+    same requests in the same order, and each item is read from its receipt."""
+    variants = {"replan_heavy": replan_heavy_scenario, "eviction_heavy": eviction_heavy_scenario}
+    if name in variants:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(variants[name]()))
+    else:
+        path = SCENARIOS / f"{name}.json"
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    items = json.loads((out / "metrics.json").read_text())["per_request"]
+    with (out / "receipts.jsonl").open() as lines:
+        receipts = [json.loads(line) for line in lines]
+    assert [i["request_id"] for i in items] == [r["request_id"] for r in receipts]
+    outcomes = set()
+    for item, receipt in zip(items, receipts):
+        expected = item_of_receipt(receipt)
+        assert {key: item[key] for key in expected} == expected
+        outcomes.add(item["outcome"])
+        if item["outcome"] == "served":
+            assert [node for node, _ in item["stages"]] == [s["node_id"] for s in receipt["plan"]]
+        else:
+            assert item["stages"] == []
+            assert (item["ttft_us"], item["tpot_us"], item["core_bytes"], item["cache_lookup"]) == (0, 0, 0, False)
+    assert "served" in outcomes
+
+
 # Records built per request, per select or per replan. They are plain slotted
 # dataclasses, since a frozen one's __init__ writes every field through
 # object.__setattr__, so nothing in the program may write to one once built.
