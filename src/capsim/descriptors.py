@@ -12,11 +12,14 @@ through ``object.__setattr__``. Nothing writes to one once it is built;
 ``validate_descriptor`` reports invariant violations as data, never as
 exceptions.
 
-Only ``PlanStage`` has a dict form, ``to_dict``, for plan ids;
-``ExecutionReceipt.to_json_line`` writes a ``receipts.jsonl`` line. The
-scenario reader (``scenario._record``) builds the node, request, policy and
-catalog types from the scenario file by their field annotations, so a field's
-default here is also its default in the file. Cached session state is ``caching.CacheEntry``.
+Only ``PlanStage`` has a dict form, ``to_dict``, for plan ids.
+``ExecutionReceipt`` is the one record of a finished request:
+``to_json_line`` writes its ``receipts.jsonl`` line, and ``metrics.json``'s
+per-request item is read from it too (``metrics.per_request_item``), with the
+few fields only that item carries. The scenario reader (``scenario._record``)
+builds the node, request, policy and catalog types from the scenario file by
+their field annotations, so a field's default here is also its default in the
+file. Cached session state is ``caching.CacheEntry``.
 """
 
 from __future__ import annotations
@@ -198,16 +201,18 @@ class PlanStage:
 
 @dataclass(slots=True)
 class ExecutionReceipt:
-    """Audited record of how one request was served (or why it was not)."""
+    """The one record of a finished request: how it was served, or why it was
+    not. A rejection leaves the plan, its audit and its cost at their
+    defaults; a truncated request keeps its plan."""
 
     request_id: str
-    plan: tuple[PlanStage, ...]
-    capability_versions: tuple[tuple[str, str], ...]  # (realization_id, lineage digest)
-    node_attestations: tuple[tuple[str, int], ...]    # (node_id, trust level at service time)
-    cache_states_reused: tuple[str, ...]
-    cache_tokens_covered: int
     verdict: Verdict
-    reason: str | None
+    reason: str | None = None
+    plan: tuple[PlanStage, ...] = ()
+    capability_versions: tuple[tuple[str, str], ...] = ()  # (realization_id, lineage digest)
+    node_attestations: tuple[tuple[str, int], ...] = ()    # (node_id, trust level at service time)
+    cache_states_reused: tuple[str, ...] = ()
+    cache_tokens_covered: int = 0
     t_net_us: int = 0
     t_queue_us: int = 0
     t_exec_us: int = 0
@@ -216,6 +221,13 @@ class ExecutionReceipt:
     p_policy: int = 0
     arrival_time: int = 0
     finish_time: int = 0
+    # Read into metrics.json only, never written to receipts.jsonl; a served
+    # request sets them.
+    ttft_us: int = 0
+    tpot_us: int = 0
+    core_bytes: int = 0
+    cache_lookup: bool = False
+    occupancy_us: tuple[int, ...] = ()  # per plan stage
 
     def to_json_line(self) -> str:
         """This receipt's line of ``receipts.jsonl``, without the newline: the

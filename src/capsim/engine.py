@@ -31,23 +31,13 @@ from .descriptors import (
     Tier,
     Verdict,
 )
-from .metrics import (
-    OUTCOME_REJECTED,
-    OUTCOME_SERVED,
-    OUTCOME_TRUNCATED,
-    MetricsFrame,
-    RequestRecord,
-)
+from .metrics import MetricsFrame
 from .registry import Broker, CapabilityCatalog
 from .routing import Rejection, Router, ScoredPlan, Selection, _ceil_time
 from .scenario import Scenario
 from .trust import AttestationRecord, ReceiptLog, TrustManager
 from .workload import Arrival, generate_arrivals
 
-
-# A cache hit's state type in ``metrics.json``, read once: each ``.value``
-# read goes through the enum's descriptor.
-_TENSOR_STATE = StateType.TENSOR_STATE.value
 
 # The reuse probability a newly offered session state is admitted with.
 _NEW_ENTRY_P_HIT = Fraction(1, 2)
@@ -154,10 +144,11 @@ class Simulation:
                     continue
             self.broker.install(node_id, rid, available_at_us=0)
 
-        self.metrics = MetricsFrame(duration_us=self.duration_us)
+        self.receipts = ReceiptLog()
+        # The receipts are the per-request records the metrics aggregate.
+        self.metrics = MetricsFrame(duration_us=self.duration_us, records=self.receipts.receipts)
         for profile in scenario.nodes:
             self.metrics.node_capacity[profile.node_id] = profile.capacity.max_concurrent
-        self.receipts = ReceiptLog()
         self.trace: TraceSink = [] if isinstance(trace, bool) else trace
         self.audit: list[AuditEntry] = []
 
@@ -496,27 +487,24 @@ class Simulation:
         self.receipts.emit(
             ExecutionReceipt(
                 request_id=request.request_id,
-                plan=(),
-                capability_versions=(),
-                node_attestations=(),
-                cache_states_reused=(),
-                cache_tokens_covered=0,
                 verdict=Verdict.REJECTED,
                 reason=reason,
                 arrival_time=request.arrival_time,
                 finish_time=now,
             )
         )
-        self.metrics.add_record(
-            RequestRecord(
-                request_id=request.request_id,
-                outcome=OUTCOME_REJECTED,
-                reason=reason,
-                arrival_us=request.arrival_time,
-                finish_us=now,
-            )
-        )
         self._end_turn(now, arrival)
+
+    def _unpin(self, flight: InFlight) -> CacheEntry | None:
+        """Release the flight's pin on the state it reused; the entry, if
+        its store still holds it."""
+        if flight.pinned is None:
+            return None
+        node_id, entry_key = flight.pinned
+        entry = self.caches.store(node_id).entries.get(entry_key)
+        if entry is not None:
+            entry.pins = max(0, entry.pins - 1)
+        return entry
 
     def _finish_served(self, now: int, request_id: str) -> None:
         flight = self._in_flight.pop(request_id, None)
@@ -526,42 +514,38 @@ class Simulation:
         request = arrival.request
         scored = flight.scored
 
-        if flight.pinned is not None:
+        entry = self._unpin(flight)
+        source = entry.source_realization if entry is not None else None
+        if source and self.trust.is_revoked(source) and entry.pins == 0:
             node_id, entry_key = flight.pinned
-            entry = self.caches.store(node_id).entries.get(entry_key)
-            if entry is not None:
-                entry.pins = max(0, entry.pins - 1)
-                if entry.source_realization and self.trust.is_revoked(entry.source_realization) and entry.pins == 0:
-                    self.caches.store(node_id).entries.pop(entry_key, None)
-                    self._trace(now, "cache_evict", state_id=entry.state_id, node_id=node_id, reason="revoked")
+            self.caches.store(node_id).entries.pop(entry_key, None)
+            self._trace(now, "cache_evict", state_id=entry.state_id, node_id=node_id, reason="revoked")
 
         ttft, tpot = compute_ttft_tpot(scored, request)
         attest_time = scored.stages[0].start_us
         versions = tuple(
             sorted(
                 {
-                    (proj.realization_id, lineage.chain_digests[-1] if lineage is not None else "")
+                    (proj.realization_id, self.trust.lineage_for(proj.realization_id).chain_digests[-1])
                     for proj in scored.stages
-                    for lineage in (self.trust.lineage_for(proj.realization_id),)
                 }
             )
         )
         attestations = tuple(
             sorted({(proj.node_id, self.trust.effective_trust(proj.node_id, attest_time)) for proj in scored.stages})
         )
-        reused = (scored.state_use.entry.state_id,) if scored.state_use else ()
-        covered = scored.state_use.covered_tokens if scored.state_use else 0
+        use = scored.state_use
         cost = scored.cost
         self.receipts.emit(
             ExecutionReceipt(
                 request_id=request.request_id,
+                verdict=Verdict.DEGRADED if flight.degraded else Verdict.ALLOWED,
+                reason=f"quality-downgrade:{flight.served_quality}" if flight.degraded else None,
                 plan=scored.plan.stages,
                 capability_versions=versions,
                 node_attestations=attestations,
-                cache_states_reused=reused,
-                cache_tokens_covered=covered,
-                verdict=Verdict.DEGRADED if flight.degraded else Verdict.ALLOWED,
-                reason=f"quality-downgrade:{flight.served_quality}" if flight.degraded else None,
+                cache_states_reused=(use.entry.state_id,) if use else (),
+                cache_tokens_covered=use.covered_tokens if use else 0,
                 t_net_us=cost.t_net_us,
                 t_queue_us=cost.t_queue_us,
                 t_exec_us=cost.t_exec_us,
@@ -570,26 +554,14 @@ class Simulation:
                 p_policy=cost.p_policy,
                 arrival_time=request.arrival_time,
                 finish_time=now,
+                ttft_us=ttft,
+                tpot_us=tpot,
+                core_bytes=scored.core_bytes,
+                cache_lookup=bool(request.affinity_token and self.caches.enabled),
+                occupancy_us=tuple(proj.duration_us for proj in scored.stages),
             )
         )
         self.metrics.core_bytes_requests += scored.core_bytes
-        record = RequestRecord(
-            request_id=request.request_id,
-            outcome=OUTCOME_SERVED,
-            arrival_us=request.arrival_time,
-            finish_us=now,
-            ttft_us=ttft,
-            tpot_us=tpot,
-            latency_us=now - request.arrival_time,
-            core_bytes=scored.core_bytes,
-            degraded=flight.degraded,
-            cache_lookup=bool(request.affinity_token and self.caches.enabled),
-            cache_hit=covered > 0,
-            cache_state_type=_TENSOR_STATE if covered > 0 else None,
-            tokens_covered=covered,
-            stages=[(proj.node_id, proj.duration_us) for proj in scored.stages],
-        )
-        self.metrics.add_record(record)
         for proj in scored.stages:
             self.metrics.node_busy_us[proj.node_id] = (
                 self.metrics.node_busy_us.get(proj.node_id, 0) + proj.duration_us
@@ -652,35 +624,19 @@ class Simulation:
             self._push(now, self._on_session_end, {"session_id": sid})
 
     def _truncate_in_flight(self) -> None:
+        """Receipts for requests still in flight at the horizon. A revoked
+        state they pinned stays stored, so ``trace.csv`` gains no row."""
         for request_id in sorted(self._in_flight):
             flight = self._in_flight[request_id]
-            request = flight.arrival.request
-            if flight.pinned is not None:
-                node_id, entry_key = flight.pinned
-                entry = self.caches.store(node_id).entries.get(entry_key)
-                if entry is not None:
-                    entry.pins = max(0, entry.pins - 1)
+            self._unpin(flight)
             self.receipts.emit(
                 ExecutionReceipt(
                     request_id=request_id,
-                    plan=flight.scored.plan.stages,
-                    capability_versions=(),
-                    node_attestations=(),
-                    cache_states_reused=(),
-                    cache_tokens_covered=0,
                     verdict=Verdict.REJECTED,
                     reason=REASON_HORIZON_TRUNCATED,
-                    arrival_time=request.arrival_time,
+                    plan=flight.scored.plan.stages,
+                    arrival_time=flight.arrival.request.arrival_time,
                     finish_time=self.duration_us,
-                )
-            )
-            self.metrics.add_record(
-                RequestRecord(
-                    request_id=request_id,
-                    outcome=OUTCOME_TRUNCATED,
-                    reason=REASON_HORIZON_TRUNCATED,
-                    arrival_us=request.arrival_time,
-                    finish_us=self.duration_us,
                 )
             )
         self._in_flight.clear()

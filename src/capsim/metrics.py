@@ -1,4 +1,6 @@
-"""Run metrics: per-request records plus aggregates recomputable from them.
+"""Run metrics: aggregates over the run's receipts, and one ``per_request``
+item read from each receipt (``per_request_item``; the rules are in
+docs/formats.md).
 
 Percentiles are nearest-rank over sorted integer values; ratios are emitted
 as fixed 6-decimal strings so documents are bit-stable across runs.
@@ -12,11 +14,16 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
-from .descriptors import StateType
+from .descriptors import REASON_HORIZON_TRUNCATED, ExecutionReceipt, StateType, Verdict
 
 OUTCOME_SERVED = "served"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_TRUNCATED = "truncated"
+
+# A cache hit's state type, read once: each ``.value`` read goes through the
+# enum's descriptor.
+_TENSOR_STATE = StateType.TENSOR_STATE.value
+_TENSOR_STATE_JSON = encode_basestring_ascii(_TENSOR_STATE)
 
 
 def percentile(values: list[int], pct: int) -> int:
@@ -35,88 +42,76 @@ def ratio_str(numerator: int, denominator: int) -> str:
     return f"{scaled // 1_000_000}.{scaled % 1_000_000:06d}"
 
 
-@dataclass(slots=True)
-class RequestRecord:
-    request_id: str
-    outcome: str
-    reason: str | None = None
-    arrival_us: int = 0
-    finish_us: int = 0
-    ttft_us: int = 0
-    tpot_us: int = 0
-    latency_us: int = 0
-    core_bytes: int = 0
-    degraded: bool = False
-    cache_lookup: bool = False
-    cache_hit: bool = False
-    cache_state_type: str | None = None
-    tokens_covered: int = 0
-    stages: list[tuple[str, int]] = field(default_factory=list)  # (node_id, occupancy_us)
+def outcome_of(receipt: ExecutionReceipt) -> str:
+    """``served``, ``rejected`` or ``truncated``: a rejected receipt cut off by
+    the horizon is truncated."""
+    if receipt.verdict is not Verdict.REJECTED:
+        return OUTCOME_SERVED
+    return OUTCOME_TRUNCATED if receipt.reason == REASON_HORIZON_TRUNCATED else OUTCOME_REJECTED
 
-    def to_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "arrival_us": self.arrival_us,
-            "finish_us": self.finish_us,
-            "ttft_us": self.ttft_us,
-            "tpot_us": self.tpot_us,
-            "latency_us": self.latency_us,
-            "core_bytes": self.core_bytes,
-            "degraded": self.degraded,
-            "cache_lookup": self.cache_lookup,
-            "cache_hit": self.cache_hit,
-            "cache_state_type": self.cache_state_type,
-            "tokens_covered": self.tokens_covered,
-            "stages": [list(s) for s in self.stages],
-        }
 
-    def to_json_item(self) -> str:
-        """This record as an item of ``metrics.json``'s ``per_request`` list:
-        ``json.dumps(self.to_dict(), sort_keys=True, indent=2)`` indented to
-        nesting depth 2, without building the dict."""
-        if self.stages:
-            stages = ",\n".join(
-                f"        [\n          {encode_basestring_ascii(node)},\n          {occupancy}\n        ]"
-                for node, occupancy in self.stages
-            )
-            stages = f"[\n{stages}\n      ]"
-        else:
-            stages = "[]"
-        return (
-            "    {\n"
-            f'      "arrival_us": {self.arrival_us},\n'
-            f'      "cache_hit": {_json_bool(self.cache_hit)},\n'
-            f'      "cache_lookup": {_json_bool(self.cache_lookup)},\n'
-            f'      "cache_state_type": {_json_str_or_null(self.cache_state_type)},\n'
-            f'      "core_bytes": {self.core_bytes},\n'
-            f'      "degraded": {_json_bool(self.degraded)},\n'
-            f'      "finish_us": {self.finish_us},\n'
-            f'      "latency_us": {self.latency_us},\n'
-            f'      "outcome": {encode_basestring_ascii(self.outcome)},\n'
-            f'      "reason": {_json_str_or_null(self.reason)},\n'
-            f'      "request_id": {encode_basestring_ascii(self.request_id)},\n'
-            f'      "stages": {stages},\n'
-            f'      "tokens_covered": {self.tokens_covered},\n'
-            f'      "tpot_us": {self.tpot_us},\n'
-            f'      "ttft_us": {self.ttft_us}\n'
-            "    }"
-        )
+def per_request_item(receipt: ExecutionReceipt) -> dict:
+    """The receipt's item of ``metrics.json``'s ``per_request`` list."""
+    served = receipt.verdict is not Verdict.REJECTED
+    covered = receipt.cache_tokens_covered
+    return {
+        "request_id": receipt.request_id,
+        "outcome": outcome_of(receipt),
+        "reason": None if served else receipt.reason,
+        "arrival_us": receipt.arrival_time,
+        "finish_us": receipt.finish_time,
+        "ttft_us": receipt.ttft_us,
+        "tpot_us": receipt.tpot_us,
+        "latency_us": receipt.finish_time - receipt.arrival_time if served else 0,
+        "core_bytes": receipt.core_bytes,
+        "degraded": receipt.verdict is Verdict.DEGRADED,
+        "cache_lookup": receipt.cache_lookup,
+        "cache_hit": covered > 0,
+        "cache_state_type": _TENSOR_STATE if covered > 0 else None,
+        "tokens_covered": covered,
+        "stages": [[stage.node_id, occupancy] for stage, occupancy in zip(receipt.plan, receipt.occupancy_us)],
+    }
+
+
+def _json_item(receipt: ExecutionReceipt) -> str:
+    """``per_request_item(receipt)`` as ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes it at nesting depth 2, without building the dict."""
+    stages = ",\n".join(
+        f"        [\n          {encode_basestring_ascii(stage.node_id)},\n          {occupancy}\n        ]"
+        for stage, occupancy in zip(receipt.plan, receipt.occupancy_us)
+    )
+    stages = f"[\n{stages}\n      ]" if stages else "[]"
+    served = receipt.verdict is not Verdict.REJECTED
+    covered = receipt.cache_tokens_covered
+    return (
+        "    {\n"
+        f'      "arrival_us": {receipt.arrival_time},\n'
+        f'      "cache_hit": {_json_bool(covered > 0)},\n'
+        f'      "cache_lookup": {_json_bool(receipt.cache_lookup)},\n'
+        f'      "cache_state_type": {_TENSOR_STATE_JSON if covered > 0 else "null"},\n'
+        f'      "core_bytes": {receipt.core_bytes},\n'
+        f'      "degraded": {_json_bool(receipt.verdict is Verdict.DEGRADED)},\n'
+        f'      "finish_us": {receipt.finish_time},\n'
+        f'      "latency_us": {receipt.finish_time - receipt.arrival_time if served else 0},\n'
+        f'      "outcome": "{outcome_of(receipt)}",\n'
+        f'      "reason": {"null" if served or receipt.reason is None else encode_basestring_ascii(receipt.reason)},\n'
+        f'      "request_id": {encode_basestring_ascii(receipt.request_id)},\n'
+        f'      "stages": {stages},\n'
+        f'      "tokens_covered": {covered},\n'
+        f'      "tpot_us": {receipt.tpot_us},\n'
+        f'      "ttft_us": {receipt.ttft_us}\n'
+        "    }"
+    )
 
 
 def _json_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _json_str_or_null(value: str | None) -> str:
-    return "null" if value is None else encode_basestring_ascii(value)
-
-
 @dataclass(slots=True)
 class MetricsFrame:
     duration_us: int
-    records: list[RequestRecord] = field(default_factory=list)
+    records: list[ExecutionReceipt] = field(default_factory=list)  # the run's ReceiptLog list
     node_capacity: dict[str, int] = field(default_factory=dict)   # node -> max_concurrent
     node_busy_us: dict[str, int] = field(default_factory=dict)
     max_queue_length: dict[str, int] = field(default_factory=dict)
@@ -126,9 +121,6 @@ class MetricsFrame:
     core_bytes_placement: int = 0
     placement_churn: int = 0
     model_load_overhead_us: int = 0
-
-    def add_record(self, record: RequestRecord) -> None:
-        self.records.append(record)
 
     def count_cache_lookup(self, state_type: StateType, hit: bool) -> None:
         key = state_type.value
@@ -141,23 +133,23 @@ class MetricsFrame:
     def outcome_counts(self) -> dict[str, int]:
         counts = {OUTCOME_SERVED: 0, OUTCOME_REJECTED: 0, OUTCOME_TRUNCATED: 0}
         for r in self.records:
-            counts[r.outcome] += 1
+            counts[outcome_of(r)] += 1
         return counts
 
     def rejections_by_reason(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for r in self.records:
-            if r.outcome == OUTCOME_REJECTED:
+            if outcome_of(r) == OUTCOME_REJECTED:
                 out[r.reason or "unknown"] = out.get(r.reason or "unknown", 0) + 1
         return dict(sorted(out.items()))
 
-    def served_records(self) -> list[RequestRecord]:
-        return [r for r in self.records if r.outcome == OUTCOME_SERVED]
+    def served_records(self) -> list[ExecutionReceipt]:
+        return [r for r in self.records if r.verdict is not Verdict.REJECTED]
 
     def summary(self) -> dict:
         """Every aggregate of ``to_dict``, without the per-request records."""
         served = self.served_records()
-        latencies = [r.latency_us for r in served]
+        latencies = [r.finish_time - r.arrival_time for r in served]
         ttfts = [r.ttft_us for r in served]
         counts = self.outcome_counts()
         arrivals = len(self.records)
@@ -211,7 +203,7 @@ class MetricsFrame:
 
     def to_dict(self) -> dict:
         doc = self.summary()
-        doc["per_request"] = [r.to_dict() for r in self.records]
+        doc["per_request"] = [per_request_item(r) for r in self.records]
         return doc
 
     def to_json(self, fp: TextIO | None = None) -> str | None:
@@ -229,7 +221,7 @@ class MetricsFrame:
         fp.write(head + '"per_request": [')
         for i, record in enumerate(self.records):
             fp.write(",\n" if i else "\n")
-            fp.write(record.to_json_item())
+            fp.write(_json_item(record))
         fp.write("\n  ]" if self.records else "]")
         fp.write(tail + "\n")
         return None

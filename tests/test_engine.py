@@ -4,6 +4,7 @@ import pytest
 
 from capsim.caching import REJECT_SCOPE_VIOLATION
 from capsim.engine import Simulation
+from capsim.metrics import per_request_item
 from capsim.scenario import Scenario
 
 
@@ -92,7 +93,7 @@ def test_single_warm_request_closed_form_timing():
     result = run_scenario(d, trace=True)
     assert len(result.receipts) == 1
     receipt = result.receipts.receipts[0]
-    record = result.metrics.records[0]
+    assert result.metrics.records == [receipt]
 
     t_in = 500 + 1   # ceil(400 / 1000)
     t_out = 500 + 1  # ceil(40 / 1000)
@@ -103,9 +104,9 @@ def test_single_warm_request_closed_form_timing():
     assert receipt.t_exec_us == 1000 + prefill + decode_total
     assert receipt.t_state_us == 0
     # First token after inbound transfer, setup, full prefill, one decode step.
-    assert record.ttft_us == t_in + 1000 + prefill + 200
-    assert record.tpot_us == 200
-    assert record.latency_us == t_in + 1000 + prefill + decode_total + t_out
+    assert receipt.ttft_us == t_in + 1000 + prefill + 200
+    assert receipt.tpot_us == 200
+    assert per_request_item(receipt)["latency_us"] == t_in + 1000 + prefill + decode_total + t_out
 
 
 def test_zero_workload_produces_nothing():
@@ -231,13 +232,10 @@ def test_session_prefix_reuse_via_workload():
     }
     d["duration_us"] = 40_000_000
     result = run_scenario(d)
-    hits = [r for r in result.metrics.records if r.cache_hit]
+    hits = [r for r in result.metrics.records if per_request_item(r)["cache_hit"]]
     assert hits, "expected at least one prefix hit"
-    for record in hits:
-        assert record.tokens_covered == 64
-    by_id = {r.request_id: r for r in result.receipts.receipts}
-    for record in hits:
-        receipt = by_id[record.request_id]
+    for receipt in hits:
+        assert per_request_item(receipt)["tokens_covered"] == 64
         # 84 input tokens, 64 covered: only 20 uncovered prefill tokens plus
         # setup and decode are executed.
         assert receipt.t_exec_us == 1000 + 20 * 50 + 4 * 200
@@ -286,8 +284,7 @@ def test_split_plan_selected_for_disaggregated_variant():
     prefill_stage = 100 + 400 * 10
     kv_gap = 500 + 500 + 26  # 400 tokens * 64 B over the two-hop 1000 B/us path
     first_decode = 100 + 100  # setup + one decode token
-    record = result.metrics.records[0]
-    assert record.ttft_us == t_in + prefill_stage + kv_gap + first_decode
+    assert receipt.ttft_us == t_in + prefill_stage + kv_gap + first_decode
     kv_rows = [r for r in result.trace if r["kind"] == "transfer_complete" and r.get("transfer") == "kv"]
     assert len(kv_rows) == 1
 

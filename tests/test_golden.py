@@ -32,7 +32,7 @@ from capsim.caching import CacheDecision
 from capsim.cli import main
 from capsim.deployment import DemandCell
 from capsim.descriptors import ExecutionReceipt, RequestDescriptor
-from capsim.engine import Simulation
+from capsim.engine import InFlight, Simulation
 from capsim.routing import PlanCost, Rejection, ScoredPlan, Selection, StageProjection, StateUse
 from capsim.scenario import Scenario
 from capsim.workload import Arrival
@@ -313,6 +313,7 @@ PER_REQUEST_RECORDS = (
     Rejection,
     CacheDecision,
     DemandCell,
+    InFlight,
 )
 
 
