@@ -11,8 +11,8 @@ region, allowed domains, locality scope, placement tiers); the origin region
 is part of the key only for the scopes that read it. A table lists, in
 node-id then realization-id order, each (node, realization) pair the scope
 admits (the class's unrevoked realizations at or above the target that match
-the node's accelerator), its footprint and whether its node may take a cold
-placement. The catalog and the node profiles are fixed once the broker
+the node's accelerator, and whose variant's trust floor the node's claimed
+trust meets), its footprint and whether its node may take a cold placement. The catalog and the node profiles are fixed once the broker
 serves lookups, so a table changes only when a node registers or a
 realization is revoked (seen as a change of ``TrustManager.revocations``).
 Both clear every table and advance ``epoch``, so what others derived from the
@@ -353,9 +353,10 @@ class Broker:
         table = self._tables.get(key)
         if table is None:
             realizations = [
-                (r.accelerator, r.realization_id, self.footprint(r.realization_id))
+                (r.accelerator, r.realization_id, self.footprint(r.realization_id), variant.security.min_trust)
                 for r in self.catalog.realizations_of_class(capability_class)
-                if self.catalog.variant_of(r.realization_id).quality >= quality_target
+                for variant in (self.catalog.variant_of(r.realization_id),)
+                if variant.quality >= quality_target
                 and not (self.trust is not None and self.trust.is_revoked(r.realization_id))
             ]
             pairs, nodes = [], []
@@ -366,8 +367,9 @@ class Broker:
                 budget = profile.capacity.memory_budget_bytes
                 placeable = tiers is None or profile.locality.tier in tiers
                 own = []
-                for needs, rid, fp in realizations:
-                    if needs == profile.hardware.accelerator:
+                for needs, rid, fp, floor in realizations:
+                    # The variant's floor is on the node's claimed trust, as in placement.
+                    if needs == profile.hardware.accelerator and profile.trust >= floor:
                         p = len(pairs)
                         pairs.append((state, rid))
                         own.append((rid, fp, (p, True), (p, False) if placeable and fp <= budget else None))

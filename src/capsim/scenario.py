@@ -261,6 +261,7 @@ class Scenario:
         profiles = {p.node_id: p for p in self.nodes}
         placed: dict[str, int] = {}
         realization_by_id = {r.realization_id: r for r in self.realizations}
+        variant_by_id = {v.variant_id: v for v in self.variants}
         for i, (rid, node_id) in enumerate(self.initial_placement):
             prefix = f"initial_placement[{i}]"
             if rid not in realization_ids:
@@ -273,6 +274,10 @@ class Scenario:
             realization = realization_by_id[rid]
             if realization.accelerator != profile.hardware.accelerator:
                 errors.append(f"{prefix}: accelerator mismatch {realization.accelerator} on {node_id}")
+            variant = variant_by_id.get(realization.variant_id)
+            if variant is not None and profile.trust < variant.security.min_trust:
+                floor = variant.security.min_trust
+                errors.append(f"{prefix}: trust {profile.trust} of {node_id} is below the floor {floor} of {rid}")
             placed[node_id] = placed.get(node_id, 0) + realization.artifact_size_bytes
             if placed[node_id] > profile.capacity.memory_budget_bytes >= 0:  # a negative budget is the node's error
                 errors.append(f"{prefix}: memory budget exceeded on {node_id}")

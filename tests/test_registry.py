@@ -172,6 +172,8 @@ def brute_force_candidates(broker, capability_class, quality_target, policy, ori
                 continue
             if broker.trust.is_revoked(rid) or realization.accelerator != profile.hardware.accelerator:
                 continue
+            if profile.trust < variant.security.min_trust:
+                continue
             res = state.residency.get(rid)
             if res is not None:
                 if not res.pending_eviction and res.available_at_us <= now:
@@ -197,6 +199,22 @@ def test_single_warm_candidate_flagged():
     candidates = lookup(broker, "chat", 1, policy, "metro")
     warm = [(node_id, rid) for node_id, rid, is_warm in candidates if is_warm]
     assert warm == [("edge-1", "chat-v1-gpu")]
+
+
+def test_variant_trust_floor_excludes_nodes_below_it():
+    """A variant's ``min_trust`` is a hard floor on a hosting node's claimed
+    trust: a node below it is no candidate, warm or cold, whatever floor the
+    request sets."""
+    catalog = CapabilityCatalog()
+    catalog.add_class(make_class("chat"))
+    catalog.add_variant(make_variant("chat-v1", "chat", min_trust=2, preferred_trust=2))
+    catalog.add_realization(make_realization("chat-v1-gpu", "chat-v1", artifact_size=GIB))
+    profiles = [make_profile(n, trust=t, memory=4 * GIB) for n, t in (("edge-1", 2), ("edge-2", 1), ("edge-3", 1))]
+    broker = Broker(catalog, make_topology(profiles, star_links("metro", [p.node_id for p in profiles])))
+    for p in profiles:
+        broker.register_node(p)
+    broker.install("edge-2", "chat-v1-gpu", 0)
+    assert lookup(broker, "chat", 1, PolicyConstraint(), "metro") == [("edge-1", "chat-v1-gpu", False)]
 
 
 def test_unknown_class_raises():
@@ -396,7 +414,8 @@ def table_broker():
     catalog = CapabilityCatalog()
     catalog.add_class(make_class("chat"))
     catalog.add_variant(make_variant("chat-v1", "chat", quality=1))
-    catalog.add_variant(make_variant("chat-v2", "chat", quality=2))
+    # chat-v2's trust floor keeps it off the trust-1 nodes.
+    catalog.add_variant(make_variant("chat-v2", "chat", quality=2, min_trust=2, preferred_trust=2))
     catalog.add_realization(make_realization("chat-v1-gpu", "chat-v1", artifact_size=GIB))
     catalog.add_realization(make_realization("chat-v1-cpu", "chat-v1", accelerator="cpu", artifact_size=GIB))
     catalog.add_realization(make_realization("chat-v2-gpu", "chat-v2", artifact_size=2 * GIB))

@@ -56,6 +56,19 @@ def test_attestation_above_claimed_trust_reports_path(tmp_path, capsys):
     assert "trust_script.attestations[0].level" in capsys.readouterr().err
 
 
+def test_placement_below_a_variant_trust_floor_reports_path(tmp_path, capsys):
+    # Routing and placement never use a node below its variant's floor, so an
+    # initial placement there would serve requests on an untrusted node.
+    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
+    doc["catalog"]["classes"][0]["security"] = {"min_trust": 3, "preferred_trust": 3}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+    # chat-small-gpu on edge-1 and edge-2 (trust 2); cloud-1 has trust 3.
+    assert paths == ["initial_placement[0]", "initial_placement[1]"]
+
+
 def _set(path: str, value):
     """A mutation that sets the value at a dotted path ("[i]" indexes lists)."""
 
