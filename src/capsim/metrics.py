@@ -20,8 +20,10 @@ OUTCOME_SERVED = "served"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_TRUNCATED = "truncated"
 
-# A cache hit's state type, read once: each ``.value`` read goes through the
-# enum's descriptor.
+# Enum members and values read once: each read through the class goes
+# through the enum's descriptor.
+_REJECTED = Verdict.REJECTED
+_DEGRADED = Verdict.DEGRADED
 _TENSOR_STATE = StateType.TENSOR_STATE.value
 _TENSOR_STATE_JSON = encode_basestring_ascii(_TENSOR_STATE)
 
@@ -45,14 +47,14 @@ def ratio_str(numerator: int, denominator: int) -> str:
 def outcome_of(receipt: ExecutionReceipt) -> str:
     """``served``, ``rejected`` or ``truncated``: a rejected receipt cut off by
     the horizon is truncated."""
-    if receipt.verdict is not Verdict.REJECTED:
+    if receipt.verdict is not _REJECTED:
         return OUTCOME_SERVED
     return OUTCOME_TRUNCATED if receipt.reason == REASON_HORIZON_TRUNCATED else OUTCOME_REJECTED
 
 
 def per_request_item(receipt: ExecutionReceipt) -> dict:
     """The receipt's item of ``metrics.json``'s ``per_request`` list."""
-    served = receipt.verdict is not Verdict.REJECTED
+    served = receipt.verdict is not _REJECTED
     covered = receipt.cache_tokens_covered
     return {
         "request_id": receipt.request_id,
@@ -64,7 +66,7 @@ def per_request_item(receipt: ExecutionReceipt) -> dict:
         "tpot_us": receipt.tpot_us,
         "latency_us": receipt.finish_time - receipt.arrival_time if served else 0,
         "core_bytes": receipt.core_bytes,
-        "degraded": receipt.verdict is Verdict.DEGRADED,
+        "degraded": receipt.verdict is _DEGRADED,
         "cache_lookup": receipt.cache_lookup,
         "cache_hit": covered > 0,
         "cache_state_type": _TENSOR_STATE if covered > 0 else None,
@@ -81,7 +83,7 @@ def _json_item(receipt: ExecutionReceipt) -> str:
         for stage, occupancy in zip(receipt.plan, receipt.occupancy_us)
     )
     stages = f"[\n{stages}\n      ]" if stages else "[]"
-    served = receipt.verdict is not Verdict.REJECTED
+    served = receipt.verdict is not _REJECTED
     covered = receipt.cache_tokens_covered
     return (
         "    {\n"
@@ -90,7 +92,7 @@ def _json_item(receipt: ExecutionReceipt) -> str:
         f'      "cache_lookup": {_json_bool(receipt.cache_lookup)},\n'
         f'      "cache_state_type": {_TENSOR_STATE_JSON if covered > 0 else "null"},\n'
         f'      "core_bytes": {receipt.core_bytes},\n'
-        f'      "degraded": {_json_bool(receipt.verdict is Verdict.DEGRADED)},\n'
+        f'      "degraded": {_json_bool(receipt.verdict is _DEGRADED)},\n'
         f'      "finish_us": {receipt.finish_time},\n'
         f'      "latency_us": {receipt.finish_time - receipt.arrival_time if served else 0},\n'
         f'      "outcome": "{outcome_of(receipt)}",\n'
@@ -144,7 +146,7 @@ class MetricsFrame:
         return dict(sorted(out.items()))
 
     def served_records(self) -> list[ExecutionReceipt]:
-        return [r for r in self.records if r.verdict is not Verdict.REJECTED]
+        return [r for r in self.records if r.verdict is not _REJECTED]
 
     def summary(self) -> dict:
         """Every aggregate of ``to_dict``, without the per-request records."""
