@@ -56,19 +56,6 @@ def test_attestation_above_claimed_trust_reports_path(tmp_path, capsys):
     assert "trust_script.attestations[0].level" in capsys.readouterr().err
 
 
-def test_placement_below_a_variant_trust_floor_reports_path(tmp_path, capsys):
-    # Routing and placement never use a node below its variant's floor, so an
-    # initial placement there would serve requests on an untrusted node.
-    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
-    doc["catalog"]["classes"][0]["security"] = {"min_trust": 3, "preferred_trust": 3}
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["validate", str(bad)]) == 1
-    paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
-    # chat-small-gpu on edge-1 and edge-2 (trust 2); cloud-1 has trust 3.
-    assert paths == ["initial_placement[0]", "initial_placement[1]"]
-
-
 def _set(path: str, value):
     """A mutation that sets the value at a dotted path ("[i]" indexes lists)."""
 
@@ -146,6 +133,12 @@ def _add_request(request_id: str, session_id: str):
         # The last of two entries used to win, and the nodes' trust was blamed.
         ("session_heavy", lambda doc: doc["topology"]["domains"].append({"domain_id": "d-metro", "min_trust": 3}),
          "topology.domains[2].domain_id"),
+        # Routing never uses a node below its variant's floor; edge-1 has trust 2
+        # (edge-2's placement is dropped, so only one entry is at fault).
+        ("session_heavy", lambda doc: (
+            doc["catalog"]["classes"][0].update(security={"min_trust": 3, "preferred_trust": 3}),
+            doc["initial_placement"].pop(1),
+        ), "initial_placement[0]"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "variant_quality",
@@ -154,7 +147,7 @@ def _add_request(request_id: str, session_id: str):
         "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost", "negative_cache_window_us",
         "negative_cache_storage_unit_cost", "negative_deployment_window_us", "node_max_concurrent",
         "node_speed_factor", "node_memory_budget_bytes", "node_admission_cap", "domain_min_trust_range",
-        "duplicate_domain",
+        "duplicate_domain", "placement_below_variant_floor",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
