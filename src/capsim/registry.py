@@ -12,11 +12,12 @@ is part of the key only for the scopes that read it. A table lists, in
 node-id then realization-id order, each (node, realization) pair the scope
 admits (the class's unrevoked realizations at or above the target that match
 the node's accelerator, and whose variant's trust floor the node's claimed
-trust meets), its footprint and whether its node may take a cold placement. The catalog and the node profiles are fixed once the broker
-serves lookups, so a table changes only when a node registers or a
-realization is revoked (seen as a change of ``TrustManager.revocations``).
-Both clear every table and advance ``epoch``, so what others derived from the
-tables can be dropped too.
+trust meets), its footprint and whether its node may take a cold placement.
+The catalog and the node profiles are fixed once the broker serves lookups,
+so a table changes only when a node registers or a realization is revoked
+(seen as a change of ``TrustManager.revocations``). Both clear every table
+and advance ``epoch``, so what others derived from the tables can be dropped
+too.
 
 ``lookup_candidates`` walks a table and reads afresh what changes between
 lookups: liveness, effective trust (only when the policy's floor is above 0),
