@@ -42,9 +42,12 @@ cold activation, the engine's loads and placement's transfer cost.
 ``select`` is one best-first search over these bounds: a heap holds each
 plan at its current bound, and each pop takes one step on the plan with the
 least (build its prefill half, resolve that half's state, for a split build
-its decode half, price it exactly) and pushes it back at its tighter bound. The first
-exact plan popped has the least J of all; if it is within budget it is J*,
-otherwise no plan is. After J*, only plans whose bound is inside its tie
+its decode half, price it exactly) and pushes it back at its tighter bound.
+The split plans wait behind one sentinel entry, at the least prefill-side
+plus the least decode-side static bound, which no split plan's bound is
+below; only a select whose sentinel pops sorts the decode partners and pushes
+its splits. The first exact plan popped has the least J of all; if it is
+within budget it is J*, otherwise no plan is. After J*, only plans whose bound is inside its tie
 window and the budget, and whose plan id is below the least one priced there,
 can change the plan-id tie-break, so every other plan is left unpriced and
 the outcome is the one full enumeration gives.
@@ -282,9 +285,11 @@ class Router:
         # The rows of each (candidate table, origin region) as of the broker's ``epoch``.
         self._specialised: dict[tuple[CandidateTable, str], tuple[_Row | None, ...]] = {}
         self._epoch = broker.epoch
-        # Work counters: halves built, and session states resolved for a prefill.
+        # Work counters: halves built, session states resolved for a prefill,
+        # and selects that entered their split plans.
         self.halves_priced = 0
         self.states_resolved = 0
+        self.split_entries = 0
 
     def plan(self, stages: tuple[PlanStage, ...]) -> ExecutionPlan:
         """The plan of ``stages``, hashed once per router."""
@@ -630,10 +635,15 @@ class Router:
         for a split build the decode half, price it exactly) and is pushed
         back at the bound that step gives. Halves are shared, so an entry's
         bound can be stale (``bound_of``): such an entry is pushed back at its
-        current bound with no work done. Splits enter lazily: each prefill
-        side holds one entry for its next partner, pushed when the one before
-        is first popped, and a partner's static bound is no less than the one
-        before it, so the heap's least bound bounds every plan not yet exact.
+        current bound with no work done. Splits enter lazily. Until any can
+        pop, one sentinel (i = -1) stands for them all, at the least
+        prefill-side plus the least decode-side static bound; it sorts after
+        every other entry at that bound but before the splits. When it pops,
+        each prefill side gets one entry for its first partner, and then one
+        for its next partner when the one before is first popped; a partner's
+        static bound is no less than the one before it. So the heap's least
+        bound bounds every plan not yet exact, and every other entry pops in
+        the order it would if every split were entered from the start.
 
         The first exact plan popped thus has the least J. Over ``limit``,
         every plan is, and the search stops. Otherwise it is J*, and ``top``,
@@ -670,14 +680,12 @@ class Router:
         heap: list[tuple[int, int, int, str, int, _Priced | None]] = [
             (b[6] + b[8], 0, -1, b[0].single.plan_id, i, None) for i, b in enumerate(bounds)
         ]
-        decoders: list[list[int]] = []  # per prefill side, its variant's candidates by static decode bound
-        if self.enable_split:
-            partners: dict[str, list[int]] = {}
-            for _, j in sorted((b[7], j) for j, b in enumerate(bounds)):
-                partners.setdefault(bounds[j][0].realization.variant_id, []).append(j)
-            decoders = [partners[b[0].realization.variant_id] for b in bounds]
-            heap += [(b[6] + bounds[d[0]][7], 0, 0, "", i, None) for i, (b, d) in enumerate(zip(bounds, decoders))]
+        if self.enable_split and bounds:
+            # The sentinel (i = -1) stands for every split until it pops: after
+            # every entry at its bound but the splits, whose bounds are no less.
+            heap.append((min(b[6] for b in bounds) + min(b[7] for b in bounds), 0, 0, "", -1, None))
         heapify(heap)
+        decoders: list[list[int]] = []  # per prefill side, its variant's candidates by static decode bound
         entered = [0] * len(bounds)  # each prefill side's last partner entered
         plans: list[_Priced] = []
         top = best_id = None  # set once J* is popped; never while auditing
@@ -687,6 +695,15 @@ class Router:
             back = None
             if top is not None and bound > top:
                 break
+            if i < 0:  # the sentinel: enter each prefill side's first split
+                self.split_entries += 1
+                partners: dict[str, list[int]] = {}
+                for _, j in sorted((b[7], j) for j, b in enumerate(bounds)):
+                    partners.setdefault(bounds[j][0].realization.variant_id, []).append(j)
+                decoders = [partners[b[0].realization.variant_id] for b in bounds]
+                for p, (b, d) in enumerate(zip(bounds, decoders)):
+                    heappush(heap, (b[6] + bounds[d[0]][7], 0, 0, "", p, None))
+                continue
             j = -1 if k < 0 else decoders[i][k]
             if 0 <= k == entered[i] and k + 1 < len(decoders[i]):
                 entered[i] = k + 1

@@ -942,6 +942,16 @@ def test_work_counters_pin_the_pruning_on_shipped_scenarios(name, halves, states
     assert (sim.router.halves_priced, sim.router.states_resolved) == (halves, states)
 
 
+# Selects whose split sentinel popped: a split plan is entered only when the
+# least bound left could be one. fanout17's 17 candidates give 272 splits per
+# select, and none is ever entered.
+@pytest.mark.parametrize("name, entered", [("fanout17", 0), ("session_heavy", 0), ("audit", 44)])
+def test_split_entries_pin_the_selects_that_enter_splits(name, entered):
+    sim = Simulation(scenario_named(name))
+    sim.run()
+    assert sim.router.split_entries == entered
+
+
 def test_rows_are_built_once_per_table_and_origin(monkeypatch):
     """Over a sessions run, each (candidate table, origin) pair a select
     meets builds its static rows once."""
