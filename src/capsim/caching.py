@@ -7,8 +7,10 @@ session id), and migrating it moves its own ``size`` bytes. Scenario
 validation rejects an affinity token that names another session, so a
 lookup always finds the requester's own entry. Admission values an entry at
 ``p_hit * gain - storage``; eviction drops the lowest benefit-density
-residents first. Entries a selected plan depends on are pinned until the
-request completes so scored coverage cannot be evicted mid-flight.
+residents first. Both are kept as integer numerators over positive
+denominators, so admitting an entry builds no ``Fraction``. Entries a
+selected plan depends on are pinned until the request completes so scored
+coverage cannot be evicted mid-flight.
 
 ``CacheSystem`` keeps a session index: per session id, the ids of the nodes
 whose store admitted one of the session's entries, in node-id order. Admission
@@ -27,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 ADMITTED = "Admitted"
 REJECT_NEGATIVE_BENEFIT = "NegativeBenefit"
@@ -59,29 +62,39 @@ class CacheEntry:
     window: deque = field(default_factory=deque)  # lookup timestamps
     pins: int = 0
 
-    def benefit(self, p_hit: Fraction) -> Fraction:
-        """Value of holding the entry: p_hit * gain - storage."""
-        return p_hit * self.latency_gain_us - self.storage_cost_us
 
-
-def estimate_p_hit(entry: CacheEntry, now: int, window_us: int) -> Fraction:
-    """Laplace-smoothed reuse probability: every lookup in the window is a hit."""
+def p_hit_of(entry: CacheEntry, now: int, window_us: int) -> tuple[int, int]:
+    """Laplace-smoothed reuse probability, every lookup in the window a hit,
+    as (numerator, denominator): consecutive ints, so in lowest terms."""
     cutoff = now - window_us
     while entry.window and entry.window[0] < cutoff:
         entry.window.popleft()
     lookups = len(entry.window)
-    return Fraction(lookups + 1, lookups + 2)
+    return lookups + 1, lookups + 2
 
 
 @dataclass(slots=True)
 class CacheDecision:
     outcome: str
-    benefit: Fraction | None = None  # None when the value was never priced
+    # The entry's benefit as (numerator, denominator > 0); None when never priced.
+    value: tuple[int, int] | None = None
     evicted: tuple[str, ...] = ()
 
     @property
     def admitted(self) -> bool:
         return self.outcome == ADMITTED
+
+    @property
+    def benefit(self) -> Fraction | None:
+        return None if self.value is None else Fraction(*self.value)
+
+    def benefit_text(self) -> str:
+        """``str(self.benefit)``, or ``-inf`` when never priced, without a ``Fraction``."""
+        if self.value is None:
+            return "-inf"
+        num, den = self.value
+        g = gcd(num, den)
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 class StateStore:
@@ -115,37 +128,50 @@ class StateStore:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes()
 
-    def benefit_density(self, entry: CacheEntry, now: int) -> Fraction:
-        value = entry.benefit(estimate_p_hit(entry, now, self.window_us))
-        return value / entry.size if entry.size > 0 else value
-
     def admit(
         self,
         entry: CacheEntry,
-        p_hit: Fraction,
+        p_hit: tuple[int, int] | Fraction,
         now: int,
         node_trust: int = 0,
         requester_min_trust: int = 0,
     ) -> CacheDecision:
+        """Admit ``entry`` at reuse probability ``p_hit``, (numerator,
+        denominator > 0) or a ``Fraction``, if its benefit is positive and
+        space is free or can be freed from residents of lower density.
+
+        Benefits and densities are kept as integer numerators over positive
+        denominators; densities are ranked over their least common
+        denominator, so the order is the exact rational one."""
         key = self.entry_key(entry.compatibility_hash, entry.session_id)
         if key in self.entries:
             return CacheDecision(REJECT_ALREADY_RESIDENT)
         if node_trust < requester_min_trust:
             return CacheDecision(REJECT_SCOPE_VIOLATION)
-        value = entry.benefit(p_hit)
+        num, den = p_hit if type(p_hit) is tuple else (p_hit.numerator, p_hit.denominator)
+        value = num * entry.latency_gain_us - entry.storage_cost_us * den
         if value <= 0:
-            return CacheDecision(REJECT_NEGATIVE_BENEFIT, benefit=value)
+            return CacheDecision(REJECT_NEGATIVE_BENEFIT, (value, den))
         if entry.size > self.capacity_bytes:
-            return CacheDecision(REJECT_INSUFFICIENT_SPACE, benefit=value)
+            return CacheDecision(REJECT_INSUFFICIENT_SPACE, (value, den))
 
         evicted: list[CacheEntry] = []
-        if self.free_bytes() < entry.size:
-            density = (value / entry.size) if entry.size > 0 else value
+        free = self.free_bytes()
+        if free < entry.size:
+            # A density is the benefit per byte (an empty entry's is its
+            # benefit), as numerator and denominator: (num, den, resident).
+            residents = []
+            for e in self.entries.values():
+                e_num, e_den = p_hit_of(e, now, self.window_us)
+                residents.append((e_num * e.latency_gain_us - e.storage_cost_us * e_den, e_den * e.size or e_den, e))
+            own_den = den * entry.size  # > 0, as the newcomer needs room
+            common = lcm(own_den, *(d for _, d, _ in residents))
+            density = value * (common // own_den)
             ranked = sorted(
-                ((self.benefit_density(e, now), e) for e in self.entries.values()),
+                ((n * (common // d), e) for n, d, e in residents),
                 key=lambda pair: (pair[0], pair[1].state_id),
             )
-            freed = self.free_bytes()
+            freed = free
             for victim_density, victim in ranked:
                 if victim.pins > 0:
                     continue
@@ -156,7 +182,7 @@ class StateStore:
                 if freed >= entry.size:
                     break
             if freed < entry.size:
-                return CacheDecision(REJECT_INSUFFICIENT_SPACE, benefit=value)
+                return CacheDecision(REJECT_INSUFFICIENT_SPACE, (value, den))
             for victim in evicted:
                 del self.entries[self.entry_key(victim.compatibility_hash, victim.session_id)]
         self.entries[key] = entry
@@ -164,7 +190,7 @@ class StateStore:
             nodes = self._sessions.setdefault(entry.session_id, [])
             if self.node_id not in nodes:
                 insort(nodes, self.node_id)
-        return CacheDecision(ADMITTED, benefit=value, evicted=tuple(e.state_id for e in evicted))
+        return CacheDecision(ADMITTED, (value, den), tuple(e.state_id for e in evicted))
 
     def lookup(self, compat_hash: str, session_id: str, now: int) -> CacheEntry | None:
         """The session's entry, its lookup recorded in the reuse window."""

@@ -18,11 +18,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Protocol
 
 from . import deployment
-from .caching import CacheEntry, CacheSystem, estimate_p_hit
+from .caching import CacheEntry, CacheSystem, p_hit_of
 from .descriptors import (
     REASON_HORIZON_TRUNCATED,
     ExecutionReceipt,
@@ -40,7 +39,7 @@ from .workload import Arrival, generate_arrivals
 
 
 # The reuse probability a newly offered session state is admitted with.
-_NEW_ENTRY_P_HIT = Fraction(1, 2)
+_NEW_ENTRY_P_HIT = (1, 2)
 
 
 class TraceSink(Protocol):
@@ -106,9 +105,13 @@ class Simulation:
             self.catalog.add_realization(real)
 
         self.trust = TrustManager()
+        # Per realization, its receipts' (realization, lineage digest); no event changes a lineage.
+        self._versions: dict[str, tuple[str, str]] = {}
         for real in scenario.realizations:
-            parent = self.catalog.variant_of(real.realization_id).parent_class
-            self.trust.register_lineage(real.realization_id, self.catalog.classes[parent].lineage)
+            rid = real.realization_id
+            parent = self.catalog.variant_of(rid).parent_class
+            self.trust.register_lineage(rid, self.catalog.classes[parent].lineage)
+            self._versions[rid] = (rid, self.trust.lineage_for(rid).chain_digests[-1])
 
         self.broker = Broker(self.catalog, self.topology, trust=self.trust)
         attested = {a.node_id for a in scenario.attestations}
@@ -121,7 +124,9 @@ class Simulation:
 
         cache = scenario.cache
         self.caches = CacheSystem(window_us=cache.window_us, enabled=cache.enabled)
-        self.cache_storage_unit_cost = cache.storage_unit_cost
+        # Cache storage cost per byte as ints: an entry of n bytes costs n * num // den.
+        unit_cost = cache.storage_unit_cost
+        self._storage_num, self._storage_den = unit_cost.numerator, unit_cost.denominator
         for profile in scenario.nodes:
             self.caches.add_store(profile.node_id, profile.capacity.cache_capacity_bytes)
 
@@ -367,23 +372,24 @@ class Simulation:
         entry = flight.scored.state_use.entry
         decision = self.caches.store(dst_node).admit(
             replace(entry, window=deque(), pins=0),
-            estimate_p_hit(entry, now, self.caches.window_us),
+            p_hit_of(entry, now, self.caches.window_us),
             now,
             node_trust=self.trust.effective_trust(dst_node, now),
             requester_min_trust=flight.arrival.request.policy.min_trust,
         )
-        self._trace(
-            now,
-            "cache_migrate",
-            state_id=entry.state_id,
-            node_id=dst_node,
-            src_node=src_node,
-            outcome=decision.outcome,
-            benefit=str(decision.benefit) if decision.benefit is not None else "-inf",
-            bytes=entry.size,
-        )
-        for victim in decision.evicted:
-            self._trace(now, "cache_evict", state_id=victim, node_id=dst_node, reason="displaced")
+        if self.trace_enabled:
+            self._trace(
+                now,
+                "cache_migrate",
+                state_id=entry.state_id,
+                node_id=dst_node,
+                src_node=src_node,
+                outcome=decision.outcome,
+                benefit=decision.benefit_text(),
+                bytes=entry.size,
+            )
+            for victim in decision.evicted:
+                self._trace(now, "cache_evict", state_id=victim, node_id=dst_node, reason="displaced")
 
     def _on_replan(self, now: int, payload: dict) -> None:
         dep = self.scenario.deployment
@@ -523,14 +529,7 @@ class Simulation:
 
         ttft, tpot = compute_ttft_tpot(scored, request)
         attest_time = scored.stages[0].start_us
-        versions = tuple(
-            sorted(
-                {
-                    (proj.realization_id, self.trust.lineage_for(proj.realization_id).chain_digests[-1])
-                    for proj in scored.stages
-                }
-            )
-        )
+        versions = tuple(sorted({self._versions[proj.realization_id] for proj in scored.stages}))
         attestations = tuple(
             sorted({(proj.node_id, self.trust.effective_trust(proj.node_id, attest_time)) for proj in scored.stages})
         )
@@ -561,11 +560,6 @@ class Simulation:
                 occupancy_us=tuple(proj.duration_us for proj in scored.stages),
             )
         )
-        self.metrics.core_bytes_requests += scored.core_bytes
-        for proj in scored.stages:
-            self.metrics.node_busy_us[proj.node_id] = (
-                self.metrics.node_busy_us.get(proj.node_id, 0) + proj.duration_us
-            )
         self._offer_session_state(now, flight)
         self._end_turn(now, arrival)
 
@@ -592,7 +586,7 @@ class Simulation:
             size=size,
             session_id=arrival.session_id,
             latency_gain_us=gain,
-            storage_cost_us=int(self.cache_storage_unit_cost * size),
+            storage_cost_us=size * self._storage_num // self._storage_den,
             token_count=arrival.prefix_tokens,
             source_realization=prefill_rid,
         )
@@ -603,17 +597,18 @@ class Simulation:
             node_trust=self.trust.effective_trust(serving_node, now),
             requester_min_trust=request.policy.min_trust,
         )
-        self._trace(
-            now,
-            "cache_admit" if decision.admitted else "cache_reject",
-            state_id=entry.state_id,
-            node_id=serving_node,
-            outcome=decision.outcome,
-            benefit=str(decision.benefit) if decision.benefit is not None else "-inf",
-            bytes=size,
-        )
-        for victim in decision.evicted:
-            self._trace(now, "cache_evict", state_id=victim, node_id=serving_node, reason="displaced")
+        if self.trace_enabled:
+            self._trace(
+                now,
+                "cache_admit" if decision.admitted else "cache_reject",
+                state_id=entry.state_id,
+                node_id=serving_node,
+                outcome=decision.outcome,
+                benefit=decision.benefit_text(),
+                bytes=size,
+            )
+            for victim in decision.evicted:
+                self._trace(now, "cache_evict", state_id=victim, node_id=serving_node, reason="displaced")
 
     def _end_turn(self, now: int, arrival: Arrival) -> None:
         sid = arrival.session_id

@@ -115,11 +115,9 @@ class MetricsFrame:
     duration_us: int
     records: list[ExecutionReceipt] = field(default_factory=list)  # the run's ReceiptLog list
     node_capacity: dict[str, int] = field(default_factory=dict)   # node -> max_concurrent
-    node_busy_us: dict[str, int] = field(default_factory=dict)
     max_queue_length: dict[str, int] = field(default_factory=dict)
     cache_lookups: dict[str, int] = field(default_factory=dict)   # per state type
     cache_hits: dict[str, int] = field(default_factory=dict)
-    core_bytes_requests: int = 0
     core_bytes_placement: int = 0
     placement_churn: int = 0
     model_load_overhead_us: int = 0
@@ -164,10 +162,15 @@ class MetricsFrame:
             }
             for st in StateType
         }
+        busy_us: dict[str, int] = {}
+        for r in served:
+            for stage, occupancy in zip(r.plan, r.occupancy_us):
+                busy_us[stage.node_id] = busy_us.get(stage.node_id, 0) + occupancy
         utilization = {
-            node: ratio_str(self.node_busy_us.get(node, 0), self.duration_us * cap)
+            node: ratio_str(busy_us.get(node, 0), self.duration_us * cap)
             for node, cap in sorted(self.node_capacity.items())
         }
+        core_bytes_requests = sum(r.core_bytes for r in served)
         return {
             "duration_us": self.duration_us,
             "arrivals": arrivals,
@@ -195,9 +198,9 @@ class MetricsFrame:
             "node_utilization": utilization,
             "max_queue_length": dict(sorted(self.max_queue_length.items())),
             "core_bytes": {
-                "requests": self.core_bytes_requests,
+                "requests": core_bytes_requests,
                 "placement": self.core_bytes_placement,
-                "total": self.core_bytes_requests + self.core_bytes_placement,
+                "total": core_bytes_requests + self.core_bytes_placement,
             },
             "placement_churn": self.placement_churn,
             "model_load_overhead_us": self.model_load_overhead_us,

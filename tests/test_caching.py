@@ -1,12 +1,14 @@
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capsim.caching import (
+    ADMITTED,
     REJECT_ALREADY_RESIDENT,
     REJECT_INSUFFICIENT_SPACE,
     REJECT_NEGATIVE_BENEFIT,
@@ -14,9 +16,11 @@ from capsim.caching import (
     CacheEntry,
     CacheSystem,
     StateStore,
-    estimate_p_hit,
+    p_hit_of,
     state_hash,
 )
+from capsim.engine import Simulation
+from capsim.scenario import Scenario
 
 HALF = Fraction(1, 2)
 
@@ -46,11 +50,12 @@ def test_hash_sensitive_to_prefix():
 
 
 def test_benefit_arithmetic():
-    assert make_entry(gain=100_000, storage=15_000).benefit(HALF) == 35_000
+    assert StateStore("n1", 10_000).admit(make_entry(gain=100_000, storage=15_000), HALF, now=0).benefit == 35_000
 
 
 def test_zero_hit_probability_never_positive():
-    assert make_entry(gain=10**9, storage=1).benefit(Fraction(0)) <= 0
+    decision = StateStore("n1", 10_000).admit(make_entry(gain=10**9, storage=1), (0, 1), now=0)
+    assert decision.outcome == REJECT_NEGATIVE_BENEFIT and decision.benefit <= 0
 
 
 # -- reuse probability -------------------------------------------------------------
@@ -61,7 +66,7 @@ def test_fresh_entry_prior_is_half():
     decision = store.admit(make_entry(), HALF, now=0)
     assert decision.admitted
     entry = store.peek("h1", "sess-1")
-    assert estimate_p_hit(entry, now=0, window_us=1000) == HALF
+    assert p_hit_of(entry, now=0, window_us=1000) == (1, 2)
 
 
 def test_p_hit_counts_window_hits():
@@ -69,7 +74,7 @@ def test_p_hit_counts_window_hits():
     store.admit(make_entry(), HALF, now=0)
     for i in range(18):
         store.lookup("h1", "sess-1", now=i)
-    assert estimate_p_hit(store.peek("h1", "sess-1"), now=18, window_us=10_000) == Fraction(19, 20)
+    assert p_hit_of(store.peek("h1", "sess-1"), now=18, window_us=10_000) == (19, 20)
 
 
 def test_window_prunes_old_lookups():
@@ -78,7 +83,7 @@ def test_window_prunes_old_lookups():
     store.lookup("h1", "sess-1", now=0)
     store.lookup("h1", "sess-1", now=500)
     entry = store.peek("h1", "sess-1")
-    assert estimate_p_hit(entry, now=550, window_us=100) == Fraction(2, 3)
+    assert p_hit_of(entry, now=550, window_us=100) == (2, 3)
     assert list(entry.window) == [500]
 
 
@@ -283,3 +288,141 @@ def test_session_index_holders_match_a_peek_of_every_store(ops):
             for h in ("h1", "h2"):
                 want = [(n, system.store(n).peek(h, s)) for n in sorted(CACHE_NODES)]
                 assert system.holders(h, s) == [(n, e) for n, e in want if e is not None]
+
+
+# -- integer admission ----------------------------------------------------------------
+
+
+def reference_admit(store: StateStore, entry: CacheEntry, p_hit: Fraction, now: int):
+    """Admission priced in ``Fraction``s: (outcome, benefit, evicted state ids)
+    for an entry new to ``store``, which it changes as admission does."""
+    value = p_hit * entry.latency_gain_us - entry.storage_cost_us
+    if value <= 0:
+        return REJECT_NEGATIVE_BENEFIT, value, ()
+    if entry.size > store.capacity_bytes:
+        return REJECT_INSUFFICIENT_SPACE, value, ()
+
+    def density(e: CacheEntry, p: Fraction) -> Fraction:
+        v = p * e.latency_gain_us - e.storage_cost_us
+        return v / e.size if e.size > 0 else v
+
+    evicted = []
+    if store.free_bytes() < entry.size:
+        ranked = []
+        for e in store.entries.values():
+            lookups = sum(t >= now - store.window_us for t in e.window)
+            ranked.append((density(e, Fraction(lookups + 1, lookups + 2)), e))
+        ranked.sort(key=lambda pair: (pair[0], pair[1].state_id))
+        freed = store.free_bytes()
+        for victim_density, victim in ranked:
+            if victim.pins > 0:
+                continue
+            if victim_density >= density(entry, p_hit):
+                break
+            evicted.append(victim)
+            freed += victim.size
+            if freed >= entry.size:
+                break
+        if freed < entry.size:
+            return REJECT_INSUFFICIENT_SPACE, value, ()
+        for victim in evicted:
+            del store.entries[store.entry_key(victim.compatibility_hash, victim.session_id)]
+    store.entries[store.entry_key(entry.compatibility_hash, entry.session_id)] = entry
+    return ADMITTED, value, tuple(e.state_id for e in evicted)
+
+
+# Few distinct sizes and gains, so equal densities are common.
+sizes = st.sampled_from([0, 1, 1_000]) | st.integers(0, 2_000)
+gains = st.sampled_from([0, 100]) | st.integers(0, 10**6)
+residents = st.lists(
+    st.tuples(
+        sizes,
+        gains,
+        st.integers(0, 10**5),  # storage cost
+        st.lists(st.integers(0, 100), max_size=4).map(sorted),  # lookup times
+        st.booleans(),  # pinned
+    ),
+    max_size=6,
+)
+p_hits = st.integers(1, 20).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    residents,
+    st.tuples(sizes, gains, st.integers(0, 10**5)),
+    p_hits,
+    st.booleans(),
+    st.integers(0, 5_000),
+    st.integers(0, 150),
+)
+# A newcomer as dense as the only resident displaces nothing.
+@example([(1_000, 100, 0, [], False)], (1_000, 100, 0), (1, 2), True, 1_000, 0)
+# An empty resident's density is its whole benefit: -10, between the two others'.
+@example(
+    [(0, 0, 10, [], False), (1, 0, 15, [], False), (999, 10**6, 0, [], False)], (1, 100, 0), (1, 2), False, 1_000, 0
+)
+def test_integer_admission_matches_the_fraction_formula(held, newcomer, p_hit, as_fraction, capacity, now):
+    """Outcome, benefit and victim order of ``admit`` equal admission priced
+    in ``Fraction``s, whichever form p_hit is passed in, and the traced
+    ``benefit=`` text is ``str`` of the ``Fraction``."""
+    store = StateStore("n1", capacity, window_us=50)
+    for i, (size, gain, storage, times, pinned) in enumerate(held):
+        if store.used_bytes() + size <= capacity:
+            entry = make_entry(f"r{i}", size=size, compat=f"h{i}", gain=gain, storage=storage)
+            entry.window.extend(times)
+            entry.pins = int(pinned)
+            store.entries[store.entry_key(entry.compatibility_hash, entry.session_id)] = entry
+    reference = deepcopy(store)
+    size, gain, storage = newcomer
+    num, den = p_hit
+    outcome, benefit, evicted = reference_admit(
+        reference, make_entry("new", size=size, compat="h-new", gain=gain, storage=storage), Fraction(num, den), now
+    )
+    entry = make_entry("new", size=size, compat="h-new", gain=gain, storage=storage)
+    decision = store.admit(entry, Fraction(num, den) if as_fraction else (num, den), now)
+    assert (decision.outcome, decision.benefit, decision.evicted) == (outcome, benefit, evicted)
+    assert decision.benefit_text() == str(benefit)
+    assert sorted(store.entries) == sorted(reference.entries)
+
+
+def test_unpriced_decision_traces_minus_infinity():
+    decision = StateStore("n1", 10_000).admit(make_entry(), HALF, now=0, node_trust=0, requester_min_trust=1)
+    assert decision.benefit is None and decision.benefit_text() == "-inf"
+
+
+def test_untraced_run_builds_no_fraction_to_admit_or_finish_a_request(monkeypatch):
+    """An untraced run that admits, displaces and migrates session state
+    builds no ``Fraction`` while it finishes a served request or admits state."""
+    from test_golden import eviction_heavy_scenario
+
+    sim = Simulation(Scenario.from_dict(eviction_heavy_scenario()))
+    depth, built, calls = [0], [], Counter()
+
+    def watched(cls, name):
+        method = getattr(cls, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            depth[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cls, name, run)
+
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        if depth[0]:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    watched(Simulation, "_finish_served")
+    watched(Simulation, "_apply_migration")
+    watched(StateStore, "admit")
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    sim.run()
+    assert min(calls["_finish_served"], calls["_apply_migration"], calls["admit"]) > 0
+    assert built == []
