@@ -145,6 +145,12 @@ def generate_region_arrivals(
                 "total": _geometric_turns(rng, spec.session_turns_g),
                 "remaining": 0,  # set below
                 "turn": 0,
+                # Hashed once per session: every turn shares the prefix.
+                "affinity": (
+                    f"{session_id}:{session_prefix_digest(session_id, spec.session_prefix_tokens)}"
+                    if spec.session_prefix_tokens > 0
+                    else None
+                ),
             }
             open_session["remaining"] = open_session["total"]
 
@@ -154,16 +160,13 @@ def generate_region_arrivals(
         fresh = spec.input_tokens.sample(rng)
         out_tokens = spec.output_tokens.sample(rng)
         session_id = open_session["session_id"]
-        affinity = None
-        if spec.session_prefix_tokens > 0:
-            affinity = f"{session_id}:{session_prefix_digest(session_id, spec.session_prefix_tokens)}"
         n += 1
         request = RequestDescriptor(
             request_id=f"{spec.region}-{n:06d}",
             capability_class=open_session["capability_class"],
             quality_target=template.quality_target,
             policy=template.policy,
-            affinity_token=affinity,
+            affinity_token=open_session["affinity"],
             budget=template.budget,
             origin_region=spec.region,
             input_tokens=spec.session_prefix_tokens + fresh,
