@@ -131,14 +131,14 @@ class StateStore:
     def admit(
         self,
         entry: CacheEntry,
-        p_hit: tuple[int, int] | Fraction,
+        p_hit: tuple[int, int],
         now: int,
         node_trust: int = 0,
         requester_min_trust: int = 0,
     ) -> CacheDecision:
         """Admit ``entry`` at reuse probability ``p_hit``, (numerator,
-        denominator > 0) or a ``Fraction``, if its benefit is positive and
-        space is free or can be freed from residents of lower density.
+        denominator > 0), if its benefit is positive and space is free or can
+        be freed from residents of lower density.
 
         Benefits and densities are kept as integer numerators over positive
         denominators; densities are ranked over their least common
@@ -148,7 +148,7 @@ class StateStore:
             return CacheDecision(REJECT_ALREADY_RESIDENT)
         if node_trust < requester_min_trust:
             return CacheDecision(REJECT_SCOPE_VIOLATION)
-        num, den = p_hit if type(p_hit) is tuple else (p_hit.numerator, p_hit.denominator)
+        num, den = p_hit
         value = num * entry.latency_gain_us - entry.storage_cost_us * den
         if value <= 0:
             return CacheDecision(REJECT_NEGATIVE_BENEFIT, (value, den))

@@ -22,7 +22,7 @@ from capsim.caching import (
 from capsim.engine import Simulation
 from capsim.scenario import Scenario
 
-HALF = Fraction(1, 2)
+HALF = (1, 2)  # p_hit as (numerator, denominator)
 
 
 def make_entry(state_id="s1", size=1000, compat="h1", session="sess-1", gain=1000, storage=0, tokens=0):
@@ -352,20 +352,19 @@ p_hits = st.integers(1, 20).flatmap(lambda den: st.tuples(st.integers(0, den), s
     residents,
     st.tuples(sizes, gains, st.integers(0, 10**5)),
     p_hits,
-    st.booleans(),
     st.integers(0, 5_000),
     st.integers(0, 150),
 )
 # A newcomer as dense as the only resident displaces nothing.
-@example([(1_000, 100, 0, [], False)], (1_000, 100, 0), (1, 2), True, 1_000, 0)
+@example([(1_000, 100, 0, [], False)], (1_000, 100, 0), (1, 2), 1_000, 0)
 # An empty resident's density is its whole benefit: -10, between the two others'.
 @example(
-    [(0, 0, 10, [], False), (1, 0, 15, [], False), (999, 10**6, 0, [], False)], (1, 100, 0), (1, 2), False, 1_000, 0
+    [(0, 0, 10, [], False), (1, 0, 15, [], False), (999, 10**6, 0, [], False)], (1, 100, 0), (1, 2), 1_000, 0
 )
-def test_integer_admission_matches_the_fraction_formula(held, newcomer, p_hit, as_fraction, capacity, now):
+def test_integer_admission_matches_the_fraction_formula(held, newcomer, p_hit, capacity, now):
     """Outcome, benefit and victim order of ``admit`` equal admission priced
-    in ``Fraction``s, whichever form p_hit is passed in, and the traced
-    ``benefit=`` text is ``str`` of the ``Fraction``."""
+    in ``Fraction``s, and the traced ``benefit=`` text is ``str`` of the
+    ``Fraction``."""
     store = StateStore("n1", capacity, window_us=50)
     for i, (size, gain, storage, times, pinned) in enumerate(held):
         if store.used_bytes() + size <= capacity:
@@ -375,12 +374,11 @@ def test_integer_admission_matches_the_fraction_formula(held, newcomer, p_hit, a
             store.entries[store.entry_key(entry.compatibility_hash, entry.session_id)] = entry
     reference = deepcopy(store)
     size, gain, storage = newcomer
-    num, den = p_hit
     outcome, benefit, evicted = reference_admit(
-        reference, make_entry("new", size=size, compat="h-new", gain=gain, storage=storage), Fraction(num, den), now
+        reference, make_entry("new", size=size, compat="h-new", gain=gain, storage=storage), Fraction(*p_hit), now
     )
     entry = make_entry("new", size=size, compat="h-new", gain=gain, storage=storage)
-    decision = store.admit(entry, Fraction(num, den) if as_fraction else (num, den), now)
+    decision = store.admit(entry, p_hit, now)
     assert (decision.outcome, decision.benefit, decision.evicted) == (outcome, benefit, evicted)
     assert decision.benefit_text() == str(benefit)
     assert sorted(store.entries) == sorted(reference.entries)

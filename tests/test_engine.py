@@ -715,7 +715,7 @@ def test_revocation_evicts_placements_and_dependent_states():
     for i, node in enumerate(("edge-1", "edge-1", "edge-2")):
         sim.caches.store(node).admit(
             CacheEntry(f"dep-{i}", f"h-{i}", 100, f"sess-{i}", 10_000, token_count=10, source_realization="chat-v1-gpu"),
-            Fraction(1, 2),
+            (1, 2),
             now=0,
             node_trust=2,
         )

@@ -292,7 +292,7 @@ def _plant_affinity_state(router, broker, node_id, request, tokens=64):
     session = request.affinity_token.split(":")[0]
     store = router.caches.store(node_id)
     entry = CacheEntry("st-planted", compat, tokens * 256, session, 10_000, token_count=tokens, source_realization=rid)
-    decision = store.admit(entry, Fraction(1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust)
+    decision = store.admit(entry, (1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust)
     assert decision.admitted
 
 
@@ -553,7 +553,7 @@ def router_states(draw):
                 source_realization=rid,
             )
             router.caches.store(node_id).admit(
-                entry, Fraction(1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust
+                entry, (1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust
             )
         if holders and draw(st.booleans()):
             # An offline holder's state is neither reused nor counted in the prefill bound.
@@ -630,7 +630,7 @@ def held_prefix_state():
         token_count=request.input_tokens,
         source_realization="chat-v1-gpu",
     )
-    assert router.caches.store("edge-1").admit(entry, Fraction(1, 2), now=0, node_trust=3).admitted
+    assert router.caches.store("edge-1").admit(entry, (1, 2), now=0, node_trust=3).admitted
     return router, request, 0
 
 
