@@ -86,7 +86,8 @@ class Topology:
             self.links[link.link_id] = link
             self._adjacency.setdefault(link.src, []).append(link)
             self._adjacency.setdefault(link.dst, []).append(link)
-        self._path_cache: dict[tuple[str, str], tuple[Link, ...]] = {}
+        # Per source, its search: the heap, and the path of each vertex it settled.
+        self._searches: dict[str, tuple[list[tuple[int, tuple[str, ...], str]], dict[str, tuple[Link, ...]]]] = {}
         self._route_cache: dict[tuple[str, str], Route] = {}
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
@@ -95,33 +96,36 @@ class Topology:
         ``src`` may be a node id or a ``region:<id>`` gateway vertex. Ties on
         total delay resolve to the smallest lexicographic link-id sequence.
         Raises Unreachable when the endpoints are not connected.
+
+        One search runs per source and is kept: heap entries order by (delay,
+        link-id sequence), so the first time a vertex is settled it holds the
+        delay-minimal, lexicographically smallest path, whatever the target.
+        A query for a vertex not yet settled resumes the source's search
+        until that vertex settles or the heap runs out.
         """
         if src == dst:
             return ()
-        cached = self._path_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        if src not in self._adjacency and src not in self.nodes:
-            raise Unreachable(f"unknown vertex {src!r}")
-        # Heap entries order by (delay, link-id sequence): the first time a
-        # vertex is settled it holds the delay-minimal, lexicographically
-        # smallest path.
-        heap: list[tuple[int, tuple[str, ...], str]] = [(0, (), src)]
-        settled: set[str] = set()
-        while heap:
+        search = self._searches.get(src)
+        if search is None:
+            if src not in self._adjacency and src not in self.nodes:
+                raise Unreachable(f"unknown vertex {src!r}")
+            search = self._searches[src] = ([(0, (), src)], {})
+        heap, settled = search
+        path = settled.get(dst)
+        while path is None and heap:
             delay, ids, vertex = heapq.heappop(heap)
             if vertex in settled:
                 continue
-            settled.add(vertex)
-            if vertex == dst:
-                path = tuple(self.links[link_id] for link_id in ids)
-                self._path_cache[(src, dst)] = path
-                return path
+            settled[vertex] = tuple(self.links[link_id] for link_id in ids)
             for link in self._adjacency.get(vertex, ()):
                 other = link.dst if link.src == vertex else link.src
                 if other not in settled:
                     heapq.heappush(heap, (delay + link.propagation_delay_us, ids + (link.link_id,), other))
-        raise Unreachable(f"no path from {src!r} to {dst!r}")
+            if vertex == dst:
+                path = settled[vertex]
+        if path is None:
+            raise Unreachable(f"no path from {src!r} to {dst!r}")
+        return path
 
     def path_delay_us(self, path: tuple[Link, ...]) -> int:
         return sum(link.propagation_delay_us for link in path)

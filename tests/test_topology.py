@@ -207,3 +207,24 @@ def test_path_is_the_least_simple_path_by_delay_then_link_ids(graph):
         else:
             path = topo.path(src, dst)
             assert (topo.path_delay_us(path), tuple(l.link_id for l in path)) == expected
+
+
+def path_or_unreachable(topo: Topology, src: str, dst: str) -> tuple[str, ...] | str:
+    try:
+        return tuple(l.link_id for l in topo.path(src, dst))
+    except Unreachable:
+        return "unreachable"
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_resumed_searches_find_the_paths_of_fresh_ones(graph, data):
+    """A topology keeps each source's search and resumes it for a vertex not
+    yet settled: every pair, queried in random order on one topology, gets
+    the path a fresh topology gives it."""
+    vertices, links = graph
+    pairs = data.draw(st.permutations(list(itertools.product(vertices + ["elsewhere"], vertices))))
+    shared = Topology(nodes=vertices, domains=[], links=links)
+    for src, dst in pairs:
+        fresh = Topology(nodes=vertices, domains=[], links=links)
+        assert path_or_unreachable(shared, src, dst) == path_or_unreachable(fresh, src, dst)
