@@ -211,16 +211,16 @@ class MetricsFrame:
         doc["per_request"] = [per_request_item(r) for r in self.records]
         return doc
 
-    def to_json(self, fp: TextIO | None = None) -> str | None:
+    def to_json(self, fp: TextIO | None = None, summary: dict | None = None) -> str | None:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\\n"``,
         written to ``fp`` one record at a time; returned as a string when
-        ``fp`` is None."""
+        ``fp`` is None. ``summary``, when given, is this frame's ``summary()``,
+        built once by a caller that also needs it."""
         if fp is None:
             buf = io.StringIO()
-            self.to_json(buf)
+            self.to_json(buf, summary)
             return buf.getvalue()
-        doc = self.summary()
-        doc["per_request"] = []
+        doc = dict(self.summary() if summary is None else summary, per_request=[])
         # Only the top-level key can hold an empty list, so the split is exact.
         head, tail = json.dumps(doc, sort_keys=True, indent=2).split('"per_request": []')
         fp.write(head + '"per_request": [')

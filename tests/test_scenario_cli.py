@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from capsim.cli import main
+from capsim.metrics import MetricsFrame
 from capsim.scenario import Scenario, ScenarioParseError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -273,6 +274,23 @@ def test_run_without_trace_flag_skips_trace(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(SCENARIOS / "session_heavy.json"), "--out", str(out)]) == 0
     assert not (out / "trace.csv").exists()
+
+
+def test_run_builds_the_metrics_summary_once(tmp_path, capsys, monkeypatch):
+    """metrics.json and the summary line come from one ``summary()``."""
+    calls = []
+    summary = MetricsFrame.summary
+
+    def counted(frame):
+        calls.append(frame)
+        return summary(frame)
+
+    monkeypatch.setattr(MetricsFrame, "summary", counted)
+    out = tmp_path / "out"
+    assert main(["run", str(SCENARIOS / "session_heavy.json"), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    doc = json.loads((out / "metrics.json").read_text())
+    assert capsys.readouterr().out.startswith(f"requests={doc['arrivals']} ")
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
