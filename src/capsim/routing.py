@@ -23,14 +23,17 @@ only on the broker's static candidate table and the origin is a static row
 per candidate: its routes, its prefill and decode µs per token on the node's
 speed as integers, and set-up with and without the cold activation. The rows
 of a (table, origin) are built in table order on its first select and kept
-until the broker clears its tables. The lookup's hits, the token counts and
-the state holders are read per select. From these, one formula (``_bounds``,
-also behind ``score`` and ``idle_cost``) gives each side of a candidate an
-exact integer lower bound: transfer, execution with the most prompt tokens
-any online holder covers reused for free, and decode, leaving out the wait,
-the state charge and the load and policy penalties. Building the candidate's
-half (its queue, load and policy reads), then resolving its state, tighten
-the bound of every plan it is in.
+until the broker clears its tables, and so are their pricing classes: rows
+with the same realization, routes, per-token coefficients, speed, set-up and
+cold cost, as identical servers behind one gateway have. The lookup's hits,
+the token counts and the state holders are read per select. From these, one
+formula (``_bounds``, also behind ``score`` and ``idle_cost``) gives each side
+of a candidate an exact integer lower bound: transfer, execution with the
+most prompt tokens any online holder covers reused for free, and decode,
+leaving out the wait, the state charge and the load and policy penalties.
+Members of a class share it, so a select computes it once per (class, warm)
+group of its hits. Building the candidate's half (its queue, load and policy
+reads), then resolving its state, tighten the bound of every plan it is in.
 
 Routing is the one module that prices a candidate. On an idle node with no
 load or policy penalty, a request without session state waits for nothing
@@ -43,14 +46,19 @@ cold activation, the engine's loads and placement's transfer cost.
 plan at its current bound, and each pop takes one step on the plan with the
 least (build its prefill half, resolve that half's state, for a split build
 its decode half, price it exactly) and pushes it back at its tighter bound.
-The split plans wait behind one sentinel entry, at the least prefill-side
-plus the least decode-side static bound, which no split plan's bound is
-below; only a select whose sentinel pops sorts the decode partners and pushes
-its splits. The first exact plan popped has the least J of all; if it is
-within budget it is J*, otherwise no plan is. After J*, only plans whose bound is inside its tie
-window and the budget, and whose plan id is below the least one priced there,
-can change the plan-id tie-break, so every other plan is left unpriced and
-the outcome is the one full enumeration gives.
+Plans enter the heap lazily, each where it would pop had every plan been
+entered at the start, so the search's order, and the work it does, is the
+same. A group's single-node plans enter one at a time in plan-id order: the
+next when the one before first pops, and none once the plan-id tie-break
+rules them out. The split plans wait behind one sentinel entry, at the least
+prefill-side plus the least decode-side static bound, which no split plan's
+bound is below; only a select whose sentinel pops sorts the decode partners
+and pushes its splits. So a select's heap grows with its groups, not with its
+nodes. The first exact plan popped has the least J of all; if it is within
+budget it is J*, otherwise no plan is. After J*, only plans whose bound is
+inside its tie window and the budget, and whose plan id is below the least
+one priced there, can change the plan-id tie-break, so every other plan is
+left unpriced and the outcome is the one full enumeration gives.
 
 A node at its admission cap is checked when its half is built and then
 dropped. ``now`` is fixed for the whole select, so this is the same as
@@ -67,6 +75,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heappushpop
 from math import lcm
+from typing import NamedTuple
 
 from .caching import CacheEntry, CacheSystem, state_hash
 from .descriptors import (
@@ -205,6 +214,25 @@ class _Row:
     cold_us: int | None
 
 
+class _Classes(NamedTuple):
+    """A (candidate table, origin)'s rows by table position, and their pricing
+    classes: rows with the same realization, routes, per-token coefficients,
+    speed, set-up and cold cost, whose static bounds are equal for every
+    request. Class c has a cold group, id 2c, and a warm one, 2c + 1:
+    ``groups[warm][position]``, -1 where the candidate can take no stage so
+    (no row, or cold with no route for its artifact). ``rank`` gives each
+    position its place in single-node plan-id order, and ``succ`` links it
+    to the next member of its class in that order, -1 after the last.
+    ``last`` holds the hits of the last select and each of their groups'
+    member with the least plan id, reused while the hits repeat."""
+
+    rows: tuple[_Row | None, ...]
+    groups: tuple[tuple[int, ...], tuple[int, ...]]
+    rank: tuple[int, ...]
+    succ: tuple[int, ...]
+    last: list
+
+
 # A candidate's static bounds for one request: (row, warm, t_in, t_out, decode time, set-up
 # plus activation, prefill-side bound, decode-side bound, its transfer and decode alone).
 _Bound = tuple[_Row, bool, int, int, int, int, int, int, int]
@@ -283,13 +311,14 @@ class Router:
         self._plans: dict[tuple[PlanStage, ...], ExecutionPlan] = {}
         self._rows: dict[tuple[str, str, str], _Row | None] = {}
         # The rows of each (candidate table, origin region) as of the broker's ``epoch``.
-        self._specialised: dict[tuple[CandidateTable, str], tuple[_Row | None, ...]] = {}
+        self._specialised: dict[tuple[CandidateTable, str], _Classes] = {}
         self._epoch = broker.epoch
         # Work counters: halves built, session states resolved for a prefill,
-        # and selects that entered their split plans.
+        # selects that entered their split plans, and the search's heap pops.
         self.halves_priced = 0
         self.states_resolved = 0
         self.split_entries = 0
+        self.search_pops = 0
 
     def plan(self, stages: tuple[PlanStage, ...]) -> ExecutionPlan:
         """The plan of ``stages``, hashed once per router."""
@@ -506,15 +535,36 @@ class Router:
         )
         return row
 
-    def _specialise(self, table: CandidateTable, origin_region: str) -> tuple[_Row | None, ...]:
-        """The rows of ``table``'s pairs priced from ``origin_region``, by position;
-        all are dropped once the broker clears its tables, as those are gone."""
+    def _specialise(self, table: CandidateTable, origin_region: str) -> _Classes:
+        """The rows of ``table``'s pairs priced from ``origin_region``, by
+        position, and their pricing classes; all are dropped once the broker
+        clears its tables, as those are gone."""
         if self._epoch != self.broker.epoch:
             self._specialised.clear()
             self._epoch = self.broker.epoch
         origin = region_vertex(origin_region)
-        rows = self._specialised[table, origin_region] = tuple(self._row(origin, n, r) for n, r in table.pairs)
-        return rows
+        rows = tuple(self._row(origin, n, r) for n, r in table.pairs)
+        n = len(rows)
+        cold, warm, rank, succ = [-1] * n, [-1] * n, [0] * n, [-1] * n
+        ids: dict[tuple, int] = {}
+        last: list[int] = []  # per class, its member latest in single-plan-id order so far
+        ranked = sorted((row.single.plan_id, p) for p, row in enumerate(rows) if row is not None)
+        for r, (_, p) in enumerate(ranked):
+            row = rows[p]
+            routes, times = (row.route_in, row.route_out), (row.prefill_us, row.decode_us, row.speed_num)
+            c = ids.setdefault((row.realization.realization_id, routes, times, row.setup_us, row.cold_us), len(ids))
+            if c < len(last):
+                succ[last[c]] = p
+                last[c] = p
+            else:
+                last.append(p)
+            rank[p] = r
+            warm[p] = 2 * c + 1
+            if row.cold_us is not None:
+                cold[p] = 2 * c
+        classes = _Classes(rows, (tuple(cold), tuple(warm)), tuple(rank), tuple(succ), [None, {}])
+        self._specialised[table, origin_region] = classes
+        return classes
 
     def _bounds(
         self, request: RequestDescriptor, rows: Sequence[_Row | None], hits: Iterable[Hit], held: _Held
@@ -620,12 +670,12 @@ class Router:
         return (best * den + abs(best) * self._eps_num) // den
 
     def _price_plans(
-        self, request: RequestDescriptor, rows: tuple[_Row | None, ...], hits: list[Hit], now: int, limit: int | None
+        self, request: RequestDescriptor, classes: _Classes, hits: list[Hit], now: int, limit: int | None
     ) -> list[_Priced]:
         """The single-node and prefill/decode plans over the candidates of
-        ``hits``, ``rows[position]`` each, with their J numerators, less the
-        plans that cannot change ``select``'s outcome and those on a node at
-        its admission cap.
+        ``hits``, ``classes.rows[position]`` each, with their J numerators,
+        less the plans that cannot change ``select``'s outcome and those on a
+        node at its admission cap.
 
         One best-first search. A heap entry is a plan at a lower bound on its
         J numerator: plan (i, k) is candidate i alone when k < 0, else i's
@@ -634,16 +684,24 @@ class Router:
         popped plan takes its next step (build i's half, resolve its state,
         for a split build the decode half, price it exactly) and is pushed
         back at the bound that step gives. Halves are shared, so an entry's
-        bound can be stale (``bound_of``): such an entry is pushed back at its
-        current bound with no work done. Splits enter lazily. Until any can
-        pop, one sentinel (i = -1) stands for them all, at the least
-        prefill-side plus the least decode-side static bound; it sorts after
-        every other entry at that bound but before the splits. When it pops,
-        each prefill side gets one entry for its first partner, and then one
-        for its next partner when the one before is first popped; a partner's
-        static bound is no less than the one before it. So the heap's least
-        bound bounds every plan not yet exact, and every other entry pops in
-        the order it would if every split were entered from the start.
+        bound can be stale: such an entry is pushed back at its current bound
+        with no work done.
+
+        Candidates enter lazily. The hits fall into groups, a pricing class
+        and a warm flag, whose members share one static bound: it is computed
+        once per group, and each group starts with one entry, for its member
+        with the least single-node plan id. When a member's entry first pops,
+        the group's next member in plan-id order enters, at the key it would
+        have had from the start, which is no less. Splits wait behind one
+        sentinel (i = -1), at the least prefill-side plus the least
+        decode-side static bound of the groups; it sorts after every other
+        entry at that bound but before the splits. When it pops, every
+        candidate's bound is built and each prefill side gets one entry for
+        its first partner, and then one for its next partner when the one
+        before is first popped; a partner's static bound is no less than the
+        one before it. So the heap's least entry is the one that would pop if
+        every plan were entered from the start, and every entry pops in that
+        order.
 
         The first exact plan popped thus has the least J. Over ``limit``,
         every plan is, and the search stops. Otherwise it is J*, and ``top``,
@@ -651,65 +709,90 @@ class Router:
         breaks the tie among by plan id. The search goes on only while the
         least bound is <= ``top``, and refines only plans whose id is below
         the least id priced with J <= ``top``: any other plan either cannot
-        reach the window or loses the tie-break. An auditing router lists
+        reach the window or loses the tie-break, and a group whose next
+        member's id is not below it enters no more. An auditing router lists
         every plan, so it never stops or skips.
         """
+        rows, groups, rank, succ, last = classes
+        if hits == last[0]:
+            lead = last[1]
+        else:
+            lead = {}  # per group, its hit with the least plan id
+            for hit in hits:
+                p = hit[0]
+                g = groups[hit[1]][p]
+                q = lead.get(g)
+                if q is None or rank[p] < rank[q[0]]:
+                    lead[g] = hit
+            lead.pop(-1, None)
+            last[:] = hits, lead
         held: _Held = {}  # state holders per realization, this instant
-        bounds = self._bounds(request, rows, hits, held)
-        built: dict[int, _Half | None] = {}  # None: the node is at its admission cap
-
-        def bound_of(i: int, j: int) -> tuple[int, int] | None:
-            """Plan (i, j)'s least J numerator given the halves built so far, and the
-            steps done toward it; j < 0 for i alone. None when a node is at its cap."""
-            if i not in built:
-                lb, steps = bounds[i][6], 0
-            elif (pre := built[i]) is None:
-                return None
-            else:
-                lb, steps = (pre.pre_lb, 1) if pre.pre_num is None else (pre.pre_num, 2)
-            if j < 0:
-                return lb + bounds[i][8], steps
-            if j not in built:
-                return lb + bounds[j][7], steps
-            dec = built[j]
-            return None if dec is None else (lb + dec.dec_num, steps + 1)
-
+        group_bounds = self._bounds(request, rows, lead.values(), held)
+        bounds: list[_Bound | None] = [None] * len(rows)  # by position, once the candidate enters
         # (bound, -steps done, k, single plan id or "", i, priced plan or None):
         # on equal bounds, plans further along pop first, then single-node
         # plans in plan-id order.
-        heap: list[tuple[int, int, int, str, int, _Priced | None]] = [
-            (b[6] + b[8], 0, -1, b[0].single.plan_id, i, None) for i, b in enumerate(bounds)
-        ]
-        if self.enable_split and bounds:
+        heap: list[tuple[int, int, int, str, int, _Priced | None]] = []
+        for (p, _), b in zip(lead.values(), group_bounds):
+            bounds[p] = b
+            heap.append((b[6] + b[8], 0, -1, b[0].single.plan_id, p, None))
+        if self.enable_split and heap:
             # The sentinel (i = -1) stands for every split until it pops: after
             # every entry at its bound but the splits, whose bounds are no less.
-            heap.append((min(b[6] for b in bounds) + min(b[7] for b in bounds), 0, 0, "", -1, None))
+            heap.append((min(b[6] for b in group_bounds) + min(b[7] for b in group_bounds), 0, 0, "", -1, None))
         heapify(heap)
+        built: dict[int, _Half | None] = {}  # None: the node is at its admission cap
+
+        present: dict[int, bool] | None = None  # each hit's warm flag, by position
         decoders: list[list[int]] = []  # per prefill side, its variant's candidates by static decode bound
-        entered = [0] * len(bounds)  # each prefill side's last partner entered
+        entered: list[int] = []  # each prefill side's last partner entered
         plans: list[_Priced] = []
         top = best_id = None  # set once J* is popped; never while auditing
         back = None  # the entry the last step pushes back, held out of the heap until the next pop
+        pops = 0
         while heap or back is not None:
-            bound, _, k, tie, i, priced = heappop(heap) if back is None else heappushpop(heap, back)
+            bound, neg_steps, k, tie, i, priced = heappop(heap) if back is None else heappushpop(heap, back)
             back = None
+            pops += 1
             if top is not None and bound > top:
                 break
-            if i < 0:  # the sentinel: enter each prefill side's first split
+            if i < 0:  # the sentinel: build every bound, enter each prefill side's first split
                 self.split_entries += 1
+                candidates = []
+                for p, warm in hits:
+                    if bounds[p] is None:
+                        g = groups[warm][p]
+                        if g < 0:
+                            continue
+                        bounds[p] = (rows[p],) + bounds[lead[g][0]][1:]
+                    candidates.append(p)
                 partners: dict[str, list[int]] = {}
-                for _, j in sorted((b[7], j) for j, b in enumerate(bounds)):
+                for _, j in sorted((bounds[j][7], j) for j in candidates):
                     partners.setdefault(bounds[j][0].realization.variant_id, []).append(j)
-                decoders = [partners[b[0].realization.variant_id] for b in bounds]
-                for p, (b, d) in enumerate(zip(bounds, decoders)):
-                    heappush(heap, (b[6] + bounds[d[0]][7], 0, 0, "", p, None))
+                decoders, entered = [[]] * len(rows), [0] * len(rows)
+                for p in candidates:
+                    d = decoders[p] = partners[bounds[p][0].realization.variant_id]
+                    heappush(heap, (bounds[p][6] + bounds[d[0]][7], 0, 0, "", p, None))
                 continue
-            j = -1 if k < 0 else decoders[i][k]
-            if 0 <= k == entered[i] and k + 1 < len(decoders[i]):
-                entered[i] = k + 1
-                heappush(heap, (bounds[i][6] + bounds[decoders[i][k + 1]][7], 0, k + 1, "", i, None))
-            if j >= 0 and bounds[j][0].node is bounds[i][0].node:
-                continue
+            if k < 0:
+                j = -1
+                if not neg_steps and (q := succ[i]) >= 0:  # its first pop: enter the next member of its group
+                    if present is None:
+                        present = dict(hits)
+                    warm = bounds[i][1]
+                    while q >= 0 and present.get(q) != warm:
+                        q = succ[q]
+                    if q >= 0 and (top is None or rows[q].single.plan_id < best_id):
+                        if bounds[q] is None:
+                            bounds[q] = (rows[q],) + bounds[i][1:]
+                        heappush(heap, (bound, 0, -1, rows[q].single.plan_id, q, None))
+            else:
+                j = decoders[i][k]
+                if k == entered[i] and k + 1 < len(decoders[i]):
+                    entered[i] = k + 1
+                    heappush(heap, (bounds[i][6] + bounds[decoders[i][k + 1]][7], 0, k + 1, "", i, None))
+                if bounds[j][0].node is bounds[i][0].node:
+                    continue
             if top is not None and (tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id) >= best_id:
                 continue
             if priced is not None:
@@ -721,15 +804,30 @@ class Router:
                     top = self._tie_cut(bound) if limit is None else min(self._tie_cut(bound), limit)
                 best_id = tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id
                 continue
-            state = bound_of(i, j)
-            if state is None:
+            # The plan's least J numerator given the halves built so far, and the
+            # steps done toward it; none while a node of it is at its cap.
+            if i in built:
+                pre = built[i]
+                if pre is None:
+                    continue
+                least, steps = (pre.pre_lb, 1) if pre.pre_num is None else (pre.pre_num, 2)
+            else:
+                pre = None
+                least, steps = bounds[i][6], 0
+            if j < 0:
+                least += bounds[i][8]
+            elif j not in built:
+                least += bounds[j][7]
+            elif (dec := built[j]) is None:
                 continue
-            if state[0] != bound:  # stale: back at its current bound, no work done
-                back = (state[0], -state[1], k, tie, i, None)
+            else:
+                least += dec.dec_num
+                steps += 1
+            if least != bound:  # stale: back at its current bound, no work done
+                back = (least, -steps, k, tie, i, None)
                 continue
             # Take the next step; it moves one side's bound, or prices the plan.
-            steps = state[1] + 1
-            pre = built.get(i)
+            steps += 1
             if pre is not None and pre.pre_num is None:
                 self._prefill(request, pre, now, held)
                 bound += pre.pre_num - pre.pre_lb
@@ -746,6 +844,7 @@ class Router:
                 plans.append(priced)
                 bound, steps = priced[0], 4
             back = (bound, -steps, k, tie, i, priced)
+        self.search_pops += pops
         return plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
@@ -789,10 +888,10 @@ class Router:
         while quality >= 1:
             table = self.broker.table(request.capability_class, quality, policy, origin, self.placement_tiers)
             hits = self.broker.lookup_candidates(table, now, policy.min_trust)
-            rows = self._specialised.get((table, origin))
-            if rows is None:
-                rows = self._specialise(table, origin)
-            plans = self._price_plans(request, rows, hits, now, limit)
+            classes = self._specialised.get((table, origin))
+            if classes is None:
+                classes = self._specialise(table, origin)
+            plans = self._price_plans(request, classes, hits, now, limit)
             within = plans if limit is None else [p for p in plans if p[0] <= limit]
             if within:
                 return self._selection(request, now, plans, within, quality)

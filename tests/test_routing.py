@@ -785,7 +785,14 @@ def spread_tie_state(delays, busy=None, budget_share=None):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tied_edge_states())
 def test_tied_edges_select_as_the_auditing_router_and_full_enumeration(state):
-    router, request, now, budget_share = state
+    assert_quiet_select_as_auditing_and_exhaustive(*state)
+
+
+def assert_quiet_select_as_auditing_and_exhaustive(router, request, now, budget_share):
+    """The router's select, an auditing router's over the same state and
+    ``exhaustive_select`` agree, with the request's budget, if
+    ``budget_share`` is not None, that far into the tie window of the
+    unbudgeted best J."""
     unbudgeted = exhaustive_select(router, request, now)
     if budget_share is not None and not isinstance(unbudgeted, str):
         least = min(combine_terms(router.weights, terms) for _, terms in unbudgeted[2])
@@ -806,6 +813,96 @@ def test_tied_edges_select_as_the_auditing_router_and_full_enumeration(state):
     best, quality, _ = expected
     assert quiet.scored == audited.scored == best
     assert (quiet.served_quality, quiet.degraded) == (audited.served_quality, audited.degraded) == (quality, False)
+
+
+CLONE_STATES = ("warm", "warm", "busy", "offline", "cold", "capped", "holder")
+
+
+@st.composite
+def clone_states(draw):
+    """2-8 identical edges, one pricing class, each member in a drawn state:
+    warm and idle, warm behind a reservation, offline, not installed (so
+    cold), at its admission cap, or holding the session's state; splits on
+    or off, perhaps a load penalty, and a budget share as in
+    ``tied_edge_states``."""
+    k = draw(st.integers(2, 8))
+    weights = draw(
+        st.sampled_from(
+            [
+                RoutingWeights(tie_eps=Fraction(1, 10**9)),
+                RoutingWeights(tie_eps=Fraction(1, 50)),
+                RoutingWeights(epsilon=Fraction(1), kappa=Fraction(100_000), tie_eps=Fraction(1, 50)),
+            ]
+        )
+    )
+    router = edge_router(
+        [(draw(st.sampled_from(["1", "4"])), draw(st.sampled_from([0, 500])))] * k,
+        setup=draw(st.sampled_from([0, 1000])),
+        kv_bytes=draw(st.sampled_from([0, 256])),
+        weights=weights,
+    )
+    router.enable_split = draw(st.booleans())
+    now = draw(st.integers(0, 20_000))
+    request = chat_request(
+        input_tokens=draw(st.integers(0, 300)),
+        output_tokens=draw(st.integers(1, 400)),
+        affinity_token=draw(st.sampled_from([None, "sess-1:abc"])),
+        arrival_time=now,
+    )
+    broker = router.broker
+    for node_id in sorted(broker.nodes):
+        state = draw(st.sampled_from(CLONE_STATES))
+        node = broker.node(node_id)
+        if state == "busy":
+            node.reserve("chat-v1-gpu", ready_us=draw(st.integers(0, 40_000)), duration_us=draw(st.integers(1, 30_000)))
+        elif state == "offline":
+            node.online = False
+        elif state == "cold":
+            broker.evict(node_id, "chat-v1-gpu")
+        elif state == "capped":
+            fill_admission_queue(node, now)
+        elif state == "holder" and request.affinity_token is not None:
+            tokens = max(1, request.input_tokens + draw(st.integers(-300, 100)))
+            _plant_affinity_state(router, broker, node_id, request, tokens=tokens)
+    return router, request, now, draw(st.sampled_from([None, Fraction(-1), Fraction(0), Fraction(1, 2)]))
+
+
+def cold_clone_state(k, cold):
+    """k idle clones, the one of rank ``cold`` by single-node plan id not installed."""
+    router = edge_router([("1", 0)] * k)
+    router.broker.evict(f"edge-{by_single_plan_id(k)[cold] + 1}", "chat-v1-gpu")
+    return router, chat_request(), 0, None
+
+
+# The clone with the least plan id is cold: the warm group starts at the next.
+@example(cold_clone_state(5, 0))
+@example(cold_clone_state(5, 2))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(clone_states())
+def test_identical_clones_select_as_the_auditing_router_and_full_enumeration(state):
+    assert_quiet_select_as_auditing_and_exhaustive(*state)
+
+
+def test_one_router_follows_its_hits_from_select_to_select():
+    """A router keeps each group's lead between selects while the hits
+    repeat; once a node goes offline, is evicted or comes back, the next
+    select sees the new hits."""
+    router = edge_router([("1", 0)] * 4)
+    broker = router.broker
+    ranked = [f"edge-{i + 1}" for i in by_single_plan_id(4)]
+
+    def chosen():
+        outcome = router.select(chat_request(), now=0)
+        assert outcome.scored == exhaustive_select(router, chat_request(), 0)[0]
+        return [s.node_id for s in outcome.scored.plan.stages]
+
+    assert chosen() == chosen() == ranked[:1]
+    broker.node(ranked[0]).online = False
+    assert chosen() == ranked[1:2]
+    broker.evict(ranked[1], "chat-v1-gpu")
+    assert chosen() == ranked[2:3]
+    broker.node(ranked[0]).online = True
+    assert chosen() == ranked[:1]
 
 
 def test_tied_idle_edges_build_at_most_two_halves():
@@ -950,6 +1047,56 @@ def test_split_entries_pin_the_selects_that_enter_splits(name, entered):
     sim = Simulation(scenario_named(name))
     sim.run()
     assert sim.router.split_entries == entered
+
+
+# Heap pops of the search. Entering every single-node plan up front popped
+# 3,323 times on fanout17, whose 17 candidates form two pricing classes (16
+# identical edges and the cloud); the other three have few identical nodes.
+@pytest.mark.parametrize(
+    "name, pops", [("fanout17", 1120), ("sessions", 10511), ("replan_churn", 22224), ("audit", 68108)]
+)
+def test_search_pops_pin_the_lazy_entry_of_identical_candidates(name, pops):
+    sim = Simulation(scenario_named(name))
+    sim.run()
+    assert sim.router.search_pops == pops
+
+
+def test_search_pops_per_select_barely_grow_with_identical_nodes(monkeypatch):
+    """Over the benchmark's fanout sweep, the pops of a select grow with the
+    pricing classes, which stay two, not with the nodes."""
+    select = Router.select
+    selects = []
+
+    def counted(router, *args):
+        selects.append(router)
+        return select(router, *args)
+
+    monkeypatch.setattr(Router, "select", counted)
+    per_select = {}
+    for n in (3, 9, 17):
+        selects.clear()
+        sim = Simulation(Scenario.from_dict(workloads.fanout(ROOT, 1, n, duration_us=1_000_000)))
+        sim.run()
+        per_select[n] = sim.router.search_pops / len(selects)
+    assert per_select[3] <= per_select[9] <= per_select[17] <= per_select[3] + 1
+
+
+def test_a_fanout17_select_bounds_each_group_once(monkeypatch):
+    """A select computes one static bound per (pricing class, warm) group it
+    has: two on fanout17, whose splits are never entered, not 17."""
+    bounds = Router._bounds
+    sizes = []
+
+    def counted(router, *args):
+        found = bounds(router, *args)
+        sizes.append(len(found))
+        return found
+
+    monkeypatch.setattr(Router, "_bounds", counted)
+    sim = Simulation(scenario_named("fanout17"))
+    sim.run()
+    assert sim.router.split_entries == 0
+    assert len(sizes) == 164 and max(sizes) == 2
 
 
 def test_rows_are_built_once_per_table_and_origin(monkeypatch):
