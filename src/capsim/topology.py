@@ -86,8 +86,8 @@ class Topology:
             self.links[link.link_id] = link
             self._adjacency.setdefault(link.src, []).append(link)
             self._adjacency.setdefault(link.dst, []).append(link)
-        # Per source, its search: the heap, and the path of each vertex it settled.
-        self._searches: dict[str, tuple[list[tuple[int, tuple[str, ...], str]], dict[str, tuple[Link, ...]]]] = {}
+        # Per source, its search: the heap, and the link ids of the path to each vertex it settled.
+        self._searches: dict[str, tuple[list[tuple[int, tuple[str, ...], str]], dict[str, tuple[str, ...]]]] = {}
         self._route_cache: dict[tuple[str, str], Route] = {}
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
@@ -111,21 +111,21 @@ class Topology:
                 raise Unreachable(f"unknown vertex {src!r}")
             search = self._searches[src] = ([(0, (), src)], {})
         heap, settled = search
-        path = settled.get(dst)
-        while path is None and heap:
+        found = settled.get(dst)
+        while found is None and heap:
             delay, ids, vertex = heapq.heappop(heap)
             if vertex in settled:
                 continue
-            settled[vertex] = tuple(self.links[link_id] for link_id in ids)
+            settled[vertex] = ids
             for link in self._adjacency.get(vertex, ()):
                 other = link.dst if link.src == vertex else link.src
                 if other not in settled:
                     heapq.heappush(heap, (delay + link.propagation_delay_us, ids + (link.link_id,), other))
             if vertex == dst:
-                path = settled[vertex]
-        if path is None:
+                found = ids
+        if found is None:
             raise Unreachable(f"no path from {src!r} to {dst!r}")
-        return path
+        return tuple(self.links[link_id] for link_id in found)
 
     def path_delay_us(self, path: tuple[Link, ...]) -> int:
         return sum(link.propagation_delay_us for link in path)
