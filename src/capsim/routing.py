@@ -727,6 +727,7 @@ class Router:
             lead.pop(-1, None)
             last[:] = hits, lead
         held: _Held = {}  # state holders per realization, this instant
+        # Group -1 holds every hit ``_bounds`` would leave out, so it bounds each lead.
         group_bounds = self._bounds(request, rows, lead.values(), held)
         bounds: list[_Bound | None] = [None] * len(rows)  # by position, once the candidate enters
         # (bound, -steps done, k, single plan id or "", i, priced plan or None):
