@@ -60,6 +60,10 @@ _EMPTY_ROUTE = Route(0, 1, 0, 0)
 _NO_ROUTE = Route(-1, 0, 0, 0)
 
 
+# A path search's heap entry: (delay, link ids, vertex).
+_Entry = tuple[int, tuple[str, ...], str]
+
+
 @dataclass(frozen=True, slots=True)
 class Domain:
     domain_id: str
@@ -86,8 +90,10 @@ class Topology:
             self.links[link.link_id] = link
             self._adjacency.setdefault(link.src, []).append(link)
             self._adjacency.setdefault(link.dst, []).append(link)
-        # Per source, its search: the heap, and the link ids of the path to each vertex it settled.
-        self._searches: dict[str, tuple[list[tuple[int, tuple[str, ...], str]], dict[str, tuple[str, ...]]]] = {}
+        # Per source, its search: the heap, the link ids of the path to each
+        # vertex it settled, and the heap entry of the one settled last until
+        # its links are expanded.
+        self._searches: dict[str, tuple[list[_Entry], dict[str, tuple[str, ...]], list[_Entry]]] = {}
         self._route_cache: dict[tuple[str, str], Route] = {}
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
@@ -101,7 +107,9 @@ class Topology:
         link-id sequence), so the first time a vertex is settled it holds the
         delay-minimal, lexicographically smallest path, whatever the target.
         A query for a vertex not yet settled resumes the source's search
-        until that vertex settles or the heap runs out.
+        until that vertex settles or the heap runs out. A vertex's links are
+        expanded only when the search goes on past it, so a search that
+        stops at its target holds no entries for the target's neighbours.
         """
         if src == dst:
             return ()
@@ -109,22 +117,25 @@ class Topology:
         if search is None:
             if src not in self._adjacency and src not in self.nodes:
                 raise Unreachable(f"unknown vertex {src!r}")
-            search = self._searches[src] = ([(0, (), src)], {})
-        heap, settled = search
+            search = self._searches[src] = ([(0, (), src)], {}, [])
+        heap, settled, unexpanded = search
         found = settled.get(dst)
-        while found is None and heap:
-            delay, ids, vertex = heapq.heappop(heap)
-            if vertex in settled:
-                continue
-            settled[vertex] = ids
-            for link in self._adjacency.get(vertex, ()):
-                other = link.dst if link.src == vertex else link.src
-                if other not in settled:
-                    heapq.heappush(heap, (delay + link.propagation_delay_us, ids + (link.link_id,), other))
-            if vertex == dst:
-                found = ids
-        if found is None:
-            raise Unreachable(f"no path from {src!r} to {dst!r}")
+        while found is None:
+            if unexpanded:
+                delay, ids, vertex = unexpanded.pop()
+                for link in self._adjacency.get(vertex, ()):
+                    other = link.dst if link.src == vertex else link.src
+                    if other not in settled:
+                        heapq.heappush(heap, (delay + link.propagation_delay_us, ids + (link.link_id,), other))
+            if not heap:
+                raise Unreachable(f"no path from {src!r} to {dst!r}")
+            entry = heapq.heappop(heap)
+            _, ids, vertex = entry
+            if vertex not in settled:
+                settled[vertex] = ids
+                unexpanded.append(entry)
+                if vertex == dst:
+                    found = ids
         return tuple(self.links[link_id] for link_id in found)
 
     def path_delay_us(self, path: tuple[Link, ...]) -> int:
