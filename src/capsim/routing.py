@@ -547,17 +547,17 @@ class Router:
         n = len(rows)
         cold, warm, rank, succ = [-1] * n, [-1] * n, [0] * n, [-1] * n
         ids: dict[tuple, int] = {}
-        last: list[int] = []  # per class, its member latest in single-plan-id order so far
+        tails: list[int] = []  # per class, its member latest in single-plan-id order so far
         ranked = sorted((row.single.plan_id, p) for p, row in enumerate(rows) if row is not None)
         for r, (_, p) in enumerate(ranked):
             row = rows[p]
             routes, times = (row.route_in, row.route_out), (row.prefill_us, row.decode_us, row.speed_num)
             c = ids.setdefault((row.realization.realization_id, routes, times, row.setup_us, row.cold_us), len(ids))
-            if c < len(last):
-                succ[last[c]] = p
-                last[c] = p
+            if c < len(tails):
+                succ[tails[c]] = p
+                tails[c] = p
             else:
-                last.append(p)
+                tails.append(p)
             rank[p] = r
             warm[p] = 2 * c + 1
             if row.cold_us is not None:

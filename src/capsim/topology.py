@@ -4,7 +4,8 @@ The topology is immutable after scenario load. Vertices are node ids plus one
 implicit gateway vertex per region, named ``region:<region_id>``, where client
 traffic enters. Routing between vertices is static shortest propagation delay
 (Dijkstra), with ties broken by the lexicographically smallest link-id
-sequence so paths are stable across runs.
+sequence so paths are stable across runs. One search runs per source and is
+resumed for each new target.
 """
 
 from __future__ import annotations
