@@ -7,10 +7,11 @@ Stage schedules are fixed at selection time (reservation calendars), so the
 event loop realizes exactly the timing the router scored; identical
 (scenario, seed) inputs produce byte-identical outputs.
 
-Some events only write a trace row: a stage's dispatch, the inbound and KV
-transfers, and queue telemetry after a replan. They are pushed only when
-trace is on. Each event's ``seq`` is taken in push order, so leaving them out
-keeps the order of every other event.
+Each event is a call: its handler and the arguments it takes, the objects
+the pusher already holds. Some events only write a trace row: a stage's
+dispatch, the inbound, KV and artifact transfers, and queue telemetry after a
+replan. They are pushed only when trace is on. Each event's ``seq`` is taken
+in push order, so leaving them out keeps the order of every other event.
 """
 
 from __future__ import annotations
@@ -157,26 +158,35 @@ class Simulation:
         self.trace: TraceSink = [] if isinstance(trace, bool) else trace
         self.audit: list[AuditEntry] = []
 
-        # (time_us, seq, handler, payload): seq is unique, so tuples compare on
-        # (time_us, seq) alone, in C.
-        self._events: list[tuple[int, int, Callable[[int, dict], None], dict]] = []
+        # (time_us, seq, handler, args), run as handler(time_us, *args): seq is
+        # unique, so tuples compare on (time_us, seq) alone, in C.
+        self._events: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._in_flight: dict[str, InFlight] = {}
+        self._in_flight: dict[str, InFlight] = {}  # committed and not yet served; read only at the horizon
         self._session_remaining: dict[str, int] = {}
-        self._pending_loads: dict[str, list[str]] = {}
+        self._pending_loads: dict[str, set[str]] = {}
         # Replan demand; arrivals are not recorded when nothing replans.
         self._demand = deployment.DemandWindow() if scenario.deployment.replan_enabled else None
 
     # -- event plumbing ------------------------------------------------------
 
-    def _push(self, time_us: int, handler: Callable[[int, dict], None], payload: dict) -> None:
-        """Schedule ``handler(time_us, payload)``."""
-        heapq.heappush(self._events, (time_us, self._seq, handler, payload))
+    def _push(self, time_us: int, handler: Callable[..., None], *args) -> None:
+        """Schedule ``handler(time_us, *args)``."""
+        heapq.heappush(self._events, (time_us, self._seq, handler, args))
         self._seq += 1
+
+    def _push_trace(self, time_us: int, kind: str, **fields) -> None:
+        """Schedule a trace row that is all that happens at its event; only
+        when trace is on."""
+        if self.trace_enabled:
+            self._push(time_us, self._on_trace, kind, fields)
 
     def _trace(self, time_us: int, kind: str, **fields) -> None:
         if self.trace_enabled:
             self.trace.append({"timestamp_us": time_us, "seq": len(self.trace), "kind": kind, **fields})
+
+    def _on_trace(self, now: int, kind: str, fields: dict) -> None:
+        self._trace(now, kind, **fields)
 
     # -- schedule construction -------------------------------------------------
 
@@ -184,14 +194,13 @@ class Simulation:
         # Scripted control-plane events first so that, at equal timestamps,
         # they order before arrivals.
         for ev in self.scenario.node_events:
-            handler = self._on_node_online if ev.online else self._on_node_offline
-            self._push(ev.time_us, handler, {"node_id": ev.node_id})
+            self._push(ev.time_us, self._on_node_event, ev.node_id, ev.online)
         for rev in self.scenario.revocations:
-            self._push(rev.time_us, self._on_revoke, {"realization_id": rev.realization_id})
+            self._push(rev.time_us, self._on_revoke, rev.realization_id)
         dep = self.scenario.deployment
         if dep.replan_enabled:
             for t in range(dep.epoch_us, self.duration_us, dep.epoch_us):
-                self._push(t, self._on_replan, {})
+                self._push(t, self._on_replan)
 
         arrivals = generate_arrivals(self.scenario.workload, self.duration_us, self.seed)
         for scripted in self.scenario.scripted_requests:
@@ -207,7 +216,7 @@ class Simulation:
         arrivals.sort(key=lambda a: (a.request.arrival_time, a.request.origin_region, a.request.request_id))
         on_arrival = self._on_arrival  # one bound method for every arrival's event
         for arrival in arrivals:
-            self._push(arrival.request.arrival_time, on_arrival, {"arrival": arrival})
+            self._push(arrival.request.arrival_time, on_arrival, arrival)
             sid = arrival.session_id
             self._session_remaining[sid] = self._session_remaining.get(sid, 0) + 1
 
@@ -217,15 +226,14 @@ class Simulation:
         self._schedule_initial_events()
         events = self._events
         while events and events[0][0] <= self.duration_us:
-            time_us, _, handler, payload = heapq.heappop(events)
-            handler(time_us, payload)
+            time_us, _, handler, args = heapq.heappop(events)
+            handler(time_us, *args)
         self._truncate_in_flight()
         return RunResult(metrics=self.metrics, receipts=self.receipts, trace=self.trace, audit=self.audit)
 
     # -- arrival / selection -----------------------------------------------------
 
-    def _on_arrival(self, now: int, payload: dict) -> None:
-        arrival: Arrival = payload["arrival"]
+    def _on_arrival(self, now: int, arrival: Arrival) -> None:
         request = arrival.request
         if self._demand is not None:
             self._demand.add(request)
@@ -258,29 +266,30 @@ class Simulation:
 
     def _commit(self, now: int, arrival: Arrival, selection: Selection) -> None:
         request = arrival.request
+        request_id = request.request_id
         scored = selection.scored
+        use = scored.state_use
         pinned = None
 
-        if scored.state_use is not None:
-            use = scored.state_use
+        if use is not None:
             store = self.caches.store(use.entry_node)
             entry = store.lookup(use.entry.compatibility_hash, use.entry.session_id, now)
             entry.pins += 1
             pinned = (use.entry_node, store.entry_key(entry.compatibility_hash, entry.session_id))
             self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=True)
-            if use.migrate:
-                migration_done = now + scored.inbound_net_us + use.transfer_us
-                self._push(
-                    migration_done,
-                    self._on_transfer_complete,
-                    {
-                        "transfer": "state_migration",
-                        "request_id": request.request_id,
-                        "state_entry": (use.entry_node, scored.stages[0].node_id),
-                    },
-                )
         elif request.affinity_token and self.caches.enabled:
             self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=False)
+        flight = InFlight(
+            arrival=arrival,
+            scored=scored,
+            served_quality=selection.served_quality,
+            degraded=selection.degraded,
+            pinned=pinned,
+        )
+        self._in_flight[request_id] = flight
+        if use is not None and use.migrate:
+            migration_done = now + scored.inbound_net_us + use.transfer_us
+            self._push(migration_done, self._apply_migration, flight, use.entry_node, scored.stages[0].node_id)
 
         for proj in scored.stages:
             node = self.broker.node(proj.node_id)
@@ -293,89 +302,55 @@ class Simulation:
             realized = node.reserve(proj.realization_id, proj.ready_us, proj.duration_us)
             if realized != (proj.start_us, proj.complete_us):
                 raise RuntimeError(
-                    f"{request.request_id} on {proj.node_id}: realized schedule "
+                    f"{request_id} on {proj.node_id}: realized schedule "
                     f"{realized} differs from scored "
                     f"({proj.start_us}, {proj.complete_us})"
                 )
             self.metrics.max_queue_length[proj.node_id] = max(
                 self.metrics.max_queue_length.get(proj.node_id, 0), node.queue_length(now)
             )
-            if self.trace_enabled:
-                self._push(
-                    proj.start_us,
-                    self._on_dispatch,
-                    {"request_id": request.request_id, "node_id": proj.node_id, "ready_us": proj.ready_us},
+            if self.trace_enabled:  # so that an untraced run builds no row fields
+                self._push_trace(
+                    proj.start_us, "dispatch", request_id=request_id, node_id=proj.node_id, ready_us=proj.ready_us
                 )
-            self._push(
-                proj.complete_us,
-                self._on_stage_complete,
-                {"request_id": request.request_id, "node_id": proj.node_id, "realization_id": proj.realization_id},
-            )
+            self._push(proj.complete_us, self._on_stage_complete, request_id, proj.node_id, proj.realization_id)
 
         if self.trace_enabled:
-            self._push(
+            self._push_trace(
                 now + scored.inbound_net_us,
-                self._on_transfer_complete,
-                {"transfer": "inbound", "request_id": request.request_id, "bytes": request.input_tokens * self.router.bytes_per_token},
+                "transfer_complete",
+                transfer="inbound",
+                request_id=request_id,
+                bytes=request.input_tokens * self.router.bytes_per_token,
             )
             if len(scored.stages) == 2:
-                self._push(
+                self._push_trace(
                     scored.stages[0].complete_us + scored.interstage_net_us,
-                    self._on_transfer_complete,
-                    {"transfer": "kv", "request_id": request.request_id},
+                    "transfer_complete",
+                    transfer="kv",
+                    request_id=request_id,
                 )
-        self._push(
-            scored.finish_us,
-            self._on_transfer_complete,
-            {"transfer": "response", "request_id": request.request_id, "terminal": True},
-        )
-
-        self._in_flight[request.request_id] = InFlight(
-            arrival=arrival,
-            scored=scored,
-            served_quality=selection.served_quality,
-            degraded=selection.degraded,
-            pinned=pinned,
-        )
+        self._push(scored.finish_us, self._finish_served, flight)
 
     # -- event handlers -----------------------------------------------------------
 
-    def _on_dispatch(self, now: int, payload: dict) -> None:
-        self._trace(
-            now,
-            "dispatch",
-            request_id=payload["request_id"],
-            node_id=payload["node_id"],
-            ready_us=payload["ready_us"],
-        )
-
-    def _on_stage_complete(self, now: int, payload: dict) -> None:
-        node_id = payload["node_id"]
-        rid = payload["realization_id"]
-        self._trace(now, "stage_complete", request_id=payload["request_id"], node_id=node_id)
+    def _on_stage_complete(self, now: int, request_id: str, node_id: str, rid: str) -> None:
+        self._trace(now, "stage_complete", request_id=request_id, node_id=node_id)
         self._maybe_complete_eviction(now, node_id, rid)
 
-    def _on_transfer_complete(self, now: int, payload: dict) -> None:
-        terminal = payload.pop("terminal", False)
-        if self.trace_enabled:
-            self._trace(now, "transfer_complete", **payload)
-        if payload.get("transfer") == "state_migration":
-            self._apply_migration(now, payload)
-        if terminal:
-            self._finish_served(now, payload["request_id"])
-
-    def _apply_migration(self, now: int, payload: dict) -> None:
-        src_node, dst_node = payload["state_entry"]
-        flight = self._in_flight.get(payload["request_id"])
-        if flight is None or flight.scored.state_use is None:
-            return
+    def _apply_migration(self, now: int, flight: InFlight, src_node: str, dst_node: str) -> None:
+        request = flight.arrival.request
+        state_entry = (src_node, dst_node)
+        self._trace(
+            now, "transfer_complete", transfer="state_migration", request_id=request.request_id, state_entry=state_entry
+        )
         entry = flight.scored.state_use.entry
         decision = self.caches.store(dst_node).admit(
             replace(entry, window=deque(), pins=0),
             p_hit_of(entry, now, self.caches.window_us),
             now,
             node_trust=self.trust.effective_trust(dst_node, now),
-            requester_min_trust=flight.arrival.request.policy.min_trust,
+            requester_min_trust=request.policy.min_trust,
         )
         if self.trace_enabled:
             self._trace(
@@ -391,7 +366,7 @@ class Simulation:
             for victim in decision.evicted:
                 self._trace(now, "cache_evict", state_id=victim, node_id=dst_node, reason="displaced")
 
-    def _on_replan(self, now: int, payload: dict) -> None:
+    def _on_replan(self, now: int) -> None:
         dep = self.scenario.deployment
         # A replan pops before every arrival at its own time (its event was
         # pushed first), so every arrival added is before the window's end.
@@ -422,23 +397,30 @@ class Simulation:
         if self.trace_enabled:
             for node_id in sorted(self.broker.nodes):
                 queued_work_us = self.broker.refresh_queue_telemetry(node_id, now)
-                self._push(now, self._on_telemetry, {"node_id": node_id, "queued_work_us": queued_work_us})
+                self._push_trace(now, "telemetry", node_id=node_id, queued_work_us=queued_work_us)
 
     def _start_load(self, now: int, node_id: str, rid: str) -> None:
-        realization = self.catalog.realizations[rid]
-        if self.broker.free_memory(node_id) < self.broker.footprint(rid):
-            self._pending_loads.setdefault(node_id, []).append(rid)
+        """Load ``rid`` on the node, or queue it once until an eviction
+        frees memory there. A cold commit may have installed it meanwhile."""
+        if rid in self.broker.node(node_id).residency:
             return
+        if self.broker.free_memory(node_id) < self.broker.footprint(rid):
+            self._pending_loads.setdefault(node_id, set()).add(rid)
+            return
+        realization = self.catalog.realizations[rid]
         transfer, core = self.router.artifact_fetch(node_id, realization)
         available = now + transfer + realization.load_time_us
         self.broker.install(node_id, rid, available)
         self.metrics.placement_churn += 1
         self.metrics.model_load_overhead_us += transfer + realization.load_time_us
         self.metrics.core_bytes_placement += core
-        self._push(
+        self._push_trace(
             available,
-            self._on_transfer_complete,
-            {"transfer": "artifact", "node_id": node_id, "realization_id": rid, "bytes": realization.artifact_size_bytes},
+            "transfer_complete",
+            transfer="artifact",
+            node_id=node_id,
+            realization_id=rid,
+            bytes=realization.artifact_size_bytes,
         )
 
     def _maybe_complete_eviction(self, now: int, node_id: str, rid: str) -> None:
@@ -451,28 +433,19 @@ class Simulation:
         self.broker.evict(node_id, rid)
         self.metrics.placement_churn += 1
         self._trace(now, "placement_evict", node_id=node_id, realization_id=rid)
-        pending = self._pending_loads.get(node_id, [])
-        if pending:
-            self._pending_loads[node_id] = []
-            for pending_rid in sorted(pending):
-                self._start_load(now, node_id, pending_rid)
+        for pending_rid in sorted(self._pending_loads.pop(node_id, ())):
+            self._start_load(now, node_id, pending_rid)
 
-    def _on_session_end(self, now: int, payload: dict) -> None:
-        session_id = payload["session_id"]
+    def _on_session_end(self, now: int, session_id: str) -> None:
         for node_id, state_id in self.caches.drop_session(session_id):
             self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="session_end")
         self._trace(now, "session_end", session_id=session_id)
 
-    def _on_node_offline(self, now: int, payload: dict) -> None:
-        self.broker.node(payload["node_id"]).online = False
-        self._trace(now, "node_offline", node_id=payload["node_id"])
+    def _on_node_event(self, now: int, node_id: str, online: bool) -> None:
+        self.broker.node(node_id).online = online
+        self._trace(now, "node_online" if online else "node_offline", node_id=node_id)
 
-    def _on_node_online(self, now: int, payload: dict) -> None:
-        self.broker.node(payload["node_id"]).online = True
-        self._trace(now, "node_online", node_id=payload["node_id"])
-
-    def _on_revoke(self, now: int, payload: dict) -> None:
-        rid = payload["realization_id"]
+    def _on_revoke(self, now: int, rid: str) -> None:
         self.trust.revoke(rid)
         self._trace(now, "revoke", realization_id=rid)
         for node_id in sorted(self.broker.nodes):
@@ -482,9 +455,6 @@ class Simulation:
                 self._maybe_complete_eviction(now, node_id, rid)
         for node_id, state_id in self.caches.drop_by_realization(rid):
             self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="revoked")
-
-    def _on_telemetry(self, now: int, payload: dict) -> None:
-        self._trace(now, "telemetry", **payload)
 
     # -- terminal bookkeeping ------------------------------------------------------
 
@@ -512,13 +482,13 @@ class Simulation:
             entry.pins = max(0, entry.pins - 1)
         return entry
 
-    def _finish_served(self, now: int, request_id: str) -> None:
-        flight = self._in_flight.pop(request_id, None)
-        if flight is None:
-            return
+    def _finish_served(self, now: int, flight: InFlight) -> None:
         arrival = flight.arrival
         request = arrival.request
         scored = flight.scored
+        if self.trace_enabled:
+            self._trace(now, "transfer_complete", transfer="response", request_id=request.request_id)
+        del self._in_flight[request.request_id]
 
         entry = self._unpin(flight)
         source = entry.source_realization if entry is not None else None
@@ -616,7 +586,7 @@ class Simulation:
         if remaining > 0:
             self._session_remaining[sid] = remaining
         else:
-            self._push(now, self._on_session_end, {"session_id": sid})
+            self._push(now, self._on_session_end, sid)
 
     def _truncate_in_flight(self) -> None:
         """Receipts for requests still in flight at the horizon. A revoked

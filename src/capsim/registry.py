@@ -112,10 +112,6 @@ class CapabilityCatalog:
         out.sort(key=lambda r: r.realization_id)
         return out
 
-    def footprint_bytes(self, realization_id: str) -> int:
-        # Memory footprint for placement budgeting equals the artifact size.
-        return self.realizations[realization_id].artifact_size_bytes
-
 
 @dataclass(slots=True)
 class Residency:
@@ -214,7 +210,6 @@ class Broker:
         self.topology = topology
         self.trust = trust
         self.nodes: dict[str, NodeState] = {}
-        self._footprint: dict[str, int] = {}
         self._by_id: list[NodeState] = []  # self.nodes in node-id order
         # Static candidate tables by lookup key, as of ``_revocations`` revocations.
         self._tables: dict[tuple, CandidateTable] = {}
@@ -249,11 +244,8 @@ class Broker:
     # -- residency ---------------------------------------------------------
 
     def footprint(self, realization_id: str) -> int:
-        fp = self._footprint.get(realization_id)
-        if fp is None:
-            fp = self.catalog.footprint_bytes(realization_id)
-            self._footprint[realization_id] = fp
-        return fp
+        """Memory a resident realization takes: its artifact size."""
+        return self.catalog.realizations[realization_id].artifact_size_bytes
 
     def install(self, node_id: str, realization_id: str, available_at_us: int) -> None:
         state = self.node(node_id)

@@ -74,8 +74,7 @@ class Arrival:
     prefix_tokens: int
 
 
-def _zipf_cdf(n: int, s: float) -> list[float]:
-    weights = [1.0 / (k**s) for k in range(1, n + 1)]
+def _cdf(weights: list[float]) -> list[float]:
     total = sum(weights)
     cdf = []
     acc = 0.0
@@ -109,14 +108,8 @@ def generate_region_arrivals(
     rng = random.Random(seed ^ fnv1a32(spec.region))
     if spec.rate_per_s <= 0 or not spec.classes:
         return []
-    cdf = _zipf_cdf(len(spec.classes), spec.zipf_s)
-    mix_weights = [t.weight for t in spec.policy_mix]
-    mix_total = sum(mix_weights)
-    mix_cdf = []
-    acc = 0.0
-    for w in mix_weights:
-        acc += w / mix_total
-        mix_cdf.append(acc)
+    cdf = _cdf([1.0 / (k**spec.zipf_s) for k in range(1, len(spec.classes) + 1)])
+    mix_cdf = _cdf([t.weight for t in spec.policy_mix])
 
     arrivals: list[Arrival] = []
     t_seconds = 0.0

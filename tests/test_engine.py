@@ -1,11 +1,23 @@
+import copy
+import heapq
 import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from capsim import engine
 from capsim.caching import REJECT_SCOPE_VIOLATION
 from capsim.engine import Simulation
 from capsim.metrics import per_request_item
+from capsim.registry import Broker
 from capsim.scenario import Scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def mini_scenario_dict(**overrides):
@@ -676,6 +688,66 @@ def test_replan_withdraws_placement_still_in_flight():
     assert artifact_rows and artifact_rows[0]["timestamp_us"] > 20_000_000
 
 
+def test_a_draining_node_loads_each_queued_realization_once(monkeypatch):
+    """Every load counted installs a realization that was absent, however
+    many replans queued it while the node drained."""
+    d = mini_scenario_dict(duration_us=14_000_000)
+    d["topology"]["nodes"][0]["memory_budget_bytes"] = 2 << 20
+    d["topology"]["nodes"].append(
+        {
+            "node_id": "cloud-1", "domain_id": "d1", "region": "core", "tier": "cloud",
+            "accelerator": "gpu", "speed_factor": "1", "memory_budget_bytes": 1 << 30,
+            "max_concurrent": 8, "admission_cap": 64, "trust": 3, "cache_capacity_bytes": 1 << 20,
+        }
+    )
+    d["topology"]["links"].append(
+        {"link_id": "l-core", "src": "edge-1", "dst": "cloud-1",
+         "propagation_delay_us": 35_000, "bandwidth_bytes_per_us": "1000", "is_core": True}
+    )
+    d["topology"]["artifact_repository"] = "cloud-1"
+    chat = d["catalog"]["classes"][0]
+    chat["variants"][0]["realizations"][0].update(artifact_size_bytes=2 << 20, load_time_us=10_000)
+    code = copy.deepcopy(chat)
+    code["name"] = "code"
+    code["variants"][0]["variant_id"] = "code-v1"
+    code["variants"][0]["realizations"][0].update(realization_id="code-v1-gpu", artifact_size_bytes=1 << 20)
+    d["catalog"]["classes"].append(code)
+    d["initial_placement"] = [["chat-v1-gpu", "edge-1"], ["chat-v1-gpu", "cloud-1"], ["code-v1-gpu", "cloud-1"]]
+    d["deployment"] = {"epoch_us": 1_000_000, "window_us": 1_000_000,
+                        "replan_enabled": True, "local_search_rounds": 8}
+    # Eight 1 s chat requests keep edge-1 busy until 8 s, and only edge-1 may
+    # serve them. The 2 s replan evicts chat there for code, and each replan
+    # up to 8 s asks for code again while chat drains; once chat is out,
+    # edge-1 has room for code twice.
+    in_region = {"min_trust": 0, "locality_scope": "region"}
+    d["requests"] = [
+        scripted_request(f"c{i}", arrival=i * 1000, output_tokens=5000, policy=in_region) for i in range(8)
+    ] + [scripted_request(f"k{i:03d}", arrival=1_500_000 + i * 100_000, capability_class="code") for i in range(100)]
+    scenario = Scenario.from_dict(d)
+    assert scenario.validate() == []
+    sim = Simulation(scenario, trace=True)
+    changes = []
+    install, evict = Broker.install, Broker.evict
+
+    def counted_install(broker, node_id, rid, available_at_us):
+        changes.append(rid not in broker.node(node_id).residency)
+        install(broker, node_id, rid, available_at_us)
+
+    def counted_evict(broker, node_id, rid):
+        changes.append(rid in broker.node(node_id).residency)
+        evict(broker, node_id, rid)
+
+    monkeypatch.setattr(Broker, "install", counted_install)
+    monkeypatch.setattr(Broker, "evict", counted_evict)
+    result = sim.run()
+    replans = [r for r in result.trace if r["kind"] == "epoch_replan" and r["loads"]]
+    assert len(replans) >= 5, "the load was not queued across epochs"
+    assert all(changes)
+    assert sim.metrics.placement_churn == len(changes)
+    loads = [r for r in result.trace if r.get("transfer") == "artifact" and r["node_id"] == "edge-1"]
+    assert len(loads) == 1
+
+
 def test_replan_delta_is_empty_under_steady_demand():
     from pathlib import Path
 
@@ -786,3 +858,32 @@ def test_receipts_serialize_with_stable_field_names():
         "timing", "arrival_time", "finish_time",
     }
     assert set(doc["timing"]) == {"t_net_us", "t_queue_us", "t_exec_us", "t_state_us", "c_load", "p_policy"}
+
+
+# Events a run pops, quiet and traced. Trace-only events (a stage's dispatch,
+# the inbound, KV and artifact transfers, telemetry) are pushed only when
+# tracing; pushing the artifact event on every run popped one more on
+# small_place and three more on replan_churn.
+@pytest.mark.parametrize("name, quiet, traced", [("small_place", 1246, 1875), ("replan_churn", 18980, 28404)])
+def test_event_pops_pin_the_trace_only_events(name, quiet, traced, monkeypatch):
+    popped = []
+
+    def heappop(events):
+        event = heapq.heappop(events)
+        popped.append((event[0], event[2].__name__))
+        return event
+
+    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    runs = {}
+    for trace in (False, True):
+        popped.clear()
+        if name in workloads.WORKLOADS:
+            scenario = Scenario.from_dict(workloads.WORKLOADS[name][0](ROOT, 1))
+        else:
+            scenario = Scenario.load(ROOT / "scenarios" / f"{name}.json")
+        Simulation(scenario, trace=trace).run()
+        runs[trace] = list(popped)
+    assert (len(runs[False]), len(runs[True])) == (quiet, traced)
+    assert all(handler != "_on_trace" for _, handler in runs[False])
+    # Leaving the trace-only events out keeps every other event in its place.
+    assert [e for e in runs[True] if e[1] != "_on_trace"] == runs[False]
