@@ -453,17 +453,13 @@ class DemandWindow:
         return cells
 
 
-@dataclass(frozen=True, slots=True)
-class PlacementDelta:
-    loads: tuple[tuple[str, str], ...]      # (realization_id, node_id) to activate
-    evictions: tuple[tuple[str, str], ...]  # (realization_id, node_id) to withdraw
-
-
-def plan_delta(solution: Placement, residency: dict[str, set[str]]) -> PlacementDelta:
+def plan_delta(
+    solution: Placement, residency: dict[str, set[str]]
+) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """(loads, evictions): the (realization_id, node_id) pairs to activate
+    and to withdraw, each sorted."""
     current = {(rid, node_id) for node_id, rids in residency.items() for rid in rids}
-    loads = tuple(sorted(solution - current))
-    evictions = tuple(sorted(current - solution))
-    return PlacementDelta(loads=loads, evictions=evictions)
+    return tuple(sorted(solution - current)), tuple(sorted(current - solution))
 
 
 def solve(problem: PlacementProblem, local_search_rounds: int) -> Placement:

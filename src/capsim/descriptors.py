@@ -5,9 +5,10 @@ All times are integer microseconds, all sizes integer bytes. Trust is an
 ordinal level in [0, 3]. A record built once, at load, is a frozen
 dataclass. A record built per request, per select or per replan
 (``RequestDescriptor`` and ``ExecutionReceipt`` here; ``Arrival``,
-``CacheDecision``, ``DemandCell`` and the routing records elsewhere) is a
-plain slotted dataclass, because a frozen ``__init__`` writes each field
-through ``object.__setattr__``. Nothing writes to one once it is built;
+``CacheDecision``, ``DemandCell`` and routing's ``StageProjection``,
+``StateUse``, ``ScoredPlan`` and ``Rejection`` elsewhere) is a plain slotted
+dataclass, because a frozen ``__init__`` writes each field through
+``object.__setattr__``. Nothing writes to one once it is built;
 ``tests/test_golden.py`` checks that over whole runs.
 ``validate_descriptor`` reports invariant violations as data, never as
 exceptions.

@@ -33,7 +33,7 @@ from .descriptors import (
 )
 from .metrics import MetricsFrame
 from .registry import Broker, CapabilityCatalog
-from .routing import Rejection, Router, ScoredPlan, Selection, _ceil_time
+from .routing import Rejection, Router, ScoredPlan, _ceil_time
 from .scenario import Scenario
 from .trust import AttestationRecord, ReceiptLog, TrustManager
 from .workload import Arrival, generate_arrivals
@@ -51,15 +51,6 @@ class TraceSink(Protocol):
     def append(self, row: dict) -> None: ...
 
     def __len__(self) -> int: ...
-
-
-@dataclass(slots=True)
-class InFlight:
-    arrival: Arrival
-    scored: ScoredPlan
-    served_quality: int
-    degraded: bool
-    pinned: tuple[str, str] | None  # (node_id, entry key) of the reused state
 
 
 @dataclass(slots=True)
@@ -162,7 +153,9 @@ class Simulation:
         # unique, so tuples compare on (time_us, seq) alone, in C.
         self._events: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._in_flight: dict[str, InFlight] = {}  # committed and not yet served; read only at the horizon
+        # Committed and not yet served, by request id: (arrival, scored plan,
+        # (node_id, entry key) of the reused state or None); read only at the horizon.
+        self._in_flight: dict[str, tuple[Arrival, ScoredPlan, tuple[str, str] | None]] = {}
         self._session_remaining: dict[str, int] = {}
         self._pending_loads: dict[str, set[str]] = {}
         # Replan demand; arrivals are not recorded when nothing replans.
@@ -239,35 +232,31 @@ class Simulation:
             self._demand.add(request)
         self._trace(now, "arrival", request_id=request.request_id)
 
-        outcome = self.router.select(request, now)
-        if isinstance(outcome, Rejection):
-            self._finish_rejected(now, arrival, outcome.reason)
+        scored = self.router.select(request, now)
+        if isinstance(scored, Rejection):
+            self._finish_rejected(now, arrival, scored.reason)
             return
 
-        scored = outcome.scored
         if self.audit_enabled:
             self.audit.append(
                 AuditEntry(
                     request_id=request.request_id,
                     now_us=now,
                     chosen_plan_id=scored.plan.plan_id,
-                    alternatives=outcome.alternatives,
+                    alternatives=scored.alternatives,
                 )
             )
 
-        verdict, reason = self.trust.verdict(
-            request, scored.plan.stages, scored.stages[0].start_us, degraded=outcome.degraded
-        )
+        verdict, reason = self.trust.verdict(request, scored.plan.stages, scored.stages[0].start_us)
         if verdict == "rejected":
             self._finish_rejected(now, arrival, reason or "rejected")
             return
 
-        self._commit(now, arrival, outcome)
+        self._commit(now, arrival, scored)
 
-    def _commit(self, now: int, arrival: Arrival, selection: Selection) -> None:
+    def _commit(self, now: int, arrival: Arrival, scored: ScoredPlan) -> None:
         request = arrival.request
         request_id = request.request_id
-        scored = selection.scored
         use = scored.state_use
         pinned = None
 
@@ -279,17 +268,12 @@ class Simulation:
             self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=True)
         elif request.affinity_token and self.caches.enabled:
             self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=False)
-        flight = InFlight(
-            arrival=arrival,
-            scored=scored,
-            served_quality=selection.served_quality,
-            degraded=selection.degraded,
-            pinned=pinned,
-        )
-        self._in_flight[request_id] = flight
+        self._in_flight[request_id] = (arrival, scored, pinned)
         if use is not None and use.migrate:
             migration_done = now + scored.inbound_net_us + use.transfer_us
-            self._push(migration_done, self._apply_migration, flight, use.entry_node, scored.stages[0].node_id)
+            self._push(
+                migration_done, self._apply_migration, request, use.entry, use.entry_node, scored.stages[0].node_id
+            )
 
         for proj in scored.stages:
             node = self.broker.node(proj.node_id)
@@ -330,7 +314,7 @@ class Simulation:
                     transfer="kv",
                     request_id=request_id,
                 )
-        self._push(scored.finish_us, self._finish_served, flight)
+        self._push(scored.finish_us, self._finish_served, arrival, scored, pinned)
 
     # -- event handlers -----------------------------------------------------------
 
@@ -338,13 +322,13 @@ class Simulation:
         self._trace(now, "stage_complete", request_id=request_id, node_id=node_id)
         self._maybe_complete_eviction(now, node_id, rid)
 
-    def _apply_migration(self, now: int, flight: InFlight, src_node: str, dst_node: str) -> None:
-        request = flight.arrival.request
+    def _apply_migration(
+        self, now: int, request: RequestDescriptor, entry: CacheEntry, src_node: str, dst_node: str
+    ) -> None:
         state_entry = (src_node, dst_node)
         self._trace(
             now, "transfer_complete", transfer="state_migration", request_id=request.request_id, state_entry=state_entry
         )
-        entry = flight.scored.state_use.entry
         decision = self.caches.store(dst_node).admit(
             replace(entry, window=deque(), pins=0),
             p_hit_of(entry, now, self.caches.window_us),
@@ -377,17 +361,20 @@ class Simulation:
         }
         problem = deployment.build_problem(self.router, cells, self.scenario.placement_weights, residency)
         solution = deployment.solve(problem, dep.local_search_rounds)
-        delta = deployment.plan_delta(solution, residency)
-        self._trace(now, "epoch_replan", loads=len(delta.loads), evictions=len(delta.evictions))
+        loads, evictions = deployment.plan_delta(solution, residency)
+        self._trace(now, "epoch_replan", loads=len(loads), evictions=len(evictions))
 
-        for rid, node_id in delta.evictions:
+        # A load queued by an earlier replan waits only while this plan still holds it.
+        for node_id, pending in self._pending_loads.items():
+            pending.difference_update([rid for rid in pending if (rid, node_id) not in solution])
+        for rid, node_id in evictions:
             state = self.broker.node(node_id)
             res = state.residency.get(rid)
             if res is None:
                 continue
             res.pending_eviction = True
             self._maybe_complete_eviction(now, node_id, rid)
-        for rid, node_id in delta.loads:
+        for rid, node_id in loads:
             state = self.broker.node(node_id)
             res = state.residency.get(rid)
             if res is not None:
@@ -471,29 +458,27 @@ class Simulation:
         )
         self._end_turn(now, arrival)
 
-    def _unpin(self, flight: InFlight) -> CacheEntry | None:
-        """Release the flight's pin on the state it reused; the entry, if
-        its store still holds it."""
-        if flight.pinned is None:
+    def _unpin(self, pinned: tuple[str, str] | None) -> CacheEntry | None:
+        """Release the pin a commit took on the state it reused; the entry,
+        if its store still holds it."""
+        if pinned is None:
             return None
-        node_id, entry_key = flight.pinned
+        node_id, entry_key = pinned
         entry = self.caches.store(node_id).entries.get(entry_key)
         if entry is not None:
             entry.pins = max(0, entry.pins - 1)
         return entry
 
-    def _finish_served(self, now: int, flight: InFlight) -> None:
-        arrival = flight.arrival
+    def _finish_served(self, now: int, arrival: Arrival, scored: ScoredPlan, pinned: tuple[str, str] | None) -> None:
         request = arrival.request
-        scored = flight.scored
         if self.trace_enabled:
             self._trace(now, "transfer_complete", transfer="response", request_id=request.request_id)
         del self._in_flight[request.request_id]
 
-        entry = self._unpin(flight)
+        entry = self._unpin(pinned)
         source = entry.source_realization if entry is not None else None
         if source and self.trust.is_revoked(source) and entry.pins == 0:
-            node_id, entry_key = flight.pinned
+            node_id, entry_key = pinned
             self.caches.store(node_id).entries.pop(entry_key, None)
             self._trace(now, "cache_evict", state_id=entry.state_id, node_id=node_id, reason="revoked")
 
@@ -504,23 +489,23 @@ class Simulation:
             sorted({(proj.node_id, self.trust.effective_trust(proj.node_id, attest_time)) for proj in scored.stages})
         )
         use = scored.state_use
-        cost = scored.cost
+        degraded = scored.served_quality < request.quality_target
         self.receipts.emit(
             ExecutionReceipt(
                 request_id=request.request_id,
-                verdict=Verdict.DEGRADED if flight.degraded else Verdict.ALLOWED,
-                reason=f"quality-downgrade:{flight.served_quality}" if flight.degraded else None,
+                verdict=Verdict.DEGRADED if degraded else Verdict.ALLOWED,
+                reason=f"quality-downgrade:{scored.served_quality}" if degraded else None,
                 plan=scored.plan.stages,
                 capability_versions=versions,
                 node_attestations=attestations,
                 cache_states_reused=(use.entry.state_id,) if use else (),
                 cache_tokens_covered=use.covered_tokens if use else 0,
-                t_net_us=cost.t_net_us,
-                t_queue_us=cost.t_queue_us,
-                t_exec_us=cost.t_exec_us,
-                t_state_us=cost.t_state_us,
-                c_load=cost.c_load,
-                p_policy=cost.p_policy,
+                t_net_us=scored.t_net_us,
+                t_queue_us=scored.t_queue_us,
+                t_exec_us=scored.t_exec_us,
+                t_state_us=scored.t_state_us,
+                c_load=scored.c_load,
+                p_policy=scored.p_policy,
                 arrival_time=request.arrival_time,
                 finish_time=now,
                 ttft_us=ttft,
@@ -530,15 +515,13 @@ class Simulation:
                 occupancy_us=tuple(proj.duration_us for proj in scored.stages),
             )
         )
-        self._offer_session_state(now, flight)
+        self._offer_session_state(now, arrival, scored)
         self._end_turn(now, arrival)
 
-    def _offer_session_state(self, now: int, flight: InFlight) -> None:
-        arrival = flight.arrival
+    def _offer_session_state(self, now: int, arrival: Arrival, scored: ScoredPlan) -> None:
         request = arrival.request
         if not (request.affinity_token and self.caches.enabled and arrival.prefix_tokens > 0):
             return
-        scored = flight.scored
         serving_node = scored.stages[-1].node_id
         prefill_rid = scored.stages[0].realization_id
         realization = self.catalog.realizations[prefill_rid]
@@ -592,15 +575,15 @@ class Simulation:
         """Receipts for requests still in flight at the horizon. A revoked
         state they pinned stays stored, so ``trace.csv`` gains no row."""
         for request_id in sorted(self._in_flight):
-            flight = self._in_flight[request_id]
-            self._unpin(flight)
+            arrival, scored, pinned = self._in_flight[request_id]
+            self._unpin(pinned)
             self.receipts.emit(
                 ExecutionReceipt(
                     request_id=request_id,
                     verdict=Verdict.REJECTED,
                     reason=REASON_HORIZON_TRUNCATED,
-                    plan=flight.scored.plan.stages,
-                    arrival_time=flight.arrival.request.arrival_time,
+                    plan=scored.plan.stages,
+                    arrival_time=arrival.request.arrival_time,
                     finish_time=self.duration_us,
                 )
             )

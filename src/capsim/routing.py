@@ -71,7 +71,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heappushpop
 from math import lcm
@@ -119,19 +119,6 @@ class ExecutionPlan:
         return cls(stages=stages, plan_id=hashlib.sha256(payload.encode()).hexdigest()[:32])
 
 
-@dataclass(slots=True)
-class PlanCost:
-    t_net_us: int
-    t_queue_us: int
-    t_exec_us: int
-    t_state_us: int
-    c_load: int
-    p_policy: int
-
-    def terms(self) -> tuple[int, int, int, int, int, int]:
-        return (self.t_net_us, self.t_queue_us, self.t_exec_us, self.t_state_us, self.c_load, self.p_policy)
-
-
 def _weight_multipliers(weights: RoutingWeights) -> tuple[int, tuple[int, ...]]:
     """Common denominator and integer per-term multipliers for exact J sums."""
     parts = (weights.alpha, weights.beta, weights.gamma, weights.delta, weights.epsilon, weights.zeta)
@@ -166,8 +153,19 @@ class StateUse:
 
 @dataclass(slots=True)
 class ScoredPlan:
+    """A priced plan: its six cost terms, named as the receipt names them,
+    and its projected schedule. ``select`` returns it with the ladder step it
+    serves at, below the request's quality target when degraded, and, when
+    the router audits, every plan's (plan_id, terms). Equality compares the
+    priced fields only."""
+
     plan: ExecutionPlan
-    cost: PlanCost
+    t_net_us: int
+    t_queue_us: int
+    t_exec_us: int
+    t_state_us: int
+    c_load: int
+    p_policy: int
     stages: tuple[StageProjection, ...]
     inbound_net_us: int
     interstage_net_us: int
@@ -176,20 +174,13 @@ class ScoredPlan:
     decode_total_us: int     # full decode-phase duration on the decode stage
     state_use: StateUse | None
     core_bytes: int          # request+kv+response bytes over core links
+    served_quality: int = field(compare=False)
+    alternatives: tuple[tuple[str, tuple[int, int, int, int, int, int]], ...] = field(compare=False)
 
 
 @dataclass(slots=True)
 class Rejection:
     reason: str
-
-
-@dataclass(slots=True)
-class Selection:
-    scored: ScoredPlan
-    served_quality: int
-    degraded: bool
-    # (plan_id, terms) of every plan incl. the chosen one; empty unless the router audits
-    alternatives: tuple[tuple[str, tuple[int, int, int, int, int, int]], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,7 +295,7 @@ class Router:
         self.enable_split = enable_split
         self.artifact_repository = artifact_repository
         self.placement_tiers = placement_tiers
-        self.audit = audit  # selections carry every plan's (plan_id, terms)
+        self.audit = audit  # the selected plan carries every plan's (plan_id, terms) in ``alternatives``
         self._scale, self._mult = _weight_multipliers(self.weights)
         self._eps_num, self._eps_den = self.weights.tie_eps.numerator, self.weights.tie_eps.denominator
         self._kappa_num, self._kappa_den = self.weights.kappa.numerator, self.weights.kappa.denominator
@@ -426,7 +417,8 @@ class Router:
         now: int,
         warm_flags: tuple[bool, ...],
     ) -> ScoredPlan:
-        """Price one plan: the six cost terms plus the projected schedule.
+        """Price one plan: the six cost terms plus the projected schedule,
+        served at the request's quality target with no alternatives.
 
         Each stage is priced as a stage half, as ``select`` prices it.
         ``warm_flags`` marks per-stage residency (cold stages pay activation
@@ -442,7 +434,7 @@ class Router:
         halves = [self._half(request, b, now) for b in bounds]
         pre, dec = halves[0], (halves[1] if len(halves) == 2 else None)
         self._prefill(request, pre, now, held)
-        return self._scored(plan, request, now, self._priced(pre, dec))
+        return self._scored(plan, request, now, self._priced(pre, dec), request.quality_target, ())
 
     def idle_cost(self, request: RequestDescriptor, node: NodeState, realization_id: str) -> int | None:
         """The J numerator of ``request``'s warm single-node plan on ``node``
@@ -463,8 +455,16 @@ class Router:
         wait = max(0, dec.free_us - pre.prefill_done_us - t_inter)
         return pre.pre_num + dec.dec_num + self._mult[0] * t_inter + self._mult[1] * wait, pre, dec, t_inter, wait
 
-    def _scored(self, plan: ExecutionPlan, request: RequestDescriptor, now: int, priced: _Priced) -> ScoredPlan:
-        """The priced plan with its projected schedule."""
+    def _scored(
+        self,
+        plan: ExecutionPlan,
+        request: RequestDescriptor,
+        now: int,
+        priced: _Priced,
+        quality: int,
+        alternatives: tuple,
+    ) -> ScoredPlan:
+        """The priced plan with its projected schedule, served at ``quality``."""
         _, pre, dec, t_inter, wait = priced
         use = pre.use
         # Migration is network wait before the stage is ready; the recompute
@@ -484,12 +484,11 @@ class Router:
                 _projection(pre, PlanPhase.PREFILL, ready, start, pre.prefill_done_us),
                 _projection(dec, PlanPhase.DECODE, dec_ready, dec_ready + wait, complete),
             )
-        terms = self._terms_of(pre, dec, t_inter, wait)
         core_in = pre.row.route_in.core_bytes(request.input_tokens * self.bytes_per_token)
         core_out = last.row.route_out.core_bytes(request.output_tokens * self.bytes_per_token)
         return ScoredPlan(
-            plan=plan,
-            cost=PlanCost(*terms),
+            plan,
+            *self._terms_of(pre, dec, t_inter, wait),
             stages=stages,
             inbound_net_us=pre.t_in,
             interstage_net_us=t_inter,
@@ -498,6 +497,8 @@ class Router:
             decode_total_us=last.decode_us,
             state_use=use,
             core_bytes=core_in + core_inter + core_out + (use.core_bytes if use is not None else 0),
+            served_quality=quality,
+            alternatives=alternatives,
         )
 
     # -- selection ----------------------------------------------------------------
@@ -870,7 +871,7 @@ class Router:
             pre.p_policy + dec.p_policy,
         )
 
-    def select(self, request: RequestDescriptor, now: int) -> Selection | Rejection:
+    def select(self, request: RequestDescriptor, now: int) -> ScoredPlan | Rejection:
         """Argmin-J selection with the overload/degradation ladder.
 
         Ladder: nodes at their admission cap are dropped as their halves are
@@ -906,7 +907,7 @@ class Router:
 
     def _selection(
         self, request: RequestDescriptor, now: int, plans: list[_Priced], within: list[_Priced], quality: int
-    ) -> Selection:
+    ) -> ScoredPlan:
         cut = self._tie_cut(min(p[0] for p in within))
         plan, priced = min(
             ((self._plan_of(p[1], p[2]), p) for p in within if p[0] <= cut),
@@ -915,12 +916,7 @@ class Router:
         alternatives = ()
         if self.audit:
             alternatives = tuple(sorted((self._plan_of(p[1], p[2]).plan_id, self._terms_of(*p[1:])) for p in plans))
-        return Selection(
-            scored=self._scored(plan, request, now, priced),
-            served_quality=quality,
-            degraded=quality < request.quality_target,
-            alternatives=alternatives,
-        )
+        return self._scored(plan, request, now, priced, quality, alternatives)
 
 
 def _ceil_time(per_token_us: int, tokens: int, speed_num: int, speed_den: int) -> int:

@@ -100,9 +100,8 @@ class TrustManager:
         request: RequestDescriptor,
         plan: tuple[PlanStage, ...],
         now: int,
-        degraded: bool = False,
     ) -> tuple[str, str | None]:
-        """Dispatch-time policy verdict: (allowed|degraded, None) or (rejected, reason).
+        """Dispatch-time policy verdict: (allowed, None) or (rejected, reason).
 
         Hard constraints were filtered at selection; this re-checks them
         because attestations may have expired and lineage may have been
@@ -114,7 +113,7 @@ class TrustManager:
         for stage in plan:
             if self.is_revoked(stage.realization_id):
                 return ("rejected", REASON_LINEAGE_REVOKED)
-        return ("degraded" if degraded else "allowed", None)
+        return ("allowed", None)
 
 
 @dataclass(slots=True)

@@ -19,11 +19,9 @@ from capsim.routing import (
     TIE_EPS_DEN,
     TIE_EPS_NUM,
     ExecutionPlan,
-    PlanCost,
     Router,
     RoutingWeights,
     ScoredPlan,
-    Selection,
     StageProjection,
     _weight_multipliers,
 )
@@ -56,9 +54,14 @@ def combine_terms(weights: RoutingWeights, terms: tuple[int, int, int, int, int,
     return Fraction(sum(m * t for m, t in zip(mult, terms)), scale)
 
 
+def terms_of(scored: ScoredPlan) -> tuple[int, int, int, int, int, int]:
+    """A scored plan's six cost terms, in J's order."""
+    return (scored.t_net_us, scored.t_queue_us, scored.t_exec_us, scored.t_state_us, scored.c_load, scored.p_policy)
+
+
 def plan_j(weights: RoutingWeights, scored: ScoredPlan) -> Fraction:
     """J of a scored plan under ``weights``, from its six terms."""
-    return combine_terms(weights, scored.cost.terms())
+    return combine_terms(weights, terms_of(scored))
 
 
 def score(
@@ -157,13 +160,16 @@ def score(
 
     misses = sum(router._soft_misses(request, node_state, realization, now) for node_state, realization in stages)
     p_policy = 0 if zero_queue else router.weights.pi_soft * misses
-    terms = (t_net, t_queue, t_exec, t_state, c_load, p_policy)
-    cost = PlanCost(*terms)
     finish = cursor + t_out
     state_core = state_use.core_bytes if (state_use and state_use.migrate) else 0
     return ScoredPlan(
         plan=plan,
-        cost=cost,
+        t_net_us=t_net,
+        t_queue_us=t_queue,
+        t_exec_us=t_exec,
+        t_state_us=t_state,
+        c_load=c_load,
+        p_policy=p_policy,
         stages=tuple(projections),
         inbound_net_us=t_in,
         interstage_net_us=t_inter,
@@ -172,6 +178,8 @@ def score(
         decode_total_us=decode_total_us,
         state_use=state_use,
         core_bytes=core_in + core_inter + core_out + state_core,
+        served_quality=request.quality_target,
+        alternatives=(),
     )
 
 
@@ -296,10 +304,9 @@ def checked_select(select):
 
     def checked(router: Router, request: RequestDescriptor, now: int):
         outcome = select(router, request, now)
-        if isinstance(outcome, Selection):
-            chosen = outcome.scored
-            warm_flags = tuple(not proj.cold for proj in chosen.stages)
-            assert chosen == score(router, chosen.plan, request, now, warm_flags), request.request_id
+        if isinstance(outcome, ScoredPlan):
+            warm_flags = tuple(not proj.cold for proj in outcome.stages)
+            assert outcome == score(router, outcome.plan, request, now, warm_flags), request.request_id
             checked.checks += 1
         return outcome
 

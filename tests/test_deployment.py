@@ -122,8 +122,8 @@ def test_greedy_drops_residents_with_no_demand():
     )
     solution = solve_greedy(problem)
     assert solution == frozenset()
-    delta = plan_delta(solution, {"n0": {"r0"}})
-    assert delta.evictions == (("r0", "n0"),)
+    _, evictions = plan_delta(solution, {"n0": {"r0"}})
+    assert evictions == (("r0", "n0"),)
 
 
 def test_local_search_escapes_density_trap():
@@ -246,9 +246,9 @@ def test_integer_solvers_match_fraction_reference(seed, ties, masks):
 def test_plan_delta_diffs_against_residency():
     solution = frozenset({("r0", "n0"), ("r1", "n1")})
     residency = {"n0": {"r0", "r9"}, "n1": set()}
-    delta = plan_delta(solution, residency)
-    assert delta.loads == (("r1", "n1"),)
-    assert delta.evictions == (("r9", "n0"),)
+    loads, evictions = plan_delta(solution, residency)
+    assert loads == (("r1", "n1"),)
+    assert evictions == (("r9", "n0"),)
 
 
 def test_cells_aggregate_means_within_window():

@@ -14,6 +14,10 @@ No shipped scenario fills a session cache, so ``EVICTION_HEAVY`` pins one that
 does: ring-linked edges whose caches hold about one session state each, so
 admissions displace residents and states migrate between edges.
 
+``WORKLOAD_DIGESTS`` pins the digest perfbench prints (``sha256=``) for each
+of its workloads at seed 1, so that a run of the benchmark checks nothing a
+test does not.
+
 Two relations over whole runs sit here too: a run is a prefix of a run twice
 as long, and no per-request record is written after it is built.
 """
@@ -32,12 +36,17 @@ from capsim.caching import CacheDecision
 from capsim.cli import main
 from capsim.deployment import DemandCell
 from capsim.descriptors import ExecutionReceipt, RequestDescriptor
-from capsim.engine import InFlight, Simulation
-from capsim.routing import PlanCost, Rejection, ScoredPlan, Selection, StageProjection, StateUse
+from capsim.engine import Simulation
+from capsim.routing import Rejection, ScoredPlan, StageProjection, StateUse
 from capsim.scenario import Scenario
-from capsim.workload import Arrival
+from capsim.workload import Arrival, generate_arrivals
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's generators and output check, imported only)
+from check import check_outputs  # noqa: E402
 
 GOLDEN = {
     "audit": (
@@ -195,6 +204,28 @@ def test_eviction_heavy_output_matches_golden_digest(tmp_path):
     assert output_digests(out) == EVICTION_HEAVY
 
 
+# perfbench's sha256= for each of its workloads at seed 1.
+WORKLOAD_DIGESTS = {
+    "fanout17": "265878c7f23f22a2f213f558c5d5b90cd68803f8a4d9a84cf8a916e76ad490c3",
+    "sessions": "84dcb5e7f0653230561dcd55835a64f96b100d2954ac09614ad426ba7be18149",
+    "replan_churn": "fa7fb54271c8cb3ddc0ec2db69aa1f83cac6e1bae2b8d0aca4407ad689ab0da7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_output_matches_its_digest(name, tmp_path):
+    generate, with_trace = workloads.WORKLOADS[name]
+    doc = generate(ROOT, 1)
+    scenario = Scenario.from_dict(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)] + (["--trace"] if with_trace else [])) == 0
+    arrivals = len(generate_arrivals(scenario.workload, scenario.duration_us, scenario.seed))
+    digest, _ = check_outputs(out, arrivals + len(scenario.scripted_requests), with_trace)
+    assert digest == WORKLOAD_DIGESTS[name]
+
+
 # Runs scenarios with --trace and prints each one's output digests.
 DIGESTS_OF_RUNS = """
 import hashlib, json, sys, tempfile
@@ -306,14 +337,11 @@ PER_REQUEST_RECORDS = (
     ExecutionReceipt,
     Arrival,
     StageProjection,
-    PlanCost,
     StateUse,
     ScoredPlan,
-    Selection,
     Rejection,
     CacheDecision,
     DemandCell,
-    InFlight,
 )
 
 

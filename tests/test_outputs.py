@@ -221,7 +221,7 @@ def test_failed_run_leaves_no_partial_trace(tmp_path, monkeypatch, capsys):
     assert main(["run", scenario, "--out", str(out), "--trace"]) == 0
     complete = (out / "trace.csv").read_bytes()
 
-    def fail(self, now, request_id):
+    def fail(self, now, *args):
         raise RuntimeError("injected failure")
 
     monkeypatch.setattr(Simulation, "_finish_served", fail)

@@ -24,7 +24,7 @@ from capsim.routing import (
     Rejection,
     Router,
     RoutingWeights,
-    Selection,
+    ScoredPlan,
 )
 from capsim.scenario import Scenario
 from capsim.topology import Domain, Link, Topology, Unreachable
@@ -51,6 +51,7 @@ from reference_router import (
     score,
     score_enumerated,
     static_bounds,
+    terms_of,
     within_tie,
 )
 
@@ -121,9 +122,9 @@ def test_minimal_request_cost_is_setup_plus_one_decode(simple_broker):
     router.topology = zero
     plan = ExecutionPlan.of((PlanStage("edge-1", "chat-v1-gpu", PlanPhase.FULL),))
     scored = router.score(plan, request, now=0, warm_flags=(True,))
-    assert scored.cost.t_net_us == 0
-    assert scored.cost.t_queue_us == 0
-    assert scored.cost.t_exec_us == 1000 + 200
+    assert scored.t_net_us == 0
+    assert scored.t_queue_us == 0
+    assert scored.t_exec_us == 1000 + 200
     assert plan_j(router.weights, scored) == 1200
 
 
@@ -136,9 +137,9 @@ def test_warm_single_stage_cost_closed_form(simple_broker):
     assert len(mine) == 1
     scored = mine[0]
     # Inbound 500 + ceil(400/1000); outbound 500 + ceil(40/1000).
-    assert scored.cost.t_net_us == 501 + 501
+    assert scored.t_net_us == 501 + 501
     # setup + 100 prefill tokens * 50 + 10 decode tokens * 200.
-    assert scored.cost.t_exec_us == 1000 + 5000 + 2000
+    assert scored.t_exec_us == 1000 + 5000 + 2000
     assert plan_j(router.weights, scored) == 1002 + 8000
 
 
@@ -149,7 +150,7 @@ def test_speed_factor_divides_per_token_times(simple_broker):
     plan = ExecutionPlan.of((PlanStage("cloud-1", "chat-v1-gpu", PlanPhase.FULL),))
     scored = router.score(plan, chat_request(), now=0, warm_flags=(True,))
     # cloud speed 2: prefill 100*50/2, decode 10*200/2.
-    assert scored.cost.t_exec_us == 1000 + 2500 + 1000
+    assert scored.t_exec_us == 1000 + 2500 + 1000
 
 
 def test_cold_plan_pays_activation_in_exec(simple_broker):
@@ -159,7 +160,7 @@ def test_cold_plan_pays_activation_in_exec(simple_broker):
     warm = router.score(plan, chat_request(), now=0, warm_flags=(True,))
     cold = router.score(plan, chat_request(), now=0, warm_flags=(False,))
     transfer, _ = broker.topology.transfer_between("cloud-1", "edge-1", GIB)
-    assert cold.cost.t_exec_us == warm.cost.t_exec_us + transfer + 1_000_000
+    assert cold.t_exec_us == warm.t_exec_us + transfer + 1_000_000
 
 
 def test_plan_set_matches_brute_force_enumeration(simple_broker):
@@ -191,11 +192,11 @@ def test_select_picks_smaller_cost(simple_broker):
     broker.install("cloud-1", "chat-v1-gpu", 0)
     router = make_router(broker, enable_split=False)
     outcome = router.select(chat_request(), now=0)
-    assert isinstance(outcome, Selection)
+    assert isinstance(outcome, ScoredPlan)
     # Edge is closer and the exec gap does not cover two core-link crossings.
-    assert outcome.scored.stages[0].node_id == "edge-1"
+    assert outcome.stages[0].node_id == "edge-1"
     rescored = {s.plan.plan_id: plan_j(router.weights, s) for s in feasible_plans(router, chat_request(), 0)}
-    assert all(within_tie(total, plan_j(router.weights, outcome.scored)) for total in rescored.values())
+    assert all(within_tie(total, plan_j(router.weights, outcome)) for total in rescored.values())
 
 
 def test_equal_costs_tie_to_smaller_plan_id(simple_broker):
@@ -204,11 +205,11 @@ def test_equal_costs_tie_to_smaller_plan_id(simple_broker):
     broker.install("edge-2", "chat-v1-gpu", 0)
     router = make_router(broker, enable_split=False)
     outcomes = [router.select(chat_request(), now=0) for _ in range(3)]
-    plan_ids = {o.scored.plan.plan_id for o in outcomes}
+    plan_ids = {o.plan.plan_id for o in outcomes}
     assert len(plan_ids) == 1
     scored = feasible_plans(router, chat_request(), 0)
-    tied = [s for s in scored if plan_j(router.weights, s) == plan_j(router.weights, outcomes[0].scored)]
-    assert outcomes[0].scored.plan.plan_id == min(s.plan.plan_id for s in tied)
+    tied = [s for s in scored if plan_j(router.weights, s) == plan_j(router.weights, outcomes[0])]
+    assert outcomes[0].plan.plan_id == min(s.plan.plan_id for s in tied)
 
 
 def test_empty_plan_set_rejects_no_feasible_plan(simple_broker):
@@ -260,8 +261,8 @@ def test_degradation_ladder_steps_down_one_quality_tier():
     router = make_router(degradable_broker(), enable_split=False)
     offered = chat_request(quality_target=2, degradable=True)
     outcome = router.select(offered, now=0)
-    assert isinstance(outcome, Selection)
-    assert outcome.degraded and outcome.served_quality == 1
+    assert isinstance(outcome, ScoredPlan)
+    assert outcome.served_quality == 1 < offered.quality_target
 
 
 def test_non_degradable_request_rejected_instead():
@@ -282,8 +283,8 @@ def test_admission_capped_node_excluded(simple_broker):
         edge1.reserve("chat-v1-gpu", ready_us=10_000, duration_us=1000)
     assert edge1.queue_length(0) >= cap
     outcome = router.select(chat_request(), now=0)
-    assert isinstance(outcome, Selection)
-    assert outcome.scored.stages[0].node_id == "edge-2"
+    assert isinstance(outcome, ScoredPlan)
+    assert outcome.stages[0].node_id == "edge-2"
 
 
 def _plant_affinity_state(router, broker, node_id, request, tokens=64):
@@ -304,10 +305,10 @@ def test_state_local_to_plan_node_costs_nothing(simple_broker):
     _plant_affinity_state(router, broker, "edge-1", request, tokens=64)
     scored = feasible_plans(router, request, 0)
     at_holder = [s for s in scored if s.stages[0].node_id == "edge-1" and not s.stages[0].cold][0]
-    assert at_holder.cost.t_state_us == 0
+    assert at_holder.t_state_us == 0
     assert at_holder.state_use.covered_tokens == 64
     # Covered prefill tokens are skipped in the execution term.
-    assert at_holder.cost.t_exec_us == 1000 + (100 - 64) * 50 + 2000
+    assert at_holder.t_exec_us == 1000 + (100 - 64) * 50 + 2000
 
 
 def test_remote_state_costs_min_of_migrate_and_recompute(simple_broker):
@@ -321,7 +322,7 @@ def test_remote_state_costs_min_of_migrate_and_recompute(simple_broker):
     remote = [s for s in scored if s.stages[0].node_id == "edge-1" and not s.stages[0].cold][0]
     migrate_us, _ = broker.topology.transfer_between("edge-2", "edge-1", 64 * 256)
     recompute_us = 64 * 50
-    assert remote.cost.t_state_us == min(migrate_us, recompute_us)
+    assert remote.t_state_us == min(migrate_us, recompute_us)
 
 
 def test_affinity_prefers_the_holder_node(simple_broker):
@@ -332,7 +333,7 @@ def test_affinity_prefers_the_holder_node(simple_broker):
     request = chat_request(affinity_token="sess-1:deadbeef")
     _plant_affinity_state(router, broker, "edge-2", request, tokens=64)
     outcome = router.select(request, now=0)
-    assert outcome.scored.stages[0].node_id == "edge-2"
+    assert outcome.stages[0].node_id == "edge-2"
 
 
 def test_weight_rescaling_leaves_selection_unchanged(simple_broker):
@@ -347,9 +348,9 @@ def test_weight_rescaling_leaves_selection_unchanged(simple_broker):
         request = chat_request(request_id=f"q-{tokens}", input_tokens=tokens)
         a = router.select(request, now=0)
         b = router10.select(request, now=0)
-        assert isinstance(a, Selection) and isinstance(b, Selection)
-        assert a.scored.plan.plan_id == b.scored.plan.plan_id
-        assert plan_j(router10.weights, b.scored) == plan_j(router.weights, a.scored) * 10
+        assert isinstance(a, ScoredPlan) and isinstance(b, ScoredPlan)
+        assert a.plan.plan_id == b.plan.plan_id
+        assert plan_j(router10.weights, b) == plan_j(router.weights, a) * 10
 
 
 def test_unreachable_node_is_not_a_plan():
@@ -367,8 +368,8 @@ def test_unreachable_node_is_not_a_plan():
     broker.install("island-1", "chat-v1-gpu", 0)
     router = make_router(broker, enable_split=False)
     outcome = router.select(chat_request(), now=0)
-    assert isinstance(outcome, Selection)
-    assert outcome.scored.stages[0].node_id == "edge-1"
+    assert isinstance(outcome, ScoredPlan)
+    assert outcome.stages[0].node_id == "edge-1"
     assert {s.stages[0].node_id for s in feasible_plans(router, chat_request(), 0)} == {"edge-1"}
 
 
@@ -381,8 +382,8 @@ def test_budget_blocked_quality_degrades_to_affordable_tier(simple_broker):
     # fits inside the budget.
     request = chat_request(quality_target=2, budget=15_000, degradable=True)
     outcome = router.select(request, now=0)
-    assert isinstance(outcome, Selection)
-    assert outcome.degraded and outcome.served_quality == 1
+    assert isinstance(outcome, ScoredPlan)
+    assert outcome.served_quality == 1 < request.quality_target
     strict = router.select(chat_request(quality_target=2, budget=15_000, degradable=False), now=0)
     assert isinstance(strict, Rejection) and strict.reason == REASON_BUDGET_EXCEEDED
 
@@ -396,8 +397,8 @@ def test_capped_decode_node_removes_split_plans(simple_broker):
     for _ in range(edge2.profile.capacity.admission_cap):
         edge2.reserve("chat-v1-gpu", ready_us=10_000, duration_us=1000)
     outcome = router.select(chat_request(), now=0)
-    assert isinstance(outcome, Selection)
-    assert all(s.node_id != "edge-2" for s in outcome.scored.stages)
+    assert isinstance(outcome, ScoredPlan)
+    assert all(s.node_id != "edge-2" for s in outcome.stages)
 
 
 def test_soft_preference_misses_priced_not_enforced(simple_broker):
@@ -408,10 +409,10 @@ def test_soft_preference_misses_priced_not_enforced(simple_broker):
     preferring = chat_request(policy=PolicyConstraint(preferred_domains=("d-core",)))
     scored = [s for s in feasible_plans(router, preferring, 0) if s.stages[0].node_id == "edge-1"][0]
     # edge-1 is outside the preferred domain: one soft miss, plan still feasible.
-    assert scored.cost.p_policy == 7000
+    assert scored.p_policy == 7000
     indifferent = chat_request()
     neutral = [s for s in feasible_plans(router, indifferent, 0) if s.stages[0].node_id == "edge-1"][0]
-    assert neutral.cost.p_policy == 0
+    assert neutral.p_policy == 0
 
 
 def test_quadratic_load_penalty_grows_with_outstanding_work(simple_broker):
@@ -425,8 +426,8 @@ def test_quadratic_load_penalty_grows_with_outstanding_work(simple_broker):
     node.reserve("chat-v1-gpu", ready_us=0, duration_us=50_000)
     busy = router.score(plan, chat_request(), now=0, warm_flags=(True,))
     # One outstanding stage over max_concurrent 2: 1000 * 1/4 = 250.
-    assert idle.cost.c_load == 0
-    assert busy.cost.c_load == 250
+    assert idle.c_load == 0
+    assert busy.c_load == 250
 
 
 # -- differential check: half scoring against exhaustive enumeration ----------
@@ -585,7 +586,7 @@ def exhaustive_select(router, request, now):
         scored = score_enumerated(router, request, candidates, now)
         within = [s for s in scored if request.budget is None or plan_j(router.weights, s) <= request.budget]
         if within:
-            alternatives = sorted((s.plan.plan_id, s.cost.terms()) for s in scored)
+            alternatives = sorted((s.plan.plan_id, terms_of(s)) for s in scored)
             return argmin(within, router.weights), quality, tuple(alternatives)
         saw_budget_only = saw_budget_only or bool(scored)
         if not (request.degradable and quality > 1):
@@ -673,10 +674,10 @@ def test_half_scoring_select_matches_exhaustive_enumeration(state):
         assert isinstance(outcome, Rejection) and outcome.reason == expected
         return
     best, quality, alternatives = expected
-    assert isinstance(outcome, Selection)
-    assert outcome.scored.plan.plan_id == best.plan.plan_id
-    assert outcome.scored == best
-    assert (outcome.served_quality, outcome.degraded) == (quality, quality < request.quality_target)
+    assert isinstance(outcome, ScoredPlan)
+    assert outcome.plan.plan_id == best.plan.plan_id
+    assert outcome == best
+    assert outcome.served_quality == quality
     assert outcome.alternatives == (alternatives if router.audit else ())
 
 
@@ -686,15 +687,15 @@ def test_a_node_at_its_admission_cap_is_dropped_where_it_would_win(phase):
         router, request, now = edge_router([("4", 0), ("1", 0), ("1", 40)]), chat_request(), 0
     else:
         router, request, now = held_prefix_state()
-    node_id = next(s.node_id for s in router.select(request, now).scored.plan.stages if s.phase is phase)
+    node_id = next(s.node_id for s in router.select(request, now).plan.stages if s.phase is phase)
     fill_admission_queue(router.broker.node(node_id), now)
     # Without the cap it would still win: the queued stages delay it by a few µs.
     uncapped = argmin(score_enumerated(router, request, lookup(router, request, 1, now), now), router.weights)
     assert node_id in {s.node_id for s in uncapped.plan.stages}
     outcome = router.select(request, now)
-    assert node_id not in {s.node_id for s in outcome.scored.plan.stages}
+    assert node_id not in {s.node_id for s in outcome.plan.stages}
     best, _, _ = exhaustive_select(router, request, now)
-    assert outcome.scored == best
+    assert outcome == best
 
 
 TIE_EPS_VALUES = (Fraction(1, 10**9), Fraction(1, 50))
@@ -811,8 +812,8 @@ def assert_quiet_select_as_auditing_and_exhaustive(router, request, now, budget_
         assert quiet == audited == Rejection(expected)
         return
     best, quality, _ = expected
-    assert quiet.scored == audited.scored == best
-    assert (quiet.served_quality, quiet.degraded) == (audited.served_quality, audited.degraded) == (quality, False)
+    assert quiet == audited == best
+    assert quiet.served_quality == audited.served_quality == quality == request.quality_target
 
 
 CLONE_STATES = ("warm", "warm", "busy", "offline", "cold", "capped", "holder")
@@ -893,8 +894,8 @@ def test_one_router_follows_its_hits_from_select_to_select():
 
     def chosen():
         outcome = router.select(chat_request(), now=0)
-        assert outcome.scored == exhaustive_select(router, chat_request(), 0)[0]
-        return [s.node_id for s in outcome.scored.plan.stages]
+        assert outcome == exhaustive_select(router, chat_request(), 0)[0]
+        return [s.node_id for s in outcome.plan.stages]
 
     assert chosen() == chosen() == ranked[:1]
     broker.node(ranked[0]).online = False
@@ -912,8 +913,8 @@ def test_tied_idle_edges_build_at_most_two_halves():
                 router = edge_router([("1", 100)] * k, tie_eps=tie_eps)
                 router.enable_split = split
                 outcome = router.select(chat_request(), now=0)
-                assert [s.node_id for s in outcome.scored.plan.stages] == [lowest_single_plan_edge(router)]
-                assert outcome.scored == exhaustive_select(router, chat_request(), 0)[0]
+                assert [s.node_id for s in outcome.plan.stages] == [lowest_single_plan_edge(router)]
+                assert outcome == exhaustive_select(router, chat_request(), 0)[0]
                 assert router.halves_priced <= 2
 
 
@@ -964,7 +965,7 @@ def test_split_pricing_skips_pairs_above_the_tie_cut(monkeypatch):
         outcomes.append(router.select(request, now=0))
         pair_transfers.append(sum(src in router.broker.nodes and dst in router.broker.nodes for src, dst in calls))
     quiet, audited = outcomes
-    assert quiet.scored == audited.scored
+    assert quiet == audited
     assert len(audited.alternatives) == 6 * 6  # six single-node plans and every ordered pair
     assert pair_transfers[0] < pair_transfers[1]
 
@@ -986,8 +987,8 @@ def test_select_resolves_state_only_inside_the_bound(monkeypatch):
         _plant_affinity_state(router, router.broker, "edge-1", request, tokens=request.input_tokens)
         outcomes.append(router.select(request, now=0))
     quiet, audited = outcomes
-    assert quiet.scored == audited.scored
-    assert quiet.scored.state_use.entry_node == "edge-1"
+    assert quiet == audited
+    assert quiet.state_use.entry_node == "edge-1"
     # The quiet router stops after the holder's plan; the auditing one resolves every edge.
     assert (resolved.count(False), resolved.count(True)) == (1, 4)
 
@@ -1156,7 +1157,7 @@ def test_selects_see_the_table_after_a_registration_or_a_revocation():
         outcome = router.select(chat_request(), now=0)
         current = list(broker._tables.values())
         assert [any(t is c for c in current) for t, _ in router._specialised] == [True]
-        return tuple((s.node_id, s.realization_id) for s in outcome.scored.stages)
+        return tuple((s.node_id, s.realization_id) for s in outcome.stages)
 
     assert chosen() == (("edge-1", "chat-v1-fast"),)
     broker.register_node(late)
@@ -1224,8 +1225,8 @@ def test_alternatives_are_built_only_when_auditing(simple_broker):
     quiet = make_router(simple_broker).select(chat_request(), now=0)
     audited = make_router(simple_broker, audit=True).select(chat_request(), now=0)
     assert quiet.alternatives == ()
-    assert quiet.scored == audited.scored
-    assert audited.scored.plan.plan_id in {plan_id for plan_id, _ in audited.alternatives}
+    assert quiet == audited
+    assert audited.plan.plan_id in {plan_id for plan_id, _ in audited.alternatives}
 
 
 def test_select_looks_up_state_holders_once_per_realization(simple_broker):
@@ -1245,7 +1246,7 @@ def test_select_looks_up_state_holders_once_per_realization(simple_broker):
 
     router.caches.holders = counted
     outcome = router.select(request, now=0)
-    assert outcome.scored.state_use is not None
+    assert outcome.state_use is not None
     # One lookup per realization while pricing; the winner is not rescored.
     assert len(calls) == len({realization_id for _, realization_id, _ in candidates}) < len(candidates)
 
@@ -1258,8 +1259,8 @@ def test_routers_share_no_plan_state(simple_broker):
     assert second._plans == {}
     other = second.plan(stages)
     assert other is not plan and other == plan == ExecutionPlan.of(stages)
-    # Selection memoizes into its own router only.
-    assert isinstance(second.select(chat_request(), now=0), Selection)
+    # Selecting memoizes into its own router only.
+    assert isinstance(second.select(chat_request(), now=0), ScoredPlan)
     assert set(first._plans) == {stages}
 
 

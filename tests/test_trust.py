@@ -82,13 +82,6 @@ def test_verdict_rejects_revoked_lineage():
     assert verdict == "rejected" and reason == REASON_LINEAGE_REVOKED
 
 
-def test_verdict_reports_degraded_service():
-    tm = manager_with_lineage()
-    tm.attest(AttestationRecord("n1", 3, 0, None))
-    verdict, reason = tm.verdict(request(min_trust=2), plan("n1"), now=0, degraded=True)
-    assert verdict == "degraded" and reason is None
-
-
 def test_revoke_unknown_realization():
     tm = manager_with_lineage()
     with pytest.raises(UnknownRealization):
