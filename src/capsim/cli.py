@@ -139,18 +139,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_outputs(out_dir: Path, scenario: Scenario, sim: Simulation, result, summary: dict | None = None) -> None:
+def _write_outputs(out_dir: Path, sim: Simulation, summary: dict | None = None) -> None:
     """Write ``metrics.json``, ``receipts.jsonl`` and ``manifest.json``; the
     trace, if any, was streamed to ``trace.csv`` during the run. ``summary``
     is the metrics' summary when the caller has built it already."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "metrics.json").open("w") as fp:
-        result.metrics.to_json(fp, summary)
+        sim.metrics.to_json(fp, summary)
     with (out_dir / "receipts.jsonl").open("w") as fp:
-        result.receipts.to_jsonl(fp)
+        sim.receipts.to_jsonl(fp)
     manifest = {
-        "scenario": scenario.name,
-        "scenario_digest": scenario.digest,
+        "scenario": sim.scenario.name,
+        "scenario_digest": sim.scenario.digest,
         "seed": sim.seed,
         "duration_us": sim.duration_us,
         "tool_version": __version__,
@@ -179,11 +179,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         # Without --out there is nowhere to write a trace, so none is built.
         with _trace_writer(out_dir if args.trace else None) as trace:
-            sim = Simulation(scenario, seed=args.seed, duration_us=args.duration_us, trace=trace)
-            result = sim.run()
-            summary = result.metrics.summary()
+            sim = Simulation(scenario, seed=args.seed, duration_us=args.duration_us, trace=trace).run()
+            summary = sim.metrics.summary()
             if out_dir is not None:
-                _write_outputs(out_dir, scenario, sim, result, summary)
+                _write_outputs(out_dir, sim, summary)
     except Exception as exc:  # runtime failure contract
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

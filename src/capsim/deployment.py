@@ -61,7 +61,7 @@ class PlacementWeights:
     storage_unit_cost: Fraction = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PlacementPair:
     realization_id: str
     node_id: str
@@ -320,9 +320,9 @@ def build_problem(
                 state = broker.nodes[node_id]
                 if not state.online:
                     continue
-                if router.placement_tiers is not None and state.profile.locality.tier not in router.placement_tiers:
+                if router.placement_tiers is not None and state.profile.tier not in router.placement_tiers:
                     continue
-                if state.profile.hardware.accelerator != realization.accelerator:
+                if state.profile.accelerator != realization.accelerator:
                     continue
                 if state.profile.trust < variant.security.min_trust:
                     continue  # hard violation: never a candidate
@@ -369,7 +369,7 @@ def build_problem(
         cells=tuple(cells),
         pairs=tuple(pairs),
         node_budget={
-            node_id: broker.nodes[node_id].profile.capacity.memory_budget_bytes
+            node_id: broker.nodes[node_id].profile.memory_budget_bytes
             for node_id in sorted(broker.nodes)
         },
         lambda_deploy=weights.lambda_deploy,

@@ -5,9 +5,9 @@ All times are integer microseconds, all sizes integer bytes. Trust is an
 ordinal level in [0, 3]. A record built once, at load, is a frozen
 dataclass. A record built per request, per select or per replan
 (``RequestDescriptor`` and ``ExecutionReceipt`` here; ``Arrival``,
-``CacheDecision``, ``DemandCell`` and routing's ``StageProjection``,
-``StateUse``, ``ScoredPlan`` and ``Rejection`` elsewhere) is a plain slotted
-dataclass, because a frozen ``__init__`` writes each field through
+``CacheDecision``, deployment's ``DemandCell`` and ``PlacementPair``, and
+routing's ``StageProjection``, ``StateUse``, ``ScoredPlan`` and ``Rejection``
+elsewhere) is a plain slotted dataclass, because a frozen ``__init__`` writes each field through
 ``object.__setattr__``. Nothing writes to one once it is built;
 ``tests/test_golden.py`` checks that over whole runs.
 ``validate_descriptor`` reports invariant violations as data, never as
@@ -155,34 +155,19 @@ class CapabilityRealization:
 
 
 @dataclass(frozen=True, slots=True)
-class Hardware:
-    accelerator: str = "cpu"
-    speed_factor: Fraction = Fraction(1)  # divides per-token times
-
-
-@dataclass(frozen=True, slots=True)
-class Capacity:
-    max_concurrent: int = 1
-    memory_budget_bytes: int = 0
-    admission_cap: int = 16  # max reserved-not-started stages before routing excludes the node
-    cache_capacity_bytes: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Locality:
-    region: str = ""
-    tier: Tier = Tier.CLOUD
-
-
-@dataclass(frozen=True, slots=True)
 class ResourceProfile:
     """What a node can execute, how much of it at once, and where."""
 
     node_id: str
     domain_id: str = ""
-    hardware: Hardware = Hardware()
-    capacity: Capacity = Capacity()
-    locality: Locality = Locality()
+    accelerator: str = "cpu"
+    speed_factor: Fraction = Fraction(1)  # divides per-token times
+    max_concurrent: int = 1
+    memory_budget_bytes: int = 0
+    admission_cap: int = 16  # max reserved-not-started stages before routing excludes the node
+    cache_capacity_bytes: int = 0
+    region: str = ""
+    tier: Tier = Tier.CLOUD
     trust: int = 0
 
 
@@ -285,11 +270,6 @@ def validate_descriptor(d: Any) -> list[str]:
         _check(v, d.artifact_size_bytes >= 0, "artifact_size_bytes", "artifact_size_bytes >= 0")
         _check(v, d.load_time_us >= 0, "load_time_us", "load_time_us >= 0")
         _check(v, d.setup_time_us >= 0, "setup_time_us", "setup_time_us >= 0")
-    elif isinstance(d, ExecutionReceipt):
-        for name in ("t_net_us", "t_queue_us", "t_exec_us", "t_state_us", "c_load", "p_policy"):
-            _check(v, getattr(d, name) >= 0, name, "timing terms >= 0")
-        if d.verdict is Verdict.REJECTED:
-            _check(v, d.reason is not None, "reason", "rejected receipts carry a reason code")
     else:
         v.append(f"type: unknown descriptor type {type(d).__name__}")
     return v

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Protocol
 
 from . import deployment
@@ -53,22 +53,6 @@ class TraceSink(Protocol):
     def __len__(self) -> int: ...
 
 
-@dataclass(slots=True)
-class AuditEntry:
-    request_id: str
-    now_us: int
-    chosen_plan_id: str
-    alternatives: tuple[tuple[str, tuple[int, int, int, int, int, int]], ...]
-
-
-@dataclass(slots=True)
-class RunResult:
-    metrics: MetricsFrame
-    receipts: ReceiptLog
-    trace: TraceSink
-    audit: list[AuditEntry]
-
-
 class Simulation:
     def __init__(
         self,
@@ -79,12 +63,13 @@ class Simulation:
         audit: bool = False,
         trace: bool | TraceSink = False,
     ):
-        """``trace=True`` keeps trace rows in a list, ``result.trace``;
-        ``trace`` may also be a sink that takes the rows as they occur."""
+        """``trace=True`` keeps trace rows in a list, ``self.trace``;
+        ``trace`` may also be a sink that takes the rows as they occur.
+        ``audit=True`` keeps each selection's ``(request id, ScoredPlan)``
+        in ``self.audit``."""
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.duration_us = scenario.duration_us if duration_us is None else duration_us
-        self.audit_enabled = audit
         self.trace_enabled = trace is not False
 
         self.topology = scenario.build_topology()
@@ -103,7 +88,7 @@ class Simulation:
             rid = real.realization_id
             parent = self.catalog.variant_of(rid).parent_class
             self.trust.register_lineage(rid, self.catalog.classes[parent].lineage)
-            self._versions[rid] = (rid, self.trust.lineage_for(rid).chain_digests[-1])
+            self._versions[rid] = (rid, self.trust.lineage_for(rid)[-1])
 
         self.broker = Broker(self.catalog, self.topology, trust=self.trust)
         attested = {a.node_id for a in scenario.attestations}
@@ -120,7 +105,7 @@ class Simulation:
         unit_cost = cache.storage_unit_cost
         self._storage_num, self._storage_den = unit_cost.numerator, unit_cost.denominator
         for profile in scenario.nodes:
-            self.caches.add_store(profile.node_id, profile.capacity.cache_capacity_bytes)
+            self.caches.add_store(profile.node_id, profile.cache_capacity_bytes)
 
         self.router = Router(
             broker=self.broker,
@@ -136,7 +121,7 @@ class Simulation:
 
         for rid, node_id in sorted(scenario.initial_placement):
             if placement_tiers is not None:
-                tier = self.broker.node(node_id).profile.locality.tier
+                tier = self.broker.node(node_id).profile.tier
                 if tier not in placement_tiers:
                     continue
             self.broker.install(node_id, rid, available_at_us=0)
@@ -145,9 +130,9 @@ class Simulation:
         # The receipts are the per-request records the metrics aggregate.
         self.metrics = MetricsFrame(duration_us=self.duration_us, records=self.receipts.receipts)
         for profile in scenario.nodes:
-            self.metrics.node_capacity[profile.node_id] = profile.capacity.max_concurrent
+            self.metrics.node_capacity[profile.node_id] = profile.max_concurrent
         self.trace: TraceSink = [] if isinstance(trace, bool) else trace
-        self.audit: list[AuditEntry] = []
+        self.audit: list[tuple[str, ScoredPlan]] = []
 
         # (time_us, seq, handler, args), run as handler(time_us, *args): seq is
         # unique, so tuples compare on (time_us, seq) alone, in C.
@@ -196,16 +181,7 @@ class Simulation:
                 self._push(t, self._on_replan)
 
         arrivals = generate_arrivals(self.scenario.workload, self.duration_us, self.seed)
-        for scripted in self.scenario.scripted_requests:
-            arrivals.append(
-                Arrival(
-                    request=scripted.request,
-                    session_id=scripted.session_id,
-                    turn_index=scripted.turn_index,
-                    total_turns=scripted.total_turns,
-                    prefix_tokens=scripted.prefix_tokens,
-                )
-            )
+        arrivals.extend(self.scenario.scripted_requests)
         arrivals.sort(key=lambda a: (a.request.arrival_time, a.request.origin_region, a.request.request_id))
         on_arrival = self._on_arrival  # one bound method for every arrival's event
         for arrival in arrivals:
@@ -215,14 +191,16 @@ class Simulation:
 
     # -- run loop -----------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> "Simulation":
+        """Run to the horizon; returns this simulation, whose ``metrics``,
+        ``receipts``, ``trace`` and ``audit`` hold the outcome."""
         self._schedule_initial_events()
         events = self._events
         while events and events[0][0] <= self.duration_us:
             time_us, _, handler, args = heapq.heappop(events)
             handler(time_us, *args)
         self._truncate_in_flight()
-        return RunResult(metrics=self.metrics, receipts=self.receipts, trace=self.trace, audit=self.audit)
+        return self
 
     # -- arrival / selection -----------------------------------------------------
 
@@ -237,15 +215,8 @@ class Simulation:
             self._finish_rejected(now, arrival, scored.reason)
             return
 
-        if self.audit_enabled:
-            self.audit.append(
-                AuditEntry(
-                    request_id=request.request_id,
-                    now_us=now,
-                    chosen_plan_id=scored.plan.plan_id,
-                    alternatives=scored.alternatives,
-                )
-            )
+        if self.router.audit:
+            self.audit.append((request.request_id, scored))
 
         verdict, reason = self.trust.verdict(request, scored.plan.stages, scored.stages[0].start_us)
         if verdict == "rejected":
@@ -530,7 +501,7 @@ class Simulation:
         if store.peek(compat, arrival.session_id) is not None:
             return
         size = arrival.prefix_tokens * realization.kv_bytes_per_token
-        speed = self.broker.node(serving_node).profile.hardware.speed_factor
+        speed = self.broker.node(serving_node).profile.speed_factor
         per_token = realization.prefill_time_per_token_us
         gain = _ceil_time(per_token, arrival.prefix_tokens, speed.numerator, speed.denominator)
         entry = CacheEntry(

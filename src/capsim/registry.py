@@ -141,7 +141,7 @@ class NodeState:
 
     def __post_init__(self) -> None:
         if not self.server_free_us:
-            self.server_free_us = [0] * self.profile.capacity.max_concurrent
+            self.server_free_us = [0] * self.profile.max_concurrent
             heapq.heapify(self.server_free_us)
 
     @property
@@ -265,7 +265,7 @@ class Broker:
     def free_memory(self, node_id: str) -> int:
         """Memory budget minus the footprints of every resident realization."""
         state = self.node(node_id)
-        return state.profile.capacity.memory_budget_bytes - state.used_memory_bytes
+        return state.profile.memory_budget_bytes - state.used_memory_bytes
 
     # -- telemetry ---------------------------------------------------------
 
@@ -282,16 +282,15 @@ class Broker:
         return self.trust.effective_trust(state.node_id, now)
 
     def _in_scope(self, state: NodeState, policy: PolicyConstraint, origin_region: str) -> bool:
-        loc = state.profile.locality
         if policy.allowed_domains is not None and state.profile.domain_id not in policy.allowed_domains:
             return False
         scope = policy.locality_scope
         if scope is LocalityScope.ANY or scope is LocalityScope.DOMAIN:
             return True
         if scope is LocalityScope.REGION:
-            return loc.region == origin_region
+            return state.profile.region == origin_region
         if scope is LocalityScope.NODE_LOCAL:
-            return loc.tier is Tier.LOCAL and loc.region == origin_region
+            return state.profile.tier is Tier.LOCAL and state.profile.region == origin_region
         return False
 
     def lookup_candidates(self, table: CandidateTable, now: int = 0, min_trust: int = 0) -> list[Hit]:
@@ -357,12 +356,12 @@ class Broker:
                 if not self._in_scope(state, policy, origin_region):
                     continue
                 profile = state.profile
-                budget = profile.capacity.memory_budget_bytes
-                placeable = tiers is None or profile.locality.tier in tiers
+                budget = profile.memory_budget_bytes
+                placeable = tiers is None or profile.tier in tiers
                 own = []
                 for needs, rid, fp, floor in realizations:
                     # The variant's floor is on the node's claimed trust, as in placement.
-                    if needs == profile.hardware.accelerator and profile.trust >= floor:
+                    if needs == profile.accelerator and profile.trust >= floor:
                         p = len(pairs)
                         pairs.append((state, rid))
                         own.append((rid, fp, (p, True), (p, False) if placeable and fp <= budget else None))

@@ -366,7 +366,7 @@ class Router:
         holders, most = self._holders(request, realization.realization_id, {} if held is None else held)
         if most <= 0:
             return None
-        speed = prefill_node.profile.hardware.speed_factor
+        speed = prefill_node.profile.speed_factor
         local = [(n, e) for n, e in holders if n == prefill_node.node_id]
         if local:
             node_id, entry = local[0]
@@ -396,7 +396,7 @@ class Router:
         if not self._kappa_num:
             return 0
         outstanding = state.outstanding(now)
-        cap = state.profile.capacity.max_concurrent
+        cap = state.profile.max_concurrent
         return self._kappa_num * outstanding * outstanding // (self._kappa_den * cap * cap)
 
     def _soft_misses(
@@ -521,7 +521,7 @@ class Router:
             cold = realization.setup_time_us + self.artifact_fetch(node_id, realization)[0] + realization.load_time_us
         except Unreachable:
             cold = None
-        speed = node.profile.hardware.speed_factor
+        speed = node.profile.speed_factor
         row = self._rows[key] = _Row(
             node,
             realization,
@@ -836,7 +836,7 @@ class Router:
             elif pre is None or (j >= 0 and j not in built):
                 c = i if pre is None else j
                 node = bounds[c][0].node
-                if node.queue_length(now) >= node.profile.capacity.admission_cap:
+                if node.queue_length(now) >= node.profile.admission_cap:
                     built[c] = None
                     continue
                 half = built[c] = self._half(request, bounds[c], now)

@@ -33,7 +33,6 @@ from .descriptors import (
     CapabilityDescriptor,
     CapabilityRealization,
     CapabilityVariant,
-    RequestDescriptor,
     ResourceProfile,
     SecurityLabel,
     parse_fraction,
@@ -42,7 +41,7 @@ from .descriptors import (
 from .routing import RoutingWeights
 from .topology import Domain, Link, Topology, region_vertex
 from .trust import AttestationRecord
-from .workload import PolicyTemplate, RegionWorkload, WorkloadSpec
+from .workload import Arrival, PolicyTemplate, RegionWorkload
 
 T = TypeVar("T")
 
@@ -82,17 +81,6 @@ class NodeEvent:
     online: bool = True
 
 
-@dataclass(slots=True)
-class ScriptedRequest:
-    """A request pinned in the scenario file, with optional session metadata."""
-
-    request: RequestDescriptor
-    session_id: str
-    turn_index: int = 1
-    total_turns: int = 1
-    prefix_tokens: int = 0
-
-
 @dataclass(slots=True, kw_only=True)
 class Scenario:
     name: str = "scenario"
@@ -112,8 +100,8 @@ class Scenario:
     cache: CacheConfig = CacheConfig()
     deployment: DeploymentConfig = DeploymentConfig()
     enable_split: bool = True
-    workload: WorkloadSpec = WorkloadSpec()
-    scripted_requests: list[ScriptedRequest] = field(default_factory=list)
+    workload: tuple[RegionWorkload, ...] = ()
+    scripted_requests: list[Arrival] = field(default_factory=list)
     attestations: tuple[AttestationRecord, ...] = ()
     revocations: tuple[Revocation, ...] = ()  # file order
     node_events: tuple[NodeEvent, ...] = ()  # file order
@@ -191,9 +179,9 @@ class Scenario:
             if profile.node_id in node_ids:
                 errors.append(f"{prefix}.node_id: duplicate {profile.node_id}")
             node_ids.add(profile.node_id)
-            regions.add(profile.locality.region)
+            regions.add(profile.region)
             _check_id(errors, f"{prefix}.node_id", profile.node_id)
-            _check_id(errors, f"{prefix}.region", profile.locality.region)
+            _check_id(errors, f"{prefix}.region", profile.region)
             domain = domains.get(profile.domain_id)
             if domain is None:
                 errors.append(f"{prefix}.domain_id: unknown domain {profile.domain_id}")
@@ -201,16 +189,15 @@ class Scenario:
                 errors.append(f"{prefix}.trust: must be in [{TRUST_MIN}, {TRUST_MAX}]")
             elif domain is not None and profile.trust < domain.min_trust <= TRUST_MAX:
                 errors.append(f"{prefix}.trust: below domain {domain.domain_id} min_trust {domain.min_trust}")
-            if profile.hardware.speed_factor <= 0:
+            if profile.speed_factor <= 0:
                 errors.append(f"{prefix}.speed_factor: must be > 0")
-            capacity = profile.capacity
-            if capacity.max_concurrent < 1:
+            if profile.max_concurrent < 1:
                 errors.append(f"{prefix}.max_concurrent: must be >= 1")
-            if capacity.admission_cap < 1:
+            if profile.admission_cap < 1:
                 errors.append(f"{prefix}.admission_cap: must be >= 1")
-            if capacity.memory_budget_bytes < 0:
+            if profile.memory_budget_bytes < 0:
                 errors.append(f"{prefix}.memory_budget_bytes: must be >= 0")
-            if capacity.cache_capacity_bytes < 0:
+            if profile.cache_capacity_bytes < 0:
                 errors.append(f"{prefix}.cache_capacity_bytes: must be >= 0")
 
         vertices = node_ids | {region_vertex(r) for r in regions}
@@ -272,18 +259,24 @@ class Scenario:
                 continue
             profile = profiles[node_id]
             realization = realization_by_id[rid]
-            if realization.accelerator != profile.hardware.accelerator:
+            if realization.accelerator != profile.accelerator:
                 errors.append(f"{prefix}: accelerator mismatch {realization.accelerator} on {node_id}")
             variant = variant_by_id.get(realization.variant_id)
             if variant is not None and profile.trust < variant.security.min_trust:
                 floor = variant.security.min_trust
                 errors.append(f"{prefix}: trust {profile.trust} of {node_id} is below the floor {floor} of {rid}")
             placed[node_id] = placed.get(node_id, 0) + realization.artifact_size_bytes
-            if placed[node_id] > profile.capacity.memory_budget_bytes >= 0:  # a negative budget is the node's error
+            if placed[node_id] > profile.memory_budget_bytes >= 0:  # a negative budget is the node's error
                 errors.append(f"{prefix}: memory budget exceeded on {node_id}")
 
-        for i, region in enumerate(self.workload.regions):
+        # Request ids key the run's in-flight table and its receipts, so no
+        # two arrivals may share one.
+        workload_regions = set()
+        for i, region in enumerate(self.workload):
             prefix = f"workload.regions[{i}]"
+            if region.region in workload_regions:
+                errors.append(f"{prefix}.region: duplicate {region.region}")
+            workload_regions.add(region.region)
             _check_id(errors, f"{prefix}.region", region.region)
             if region.rate_per_s < 0:
                 errors.append(f"{prefix}.rate_per_s: must be >= 0")
@@ -317,8 +310,16 @@ class Scenario:
                 for violation in validate_descriptor(template.policy):
                     errors.append(f"{path}.{violation}")
 
+        request_ids = set()
         for i, scripted in enumerate(self.scripted_requests):
             request = scripted.request
+            if request.request_id in request_ids:
+                errors.append(f"requests[{i}].request_id: duplicate {request.request_id}")
+            request_ids.add(request.request_id)
+            # A generated id is its region's name, "-" and six or more digits.
+            region, _, number = request.request_id.rpartition("-")
+            if region in workload_regions and len(number) >= 6 and number.isdigit():
+                errors.append(f"requests[{i}].request_id: {request.request_id} is a workload id of region {region}")
             _check_id(errors, f"requests[{i}].request_id", request.request_id)
             _check_id(errors, f"requests[{i}].origin_region", request.origin_region)
             _check_id(errors, f"requests[{i}].session.session_id", scripted.session_id)
@@ -502,12 +503,10 @@ _KEYS: dict[tuple[type, str], str | tuple[str, ...]] = {
     (Scenario, "routing_weights"): "weights",
     (Scenario, "placement_weights"): "weights",
     (Scenario, "enable_split"): "routing.enable_split",
+    (Scenario, "workload"): "workload.regions",
     (Scenario, "scripted_requests"): "requests",
     (Scenario, "attestations"): "trust_script.attestations",
     (Scenario, "revocations"): "trust_script.revocations",
-    (ResourceProfile, "hardware"): "",  # a node's facets sit beside its own keys
-    (ResourceProfile, "capacity"): "",
-    (ResourceProfile, "locality"): "",
     (RoutingWeights, "tie_eps"): "tie_epsilon",
     (PlacementWeights, "lambda_deploy"): "lambda",
     (PlacementWeights, "mu_net"): "mu",
@@ -516,9 +515,9 @@ _KEYS: dict[tuple[type, str], str | tuple[str, ...]] = {
     (RegionWorkload, "session_turns_g"): "session.turns_g",
     (RegionWorkload, "session_prefix_tokens"): "session.prefix_tokens",
     (PolicyTemplate, "policy"): "",  # a template's policy keys sit beside its own
-    (ScriptedRequest, "request"): "",
-    (ScriptedRequest, "session_id"): ("session.session_id", "request_id"),
-    (ScriptedRequest, "turn_index"): "session.turn_index",
-    (ScriptedRequest, "total_turns"): "session.total_turns",
-    (ScriptedRequest, "prefix_tokens"): "session.prefix_tokens",
+    (Arrival, "request"): "",
+    (Arrival, "session_id"): ("session.session_id", "request_id"),
+    (Arrival, "turn_index"): "session.turn_index",
+    (Arrival, "total_turns"): "session.total_turns",
+    (Arrival, "prefix_tokens"): "session.prefix_tokens",
 }

@@ -43,13 +43,6 @@ class AttestationRecord:
         return now < self.issue_time_us + self.validity_window_us
 
 
-@dataclass(slots=True)
-class LineageRecord:
-    realization_id: str
-    chain_digests: tuple[str, ...]
-    revoked: bool = False
-
-
 def lineage_digest(lineage: tuple[tuple[str, str], ...]) -> str:
     payload = json.dumps([list(p) for p in lineage], separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -58,14 +51,12 @@ def lineage_digest(lineage: tuple[tuple[str, str], ...]) -> str:
 class TrustManager:
     def __init__(self) -> None:
         self._attestations: dict[str, list[AttestationRecord]] = {}
-        self._lineage: dict[str, LineageRecord] = {}
+        self._lineage: dict[str, tuple[str, ...]] = {}  # each realization's prefix digests
+        self._revoked: set[str] = set()
         self.revocations = 0  # bumped by every revoke; readers that cache lineage state compare it
 
     def register_lineage(self, realization_id: str, lineage: tuple[tuple[str, str], ...]) -> None:
-        digests = tuple(
-            lineage_digest(lineage[: i + 1]) for i in range(len(lineage))
-        )
-        self._lineage[realization_id] = LineageRecord(realization_id, digests)
+        self._lineage[realization_id] = tuple(lineage_digest(lineage[: i + 1]) for i in range(len(lineage)))
 
     def attest(self, record: AttestationRecord) -> None:
         self._attestations.setdefault(record.node_id, []).append(record)
@@ -80,20 +71,17 @@ class TrustManager:
                 level = rec.level if rec.valid_at(now) else 0
         return level
 
-    def lineage_for(self, realization_id: str) -> LineageRecord | None:
+    def lineage_for(self, realization_id: str) -> tuple[str, ...] | None:
         return self._lineage.get(realization_id)
 
     def is_revoked(self, realization_id: str) -> bool:
-        rec = self._lineage.get(realization_id)
-        return rec is not None and rec.revoked
+        return realization_id in self._revoked
 
-    def revoke(self, realization_id: str) -> LineageRecord:
-        rec = self._lineage.get(realization_id)
-        if rec is None:
+    def revoke(self, realization_id: str) -> None:
+        if realization_id not in self._lineage:
             raise UnknownRealization(realization_id)
-        rec.revoked = True
+        self._revoked.add(realization_id)
         self.revocations += 1
-        return rec
 
     def verdict(
         self,

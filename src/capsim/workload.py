@@ -60,18 +60,15 @@ class RegionWorkload:
     policy_mix: tuple[PolicyTemplate, ...] = (PolicyTemplate(),)  # each session draws one
 
 
-@dataclass(frozen=True, slots=True)
-class WorkloadSpec:
-    regions: tuple[RegionWorkload, ...] = ()
-
-
 @dataclass(slots=True)
 class Arrival:
+    """A request and its session turn, generated or scripted in the scenario."""
+
     request: RequestDescriptor
     session_id: str
-    turn_index: int
-    total_turns: int
-    prefix_tokens: int
+    turn_index: int = 1
+    total_turns: int = 1
+    prefix_tokens: int = 0
 
 
 def _cdf(weights: list[float]) -> list[float]:
@@ -179,10 +176,10 @@ def generate_region_arrivals(
     return arrivals
 
 
-def generate_arrivals(spec: WorkloadSpec, duration_us: int, seed: int) -> list[Arrival]:
+def generate_arrivals(regions: tuple[RegionWorkload, ...], duration_us: int, seed: int) -> list[Arrival]:
     """All regions' arrivals merged into one stream ordered by (time, region)."""
     merged: list[Arrival] = []
-    for region in spec.regions:
+    for region in regions:
         merged.extend(generate_region_arrivals(region, duration_us, seed))
     merged.sort(key=lambda a: (a.request.arrival_time, a.request.origin_region, a.request.request_id))
     return merged

@@ -9,12 +9,9 @@ from fractions import Fraction
 import pytest
 
 from capsim.descriptors import (
-    Capacity,
     CapabilityDescriptor,
     CapabilityRealization,
     CapabilityVariant,
-    Hardware,
-    Locality,
     ResourceProfile,
     SecurityLabel,
     Tier,
@@ -41,9 +38,13 @@ def make_profile(
     return ResourceProfile(
         node_id=node_id,
         domain_id=domain_id,
-        hardware=Hardware(accelerator=accelerator, speed_factor=Fraction(speed)),
-        capacity=Capacity(max_concurrent=max_concurrent, memory_budget_bytes=memory, admission_cap=admission_cap),
-        locality=Locality(region=region, tier=tier),
+        accelerator=accelerator,
+        speed_factor=Fraction(speed),
+        max_concurrent=max_concurrent,
+        memory_budget_bytes=memory,
+        admission_cap=admission_cap,
+        region=region,
+        tier=tier,
         trust=trust,
     )
 

@@ -115,7 +115,7 @@ def score(
     first_token_us = 0
     decode_total_us = 0
     for idx, ((node_state, realization), stage) in enumerate(zip(stages, plan.stages)):
-        speed = node_state.profile.hardware.speed_factor
+        speed = node_state.profile.speed_factor
         exec_us = realization.setup_time_us
         cold = not warm_flags[idx]
         activation = 0
@@ -208,7 +208,7 @@ def static_bounds(
     except Unreachable:
         return None
     base = realization.setup_time_us + (0 if warm else fetch + realization.load_time_us)
-    speed = node.profile.hardware.speed_factor
+    speed = node.profile.speed_factor
     _, mult = _weight_multipliers(router.weights)
     t_in = route_in.time_us(request.input_tokens * router.bytes_per_token)
     t_out = route_out.time_us(request.output_tokens * router.bytes_per_token)
@@ -267,7 +267,7 @@ def admitted_candidates(router: Router, request: RequestDescriptor, quality: int
     admitted = []
     for cand in lookup(router, request, quality, now):
         node = router.broker.node(cand[0])
-        if node.queue_length(now) < node.profile.capacity.admission_cap:
+        if node.queue_length(now) < node.profile.admission_cap:
             admitted.append(cand)
     return admitted
 

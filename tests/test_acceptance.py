@@ -66,11 +66,11 @@ def test_criterion_2_routing_argmin_audit(tmp_path, monkeypatch):
     with monkeypatch.context() as patch, (tmp_path / "trace.csv").open("w") as trace:
         patch.setattr(Router, "select", checked)
         sim = Simulation(scenario, audit=True, trace=TraceWriter(trace))
-        result = sim.run()
-    assert checked.checks == len(result.audit), "a selection escaped the reference check"
-    assert len(result.audit) >= 10_000, f"only {len(result.audit)} routed requests"
+        sim.run()
+    assert checked.checks == len(sim.audit), "a selection escaped the reference check"
+    assert len(sim.audit) >= 10_000, f"only {len(sim.audit)} routed requests"
     # The audit run doubles as the golden-digest check for this scenario.
-    _write_outputs(tmp_path, scenario, sim, result)
+    _write_outputs(tmp_path, sim)
     assert output_digests(tmp_path) == GOLDEN["audit"], "audit outputs differ from the golden digest"
 
     weights = scenario.routing_weights
@@ -80,13 +80,13 @@ def test_criterion_2_routing_argmin_audit(tmp_path, monkeypatch):
         return sum(wi * t for wi, t in zip(w, terms))
 
     plan_scores = 0
-    for entry in result.audit:
-        costs = {plan_id: rescore(terms) for plan_id, terms in entry.alternatives}
-        chosen = costs[entry.chosen_plan_id]
+    for request_id, scored in sim.audit:
+        costs = {plan_id: rescore(terms) for plan_id, terms in scored.alternatives}
+        chosen = costs[scored.plan.plan_id]
         floor = chosen - abs(chosen) * TIE_REL
         for plan_id, cost in costs.items():
             assert cost >= floor, (
-                f"request {entry.request_id}: plan {plan_id} at {cost} beats chosen {chosen}"
+                f"request {request_id}: plan {plan_id} at {cost} beats chosen {chosen}"
             )
         plan_scores += len(costs)
 
@@ -98,19 +98,19 @@ def test_criterion_2_routing_argmin_audit(tmp_path, monkeypatch):
     scaled_scenario = replace(scenario, routing_weights=scaled_weights(weights, 10))
     with (scaled_dir / "trace.csv").open("w") as trace:
         scaled = Simulation(scaled_scenario, trace=TraceWriter(trace))
-        result10 = scaled.run()
-    _write_outputs(scaled_dir, scaled_scenario, scaled, result10)
+        scaled.run()
+    _write_outputs(scaled_dir, scaled)
     assert output_digests(scaled_dir) == GOLDEN["audit"], "x10 rescaled, unaudited outputs differ from the golden digest"
     # The quiet router's work: halves built and session states resolved.
     assert (scaled.router.halves_priced, scaled.router.states_resolved) == (14_860, 12_195)
-    report(2, True, f"{len(result.audit)} selections audited, {plan_scores} plan scores, rescale invariant")
+    report(2, True, f"{len(sim.audit)} selections audited, {plan_scores} plan scores, rescale invariant")
 
 
 def test_criterion_3_cache_admission_soundness():
     scenario = load("session_heavy")
     result = Simulation(scenario, trace=True).run()
 
-    capacities = {p.node_id: p.capacity.cache_capacity_bytes for p in scenario.nodes}
+    capacities = {p.node_id: p.cache_capacity_bytes for p in scenario.nodes}
     sizes: dict[str, int] = {}
     occupancy: dict[str, int] = {node: 0 for node in capacities}
     admits = 0
@@ -182,7 +182,7 @@ def test_criterion_5_wan_reduction():
 def test_criterion_6_overload_discipline():
     scenario = load("overload")
     doc = Simulation(scenario).run().metrics.to_dict()
-    caps = {p.node_id: p.capacity.admission_cap for p in scenario.nodes}
+    caps = {p.node_id: p.admission_cap for p in scenario.nodes}
     over = {n: q for n, q in doc["max_queue_length"].items() if q > caps[n]}
     admitted = doc["arrivals"] - doc["rejected"]
     admitted_rate = doc["served"] / admitted

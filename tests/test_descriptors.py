@@ -4,11 +4,8 @@ from fractions import Fraction
 import pytest
 
 from capsim.descriptors import (
-    Capacity,
     CapabilityDescriptor,
     CapabilityRealization,
-    Hardware,
-    Locality,
     LocalityScope,
     PolicyConstraint,
     RequestDescriptor,
@@ -16,7 +13,8 @@ from capsim.descriptors import (
     parse_fraction,
     validate_descriptor,
 )
-from capsim.scenario import Scenario, ScriptedRequest
+from capsim.scenario import Scenario
+from capsim.workload import Arrival
 from conftest import make_class, make_realization
 
 
@@ -102,11 +100,11 @@ def test_request_from_dict():
         arrival_time=7, degradable=True,
     )
     (scripted,) = Scenario.from_dict({"requests": [doc]}).scripted_requests
-    assert scripted == ScriptedRequest(request, "s1", turn_index=2, total_turns=3, prefix_tokens=64)
+    assert scripted == Arrival(request, "s1", turn_index=2, total_turns=3, prefix_tokens=64)
     # Absent keys take the documented defaults; the session id is the request id.
     minimal = {"request_id": "r2", "capability_class": "chat", "quality_target": 1}
     (scripted,) = Scenario.from_dict({"requests": [minimal]}).scripted_requests
-    assert scripted == ScriptedRequest(RequestDescriptor("r2", "chat", 1, PolicyConstraint()), "r2")
+    assert scripted == Arrival(RequestDescriptor("r2", "chat", 1, PolicyConstraint()), "r2")
 
 
 def test_parse_fraction_decimal_semantics():
@@ -124,12 +122,10 @@ def test_every_cost_symbol_maps_to_exactly_one_type():
     assert cap_fields == {"name", "lineage"}
     # A node profile carries only what routing, placement, caching or trust reads.
     prof_fields = {f.name for f in fields(ResourceProfile)}
-    assert prof_fields == {"node_id", "domain_id", "hardware", "capacity", "locality", "trust"}
-    assert {f.name for f in fields(Hardware)} == {"accelerator", "speed_factor"}
-    assert {f.name for f in fields(Capacity)} == {
-        "max_concurrent", "memory_budget_bytes", "admission_cap", "cache_capacity_bytes"
+    assert prof_fields == {
+        "node_id", "domain_id", "accelerator", "speed_factor", "max_concurrent", "memory_budget_bytes",
+        "admission_cap", "cache_capacity_bytes", "region", "tier", "trust",
     }
-    assert {f.name for f in fields(Locality)} == {"region", "tier"}
     # Request carries class, quality, policy, affinity, budget.
     req_fields = {f.name for f in fields(RequestDescriptor)}
     assert {"capability_class", "quality_target", "policy", "affinity_token", "budget"} <= req_fields

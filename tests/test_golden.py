@@ -34,7 +34,7 @@ import pytest
 
 from capsim.caching import CacheDecision
 from capsim.cli import main
-from capsim.deployment import DemandCell
+from capsim.deployment import DemandCell, PlacementPair
 from capsim.descriptors import ExecutionReceipt, RequestDescriptor
 from capsim.engine import Simulation
 from capsim.routing import Rejection, ScoredPlan, StageProjection, StateUse
@@ -342,6 +342,7 @@ PER_REQUEST_RECORDS = (
     Rejection,
     CacheDecision,
     DemandCell,
+    PlacementPair,
 )
 
 

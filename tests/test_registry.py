@@ -147,7 +147,7 @@ def recomputed_free_memory(broker, node_id):
     """The node's memory budget less every resident footprint, summed afresh."""
     state = broker.node(node_id)
     resident = sum(broker.catalog.realizations[rid].artifact_size_bytes for rid in state.residency)
-    return state.profile.capacity.memory_budget_bytes - resident
+    return state.profile.memory_budget_bytes - resident
 
 
 def brute_force_candidates(broker, capability_class, quality_target, policy, origin_region, now=0, tiers=None):
@@ -160,17 +160,17 @@ def brute_force_candidates(broker, capability_class, quality_target, policy, ori
             continue
         if policy.allowed_domains is not None and profile.domain_id not in policy.allowed_domains:
             continue
-        if policy.locality_scope is LocalityScope.REGION and profile.locality.region != origin_region:
+        if policy.locality_scope is LocalityScope.REGION and profile.region != origin_region:
             continue
         if policy.locality_scope is LocalityScope.NODE_LOCAL and (
-            profile.locality.tier is not Tier.LOCAL or profile.locality.region != origin_region
+            profile.tier is not Tier.LOCAL or profile.region != origin_region
         ):
             continue
         for rid, realization in broker.catalog.realizations.items():
             variant = broker.catalog.variant_of(rid)
             if variant.parent_class != capability_class or variant.quality < quality_target:
                 continue
-            if broker.trust.is_revoked(rid) or realization.accelerator != profile.hardware.accelerator:
+            if broker.trust.is_revoked(rid) or realization.accelerator != profile.accelerator:
                 continue
             if profile.trust < variant.security.min_trust:
                 continue
@@ -178,7 +178,7 @@ def brute_force_candidates(broker, capability_class, quality_target, policy, ori
             if res is not None:
                 if not res.pending_eviction and res.available_at_us <= now:
                     out.add((node_id, rid, True))
-            elif (tiers is None or profile.locality.tier in tiers) and (
+            elif (tiers is None or profile.tier in tiers) and (
                 recomputed_free_memory(broker, node_id) >= realization.artifact_size_bytes
             ):
                 out.add((node_id, rid, False))

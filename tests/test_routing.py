@@ -278,7 +278,7 @@ def test_admission_capped_node_excluded(simple_broker):
     broker.install("edge-2", "chat-v1-gpu", 0)
     router = make_router(broker, enable_split=False)
     edge1 = broker.node("edge-1")
-    cap = edge1.profile.capacity.admission_cap
+    cap = edge1.profile.admission_cap
     for _ in range(cap):
         edge1.reserve("chat-v1-gpu", ready_us=10_000, duration_us=1000)
     assert edge1.queue_length(0) >= cap
@@ -394,7 +394,7 @@ def test_capped_decode_node_removes_split_plans(simple_broker):
     broker.install("edge-2", "chat-v1-gpu", 0)
     router = make_router(broker, enable_split=True)
     edge2 = broker.node("edge-2")
-    for _ in range(edge2.profile.capacity.admission_cap):
+    for _ in range(edge2.profile.admission_cap):
         edge2.reserve("chat-v1-gpu", ready_us=10_000, duration_us=1000)
     outcome = router.select(chat_request(), now=0)
     assert isinstance(outcome, ScoredPlan)
@@ -566,7 +566,7 @@ def router_states(draw):
 def fill_admission_queue(node, now):
     """Reserve stages of 1 µs, each starting after ``now``, until ``node`` is
     at its admission cap."""
-    while node.queue_length(now) < node.profile.capacity.admission_cap:
+    while node.queue_length(now) < node.profile.admission_cap:
         node.reserve("chat-v1-gpu", ready_us=now + 1, duration_us=1)
 
 

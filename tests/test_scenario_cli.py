@@ -83,11 +83,14 @@ def _rename_region(doc: dict, old: str, new: str) -> None:
             region["region"] = new
 
 
-def _add_request(request_id: str, session_id: str):
+def _add_request(request_id: str, session_id: str, *more_ids: str):
+    """A mutation that scripts one request per id, each in the given session."""
+
     def mutate(doc: dict) -> None:
         doc["requests"] = [
-            {"request_id": request_id, "capability_class": "chat", "quality_target": 1, "origin_region": "metro",
+            {"request_id": rid, "capability_class": "chat", "quality_target": 1, "origin_region": "metro",
              "input_tokens": 16, "output_tokens": 4, "session": {"session_id": session_id}}
+            for rid in (request_id, *more_ids)
         ]
 
     return mutate
@@ -140,6 +143,13 @@ def _add_request(request_id: str, session_id: str):
             doc["catalog"]["classes"][0].update(security={"min_trust": 3, "preferred_trust": 3}),
             doc["initial_placement"].pop(1),
         ), "initial_placement[0]"),
+        # Request ids key the in-flight table and the receipts: a repeated
+        # region or scripted id failed the run with a KeyError, and a scripted
+        # id equal to a generated one gave two receipts one id.
+        ("session_heavy", lambda doc: doc["workload"]["regions"].append(dict(doc["workload"]["regions"][0])),
+         "workload.regions[1].region"),
+        ("session_heavy", _add_request("q1", "s1", "q1"), "requests[1].request_id"),
+        ("session_heavy", _add_request("metro-000001", "s1"), "requests[0].request_id"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "variant_quality",
@@ -148,7 +158,8 @@ def _add_request(request_id: str, session_id: str):
         "negative_lambda", "negative_p_miss_us", "negative_storage_unit_cost", "negative_cache_window_us",
         "negative_cache_storage_unit_cost", "negative_deployment_window_us", "node_max_concurrent",
         "node_speed_factor", "node_memory_budget_bytes", "node_admission_cap", "domain_min_trust_range",
-        "duplicate_domain", "placement_below_variant_floor",
+        "duplicate_domain", "placement_below_variant_floor", "duplicate_workload_region", "duplicate_request_id",
+        "request_id_of_workload",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
@@ -190,9 +201,20 @@ def _with_request(path: str, value):
          "workload.regions[0].policy_mix[0].preferred_domains[0]"),
         (_set("topology.nodes[0].max_concurrent", "2"), "topology.nodes[0].max_concurrent"),
         (lambda doc: doc["topology"]["nodes"][0].pop("node_id"), "topology.nodes[0].node_id"),
+        (_set("workload", []), "workload"),
+        (_set("workload.regions", {}), "workload.regions"),
+        (_set("topology.nodes[0].tier", "moon"), "topology.nodes[0].tier"),
+        (_set("topology.nodes[0].accelerator", 5), "topology.nodes[0].accelerator"),
+        (_set("topology.nodes[0].region", 5), "topology.nodes[0].region"),
+        (_set("topology.nodes[0].cache_capacity_bytes", "big"), "topology.nodes[0].cache_capacity_bytes"),
+        (_with_request("requests[0].session", 3), "requests[0].session"),
+        (_with_request("requests[0].session.turn_index", "2"), "requests[0].session.turn_index"),
+        (_with_request("requests[0].session.prefix_tokens", 1.5), "requests[0].session.prefix_tokens"),
     ],
     ids=["degradable", "locality_scope", "allowed_domains", "budget", "classes", "turns_g", "lineage",
-         "security_min_trust", "request_degradable", "preferred_domains", "node_max_concurrent", "node_id_missing"],
+         "security_min_trust", "request_degradable", "preferred_domains", "node_max_concurrent", "node_id_missing",
+         "workload", "workload_regions", "node_tier", "node_accelerator", "node_region", "node_cache_capacity_bytes",
+         "request_session", "request_turn_index", "request_prefix_tokens"],
 )
 def test_validate_names_the_exact_path_of_a_mistyped_value(tmp_path, capsys, mutate, field):
     doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
@@ -233,7 +255,7 @@ def test_node_speed_factor_parses_exactly():
     doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
     doc["topology"]["nodes"][0]["speed_factor"] = "3/2"
     scenario = Scenario.from_dict(doc)
-    assert scenario.nodes[0].hardware.speed_factor == Fraction(3, 2)
+    assert scenario.nodes[0].speed_factor == Fraction(3, 2)
     assert scenario.validate() == []
 
 

@@ -90,10 +90,10 @@ def test_revoke_unknown_realization():
 
 def test_lineage_digest_chain_is_prefix_sensitive():
     tm = manager_with_lineage()
-    rec = tm.lineage_for("real-2")
-    assert len(rec.chain_digests) == 2
-    assert rec.chain_digests[0] == lineage_digest((("base", "distill"),))
-    assert rec.chain_digests[0] != rec.chain_digests[1]
+    chain = tm.lineage_for("real-2")
+    assert len(chain) == 2
+    assert chain[0] == lineage_digest((("base", "distill"),))
+    assert chain[0] != chain[1]
 
 
 def test_receipt_log_appends_in_order():

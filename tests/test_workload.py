@@ -6,7 +6,6 @@ from capsim.workload import (
     PolicyTemplate,
     RegionWorkload,
     TokenDist,
-    WorkloadSpec,
     fnv1a32,
     generate_arrivals,
     generate_region_arrivals,
@@ -99,17 +98,17 @@ def test_regions_use_independent_substreams():
 
 
 def test_generation_is_deterministic():
-    spec = WorkloadSpec(regions=(region(name="east"), region(name="west", rate=20.0)))
-    a = generate_arrivals(spec, 20_000_000, 42)
-    b = generate_arrivals(spec, 20_000_000, 42)
+    regions = (region(name="east"), region(name="west", rate=20.0))
+    a = generate_arrivals(regions, 20_000_000, 42)
+    b = generate_arrivals(regions, 20_000_000, 42)
     assert [x.request for x in a] == [x.request for x in b]
-    c = generate_arrivals(spec, 20_000_000, 43)
+    c = generate_arrivals(regions, 20_000_000, 43)
     assert [x.request for x in a] != [x.request for x in c]
 
 
 def test_merged_stream_sorted_by_time():
-    spec = WorkloadSpec(regions=(region(name="east"), region(name="west", rate=80.0)))
-    merged = generate_arrivals(spec, 20_000_000, 42)
+    regions = (region(name="east"), region(name="west", rate=80.0))
+    merged = generate_arrivals(regions, 20_000_000, 42)
     times = [a.request.arrival_time for a in merged]
     assert times == sorted(times)
 
