@@ -47,7 +47,7 @@ def state_hash(realization_id: str, prefix_digest: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class CacheEntry:
     """One session's cached prefill state."""
 
@@ -73,8 +73,10 @@ def p_hit_of(entry: CacheEntry, now: int, window_us: int) -> tuple[int, int]:
     return lookups + 1, lookups + 2
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class CacheDecision:
+    """What offering an entry to a store did: the outcome, the benefit it was priced at, the entries displaced."""
+
     outcome: str
     # The entry's benefit as (numerator, denominator > 0); None when never priced.
     value: tuple[int, int] | None = None

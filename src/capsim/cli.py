@@ -11,7 +11,9 @@ import json
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -46,15 +48,16 @@ class TraceWriter:
     A row's known columns are its values under those names, converted by
     ``str()`` (empty when absent); every other key goes into ``detail`` as
     sorted ``key=value`` pairs joined by ``;``, each value converted by
-    ``format()``. Rows come in a few key layouts, about one per event kind,
-    so the writer compiles one ``str.format`` template per layout (the row's
-    keys in insertion order) and fills it with the row's values.
+    ``str()`` too. Rows come in a few key layouts, about one per event kind,
+    so the writer compiles one ``%`` template per layout, with a getter of
+    the row's values in the template's order. Every row the engine writes
+    has at least a time, a ``seq`` and a kind, so the getter returns a tuple.
     """
 
     def __init__(self, fp: TextIO) -> None:
         self._fp = fp
         self._rows = 0
-        self._formats: dict[tuple[str, ...], Callable[..., str]] = {}
+        self._formats: dict[tuple[str, ...], tuple[str, Callable[[dict], tuple]]] = {}
         fp.write(",".join(TRACE_COLUMNS) + "\n")
 
     def append(self, row: dict) -> None:
@@ -62,25 +65,23 @@ class TraceWriter:
         fmt = self._formats.get(layout)
         if fmt is None:
             fmt = self._formats[layout] = _row_format(layout)
-        self._fp.write(fmt(*row.values()))
+        template, get = fmt
+        self._fp.write(template % get(row))
         self._rows += 1
 
     def __len__(self) -> int:
         return self._rows
 
 
-def _row_format(layout: tuple[str, ...]) -> Callable[..., str]:
-    """The bound ``str.format`` of the line for rows whose keys are ``layout``,
-    taking the row's values in the same order."""
-    position = {key: i for i, key in enumerate(layout)}
-    cells = [f"{{{position[c]}!s}}" if c in position else "" for c in _ROW_COLUMNS]
+def _row_format(layout: tuple[str, ...]) -> tuple[str, Callable[[dict], tuple]]:
+    """The ``%`` template of the line for rows whose keys are ``layout``, and
+    the getter of the values it takes, in column order: the known columns',
+    then the detail keys' in sorted order."""
+    known = [c for c in _ROW_COLUMNS if c in layout]
     detail = sorted(key for key in layout if key not in _TRACE_COLUMN_SET)
-    cells.append(";".join(f"{_escape_braces(key)}={{{position[key]}}}" for key in detail))
-    return (",".join(cells) + "\n").format
-
-
-def _escape_braces(text: str) -> str:
-    return text.replace("{", "{{").replace("}", "}}")
+    cells = ["%s" if c in layout else "" for c in _ROW_COLUMNS]
+    cells.append(";".join(f"{key.replace('%', '%%')}=%s" for key in detail))
+    return ",".join(cells) + "\n", itemgetter(*known, *detail)
 
 
 @contextmanager
@@ -129,11 +130,22 @@ def _validate_or_report(scenario: Scenario) -> bool:
     return not errors
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _checked_scenario(args: argparse.Namespace) -> Scenario | None:
+    """The scenario ``args`` names, with its ``--seed`` and ``--duration-us``
+    in place of the file's, once it parses and validates; None once the
+    reason it does not is reported."""
     scenario = _load_scenario(args.scenario)
     if scenario is None:
-        return EXIT_VALIDATION
-    if not _validate_or_report(scenario):
+        return None
+    overrides = {name: value for name in ("seed", "duration_us") if (value := getattr(args, name, None)) is not None}
+    if overrides:
+        scenario = replace(scenario, **overrides)
+    return scenario if _validate_or_report(scenario) else None
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    scenario = _checked_scenario(args)
+    if scenario is None:
         return EXIT_VALIDATION
     print(f"ok: {scenario.name}")
     return EXIT_OK
@@ -170,16 +182,14 @@ def _summary_line(metrics_doc: dict) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = _checked_scenario(args)
     if scenario is None:
-        return EXIT_VALIDATION
-    if not _validate_or_report(scenario):
         return EXIT_VALIDATION
     out_dir = Path(args.out) if args.out else None
     try:
         # Without --out there is nowhere to write a trace, so none is built.
         with _trace_writer(out_dir if args.trace else None) as trace:
-            sim = Simulation(scenario, seed=args.seed, duration_us=args.duration_us, trace=trace).run()
+            sim = Simulation(scenario, trace=trace).run()
             summary = sim.metrics.summary()
             if out_dir is not None:
                 _write_outputs(out_dir, sim, summary)
@@ -191,18 +201,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = _checked_scenario(args)
     if scenario is None:
         return EXIT_VALIDATION
-    if not _validate_or_report(scenario):
-        return EXIT_VALIDATION
     try:
-        sim_full = Simulation(scenario, seed=args.seed, duration_us=args.duration_us)
-        full = sim_full.run().metrics.summary()
-        sim_base = Simulation(
-            scenario, seed=args.seed, duration_us=args.duration_us, placement_tiers={Tier.CLOUD}
-        )
-        base = sim_base.run().metrics.summary()
+        full = Simulation(scenario).run().metrics.summary()
+        base = Simulation(scenario, placement_tiers={Tier.CLOUD}).run().metrics.summary()
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -246,10 +250,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_place(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = _checked_scenario(args)
     if scenario is None:
-        return EXIT_VALIDATION
-    if not _validate_or_report(scenario):
         return EXIT_VALIDATION
     try:
         sim = Simulation(scenario)

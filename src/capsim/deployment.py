@@ -38,8 +38,10 @@ class InstanceTooLarge(Exception):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class DemandCell:
+    """The arrivals of one (class, region, quality) in a demand window: their count and mean token sizes."""
+
     capability_class: str
     region: str
     quality: int
@@ -48,7 +50,7 @@ class DemandCell:
     output_tokens: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class PlacementWeights:
     """The placement objective's weights: deploy, transfer and risk costs,
     the latency charged per unservable demand unit, and the storage carry
@@ -61,8 +63,10 @@ class PlacementWeights:
     storage_unit_cost: Fraction = Fraction(0)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class PlacementPair:
+    """A candidate assignment of a realization to a node: its memory and its fixed costs."""
+
     realization_id: str
     node_id: str
     memory_bytes: int          # m_c, counted against the node budget
@@ -75,8 +79,10 @@ class PlacementPair:
         return (self.realization_id, self.node_id)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class PlacementProblem:
+    """One replan's placement instance, and the integer view every solver evaluates."""
+
     cells: tuple[DemandCell, ...]
     pairs: tuple[PlacementPair, ...]
     node_budget: dict[str, int]

@@ -2,14 +2,19 @@
 receipt records every other module consumes.
 
 All times are integer microseconds, all sizes integer bytes. Trust is an
-ordinal level in [0, 3]. A record built once, at load, is a frozen
-dataclass. A record built per request, per select or per replan
-(``RequestDescriptor`` and ``ExecutionReceipt`` here; ``Arrival``,
-``CacheDecision``, deployment's ``DemandCell`` and ``PlacementPair``, and
-routing's ``StageProjection``, ``StateUse``, ``ScoredPlan`` and ``Rejection``
-elsewhere) is a plain slotted dataclass, because a frozen ``__init__`` writes each field through
-``object.__setattr__``. Nothing writes to one once it is built;
-``tests/test_golden.py`` checks that over whole runs.
+ordinal level in [0, 3]. The dataclass decorator ``exec``s every method it
+generates when its module is imported, so a record is
+``@dataclass(slots=True, eq=False, repr=False)`` with a docstring of its
+own: it gets ``__init__`` only, and the decorator builds no docstring from
+its signature. A record keeps ``__eq__`` only where something compares it,
+and is frozen only where something hashes it by value: ``PlanStage`` here
+(plan-cache keys), ``PolicyConstraint`` (a field default, which must hash)
+and topology's ``Route`` (pricing-class keys). ``tests/test_records.py``
+names each record that keeps either, with the code that needs it, and pins
+the generated methods at 62 (190 when every record had the defaults).
+Nothing writes to a record once it is built, frozen or not;
+``tests/test_golden.py`` checks that over whole runs, for the records built
+per request and for those built once and shared.
 ``validate_descriptor`` reports invariant violations as data, never as
 exceptions.
 
@@ -94,15 +99,17 @@ def parse_fraction(value: Any) -> Fraction:
     return Fraction(str(value))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class PolicyConstraint:
+    """A request's trust floor, locality scope and allowed domains, and the domains it prefers."""
+
     min_trust: int = 0
     locality_scope: LocalityScope = LocalityScope.ANY
     allowed_domains: tuple[str, ...] | None = None
     preferred_domains: tuple[str, ...] | None = None  # soft preference, priced not enforced
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class RequestDescriptor:
     """One intelligence request: what is asked for, under which constraints."""
 
@@ -119,13 +126,15 @@ class RequestDescriptor:
     degradable: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class SecurityLabel:
+    """A variant's trust floor for its hosts, and the trust it prefers."""
+
     min_trust: int = 0           # hard floor for hosting nodes
     preferred_trust: int = 0     # soft preference, priced as risk when missed; a file's default is min_trust
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class CapabilityDescriptor:
     """A capability class: the top level of the class/variant/realization tree."""
 
@@ -133,16 +142,20 @@ class CapabilityDescriptor:
     lineage: tuple[tuple[str, str], ...] = ()  # (parent model id, derivation tag)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class CapabilityVariant:
+    """A quality level of a capability class, and the security label its hosts must meet."""
+
     variant_id: str
     parent_class: str
     quality: int = 1
     security: SecurityLabel = SecurityLabel()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class CapabilityRealization:
+    """A variant's deployable artifact for one accelerator: its size and its load and per-token times."""
+
     realization_id: str
     variant_id: str
     accelerator: str = "cpu"
@@ -154,7 +167,7 @@ class CapabilityRealization:
     kv_bytes_per_token: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class ResourceProfile:
     """What a node can execute, how much of it at once, and where."""
 
@@ -171,8 +184,10 @@ class ResourceProfile:
     trust: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class PlanStage:
+    """One stage of a plan: a realization on a node, in one phase."""
+
     node_id: str
     realization_id: str
     phase: PlanPhase
@@ -185,7 +200,7 @@ class PlanStage:
         }
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class ExecutionReceipt:
     """The one record of a finished request: how it was served, or why it was
     not. A rejection leaves the plan, its audit and its cost at their

@@ -110,8 +110,10 @@ def _json_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class MetricsFrame:
+    """A run's receipts and the per-node and per-cache tallies ``metrics.json`` is built from."""
+
     duration_us: int
     records: list[ExecutionReceipt] = field(default_factory=list)  # the run's ReceiptLog list
     node_capacity: dict[str, int] = field(default_factory=dict)   # node -> max_concurrent

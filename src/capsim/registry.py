@@ -113,14 +113,16 @@ class CapabilityCatalog:
         return out
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Residency:
+    """A realization resident on a node, warm from ``available_at_us``."""
+
     realization_id: str
     available_at_us: int  # warm once now >= available_at_us; loading before that
     pending_eviction: bool = False
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class NodeState:
     """Live per-node bookkeeping: residency, memory, and the reservation calendar.
 
@@ -190,7 +192,7 @@ class NodeState:
 Hit = tuple[int, bool]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(slots=True, eq=False, repr=False)
 class CandidateTable:
     """The static part of a candidate lookup, equal only to itself.
     ``pairs`` holds each (node, realization id) pair a lookup may yield, by

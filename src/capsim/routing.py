@@ -94,8 +94,10 @@ TIE_EPS_NUM = 1
 TIE_EPS_DEN = 10**9  # relative tie window for argmin, 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class RoutingWeights:
+    """The weights of J's six terms, the load and soft-preference penalties and the argmin tie window."""
+
     alpha: Fraction = Fraction(1)   # T_net
     beta: Fraction = Fraction(1)    # T_queue
     gamma: Fraction = Fraction(1)   # T_exec
@@ -107,8 +109,10 @@ class RoutingWeights:
     tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)  # relative argmin tie window
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, repr=False)
 class ExecutionPlan:
+    """A plan's stages and the id hashed from them."""
+
     stages: tuple[PlanStage, ...]
     plan_id: str
 
@@ -126,8 +130,10 @@ def _weight_multipliers(weights: RoutingWeights) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(p.numerator * (scale // p.denominator) for p in parts)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class StageProjection:
+    """One stage of a priced plan's projected schedule."""
+
     node_id: str
     realization_id: str
     phase: PlanPhase
@@ -139,7 +145,7 @@ class StageProjection:
     warm_available_at_us: int  # when a cold load finishes (== start for warm)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class StateUse:
     """How the plan satisfies the request's state affinity."""
 
@@ -151,7 +157,7 @@ class StateUse:
     core_bytes: int
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class ScoredPlan:
     """A priced plan: its six cost terms, named as the receipt names them,
     and its projected schedule. ``select`` returns it with the ladder step it
@@ -178,12 +184,14 @@ class ScoredPlan:
     alternatives: tuple[tuple[str, tuple[int, int, int, int, int, int]], ...] = field(compare=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class Rejection:
+    """Why ``select`` found no plan for a request."""
+
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class _Row:
     """What pricing a candidate from one origin needs that no event changes
     during a run. ``prefill_us`` and ``decode_us`` are the realization's µs
@@ -229,7 +237,7 @@ class _Classes(NamedTuple):
 _Bound = tuple[_Row, bool, int, int, int, int, int, int, int]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class _Half:
     """One candidate's share of every plan it appears in, priced once per select.
 

@@ -53,36 +53,46 @@ class ScenarioParseError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class CacheConfig:
+    """The scenario's ``cache`` section: whether session state is cached, its hit window and storage price."""
+
     enabled: bool = True
     window_us: int = 300_000_000  # hit-probability window
     storage_unit_cost: Fraction = Fraction(0)  # per cached byte, in the admission benefit
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class DeploymentConfig:
+    """The scenario's ``deployment`` section: the replan epoch, the demand window and the search rounds."""
+
     epoch_us: int = 60_000_000
     window_us: int = 300_000_000  # demand window each replan aggregates
     replan_enabled: bool = False
     local_search_rounds: int = 8
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Revocation:
+    """A scripted revocation of a realization's lineage at ``time_us``."""
+
     realization_id: str
     time_us: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class NodeEvent:
+    """A scripted change of a node's liveness at ``time_us``."""
+
     node_id: str
     time_us: int = 0
     online: bool = True
 
 
-@dataclass(slots=True, kw_only=True)
+@dataclass(slots=True, kw_only=True, eq=False, repr=False)
 class Scenario:
+    """A parsed scenario file: topology, catalog, placement, workload, weights, configuration and scripts."""
+
     name: str = "scenario"
     seed: int = 0
     duration_us: int = 1_000_000

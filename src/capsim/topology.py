@@ -23,8 +23,10 @@ def region_vertex(region_id: str) -> str:
     return f"region:{region_id}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Link:
+    """An undirected link between two vertices: its delay, its bandwidth and whether it is a core link."""
+
     link_id: str
     src: str  # node id or region gateway vertex
     dst: str
@@ -33,7 +35,7 @@ class Link:
     is_core: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Route:
     """The fixed transfer parameters of one path: propagation delay, the
     bottleneck bandwidth ``bw_num / bw_den`` bytes per µs, and the number of
@@ -65,8 +67,10 @@ _NO_ROUTE = Route(-1, 0, 0, 0)
 _Entry = tuple[int, tuple[str, ...], str]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Domain:
+    """A trust domain and the least trust a node it hosts must claim."""
+
     domain_id: str
     min_trust: int = 0  # admission floor for hosted nodes
 

@@ -28,8 +28,10 @@ class UnknownRealization(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class AttestationRecord:
+    """A node's attested trust level from ``issue_time_us``, for ``validity_window_us`` µs or for ever."""
+
     node_id: str
     level: int = 0
     issue_time_us: int = 0
@@ -104,7 +106,7 @@ class TrustManager:
         return ("allowed", None)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class ReceiptLog:
     """Append-only, single-writer record of terminal request outcomes."""
 

@@ -25,8 +25,10 @@ def fnv1a32(text: str) -> int:
     return h
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class TokenDist:
+    """A distribution of token counts: a fixed value or a lognormal draw."""
+
     dist: str = "fixed"  # fixed | lognormal
     value: int = 1
     mu: float = 0.0
@@ -38,8 +40,10 @@ class TokenDist:
         return max(1, round(rng.lognormvariate(self.mu, self.sigma)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class PolicyTemplate:
+    """One entry of a region's policy mix: its draw weight and the policy, target and budget it gives."""
+
     weight: float = 1.0
     policy: PolicyConstraint = PolicyConstraint()
     quality_target: int = 1
@@ -47,8 +51,10 @@ class PolicyTemplate:
     degradable: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class RegionWorkload:
+    """One region's arrivals: rate, class popularity, sessions, token sizes and policy mix."""
+
     region: str
     rate_per_s: float = 0.0
     zipf_s: float = 0.0
@@ -60,7 +66,7 @@ class RegionWorkload:
     policy_mix: tuple[PolicyTemplate, ...] = (PolicyTemplate(),)  # each session draws one
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class Arrival:
     """A request and its session turn, generated or scripted in the scenario."""
 

@@ -4,10 +4,14 @@ constructed programmatically so tests do not depend on the shipped scenarios.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 import pytest
 
+import capsim
 from capsim.descriptors import (
     CapabilityDescriptor,
     CapabilityRealization,
@@ -21,6 +25,17 @@ from capsim.topology import Domain, Link, Topology
 from capsim.trust import AttestationRecord, TrustManager
 
 GIB = 1024**3
+
+
+def capsim_records() -> dict[str, type]:
+    """Every dataclass defined in a capsim module, by name."""
+    records = {}
+    for info in pkgutil.iter_modules(capsim.__path__):
+        module = importlib.import_module(f"capsim.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and is_dataclass(value) and value.__module__ == module.__name__:
+                records[value.__name__] = value
+    return records
 
 
 def make_profile(

@@ -19,7 +19,8 @@ of its workloads at seed 1, so that a run of the benchmark checks nothing a
 test does not.
 
 Two relations over whole runs sit here too: a run is a prefix of a run twice
-as long, and no per-request record is written after it is built.
+as long, and no record that is not frozen, per request or built once, is
+written after it is built.
 """
 
 import csv
@@ -28,18 +29,31 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 from capsim.caching import CacheDecision
 from capsim.cli import main
-from capsim.deployment import DemandCell, PlacementPair
-from capsim.descriptors import ExecutionReceipt, RequestDescriptor
+from capsim.deployment import DemandCell, PlacementPair, PlacementWeights
+from capsim.descriptors import (
+    CapabilityDescriptor,
+    CapabilityRealization,
+    CapabilityVariant,
+    ExecutionReceipt,
+    RequestDescriptor,
+    ResourceProfile,
+    SecurityLabel,
+)
 from capsim.engine import Simulation
-from capsim.routing import Rejection, ScoredPlan, StageProjection, StateUse
-from capsim.scenario import Scenario
-from capsim.workload import Arrival, generate_arrivals
+from capsim.registry import CandidateTable
+from capsim.routing import ExecutionPlan, Rejection, RoutingWeights, ScoredPlan, StageProjection, StateUse, _Row
+from capsim.scenario import CacheConfig, DeploymentConfig, NodeEvent, Revocation, Scenario
+from capsim.topology import Domain, Link
+from capsim.trust import AttestationRecord
+from capsim.workload import Arrival, PolicyTemplate, RegionWorkload, TokenDist, generate_arrivals
+from conftest import capsim_records
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -345,13 +359,41 @@ PER_REQUEST_RECORDS = (
     PlacementPair,
 )
 
+# Records built at load, or once per router or broker table, that are not
+# frozen (tests/test_records.py pins which records are). Field defaults such
+# as ``TokenDist()`` or ``RoutingWeights()`` are among them: one object per
+# process, shared by every record that leaves the field unset.
+LOAD_RECORDS = (
+    Scenario,
+    CacheConfig,
+    DeploymentConfig,
+    Revocation,
+    NodeEvent,
+    Domain,
+    Link,
+    ResourceProfile,
+    CapabilityDescriptor,
+    CapabilityVariant,
+    CapabilityRealization,
+    SecurityLabel,
+    AttestationRecord,
+    RegionWorkload,
+    TokenDist,
+    PolicyTemplate,
+    RoutingWeights,
+    PlacementWeights,
+    CandidateTable,
+    ExecutionPlan,
+    _Row,
+)
 
-def test_per_request_records_are_never_written_after_construction(monkeypatch, tmp_path):
-    """Every write to a per-request record outside its own ``__init__`` is
-    recorded, over traced runs that admit session state, reject requests,
-    churn trust and nodes, and replan."""
+
+def writes_over_traced_runs(monkeypatch, tmp_path, records) -> tuple[list[str], set[str]]:
+    """Every write to one of ``records`` outside its own ``__init__``, and the
+    names of those built, over traced runs that admit session state, reject
+    requests, churn trust and nodes, and replan."""
     building: set[int] = set()
-    built: dict[str, int] = {}
+    built: set[str] = set()
     writes: list[str] = []
 
     def guard(cls):
@@ -363,7 +405,7 @@ def test_per_request_records_are_never_written_after_construction(monkeypatch, t
                 init(self, *args, **kwargs)
             finally:
                 building.discard(id(self))
-            built[cls.__name__] = built.get(cls.__name__, 0) + 1
+            built.add(cls.__name__)
 
         def __setattr__(self, name, value):
             if id(self) not in building:
@@ -378,7 +420,7 @@ def test_per_request_records_are_never_written_after_construction(monkeypatch, t
         monkeypatch.setattr(cls, "__setattr__", __setattr__)
         monkeypatch.setattr(cls, "__delattr__", __delattr__)
 
-    for cls in PER_REQUEST_RECORDS:
+    for cls in records:
         assert not cls.__dataclass_params__.frozen, cls.__name__
         guard(cls)
     replan_heavy = tmp_path / "replan_heavy.json"
@@ -386,5 +428,27 @@ def test_per_request_records_are_never_written_after_construction(monkeypatch, t
     paths = [SCENARIOS / f"{name}.json" for name in ("session_heavy", "trust_churn", "small_place")] + [replan_heavy]
     for i, path in enumerate(paths):
         assert main(["run", str(path), "--out", str(tmp_path / str(i)), "--trace"]) == 0
+    return writes, built
+
+
+def test_per_request_records_are_never_written_after_construction(monkeypatch, tmp_path):
+    writes, built = writes_over_traced_runs(monkeypatch, tmp_path, PER_REQUEST_RECORDS)
     assert writes == []
-    assert set(built) == {cls.__name__ for cls in PER_REQUEST_RECORDS}
+    assert built == {cls.__name__ for cls in PER_REQUEST_RECORDS}
+
+
+def test_load_records_are_never_written_after_construction(monkeypatch, tmp_path):
+    """The same over the records that are built once and then shared. A
+    record's default that is itself a record is guarded here, or frozen."""
+    defaults = {
+        type(default)
+        for cls in capsim_records().values()
+        for f in fields(cls)
+        for default in (f.default if isinstance(f.default, tuple) else (f.default,))
+        if is_dataclass(default)
+    }
+    assert {PolicyTemplate, TokenDist, RoutingWeights, CacheConfig} <= defaults
+    assert {cls for cls in defaults if not cls.__dataclass_params__.frozen} <= set(LOAD_RECORDS)
+    writes, built = writes_over_traced_runs(monkeypatch, tmp_path, LOAD_RECORDS)
+    assert writes == []
+    assert built == {cls.__name__ for cls in LOAD_RECORDS}

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import shutil
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,6 +261,57 @@ def test_node_speed_factor_parses_exactly():
     assert scenario.validate() == []
 
 
+def parse_walk(value, out: list[str]) -> None:
+    """Append a canonical text of a parsed value to ``out``: each record's
+    type and its fields by name, recursing into records, lists and tuples;
+    an enum by its name, a ``Fraction`` as ``p/q``. Records print no
+    ``repr``, so this stands in for one."""
+    if is_dataclass(value):
+        out.append(f"{type(value).__name__}(")
+        for f in fields(value):
+            out.append(f"{f.name}=")
+            parse_walk(getattr(value, f.name), out)
+            out.append(",")
+        out.append(")")
+    elif isinstance(value, (list, tuple)):
+        out.append("[" if isinstance(value, list) else "(")
+        for item in value:
+            parse_walk(item, out)
+            out.append(",")
+        out.append("]" if isinstance(value, list) else ")")
+    elif isinstance(value, Enum):
+        out.append(f"{type(value).__name__}.{value.name}")
+    elif isinstance(value, Fraction):
+        out.append(f"{value.numerator}/{value.denominator}")
+    elif value is None or isinstance(value, (bool, int, float, str)):
+        out.append(repr(value))
+    else:
+        raise TypeError(f"no canonical text for {type(value).__name__}")
+
+
+def parse_digest(scenario: Scenario) -> str:
+    out: list[str] = []
+    parse_walk(scenario, out)
+    return hashlib.sha256("".join(out).encode()).hexdigest()
+
+
+# The sha256 of each shipped scenario's parse walk. A change to the reader or
+# to a record's fields that alters what a file parses to changes these.
+PARSE_DIGESTS = {
+    "audit": "504731c7ef2a591bdf5e9ac101cd313de159f6e8741faa58c85ffd30b6d8a9ac",
+    "locality": "92300c32b7fb264baafe7097851c18375c9c048a2de33c5ed6974e859fe8494b",
+    "overload": "db06a2de0390b697c399c37b0bdf60478ca9b367747efd6b3e3c0c931cc939e8",
+    "session_heavy": "81dcf3e601b2bb111cc2d4810e7d8ec4771167f3cdb54b7ed0d87f069a5279ce",
+    "small_place": "9b3d28b02d928b2ae49118f009e8f75730cbe04e694bb97299d15c19fcbe1761",
+    "trust_churn": "f2c09d45d02f51e9030bf6df3b71071ee843b2a0e2c15cc45af35d090b6093d7",
+}
+
+
+def test_shipped_scenarios_parse_to_their_pinned_digests():
+    assert set(PARSE_DIGESTS) == {path.stem for path in SCENARIOS.glob("*.json")}
+    assert {name: parse_digest(Scenario.load(SCENARIOS / f"{name}.json")) for name in PARSE_DIGESTS} == PARSE_DIGESTS
+
+
 def test_scenario_holds_no_raw_config_dicts():
     # Every section is converted at load; nothing downstream reads raw keys.
     assert not [f.name for f in fields(Scenario) if "dict" in str(f.type)]
@@ -329,6 +382,16 @@ def test_seed_override_changes_arrivals(tmp_path):
     main(["run", str(SCENARIOS / "session_heavy.json"), "--seed", "99", "--out", str(out2)])
     assert (out1 / "receipts.jsonl").read_bytes() != (out2 / "receipts.jsonl").read_bytes()
     assert json.loads((out2 / "manifest.json").read_text())["seed"] == 99
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("duration", ["-5", "0"])
+def test_a_duration_override_is_validated_before_anything_runs(tmp_path, capsys, command, duration):
+    out = tmp_path / "out"
+    assert main([command, str(SCENARIOS / "small_place.json"), "--duration-us", duration, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "invalid: duration_us: must be > 0\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_compare_reports_both_runs(tmp_path, capsys):
