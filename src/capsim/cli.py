@@ -253,6 +253,9 @@ def cmd_oracle_place(args: argparse.Namespace) -> int:
     scenario = _checked_scenario(args)
     if scenario is None:
         return EXIT_VALIDATION
+    if args.at is not None and args.at < 0:
+        print("invalid: --at: must be >= 0", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         sim = Simulation(scenario)
         at = args.at if args.at is not None else scenario.deployment.epoch_us

@@ -2,19 +2,26 @@
 planning epoch by greedy density ascent plus local search, with an exhaustive
 enumerator as the small-instance oracle.
 
-The objective prices expected service latency (``Router.idle_cost``: the J
-of each pair's warm single-node plan on an idle, penalty-free node, read from
-the router's static rows), activation and artifact-transfer costs for
-not-yet-resident realizations, and a soft trust-risk count; hard trust
-violations never become candidate assignments. Already-resident realizations
+The candidate pairs are the broker's: for each demanded class, the pairs of
+its candidate table (``Broker.table`` under the router's placement tiers) on
+online nodes that may take the realization cold, so revocation, tier,
+accelerator, trust floor and memory budget are the rule routing works under.
+A pair whose artifact the repository cannot reach stays a candidate only
+while resident, as routing runs it there only warm. The objective prices
+expected service latency (``Router.idle_cost``: the J of each pair's warm
+single-node plan on an idle, penalty-free node, read from the router's static
+rows), activation and artifact-transfer costs for not-yet-resident
+realizations, and a soft trust-risk count. Already-resident realizations
 re-place at zero cost, so assignments whose demand has vanished drop out of
 the solution and the replan diff schedules their eviction.
 
-Every solver evaluates the objective through one evaluator, as exact integer
-numerators over one common denominator that ``PlacementProblem`` derives once
-with its integer view; greedy densities compare by cross-multiplying, so each
-choice is the one exact rational arithmetic makes. ``objective`` returns the
-exact ``Fraction``.
+Every cost is an integer numerator: a latency over the router's scale
+(``latency_den``), a deploy cost over the storage unit cost's denominator.
+``PlacementProblem`` brings all to one common denominator, the lcm of four:
+the router's scale, lambda's times the storage unit cost's, mu's and nu's.
+Every solver evaluates the objective through one evaluator in exact integers;
+greedy densities compare by cross-multiplying, so each choice is the one
+exact rational arithmetic makes. ``objective`` returns the exact ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from math import lcm
 
 from .descriptors import PolicyConstraint, RequestDescriptor
 from .routing import Router
+from .topology import Unreachable
 
 ENUMERATION_BOUND = 20
 
@@ -70,7 +78,7 @@ class PlacementPair:
     realization_id: str
     node_id: str
     memory_bytes: int          # m_c, counted against the node budget
-    deploy_cost: Fraction      # load time + storage carry, 0 when resident
+    deploy_cost: int           # load time + storage carry, over the storage unit cost's denominator; 0 when resident
     net_cost_us: int           # artifact transfer from the repository, 0 when resident
     risk: int                  # 1 when node trust misses the soft preferred trust
 
@@ -86,16 +94,14 @@ class PlacementProblem:
     cells: tuple[DemandCell, ...]
     pairs: tuple[PlacementPair, ...]
     node_budget: dict[str, int]
-    lambda_deploy: Fraction
-    mu_net: Fraction
-    nu_risk: Fraction
-    p_miss_us: int
+    weights: PlacementWeights
     # latency[i][j]: J of serving cell i on pair j against an idle substrate,
-    # or None when the pair cannot serve the cell.
-    latency: list[list[Fraction | None]] = field(default_factory=list)
+    # as a numerator over latency_den, or None when the pair cannot serve the cell.
+    latency: list[list[int | None]]
+    latency_den: int
     # The integer view every solver evaluates, as numerators over ``scale``:
-    # scale: a common denominator of every latency and fixed cost, the lcm
-    #   of the denominators of each latency, mu, nu and lambda * deploy;
+    # scale: the lcm of latency_den, lambda's denominator times the storage
+    #   unit cost's (the deploy costs'), mu's and nu's;
     # cell_options[i]: (count * latency, pair bit), ascending by (latency,
     #   pair index), so the first member of a placement met is the cell's
     #   cheapest plan; cell_miss[i]: count * p_miss_us;
@@ -111,32 +117,23 @@ class PlacementProblem:
     budget: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        lam = self.lambda_deploy
-        scale = self.scale = lcm(
-            self.mu_net.denominator,
-            self.nu_risk.denominator,
-            *(lam.denominator * p.deploy_cost.denominator for p in self.pairs),
-            *(lat.denominator for row in self.latency for lat in row if lat is not None),
-        )
-        mu = self.mu_net.numerator * (scale // self.mu_net.denominator)
-        nu = self.nu_risk.numerator * (scale // self.nu_risk.denominator)
+        w = self.weights
+        lam, mu, nu = w.lambda_deploy, w.mu_net, w.nu_risk
+        deploy_den = lam.denominator * w.storage_unit_cost.denominator
+        scale = self.scale = lcm(self.latency_den, deploy_den, mu.denominator, nu.denominator)
+        lam_m = lam.numerator * (scale // deploy_den)
+        mu_m = mu.numerator * (scale // mu.denominator)
+        nu_m = nu.numerator * (scale // nu.denominator)
+        lat_m = scale // self.latency_den
         self.fixed = tuple(
-            (
-                1 << j,
-                lam.numerator * p.deploy_cost.numerator * (scale // (lam.denominator * p.deploy_cost.denominator))
-                + mu * p.net_cost_us
-                + nu * p.risk,
-            )
-            for j, p in enumerate(self.pairs)
+            (1 << j, lam_m * p.deploy_cost + mu_m * p.net_cost_us + nu_m * p.risk) for j, p in enumerate(self.pairs)
         )
         self.cell_options = []
         self.cell_miss = []
         for cell, row in zip(self.cells, self.latency, strict=True):
-            options = sorted(
-                (lat.numerator * (scale // lat.denominator), j) for j, lat in enumerate(row) if lat is not None
-            )
-            self.cell_options.append(tuple((cell.count * lat, 1 << j) for lat, j in options))
-            self.cell_miss.append(cell.count * self.p_miss_us * scale)
+            options = sorted((lat, j) for j, lat in enumerate(row) if lat is not None)
+            self.cell_options.append(tuple((cell.count * lat_m * lat, 1 << j) for lat, j in options))
+            self.cell_miss.append(cell.count * w.p_miss_us * scale)
         node_pairs: dict[str, list[tuple[int, int]]] = {}
         for j, p in enumerate(self.pairs):
             node_pairs.setdefault(p.node_id, []).append((1 << j, p.memory_bytes))
@@ -308,51 +305,45 @@ def build_problem(
 ) -> PlacementProblem:
     """Assemble the placement instance against the live broker and topology.
 
-    ``residency`` maps node_id -> realization ids currently resident (their
-    re-placement is free). Hard trust violations and accelerator mismatches
-    never become candidate pairs.
+    The candidates of each demanded class are the pairs of its candidate
+    table on online nodes that have a cold hit, less the non-resident ones
+    whose artifact has no route from the repository. ``residency`` maps
+    node_id -> realization ids currently resident (their re-placement is
+    free).
     """
     broker = router.broker
     catalog = broker.catalog
-
-    classes = sorted({c.capability_class for c in cells})
+    unit_cost = weights.storage_unit_cost
     pairs: list[PlacementPair] = []
-    for class_name in classes:
-        for realization in catalog.realizations_of_class(class_name):
-            if broker.trust is not None and broker.trust.is_revoked(realization.realization_id):
+    for class_name in sorted({c.capability_class for c in cells}):
+        table = broker.table(class_name, 1, PolicyConstraint(), tiers=router.placement_tiers)
+        for state, _, realizations in table.nodes:
+            if not state.online:
                 continue
-            variant = catalog.variant_of(realization.realization_id)
-            for node_id in sorted(broker.nodes):
-                state = broker.nodes[node_id]
-                if not state.online:
-                    continue
-                if router.placement_tiers is not None and state.profile.tier not in router.placement_tiers:
-                    continue
-                if state.profile.accelerator != realization.accelerator:
-                    continue
-                if state.profile.trust < variant.security.min_trust:
-                    continue  # hard violation: never a candidate
-                if realization.realization_id in residency.get(node_id, set()):
-                    deploy = Fraction(0)
-                    net = 0
+            node_id = state.node_id
+            resident = residency.get(node_id, ())
+            for rid, footprint, _, cold in realizations:
+                if cold is None:
+                    continue  # never placeable on this node
+                if rid in resident:
+                    deploy = net = 0
                 else:
-                    deploy = realization.load_time_us + weights.storage_unit_cost * realization.artifact_size_bytes
-                    net, _ = router.artifact_fetch(node_id, realization)
-                pairs.append(
-                    PlacementPair(
-                        realization_id=realization.realization_id,
-                        node_id=node_id,
-                        memory_bytes=broker.footprint(realization.realization_id),
-                        deploy_cost=deploy,
-                        net_cost_us=net,
-                        risk=1 if state.profile.trust < variant.security.preferred_trust else 0,
+                    realization = catalog.realizations[rid]
+                    try:
+                        net, _ = router.artifact_fetch(node_id, realization)
+                    except Unreachable:
+                        continue  # routing runs it here only warm
+                    deploy = (
+                        realization.load_time_us * unit_cost.denominator
+                        + unit_cost.numerator * realization.artifact_size_bytes
                     )
-                )
+                preferred = catalog.variant_of(rid).security.preferred_trust
+                pairs.append(PlacementPair(rid, node_id, footprint, deploy, net, int(state.profile.trust < preferred)))
     pairs.sort(key=lambda p: p.key)
 
-    latency: list[list[Fraction | None]] = []
+    latency: list[list[int | None]] = []
     for cell in cells:
-        row: list[Fraction | None] = []
+        row: list[int | None] = []
         probe = RequestDescriptor(
             request_id=f"plan-{cell.capability_class}-{cell.region}-{cell.quality}",
             capability_class=cell.capability_class,
@@ -366,9 +357,8 @@ def build_problem(
             variant = catalog.variant_of(pair.realization_id)
             if variant.parent_class != cell.capability_class or variant.quality < cell.quality:
                 row.append(None)
-                continue
-            cost = router.idle_cost(probe, broker.nodes[pair.node_id], pair.realization_id)
-            row.append(None if cost is None else Fraction(cost, router._scale))
+            else:
+                row.append(router.idle_cost(probe, broker.nodes[pair.node_id], pair.realization_id))
         latency.append(row)
 
     return PlacementProblem(
@@ -378,11 +368,9 @@ def build_problem(
             node_id: broker.nodes[node_id].profile.memory_budget_bytes
             for node_id in sorted(broker.nodes)
         },
-        lambda_deploy=weights.lambda_deploy,
-        mu_net=weights.mu_net,
-        nu_risk=weights.nu_risk,
-        p_miss_us=weights.p_miss_us,
+        weights=weights,
         latency=latency,
+        latency_den=router._scale,
     )
 
 

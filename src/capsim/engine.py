@@ -57,8 +57,6 @@ class Simulation:
     def __init__(
         self,
         scenario: Scenario,
-        seed: int | None = None,
-        duration_us: int | None = None,
         placement_tiers: set[Tier] | None = None,
         audit: bool = False,
         trace: bool | TraceSink = False,
@@ -68,8 +66,8 @@ class Simulation:
         ``audit=True`` keeps each selection's ``(request id, ScoredPlan)``
         in ``self.audit``."""
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
-        self.duration_us = scenario.duration_us if duration_us is None else duration_us
+        self.seed = scenario.seed
+        self.duration_us = scenario.duration_us
         self.trace_enabled = trace is not False
 
         self.topology = scenario.build_topology()

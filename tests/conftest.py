@@ -120,11 +120,13 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3,
     With ``ties`` the draw is tie-heavy: latencies come from three values, one
     of them non-integer, so many options and greedy densities are equal;
     deploy costs carry a storage term at a non-integer unit cost; and the
-    deploy, transfer and risk weights are non-integer.
+    deploy, transfer and risk weights are non-integer. Latencies are written
+    as numerators over ``latency_den`` and deploy costs over the storage unit
+    cost's denominator, as ``build_problem`` writes them.
     """
     from fractions import Fraction as F
 
-    from capsim.deployment import DemandCell, PlacementPair, PlacementProblem
+    from capsim.deployment import DemandCell, PlacementPair, PlacementProblem, PlacementWeights
 
     n_real = rng.randint(1, max_realizations)
     n_nodes = rng.randint(1, max_nodes)
@@ -136,12 +138,15 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3,
     for r in range(n_real):
         for n, node in enumerate(node_ids):
             if rng.random() < (0.4 if ties else 0.2):  # already resident: free to keep
-                deploy, net = F(0), 0
+                deploy, net = 0, 0
             elif ties:
-                deploy = rng.choice([0, 1_000]) + storage_unit_cost * footprints[r]
+                deploy = (
+                    rng.choice([0, 1_000]) * storage_unit_cost.denominator
+                    + storage_unit_cost.numerator * footprints[r]
+                )
                 net = rng.choice([0, 500])
             else:
-                deploy = F(rng.randint(0, 50_000))
+                deploy = rng.randint(0, 50_000)
                 net = rng.randint(0, 80_000)
             pairs.append(
                 PlacementPair(
@@ -170,10 +175,10 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3,
         row = []
         for pair in pairs:
             if pair.realization_id == cells[-1].capability_class and rng.random() < 0.9:
-                if ties:
-                    row.append(rng.choice([F(2_000), F(2_000), F(7_000, 3)]))
+                if ties:  # over a latency_den of 3: 2,000 or 7,000/3
+                    row.append(rng.choice([6_000, 6_000, 7_000]))
                 else:
-                    row.append(F(rng.randint(1_000, 60_000)))
+                    row.append(rng.randint(1_000, 60_000))
             else:
                 row.append(None)
         latency.append(row)
@@ -181,11 +186,15 @@ def random_placement_problem(rng, max_realizations: int = 4, max_nodes: int = 3,
         cells=tuple(cells),
         pairs=tuple(pairs),
         node_budget=budgets,
-        lambda_deploy=F(rng.randint(1, 5), 3) if ties else F(1),
-        mu_net=F(rng.randint(1, 5), 2) if ties else F(1),
-        nu_risk=F(rng.randint(0, 9), 4) if ties else F(rng.randint(0, 3)),
-        p_miss_us=10_000_000,
+        weights=PlacementWeights(
+            lambda_deploy=F(rng.randint(1, 5), 3) if ties else F(1),
+            mu_net=F(rng.randint(1, 5), 2) if ties else F(1),
+            nu_risk=F(rng.randint(0, 9), 4) if ties else F(rng.randint(0, 3)),
+            p_miss_us=10_000_000,
+            storage_unit_cost=storage_unit_cost,
+        ),
         latency=latency,
+        latency_den=3 if ties else 1,
     )
 
 

@@ -3,7 +3,8 @@
 ``capsim.deployment`` evaluates the placement objective as exact integers
 over one common denominator. This module keeps the independent rational
 implementation it must agree with: ``objective_mask`` re-prices the whole
-objective from the problem's ``Fraction`` fields, and ``solve_greedy``,
+objective in ``Fraction``s, each latency and deploy cost its numerator over
+its own denominator, and ``solve_greedy``,
 ``improve_local_search`` and ``solve_exact`` search with it in the same move
 order and with the same tie rules. Tests compare the solvers against it.
 """
@@ -27,7 +28,7 @@ def cell_options(problem: PlacementProblem) -> list[list[tuple[Fraction, int]]]:
     """cell_options[i]: (latency, pair index) ascending — the first member of
     a placement met in this order is the cell's cheapest plan."""
     return [
-        sorted((lat, j) for j, lat in enumerate(row) if lat is not None)
+        sorted((Fraction(lat, problem.latency_den), j) for j, lat in enumerate(row) if lat is not None)
         for row in problem.latency
     ]
 
@@ -43,6 +44,7 @@ def memory_ok(problem: PlacementProblem, mask: int) -> bool:
 
 
 def objective_mask(problem: PlacementProblem, mask: int) -> Fraction:
+    weights = problem.weights
     total = Fraction(0)
     for cell, options in zip(problem.cells, cell_options(problem)):
         best: Fraction | None = None
@@ -50,16 +52,16 @@ def objective_mask(problem: PlacementProblem, mask: int) -> Fraction:
             if mask >> j & 1:
                 best = lat
                 break
-        total += cell.count * (best if best is not None else Fraction(problem.p_miss_us))
+        total += cell.count * (best if best is not None else Fraction(weights.p_miss_us))
     deploy = Fraction(0)
     net = 0
     risk = 0
     for j, pair in enumerate(problem.pairs):
         if mask >> j & 1:
-            deploy += pair.deploy_cost
+            deploy += Fraction(pair.deploy_cost, weights.storage_unit_cost.denominator)
             net += pair.net_cost_us
             risk += pair.risk
-    return total + problem.lambda_deploy * deploy + problem.mu_net * net + problem.nu_risk * risk
+    return total + weights.lambda_deploy * deploy + weights.mu_net * net + weights.nu_risk * risk
 
 
 def objective(problem: PlacementProblem, placement: Placement) -> Fraction:

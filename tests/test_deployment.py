@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,22 +32,22 @@ import reference_placement as reference
 
 
 def synth_problem(pairs, cells, latency, budgets, p_miss=10_000_000, nu=1):
+    # The latencies are Fractions, written as numerators over their common denominator.
+    den = lcm(1, *(lat.denominator for row in latency for lat in row if lat is not None))
     return PlacementProblem(
         cells=tuple(cells),
         pairs=tuple(sorted(pairs, key=lambda p: p.key)),
         node_budget=budgets,
-        lambda_deploy=Fraction(1),
-        mu_net=Fraction(1),
-        nu_risk=Fraction(nu),
-        p_miss_us=p_miss,
-        latency=latency,
+        weights=PlacementWeights(nu_risk=Fraction(nu), p_miss_us=p_miss),
+        latency=[[None if lat is None else int(lat * den) for lat in row] for row in latency],
+        latency_den=den,
     )
 
 
 def pair(rid, node, memory=1, deploy=0, net=0, risk=0):
     return PlacementPair(
         realization_id=rid, node_id=node, memory_bytes=memory,
-        deploy_cost=Fraction(deploy), net_cost_us=net, risk=risk,
+        deploy_cost=deploy, net_cost_us=net, risk=risk,
     )
 
 
@@ -363,10 +364,51 @@ def test_replan_latency_is_the_reference_idle_score_of_each_warm_single_plan(nam
                         pass
                     else:
                         expected = plan_j(router.weights, scored)
-                assert latency == expected, (cell, pair.key)
+                value = None if latency is None else Fraction(latency, problem.latency_den)
+                assert value == expected, (cell, pair.key)
                 checked.append(latency is not None)
         return problem
 
     monkeypatch.setattr(deployment, "build_problem", checked_build)
     sim.run()
     assert any(checked) and len(checked) > len(sim.scenario.nodes)
+
+
+# Each replan's candidate pairs, in order: every gpu realization on every gpu
+# node, less edge-east-1's while it is offline in the replan-heavy variant.
+# Pinned from the placement rule before it read the broker's candidate tables.
+ALL_PAIRS = [
+    (rid, node)
+    for rid in ("caption-v1-gpu", "translate-full-gpu", "translate-lite-gpu")
+    for node in ("cloud-1", "edge-east-1", "edge-east-2")
+]
+WITHOUT_EDGE_EAST_1 = [p for p in ALL_PAIRS if p[1] != "edge-east-1"]
+REPLAN_PAIRS = {
+    "small_place": [ALL_PAIRS] * 2,
+    "replan_heavy": [ALL_PAIRS] * 2 + [WITHOUT_EDGE_EAST_1] * 2 + [ALL_PAIRS] * 6
+    + [WITHOUT_EDGE_EAST_1] + [ALL_PAIRS] * 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAN_PAIRS))
+def test_replan_candidates_are_pinned_and_priced_in_integers(name, monkeypatch):
+    from capsim import deployment
+    from capsim.engine import Simulation
+    from capsim.scenario import Scenario
+    from test_golden import SCENARIOS, replan_heavy_scenario
+
+    doc = replan_heavy_scenario() if name == "replan_heavy" else json.loads((SCENARIOS / f"{name}.json").read_text())
+    build_problem = deployment.build_problem
+    problems = []
+
+    def recorded_build(*args, **kwargs):
+        problems.append(build_problem(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(deployment, "build_problem", recorded_build)
+    Simulation(Scenario.from_dict(doc)).run()
+    assert [sorted(p.key for p in problem.pairs) for problem in problems] == REPLAN_PAIRS[name]
+    for problem in problems:
+        assert all(type(p.deploy_cost) is int for p in problem.pairs)
+        assert all(lat is None or type(lat) is int for row in problem.latency for lat in row)
+        assert any(lat is not None for row in problem.latency for lat in row)

@@ -2,6 +2,7 @@ import copy
 import heapq
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -555,9 +556,9 @@ def test_storage_cost_enters_the_admission_benefit(storage_unit_cost, admits, re
 
     doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "session_heavy.json").read_text())
     doc["cache"]["storage_unit_cost"] = storage_unit_cost
-    scenario = Scenario.from_dict(doc)
+    scenario = replace(Scenario.from_dict(doc), duration_us=20_000_000)
     assert scenario.validate() == []
-    result = Simulation(scenario, duration_us=20_000_000, trace=True).run()
+    result = Simulation(scenario, trace=True).run()
     kinds = [row for row in result.trace if row["kind"] in ("cache_admit", "cache_reject")]
     assert sum(row["kind"] == "cache_admit" for row in kinds) == admits
     # At one cost unit per byte, a state's storage charge outweighs half the
@@ -765,7 +766,9 @@ def test_replan_delta_is_empty_under_steady_demand():
     from pathlib import Path
 
     scenario = Scenario.load(Path(__file__).resolve().parent.parent / "scenarios" / "small_place.json")
-    sim = Simulation(scenario, duration_us=40_000_000, trace=True)
+    scenario = replace(scenario, duration_us=40_000_000)
+    assert scenario.validate() == []
+    sim = Simulation(scenario, trace=True)
     result = sim.run()
     replans = [r for r in result.trace if r["kind"] == "epoch_replan"]
     assert [r["timestamp_us"] for r in replans] == [10_000_000, 20_000_000, 30_000_000]

@@ -29,7 +29,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -274,7 +274,9 @@ def test_outputs_do_not_depend_on_the_hash_seed():
 
 
 def receipt_lines(scenario: Scenario, duration_us: int) -> dict[str, str]:
-    lines = Simulation(scenario, duration_us=duration_us).run().receipts.to_jsonl().splitlines()
+    scenario = replace(scenario, duration_us=duration_us)
+    assert scenario.validate() == []
+    lines = Simulation(scenario).run().receipts.to_jsonl().splitlines()
     return {json.loads(line)["request_id"]: line for line in lines}
 
 

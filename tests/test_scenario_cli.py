@@ -453,6 +453,45 @@ def test_oracle_place_matches_library_oracle(capsys):
     assert doc["objective"] == frac_decimal(deployment.objective(problem, expected))
 
 
+def test_oracle_place_rejects_a_negative_window_end_before_anything_runs(capsys, monkeypatch):
+    from capsim import cli
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a Simulation was built")
+
+    monkeypatch.setattr(cli, "Simulation", no_simulation)
+    assert main(["oracle-place", str(SCENARIOS / "small_place.json"), "--at", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "invalid: --at: must be >= 0\n"
+    assert captured.out == ""
+
+
+def test_a_node_the_artifact_repository_cannot_reach_is_never_a_placement_candidate(tmp_path, capsys, monkeypatch):
+    # Routing runs a realization on such a node only warm, so placement may
+    # not plan a load there either.
+    from capsim import deployment
+
+    doc = json.loads((SCENARIOS / "small_place.json").read_text())
+    edge = next(n for n in doc["topology"]["nodes"] if n["node_id"] == "edge-east-2")
+    doc["topology"]["nodes"].append(dict(edge, node_id="edge-island"))
+    path = tmp_path / "island.json"
+    path.write_text(json.dumps(doc))
+    build_problem = deployment.build_problem
+    problems = []
+
+    def recorded_build(*args, **kwargs):
+        problems.append(build_problem(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(deployment, "build_problem", recorded_build)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert main(["oracle-place", str(path), "--at", "20000000"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert len(problems) == 3  # two replans and the oracle
+    assert all(p.pairs and all(pair.node_id != "edge-island" for pair in p.pairs) for p in problems)
+
+
 def test_oracle_place_rejects_oversized_instances(tmp_path, capsys):
     doc = json.loads((SCENARIOS / "small_place.json").read_text())
     # Inflate the node count past the enumeration bound: 3 realizations x 7 gpu
