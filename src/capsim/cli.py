@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -38,50 +37,49 @@ TRACE_COLUMNS = [
     "bytes",
     "detail",
 ]
-_TRACE_COLUMN_SET = frozenset(TRACE_COLUMNS)
-_ROW_COLUMNS = TRACE_COLUMNS[:-1]  # every column but detail
+_FIELD_COLUMNS = TRACE_COLUMNS[3:-1]  # the named columns a row's fields fill
 
 
 class TraceWriter:
     """``trace.csv``, written one row at a time as the engine produces them.
 
-    A row's known columns are its values under those names, converted by
-    ``str()`` (empty when absent); every other key goes into ``detail`` as
+    A row's named columns hold its values under those names, converted by
+    ``str()`` (empty when absent); every other field goes into ``detail`` as
     sorted ``key=value`` pairs joined by ``;``, each value converted by
-    ``str()`` too. Rows come in a few key layouts, about one per event kind,
-    so the writer compiles one ``%`` template per layout, with a getter of
-    the row's values in the template's order. Every row the engine writes
-    has at least a time, a ``seq`` and a kind, so the getter returns a tuple.
+    ``str()`` too. A layout names the columns it fills in column order, then
+    its detail keys sorted, or the writer raises ``ValueError``; so its values
+    are in line order, and the writer compiles one ``%`` template per layout
+    the first time it sees it, then writes each row with one format call.
     """
 
     def __init__(self, fp: TextIO) -> None:
         self._fp = fp
         self._rows = 0
-        self._formats: dict[tuple[str, ...], tuple[str, Callable[[dict], tuple]]] = {}
+        self._templates: dict[tuple[str, ...], str] = {}
         fp.write(",".join(TRACE_COLUMNS) + "\n")
 
-    def append(self, row: dict) -> None:
-        layout = tuple(row)
-        fmt = self._formats.get(layout)
-        if fmt is None:
-            fmt = self._formats[layout] = _row_format(layout)
-        template, get = fmt
-        self._fp.write(template % get(row))
+    def row(self, time_us: int, layout: tuple[str, ...], values: tuple) -> None:
+        template = self._templates.get(layout)
+        if template is None:
+            template = self._templates[layout] = _row_template(layout)
+        self._fp.write(template % (time_us, self._rows, *values))
         self._rows += 1
 
     def __len__(self) -> int:
         return self._rows
 
 
-def _row_format(layout: tuple[str, ...]) -> tuple[str, Callable[[dict], tuple]]:
-    """The ``%`` template of the line for rows whose keys are ``layout``, and
-    the getter of the values it takes, in column order: the known columns',
-    then the detail keys' in sorted order."""
-    known = [c for c in _ROW_COLUMNS if c in layout]
-    detail = sorted(key for key in layout if key not in _TRACE_COLUMN_SET)
-    cells = ["%s" if c in layout else "" for c in _ROW_COLUMNS]
-    cells.append(";".join(f"{key.replace('%', '%%')}=%s" for key in detail))
-    return ",".join(cells) + "\n", itemgetter(*known, *detail)
+def _row_template(layout: tuple[str, ...]) -> str:
+    """The ``%`` template of a line of ``layout``: it takes the time, the
+    ``seq``, then the row's values."""
+    kind, *names = layout
+    known = [c for c in _FIELD_COLUMNS if c in names]
+    detail = sorted({name for name in names if name not in TRACE_COLUMNS})
+    if names != known + detail:
+        raise ValueError(f"trace layout {layout!r} is not in column order {(kind, *known, *detail)!r}")
+    cells = ["%s", "%s", kind.replace("%", "%%"), *("%s" if c in names else "" for c in _FIELD_COLUMNS)]
+    cells.append(";".join(f"{name.replace('%', '%%')}=%s" for name in detail))
+    return ",".join(cells) + "\n"
 
 
 @contextmanager
@@ -117,7 +115,7 @@ def _load_scenario(path: str) -> Scenario | None:
     except FileNotFoundError:
         print(f"error: scenario file not found: {path}", file=sys.stderr)
         return None
-    except ScenarioParseError as exc:
+    except (OSError, ScenarioParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     return scenario
@@ -204,12 +202,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = _checked_scenario(args)
     if scenario is None:
         return EXIT_VALIDATION
-    try:
-        full = Simulation(scenario).run().metrics.summary()
-        base = Simulation(scenario, placement_tiers={Tier.CLOUD}).run().metrics.summary()
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
     def pick(doc: dict) -> dict:
         return {
@@ -221,19 +213,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "cache_hit_ratio": doc["cache"]["tensor_state"]["ratio"],
         }
 
-    report = {
-        "hierarchical": pick(full),
-        "cloud_only": pick(base),
-        "delta": {
-            "p95_ttft_us": full["ttft_us"]["p95"] - base["ttft_us"]["p95"],
-            "mean_ttft_us": full["ttft_us"]["mean"] - base["ttft_us"]["mean"],
-            "core_bytes": full["core_bytes"]["total"] - base["core_bytes"]["total"],
-        },
-    }
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "compare.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    try:
+        full = Simulation(scenario).run().metrics.summary()
+        base = Simulation(scenario, placement_tiers={Tier.CLOUD}).run().metrics.summary()
+        report = {
+            "hierarchical": pick(full),
+            "cloud_only": pick(base),
+            "delta": {
+                "p95_ttft_us": full["ttft_us"]["p95"] - base["ttft_us"]["p95"],
+                "mean_ttft_us": full["ttft_us"]["mean"] - base["ttft_us"]["mean"],
+                "core_bytes": full["core_bytes"]["total"] - base["core_bytes"]["total"],
+            },
+        }
+        if args.out:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "compare.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    except Exception as exc:  # runtime failure contract
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(
         "hierarchical: "
         f"p95_ttft_us={report['hierarchical']['p95_ttft_us']} core_bytes={report['hierarchical']['core_bytes']}"

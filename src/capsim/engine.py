@@ -1,7 +1,8 @@
 """Deterministic discrete-event core: drives arrivals through routing,
 execution, caching, and trust, applies epoch replanning and scripted events,
-and accumulates metrics and receipts; event-trace rows go to a list or to a
-writer that streams them to disk.
+and accumulates metrics and receipts. Each event-trace row goes to a list or
+to a writer that streams it to disk as ``row(time_us, layout, values)``: one
+of the layout constants below and a tuple of its values, with no dict built.
 
 Stage schedules are fixed at selection time (reservation calendars), so the
 event loop realizes exactly the timing the router scored; identical
@@ -10,8 +11,9 @@ event loop realizes exactly the timing the router scored; identical
 Each event is a call: its handler and the arguments it takes, the objects
 the pusher already holds. Some events only write a trace row: a stage's
 dispatch, the inbound, KV and artifact transfers, and queue telemetry after a
-replan. They are pushed only when trace is on. Each event's ``seq`` is taken
-in push order, so leaving them out keeps the order of every other event.
+replan. They are pushed only when trace is on, with the sink's ``row`` as
+their handler. Each event's ``seq`` is taken in push order, so leaving them
+out keeps the order of every other event.
 """
 
 from __future__ import annotations
@@ -42,15 +44,46 @@ from .workload import Arrival, generate_arrivals
 # The reuse probability a newly offered session state is admitted with.
 _NEW_ENTRY_P_HIT = (1, 2)
 
+# Trace row layouts, in trace.csv's column order (``cli.TRACE_COLUMNS``): the
+# kind, the named columns the row has, then its detail keys sorted.
+_ARRIVAL = ("arrival", "request_id")
+_DISPATCH = ("dispatch", "request_id", "node_id", "ready_us")
+_STAGE_COMPLETE = ("stage_complete", "request_id", "node_id")
+_INBOUND = ("transfer_complete", "request_id", "bytes", "transfer")
+_REQUEST_TRANSFER = ("transfer_complete", "request_id", "transfer")  # kv and response
+_MIGRATION = ("transfer_complete", "request_id", "state_entry", "transfer")
+_ARTIFACT = ("transfer_complete", "node_id", "realization_id", "bytes", "transfer")
+_CACHE_ADMIT = ("cache_admit", "node_id", "state_id", "bytes", "benefit", "outcome")
+_CACHE_REJECT = ("cache_reject", *_CACHE_ADMIT[1:])
+_CACHE_MIGRATE = ("cache_migrate", *_CACHE_ADMIT[1:], "src_node")
+_CACHE_EVICT = ("cache_evict", "node_id", "state_id", "reason")
+_EPOCH_REPLAN = ("epoch_replan", "evictions", "loads")
+_TELEMETRY = ("telemetry", "node_id", "queued_work_us")
+_PLACEMENT_EVICT = ("placement_evict", "node_id", "realization_id")
+_SESSION_END = ("session_end", "session_id")
+_NODE_ONLINE, _NODE_OFFLINE = ("node_online", "node_id"), ("node_offline", "node_id")
+_REVOKE = ("revoke", "realization_id")
+
 
 class TraceSink(Protocol):
-    """Where trace rows go: a list kept in memory, or a writer that streams
-    them to a file (``cli.TraceWriter``). Each row's ``seq`` is the sink's
-    length before the row is appended."""
+    """Where trace rows go: a ``TraceList`` kept in memory, or a writer that
+    streams them to a file (``cli.TraceWriter``). ``layout`` is the kind, then
+    the field names, and ``values`` one value per name. A row's ``seq`` is the
+    sink's length, the rows it has taken, before it takes that row."""
 
-    def append(self, row: dict) -> None: ...
+    def row(self, time_us: int, layout: tuple[str, ...], values: tuple) -> None: ...
 
     def __len__(self) -> int: ...
+
+
+class TraceList(list):
+    """The trace kept in memory: one dict per row, ``timestamp_us``, ``seq``
+    and ``kind``, then the row's fields."""
+
+    def row(self, time_us: int, layout: tuple[str, ...], values: tuple) -> None:
+        row = {"timestamp_us": time_us, "seq": len(self), "kind": layout[0]}
+        row.update(zip(layout[1:], values, strict=True))
+        self.append(row)
 
 
 class Simulation:
@@ -61,7 +94,7 @@ class Simulation:
         audit: bool = False,
         trace: bool | TraceSink = False,
     ):
-        """``trace=True`` keeps trace rows in a list, ``self.trace``;
+        """``trace=True`` keeps trace rows in a ``TraceList``, ``self.trace``;
         ``trace`` may also be a sink that takes the rows as they occur.
         ``audit=True`` keeps each selection's ``(request id, ScoredPlan)``
         in ``self.audit``."""
@@ -129,7 +162,8 @@ class Simulation:
         self.metrics = MetricsFrame(duration_us=self.duration_us, records=self.receipts.receipts)
         for profile in scenario.nodes:
             self.metrics.node_capacity[profile.node_id] = profile.max_concurrent
-        self.trace: TraceSink = [] if isinstance(trace, bool) else trace
+        self.trace: TraceSink = TraceList() if isinstance(trace, bool) else trace
+        self._row = self.trace.row
         self.audit: list[tuple[str, ScoredPlan]] = []
 
         # (time_us, seq, handler, args), run as handler(time_us, *args): seq is
@@ -150,19 +184,6 @@ class Simulation:
         """Schedule ``handler(time_us, *args)``."""
         heapq.heappush(self._events, (time_us, self._seq, handler, args))
         self._seq += 1
-
-    def _push_trace(self, time_us: int, kind: str, **fields) -> None:
-        """Schedule a trace row that is all that happens at its event; only
-        when trace is on."""
-        if self.trace_enabled:
-            self._push(time_us, self._on_trace, kind, fields)
-
-    def _trace(self, time_us: int, kind: str, **fields) -> None:
-        if self.trace_enabled:
-            self.trace.append({"timestamp_us": time_us, "seq": len(self.trace), "kind": kind, **fields})
-
-    def _on_trace(self, now: int, kind: str, fields: dict) -> None:
-        self._trace(now, kind, **fields)
 
     # -- schedule construction -------------------------------------------------
 
@@ -206,7 +227,8 @@ class Simulation:
         request = arrival.request
         if self._demand is not None:
             self._demand.add(request)
-        self._trace(now, "arrival", request_id=request.request_id)
+        if self.trace_enabled:
+            self._row(now, _ARRIVAL, (request.request_id,))
 
         scored = self.router.select(request, now)
         if isinstance(scored, Rejection):
@@ -262,42 +284,30 @@ class Simulation:
             self.metrics.max_queue_length[proj.node_id] = max(
                 self.metrics.max_queue_length.get(proj.node_id, 0), node.queue_length(now)
             )
-            if self.trace_enabled:  # so that an untraced run builds no row fields
-                self._push_trace(
-                    proj.start_us, "dispatch", request_id=request_id, node_id=proj.node_id, ready_us=proj.ready_us
-                )
+            if self.trace_enabled:  # so that an untraced run builds no row values
+                self._push(proj.start_us, self._row, _DISPATCH, (request_id, proj.node_id, proj.ready_us))
             self._push(proj.complete_us, self._on_stage_complete, request_id, proj.node_id, proj.realization_id)
 
         if self.trace_enabled:
-            self._push_trace(
-                now + scored.inbound_net_us,
-                "transfer_complete",
-                transfer="inbound",
-                request_id=request_id,
-                bytes=request.input_tokens * self.router.bytes_per_token,
-            )
+            inbound_bytes = request.input_tokens * self.router.bytes_per_token
+            self._push(now + scored.inbound_net_us, self._row, _INBOUND, (request_id, inbound_bytes, "inbound"))
             if len(scored.stages) == 2:
-                self._push_trace(
-                    scored.stages[0].complete_us + scored.interstage_net_us,
-                    "transfer_complete",
-                    transfer="kv",
-                    request_id=request_id,
-                )
+                kv_done = scored.stages[0].complete_us + scored.interstage_net_us
+                self._push(kv_done, self._row, _REQUEST_TRANSFER, (request_id, "kv"))
         self._push(scored.finish_us, self._finish_served, arrival, scored, pinned)
 
     # -- event handlers -----------------------------------------------------------
 
     def _on_stage_complete(self, now: int, request_id: str, node_id: str, rid: str) -> None:
-        self._trace(now, "stage_complete", request_id=request_id, node_id=node_id)
+        if self.trace_enabled:
+            self._row(now, _STAGE_COMPLETE, (request_id, node_id))
         self._maybe_complete_eviction(now, node_id, rid)
 
     def _apply_migration(
         self, now: int, request: RequestDescriptor, entry: CacheEntry, src_node: str, dst_node: str
     ) -> None:
-        state_entry = (src_node, dst_node)
-        self._trace(
-            now, "transfer_complete", transfer="state_migration", request_id=request.request_id, state_entry=state_entry
-        )
+        if self.trace_enabled:
+            self._row(now, _MIGRATION, (request.request_id, (src_node, dst_node), "state_migration"))
         decision = self.caches.store(dst_node).admit(
             replace(entry, window=deque(), pins=0),
             p_hit_of(entry, now, self.caches.window_us),
@@ -306,18 +316,10 @@ class Simulation:
             requester_min_trust=request.policy.min_trust,
         )
         if self.trace_enabled:
-            self._trace(
-                now,
-                "cache_migrate",
-                state_id=entry.state_id,
-                node_id=dst_node,
-                src_node=src_node,
-                outcome=decision.outcome,
-                benefit=decision.benefit_text(),
-                bytes=entry.size,
-            )
+            benefit = decision.benefit_text()
+            self._row(now, _CACHE_MIGRATE, (dst_node, entry.state_id, entry.size, benefit, decision.outcome, src_node))
             for victim in decision.evicted:
-                self._trace(now, "cache_evict", state_id=victim, node_id=dst_node, reason="displaced")
+                self._row(now, _CACHE_EVICT, (dst_node, victim, "displaced"))
 
     def _on_replan(self, now: int) -> None:
         dep = self.scenario.deployment
@@ -331,7 +333,8 @@ class Simulation:
         problem = deployment.build_problem(self.router, cells, self.scenario.placement_weights, residency)
         solution = deployment.solve(problem, dep.local_search_rounds)
         loads, evictions = deployment.plan_delta(solution, residency)
-        self._trace(now, "epoch_replan", loads=len(loads), evictions=len(evictions))
+        if self.trace_enabled:
+            self._row(now, _EPOCH_REPLAN, (len(evictions), len(loads)))
 
         # A load queued by an earlier replan waits only while this plan still holds it.
         for node_id, pending in self._pending_loads.items():
@@ -353,7 +356,7 @@ class Simulation:
         if self.trace_enabled:
             for node_id in sorted(self.broker.nodes):
                 queued_work_us = self.broker.refresh_queue_telemetry(node_id, now)
-                self._push_trace(now, "telemetry", node_id=node_id, queued_work_us=queued_work_us)
+                self._push(now, self._row, _TELEMETRY, (node_id, queued_work_us))
 
     def _start_load(self, now: int, node_id: str, rid: str) -> None:
         """Load ``rid`` on the node, or queue it once until an eviction
@@ -370,14 +373,8 @@ class Simulation:
         self.metrics.placement_churn += 1
         self.metrics.model_load_overhead_us += transfer + realization.load_time_us
         self.metrics.core_bytes_placement += core
-        self._push_trace(
-            available,
-            "transfer_complete",
-            transfer="artifact",
-            node_id=node_id,
-            realization_id=rid,
-            bytes=realization.artifact_size_bytes,
-        )
+        if self.trace_enabled:
+            self._push(available, self._row, _ARTIFACT, (node_id, rid, realization.artifact_size_bytes, "artifact"))
 
     def _maybe_complete_eviction(self, now: int, node_id: str, rid: str) -> None:
         state = self.broker.node(node_id)
@@ -388,29 +385,36 @@ class Simulation:
             return
         self.broker.evict(node_id, rid)
         self.metrics.placement_churn += 1
-        self._trace(now, "placement_evict", node_id=node_id, realization_id=rid)
+        if self.trace_enabled:
+            self._row(now, _PLACEMENT_EVICT, (node_id, rid))
         for pending_rid in sorted(self._pending_loads.pop(node_id, ())):
             self._start_load(now, node_id, pending_rid)
 
     def _on_session_end(self, now: int, session_id: str) -> None:
-        for node_id, state_id in self.caches.drop_session(session_id):
-            self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="session_end")
-        self._trace(now, "session_end", session_id=session_id)
+        dropped = self.caches.drop_session(session_id)
+        if self.trace_enabled:
+            for node_id, state_id in dropped:
+                self._row(now, _CACHE_EVICT, (node_id, state_id, "session_end"))
+            self._row(now, _SESSION_END, (session_id,))
 
     def _on_node_event(self, now: int, node_id: str, online: bool) -> None:
         self.broker.node(node_id).online = online
-        self._trace(now, "node_online" if online else "node_offline", node_id=node_id)
+        if self.trace_enabled:
+            self._row(now, _NODE_ONLINE if online else _NODE_OFFLINE, (node_id,))
 
     def _on_revoke(self, now: int, rid: str) -> None:
         self.trust.revoke(rid)
-        self._trace(now, "revoke", realization_id=rid)
+        if self.trace_enabled:
+            self._row(now, _REVOKE, (rid,))
         for node_id in sorted(self.broker.nodes):
             state = self.broker.node(node_id)
             if rid in state.residency:
                 state.residency[rid].pending_eviction = True
                 self._maybe_complete_eviction(now, node_id, rid)
-        for node_id, state_id in self.caches.drop_by_realization(rid):
-            self._trace(now, "cache_evict", state_id=state_id, node_id=node_id, reason="revoked")
+        dropped = self.caches.drop_by_realization(rid)
+        if self.trace_enabled:
+            for node_id, state_id in dropped:
+                self._row(now, _CACHE_EVICT, (node_id, state_id, "revoked"))
 
     # -- terminal bookkeeping ------------------------------------------------------
 
@@ -441,7 +445,7 @@ class Simulation:
     def _finish_served(self, now: int, arrival: Arrival, scored: ScoredPlan, pinned: tuple[str, str] | None) -> None:
         request = arrival.request
         if self.trace_enabled:
-            self._trace(now, "transfer_complete", transfer="response", request_id=request.request_id)
+            self._row(now, _REQUEST_TRANSFER, (request.request_id, "response"))
         del self._in_flight[request.request_id]
 
         entry = self._unpin(pinned)
@@ -449,7 +453,8 @@ class Simulation:
         if source and self.trust.is_revoked(source) and entry.pins == 0:
             node_id, entry_key = pinned
             self.caches.store(node_id).entries.pop(entry_key, None)
-            self._trace(now, "cache_evict", state_id=entry.state_id, node_id=node_id, reason="revoked")
+            if self.trace_enabled:
+                self._row(now, _CACHE_EVICT, (node_id, entry.state_id, "revoked"))
 
         ttft, tpot = compute_ttft_tpot(scored, request)
         attest_time = scored.stages[0].start_us
@@ -520,17 +525,10 @@ class Simulation:
             requester_min_trust=request.policy.min_trust,
         )
         if self.trace_enabled:
-            self._trace(
-                now,
-                "cache_admit" if decision.admitted else "cache_reject",
-                state_id=entry.state_id,
-                node_id=serving_node,
-                outcome=decision.outcome,
-                benefit=decision.benefit_text(),
-                bytes=size,
-            )
+            layout = _CACHE_ADMIT if decision.admitted else _CACHE_REJECT
+            self._row(now, layout, (serving_node, entry.state_id, size, decision.benefit_text(), decision.outcome))
             for victim in decision.evicted:
-                self._trace(now, "cache_evict", state_id=victim, node_id=serving_node, reason="displaced")
+                self._row(now, _CACHE_EVICT, (serving_node, victim, "displaced"))
 
     def _end_turn(self, now: int, arrival: Arrival) -> None:
         sid = arrival.session_id

@@ -900,6 +900,7 @@ def test_event_pops_pin_the_trace_only_events(name, quiet, traced, monkeypatch):
         Simulation(scenario, trace=trace).run()
         runs[trace] = list(popped)
     assert (len(runs[False]), len(runs[True])) == (quiet, traced)
-    assert all(handler != "_on_trace" for _, handler in runs[False])
+    # A trace-only event's handler is the trace sink's ``row``.
+    assert all(handler != "row" for _, handler in runs[False])
     # Leaving the trace-only events out keeps every other event in its place.
-    assert [e for e in runs[True] if e[1] != "_on_trace"] == runs[False]
+    assert [e for e in runs[True] if e[1] != "row"] == runs[False]

@@ -6,12 +6,14 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from capsim.cli import TRACE_COLUMNS, TraceWriter, main
 from capsim.descriptors import REASON_HORIZON_TRUNCATED, ExecutionReceipt, PlanPhase, PlanStage, Verdict
 from capsim.engine import Simulation
 from capsim.metrics import MetricsFrame
+from capsim.scenario import Scenario
 from capsim.trust import ReceiptLog
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -89,7 +91,7 @@ values = st.one_of(
 trace_rows = st.builds(
     lambda ts, kind, known, extra: {"timestamp_us": ts, "seq": 0, "kind": kind, **known, **extra},
     st.integers(min_value=0),
-    st.sampled_from(["arrival", "dispatch", "cache_admit", "telemetry"]),
+    st.sampled_from(["arrival", "dispatch", "cache_admit", "telemetry", "100%s"]),
     st.dictionaries(st.sampled_from(TRACE_COLUMNS[3:]), values, max_size=4),
     st.dictionaries(st.text(min_size=1, max_size=6).filter(lambda k: k not in TRACE_COLUMNS), values, max_size=4),
 )
@@ -142,9 +144,40 @@ def test_trace_writer_matches_whole_file_formatter(rows):
     for seq, row in enumerate(rows):
         assert len(writer) == seq
         row["seq"] = seq
-        writer.append(row)
+        # The row as the engine gives it: its layout in column order, and its
+        # values. A "detail" key is left out, as the whole-file formatter drops it.
+        names = [c for c in TRACE_COLUMNS[3:-1] if c in row] + sorted(k for k in row if k not in TRACE_COLUMNS)
+        writer.row(row["timestamp_us"], (row["kind"], *names), tuple(row[name] for name in names))
     assert len(writer) == len(rows)
     assert buf.getvalue() == reference_trace_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        ("dispatch", "node_id", "request_id"),  # named columns out of order
+        ("cache_evict", "reason", "node_id"),  # a detail key before a named column
+        ("telemetry", "b", "a"),  # detail keys not sorted
+        ("telemetry", "a", "a"),  # a field twice
+        ("arrival", "seq"),  # columns the writer fills
+        ("arrival", "detail"),
+    ],
+)
+def test_trace_writer_rejects_a_layout_out_of_column_order(layout):
+    buf = io.StringIO()
+    writer = TraceWriter(buf)
+    with pytest.raises(ValueError, match="column order"):
+        writer.row(0, layout, tuple(range(len(layout) - 1)))
+    assert buf.getvalue() == ",".join(TRACE_COLUMNS) + "\n"
+    assert len(writer) == 0
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem)
+def test_in_memory_trace_matches_the_streamed_trace_csv(path, tmp_path, capsys):
+    """The trace=True rows, formatted whole, are the bytes the run's writer streams."""
+    rows = Simulation(Scenario.load(path), trace=True).run().trace
+    assert main(["run", str(path), "--out", str(tmp_path), "--trace"]) == 0
+    assert reference_trace_csv(rows).encode() == (tmp_path / "trace.csv").read_bytes()
 
 
 def reference_receipt_dict(r: ExecutionReceipt) -> dict:

@@ -326,8 +326,15 @@ def test_malformed_file_reports_line_position(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
 
 
-def test_missing_file_is_validation_failure(capsys):
+def test_missing_file_is_validation_failure(tmp_path, capsys):
     assert main(["validate", "/nonexistent/path.json"]) == 1
+    # A directory in the file's place is reported on one line, not as a traceback.
+    out = tmp_path / "out"
+    for argv in (["validate", str(tmp_path)], ["run", str(tmp_path), "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert not out.exists()
 
 
 def test_run_writes_outputs_and_summary(tmp_path, capsys):
@@ -402,6 +409,16 @@ def test_compare_reports_both_runs(tmp_path, capsys):
     assert lines[0].startswith("hierarchical:") and lines[1].startswith("cloud_only:")
     report = json.loads((out / "compare.json").read_text())
     assert report["hierarchical"]["core_bytes"] < report["cloud_only"]["core_bytes"]
+
+
+def test_compare_onto_an_existing_file_is_a_runtime_failure(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["compare", str(SCENARIOS / "locality.json"), "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+    assert captured.out == ""
+    assert taken.read_text() == "kept\n"
 
 
 def test_compare_is_vacuous_without_edge_capacity(tmp_path, capsys):
