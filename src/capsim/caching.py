@@ -18,6 +18,13 @@ fills it and the session's end clears it; evictions and invalidations leave it
 as it is. So it lists every node that holds an entry of the session, and
 perhaps some that no longer do. ``holders`` and ``drop_session`` visit only the
 listed nodes and read each store afresh, so a stale listing costs one peek.
+
+The stores are the one writer of their entries. Each insertion or removal
+(admission, displacement, the session's end, a revocation, ``remove``) moves
+the session's stamp, ``session_stamp``, to a value the cache system never
+gave before, so a reader that keeps what it read of a session's entries can
+tell when to read them again. A session with no index entry, which holds no
+entry, has stamp 0.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 
 ADMITTED = "Admitted"
@@ -111,18 +119,23 @@ class StateStore:
         node_id: str,
         capacity_bytes: int,
         window_us: int = 300_000_000,
-        sessions: dict[str, list[str]] | None = None,
+        system: CacheSystem | None = None,
     ):
         self.node_id = node_id
         self.capacity_bytes = capacity_bytes
         self.window_us = window_us
         self.entries: dict[str, CacheEntry] = {}  # keyed by entry_key(hash, session)
-        # The owning CacheSystem's session index, told of every admission.
-        self._sessions = sessions
+        # The owning CacheSystem, whose session index is told of every entry stored or dropped.
+        self._system = system
 
     @staticmethod
     def entry_key(compat_hash: str, session_id: str) -> str:
         return f"{compat_hash}|{session_id}"
+
+    def _touch(self, session_id: str) -> None:
+        """Tell the session index that one of the session's entries here went."""
+        if self._system is not None:
+            self._system._touch(session_id)
 
     def used_bytes(self) -> int:
         return sum(e.size for e in self.entries.values())
@@ -187,11 +200,10 @@ class StateStore:
                 return CacheDecision(REJECT_INSUFFICIENT_SPACE, (value, den))
             for victim in evicted:
                 del self.entries[self.entry_key(victim.compatibility_hash, victim.session_id)]
+                self._touch(victim.session_id)
         self.entries[key] = entry
-        if self._sessions is not None:
-            nodes = self._sessions.setdefault(entry.session_id, [])
-            if self.node_id not in nodes:
-                insort(nodes, self.node_id)
+        if self._system is not None:
+            self._system._admitted(entry.session_id, self.node_id)
         return CacheDecision(ADMITTED, (value, den), tuple(e.state_id for e in evicted))
 
     def lookup(self, compat_hash: str, session_id: str, now: int) -> CacheEntry | None:
@@ -205,12 +217,21 @@ class StateStore:
         """Counter-free residency check used by plan scoring."""
         return self.entries.get(self.entry_key(compat_hash, session_id))
 
+    def remove(self, entry_key: str) -> CacheEntry | None:
+        """Drop the entry stored under ``entry_key``, if any, and return it."""
+        entry = self.entries.pop(entry_key, None)
+        if entry is not None:
+            self._touch(entry.session_id)
+        return entry
+
     def drop_session(self, session_id: str) -> list[str]:
         dropped = []
         for key, entry in list(self.entries.items()):
             if entry.session_id == session_id:
                 del self.entries[key]
                 dropped.append(entry.state_id)
+        if dropped:
+            self._touch(session_id)
         return dropped
 
     def drop_by_realization(self, realization_id: str) -> list[str]:
@@ -220,6 +241,7 @@ class StateStore:
             if entry.source_realization == realization_id and entry.pins == 0:
                 del self.entries[key]
                 dropped.append(entry.state_id)
+                self._touch(entry.session_id)
         return dropped
 
 
@@ -233,15 +255,36 @@ class CacheSystem:
         self._node_ids: tuple[str, ...] = ()  # sorted keys of ``stores``
         # session id -> sorted ids of the nodes that admitted one of its entries
         self._sessions: dict[str, list[str]] = {}
+        # session id -> its stamp, for the sessions indexed; drawn from a count
+        # that never repeats, so a dropped session's stamp never returns
+        self._session_stamps: dict[str, int] = {}
+        self._stamps = count(1)
 
     def add_store(self, node_id: str, capacity_bytes: int) -> StateStore:
-        store = StateStore(node_id, capacity_bytes, self.window_us, self._sessions)
+        store = StateStore(node_id, capacity_bytes, self.window_us, self)
         self.stores[node_id] = store
         self._node_ids = tuple(sorted(self.stores))
         return store
 
     def store(self, node_id: str) -> StateStore:
         return self.stores[node_id]
+
+    def _admitted(self, session_id: str, node_id: str) -> None:
+        """Index an entry of the session just stored on ``node_id``, and move its stamp."""
+        nodes = self._sessions.setdefault(session_id, [])
+        if node_id not in nodes:
+            insort(nodes, node_id)
+        self._session_stamps[session_id] = next(self._stamps)
+
+    def _touch(self, session_id: str) -> None:
+        """Move the session's stamp: one of its entries was dropped."""
+        if session_id in self._session_stamps:
+            self._session_stamps[session_id] = next(self._stamps)
+
+    def session_stamp(self, session_id: str) -> int:
+        """The session's stamp: it moves whenever one of its entries is
+        stored or dropped, and is 0 while the session holds none."""
+        return self._session_stamps.get(session_id, 0)
 
     def holders(self, compat_hash: str, session_id: str) -> list[tuple[str, CacheEntry]]:
         """Nodes currently holding a matching entry, sorted by node id."""
@@ -257,6 +300,7 @@ class CacheSystem:
     def drop_session(self, session_id: str) -> list[tuple[str, str]]:
         """Drop every entry of the session, in node-id order, and its index."""
         dropped = []
+        self._session_stamps.pop(session_id, None)
         for node_id in self._sessions.pop(session_id, ()):
             for state_id in self.stores[node_id].drop_session(session_id):
                 dropped.append((node_id, state_id))

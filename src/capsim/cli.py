@@ -185,6 +185,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     out_dir = Path(args.out) if args.out else None
     try:
+        if out_dir is not None:  # before the run, so an --out that cannot be a directory costs none
+            out_dir.mkdir(parents=True, exist_ok=True)
         # Without --out there is nowhere to write a trace, so none is built.
         with _trace_writer(out_dir if args.trace else None) as trace:
             sim = Simulation(scenario, trace=trace).run()
@@ -213,7 +215,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "cache_hit_ratio": doc["cache"]["tensor_state"]["ratio"],
         }
 
+    out_dir = Path(args.out) if args.out else None
     try:
+        if out_dir is not None:  # before the runs, so an --out that cannot be a directory costs none
+            out_dir.mkdir(parents=True, exist_ok=True)
         full = Simulation(scenario).run().metrics.summary()
         base = Simulation(scenario, placement_tiers={Tier.CLOUD}).run().metrics.summary()
         report = {
@@ -225,9 +230,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "core_bytes": full["core_bytes"]["total"] - base["core_bytes"]["total"],
             },
         }
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        if out_dir is not None:
             (out_dir / "compare.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     except Exception as exc:  # runtime failure contract
         print(f"error: {exc}", file=sys.stderr)

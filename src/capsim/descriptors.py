@@ -302,5 +302,6 @@ def _security_violations(s: SecurityLabel) -> list[str]:
     v: list[str] = []
     _check(v, TRUST_MIN <= s.min_trust <= TRUST_MAX, "min_trust", f"min_trust in [{TRUST_MIN}, {TRUST_MAX}]")
     _check(v, s.preferred_trust >= s.min_trust, "preferred_trust", "preferred_trust >= min_trust")
+    _check(v, s.preferred_trust <= TRUST_MAX, "preferred_trust", f"preferred_trust <= {TRUST_MAX}")
     return v
 

@@ -340,17 +340,11 @@ class Simulation:
         for node_id, pending in self._pending_loads.items():
             pending.difference_update([rid for rid in pending if (rid, node_id) not in solution])
         for rid, node_id in evictions:
-            state = self.broker.node(node_id)
-            res = state.residency.get(rid)
-            if res is None:
-                continue
-            res.pending_eviction = True
+            self.broker.mark_eviction(node_id, rid, True)
             self._maybe_complete_eviction(now, node_id, rid)
         for rid, node_id in loads:
-            state = self.broker.node(node_id)
-            res = state.residency.get(rid)
-            if res is not None:
-                res.pending_eviction = False  # resurrected before it drained
+            if rid in self.broker.node(node_id).residency:
+                self.broker.mark_eviction(node_id, rid, False)  # resurrected before it drained
                 continue
             self._start_load(now, node_id, rid)
         if self.trace_enabled:
@@ -392,13 +386,14 @@ class Simulation:
 
     def _on_session_end(self, now: int, session_id: str) -> None:
         dropped = self.caches.drop_session(session_id)
+        self.router.end_session(session_id)
         if self.trace_enabled:
             for node_id, state_id in dropped:
                 self._row(now, _CACHE_EVICT, (node_id, state_id, "session_end"))
             self._row(now, _SESSION_END, (session_id,))
 
     def _on_node_event(self, now: int, node_id: str, online: bool) -> None:
-        self.broker.node(node_id).online = online
+        self.broker.set_online(node_id, online)
         if self.trace_enabled:
             self._row(now, _NODE_ONLINE if online else _NODE_OFFLINE, (node_id,))
 
@@ -407,10 +402,8 @@ class Simulation:
         if self.trace_enabled:
             self._row(now, _REVOKE, (rid,))
         for node_id in sorted(self.broker.nodes):
-            state = self.broker.node(node_id)
-            if rid in state.residency:
-                state.residency[rid].pending_eviction = True
-                self._maybe_complete_eviction(now, node_id, rid)
+            self.broker.mark_eviction(node_id, rid, True)
+            self._maybe_complete_eviction(now, node_id, rid)
         dropped = self.caches.drop_by_realization(rid)
         if self.trace_enabled:
             for node_id, state_id in dropped:
@@ -452,7 +445,7 @@ class Simulation:
         source = entry.source_realization if entry is not None else None
         if source and self.trust.is_revoked(source) and entry.pins == 0:
             node_id, entry_key = pinned
-            self.caches.store(node_id).entries.pop(entry_key, None)
+            self.caches.store(node_id).remove(entry_key)
             if self.trace_enabled:
                 self._row(now, _CACHE_EVICT, (node_id, entry.state_id, "revoked"))
 

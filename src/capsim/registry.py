@@ -5,8 +5,13 @@ integrity. The broker tracks live node state (residency, reservation
 calendars, memory) and answers candidate lookups. Queued-work telemetry is
 read off the reservation calendar when it is reported.
 
-A candidate lookup has a static part and a per-lookup part. ``table`` gives
-the static part, one ``CandidateTable`` per (class, quality target, origin
+The broker is the one writer of the node state a lookup reads: ``install``
+and ``evict`` change residency and used memory, ``set_online`` liveness and
+``mark_eviction`` a residency's draining flag. Each change advances
+``stamp``, so a reader can tell that nothing it read has moved since.
+
+A candidate lookup has a static part and a kept part. ``table`` gives the
+static part, one ``CandidateTable`` per (class, quality target, origin
 region, allowed domains, locality scope, placement tiers); the origin region
 is part of the key only for the scopes that read it. A table lists, in
 node-id then realization-id order, each (node, realization) pair the scope
@@ -19,12 +24,18 @@ so a table changes only when a node registers or a realization is revoked
 and advance ``epoch``, so what others derived from the tables can be dropped
 too.
 
-``lookup_candidates`` walks a table and reads afresh what changes between
-lookups: liveness, effective trust (only when the policy's floor is above 0),
-residency (loaded, loading or draining) and free memory, one subtraction of
-the used memory that ``install`` and ``evict`` keep. Each pair able to serve
-is a hit: its position in the table, and whether it is warm (resident and
-loaded) or cold, so that routing prices the activation.
+``lookup_candidates`` walks a table and reads liveness, effective trust
+(only when the policy's floor is above 0), residency (loaded, loading or
+draining) and free memory, one subtraction of the used memory that
+``install`` and ``evict`` keep. Each pair able to serve is a hit: its
+position in the table, and whether it is warm (resident and loaded) or cold,
+so that routing prices the activation. The table keeps the hits per trust
+floor, with the ``stamp`` they were read at and the instants they hold for:
+from the walk's ``now`` until the earliest instant a loading realization of
+the table turns warm or, under a floor above 0, an attestation on one of its
+nodes starts or lapses. A later lookup inside that interval, with the stamp
+and ``TrustManager.attestations`` unchanged, returns the same list object;
+any other lookup walks the table again.
 """
 
 from __future__ import annotations
@@ -202,6 +213,12 @@ class CandidateTable:
 
     pairs: tuple[tuple[NodeState, str], ...]
     nodes: tuple[tuple[NodeState, int, tuple[tuple[str, int, Hit, Hit | None], ...]], ...]
+    # Per trust floor, the last lookup's hits: (hits, broker stamp,
+    # attestations under a floor above 0 else 0, first and last instant + 1 they hold for).
+    kept: dict[int, tuple[list[Hit], int, int, int, int | float]] = field(default_factory=dict)
+
+
+_NEVER = float("inf")
 
 
 class Broker:
@@ -217,6 +234,8 @@ class Broker:
         self._tables: dict[tuple, CandidateTable] = {}
         self._revocations = 0
         self.epoch = 0  # times the tables were cleared
+        self.stamp = 0  # changes of node state a lookup reads: residency, used memory, liveness, draining
+        self.hit_rebuilds = 0  # lookups that walked their table
 
     # -- admission ---------------------------------------------------------
 
@@ -258,11 +277,28 @@ class Broker:
             raise MemoryError(f"node {node_id}: no room for {realization_id}")
         state.residency[realization_id] = Residency(realization_id, available_at_us)
         state.used_memory_bytes += footprint
+        self.stamp += 1
 
     def evict(self, node_id: str, realization_id: str) -> None:
         state = self.node(node_id)
         if state.residency.pop(realization_id, None) is not None:
             state.used_memory_bytes -= self.footprint(realization_id)
+            self.stamp += 1
+
+    def mark_eviction(self, node_id: str, realization_id: str, pending: bool) -> None:
+        """Set whether the node's residency of ``realization_id`` is draining
+        (never served, evicted once its work completes); no-op when it is not resident."""
+        res = self.node(node_id).residency.get(realization_id)
+        if res is not None and res.pending_eviction != pending:
+            res.pending_eviction = pending
+            self.stamp += 1
+
+    def set_online(self, node_id: str, online: bool) -> None:
+        """Take the node on or off line; an offline node yields no hits."""
+        state = self.node(node_id)
+        if state.online != online:
+            state.online = online
+            self.stamp += 1
 
     def free_memory(self, node_id: str) -> int:
         """Memory budget minus the footprints of every resident realization."""
@@ -299,24 +335,44 @@ class Broker:
         """The hits of ``table``'s pairs able to serve at ``now`` on a node of
         effective trust at least ``min_trust``, in table order: warm when the
         realization is resident and loaded, cold when it is not resident but
-        its node may place it and has the free memory."""
+        its node may place it and has the free memory. The list is kept and
+        returned again, the same object, until node state, an attestation or
+        time changes it; callers must not modify it."""
+        trust = self.trust
+        attested = trust.attestations if min_trust > 0 and trust is not None else 0
+        kept = table.kept.get(min_trust)
+        if kept is not None and kept[1] == self.stamp and kept[2] == attested and kept[3] <= now < kept[4]:
+            return kept[0]
+        self.hit_rebuilds += 1
         out: list[Hit] = []
+        until: int | float = _NEVER  # the first instant a loading pair turns warm or a node's trust changes
         for state, budget, realizations in table.nodes:
             if not state.online:
                 continue
             # Trust levels are >= 0, so a floor of 0 passes every node.
-            if min_trust > 0 and self.effective_trust(state, now) < min_trust:
-                continue
+            if min_trust > 0:
+                if trust is not None:
+                    change = trust.next_change(state.node_id, now)
+                    if change is not None and change < until:
+                        until = change
+                if self.effective_trust(state, now) < min_trust:
+                    continue
             residency = state.residency
             free = budget - state.used_memory_bytes
             for realization_id, footprint, warm, cold in realizations:
                 res = residency.get(realization_id)
                 if res is not None:
                     # Draining is never served; still loading is neither warm nor re-placeable.
-                    if not res.pending_eviction and res.available_at_us <= now:
-                        out.append(warm)
+                    if not res.pending_eviction:
+                        if res.available_at_us <= now:
+                            out.append(warm)
+                        elif res.available_at_us < until:
+                            until = res.available_at_us
                 elif cold is not None and free >= footprint:
                     out.append(cold)
+        if kept is not None and out == kept[0]:
+            out = kept[0]  # the same hits: the same object, so readers can tell by identity
+        table.kept[min_trust] = (out, self.stamp, attested, now, until)
         return out
 
     def table(

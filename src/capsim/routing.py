@@ -25,15 +25,24 @@ speed as integers, and set-up with and without the cold activation. The rows
 of a (table, origin) are built in table order on its first select and kept
 until the broker clears its tables, and so are their pricing classes: rows
 with the same realization, routes, per-token coefficients, speed, set-up and
-cold cost, as identical servers behind one gateway have. The lookup's hits,
-the token counts and the state holders are read per select. From these, one
-formula (``_bounds``, also behind ``score`` and ``idle_cost``) gives each side
-of a candidate an exact integer lower bound: transfer, execution with the
-most prompt tokens any online holder covers reused for free, and decode,
-leaving out the wait, the state charge and the load and policy penalties.
-Members of a class share it, so a select computes it once per (class, warm)
-group of its hits. Building the candidate's half (its queue, load and policy
-reads), then resolving its state, tighten the bound of every plan it is in.
+cold cost, as identical servers behind one gateway have.
+
+What changes between selects is kept as well, and read again only after an
+event that changes it. The broker returns the same hit list object while
+the hits hold (see ``registry``); ``_Classes.last`` keeps the last list a
+(table, origin) saw with each group's lead, reused while the list is that
+object. A session's state holders are kept per (realization, affinity
+token) with the session's stamp and the broker's, which move when one of
+the session's entries is stored or dropped or a node changes state; the
+engine drops them when the session ends. The token counts are read per
+select. From these, one formula (``_bounds``, also behind ``score`` and
+``idle_cost``) gives each side of a candidate an exact integer lower bound:
+transfer, execution with the most prompt tokens any online holder covers
+reused for free, and decode, leaving out the wait, the state charge and the
+load and policy penalties. Members of a class share it, so a select computes
+it once per (class, warm) group of its hits. Building the candidate's half
+(its queue, load and policy reads), then resolving its state, tighten the
+bound of every plan it is in.
 
 Routing is the one module that prices a candidate. On an idle node with no
 load or policy penalty, a request without session state waits for nothing
@@ -222,8 +231,9 @@ class _Classes(NamedTuple):
     (no row, or cold with no route for its artifact). ``rank`` gives each
     position its place in single-node plan-id order, and ``succ`` links it
     to the next member of its class in that order, -1 after the last.
-    ``last`` holds the hits of the last select and each of their groups'
-    member with the least plan id, reused while the hits repeat."""
+    ``last`` holds the hit list of the last select and each of its groups'
+    member with the least plan id, reused while the broker returns that
+    same list object."""
 
     rows: tuple[_Row | None, ...]
     groups: tuple[tuple[int, ...], tuple[int, ...]]
@@ -312,12 +322,17 @@ class Router:
         # The rows of each (candidate table, origin region) as of the broker's ``epoch``.
         self._specialised: dict[tuple[CandidateTable, str], _Classes] = {}
         self._epoch = broker.epoch
+        # Per live session, per (realization, affinity token): the session's
+        # and the broker's stamp, the online holders, the most tokens one holds.
+        self._kept: dict[str, dict[tuple[str, str], tuple[int, int, list[tuple[str, CacheEntry]], int]]] = {}
         # Work counters: halves built, session states resolved for a prefill,
-        # selects that entered their split plans, and the search's heap pops.
+        # selects that entered their split plans, the search's heap pops, and
+        # holder lists read afresh from the caches.
         self.halves_priced = 0
         self.states_resolved = 0
         self.split_entries = 0
         self.search_pops = 0
+        self.holder_rebuilds = 0
 
     def plan(self, stages: tuple[PlanStage, ...]) -> ExecutionPlan:
         """The plan of ``stages``, hashed once per router."""
@@ -345,18 +360,35 @@ class Router:
         self, request: RequestDescriptor, realization_id: str, held: _Held
     ) -> tuple[list[tuple[str, CacheEntry]], int]:
         """The online nodes holding the request's state for ``realization_id``,
-        and the most prompt tokens one of them covers; memoized in ``held``."""
+        and the most prompt tokens one of them covers; memoized in ``held``.
+        The holders and their most tokens are kept per session until its
+        stamp or the broker's moves."""
         found = held.get(realization_id)
         if found is None:
-            holders, most = [], 0
-            if request.affinity_token and self.caches.enabled:
-                session_id, _, prefix_digest = request.affinity_token.partition(":")
+            token = request.affinity_token
+            session_id, _, prefix_digest = (token or "").partition(":")
+            stamp = self.caches.session_stamp(session_id) if token and self.caches.enabled else 0
+            if not stamp:  # no session state, caching off, or a session that holds no entry
+                found = held[realization_id] = ([], 0)
+                return found
+            broker_stamp = self.broker.stamp
+            kept = self._kept.get(session_id)
+            if kept is None:
+                kept = self._kept[session_id] = {}
+            last = kept.get((realization_id, token))
+            if last is None or last[0] != stamp or last[1] != broker_stamp:
+                self.holder_rebuilds += 1
                 nodes = self.broker.nodes
                 holders = self.caches.holders(state_hash(realization_id, prefix_digest), session_id)
                 holders = [(node_id, entry) for node_id, entry in holders if nodes[node_id].online]
-                most = min(request.input_tokens, max([entry.token_count for _, entry in holders], default=0))
-            found = held[realization_id] = (holders, most)
+                top = max([entry.token_count for _, entry in holders], default=0)
+                last = kept[realization_id, token] = (stamp, broker_stamp, holders, top)
+            found = held[realization_id] = (last[2], min(request.input_tokens, last[3]))
         return found
+
+    def end_session(self, session_id: str) -> None:
+        """Drop the holders kept for a session that has ended."""
+        self._kept.pop(session_id, None)
 
     def _resolve_state(
         self,
@@ -723,7 +755,7 @@ class Router:
         every plan, so it never stops or skips.
         """
         rows, groups, rank, succ, last = classes
-        if hits == last[0]:
+        if hits is last[0]:  # the broker returns its kept list while the hits hold
             lead = last[1]
         else:
             lead = {}  # per group, its hit with the least plan id

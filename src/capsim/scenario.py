@@ -294,6 +294,8 @@ class Scenario:
                 errors.append(f"{prefix}.zipf_s: must be >= 0")
             if not 0 < region.session_turns_g <= 1:
                 errors.append(f"{prefix}.session.turns_g: must be in (0, 1]")
+            if region.session_prefix_tokens < 0:
+                errors.append(f"{prefix}.session.prefix_tokens: must be >= 0")
             for cname in region.classes:
                 if cname not in class_names:
                     errors.append(f"{prefix}.classes: unknown class {cname}")
@@ -354,9 +356,13 @@ class Scenario:
                 errors.append(f"{prefix}.level: must be in [0, 3]")
             elif att.level > profiles[att.node_id].trust:
                 errors.append(f"{prefix}.level: exceeds node claimed trust {profiles[att.node_id].trust}")
+            if att.issue_time_us < 0:
+                errors.append(f"{prefix}.issue_time_us: must be >= 0")
         for i, rev in enumerate(self.revocations):
             if rev.realization_id not in realization_ids:
                 errors.append(f"trust_script.revocations[{i}].realization_id: unknown realization")
+            if rev.time_us < 0:
+                errors.append(f"trust_script.revocations[{i}].time_us: must be >= 0")
         for i, ev in enumerate(self.node_events):
             if ev.node_id not in node_ids:
                 errors.append(f"node_events[{i}].node_id: unknown node")

@@ -56,6 +56,7 @@ class TrustManager:
         self._lineage: dict[str, tuple[str, ...]] = {}  # each realization's prefix digests
         self._revoked: set[str] = set()
         self.revocations = 0  # bumped by every revoke; readers that cache lineage state compare it
+        self.attestations = 0  # bumped by every attest; readers that keep effective trust compare it
 
     def register_lineage(self, realization_id: str, lineage: tuple[tuple[str, str], ...]) -> None:
         self._lineage[realization_id] = tuple(lineage_digest(lineage[: i + 1]) for i in range(len(lineage)))
@@ -63,6 +64,7 @@ class TrustManager:
     def attest(self, record: AttestationRecord) -> None:
         self._attestations.setdefault(record.node_id, []).append(record)
         self._attestations[record.node_id].sort(key=lambda a: a.issue_time_us)
+        self.attestations += 1
 
     def effective_trust(self, node_id: str, now: int) -> int:
         """Trust level of the latest attestation valid at ``now``, else 0."""
@@ -72,6 +74,15 @@ class TrustManager:
             if rec.issue_time_us <= now:
                 level = rec.level if rec.valid_at(now) else 0
         return level
+
+    def next_change(self, node_id: str, now: int) -> int | None:
+        """The first instant after ``now`` at which an attestation of the node
+        starts or lapses, the only instants its effective trust can change;
+        None when there is none."""
+        records = self._attestations.get(node_id, ())
+        starts = [rec.issue_time_us for rec in records]
+        lapses = [rec.issue_time_us + rec.validity_window_us for rec in records if rec.validity_window_us is not None]
+        return min((t for t in starts + lapses if t > now), default=None)
 
     def lineage_for(self, realization_id: str) -> tuple[str, ...] | None:
         return self._lineage.get(realization_id)

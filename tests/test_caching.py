@@ -282,8 +282,8 @@ def test_session_index_holders_match_a_peek_of_every_store(ops):
             entry = store.peek(compat, session)
             if entry is not None:
                 entry.pins = 1 - entry.pins
-        else:  # removed behind the index's back, as a revoked pinned entry is
-            store.entries.pop(store.entry_key(compat, session), None)
+        else:  # removed outside a drop, as a revoked entry is once its last pin goes
+            store.remove(store.entry_key(compat, session))
         for s in ("sess-1", "sess-2", "sess-3"):
             for h in ("h1", "h2"):
                 want = [(n, system.store(n).peek(h, s)) for n in sorted(CACHE_NODES)]

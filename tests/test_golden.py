@@ -12,7 +12,10 @@ criterion 2, which runs it anyway (``audit=True`` leaves these bytes unchanged).
 an inline variant of it that replans every 2 s under node and trust churn.
 No shipped scenario fills a session cache, so ``EVICTION_HEAVY`` pins one that
 does: ring-linked edges whose caches hold about one session state each, so
-admissions displace residents and states migrate between edges.
+admissions displace residents and states migrate between edges. No shipped
+scenario rejects a request at dispatch, so ``TRUST_LAPSE`` pins a
+``trust_churn`` whose attestation lapses between one request's selection and
+the start of its first stage.
 
 ``WORKLOAD_DIGESTS`` pins the digest perfbench prints (``sha256=``) for each
 of its workloads at seed 1, so that a run of the benchmark checks nothing a
@@ -165,6 +168,26 @@ def eviction_heavy_scenario() -> dict:
     return doc
 
 
+# trust_churn with edge-1's attestation lapsing at 7,056,440 µs, after
+# metro-000045 is routed to edge-1 and before its stage starts there: the
+# dispatch-time verdict rejects it TrustExpired. The broker's kept hits stop
+# holding at that instant too.
+TRUST_LAPSE = (
+    "190cf43346774c528627922fcefe162cfe7f9d1a3ccf5a1436310e88b10a1e8f",
+    "c5365b98f313dae3bbb75d40caae54407746631a1dee1573b5c01318b3cb3f04",
+    "86a10b81f4c7eb7d3b20d5013921f08bdc0690730fc82947381172380807b739",
+)
+
+
+def trust_lapse_scenario() -> dict:
+    doc = json.loads((SCENARIOS / "trust_churn.json").read_text())
+    for attestation in doc["trust_script"]["attestations"]:
+        if attestation["node_id"] == "edge-1":
+            attestation["validity_window_us"] = 7_056_440
+    doc.update(name="trust-lapse")
+    return doc
+
+
 def output_digests(out_dir: Path, names=("metrics.json", "receipts.jsonl", "trace.csv")) -> tuple[str, ...]:
     return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names)
 
@@ -179,12 +202,13 @@ def test_run_output_matches_golden_digest(name, tmp_path):
     assert output_digests(tmp_path) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"audit"}) + ["replan_heavy", "eviction_heavy"])
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"audit"}) + ["replan_heavy", "eviction_heavy", "trust_lapse"])
 def test_untraced_run_writes_the_golden_metrics_and_receipts(name, tmp_path):
     # Events that only write trace rows are not scheduled without --trace.
     variants = {
         "replan_heavy": (replan_heavy_scenario, REPLAN_HEAVY),
         "eviction_heavy": (eviction_heavy_scenario, EVICTION_HEAVY),
+        "trust_lapse": (trust_lapse_scenario, TRUST_LAPSE),
     }
     if name in variants:
         make, digests = variants[name]
@@ -216,6 +240,17 @@ def test_eviction_heavy_output_matches_golden_digest(tmp_path):
     assert any(r["kind"] == "cache_evict" and "reason=displaced" in r["detail"] for r in rows)
     assert any(r["kind"] == "cache_migrate" and "outcome=Admitted" in r["detail"] for r in rows)
     assert output_digests(out) == EVICTION_HEAVY
+
+
+def test_trust_lapse_output_matches_golden_digest(tmp_path):
+    path = tmp_path / "trust_lapse.json"
+    path.write_text(json.dumps(trust_lapse_scenario()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--trace"]) == 0
+    receipts = [json.loads(line) for line in (out / "receipts.jsonl").read_text().splitlines()]
+    expired = [(r["request_id"], r["verdict"]) for r in receipts if r["reason"] == "TrustExpired"]
+    assert expired == [("metro-000045", "rejected")]
+    assert output_digests(out) == TRUST_LAPSE
 
 
 # perfbench's sha256= for each of its workloads at seed 1.

@@ -235,29 +235,48 @@ def test_candidates_match_brute_force(quality_target, min_trust):
 
 def test_offline_node_excluded_from_candidates():
     broker = candidate_broker()
-    broker.node("edge-1").online = False
+    broker.set_online("edge-1", False)
     offline = {c[0] for c in lookup(broker, "chat", 1, PolicyConstraint(), "metro")}
-    broker.node("edge-1").online = True
+    broker.set_online("edge-1", True)
     online = {c[0] for c in lookup(broker, "chat", 1, PolicyConstraint(), "metro")}
     assert offline == {"edge-2", "cloud-1"}
     assert online == {"edge-1", "edge-2", "cloud-1"}
 
 
 def test_candidates_match_brute_force_under_random_churn():
+    """Lookups at non-decreasing times against a full scan, interleaved with
+    liveness flips, attestations (some starting later, some lapsing), loads
+    that finish later, and evictions. Several lookups fall between two
+    changes, so the kept hits are returned as well as rebuilt."""
     rng = random.Random(7)
     broker = candidate_broker()
-    for now in range(200):
+    realizations = sorted(broker.catalog.realizations)
+    now = lookups = 0
+    for _ in range(200):
         node_id = rng.choice(sorted(broker.nodes))
         state = broker.node(node_id)
-        if rng.random() < 0.3:
-            state.online = not state.online
-        else:
+        change = rng.random()
+        if change < 0.2:
+            broker.set_online(node_id, not state.online)
+        elif change < 0.5:
             # Validation caps an attested level at the node's claimed trust.
-            broker.trust.attest(AttestationRecord(node_id, rng.randint(0, state.profile.trust), now, None))
-        policy = PolicyConstraint(min_trust=rng.randint(0, 3))
-        quality_target = rng.randint(1, 2)
-        got = set(lookup(broker, "chat", quality_target, policy, "metro", now=now))
-        assert got == brute_force_candidates(broker, "chat", quality_target, policy, "metro", now=now)
+            level = rng.randint(0, state.profile.trust)
+            start = now + rng.choice([0, 0, 2, 7])
+            broker.trust.attest(AttestationRecord(node_id, level, start, rng.choice([None, 1, 4, 15])))
+        elif change < 0.75:
+            rid = rng.choice(realizations)
+            if rid in state.residency:
+                broker.evict(node_id, rid)
+            elif broker.free_memory(node_id) >= broker.footprint(rid):
+                broker.install(node_id, rid, now + rng.randint(0, 8))  # a load finishing later
+        for _ in range(rng.randint(1, 4)):
+            now += rng.choice([0, 0, 1, 3])
+            policy = PolicyConstraint(min_trust=rng.randint(0, 3))
+            quality_target = rng.randint(1, 2)
+            got = set(lookup(broker, "chat", quality_target, policy, "metro", now=now))
+            assert got == brute_force_candidates(broker, "chat", quality_target, policy, "metro", now=now)
+            lookups += 1
+    assert broker.hit_rebuilds < lookups
 
 
 def test_relaxing_policy_never_shrinks_candidates():
@@ -301,6 +320,8 @@ def test_loading_residency_is_neither_warm_nor_cold():
     after = lookup(broker, "chat", 2, policy, "metro", now=5_000)
     assert ("cloud-1", "chat-v2-gpu") not in {c[:2] for c in before}
     assert ("cloud-1", "chat-v2-gpu", True) in after
+    # The hits kept at 5,000 do not hold before it.
+    assert lookup(broker, "chat", 2, policy, "metro", now=0) == before
 
 
 def test_catalog_referential_integrity_after_interleavings():
@@ -358,11 +379,11 @@ def test_candidate_index_matches_recompute_under_interleaved_churn(ops):
             now += amount
         elif op == "drain":
             if rid in state.residency:
-                state.residency[rid].pending_eviction = not state.residency[rid].pending_eviction
+                broker.mark_eviction(node_id, rid, not state.residency[rid].pending_eviction)
         elif op == "revoke":
             broker.trust.revoke(rid)
         else:
-            state.online = not state.online
+            broker.set_online(node_id, not state.online)
         for n in broker.nodes:
             assert broker.free_memory(n) == recomputed_free_memory(broker, n)
         for quality_target in (1, 2):
@@ -448,9 +469,9 @@ def test_candidate_tables_match_brute_force_under_churn(ops):
             broker.evict(node_id, rid)
         elif op == "drain":
             if rid in state.residency:
-                state.residency[rid].pending_eviction = not state.residency[rid].pending_eviction
+                broker.mark_eviction(node_id, rid, not state.residency[rid].pending_eviction)
         elif op == "toggle":
-            state.online = not state.online
+            broker.set_online(node_id, not state.online)
         elif op == "attest":  # a level up to the claimed trust, lapsing ``amount`` µs from now
             broker.trust.attest(AttestationRecord(node_id, amount % (state.profile.trust + 1), now, amount))
         elif op == "revoke":

@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from capsim.caching import CacheEntry, CacheSystem
+from capsim.caching import CacheEntry, CacheSystem, state_hash
 from capsim.descriptors import (
     REASON_BUDGET_EXCEEDED,
     REASON_NO_FEASIBLE_PLAN,
@@ -496,7 +497,7 @@ def router_states(draw):
             if residency == "cold" or broker.free_memory(node_id) < broker.footprint(rid):
                 continue
             broker.install(node_id, rid, now + 1 if residency == "loading" else 0)
-            broker.node(node_id).residency[rid].pending_eviction = residency == "draining"
+            broker.mark_eviction(node_id, rid, residency == "draining")
         for _ in range(draw(st.integers(0, 4))):
             broker.node(node_id).reserve(
                 "chat-v1-gpu", ready_us=draw(st.integers(0, 40_000)), duration_us=draw(st.integers(1, 30_000))
@@ -558,7 +559,7 @@ def router_states(draw):
             )
         if holders and draw(st.booleans()):
             # An offline holder's state is neither reused nor counted in the prefill bound.
-            broker.node(draw(st.sampled_from(holders))).online = False
+            broker.set_online(draw(st.sampled_from(holders)), False)
     router.caches.enabled = draw(st.sampled_from([True, True, False]))
     return router, request, now
 
@@ -857,7 +858,7 @@ def clone_states(draw):
         if state == "busy":
             node.reserve("chat-v1-gpu", ready_us=draw(st.integers(0, 40_000)), duration_us=draw(st.integers(1, 30_000)))
         elif state == "offline":
-            node.online = False
+            broker.set_online(node_id, False)
         elif state == "cold":
             broker.evict(node_id, "chat-v1-gpu")
         elif state == "capped":
@@ -898,12 +899,90 @@ def test_one_router_follows_its_hits_from_select_to_select():
         return [s.node_id for s in outcome.plan.stages]
 
     assert chosen() == chosen() == ranked[:1]
-    broker.node(ranked[0]).online = False
+    broker.set_online(ranked[0], False)
     assert chosen() == ranked[1:2]
     broker.evict(ranked[1], "chat-v1-gpu")
     assert chosen() == ranked[2:3]
-    broker.node(ranked[0]).online = True
+    broker.set_online(ranked[0], True)
     assert chosen() == ranked[:1]
+
+
+HOLDER_NODES = ["edge-1", "edge-2", "edge-3"]
+HOLDER_SESSIONS = ["sess-1", "sess-2"]
+HOLDER_REALIZATIONS = ["chat-v1-gpu", "chat-v2-gpu"]
+
+HOLDER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["admit", "admit", "drop_session", "end_session", "drop_here", "revoke", "remove", "pin", "toggle"]
+        ),
+        st.sampled_from(HOLDER_NODES),
+        st.sampled_from(HOLDER_SESSIONS),
+        st.sampled_from(HOLDER_REALIZATIONS),
+        st.integers(1, 4),  # entry size; it holds ten tokens per unit
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(HOLDER_OPS)
+def test_kept_holders_match_a_fresh_read_of_the_caches(ops):
+    """A router keeps each session's holders between selects. After any
+    sequence of admissions (some displacing another session's entry), session
+    drops with and without the router told or on one store alone,
+    revocations, removals, pins and liveness flips, they equal ``CacheSystem.holders`` read afresh and
+    filtered by liveness, and reading them again with nothing changed reads
+    nothing afresh."""
+    router = edge_router([("1", 0)] * len(HOLDER_NODES))
+    broker = router.broker
+    caches = router.caches = CacheSystem()
+    for node_id in HOLDER_NODES:
+        caches.add_store(node_id, 6)  # a few entries each, so admissions displace
+
+    def fresh(request, rid):
+        session_id, _, digest = request.affinity_token.partition(":")
+        holders = [(n, e) for n, e in caches.holders(state_hash(rid, digest), session_id) if broker.node(n).online]
+        return holders, min(request.input_tokens, max([e.token_count for _, e in holders], default=0))
+
+    def read_all():
+        for session in HOLDER_SESSIONS:
+            for input_tokens in (15, 100):
+                request = chat_request(affinity_token=f"{session}:abc", input_tokens=input_tokens)
+                for rid in HOLDER_REALIZATIONS:
+                    assert router._holders(request, rid, {}) == fresh(request, rid)
+
+    for now, (op, node_id, session, rid, size) in enumerate(ops):
+        store = caches.store(node_id)
+        compat = state_hash(rid, "abc")
+        if op == "admit":
+            entry = CacheEntry(
+                f"st-{now}", compat, size, session, 100 * (now % 5 + 1), token_count=10 * size, source_realization=rid
+            )
+            store.admit(entry, (1, 2), now)
+        elif op == "drop_session":
+            caches.drop_session(session)
+            assert caches.session_stamp(session) == 0
+        elif op == "end_session":  # as the engine ends a session
+            caches.drop_session(session)
+            router.end_session(session)
+            assert session not in router._kept
+        elif op == "drop_here":
+            store.drop_session(session)
+        elif op == "revoke":
+            caches.drop_by_realization(rid)
+        elif op == "remove":
+            store.remove(store.entry_key(compat, session))
+        elif op == "pin":  # a pinned entry outlives a revocation
+            entry = store.peek(compat, session)
+            if entry is not None:
+                entry.pins = 1 - entry.pins
+        else:
+            broker.set_online(node_id, not broker.node(node_id).online)
+        read_all()
+        rebuilds = router.holder_rebuilds
+        read_all()
+        assert router.holder_rebuilds == rebuilds
 
 
 def test_tied_idle_edges_build_at_most_two_halves():
@@ -1060,6 +1139,49 @@ def test_search_pops_pin_the_lazy_entry_of_identical_candidates(name, pops):
     sim = Simulation(scenario_named(name))
     sim.run()
     assert sim.router.search_pops == pops
+
+
+# Hit lists and holder lists read afresh on the benchmark's workloads at seed
+# 1: table walks in ``Broker.lookup_candidates`` and ``CacheSystem.holders``
+# calls. Before they were kept, every lookup walked its table (164, 2,047
+# and 5,180 lookups) and every select read its holders per realization.
+@pytest.mark.parametrize(
+    "name, hit_rebuilds, holder_rebuilds", [("fanout17", 1, 35), ("sessions", 1, 252), ("replan_churn", 322, 0)]
+)
+def test_rebuild_counters_pin_the_kept_hits_and_holders(name, hit_rebuilds, holder_rebuilds, monkeypatch):
+    """Every walk has a cause: the first lookup of its (table, trust floor),
+    a change of node state or attestations since its last walk, or ``now``
+    reaching the instant its hits stopped holding. So per (table, floor) the
+    walks are at most one, plus the changes during the run, plus its expiries."""
+    causes: dict[tuple, Counter] = {}
+    lookup_candidates = Broker.lookup_candidates
+
+    def classified(broker, table, now=0, min_trust=0):
+        kept = table.kept.get(min_trust)
+        walks = broker.hit_rebuilds
+        hits = lookup_candidates(broker, table, now, min_trust)
+        if broker.hit_rebuilds > walks:
+            attested = broker.trust.attestations if min_trust > 0 else 0
+            if kept is None:
+                cause = "first"
+            elif kept[1] != broker.stamp or kept[2] != attested:
+                cause = "changed"
+            else:
+                cause = "expired" if now >= kept[4] else "none"
+            causes.setdefault((id(table), min_trust), Counter())[cause] += 1
+        return hits
+
+    monkeypatch.setattr(Broker, "lookup_candidates", classified)
+    sim = Simulation(scenario_named(name))
+    before = sim.broker.stamp + sim.trust.attestations
+    sim.run()
+    assert (sim.broker.hit_rebuilds, sim.router.holder_rebuilds) == (hit_rebuilds, holder_rebuilds)
+    changes = sim.broker.stamp + sim.trust.attestations - before
+    assert sum(sum(c.values()) for c in causes.values()) == hit_rebuilds
+    for c in causes.values():
+        assert c["none"] == 0 and c["first"] == 1 and c["changed"] <= changes
+    # The router keeps holders only for sessions with turns still to come.
+    assert set(sim.router._kept) <= set(sim._session_remaining)
 
 
 def test_search_pops_per_select_barely_grow_with_identical_nodes(monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from capsim.cli import main
+from capsim.engine import Simulation
 from capsim.metrics import MetricsFrame
 from capsim.scenario import Scenario, ScenarioParseError
 
@@ -173,6 +174,36 @@ def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate
     # The bad value is reported once, at its document key, and nothing else is.
     paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
     assert paths == [field]
+
+
+# Four schema bounds: the value just outside each fails ``validate`` with its
+# field paths, and the value just inside passes. A class's security label is
+# checked on each variant that inherits it, as its min_trust is.
+@pytest.mark.parametrize(
+    "name, path, outside, inside, fields",
+    [
+        ("trust_churn", "catalog.classes[0].security.preferred_trust", 4, 3,
+         ["catalog.variants[0].security.preferred_trust", "catalog.variants[1].security.preferred_trust"]),
+        ("session_heavy", "workload.regions[0].session.prefix_tokens", -1, 0,
+         ["workload.regions[0].session.prefix_tokens"]),
+        ("trust_churn", "trust_script.attestations[0].issue_time_us", -1, 0,
+         ["trust_script.attestations[0].issue_time_us"]),
+        ("trust_churn", "trust_script.revocations[0].time_us", -1, 0, ["trust_script.revocations[0].time_us"]),
+    ],
+    ids=["preferred_trust", "region_prefix_tokens", "attestation_issue_time", "revocation_time"],
+)
+def test_validate_checks_each_bound_on_both_sides(tmp_path, capsys, name, path, outside, inside, fields):
+    for value, code in ((outside, 1), (inside, 0)):
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        _set(path, value)(doc)
+        scenario = tmp_path / f"{value}.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["validate", str(scenario)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert [line.split(" ", 1)[1].split(": ", 1)[0] for line in captured.err.splitlines()] == fields
+        else:
+            assert captured.err == "" and captured.out.startswith("ok: ")
 
 
 def _with_request(path: str, value):
@@ -421,6 +452,22 @@ def test_compare_onto_an_existing_file_is_a_runtime_failure(tmp_path, capsys):
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", [["run"], ["run", "--trace"], ["compare"]], ids=["run", "run_trace", "compare"])
+def test_an_out_that_is_a_file_fails_before_any_simulation_runs(tmp_path, capsys, monkeypatch, command):
+    def never(sim):
+        raise AssertionError("Simulation.run was called")
+
+    monkeypatch.setattr(Simulation, "run", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    name, *flags = command
+    assert main([name, str(SCENARIOS / "audit.json"), "--out", str(taken), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+    assert captured.out == ""
+    assert taken.read_text() == "kept\n"
+
+
 def test_compare_is_vacuous_without_edge_capacity(tmp_path, capsys):
     # With nothing placeable outside the cloud, the baseline restriction
     # changes nothing and both runs coincide.
@@ -449,7 +496,6 @@ def test_oracle_place_prints_placement(capsys):
 
 def test_oracle_place_matches_library_oracle(capsys):
     from capsim import deployment
-    from capsim.engine import Simulation
     from capsim.workload import generate_arrivals
     from capsim.cli import frac_decimal
 
