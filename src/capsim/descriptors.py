@@ -140,6 +140,7 @@ class CapabilityDescriptor:
 
     name: str
     lineage: tuple[tuple[str, str], ...] = ()  # (parent model id, derivation tag)
+    security: SecurityLabel = SecurityLabel()  # the label of each variant without its own
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -275,9 +276,12 @@ def validate_descriptor(d: Any) -> list[str]:
         v.extend(_policy_violations(d))
     elif isinstance(d, CapabilityDescriptor):
         _check(v, len(d.lineage) >= 1, "lineage", "lineage non-empty")
-    elif isinstance(d, CapabilityVariant):
-        _check(v, d.quality >= 1, "quality", "quality >= 1")
         v.extend(f"security.{s}" for s in _security_violations(d.security))
+    elif isinstance(d, CapabilityVariant):
+        # Its label is checked apart: one it takes from its class is its class's to report.
+        _check(v, d.quality >= 1, "quality", "quality >= 1")
+    elif isinstance(d, SecurityLabel):
+        v.extend(_security_violations(d))
     elif isinstance(d, CapabilityRealization):
         _check(v, d.prefill_time_per_token_us > 0, "prefill_time_per_token_us", "per-token times > 0")
         _check(v, d.decode_time_per_token_us > 0, "decode_time_per_token_us", "per-token times > 0")

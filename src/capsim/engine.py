@@ -9,11 +9,21 @@ event loop realizes exactly the timing the router scored; identical
 (scenario, seed) inputs produce byte-identical outputs.
 
 Each event is a call: its handler and the arguments it takes, the objects
-the pusher already holds. Some events only write a trace row: a stage's
-dispatch, the inbound, KV and artifact transfers, and queue telemetry after a
-replan. They are pushed only when trace is on, with the sink's ``row`` as
-their handler. Each event's ``seq`` is taken in push order, so leaving them
-out keeps the order of every other event.
+the pusher already holds. An event is pushed only when something reads it.
+Some events only write a trace row: a stage's dispatch, the inbound, KV and
+artifact transfers, and queue telemetry after a replan. They are pushed only
+when trace is on, with the sink's ``row`` as their handler. A stage's
+completion writes a row and ends a realization's drain on its node; only a
+replan or a revocation starts a drain, so on an untraced run of a scenario
+that neither replans nor scripts a revocation, completions are not pushed.
+Each event's ``seq`` is taken in push order, so leaving events out keeps the
+order of every other event.
+
+The scripted events are pushed first, so at equal times they pop before
+arrivals. The arrivals then enter in one pass: they are appended in order
+with rising ``seq``, and the event list is sorted, since a list sorted by
+(time, seq) is a heap. They are sorted again only when scripted requests
+join the generated ones, which come sorted.
 """
 
 from __future__ import annotations
@@ -113,13 +123,10 @@ class Simulation:
             self.catalog.add_realization(real)
 
         self.trust = TrustManager()
-        # Per realization, its receipts' (realization, lineage digest); no event changes a lineage.
-        self._versions: dict[str, tuple[str, str]] = {}
         for real in scenario.realizations:
             rid = real.realization_id
             parent = self.catalog.variant_of(rid).parent_class
             self.trust.register_lineage(rid, self.catalog.classes[parent].lineage)
-            self._versions[rid] = (rid, self.trust.lineage_for(rid)[-1])
 
         self.broker = Broker(self.catalog, self.topology, trust=self.trust)
         attested = {a.node_id for a in scenario.attestations}
@@ -177,6 +184,12 @@ class Simulation:
         self._pending_loads: dict[str, set[str]] = {}
         # Replan demand; arrivals are not recorded when nothing replans.
         self._demand = deployment.DemandWindow() if scenario.deployment.replan_enabled else None
+        # A stage's completion is read by the trace, and by a realization
+        # draining on its node, which only a replan or a revocation starts.
+        self._push_completions = self.trace_enabled or scenario.deployment.replan_enabled or bool(scenario.revocations)
+        # Per plan id, its receipts' sorted (realization, lineage digest)
+        # pairs; no event changes a lineage.
+        self._plan_versions: dict[str, tuple[tuple[str, str], ...]] = {}
 
     # -- event plumbing ------------------------------------------------------
 
@@ -200,13 +213,18 @@ class Simulation:
                 self._push(t, self._on_replan)
 
         arrivals = generate_arrivals(self.scenario.workload, self.duration_us, self.seed)
-        arrivals.extend(self.scenario.scripted_requests)
-        arrivals.sort(key=lambda a: (a.request.arrival_time, a.request.origin_region, a.request.request_id))
-        on_arrival = self._on_arrival  # one bound method for every arrival's event
+        if self.scenario.scripted_requests:  # the generated arrivals come sorted
+            arrivals.extend(self.scenario.scripted_requests)
+            arrivals.sort(key=lambda a: (a.request.arrival_time, a.request.origin_region, a.request.request_id))
+        # Entered in one pass: a list sorted by (time, seq) is a heap.
+        seq, on_arrival = self._seq, self._on_arrival  # one bound method for every arrival's event
+        self._events.extend((a.request.arrival_time, seq + n, on_arrival, (a,)) for n, a in enumerate(arrivals))
+        self._events.sort()
+        self._seq = seq + len(arrivals)
+        remaining = self._session_remaining
         for arrival in arrivals:
-            self._push(arrival.request.arrival_time, on_arrival, arrival)
             sid = arrival.session_id
-            self._session_remaining[sid] = self._session_remaining.get(sid, 0) + 1
+            remaining[sid] = remaining.get(sid, 0) + 1
 
     # -- run loop -----------------------------------------------------------------
 
@@ -286,7 +304,8 @@ class Simulation:
             )
             if self.trace_enabled:  # so that an untraced run builds no row values
                 self._push(proj.start_us, self._row, _DISPATCH, (request_id, proj.node_id, proj.ready_us))
-            self._push(proj.complete_us, self._on_stage_complete, request_id, proj.node_id, proj.realization_id)
+            if self._push_completions:
+                self._push(proj.complete_us, self._on_stage_complete, request_id, proj.node_id, proj.realization_id)
 
         if self.trace_enabled:
             inbound_bytes = request.input_tokens * self.router.bytes_per_token
@@ -451,7 +470,13 @@ class Simulation:
 
         ttft, tpot = compute_ttft_tpot(scored, request)
         attest_time = scored.stages[0].start_us
-        versions = tuple(sorted({self._versions[proj.realization_id] for proj in scored.stages}))
+        plan_id = scored.plan.plan_id
+        versions = self._plan_versions.get(plan_id)
+        if versions is None:
+            lineage = self.trust.lineage_for
+            versions = self._plan_versions[plan_id] = tuple(
+                sorted({(proj.realization_id, lineage(proj.realization_id)[-1]) for proj in scored.stages})
+            )
         attestations = tuple(
             sorted({(proj.node_id, self.trust.effective_trust(proj.node_id, attest_time)) for proj in scored.stages})
         )

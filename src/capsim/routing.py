@@ -69,10 +69,18 @@ inside its tie window and the budget, and whose plan id is below the least
 one priced there, can change the plan-id tie-break, so every other plan is
 left unpriced and the outcome is the one full enumeration gives.
 
+The search keeps the winner as it goes: J*'s tie cut within the budget, set
+at the first exact pop, and the plan with the least id priced inside it. It
+returns that plan, None when no plan is within budget, with the plans it
+priced, which tell the ladder whether any plan was priced at all. ``select``
+projects the winner's schedule; nothing derives J*, its cut or the tie-break
+again.
+
 A node at its admission cap is checked when its half is built and then
 dropped. ``now`` is fixed for the whole select, so this is the same as
 excluding the node before pricing. An auditing router lists every plan, so
-it never stops the search: it builds every half and prices every plan.
+it never stops the search: it builds every half and prices every plan, and
+it keeps the winner by the same rule.
 """
 
 from __future__ import annotations
@@ -712,11 +720,13 @@ class Router:
 
     def _price_plans(
         self, request: RequestDescriptor, classes: _Classes, hits: list[Hit], now: int, limit: int | None
-    ) -> list[_Priced]:
-        """The single-node and prefill/decode plans over the candidates of
-        ``hits``, ``classes.rows[position]`` each, with their J numerators,
-        less the plans that cannot change ``select``'s outcome and those on a
-        node at its admission cap.
+    ) -> tuple[_Priced | None, list[_Priced]]:
+        """The winner of ``select``'s argmin over the single-node and
+        prefill/decode plans of the candidates of ``hits``,
+        ``classes.rows[position]`` each, or None when no plan is within
+        ``limit``; and the plans priced, with their J numerators: all of them,
+        less the plans that cannot change the outcome and those on a node at
+        its admission cap.
 
         One best-first search. A heap entry is a plan at a lower bound on its
         J numerator: plan (i, k) is candidate i alone when k < 0, else i's
@@ -745,14 +755,16 @@ class Router:
         order.
 
         The first exact plan popped thus has the least J. Over ``limit``,
-        every plan is, and the search stops. Otherwise it is J*, and ``top``,
-        the least of J*'s tie cut and ``limit``, bounds the plans ``select``
-        breaks the tie among by plan id. The search goes on only while the
-        least bound is <= ``top``, and refines only plans whose id is below
-        the least id priced with J <= ``top``: any other plan either cannot
-        reach the window or loses the tie-break, and a group whose next
-        member's id is not below it enters no more. An auditing router lists
-        every plan, so it never stops or skips.
+        every plan is, and the search stops with no winner. Otherwise it is
+        J*, and ``top``, the least of J*'s tie cut and ``limit``, bounds the
+        plans the tie is broken among by plan id: each exact plan popped with
+        J <= ``top`` and an id below the winner's becomes the winner. The
+        search goes on only while the least bound is <= ``top``, and refines
+        only plans whose id is below the winner's: any other plan either
+        cannot reach the window or loses the tie-break, and a group whose
+        next member's id is not below it enters no more. An auditing router
+        lists every plan, so it never stops or skips, and takes its winner by
+        the same rule.
         """
         rows, groups, rank, succ, last = classes
         if hits is last[0]:  # the broker returns its kept list while the hits hold
@@ -789,14 +801,17 @@ class Router:
         decoders: list[list[int]] = []  # per prefill side, its variant's candidates by static decode bound
         entered: list[int] = []  # each prefill side's last partner entered
         plans: list[_Priced] = []
-        top = best_id = None  # set once J* is popped; never while auditing
+        # Set once J* is popped: its tie cut within the budget, and the priced
+        # plan with the least id inside it so far, the winner.
+        top = best_id = best = None
+        stop = None  # ``top`` for a quiet router, which stops and skips on it
         back = None  # the entry the last step pushes back, held out of the heap until the next pop
         pops = 0
         while heap or back is not None:
             bound, neg_steps, k, tie, i, priced = heappop(heap) if back is None else heappushpop(heap, back)
             back = None
             pops += 1
-            if top is not None and bound > top:
+            if stop is not None and bound > stop:
                 break
             if i < 0:  # the sentinel: build every bound, enter each prefill side's first split
                 self.split_entries += 1
@@ -824,7 +839,7 @@ class Router:
                     warm = bounds[i][1]
                     while q >= 0 and present.get(q) != warm:
                         q = succ[q]
-                    if q >= 0 and (top is None or rows[q].single.plan_id < best_id):
+                    if q >= 0 and (stop is None or rows[q].single.plan_id < best_id):
                         if bounds[q] is None:
                             bounds[q] = (rows[q],) + bounds[i][1:]
                         heappush(heap, (bound, 0, -1, rows[q].single.plan_id, q, None))
@@ -835,16 +850,19 @@ class Router:
                     heappush(heap, (bounds[i][6] + bounds[decoders[i][k + 1]][7], 0, k + 1, "", i, None))
                 if bounds[j][0].node is bounds[i][0].node:
                     continue
-            if top is not None and (tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id) >= best_id:
+            if stop is not None and (tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id) >= best_id:
                 continue
             if priced is not None:
-                if self.audit:
-                    continue
-                if top is None:
-                    if limit is not None and bound > limit:
-                        break  # the least J is over budget, and so is every plan's
+                if top is None:  # the first exact plan popped: its J is J*
                     top = self._tie_cut(bound) if limit is None else min(self._tie_cut(bound), limit)
-                best_id = tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id
+                    if not self.audit:
+                        if bound > top:
+                            break  # the least J is over budget, and so is every plan's
+                        stop = top
+                if bound <= top:
+                    plan_id = tie or self._plan_on(bounds[i][0], bounds[j][0]).plan_id
+                    if best_id is None or plan_id < best_id:
+                        best, best_id = priced, plan_id
                 continue
             # The plan's least J numerator given the halves built so far, and the
             # steps done toward it; none while a node of it is at its cap.
@@ -887,7 +905,7 @@ class Router:
                 bound, steps = priced[0], 4
             back = (bound, -steps, k, tie, i, priced)
         self.search_pops += pops
-        return plans
+        return best, plans
 
     def _plan_of(self, pre: _Half, dec: _Half | None) -> ExecutionPlan:
         return self._plan_on(pre.row, None if dec is None else dec.row)
@@ -920,8 +938,11 @@ class Router:
         BudgetExceeded, none at all as NoFeasiblePlan.
 
         Plans are compared on integer J numerators; the plan_id tie-break
-        hashes only the plans the search reaches inside the tie window, and
-        only the winner's schedule is projected.
+        hashes only the plans the search reaches inside the tie window. The
+        search returns the winner and the plans it priced, so a step of the
+        ladder is served when there is a winner, and counts as over budget
+        when plans were priced but none won; only the winner's schedule is
+        projected.
         """
         quality = request.quality_target
         saw_budget_only = False
@@ -933,10 +954,14 @@ class Router:
             classes = self._specialised.get((table, origin))
             if classes is None:
                 classes = self._specialise(table, origin)
-            plans = self._price_plans(request, classes, hits, now, limit)
-            within = plans if limit is None else [p for p in plans if p[0] <= limit]
-            if within:
-                return self._selection(request, now, plans, within, quality)
+            best, plans = self._price_plans(request, classes, hits, now, limit)
+            if best is not None:
+                alternatives = ()
+                if self.audit:
+                    alternatives = tuple(
+                        sorted((self._plan_of(p[1], p[2]).plan_id, self._terms_of(*p[1:])) for p in plans)
+                    )
+                return self._scored(self._plan_of(best[1], best[2]), request, now, best, quality, alternatives)
             if plans:
                 saw_budget_only = True
             if request.degradable and quality > 1:
@@ -944,19 +969,6 @@ class Router:
                 continue
             break
         return Rejection(REASON_BUDGET_EXCEEDED if saw_budget_only else REASON_NO_FEASIBLE_PLAN)
-
-    def _selection(
-        self, request: RequestDescriptor, now: int, plans: list[_Priced], within: list[_Priced], quality: int
-    ) -> ScoredPlan:
-        cut = self._tie_cut(min(p[0] for p in within))
-        plan, priced = min(
-            ((self._plan_of(p[1], p[2]), p) for p in within if p[0] <= cut),
-            key=lambda c: c[0].plan_id,
-        )
-        alternatives = ()
-        if self.audit:
-            alternatives = tuple(sorted((self._plan_of(p[1], p[2]).plan_id, self._terms_of(*p[1:])) for p in plans))
-        return self._scored(plan, request, now, priced, quality, alternatives)
 
 
 def _ceil_time(per_token_us: int, tokens: int, speed_num: int, speed_den: int) -> int:

@@ -129,9 +129,8 @@ class Scenario:
         for path, cls_d in _items(_object(d.get("catalog", {}), "catalog"), "catalog.classes"):
             classes.append(_record(CapabilityDescriptor, cls_d, path))
             # A variant without its own label takes its class's whole label.
-            label = _record(SecurityLabel, _object(cls_d.get("security", {}), f"{path}.security"), f"{path}.security")
             for var_path, var_d in _items(cls_d, f"{path}.variants"):
-                inherited = {} if "security" in var_d else {"security": label}
+                inherited = {} if "security" in var_d else {"security": classes[-1].security}
                 variants.append(
                     _record(CapabilityVariant, var_d, var_path, parent_class=classes[-1].name, **inherited)
                 )
@@ -235,6 +234,7 @@ class Scenario:
             class_names.add(cd.name)
             for violation in validate_descriptor(cd):
                 errors.append(f"catalog.classes[{i}].{violation}")
+        class_labels = {cd.name: cd.security for cd in self.classes}
         variant_ids = set()
         for i, var in enumerate(self.variants):
             if var.variant_id in variant_ids:
@@ -244,6 +244,9 @@ class Scenario:
                 errors.append(f"catalog.variants[{i}].parent_class: unknown class {var.parent_class}")
             for violation in validate_descriptor(var):
                 errors.append(f"catalog.variants[{i}].{violation}")
+            if var.security is not class_labels.get(var.parent_class):  # its own label, not its class's
+                for violation in validate_descriptor(var.security):
+                    errors.append(f"catalog.variants[{i}].security.{violation}")
         realization_ids = set()
         for i, real in enumerate(self.realizations):
             if real.realization_id in realization_ids:

@@ -117,9 +117,9 @@ def test_parse_fraction_decimal_semantics():
 def test_every_cost_symbol_maps_to_exactly_one_type():
     # A class is named by requests and its lineage goes into receipts.
     # Admission and placement read a variant's quality and label; a class's
-    # label in the file is only its variants' default.
+    # label is only its variants' default, kept so that it is validated once.
     cap_fields = {f.name for f in fields(CapabilityDescriptor)}
-    assert cap_fields == {"name", "lineage"}
+    assert cap_fields == {"name", "lineage", "security"}
     # A node profile carries only what routing, placement, caching or trust reads.
     prof_fields = {f.name for f in fields(ResourceProfile)}
     assert prof_fields == {

@@ -156,6 +156,14 @@ def test_queue_waits_match_dispatch_trace():
     assert any(w > 0 for w in waits.values())
 
 
+def test_scripted_arrivals_at_one_instant_are_served_in_id_order():
+    # Listed in reverse: the events enter by (time, origin region, request id), not file order.
+    d = mini_scenario_dict()
+    d["requests"] = [scripted_request(f"q{i}", arrival=0, input_tokens=10) for i in (2, 1, 0)]
+    waits = {r.request_id: r.t_queue_us for r in run_scenario(d).receipts.receipts}
+    assert waits["q0"] == 0 < waits["q1"] < waits["q2"]
+
+
 def test_commit_raises_when_realized_schedule_differs_from_scored():
     d = mini_scenario_dict()
     d["requests"] = [scripted_request()]
@@ -824,6 +832,30 @@ def test_revocation_evicts_placements_and_dependent_states():
     assert receipt.verdict.value == "rejected" and receipt.reason == "NoFeasiblePlan"
 
 
+def test_a_revoked_state_in_use_is_removed_when_its_turn_finishes():
+    # In session_heavy, metro-000002 reuses st-metro-000001 on edge-1 from
+    # 1,405,135 to 1,417,288 µs. The revocation between the two keeps the
+    # pinned entry stored; the turn's finish releases the last pin and
+    # removes it. The realization drains from edge-1 at the turn's stage
+    # completion, which a quiet run pushes because the scenario revokes.
+    doc = json.loads((ROOT / "scenarios" / "session_heavy.json").read_text())
+    doc["duration_us"] = 3_000_000
+    doc["trust_script"] = {"revocations": [{"realization_id": "chat-small-gpu", "time_us": 1_410_000}]}
+    scenario = Scenario.from_dict(doc)
+    assert scenario.validate() == []
+    for trace in (False, True):
+        sim = Simulation(scenario, trace=trace).run()
+        turn = next(r for r in sim.receipts.receipts if r.request_id == "metro-000002")
+        assert turn.cache_states_reused == ("st-metro-000001",)
+        assert turn.arrival_time < 1_410_000 < turn.finish_time == 1_417_288
+        assert not [e for store in sim.caches.stores.values() for e in store.entries.values()
+                    if e.state_id == "st-metro-000001"]
+        assert not [n for n, state in sim.broker.nodes.items() if "chat-small-gpu" in state.residency]
+    evicted = [(r["timestamp_us"], r["node_id"], r["reason"]) for r in sim.trace
+               if r["kind"] == "cache_evict" and r["state_id"] == "st-metro-000001"]
+    assert evicted == [(turn.finish_time, "edge-1", "revoked")]
+
+
 def test_served_requests_never_exceed_budget():
     from fractions import Fraction
 
@@ -879,8 +911,12 @@ def test_receipts_serialize_with_stable_field_names():
 # Events a run pops, quiet and traced. Trace-only events (a stage's dispatch,
 # the inbound, KV and artifact transfers, telemetry) are pushed only when
 # tracing; pushing the artifact event on every run popped one more on
-# small_place and three more on replan_churn.
-@pytest.mark.parametrize("name, quiet, traced", [("small_place", 1246, 1875), ("replan_churn", 18980, 28404)])
+# small_place and three more on replan_churn. Both replan, so a stage's
+# completion can end a drain there. sessions neither replans nor revokes, so
+# its quiet run pushes no completions: 2,044 fewer pops than when it did.
+@pytest.mark.parametrize(
+    "name, quiet, traced", [("small_place", 1246, 1875), ("replan_churn", 18980, 28404), ("sessions", 4218, 10356)]
+)
 def test_event_pops_pin_the_trace_only_events(name, quiet, traced, monkeypatch):
     popped = []
 
@@ -900,7 +936,11 @@ def test_event_pops_pin_the_trace_only_events(name, quiet, traced, monkeypatch):
         Simulation(scenario, trace=trace).run()
         runs[trace] = list(popped)
     assert (len(runs[False]), len(runs[True])) == (quiet, traced)
-    # A trace-only event's handler is the trace sink's ``row``.
-    assert all(handler != "row" for _, handler in runs[False])
-    # Leaving the trace-only events out keeps every other event in its place.
-    assert [e for e in runs[True] if e[1] != "row"] == runs[False]
+    # A trace-only event's handler is the trace sink's ``row``; on a run that
+    # cannot drain, the completions are read by the trace alone.
+    drains = scenario.deployment.replan_enabled or bool(scenario.revocations)
+    unread = {"row"} if drains else {"row", "_on_stage_complete"}
+    assert all(handler not in unread for _, handler in runs[False])
+    assert "_on_stage_complete" in {handler for _, handler in runs[True]}
+    # Leaving them out keeps every other event in its place.
+    assert [e for e in runs[True] if e[1] not in unread] == runs[False]

@@ -178,12 +178,12 @@ def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate
 
 # Four schema bounds: the value just outside each fails ``validate`` with its
 # field paths, and the value just inside passes. A class's security label is
-# checked on each variant that inherits it, as its min_trust is.
+# checked once, at the class, not on each variant that inherits it.
 @pytest.mark.parametrize(
     "name, path, outside, inside, fields",
     [
         ("trust_churn", "catalog.classes[0].security.preferred_trust", 4, 3,
-         ["catalog.variants[0].security.preferred_trust", "catalog.variants[1].security.preferred_trust"]),
+         ["catalog.classes[0].security.preferred_trust"]),
         ("session_heavy", "workload.regions[0].session.prefix_tokens", -1, 0,
          ["workload.regions[0].session.prefix_tokens"]),
         ("trust_churn", "trust_script.attestations[0].issue_time_us", -1, 0,
@@ -204,6 +204,32 @@ def test_validate_checks_each_bound_on_both_sides(tmp_path, capsys, name, path, 
             assert [line.split(" ", 1)[1].split(": ", 1)[0] for line in captured.err.splitlines()] == fields
         else:
             assert captured.err == "" and captured.out.startswith("ok: ")
+
+
+# A class's label is reported once, at its own path, whether or not the class
+# has variants; a variant inherits it unchecked. A variant with its own label
+# keeps its own check.
+@pytest.mark.parametrize(
+    "mutate, at",
+    [
+        (lambda doc: doc["catalog"]["classes"].append(
+            {"name": "orphan", "lineage": [["base", "v1"]], "security": {"min_trust": 7, "preferred_trust": 9}}
+        ), "catalog.classes[1].security"),
+        (_set("catalog.classes[0].security", {"min_trust": 7, "preferred_trust": 9}), "catalog.classes[0].security"),
+        (_set("catalog.classes[0].variants[1].security", {"min_trust": 7, "preferred_trust": 9}),
+         "catalog.variants[1].security"),
+    ],
+    ids=["class_without_variants", "inherited_by_two_variants", "variant_own_label"],
+)
+def test_a_security_label_is_checked_once_at_its_own_path(tmp_path, capsys, mutate, at):
+    doc = json.loads((SCENARIOS / "trust_churn.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+    # The placements onto nodes below the new floor fail too, at their own paths.
+    assert [p for p in paths if ".security." in p] == [f"{at}.min_trust", f"{at}.preferred_trust"]
 
 
 def _with_request(path: str, value):
@@ -329,12 +355,12 @@ def parse_digest(scenario: Scenario) -> str:
 # The sha256 of each shipped scenario's parse walk. A change to the reader or
 # to a record's fields that alters what a file parses to changes these.
 PARSE_DIGESTS = {
-    "audit": "504731c7ef2a591bdf5e9ac101cd313de159f6e8741faa58c85ffd30b6d8a9ac",
-    "locality": "92300c32b7fb264baafe7097851c18375c9c048a2de33c5ed6974e859fe8494b",
-    "overload": "db06a2de0390b697c399c37b0bdf60478ca9b367747efd6b3e3c0c931cc939e8",
-    "session_heavy": "81dcf3e601b2bb111cc2d4810e7d8ec4771167f3cdb54b7ed0d87f069a5279ce",
-    "small_place": "9b3d28b02d928b2ae49118f009e8f75730cbe04e694bb97299d15c19fcbe1761",
-    "trust_churn": "f2c09d45d02f51e9030bf6df3b71071ee843b2a0e2c15cc45af35d090b6093d7",
+    "audit": "003cbf77d6caa80f36fdb6153550644e68caeb30201fc34d1bf0bde0a46c5738",
+    "locality": "eefe58a0e46f77c2fae9dbc73c2667e13e2dde9aa5baa5b2a5e3c18b7176f24c",
+    "overload": "a2f4d34a3768145d9cea2800b9329bb67442e6faccca7f4efb44334d96d7d296",
+    "session_heavy": "c9f7f0d37ea5c0a9eb64a6e13ef7c4881ab97964760d2de894117a38e1329487",
+    "small_place": "c44b597275989682bcd9f79651121dd8b6a26bfe723d6d15124fc3cc49dddaa8",
+    "trust_churn": "5685a3b120f8211a8a0b210ff013e864edb421c437f59dfbb9e6da9327cfc3c8",
 }
 
 

@@ -32,13 +32,12 @@ def reader_keys(cls: type) -> set[str]:
 
 
 # Record -> (its path of keys in the document, the keys it is read from). The
-# catalog tree is walked by hand: a class's "variants", its "security" (its
-# variants' default label) and a variant's "realizations" are read there, and
-# each child is given its parent's id.
+# catalog tree is walked by hand: a class's "variants" and a variant's
+# "realizations" are read there, and each child is given its parent's id.
 RECORDS = {
     "domain": (("topology", "domains"), reader_keys(Domain)),
     "node": (("topology", "nodes"), reader_keys(ResourceProfile)),
-    "class": (("catalog", "classes"), reader_keys(CapabilityDescriptor) | {"variants", "security"}),
+    "class": (("catalog", "classes"), reader_keys(CapabilityDescriptor) | {"variants"}),
     "variant": (
         ("catalog", "classes", "variants"),
         reader_keys(CapabilityVariant) - {"parent_class"} | {"realizations"},
