@@ -231,19 +231,38 @@ class ExecutionReceipt:
     cache_lookup: bool = False
     occupancy_us: tuple[int, ...] = ()  # per plan stage
 
-    def to_json_line(self) -> str:
+    def to_json_line(self, parts: dict[int, str] | None = None) -> str:
         """This receipt's line of ``receipts.jsonl``, without the newline: the
         bytes of ``json.dumps`` of its dict form with ``sort_keys=True`` and
         ``separators=(",", ":")``, written without building the dict. Its
         keys and the plan stages' and ``timing``'s are in sorted order, and
-        strings are escaped as ``json.dumps`` escapes them (``ensure_ascii``)."""
-        plan = ",".join(
-            f'{{"node_id":{_json_str(s.node_id)},"phase":{_PHASE_JSON[s.phase]},'
-            f'"realization_id":{_json_str(s.realization_id)}}}'
-            for s in self.plan
-        )
-        versions = ",".join(f"[{_json_str(rid)},{_json_str(digest)}]" for rid, digest in self.capability_versions)
-        attestations = ",".join(f"[{_json_str(node_id)},{level}]" for node_id, level in self.node_attestations)
+        strings are escaped as ``json.dumps`` escapes them (``ensure_ascii``).
+
+        ``parts`` maps the ``id`` of a ``plan``, ``capability_versions`` or
+        ``node_attestations`` tuple to its formatted list items, and is
+        filled as they are formatted; a caller that writes many lines passes
+        one dict to all of them and keeps each tuple alive while the dict is
+        in use, so that no id names two tuples. The empty tuple is one
+        object, and its items are empty in every field."""
+        if parts is None:
+            parts = {}
+        plan = parts.get(id(self.plan))
+        if plan is None:
+            plan = parts[id(self.plan)] = ",".join(
+                f'{{"node_id":{_json_str(s.node_id)},"phase":{_PHASE_JSON[s.phase]},'
+                f'"realization_id":{_json_str(s.realization_id)}}}'
+                for s in self.plan
+            )
+        versions = parts.get(id(self.capability_versions))
+        if versions is None:
+            versions = parts[id(self.capability_versions)] = ",".join(
+                f"[{_json_str(rid)},{_json_str(digest)}]" for rid, digest in self.capability_versions
+            )
+        attestations = parts.get(id(self.node_attestations))
+        if attestations is None:
+            attestations = parts[id(self.node_attestations)] = ",".join(
+                f"[{_json_str(node_id)},{level}]" for node_id, level in self.node_attestations
+            )
         reused = ",".join(map(_json_str, self.cache_states_reused))
         reason = "null" if self.reason is None else _json_str(self.reason)
         return (

@@ -19,6 +19,19 @@ that neither replans nor scripts a revocation, completions are not pushed.
 Each event's ``seq`` is taken in push order, so leaving events out keeps the
 order of every other event.
 
+A session ends when its last turn finishes or is rejected. If no event is
+due at that instant, the session end runs at once: nothing is pushed after a
+turn ends, so as an event it would pop next. Otherwise it is pushed, and
+pops after every event already due then.
+
+A served request's receipt takes its plan's parts from ``_plan_parts``: the
+(realization, lineage digest) pairs, which no event changes, and the stage
+nodes' (node, effective trust) pairs at the first stage's start. The trust
+pairs are kept while no attestation is added and the first stage starts in
+the span in which no stage node's attestation starts or lapses
+(``TrustManager.last_change`` to ``next_change``); equal pairs are one tuple
+for every plan, so ``receipts.jsonl`` formats each once.
+
 The scripted events are pushed first, so at equal times they pop before
 arrivals. The arrivals then enter in one pass: they are appended in order
 with rising ``seq``, and the event list is sorted, since a list sorted by
@@ -53,6 +66,7 @@ from .workload import Arrival, generate_arrivals
 
 # The reuse probability a newly offered session state is admitted with.
 _NEW_ENTRY_P_HIT = (1, 2)
+_NEVER = float("inf")
 
 # Trace row layouts, in trace.csv's column order (``cli.TRACE_COLUMNS``): the
 # kind, the named columns the row has, then its detail keys sorted.
@@ -187,9 +201,12 @@ class Simulation:
         # A stage's completion is read by the trace, and by a realization
         # draining on its node, which only a replan or a revocation starts.
         self._push_completions = self.trace_enabled or scenario.deployment.replan_enabled or bool(scenario.revocations)
-        # Per plan id, its receipts' sorted (realization, lineage digest)
-        # pairs; no event changes a lineage.
-        self._plan_versions: dict[str, tuple[tuple[str, str], ...]] = {}
+        # Per plan id, its receipts' (capability_versions, node_attestations,
+        # trust.attestations when built, first, end): the attestations hold
+        # for a first stage that starts in [first, end).
+        self._plan_parts: dict[str, tuple] = {}
+        # Each node_attestations value once, whichever plan built it.
+        self._attestation_values: dict[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]] = {}
 
     # -- event plumbing ------------------------------------------------------
 
@@ -470,16 +487,9 @@ class Simulation:
 
         ttft, tpot = compute_ttft_tpot(scored, request)
         attest_time = scored.stages[0].start_us
-        plan_id = scored.plan.plan_id
-        versions = self._plan_versions.get(plan_id)
-        if versions is None:
-            lineage = self.trust.lineage_for
-            versions = self._plan_versions[plan_id] = tuple(
-                sorted({(proj.realization_id, lineage(proj.realization_id)[-1]) for proj in scored.stages})
-            )
-        attestations = tuple(
-            sorted({(proj.node_id, self.trust.effective_trust(proj.node_id, attest_time)) for proj in scored.stages})
-        )
+        parts = self._plan_parts.get(scored.plan.plan_id)
+        if parts is None or parts[2] != self.trust.attestations or not parts[3] <= attest_time < parts[4]:
+            parts = self._trust_parts(scored, attest_time, parts)
         use = scored.state_use
         degraded = scored.served_quality < request.quality_target
         self.receipts.emit(
@@ -488,8 +498,8 @@ class Simulation:
                 verdict=Verdict.DEGRADED if degraded else Verdict.ALLOWED,
                 reason=f"quality-downgrade:{scored.served_quality}" if degraded else None,
                 plan=scored.plan.stages,
-                capability_versions=versions,
-                node_attestations=attestations,
+                capability_versions=parts[0],
+                node_attestations=parts[1],
                 cache_states_reused=(use.entry.state_id,) if use else (),
                 cache_tokens_covered=use.covered_tokens if use else 0,
                 t_net_us=scored.t_net_us,
@@ -509,6 +519,27 @@ class Simulation:
         )
         self._offer_session_state(now, arrival, scored)
         self._end_turn(now, arrival)
+
+    def _trust_parts(self, scored: ScoredPlan, attest_time: int, kept: tuple | None) -> tuple:
+        """The plan's trust parts for a first stage that starts at
+        ``attest_time``, kept for its later receipts: its sorted (realization,
+        lineage digest) pairs, which no event changes, and its nodes' sorted
+        (node, effective trust) pairs, valid until an attestation is added or
+        a first stage starts outside the span in which no stage node's
+        attestation starts or lapses."""
+        trust, stages = self.trust, scored.stages
+        if kept is None:
+            lineage = trust.lineage_for
+            versions = tuple(sorted({(s.realization_id, lineage(s.realization_id)[-1]) for s in stages}))
+        else:
+            versions = kept[0]
+        nodes = sorted({s.node_id for s in stages})
+        attestations = tuple((node_id, trust.effective_trust(node_id, attest_time)) for node_id in nodes)
+        attestations = self._attestation_values.setdefault(attestations, attestations)
+        first = max((t for n in nodes if (t := trust.last_change(n, attest_time)) is not None), default=-_NEVER)
+        end = min((t for n in nodes if (t := trust.next_change(n, attest_time)) is not None), default=_NEVER)
+        parts = self._plan_parts[scored.plan.plan_id] = (versions, attestations, trust.attestations, first, end)
+        return parts
 
     def _offer_session_state(self, now: int, arrival: Arrival, scored: ScoredPlan) -> None:
         request = arrival.request
@@ -553,8 +584,10 @@ class Simulation:
         remaining = self._session_remaining.pop(sid, 0) - 1
         if remaining > 0:
             self._session_remaining[sid] = remaining
-        else:
+        elif self._events and self._events[0][0] <= now:  # the events due now pop first
             self._push(now, self._on_session_end, sid)
+        else:  # it would pop next: no caller pushes an event after a turn ends
+            self._on_session_end(now, sid)
 
     def _truncate_in_flight(self) -> None:
         """Receipts for requests still in flight at the horizon. A revoked

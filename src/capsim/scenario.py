@@ -235,28 +235,35 @@ class Scenario:
             for violation in validate_descriptor(cd):
                 errors.append(f"catalog.classes[{i}].{violation}")
         class_labels = {cd.name: cd.security for cd in self.classes}
+        class_paths = [(cd.name, f"catalog.classes[{i}]") for i, cd in enumerate(self.classes)]
+        variant_paths = _nested_paths(class_paths, [var.parent_class for var in self.variants], "variants")
         variant_ids = set()
-        for i, var in enumerate(self.variants):
+        for var, prefix in zip(self.variants, variant_paths):
             if var.variant_id in variant_ids:
-                errors.append(f"catalog.variants[{i}].variant_id: duplicate {var.variant_id}")
+                errors.append(f"{prefix}.variant_id: duplicate {var.variant_id}")
             variant_ids.add(var.variant_id)
             if var.parent_class not in class_names:
-                errors.append(f"catalog.variants[{i}].parent_class: unknown class {var.parent_class}")
+                errors.append(f"{prefix}.parent_class: unknown class {var.parent_class}")
             for violation in validate_descriptor(var):
-                errors.append(f"catalog.variants[{i}].{violation}")
+                errors.append(f"{prefix}.{violation}")
             if var.security is not class_labels.get(var.parent_class):  # its own label, not its class's
                 for violation in validate_descriptor(var.security):
-                    errors.append(f"catalog.variants[{i}].security.{violation}")
+                    errors.append(f"{prefix}.security.{violation}")
+        realization_paths = _nested_paths(
+            [(var.variant_id, path) for var, path in zip(self.variants, variant_paths)],
+            [real.variant_id for real in self.realizations],
+            "realizations",
+        )
         realization_ids = set()
-        for i, real in enumerate(self.realizations):
+        for real, prefix in zip(self.realizations, realization_paths):
             if real.realization_id in realization_ids:
-                errors.append(f"catalog.realizations[{i}].realization_id: duplicate {real.realization_id}")
+                errors.append(f"{prefix}.realization_id: duplicate {real.realization_id}")
             realization_ids.add(real.realization_id)
-            _check_id(errors, f"catalog.realizations[{i}].realization_id", real.realization_id)
+            _check_id(errors, f"{prefix}.realization_id", real.realization_id)
             if real.variant_id not in variant_ids:
-                errors.append(f"catalog.realizations[{i}].variant_id: unknown variant {real.variant_id}")
+                errors.append(f"{prefix}.variant_id: unknown variant {real.variant_id}")
             for violation in validate_descriptor(real):
-                errors.append(f"catalog.realizations[{i}].{violation}")
+                errors.append(f"{prefix}.{violation}")
 
         profiles = {p.node_id: p for p in self.nodes}
         placed: dict[str, int] = {}
@@ -459,6 +466,30 @@ def _lookup(section: dict, path: str, key: str) -> Any:
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path and key else path or key
+
+
+def _nested_paths(parents: list[tuple[str, str]], named: list[str], key: str) -> list[str]:
+    """The document path of each item of a flat catalog list, from the
+    (name, path) of each parent in document order and the parent name each
+    item holds: ``from_dict`` appends a parent's items in document order, so
+    an item belongs to the parent of the item before it, or else to the next
+    parent it names. Items of two parents of one name, a duplicate that
+    ``validate`` reports, may be given the first one's path. An item that
+    names no later parent, as only a record built by hand can, is given its
+    index in the flat list, ``catalog.<key>[i]``."""
+    paths: list[str] = []
+    at, index = -1, 0
+    for i, name in enumerate(named):
+        if at >= 0 and parents[at][0] == name:
+            index += 1
+        else:
+            found = next((p for p in range(at + 1, len(parents)) if parents[p][0] == name), None)
+            if found is None:
+                paths.append(f"catalog.{key}[{i}]")
+                continue
+            at, index = found, 0
+        paths.append(f"{parents[at][1]}.{key}[{index}]")
+    return paths
 
 
 def _items(section: dict, path: str) -> list[tuple[str, dict]]:

@@ -79,10 +79,19 @@ class TrustManager:
         """The first instant after ``now`` at which an attestation of the node
         starts or lapses, the only instants its effective trust can change;
         None when there is none."""
+        return min((t for t in self._changes(node_id) if t > now), default=None)
+
+    def last_change(self, node_id: str, now: int) -> int | None:
+        """The last instant at or before ``now`` at which an attestation of
+        the node starts or lapses; None when there is none. The node's
+        effective trust is the same from it until ``next_change``."""
+        return max((t for t in self._changes(node_id) if t <= now), default=None)
+
+    def _changes(self, node_id: str) -> list[int]:
         records = self._attestations.get(node_id, ())
         starts = [rec.issue_time_us for rec in records]
         lapses = [rec.issue_time_us + rec.validity_window_us for rec in records if rec.validity_window_us is not None]
-        return min((t for t in starts + lapses if t > now), default=None)
+        return starts + lapses
 
     def lineage_for(self, realization_id: str) -> tuple[str, ...] | None:
         return self._lineage.get(realization_id)
@@ -131,10 +140,15 @@ class ReceiptLog:
 
     def to_jsonl(self, fp: TextIO | None = None) -> str | None:
         """One canonical JSON line per receipt, written to ``fp`` line by
-        line; returned as a string when ``fp`` is None."""
+        line; returned as a string when ``fp`` is None. The lines share one
+        memo of formatted parts (``ExecutionReceipt.to_json_line``), so a
+        plan, versions or attestations tuple that many receipts hold, as the
+        engine's receipts of one plan do, is formatted once per call; the
+        receipts keep every tuple alive for the whole call."""
         if fp is None:
             buf = io.StringIO()
             self.to_jsonl(buf)
             return buf.getvalue()
-        fp.writelines(f"{receipt.to_json_line()}\n" for receipt in self.receipts)
+        parts: dict[int, str] = {}
+        fp.writelines(f"{receipt.to_json_line(parts)}\n" for receipt in self.receipts)
         return None

@@ -1,4 +1,5 @@
 import copy
+import functools
 import heapq
 import json
 import sys
@@ -554,6 +555,27 @@ def test_state_is_not_admitted_once_the_node_attestation_lapses():
     assert [(row["kind"], row["outcome"]) for row in offers] == [("cache_reject", REJECT_SCOPE_VIOLATION)]
 
 
+def test_a_receipt_keeps_the_attestation_at_its_own_start():
+    # Two requests of one plan: q-long starts before edge-1's attestation
+    # lapses at 10 ms and finishes after q-short, which starts after it. Each
+    # receipt holds the level at its own first stage's start, whichever
+    # receipt of the plan was built first.
+    d = mini_scenario_dict()
+    d["topology"]["nodes"][0]["max_concurrent"] = 2
+    d["trust_script"] = {
+        "attestations": [{"node_id": "edge-1", "level": 2, "issue_time_us": 0, "validity_window_us": 10_000}]
+    }
+    d["requests"] = [
+        scripted_request("q-long", arrival=0, output_tokens=1000),
+        scripted_request("q-short", arrival=20_000, output_tokens=10),
+    ]
+    result = run_scenario(d)
+    short, long = result.receipts.receipts
+    assert (short.request_id, long.request_id) == ("q-short", "q-long")
+    assert short.plan is long.plan
+    assert (short.node_attestations, long.node_attestations) == ((("edge-1", 0),), (("edge-1", 2),))
+
+
 @pytest.mark.parametrize(
     "storage_unit_cost, admits, rejects, hits",
     [("0", 14, 0, 26), ("1", 0, 40, 0)],
@@ -913,28 +935,42 @@ def test_receipts_serialize_with_stable_field_names():
 # tracing; pushing the artifact event on every run popped one more on
 # small_place and three more on replan_churn. Both replan, so a stage's
 # completion can end a drain there. sessions neither replans nor revokes, so
-# its quiet run pushes no completions: 2,044 fewer pops than when it did.
+# its quiet run pushes no completions: 2,044 fewer pops than when it did. A
+# session end runs at once when no event is due at its instant: as an event,
+# each of these popped next (1,246, 18,980 and 4,218 quiet pops).
 @pytest.mark.parametrize(
-    "name, quiet, traced", [("small_place", 1246, 1875), ("replan_churn", 18980, 28404), ("sessions", 4218, 10356)]
+    "name, quiet, traced, inline",
+    [("small_place", 935, 1564, 311), ("replan_churn", 14149, 23573, 4831), ("sessions", 4104, 10242, 114)],
 )
-def test_event_pops_pin_the_trace_only_events(name, quiet, traced, monkeypatch):
+def test_event_pops_pin_the_trace_only_events(name, quiet, traced, inline, monkeypatch):
     popped = []
+    ended = []
 
     def heappop(events):
         event = heapq.heappop(events)
         popped.append((event[0], event[2].__name__))
         return event
 
+    on_session_end = Simulation._on_session_end
+
+    @functools.wraps(on_session_end)
+    def counted(self, now, session_id):
+        ended.append(session_id)
+        on_session_end(self, now, session_id)
+
     monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    monkeypatch.setattr(Simulation, "_on_session_end", counted)
     runs = {}
     for trace in (False, True):
         popped.clear()
+        ended.clear()
         if name in workloads.WORKLOADS:
             scenario = Scenario.from_dict(workloads.WORKLOADS[name][0](ROOT, 1))
         else:
             scenario = Scenario.load(ROOT / "scenarios" / f"{name}.json")
         Simulation(scenario, trace=trace).run()
         runs[trace] = list(popped)
+        assert len(ended) - sum(handler == "_on_session_end" for _, handler in popped) == inline
     assert (len(runs[False]), len(runs[True])) == (quiet, traced)
     # A trace-only event's handler is the trace sink's ``row``; on a run that
     # cannot drain, the completions are read by the trace alone.
@@ -944,3 +980,30 @@ def test_event_pops_pin_the_trace_only_events(name, quiet, traced, monkeypatch):
     assert "_on_stage_complete" in {handler for _, handler in runs[True]}
     # Leaving them out keeps every other event in its place.
     assert [e for e in runs[True] if e[1] not in unread] == runs[False]
+
+
+def test_a_session_end_waits_for_the_events_due_at_its_instant():
+    d = mini_scenario_dict()
+    twin = copy.deepcopy(d["topology"]["nodes"][0])
+    twin["node_id"] = "edge-2"
+    d["topology"]["nodes"].append(twin)
+    d["topology"]["links"].append(
+        {"link_id": "l-gw2", "src": "region:metro", "dst": "edge-2",
+         "propagation_delay_us": 500, "bandwidth_bytes_per_us": "1000"}
+    )
+    d["initial_placement"].append(["chat-v1-gpu", "edge-2"])
+    d["requests"] = [scripted_request("q1"), scripted_request("q2")]
+    result = run_scenario(d, trace=True)
+    (a, b) = result.receipts.receipts
+    assert {a.plan[0].node_id, b.plan[0].node_id} == {"edge-1", "edge-2"}
+    assert a.finish_time == b.finish_time
+    # The first turn ends while the second's finish is due at the same
+    # instant, so its session end is pushed and pops after that finish.
+    rows = [(row["kind"], row.get("transfer"), row.get("request_id", row.get("session_id"))) for row in result.trace]
+    order = [r for r in rows if r[0] == "session_end" or r[1] == "response"]
+    assert order == [
+        ("transfer_complete", "response", a.request_id),
+        ("transfer_complete", "response", b.request_id),
+        ("session_end", None, a.request_id),
+        ("session_end", None, b.request_id),
+    ]

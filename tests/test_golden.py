@@ -48,6 +48,7 @@ from capsim.descriptors import (
     RequestDescriptor,
     ResourceProfile,
     SecurityLabel,
+    Verdict,
 )
 from capsim.engine import Simulation
 from capsim.registry import CandidateTable
@@ -251,6 +252,58 @@ def test_trust_lapse_output_matches_golden_digest(tmp_path):
     expired = [(r["request_id"], r["verdict"]) for r in receipts if r["reason"] == "TrustExpired"]
     assert expired == [("metro-000045", "rejected")]
     assert output_digests(out) == TRUST_LAPSE
+
+
+def _attest_mid_run(sim: Simulation) -> None:
+    """Attest ``edge-1`` at level 3 from the first arrival at or after 5 s,
+    between two events, as library code holding the simulation may."""
+    on_arrival, added = sim._on_arrival, []
+
+    def attesting(now, arrival):
+        if not added and now >= 5_000_000:
+            sim.trust.attest(AttestationRecord("edge-1", 3, now, None))
+            added.append(now)
+        on_arrival(now, arrival)
+
+    sim._on_arrival = attesting
+
+
+TRUST_RUNS = {
+    "trust_churn": (lambda: json.loads((SCENARIOS / "trust_churn.json").read_text()), None),
+    "trust_lapse": (trust_lapse_scenario, None),
+    "trust_churn_attested": (lambda: json.loads((SCENARIOS / "trust_churn.json").read_text()), _attest_mid_run),
+    "replan_churn": (lambda: workloads.WORKLOADS["replan_churn"][0](ROOT, 1), None),
+}
+
+
+# The engine keeps each plan's receipt attestations while no stage node's
+# attestation starts or lapses around the first stage's start, and no
+# attestation is added; re-deriving them for each receipt must agree.
+@pytest.mark.parametrize("name", sorted(TRUST_RUNS))
+def test_receipt_attestations_match_a_fresh_derivation(name):
+    make, prepare = TRUST_RUNS[name]
+    sim = Simulation(Scenario.from_dict(make()), trace=True)
+    if prepare is not None:
+        prepare(sim)
+    sim.run()
+    starts: dict[str, int] = {}
+    for row in sim.trace:
+        if row["kind"] == "dispatch":
+            starts.setdefault(row["request_id"], row["timestamp_us"])
+    lineage = sim.trust.lineage_for
+    shared: dict[tuple, tuple] = {}
+    served = [r for r in sim.receipts.receipts if r.verdict is not Verdict.REJECTED]
+    assert served
+    for receipt in served:
+        start = starts[receipt.request_id]
+        stages = receipt.plan
+        expected = tuple(sorted({(s.node_id, sim.trust.effective_trust(s.node_id, start)) for s in stages}))
+        assert receipt.node_attestations == expected, receipt.request_id
+        assert receipt.capability_versions == tuple(
+            sorted({(s.realization_id, lineage(s.realization_id)[-1]) for s in stages})
+        )
+        # Receipts of one plan with equal attestations share one tuple.
+        assert shared.setdefault((stages, expected), receipt.node_attestations) is receipt.node_attestations
 
 
 # perfbench's sha256= for each of its workloads at seed 1.

@@ -216,6 +216,9 @@ _two_stages = (
 )
 
 
+_shared = (_two_stages, (("a", "b"), ("c", "d")), (("cloud\u2603", 1), ("edge-\u00e9", 2)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(receipts, max_size=4))
 @example([])
@@ -235,6 +238,28 @@ _two_stages = (
             node_attestations=(("n1", 0), ("n2", 3)), cache_states_reused=(), cache_tokens_covered=7,
             verdict=Verdict.DEGRADED, reason="quality-downgrade:1", t_queue_us=5, p_policy=9,
         ),
+    ]
+)
+# Receipts that share their plan, versions and attestations tuples, as the
+# engine's receipts of one plan do, and receipts whose tuples are equal but
+# distinct objects: to_jsonl formats each tuple once per call, by identity.
+@example(
+    [
+        ExecutionReceipt(
+            request_id=f"q{i}", plan=_shared[0], capability_versions=_shared[1], node_attestations=_shared[2],
+            verdict=Verdict.ALLOWED, finish_time=i,
+        )
+        for i in range(3)
+    ]
+)
+@example(
+    [
+        ExecutionReceipt(
+            request_id=f"q{i}", plan=tuple([*_two_stages][:: -1 if i % 2 else 1]),
+            capability_versions=tuple([("r\\", f"d{i % 2}")]), node_attestations=tuple([("n\t", i % 2), ("n2", 3)]),
+            verdict=Verdict.DEGRADED, reason="x",
+        )
+        for i in range(4)
     ]
 )
 def test_receipt_lines_match_canonical_json_dumps(entries):

@@ -217,7 +217,7 @@ def test_validate_checks_each_bound_on_both_sides(tmp_path, capsys, name, path, 
         ), "catalog.classes[1].security"),
         (_set("catalog.classes[0].security", {"min_trust": 7, "preferred_trust": 9}), "catalog.classes[0].security"),
         (_set("catalog.classes[0].variants[1].security", {"min_trust": 7, "preferred_trust": 9}),
-         "catalog.variants[1].security"),
+         "catalog.classes[0].variants[1].security"),
     ],
     ids=["class_without_variants", "inherited_by_two_variants", "variant_own_label"],
 )
@@ -230,6 +230,27 @@ def test_a_security_label_is_checked_once_at_its_own_path(tmp_path, capsys, muta
     paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
     # The placements onto nodes below the new floor fail too, at their own paths.
     assert [p for p in paths if ".security." in p] == [f"{at}.min_trust", f"{at}.preferred_trust"]
+
+
+# A variant's and a realization's errors name the document's own nested path,
+# as parse errors do, behind a class that has no variants too.
+@pytest.mark.parametrize("empty_class_first", [False, True], ids=["shipped", "empty_class_first"])
+@pytest.mark.parametrize("name", ["session_heavy", "small_place", "trust_churn"])
+def test_catalog_errors_name_the_nested_document_path(name, empty_class_first):
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    if empty_class_first:
+        doc["catalog"]["classes"].insert(0, {"name": "empty", "lineage": [["base", "v1"]]})
+    paths = []
+    for c, cls in enumerate(doc["catalog"]["classes"]):
+        for v, var in enumerate(cls.get("variants", [])):
+            paths.append((f"catalog.classes[{c}].variants[{v}]", "quality"))
+            for r in range(len(var["realizations"])):
+                paths.append((f"catalog.classes[{c}].variants[{v}].realizations[{r}]", "prefill_time_per_token_us"))
+    assert len(paths) > 2
+    for at, key in paths:
+        bad = json.loads(json.dumps(doc))
+        _set(f"{at}.{key}", 0)(bad)
+        assert [e.split(": ", 1)[0] for e in Scenario.from_dict(bad).validate()] == [f"{at}.{key}"]
 
 
 def _with_request(path: str, value):
@@ -293,7 +314,7 @@ def test_validate_names_the_exact_path_of_a_mistyped_value(tmp_path, capsys, mut
         (lambda doc: _rename_region(doc, "metro", "metro,x"), ["topology.nodes[0].region", "workload.regions[0].region"]),
         (_set("topology.nodes[0].node_id", "edge\n1"), ["topology.nodes[0].node_id"]),
         (_set("catalog.classes[0].variants[0].realizations[0].realization_id", "chat,small"),
-         ["catalog.realizations[0].realization_id"]),
+         ["catalog.classes[0].variants[0].realizations[0].realization_id"]),
         (_add_request("q,1", "s1"), ["requests[0].request_id"]),
         (_add_request("q1", "s\r1"), ["requests[0].session.session_id"]),
     ],

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsim.descriptors import (
     REASON_LINEAGE_REVOKED,
@@ -57,6 +59,30 @@ def test_renewal_restores_trust():
 def test_unattested_node_has_zero_trust():
     tm = manager_with_lineage()
     assert tm.effective_trust("ghost", 0) == 0
+
+
+_records = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 40), st.none() | st.integers(1, 30)), max_size=4
+)
+
+
+# last_change and next_change bound the span around a time in which the
+# node's effective trust stays the same: each is an instant at which it may
+# change, and no attestation starts or lapses strictly between them.
+@settings(max_examples=200, deadline=None)
+@given(_records, st.integers(0, 80))
+def test_trust_is_constant_from_the_last_change_to_the_next(records, now):
+    tm = TrustManager()
+    for level, issue, window in records:
+        tm.attest(AttestationRecord("n1", level, issue, window))
+    level = tm.effective_trust("n1", now)
+    first, end = tm.last_change("n1", now), tm.next_change("n1", now)
+    assert first is None or first <= now
+    assert end is None or end > now
+    for t in range(0 if first is None else first, 90 if end is None else end):
+        assert tm.effective_trust("n1", t) == level
+    if first is not None:
+        assert first in {issue for _, issue, _ in records} | {i + w for _, i, w in records if w is not None}
 
 
 def test_verdict_allows_when_all_stages_trusted():
