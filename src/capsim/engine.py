@@ -32,6 +32,16 @@ the span in which no stage node's attestation starts or lapses
 (``TrustManager.last_change`` to ``next_change``); equal pairs are one tuple
 for every plan, so ``receipts.jsonl`` formats each once.
 
+Two per-request calls are left out where their answer is already known.
+``TrustManager.verdict`` is asked only about a request whose trust floor is
+above 0: it runs at the select's own instant, so no revocation has come since
+the select read its table, and no node's effective trust is below 0. A
+finishing turn whose reused state is still stored on the node that serves
+its last stage makes no offer, since the offer would find that state there
+and write nothing. A turn whose prefill realization is revoked offers no
+state: a revocation drops the states the realization computed, and none is
+stored again.
+
 The scripted events are pushed first, so at equal times they pop before
 arrivals. The arrivals then enter in one pass: they are appended in order
 with rising ``seq``, and the event list is sorted, since a list sorted by
@@ -52,7 +62,6 @@ from .descriptors import (
     REASON_HORIZON_TRUNCATED,
     ExecutionReceipt,
     RequestDescriptor,
-    StateType,
     Tier,
     Verdict,
 )
@@ -273,10 +282,16 @@ class Simulation:
         if self.router.audit:
             self.audit.append((request.request_id, scored))
 
-        verdict, reason = self.trust.verdict(request, scored.plan.stages, scored.stages[0].start_us)
-        if verdict == "rejected":
-            self._finish_rejected(now, arrival, reason or "rejected")
-            return
+        # Only a trust floor above 0 can fail the verdict. The select ran at
+        # this same instant, so no revocation has come since it read its
+        # table, and a node's effective trust is never below 0, so a floor
+        # of 0 always passes. A trust check per stage start (ROADMAP item
+        # 7(b)) would have to revisit this rule.
+        if request.policy.min_trust > 0:
+            verdict, reason = self.trust.verdict(request, scored.plan.stages, scored.stages[0].start_us)
+            if verdict == "rejected":
+                self._finish_rejected(now, arrival, reason or "rejected")
+                return
 
         self._commit(now, arrival, scored)
 
@@ -291,9 +306,9 @@ class Simulation:
             entry = store.lookup(use.entry.compatibility_hash, use.entry.session_id, now)
             entry.pins += 1
             pinned = (use.entry_node, store.entry_key(entry.compatibility_hash, entry.session_id))
-            self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=True)
+            self.metrics.count_cache_lookup(hit=True)
         elif request.affinity_token and self.caches.enabled:
-            self.metrics.count_cache_lookup(StateType.TENSOR_STATE, hit=False)
+            self.metrics.count_cache_lookup(hit=False)
         self._in_flight[request_id] = (arrival, scored, pinned)
         if use is not None and use.migrate:
             migration_done = now + scored.inbound_net_us + use.transfer_us
@@ -478,12 +493,13 @@ class Simulation:
         del self._in_flight[request.request_id]
 
         entry = self._unpin(pinned)
-        source = entry.source_realization if entry is not None else None
-        if source and self.trust.is_revoked(source) and entry.pins == 0:
-            node_id, entry_key = pinned
-            self.caches.store(node_id).remove(entry_key)
-            if self.trace_enabled:
-                self._row(now, _CACHE_EVICT, (node_id, entry.state_id, "revoked"))
+        if entry is not None and entry.pins == 0 and entry.source_realization:
+            if self.trust.is_revoked(entry.source_realization):
+                node_id, entry_key = pinned
+                self.caches.store(node_id).remove(entry_key)
+                if self.trace_enabled:
+                    self._row(now, _CACHE_EVICT, (node_id, entry.state_id, "revoked"))
+                entry = None
 
         ttft, tpot = compute_ttft_tpot(scored, request)
         attest_time = scored.stages[0].start_us
@@ -517,7 +533,10 @@ class Simulation:
                 occupancy_us=tuple(proj.duration_us for proj in scored.stages),
             )
         )
-        self._offer_session_state(now, arrival, scored)
+        # The state the turn reused, still stored on the node that serves its
+        # last stage, is what an offer would find there first.
+        if entry is None or pinned[0] != scored.stages[-1].node_id:
+            self._offer_session_state(now, arrival, scored)
         self._end_turn(now, arrival)
 
     def _trust_parts(self, scored: ScoredPlan, attest_time: int, kept: tuple | None) -> tuple:
@@ -542,11 +561,17 @@ class Simulation:
         return parts
 
     def _offer_session_state(self, now: int, arrival: Arrival, scored: ScoredPlan) -> None:
+        """Offer the turn's prefix state to the store of the node that served
+        its last stage, unless that store holds it already. State computed
+        by a revoked realization is not offered, as ``drop_by_realization``
+        keeps none."""
         request = arrival.request
         if not (request.affinity_token and self.caches.enabled and arrival.prefix_tokens > 0):
             return
-        serving_node = scored.stages[-1].node_id
         prefill_rid = scored.stages[0].realization_id
+        if self.trust.is_revoked(prefill_rid):
+            return
+        serving_node = scored.stages[-1].node_id
         realization = self.catalog.realizations[prefill_rid]
         compat = self.router.state_hash_for(prefill_rid, request)
         store = self.caches.store(serving_node)

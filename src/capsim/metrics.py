@@ -88,11 +88,11 @@ def _json_item(receipt: ExecutionReceipt) -> str:
     return (
         "    {\n"
         f'      "arrival_us": {receipt.arrival_time},\n'
-        f'      "cache_hit": {_json_bool(covered > 0)},\n'
-        f'      "cache_lookup": {_json_bool(receipt.cache_lookup)},\n'
+        f'      "cache_hit": {"true" if covered > 0 else "false"},\n'
+        f'      "cache_lookup": {"true" if receipt.cache_lookup else "false"},\n'
         f'      "cache_state_type": {_TENSOR_STATE_JSON if covered > 0 else "null"},\n'
         f'      "core_bytes": {receipt.core_bytes},\n'
-        f'      "degraded": {_json_bool(receipt.verdict is _DEGRADED)},\n'
+        f'      "degraded": {"true" if receipt.verdict is _DEGRADED else "false"},\n'
         f'      "finish_us": {receipt.finish_time},\n'
         f'      "latency_us": {receipt.finish_time - receipt.arrival_time if served else 0},\n'
         f'      "outcome": "{outcome_of(receipt)}",\n'
@@ -104,10 +104,6 @@ def _json_item(receipt: ExecutionReceipt) -> str:
         f'      "ttft_us": {receipt.ttft_us}\n'
         "    }"
     )
-
-
-def _json_bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -124,11 +120,12 @@ class MetricsFrame:
     placement_churn: int = 0
     model_load_overhead_us: int = 0
 
-    def count_cache_lookup(self, state_type: StateType, hit: bool) -> None:
-        key = state_type.value
-        self.cache_lookups[key] = self.cache_lookups.get(key, 0) + 1
+    def count_cache_lookup(self, hit: bool) -> None:
+        """Count a lookup of session state, the one state type the caches
+        hold (``tensor_state``)."""
+        self.cache_lookups[_TENSOR_STATE] = self.cache_lookups.get(_TENSOR_STATE, 0) + 1
         if hit:
-            self.cache_hits[key] = self.cache_hits.get(key, 0) + 1
+            self.cache_hits[_TENSOR_STATE] = self.cache_hits.get(_TENSOR_STATE, 0) + 1
 
     # -- aggregates ---------------------------------------------------------
 

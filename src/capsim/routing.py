@@ -414,8 +414,9 @@ class Router:
         holders, most = self._holders(request, realization.realization_id, {} if held is None else held)
         if most <= 0:
             return None
-        speed = prefill_node.profile.speed_factor
-        local = [(n, e) for n, e in holders if n == prefill_node.node_id]
+        profile = prefill_node.profile
+        prefill_id, speed = profile.node_id, profile.speed_factor
+        local = [(n, e) for n, e in holders if n == prefill_id]
         if local:
             node_id, entry = local[0]
             covered = min(entry.token_count, request.input_tokens)
@@ -429,7 +430,7 @@ class Router:
                 continue
             recompute_us = _ceil_time(realization.prefill_time_per_token_us, covered, speed.numerator, speed.denominator)
             try:
-                migrate_us, core = self.topology.transfer_between(node_id, prefill_node.node_id, entry.size)
+                migrate_us, core = self.topology.transfer_between(node_id, prefill_id, entry.size)
             except Unreachable:
                 migrate_us, core = None, 0
             if migrate_us is not None and migrate_us < recompute_us:
@@ -961,7 +962,8 @@ class Router:
                     alternatives = tuple(
                         sorted((self._plan_of(p[1], p[2]).plan_id, self._terms_of(*p[1:])) for p in plans)
                     )
-                return self._scored(self._plan_of(best[1], best[2]), request, now, best, quality, alternatives)
+                plan = best[1].row.single if best[2] is None else self._plan_of(best[1], best[2])
+                return self._scored(plan, request, now, best, quality, alternatives)
             if plans:
                 saw_budget_only = True
             if request.degradable and quality > 1:

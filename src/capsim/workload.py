@@ -4,7 +4,9 @@ geometric multi-turn sessions sharing a prefix, and policy-template mixes.
 Determinism: one Mersenne Twister substream per region, seeded
 ``seed XOR fnv1a32(region_id)``; arrival times are the region's Poisson
 points converted to integer microseconds (collisions bumped by 1 us so the
-stream is strictly increasing per region).
+stream is strictly increasing per region). A run with one region takes that
+region's stream as generated, since it is already in (time, region, id)
+order; several regions' streams are merged and sorted.
 """
 
 from __future__ import annotations
@@ -27,17 +29,13 @@ def fnv1a32(text: str) -> int:
 
 @dataclass(slots=True, eq=False, repr=False)
 class TokenDist:
-    """A distribution of token counts: a fixed value or a lognormal draw."""
+    """A distribution of token counts: ``value``, or a lognormal draw
+    ``max(1, round(rng.lognormvariate(mu, sigma)))``."""
 
     dist: str = "fixed"  # fixed | lognormal
     value: int = 1
     mu: float = 0.0
     sigma: float = 0.0
-
-    def sample(self, rng: random.Random) -> int:
-        if self.dist == "fixed":
-            return self.value
-        return max(1, round(rng.lognormvariate(self.mu, self.sigma)))
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -114,14 +112,22 @@ def generate_region_arrivals(
     cdf = _cdf([1.0 / (k**spec.zipf_s) for k in range(1, len(spec.classes) + 1)])
     mix_cdf = _cdf([t.weight for t in spec.policy_mix])
 
+    # What every arrival reads, as locals. A token count is TokenDist's draw:
+    # its fixed value, or, where that is None here, a lognormal draw.
+    region, prefix, rate = spec.region, spec.session_prefix_tokens, spec.rate_per_s
+    expovariate, lognormvariate = rng.expovariate, rng.lognormvariate
+    dist_in, dist_out = spec.input_tokens, spec.output_tokens
+    fixed_in = dist_in.value if dist_in.dist == "fixed" else None
+    fixed_out = dist_out.value if dist_out.dist == "fixed" else None
+
     arrivals: list[Arrival] = []
     t_seconds = 0.0
     last_us = -1
-    session_counter = 0
-    open_session: dict | None = None  # remaining turns of the active session
+    sessions = 0
+    remaining = 0  # turns left in the open session
     n = 0
     while True:
-        t_seconds += rng.expovariate(spec.rate_per_s)
+        t_seconds += expovariate(rate)
         t_us = int(t_seconds * 1_000_000)
         if t_us >= duration_us:
             break
@@ -129,61 +135,44 @@ def generate_region_arrivals(
             t_us = last_us + 1
         last_us = t_us
 
-        if open_session is None or open_session["remaining"] == 0:
-            session_counter += 1
-            session_id = f"{spec.region}-s{session_counter:05d}"
-            cls_idx = _sample_index(cdf, rng.random())
+        if remaining == 0:
+            sessions += 1
+            session_id = f"{region}-s{sessions:05d}"
+            capability_class = spec.classes[_sample_index(cdf, rng.random())]
             template = spec.policy_mix[_sample_index(mix_cdf, rng.random())]
-            open_session = {
-                "session_id": session_id,
-                "capability_class": spec.classes[cls_idx],
-                "template": template,
-                "total": _geometric_turns(rng, spec.session_turns_g),
-                "remaining": 0,  # set below
-                "turn": 0,
-                # Hashed once per session: every turn shares the prefix.
-                "affinity": (
-                    f"{session_id}:{session_prefix_digest(session_id, spec.session_prefix_tokens)}"
-                    if spec.session_prefix_tokens > 0
-                    else None
-                ),
-            }
-            open_session["remaining"] = open_session["total"]
+            total = remaining = _geometric_turns(rng, spec.session_turns_g)
+            turn = 0
+            # Hashed once per session: every turn shares the prefix.
+            affinity = f"{session_id}:{session_prefix_digest(session_id, prefix)}" if prefix > 0 else None
 
-        open_session["turn"] += 1
-        open_session["remaining"] -= 1
-        template = open_session["template"]
-        fresh = spec.input_tokens.sample(rng)
-        out_tokens = spec.output_tokens.sample(rng)
-        session_id = open_session["session_id"]
+        turn += 1
+        remaining -= 1
+        fresh = fixed_in if fixed_in is not None else max(1, round(lognormvariate(dist_in.mu, dist_in.sigma)))
+        out_tokens = fixed_out if fixed_out is not None else max(1, round(lognormvariate(dist_out.mu, dist_out.sigma)))
         n += 1
         request = RequestDescriptor(
-            request_id=f"{spec.region}-{n:06d}",
-            capability_class=open_session["capability_class"],
-            quality_target=template.quality_target,
-            policy=template.policy,
-            affinity_token=open_session["affinity"],
-            budget=template.budget,
-            origin_region=spec.region,
-            input_tokens=spec.session_prefix_tokens + fresh,
-            output_tokens=out_tokens,
-            arrival_time=t_us,
-            degradable=template.degradable,
+            f"{region}-{n:06d}",
+            capability_class,
+            template.quality_target,
+            template.policy,
+            affinity,
+            template.budget,
+            region,
+            prefix + fresh,
+            out_tokens,
+            t_us,
+            template.degradable,
         )
-        arrivals.append(
-            Arrival(
-                request=request,
-                session_id=session_id,
-                turn_index=open_session["turn"],
-                total_turns=open_session["total"],
-                prefix_tokens=spec.session_prefix_tokens,
-            )
-        )
+        arrivals.append(Arrival(request, session_id, turn, total, prefix))
     return arrivals
 
 
 def generate_arrivals(regions: tuple[RegionWorkload, ...], duration_us: int, seed: int) -> list[Arrival]:
-    """All regions' arrivals merged into one stream ordered by (time, region)."""
+    """All regions' arrivals merged into one stream ordered by (time, region,
+    request id). One region's stream is returned as generated: its times
+    strictly rise, so it is in that order already."""
+    if len(regions) == 1:
+        return generate_region_arrivals(regions[0], duration_us, seed)
     merged: list[Arrival] = []
     for region in regions:
         merged.extend(generate_region_arrivals(region, duration_us, seed))

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from capsim import engine
-from capsim.caching import REJECT_SCOPE_VIOLATION
+from capsim.caching import REJECT_SCOPE_VIOLATION, StateStore
 from capsim.engine import Simulation
 from capsim.metrics import per_request_item
 from capsim.registry import Broker
@@ -461,7 +461,9 @@ def test_offline_node_excluded_until_back_online():
     assert by_id["q-late"].plan[0].node_id == "edge-2"    # back online, wins on delay
 
 
-def test_cooperative_migration_moves_session_state():
+def migration_scenario_dict():
+    """Two edges one link apart; turn 2 of session s1 moves its state from
+    edge-1, where turn 1 left it, to edge-2."""
     d = mini_scenario_dict()
     d["topology"]["nodes"].append(
         {
@@ -492,7 +494,11 @@ def test_cooperative_migration_moves_session_state():
         scripted_request("t2", arrival=60_000, input_tokens=100, affinity_token="s1:x",
                          session={**session, "turn_index": 2}),
     ]
-    result = run_scenario(d, trace=True)
+    return d
+
+
+def test_cooperative_migration_moves_session_state():
+    result = run_scenario(migration_scenario_dict(), trace=True)
     by_id = {r.request_id: r for r in result.receipts.receipts}
     assert by_id["t1"].plan[0].node_id == "edge-1"
     assert by_id["hog"].plan[0].node_id == "edge-1"
@@ -854,17 +860,24 @@ def test_revocation_evicts_placements_and_dependent_states():
     assert receipt.verdict.value == "rejected" and receipt.reason == "NoFeasiblePlan"
 
 
+def revoked_mid_turn_scenario() -> Scenario:
+    """session_heavy cut to 3 s, with chat-small-gpu revoked at 1,410,000 µs,
+    while metro-000002 reuses st-metro-000001 on edge-1."""
+    doc = json.loads((ROOT / "scenarios" / "session_heavy.json").read_text())
+    doc["duration_us"] = 3_000_000
+    doc["trust_script"] = {"revocations": [{"realization_id": "chat-small-gpu", "time_us": 1_410_000}]}
+    scenario = Scenario.from_dict(doc)
+    assert scenario.validate() == []
+    return scenario
+
+
 def test_a_revoked_state_in_use_is_removed_when_its_turn_finishes():
     # In session_heavy, metro-000002 reuses st-metro-000001 on edge-1 from
     # 1,405,135 to 1,417,288 µs. The revocation between the two keeps the
     # pinned entry stored; the turn's finish releases the last pin and
     # removes it. The realization drains from edge-1 at the turn's stage
     # completion, which a quiet run pushes because the scenario revokes.
-    doc = json.loads((ROOT / "scenarios" / "session_heavy.json").read_text())
-    doc["duration_us"] = 3_000_000
-    doc["trust_script"] = {"revocations": [{"realization_id": "chat-small-gpu", "time_us": 1_410_000}]}
-    scenario = Scenario.from_dict(doc)
-    assert scenario.validate() == []
+    scenario = revoked_mid_turn_scenario()
     for trace in (False, True):
         sim = Simulation(scenario, trace=trace).run()
         turn = next(r for r in sim.receipts.receipts if r.request_id == "metro-000002")
@@ -876,6 +889,135 @@ def test_a_revoked_state_in_use_is_removed_when_its_turn_finishes():
     evicted = [(r["timestamp_us"], r["node_id"], r["reason"]) for r in sim.trace
                if r["kind"] == "cache_evict" and r["state_id"] == "st-metro-000001"]
     assert evicted == [(turn.finish_time, "edge-1", "revoked")]
+
+
+def test_a_finishing_turn_offers_no_state_from_a_revoked_realization(monkeypatch):
+    # metro-000002's finish removes the revoked state it reused; what its
+    # prefill computed comes from the same revoked realization, so it is
+    # not offered in its place.
+    admitted = []
+    admit = StateStore.admit
+
+    def recording(self, entry, p_hit, now, **trust):
+        admitted.append((now, entry.state_id, entry.source_realization))
+        return admit(self, entry, p_hit, now, **trust)
+
+    monkeypatch.setattr(StateStore, "admit", recording)
+    sim = Simulation(revoked_mid_turn_scenario(), trace=True)
+    offers = record_offers(sim)
+    sim.run()
+    assert "metro-000002" in offers
+    assert admitted and all(source != "chat-small-gpu" for now, _, source in admitted if now >= 1_410_000)
+    rows = [(r["kind"], r["state_id"], r.get("reason")) for r in sim.trace
+            if r["timestamp_us"] == 1_417_288 and r["kind"].startswith("cache_")]
+    assert rows == [("cache_evict", "st-metro-000001", "revoked")]
+
+
+def record_offers(sim: Simulation) -> list[str]:
+    """The ids of the turns ``sim`` offers session state for, as it runs."""
+    offers = []
+    offer = sim._offer_session_state
+
+    def recording(now, arrival, scored):
+        offers.append(arrival.request.request_id)
+        offer(now, arrival, scored)
+
+    sim._offer_session_state = recording
+    return offers
+
+
+def split_session_scenario_dict():
+    """A session whose first turn runs whole on hpu-1 and leaves its state
+    there; its second turn reuses that state for a prefill on hpu-1 and
+    decodes on edge-1. The KV handoff (8 KiB a token) is too slow for a
+    one-token decode, and a 100-token decode on hpu-1 too slow for turn 2."""
+    d = mini_scenario_dict()
+    d["topology"]["nodes"].append(
+        {
+            "node_id": "hpu-1", "domain_id": "d1", "region": "metro", "tier": "edge",
+            "accelerator": "hpu", "speed_factor": "1", "memory_budget_bytes": 8 << 30,
+            "max_concurrent": 1, "admission_cap": 8, "trust": 2, "cache_capacity_bytes": 1 << 20,
+        }
+    )
+    d["topology"]["links"].append(
+        {"link_id": "l-gw-hpu", "src": "region:metro", "dst": "hpu-1",
+         "propagation_delay_us": 500, "bandwidth_bytes_per_us": "1000"}
+    )
+    d["catalog"]["classes"][0]["variants"][0]["realizations"] = [
+        {
+            "realization_id": "duo-prefill", "accelerator": "hpu",
+            "artifact_size_bytes": 1 << 30, "load_time_us": 1_000_000,
+            "prefill_time_per_token_us": 10, "decode_time_per_token_us": 2000,
+            "setup_time_us": 100, "kv_bytes_per_token": 8192,
+        },
+        {
+            "realization_id": "duo-decode", "accelerator": "gpu",
+            "artifact_size_bytes": 1 << 30, "load_time_us": 1_000_000,
+            "prefill_time_per_token_us": 500, "decode_time_per_token_us": 100,
+            "setup_time_us": 100, "kv_bytes_per_token": 64,
+        },
+    ]
+    d["initial_placement"] = [["duo-prefill", "hpu-1"], ["duo-decode", "edge-1"]]
+    session = {"session_id": "s1", "turn_index": 1, "total_turns": 2, "prefix_tokens": 64}
+    d["requests"] = [
+        scripted_request("t1", input_tokens=400, output_tokens=1, affinity_token="s1:x", session=session),
+        scripted_request("t2", arrival=100_000, input_tokens=400, output_tokens=100, affinity_token="s1:x",
+                         session={**session, "turn_index": 2}),
+    ]
+    return d
+
+
+def test_a_split_turn_offers_its_state_to_its_decode_node():
+    # The reused state is stored on the prefill node, not on the decode node
+    # that serves the turn, so the finish still offers the state there.
+    sim = Simulation(Scenario.from_dict(split_session_scenario_dict()), trace=True, audit=True)
+    offers = record_offers(sim)
+    sim.run()
+    scored = dict(sim.audit)
+    assert [(s.node_id, s.phase.value) for s in scored["t2"].stages] == [("hpu-1", "prefill"), ("edge-1", "decode")]
+    assert (scored["t2"].state_use.entry_node, scored["t2"].state_use.migrate) == ("hpu-1", False)
+    assert offers == ["t1", "t2"]
+    admits = [(r["node_id"], r["state_id"]) for r in sim.trace if r["kind"] == "cache_admit"]
+    assert admits == [("hpu-1", "st-t1"), ("edge-1", "st-t2")]
+
+
+def test_a_migrated_state_turn_still_offers_its_state():
+    # Turn 2 pins the state on edge-1 and is served on edge-2, where the
+    # migrated copy is: the finish offers, and finds that copy.
+    sim = Simulation(Scenario.from_dict(migration_scenario_dict()), audit=True)
+    offers = record_offers(sim)
+    sim.run()
+    use = dict(sim.audit)["t2"].state_use
+    assert (use.entry_node, use.migrate) == ("edge-1", True)
+    assert "t2" in offers
+
+
+@pytest.mark.parametrize("name", ["session_heavy", "trust_churn"])
+def test_a_turn_that_reused_state_on_its_serving_node_makes_no_offer(name):
+    # The store of the node that serves a turn's last stage still holds the
+    # state the turn reused, so an offer of it would find it there.
+    sim = Simulation(Scenario.load(ROOT / "scenarios" / f"{name}.json"), audit=True)
+    offers = record_offers(sim)
+    sim.run()
+    finished = {r.request_id for r in sim.receipts.receipts if r.reason != "HorizonTruncated"}
+    reused_there = [rid for rid, s in sim.audit
+                    if s.state_use is not None and s.state_use.entry_node == s.stages[-1].node_id]
+    assert set(reused_there) & finished
+    expected = [rid for rid, _ in sim.audit if rid in finished and rid not in reused_there]
+    assert sorted(offers) == sorted(expected)
+
+
+def test_sessions_workload_admits_as_often_as_before(monkeypatch):
+    calls = []
+    admit = StateStore.admit
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.node_id)
+        return admit(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateStore, "admit", counted)
+    Simulation(Scenario.from_dict(workloads.WORKLOADS["sessions"][0](ROOT, 1))).run()
+    assert len(calls) == 144
 
 
 def test_served_requests_never_exceed_budget():

@@ -189,6 +189,41 @@ def trust_lapse_scenario() -> dict:
     return doc
 
 
+# session_heavy with a second region, metro-2 (edge-2's), whose sessions ask
+# for chat-large, which edge-1 also hosts, and a 256 KiB cache on every node:
+# one chat-large state (256 tokens x 1024 bytes) or two chat-small ones. A
+# chat-large state is worth more per byte than a chat-small one, so a state
+# that a finishing turn offers displaces residents; EVICTION_HEAVY displaces
+# only by migration.
+OFFER_DISPLACE = (
+    "f479428af1abd137450ee674c402565e68b8bfab8ecb971972c7f2988d8c3f0b",
+    "1b2942abf90966c47da211d2a374c4e7b2c830b39a9ddc2b769e6aa8f4f3343f",
+    "ccf141d9a5dbad3b263a6c8b08b36c9da38eba6ec1795fa84bf6b7319fb018d8",
+)
+
+
+def offer_displace_scenario() -> dict:
+    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
+    topo = doc["topology"]
+    for node in topo["nodes"]:
+        node["cache_capacity_bytes"] = 262_144
+        if node["node_id"] == "edge-1":
+            node["memory_budget_bytes"] = 16 << 30
+        elif node["node_id"] == "edge-2":
+            node["region"] = "metro-2"
+    topo["links"] += [
+        dict(link, link_id=f"{link['link_id']}-2", src="region:metro-2")
+        for link in topo["links"]
+        if link["src"] == "region:metro"
+    ]
+    doc["initial_placement"].append(["chat-large-gpu", "edge-1"])
+    metro = doc["workload"]["regions"][0]
+    large = dict(metro["policy_mix"][0], quality_target=2)
+    doc["workload"]["regions"].append(dict(metro, region="metro-2", policy_mix=[large]))
+    doc.update(name="offer-displace")
+    return doc
+
+
 def output_digests(out_dir: Path, names=("metrics.json", "receipts.jsonl", "trace.csv")) -> tuple[str, ...]:
     return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names)
 
@@ -203,14 +238,18 @@ def test_run_output_matches_golden_digest(name, tmp_path):
     assert output_digests(tmp_path) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"audit"}) + ["replan_heavy", "eviction_heavy", "trust_lapse"])
+VARIANTS = {
+    "replan_heavy": (replan_heavy_scenario, REPLAN_HEAVY),
+    "eviction_heavy": (eviction_heavy_scenario, EVICTION_HEAVY),
+    "trust_lapse": (trust_lapse_scenario, TRUST_LAPSE),
+    "offer_displace": (offer_displace_scenario, OFFER_DISPLACE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"audit"}) + sorted(VARIANTS))
 def test_untraced_run_writes_the_golden_metrics_and_receipts(name, tmp_path):
     # Events that only write trace rows are not scheduled without --trace.
-    variants = {
-        "replan_heavy": (replan_heavy_scenario, REPLAN_HEAVY),
-        "eviction_heavy": (eviction_heavy_scenario, EVICTION_HEAVY),
-        "trust_lapse": (trust_lapse_scenario, TRUST_LAPSE),
-    }
+    variants = VARIANTS
     if name in variants:
         make, digests = variants[name]
         path = tmp_path / f"{name}.json"
@@ -252,6 +291,19 @@ def test_trust_lapse_output_matches_golden_digest(tmp_path):
     expired = [(r["request_id"], r["verdict"]) for r in receipts if r["reason"] == "TrustExpired"]
     assert expired == [("metro-000045", "rejected")]
     assert output_digests(out) == TRUST_LAPSE
+
+
+def test_offer_displace_output_matches_golden_digest(tmp_path):
+    path = tmp_path / "offer_displace.json"
+    path.write_text(json.dumps(offer_displace_scenario()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--trace"]) == 0
+    rows = list(csv.DictReader((out / "trace.csv").open()))
+    # A displaced row follows the admission, or the migration, that displaced it.
+    kinds = [r["kind"] for r in rows if r["kind"] in ("cache_admit", "cache_migrate")
+             or (r["kind"] == "cache_evict" and "reason=displaced" in r["detail"])]
+    assert ("cache_admit", "cache_evict") in zip(kinds, kinds[1:])
+    assert output_digests(out) == OFFER_DISPLACE
 
 
 def _attest_mid_run(sim: Simulation) -> None:
@@ -304,6 +356,48 @@ def test_receipt_attestations_match_a_fresh_derivation(name):
         )
         # Receipts of one plan with equal attestations share one tuple.
         assert shared.setdefault((stages, expected), receipt.node_attestations) is receipt.node_attestations
+
+
+def verdict_calls(name: str) -> tuple[dict[str, int], list[str]]:
+    """A traced run of ``TRUST_RUNS[name]``: the trust floor of each request
+    that a select found a plan for, and the requests the dispatch-time
+    verdict was asked about."""
+    make, _ = TRUST_RUNS[name]
+    sim = Simulation(Scenario.from_dict(make()), trace=True)
+    floors: dict[str, int] = {}
+    judged: list[str] = []
+    select, verdict = sim.router.select, sim.trust.verdict
+
+    def selecting(request, now):
+        scored = select(request, now)
+        if not isinstance(scored, Rejection):
+            floors[request.request_id] = request.policy.min_trust
+        return scored
+
+    def judging(request, plan, now):
+        judged.append(request.request_id)
+        return verdict(request, plan, now)
+
+    sim.router.select, sim.trust.verdict = selecting, judging
+    sim.run()
+    return floors, judged
+
+
+@pytest.mark.parametrize("name", ["trust_churn", "trust_lapse", "replan_churn"])
+def test_every_request_with_a_trust_floor_reaches_the_verdict(name):
+    floors, judged = verdict_calls(name)
+    floored = {rid for rid, floor in floors.items() if floor > 0}
+    assert floored
+    assert floored <= set(judged)
+
+
+def test_a_request_without_a_trust_floor_skips_the_verdict():
+    # replan_churn mixes requests with and without a floor; a floor of 0
+    # passes whatever trust a node has, and a select at the same instant
+    # leaves no revocation for the verdict to find.
+    floors, judged = verdict_calls("replan_churn")
+    assert 0 in floors.values()
+    assert judged == [rid for rid, floor in floors.items() if floor > 0]
 
 
 # perfbench's sha256= for each of its workloads at seed 1.
