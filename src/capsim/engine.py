@@ -493,13 +493,13 @@ class Simulation:
         del self._in_flight[request.request_id]
 
         entry = self._unpin(pinned)
-        if entry is not None and entry.pins == 0 and entry.source_realization:
-            if self.trust.is_revoked(entry.source_realization):
-                node_id, entry_key = pinned
-                self.caches.store(node_id).remove(entry_key)
-                if self.trace_enabled:
-                    self._row(now, _CACHE_EVICT, (node_id, entry.state_id, "revoked"))
-                entry = None
+        source = entry.source_realization if entry is not None else None
+        if source and self.trust.is_revoked(source) and entry.pins == 0:
+            node_id, entry_key = pinned
+            self.caches.store(node_id).remove(entry_key)
+            if self.trace_enabled:
+                self._row(now, _CACHE_EVICT, (node_id, entry.state_id, "revoked"))
+            entry = None
 
         ttft, tpot = compute_ttft_tpot(scored, request)
         attest_time = scored.stages[0].start_us

@@ -150,6 +150,7 @@ def generate_region_arrivals(
         fresh = fixed_in if fixed_in is not None else max(1, round(lognormvariate(dist_in.mu, dist_in.sigma)))
         out_tokens = fixed_out if fixed_out is not None else max(1, round(lognormvariate(dist_out.mu, dist_out.sigma)))
         n += 1
+        # Positional, in RequestDescriptor's field order.
         request = RequestDescriptor(
             f"{region}-{n:06d}",
             capability_class,

@@ -15,7 +15,9 @@ does: ring-linked edges whose caches hold about one session state each, so
 admissions displace residents and states migrate between edges. No shipped
 scenario rejects a request at dispatch, so ``TRUST_LAPSE`` pins a
 ``trust_churn`` whose attestation lapses between one request's selection and
-the start of its first stage.
+the start of its first stage. ``EVICTION_HEAVY`` displaces residents only by
+migration, so ``OFFER_DISPLACE`` pins a ``session_heavy`` in which the state
+that a finishing turn offers displaces them too.
 
 ``WORKLOAD_DIGESTS`` pins the digest perfbench prints (``sha256=``) for each
 of its workloads at seed 1, so that a run of the benchmark checks nothing a
@@ -238,6 +240,7 @@ def test_run_output_matches_golden_digest(name, tmp_path):
     assert output_digests(tmp_path) == GOLDEN[name]
 
 
+# The inline variants of shipped scenarios, and their digests.
 VARIANTS = {
     "replan_heavy": (replan_heavy_scenario, REPLAN_HEAVY),
     "eviction_heavy": (eviction_heavy_scenario, EVICTION_HEAVY),
@@ -249,9 +252,8 @@ VARIANTS = {
 @pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"audit"}) + sorted(VARIANTS))
 def test_untraced_run_writes_the_golden_metrics_and_receipts(name, tmp_path):
     # Events that only write trace rows are not scheduled without --trace.
-    variants = VARIANTS
-    if name in variants:
-        make, digests = variants[name]
+    if name in VARIANTS:
+        make, digests = VARIANTS[name]
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(make()))
     else:
