@@ -11,7 +11,6 @@ from .descriptors import (
     PolicyConstraint,
     RequestDescriptor,
     ResourceProfile,
-    validate_descriptor,
 )
 from .engine import Simulation
 from .scenario import Scenario
@@ -26,6 +25,5 @@ __all__ = [
     "ResourceProfile",
     "Scenario",
     "Simulation",
-    "validate_descriptor",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .descriptors import PolicyConstraint, RequestDescriptor
+from .descriptors import PolicyConstraint, RequestDescriptor, bounded
 from .routing import Router
 from .topology import Unreachable
 
@@ -64,11 +64,11 @@ class PlacementWeights:
     the latency charged per unservable demand unit, and the storage carry
     per artifact byte."""
 
-    lambda_deploy: Fraction = Fraction(1)
-    mu_net: Fraction = Fraction(1)
-    nu_risk: Fraction = Fraction(1)
-    p_miss_us: int = 10_000_000
-    storage_unit_cost: Fraction = Fraction(0)
+    lambda_deploy: Fraction = bounded(Fraction(1), 0)
+    mu_net: Fraction = bounded(Fraction(1), 0)
+    nu_risk: Fraction = bounded(Fraction(1), 0)
+    p_miss_us: int = bounded(10_000_000, 0)
+    storage_unit_cost: Fraction = bounded(Fraction(0), 0)
 
 
 @dataclass(slots=True, eq=False, repr=False)

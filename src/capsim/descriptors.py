@@ -15,8 +15,11 @@ the generated methods at 62 (190 when every record had the defaults).
 Nothing writes to a record once it is built, frozen or not;
 ``tests/test_golden.py`` checks that over whole runs, for the records built
 per request and for those built once and shared.
-``validate_descriptor`` reports invariant violations as data, never as
-exceptions.
+A field with a numeric range declares it where it is defined, through
+``bounded``: its default and its bound, kept in the field's metadata.
+``Scenario.validate`` checks every declared bound by one rule and reports
+each value outside its bound at its document path; docs/scenario.schema.json
+states the same bounds, and ``tests/test_schema.py`` holds the two equal.
 
 Only ``PlanStage`` has a dict form, ``to_dict``, for plan ids.
 ``ExecutionReceipt`` is the one record of a finished request:
@@ -30,7 +33,7 @@ file. Cached session state is ``caching.CacheEntry``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -86,6 +89,15 @@ REASON_LINEAGE_REVOKED = "LineageRevoked"
 REASON_HORIZON_TRUNCATED = "HorizonTruncated"
 
 
+def bounded(default: Any, low: Any, high: Any = None, *, above: bool = False) -> Any:
+    """A dataclass field whose value must be at least ``low`` (above it when
+    ``above``) and, when ``high`` is given, at most ``high``; ``None`` is in
+    every bound. ``default`` is the field's default, ``MISSING`` for a
+    required field. ``Scenario.validate`` reads the bound from the field's
+    ``"bound"`` metadata, ``(low, high, above)``."""
+    return field(default=default, metadata={"bound": (low, high, above)})
+
+
 def parse_fraction(value: Any) -> Fraction:
     """Parse a scenario-file number into an exact rational.
 
@@ -103,7 +115,7 @@ def parse_fraction(value: Any) -> Fraction:
 class PolicyConstraint:
     """A request's trust floor, locality scope and allowed domains, and the domains it prefers."""
 
-    min_trust: int = 0
+    min_trust: int = bounded(0, TRUST_MIN, TRUST_MAX)
     locality_scope: LocalityScope = LocalityScope.ANY
     allowed_domains: tuple[str, ...] | None = None
     preferred_domains: tuple[str, ...] | None = None  # soft preference, priced not enforced
@@ -115,14 +127,14 @@ class RequestDescriptor:
 
     request_id: str
     capability_class: str
-    quality_target: int
+    quality_target: int = bounded(MISSING, 1)
     policy: PolicyConstraint = PolicyConstraint()
     affinity_token: str | None = None
-    budget: int | None = None
+    budget: int | None = bounded(None, 0)
     origin_region: str = ""
-    input_tokens: int = 0
-    output_tokens: int = 1
-    arrival_time: int = 0
+    input_tokens: int = bounded(0, 0)
+    output_tokens: int = bounded(1, 1)
+    arrival_time: int = bounded(0, 0)
     degradable: bool = False
 
 
@@ -130,8 +142,8 @@ class RequestDescriptor:
 class SecurityLabel:
     """A variant's trust floor for its hosts, and the trust it prefers."""
 
-    min_trust: int = 0           # hard floor for hosting nodes
-    preferred_trust: int = 0     # soft preference, priced as risk when missed; a file's default is min_trust
+    min_trust: int = bounded(0, TRUST_MIN, TRUST_MAX)  # hard floor for hosting nodes
+    preferred_trust: int = bounded(0, TRUST_MIN, TRUST_MAX)  # soft preference, priced as risk when missed; a file's default is min_trust
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -149,7 +161,7 @@ class CapabilityVariant:
 
     variant_id: str
     parent_class: str
-    quality: int = 1
+    quality: int = bounded(1, 1)
     security: SecurityLabel = SecurityLabel()
 
 
@@ -160,12 +172,12 @@ class CapabilityRealization:
     realization_id: str
     variant_id: str
     accelerator: str = "cpu"
-    artifact_size_bytes: int = 0
-    load_time_us: int = 0
-    prefill_time_per_token_us: int = 1
-    decode_time_per_token_us: int = 1
-    setup_time_us: int = 0
-    kv_bytes_per_token: int = 0
+    artifact_size_bytes: int = bounded(0, 0)
+    load_time_us: int = bounded(0, 0)
+    prefill_time_per_token_us: int = bounded(1, 0, above=True)
+    decode_time_per_token_us: int = bounded(1, 0, above=True)
+    setup_time_us: int = bounded(0, 0)
+    kv_bytes_per_token: int = bounded(0, 0)
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -175,14 +187,14 @@ class ResourceProfile:
     node_id: str
     domain_id: str = ""
     accelerator: str = "cpu"
-    speed_factor: Fraction = Fraction(1)  # divides per-token times
-    max_concurrent: int = 1
-    memory_budget_bytes: int = 0
-    admission_cap: int = 16  # max reserved-not-started stages before routing excludes the node
-    cache_capacity_bytes: int = 0
+    speed_factor: Fraction = bounded(Fraction(1), 0, above=True)  # divides per-token times
+    max_concurrent: int = bounded(1, 1)
+    memory_budget_bytes: int = bounded(0, 0)
+    admission_cap: int = bounded(16, 1)  # max reserved-not-started stages before routing excludes the node
+    cache_capacity_bytes: int = bounded(0, 0)
     region: str = ""
     tier: Tier = Tier.CLOUD
-    trust: int = 0
+    trust: int = bounded(0, TRUST_MIN, TRUST_MAX)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -274,57 +286,3 @@ class ExecutionReceipt:
             f'"t_net_us":{self.t_net_us},"t_queue_us":{self.t_queue_us},"t_state_us":{self.t_state_us}}},'
             f'"verdict":{_VERDICT_JSON[self.verdict]}}}'
         )
-
-
-def _check(violations: list[str], ok: bool, path: str, rule: str) -> None:
-    if not ok:
-        violations.append(f"{path}: {rule}")
-
-
-def validate_descriptor(d: Any) -> list[str]:
-    """Return invariant violations as ``field_path: rule`` strings; empty means ok."""
-    v: list[str] = []
-    if isinstance(d, RequestDescriptor):
-        _check(v, d.quality_target >= 1, "quality_target", "quality_target >= 1")
-        _check(v, d.input_tokens >= 0, "input_tokens", "input_tokens >= 0")
-        _check(v, d.output_tokens >= 1, "output_tokens", "output_tokens >= 1")
-        _check(v, d.budget is None or d.budget >= 0, "budget", "budget >= 0 when present")
-        _check(v, d.arrival_time >= 0, "arrival_time", "arrival_time >= 0")
-        v.extend(f"policy.{p}" for p in _policy_violations(d.policy))
-    elif isinstance(d, PolicyConstraint):
-        v.extend(_policy_violations(d))
-    elif isinstance(d, CapabilityDescriptor):
-        _check(v, len(d.lineage) >= 1, "lineage", "lineage non-empty")
-        v.extend(f"security.{s}" for s in _security_violations(d.security))
-    elif isinstance(d, CapabilityVariant):
-        # Its label is checked apart: one it takes from its class is its class's to report.
-        _check(v, d.quality >= 1, "quality", "quality >= 1")
-    elif isinstance(d, SecurityLabel):
-        v.extend(_security_violations(d))
-    elif isinstance(d, CapabilityRealization):
-        _check(v, d.prefill_time_per_token_us > 0, "prefill_time_per_token_us", "per-token times > 0")
-        _check(v, d.decode_time_per_token_us > 0, "decode_time_per_token_us", "per-token times > 0")
-        _check(v, d.kv_bytes_per_token >= 0, "kv_bytes_per_token", "kv_bytes_per_token >= 0")
-        _check(v, d.artifact_size_bytes >= 0, "artifact_size_bytes", "artifact_size_bytes >= 0")
-        _check(v, d.load_time_us >= 0, "load_time_us", "load_time_us >= 0")
-        _check(v, d.setup_time_us >= 0, "setup_time_us", "setup_time_us >= 0")
-    else:
-        v.append(f"type: unknown descriptor type {type(d).__name__}")
-    return v
-
-
-def _policy_violations(p: PolicyConstraint) -> list[str]:
-    v: list[str] = []
-    _check(v, TRUST_MIN <= p.min_trust <= TRUST_MAX, "min_trust", f"min_trust in [{TRUST_MIN}, {TRUST_MAX}]")
-    if p.locality_scope is LocalityScope.DOMAIN:
-        _check(v, p.allowed_domains is not None, "allowed_domains", "domain scope requires allowed_domains")
-    return v
-
-
-def _security_violations(s: SecurityLabel) -> list[str]:
-    v: list[str] = []
-    _check(v, TRUST_MIN <= s.min_trust <= TRUST_MAX, "min_trust", f"min_trust in [{TRUST_MIN}, {TRUST_MAX}]")
-    _check(v, s.preferred_trust >= s.min_trust, "preferred_trust", "preferred_trust >= min_trust")
-    _check(v, s.preferred_trust <= TRUST_MAX, "preferred_trust", f"preferred_trust <= {TRUST_MAX}")
-    return v
-

@@ -40,7 +40,7 @@ finishing turn whose reused state is still stored on the node that serves
 its last stage makes no offer, since the offer would find that state there
 and write nothing. A turn whose prefill realization is revoked offers no
 state: a revocation drops the states the realization computed, and none is
-stored again.
+stored again, by an offer or by a migration that lands after it.
 
 The scripted events are pushed first, so at equal times they pop before
 arrivals. The arrivals then enter in one pass: they are appended in order
@@ -359,6 +359,8 @@ class Simulation:
     ) -> None:
         if self.trace_enabled:
             self._row(now, _MIGRATION, (request.request_id, (src_node, dst_node), "state_migration"))
+        if entry.source_realization and self.trust.is_revoked(entry.source_realization):
+            return  # the bytes moved, but a revoked realization's state is stored nowhere
         decision = self.caches.store(dst_node).admit(
             replace(entry, window=deque(), pins=0),
             p_hit_of(entry, now, self.caches.window_us),

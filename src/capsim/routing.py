@@ -103,6 +103,7 @@ from .descriptors import (
     PlanStage,
     RequestDescriptor,
     Tier,
+    bounded,
 )
 from .registry import Broker, CandidateTable, Hit, NodeState
 from .topology import Route, Topology, Unreachable, region_vertex
@@ -115,15 +116,15 @@ TIE_EPS_DEN = 10**9  # relative tie window for argmin, 1e-9
 class RoutingWeights:
     """The weights of J's six terms, the load and soft-preference penalties and the argmin tie window."""
 
-    alpha: Fraction = Fraction(1)   # T_net
-    beta: Fraction = Fraction(1)    # T_queue
-    gamma: Fraction = Fraction(1)   # T_exec
-    delta: Fraction = Fraction(1)   # T_state
-    epsilon: Fraction = Fraction(0)  # C_load
-    zeta: Fraction = Fraction(0)    # P_policy
-    kappa: Fraction = Fraction(0)   # load-penalty scale inside C_load
-    pi_soft: int = 0                # per soft-preference miss
-    tie_eps: Fraction = Fraction(TIE_EPS_NUM, TIE_EPS_DEN)  # relative argmin tie window
+    alpha: Fraction = bounded(Fraction(1), 0)   # T_net
+    beta: Fraction = bounded(Fraction(1), 0)    # T_queue
+    gamma: Fraction = bounded(Fraction(1), 0)   # T_exec
+    delta: Fraction = bounded(Fraction(1), 0)   # T_state
+    epsilon: Fraction = bounded(Fraction(0), 0)  # C_load
+    zeta: Fraction = bounded(Fraction(0), 0)    # P_policy
+    kappa: Fraction = bounded(Fraction(0), 0)   # load-penalty scale inside C_load
+    pi_soft: int = bounded(0, 0)                # per soft-preference miss
+    tie_eps: Fraction = bounded(Fraction(TIE_EPS_NUM, TIE_EPS_DEN), 0)  # relative argmin tie window
 
 
 @dataclass(slots=True, repr=False)

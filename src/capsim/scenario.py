@@ -13,6 +13,14 @@ and realizations name their parents, is walked by hand. ``load`` also
 surfaces JSON syntax errors with line/position; ``validate`` returns
 referential and range errors as field-path strings, so a scenario either
 parses and validates or the CLI reports exactly what is wrong.
+
+A numeric range is declared once, on the record field it bounds
+(``descriptors.bounded``). ``_fields`` keeps each type's bounds beside its
+document keys, so ``_bounds`` checks every bounded field of a record by one
+rule and reports it at the key the reader read it from. ``validate`` calls it
+once per record and writes by hand only the rules a bound cannot state:
+references between records, comparisons of two fields, non-empty lists, id
+characters and the token distribution names.
 """
 
 from __future__ import annotations
@@ -28,15 +36,15 @@ from typing import Any, Callable, TypeVar, get_args, get_origin, get_type_hints
 
 from .deployment import PlacementWeights
 from .descriptors import (
-    TRUST_MAX,
-    TRUST_MIN,
     CapabilityDescriptor,
     CapabilityRealization,
     CapabilityVariant,
+    LocalityScope,
+    PolicyConstraint,
     ResourceProfile,
     SecurityLabel,
+    bounded,
     parse_fraction,
-    validate_descriptor,
 )
 from .routing import RoutingWeights
 from .topology import Domain, Link, Topology, region_vertex
@@ -58,18 +66,18 @@ class CacheConfig:
     """The scenario's ``cache`` section: whether session state is cached, its hit window and storage price."""
 
     enabled: bool = True
-    window_us: int = 300_000_000  # hit-probability window
-    storage_unit_cost: Fraction = Fraction(0)  # per cached byte, in the admission benefit
+    window_us: int = bounded(300_000_000, 0)  # hit-probability window
+    storage_unit_cost: Fraction = bounded(Fraction(0), 0)  # per cached byte, in the admission benefit
 
 
 @dataclass(slots=True, eq=False, repr=False)
 class DeploymentConfig:
     """The scenario's ``deployment`` section: the replan epoch, the demand window and the search rounds."""
 
-    epoch_us: int = 60_000_000
-    window_us: int = 300_000_000  # demand window each replan aggregates
+    epoch_us: int = bounded(60_000_000, 0, above=True)
+    window_us: int = bounded(300_000_000, 0)  # demand window each replan aggregates
     replan_enabled: bool = False
-    local_search_rounds: int = 8
+    local_search_rounds: int = bounded(8, 0)
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -77,7 +85,7 @@ class Revocation:
     """A scripted revocation of a realization's lineage at ``time_us``."""
 
     realization_id: str
-    time_us: int = 0
+    time_us: int = bounded(0, 0)
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -85,7 +93,7 @@ class NodeEvent:
     """A scripted change of a node's liveness at ``time_us``."""
 
     node_id: str
-    time_us: int = 0
+    time_us: int = bounded(0, 0)
     online: bool = True
 
 
@@ -95,8 +103,8 @@ class Scenario:
 
     name: str = "scenario"
     seed: int = 0
-    duration_us: int = 1_000_000
-    bytes_per_token: int = 4
+    duration_us: int = bounded(1_000_000, 0, above=True)
+    bytes_per_token: int = bounded(4, 0)
     artifact_repository: str | None = None
     domains: list[Domain] = field(default_factory=list)
     nodes: list[ResourceProfile] = field(default_factory=list)
@@ -152,37 +160,33 @@ class Scenario:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> list[str]:
+        """Every error of the scenario, as ``path: what is wrong`` strings.
+        Each value outside the bound its field declares is reported by
+        ``_bounds``; the rules written here are referential and cross-field
+        ones. A rule that compares two values runs only where both are
+        inside their bounds, so that one bad value is reported once."""
         errors: list[str] = []
-        if self.duration_us <= 0:
-            errors.append("duration_us: must be > 0")
-        if self.bytes_per_token < 0:
-            errors.append("bytes_per_token: must be >= 0")
+        for record, path in (
+            (self, ""),
+            (self.cache, "cache"),
+            (self.deployment, "deployment"),
+            (self.routing_weights, "weights"),
+            (self.placement_weights, "weights"),
+        ):
+            _bounds(errors, record, path)
 
-        if self.cache.window_us < 0:
-            errors.append("cache.window_us: must be >= 0")
-        if self.cache.storage_unit_cost < 0:
-            errors.append("cache.storage_unit_cost: must be >= 0")
-        if self.deployment.epoch_us <= 0:
-            errors.append("deployment.epoch_us: must be > 0")
-        if self.deployment.window_us < 0:
-            errors.append("deployment.window_us: must be >= 0")
-        if self.deployment.local_search_rounds < 0:
-            errors.append("deployment.local_search_rounds: must be >= 0")
-        for weights in (self.routing_weights, self.placement_weights):
-            for f in fields(weights):
-                if getattr(weights, f.name) < 0:
-                    errors.append(f"weights.{_KEYS.get((type(weights), f.name), f.name)}: must be >= 0")
-
-        domains: dict[str, Domain] = {}
+        domain_ids = set()
+        floors: dict[str, int] = {}  # the trust floor of each domain inside its bounds
         for i, domain in enumerate(self.domains):
-            if domain.domain_id in domains:
-                errors.append(f"topology.domains[{i}].domain_id: duplicate {domain.domain_id}")
-            else:
-                domains[domain.domain_id] = domain
-            if not TRUST_MIN <= domain.min_trust <= TRUST_MAX:
-                errors.append(f"topology.domains[{i}].min_trust: must be in [{TRUST_MIN}, {TRUST_MAX}]")
+            prefix = f"topology.domains[{i}]"
+            if domain.domain_id in domain_ids:
+                errors.append(f"{prefix}.domain_id: duplicate {domain.domain_id}")
+            domain_ids.add(domain.domain_id)
+            if _bounds(errors, domain, prefix):
+                floors.setdefault(domain.domain_id, domain.min_trust)
         node_ids = set()
         regions = set()
+        sound_nodes = set()  # the nodes inside their bounds
         for i, profile in enumerate(self.nodes):
             prefix = f"topology.nodes[{i}]"
             if profile.node_id in node_ids:
@@ -191,23 +195,13 @@ class Scenario:
             regions.add(profile.region)
             _check_id(errors, f"{prefix}.node_id", profile.node_id)
             _check_id(errors, f"{prefix}.region", profile.region)
-            domain = domains.get(profile.domain_id)
-            if domain is None:
+            if profile.domain_id not in domain_ids:
                 errors.append(f"{prefix}.domain_id: unknown domain {profile.domain_id}")
-            if not TRUST_MIN <= profile.trust <= TRUST_MAX:
-                errors.append(f"{prefix}.trust: must be in [{TRUST_MIN}, {TRUST_MAX}]")
-            elif domain is not None and profile.trust < domain.min_trust <= TRUST_MAX:
-                errors.append(f"{prefix}.trust: below domain {domain.domain_id} min_trust {domain.min_trust}")
-            if profile.speed_factor <= 0:
-                errors.append(f"{prefix}.speed_factor: must be > 0")
-            if profile.max_concurrent < 1:
-                errors.append(f"{prefix}.max_concurrent: must be >= 1")
-            if profile.admission_cap < 1:
-                errors.append(f"{prefix}.admission_cap: must be >= 1")
-            if profile.memory_budget_bytes < 0:
-                errors.append(f"{prefix}.memory_budget_bytes: must be >= 0")
-            if profile.cache_capacity_bytes < 0:
-                errors.append(f"{prefix}.cache_capacity_bytes: must be >= 0")
+            if _bounds(errors, profile, prefix):
+                sound_nodes.add(profile.node_id)
+                floor = floors.get(profile.domain_id)
+                if floor is not None and profile.trust < floor:
+                    errors.append(f"{prefix}.trust: below domain {profile.domain_id} min_trust {floor}")
 
         vertices = node_ids | {region_vertex(r) for r in regions}
         link_ids = set()
@@ -219,21 +213,22 @@ class Scenario:
             for end, value in (("src", link.src), ("dst", link.dst)):
                 if value not in vertices:
                     errors.append(f"{prefix}.{end}: unknown vertex {value}")
-            if link.propagation_delay_us < 0:
-                errors.append(f"{prefix}.propagation_delay_us: must be >= 0")
-            if link.bandwidth_bytes_per_us <= 0:
-                errors.append(f"{prefix}.bandwidth_bytes_per_us: must be > 0")
+            _bounds(errors, link, prefix)
 
         if self.artifact_repository is not None and self.artifact_repository not in node_ids:
             errors.append(f"topology.artifact_repository: unknown node {self.artifact_repository}")
 
         class_names = set()
+        sound_labels = set()  # the security labels inside their bounds
         for i, cd in enumerate(self.classes):
+            prefix = f"catalog.classes[{i}]"
             if cd.name in class_names:
-                errors.append(f"catalog.classes[{i}].name: duplicate {cd.name}")
+                errors.append(f"{prefix}.name: duplicate {cd.name}")
             class_names.add(cd.name)
-            for violation in validate_descriptor(cd):
-                errors.append(f"catalog.classes[{i}].{violation}")
+            if not cd.lineage:
+                errors.append(f"{prefix}.lineage: must not be empty")
+            if _label(errors, cd.security, f"{prefix}.security"):
+                sound_labels.add(cd.security)
         class_labels = {cd.name: cd.security for cd in self.classes}
         class_paths = [(cd.name, f"catalog.classes[{i}]") for i, cd in enumerate(self.classes)]
         variant_paths = _nested_paths(class_paths, [var.parent_class for var in self.variants], "variants")
@@ -244,11 +239,12 @@ class Scenario:
             variant_ids.add(var.variant_id)
             if var.parent_class not in class_names:
                 errors.append(f"{prefix}.parent_class: unknown class {var.parent_class}")
-            for violation in validate_descriptor(var):
-                errors.append(f"{prefix}.{violation}")
-            if var.security is not class_labels.get(var.parent_class):  # its own label, not its class's
-                for violation in validate_descriptor(var.security):
-                    errors.append(f"{prefix}.security.{violation}")
+            _bounds(errors, var, prefix)
+            # A label it takes from its class is its class's to report.
+            if var.security is not class_labels.get(var.parent_class) and _label(
+                errors, var.security, f"{prefix}.security"
+            ):
+                sound_labels.add(var.security)
         realization_paths = _nested_paths(
             [(var.variant_id, path) for var, path in zip(self.variants, variant_paths)],
             [real.variant_id for real in self.realizations],
@@ -262,8 +258,7 @@ class Scenario:
             _check_id(errors, f"{prefix}.realization_id", real.realization_id)
             if real.variant_id not in variant_ids:
                 errors.append(f"{prefix}.variant_id: unknown variant {real.variant_id}")
-            for violation in validate_descriptor(real):
-                errors.append(f"{prefix}.{violation}")
+            _bounds(errors, real, prefix)
 
         profiles = {p.node_id: p for p in self.nodes}
         placed: dict[str, int] = {}
@@ -281,12 +276,14 @@ class Scenario:
             realization = realization_by_id[rid]
             if realization.accelerator != profile.accelerator:
                 errors.append(f"{prefix}: accelerator mismatch {realization.accelerator} on {node_id}")
+            if node_id not in sound_nodes:
+                continue
             variant = variant_by_id.get(realization.variant_id)
-            if variant is not None and profile.trust < variant.security.min_trust:
+            if variant is not None and variant.security in sound_labels and profile.trust < variant.security.min_trust:
                 floor = variant.security.min_trust
                 errors.append(f"{prefix}: trust {profile.trust} of {node_id} is below the floor {floor} of {rid}")
             placed[node_id] = placed.get(node_id, 0) + realization.artifact_size_bytes
-            if placed[node_id] > profile.memory_budget_bytes >= 0:  # a negative budget is the node's error
+            if placed[node_id] > profile.memory_budget_bytes:
                 errors.append(f"{prefix}: memory budget exceeded on {node_id}")
 
         # Request ids key the run's in-flight table and its receipts, so no
@@ -298,84 +295,65 @@ class Scenario:
                 errors.append(f"{prefix}.region: duplicate {region.region}")
             workload_regions.add(region.region)
             _check_id(errors, f"{prefix}.region", region.region)
-            if region.rate_per_s < 0:
-                errors.append(f"{prefix}.rate_per_s: must be >= 0")
-            if region.zipf_s < 0:
-                errors.append(f"{prefix}.zipf_s: must be >= 0")
-            if not 0 < region.session_turns_g <= 1:
-                errors.append(f"{prefix}.session.turns_g: must be in (0, 1]")
-            if region.session_prefix_tokens < 0:
-                errors.append(f"{prefix}.session.prefix_tokens: must be >= 0")
             for cname in region.classes:
                 if cname not in class_names:
                     errors.append(f"{prefix}.classes: unknown class {cname}")
-            if region.rate_per_s > 0 and not region.classes:
+            if _bounds(errors, region, prefix) and region.rate_per_s and not region.classes:
                 errors.append(f"{prefix}.classes: required when rate_per_s > 0")
             for key in ("input_tokens", "output_tokens"):
                 tokens = getattr(region, key)
                 if tokens.dist not in ("fixed", "lognormal"):
                     errors.append(f"{prefix}.{key}.dist: must be fixed or lognormal")
-                if tokens.dist == "fixed" and tokens.value < 1:
-                    errors.append(f"{prefix}.{key}.value: must be >= 1")
-                if tokens.sigma < 0:
-                    errors.append(f"{prefix}.{key}.sigma: must be >= 0")
+                _bounds(errors, tokens, f"{prefix}.{key}")
             if not region.policy_mix:
                 errors.append(f"{prefix}.policy_mix: must not be empty")
             for j, template in enumerate(region.policy_mix):
                 path = f"{prefix}.policy_mix[{j}]"
-                if not template.weight > 0:
-                    errors.append(f"{path}.weight: must be > 0")
-                if template.quality_target < 1:
-                    errors.append(f"{path}.quality_target: must be >= 1")
-                if template.budget is not None and template.budget < 0:
-                    errors.append(f"{path}.budget: must be >= 0")
-                for violation in validate_descriptor(template.policy):
-                    errors.append(f"{path}.{violation}")
+                _bounds(errors, template, path)
+                _policy(errors, template.policy, path)
 
         request_ids = set()
         for i, scripted in enumerate(self.scripted_requests):
+            prefix = f"requests[{i}]"
             request = scripted.request
             if request.request_id in request_ids:
-                errors.append(f"requests[{i}].request_id: duplicate {request.request_id}")
+                errors.append(f"{prefix}.request_id: duplicate {request.request_id}")
             request_ids.add(request.request_id)
             # A generated id is its region's name, "-" and six or more digits.
             region, _, number = request.request_id.rpartition("-")
             if region in workload_regions and len(number) >= 6 and number.isdigit():
-                errors.append(f"requests[{i}].request_id: {request.request_id} is a workload id of region {region}")
-            _check_id(errors, f"requests[{i}].request_id", request.request_id)
-            _check_id(errors, f"requests[{i}].origin_region", request.origin_region)
-            _check_id(errors, f"requests[{i}].session.session_id", scripted.session_id)
-            for violation in validate_descriptor(request):
-                errors.append(f"requests[{i}].{violation}")
+                errors.append(f"{prefix}.request_id: {request.request_id} is a workload id of region {region}")
+            _check_id(errors, f"{prefix}.request_id", request.request_id)
+            _check_id(errors, f"{prefix}.origin_region", request.origin_region)
+            _check_id(errors, f"{prefix}.session.session_id", scripted.session_id)
             if request.capability_class not in class_names:
-                errors.append(f"requests[{i}].capability_class: unknown class {request.capability_class}")
-            if not 1 <= scripted.turn_index <= scripted.total_turns:
-                errors.append(f"requests[{i}].session.turn_index: outside 1..total_turns")
-            if scripted.prefix_tokens > request.input_tokens:
-                errors.append(f"requests[{i}].session.prefix_tokens: exceeds input_tokens")
+                errors.append(f"{prefix}.capability_class: unknown class {request.capability_class}")
+            _policy(errors, request.policy, f"{prefix}.policy")
+            if _bounds(errors, scripted, prefix) & _bounds(errors, request, prefix):
+                if scripted.turn_index > scripted.total_turns:
+                    errors.append(f"{prefix}.session.turn_index: exceeds total_turns")
+                if scripted.prefix_tokens > request.input_tokens:
+                    errors.append(f"{prefix}.session.prefix_tokens: exceeds input_tokens")
             # Routing finds cached state by the token's session part, and
             # admission and lookup by the session id, so the two must agree.
             if request.affinity_token and request.affinity_token.partition(":")[0] != scripted.session_id:
-                errors.append(f"requests[{i}].affinity_token: session part differs from session id {scripted.session_id}")
+                errors.append(f"{prefix}.affinity_token: session part differs from session id {scripted.session_id}")
 
         for i, att in enumerate(self.attestations):
             prefix = f"trust_script.attestations[{i}]"
+            sound = _bounds(errors, att, prefix)
             if att.node_id not in node_ids:
                 errors.append(f"{prefix}.node_id: unknown node {att.node_id}")
-            elif not 0 <= att.level <= 3:
-                errors.append(f"{prefix}.level: must be in [0, 3]")
-            elif att.level > profiles[att.node_id].trust:
+            elif sound and att.node_id in sound_nodes and att.level > profiles[att.node_id].trust:
                 errors.append(f"{prefix}.level: exceeds node claimed trust {profiles[att.node_id].trust}")
-            if att.issue_time_us < 0:
-                errors.append(f"{prefix}.issue_time_us: must be >= 0")
         for i, rev in enumerate(self.revocations):
             if rev.realization_id not in realization_ids:
                 errors.append(f"trust_script.revocations[{i}].realization_id: unknown realization")
-            if rev.time_us < 0:
-                errors.append(f"trust_script.revocations[{i}].time_us: must be >= 0")
+            _bounds(errors, rev, f"trust_script.revocations[{i}]")
         for i, ev in enumerate(self.node_events):
             if ev.node_id not in node_ids:
                 errors.append(f"node_events[{i}].node_id: unknown node")
+            _bounds(errors, ev, f"node_events[{i}]")
 
         return errors
 
@@ -398,7 +376,7 @@ def _record(cls: type[T], section: dict, path: str, **given: Any) -> T:
     converted by its annotated type. An absent key keeps the field's
     default; a field without one is required."""
     values = dict(given)
-    for name, keys, convert, required in _fields(cls):
+    for name, keys, convert, required, _ in _fields(cls):
         if name in given:
             continue
         for key in keys:
@@ -413,15 +391,55 @@ def _record(cls: type[T], section: dict, path: str, **given: Any) -> T:
 
 
 @cache
-def _fields(cls: type) -> tuple[tuple[str, tuple[str, ...], Callable[[Any, str], Any], bool], ...]:
-    """(name, document keys, converter, required) for each field of ``cls``."""
+def _fields(cls: type) -> tuple[tuple[str, tuple[str, ...], Callable[[Any, str], Any], bool, tuple | None], ...]:
+    """(name, document keys, converter, required, bound) for each field of
+    ``cls``; the bound is the ``(low, high, above)`` the field declares
+    through ``descriptors.bounded``, or None."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         keys = _KEYS.get((cls, f.name), f.name)
         required = f.default is MISSING and f.default_factory is MISSING
-        out.append((f.name, (keys,) if isinstance(keys, str) else keys, _converter(hints[f.name]), required))
+        bound = f.metadata.get("bound")
+        out.append((f.name, (keys,) if isinstance(keys, str) else keys, _converter(hints[f.name]), required, bound))
     return tuple(out)
+
+
+def _bounds(errors: list[str], record: Any, path: str) -> bool:
+    """Report each field of ``record`` whose value is outside the bound it
+    declares, at its document key under ``path``; True when none is."""
+    sound = True
+    for name, keys, _, _, bound in _fields(type(record)):
+        if bound is None:
+            continue
+        value = getattr(record, name)
+        low, high, above = bound
+        if value is not None and ((value <= low if above else value < low) or (high is not None and value > high)):
+            sound = False
+            if high is None:
+                rule = f"{'>' if above else '>='} {low}"
+            else:
+                rule = f"in {'(' if above else '['}{low}, {high}]"
+            errors.append(f"{_join(path, keys[0])}: must be {rule}")
+    return sound
+
+
+def _label(errors: list[str], label: SecurityLabel, path: str) -> bool:
+    """``_bounds`` of a security label, and a preferred trust no lower than
+    its floor; True when both hold."""
+    if not _bounds(errors, label, path):
+        return False
+    if label.preferred_trust < label.min_trust:
+        errors.append(f"{path}.preferred_trust: must be >= min_trust")
+        return False
+    return True
+
+
+def _policy(errors: list[str], policy: PolicyConstraint, path: str) -> None:
+    """``_bounds`` of a policy, and the allowed domains its domain scope needs."""
+    _bounds(errors, policy, path)
+    if policy.locality_scope is LocalityScope.DOMAIN and policy.allowed_domains is None:
+        errors.append(f"{_join(path, 'allowed_domains')}: required by locality_scope domain")
 
 
 @cache

@@ -14,6 +14,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .descriptors import TRUST_MAX, TRUST_MIN, bounded
+
 
 class Unreachable(Exception):
     """No path exists between the requested endpoints."""
@@ -30,8 +32,8 @@ class Link:
     link_id: str
     src: str  # node id or region gateway vertex
     dst: str
-    propagation_delay_us: int = 0
-    bandwidth_bytes_per_us: Fraction = Fraction(1)
+    propagation_delay_us: int = bounded(0, 0)
+    bandwidth_bytes_per_us: Fraction = bounded(Fraction(1), 0, above=True)
     is_core: bool = False
 
 
@@ -72,7 +74,7 @@ class Domain:
     """A trust domain and the least trust a node it hosts must claim."""
 
     domain_id: str
-    min_trust: int = 0  # admission floor for hosted nodes
+    min_trust: int = bounded(0, TRUST_MIN, TRUST_MAX)  # admission floor for hosted nodes
 
 
 class Topology:

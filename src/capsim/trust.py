@@ -18,9 +18,12 @@ from typing import TextIO
 from .descriptors import (
     REASON_LINEAGE_REVOKED,
     REASON_TRUST_EXPIRED,
+    TRUST_MAX,
+    TRUST_MIN,
     ExecutionReceipt,
     PlanStage,
     RequestDescriptor,
+    bounded,
 )
 
 
@@ -33,8 +36,8 @@ class AttestationRecord:
     """A node's attested trust level from ``issue_time_us``, for ``validity_window_us`` µs or for ever."""
 
     node_id: str
-    level: int = 0
-    issue_time_us: int = 0
+    level: int = bounded(0, TRUST_MIN, TRUST_MAX)
+    issue_time_us: int = bounded(0, 0)
     validity_window_us: int | None = None  # None = never expires
 
     def valid_at(self, now: int) -> bool:

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .descriptors import PolicyConstraint, RequestDescriptor
+from .descriptors import PolicyConstraint, RequestDescriptor, bounded
 
 
 def fnv1a32(text: str) -> int:
@@ -33,19 +33,19 @@ class TokenDist:
     ``max(1, round(rng.lognormvariate(mu, sigma)))``."""
 
     dist: str = "fixed"  # fixed | lognormal
-    value: int = 1
+    value: int = bounded(1, 1)
     mu: float = 0.0
-    sigma: float = 0.0
+    sigma: float = bounded(0.0, 0)
 
 
 @dataclass(slots=True, eq=False, repr=False)
 class PolicyTemplate:
     """One entry of a region's policy mix: its draw weight and the policy, target and budget it gives."""
 
-    weight: float = 1.0
+    weight: float = bounded(1.0, 0, above=True)
     policy: PolicyConstraint = PolicyConstraint()
-    quality_target: int = 1
-    budget: int | None = None
+    quality_target: int = bounded(1, 1)
+    budget: int | None = bounded(None, 0)
     degradable: bool = False
 
 
@@ -54,11 +54,11 @@ class RegionWorkload:
     """One region's arrivals: rate, class popularity, sessions, token sizes and policy mix."""
 
     region: str
-    rate_per_s: float = 0.0
-    zipf_s: float = 0.0
+    rate_per_s: float = bounded(0.0, 0)
+    zipf_s: float = bounded(0.0, 0)
     classes: tuple[str, ...] = ()  # popularity-rank order, most popular first
-    session_turns_g: float = 1.0  # geometric success parameter; 1.0 = single-turn
-    session_prefix_tokens: int = 0
+    session_turns_g: float = bounded(1.0, 0, 1, above=True)  # geometric success parameter; 1.0 = single-turn
+    session_prefix_tokens: int = bounded(0, 0)
     input_tokens: TokenDist = TokenDist()
     output_tokens: TokenDist = TokenDist()
     policy_mix: tuple[PolicyTemplate, ...] = (PolicyTemplate(),)  # each session draws one
@@ -70,9 +70,9 @@ class Arrival:
 
     request: RequestDescriptor
     session_id: str
-    turn_index: int = 1
-    total_turns: int = 1
-    prefix_tokens: int = 0
+    turn_index: int = bounded(1, 1)
+    total_turns: int = bounded(1, 1)
+    prefix_tokens: int = bounded(0, 0)
 
 
 def _cdf(weights: list[float]) -> list[float]:

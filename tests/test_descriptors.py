@@ -5,17 +5,14 @@ import pytest
 
 from capsim.descriptors import (
     CapabilityDescriptor,
-    CapabilityRealization,
     LocalityScope,
     PolicyConstraint,
     RequestDescriptor,
     ResourceProfile,
     parse_fraction,
-    validate_descriptor,
 )
 from capsim.scenario import Scenario
 from capsim.workload import Arrival
-from conftest import make_class, make_realization
 
 
 def make_request(**overrides) -> RequestDescriptor:
@@ -30,40 +27,6 @@ def make_request(**overrides) -> RequestDescriptor:
     )
     base.update(overrides)
     return RequestDescriptor(**base)
-
-
-def test_wellformed_request_validates():
-    assert validate_descriptor(make_request()) == []
-
-
-def test_zero_output_tokens_is_a_violation():
-    violations = validate_descriptor(make_request(output_tokens=0))
-    assert any(v.startswith("output_tokens") for v in violations)
-
-
-def test_negative_budget_is_a_violation():
-    violations = validate_descriptor(make_request(budget=-5))
-    assert any(v.startswith("budget") for v in violations)
-
-
-def test_wellformed_capability_descriptor_validates():
-    assert validate_descriptor(make_class()) == []
-
-
-def test_empty_lineage_is_a_violation():
-    bad = CapabilityDescriptor(name="x", lineage=())
-    assert any(v.startswith("lineage") for v in validate_descriptor(bad))
-
-
-def test_per_token_times_must_be_positive():
-    bad = make_realization("r", "v")
-    bad = CapabilityRealization(**{**{f.name: getattr(bad, f.name) for f in fields(bad)}, "decode_time_per_token_us": 0})
-    assert any("per-token" in v for v in validate_descriptor(bad))
-
-
-def test_domain_scope_requires_allowed_domains():
-    policy = PolicyConstraint(locality_scope=LocalityScope.DOMAIN)
-    assert any("allowed_domains" in v for v in validate_descriptor(policy))
 
 
 # -- parsing -------------------------------------------------------------------

@@ -497,6 +497,18 @@ def migration_scenario_dict():
     return d
 
 
+def test_a_migrated_copy_of_revoked_state_is_not_stored():
+    # st-t1 leaves edge-1 for edge-2 at 60,100 µs and lands at 60,718 µs;
+    # chat-v1-gpu, whose prefill computed it, is revoked in between.
+    d = migration_scenario_dict()
+    d["trust_script"] = {"revocations": [{"realization_id": "chat-v1-gpu", "time_us": 60_100}]}
+    result = run_scenario(d, trace=True)
+    rows = [(r["timestamp_us"], r["kind"], r.get("transfer")) for r in result.trace
+            if r["kind"] in ("revoke", "cache_migrate") or r.get("transfer") == "state_migration"]
+    assert rows == [(60_100, "revoke", None), (60_718, "transfer_complete", "state_migration")]
+    assert not [e for store in result.caches.stores.values() for e in store.entries.values() if e.state_id == "st-t1"]
+
+
 def test_cooperative_migration_moves_session_state():
     result = run_scenario(migration_scenario_dict(), trace=True)
     by_id = {r.request_id: r for r in result.receipts.receipts}

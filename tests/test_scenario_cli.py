@@ -1,7 +1,7 @@
 import hashlib
 import json
 import shutil
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -99,6 +99,14 @@ def _add_request(request_id: str, session_id: str, *more_ids: str):
     return mutate
 
 
+def _with_request(path: str, value):
+    def mutate(doc: dict) -> None:
+        _add_request("q1", "s1")(doc)
+        _set(path, value)(doc)
+
+    return mutate
+
+
 # Each of these passed ``validate`` once and then failed, hung or was misread
 # by ``run``; they are only ever validated here.
 @pytest.mark.parametrize(
@@ -153,6 +161,48 @@ def _add_request(request_id: str, session_id: str, *more_ids: str):
          "workload.regions[1].region"),
         ("session_heavy", _add_request("q1", "s1", "q1"), "requests[1].request_id"),
         ("session_heavy", _add_request("metro-000001", "s1"), "requests[0].request_id"),
+        # A class without lineage gives its receipts no capability version.
+        ("session_heavy", _set("catalog.classes[0].lineage", []), "catalog.classes[0].lineage"),
+        # The domain scope admits only the allowed domains, so it needs them.
+        ("session_heavy", _set("workload.regions[0].policy_mix[0].locality_scope", "domain"),
+         "workload.regions[0].policy_mix[0].allowed_domains"),
+        ("session_heavy", _with_request("requests[0].policy", {"locality_scope": "domain"}),
+         "requests[0].policy.allowed_domains"),
+        # Each of these three ran to exit 0.
+        ("session_heavy", lambda doc: doc.update(node_events=[{"node_id": "edge-1", "time_us": -1, "online": False}]),
+         "node_events[0].time_us"),
+        ("session_heavy", _with_request("requests[0].session.prefix_tokens", -1), "requests[0].session.prefix_tokens"),
+        ("session_heavy", _set("workload.regions[0].input_tokens.value", 0), "workload.regions[0].input_tokens.value"),
+        # A reference to what the file does not hold, or a second record of one id.
+        ("session_heavy", lambda doc: doc["topology"]["nodes"].append(dict(doc["topology"]["nodes"][0])),
+         "topology.nodes[3].node_id"),
+        ("session_heavy", _set("topology.nodes[0].domain_id", "d-moon"), "topology.nodes[0].domain_id"),
+        ("session_heavy", lambda doc: doc["topology"]["links"].append(dict(doc["topology"]["links"][0])),
+         "topology.links[5].link_id"),
+        ("session_heavy", _set("topology.artifact_repository", "ghost"), "topology.artifact_repository"),
+        ("session_heavy", lambda doc: doc["catalog"]["classes"].append({"name": "chat", "lineage": [["base", "v1"]]}),
+         "catalog.classes[1].name"),
+        ("session_heavy", lambda doc: doc["catalog"]["classes"][0]["variants"].append(
+            dict(doc["catalog"]["classes"][0]["variants"][0], realizations=[])
+        ), "catalog.classes[0].variants[2].variant_id"),
+        ("session_heavy", lambda doc: doc["catalog"]["classes"][0]["variants"][1]["realizations"].append(
+            dict(doc["catalog"]["classes"][0]["variants"][0]["realizations"][0])
+        ), "catalog.classes[0].variants[1].realizations[1].realization_id"),
+        ("session_heavy", _set("topology.nodes[1].accelerator", "cpu"), "initial_placement[1]"),
+        ("session_heavy", _set("topology.nodes[1].memory_budget_bytes", 1), "initial_placement[1]"),
+        ("session_heavy", _set("workload.regions[0].classes", ["ghost"]), "workload.regions[0].classes"),
+        ("session_heavy", _set("workload.regions[0].classes", []), "workload.regions[0].classes"),
+        ("session_heavy", _with_request("requests[0].capability_class", "ghost"), "requests[0].capability_class"),
+        ("session_heavy", lambda doc: doc.update(node_events=[{"node_id": "ghost", "time_us": 0, "online": False}]),
+         "node_events[0].node_id"),
+        ("trust_churn", _set("trust_script.attestations[0].node_id", "ghost"), "trust_script.attestations[0].node_id"),
+        ("trust_churn", _set("trust_script.revocations[0].realization_id", "ghost"),
+         "trust_script.revocations[0].realization_id"),
+        # Rules between two fields of one record.
+        ("session_heavy", _with_request("requests[0].session.turn_index", 2), "requests[0].session.turn_index"),
+        ("session_heavy", _with_request("requests[0].session.prefix_tokens", 17), "requests[0].session.prefix_tokens"),
+        ("trust_churn", _set("catalog.classes[0].security.preferred_trust", 0),
+         "catalog.classes[0].security.preferred_trust"),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "variant_quality",
@@ -162,7 +212,13 @@ def _add_request(request_id: str, session_id: str, *more_ids: str):
         "negative_cache_storage_unit_cost", "negative_deployment_window_us", "node_max_concurrent",
         "node_speed_factor", "node_memory_budget_bytes", "node_admission_cap", "domain_min_trust_range",
         "duplicate_domain", "placement_below_variant_floor", "duplicate_workload_region", "duplicate_request_id",
-        "request_id_of_workload",
+        "request_id_of_workload", "empty_lineage", "policy_domain_scope", "request_domain_scope",
+        "negative_node_event_time", "negative_request_prefix_tokens", "lognormal_value", "duplicate_node",
+        "unknown_domain", "duplicate_link", "unknown_artifact_repository", "duplicate_class", "duplicate_variant",
+        "duplicate_realization", "placement_accelerator", "placement_memory_budget", "unknown_region_class",
+        "region_classes_required", "unknown_request_class", "node_event_unknown_node", "attestation_unknown_node",
+        "revocation_unknown_realization", "turn_index_over_total_turns", "prefix_over_input_tokens",
+        "preferred_below_min_trust",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
@@ -176,32 +232,128 @@ def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate
     assert paths == [field]
 
 
-# Four schema bounds: the value just outside each fails ``validate`` with its
-# field paths, and the value just inside passes. A class's security label is
-# checked once, at the class, not on each variant that inherits it.
-@pytest.mark.parametrize(
-    "name, path, outside, inside, fields",
-    [
-        ("trust_churn", "catalog.classes[0].security.preferred_trust", 4, 3,
-         ["catalog.classes[0].security.preferred_trust"]),
-        ("session_heavy", "workload.regions[0].session.prefix_tokens", -1, 0,
-         ["workload.regions[0].session.prefix_tokens"]),
-        ("trust_churn", "trust_script.attestations[0].issue_time_us", -1, 0,
-         ["trust_script.attestations[0].issue_time_us"]),
-        ("trust_churn", "trust_script.revocations[0].time_us", -1, 0, ["trust_script.revocations[0].time_us"]),
-    ],
-    ids=["preferred_trust", "region_prefix_tokens", "attestation_issue_time", "revocation_time"],
-)
-def test_validate_checks_each_bound_on_both_sides(tmp_path, capsys, name, path, outside, inside, fields):
+def bounds_base() -> dict:
+    """session_heavy with a record of each kind it lacks (a variant's own
+    label, an attestation, a revocation, a node event and a scripted request
+    with every numeric key), every node at trust 3, the class label
+    preferring 3, and edge-2 hosting nothing: a value at each bound of a
+    field validates there."""
+    doc = json.loads((SCENARIOS / "session_heavy.json").read_text())
+    for node in doc["topology"]["nodes"]:
+        node["trust"] = 3
+    doc["initial_placement"] = [pair for pair in doc["initial_placement"] if pair[1] != "edge-2"]
+    chat = doc["catalog"]["classes"][0]
+    chat["security"]["preferred_trust"] = 3
+    chat["variants"][0]["security"] = {"min_trust": 0, "preferred_trust": 3}
+    doc["trust_script"] = {
+        "attestations": [{"node_id": "edge-1", "level": 2, "issue_time_us": 0}],
+        "revocations": [{"realization_id": "chat-large-gpu", "time_us": 0}],
+    }
+    doc["node_events"] = [{"node_id": "edge-2", "time_us": 0, "online": False}]
+    doc["requests"] = [
+        {"request_id": "q1", "capability_class": "chat", "quality_target": 1, "origin_region": "metro",
+         "input_tokens": 16, "output_tokens": 4, "budget": 100, "arrival_time": 0, "policy": {"min_trust": 0},
+         "session": {"session_id": "s1", "turn_index": 1, "total_turns": 1, "prefix_tokens": 0}}
+    ]
+    return doc
+
+
+# Every field bound, on each of its sides: (id, path in bounds_base(), the
+# value just outside, the value just inside). tests/test_schema.py checks
+# that the rows name each bound the fields declare.
+BOUND_EDGES = [
+    ("duration_us", "duration_us", 0, 1),
+    ("bytes_per_token", "bytes_per_token", -1, 0),
+    ("domain_min_trust_low", "topology.domains[0].min_trust", -1, 0),
+    ("domain_min_trust_high", "topology.domains[0].min_trust", 4, 3),
+    ("node_speed_factor", "topology.nodes[1].speed_factor", "0", "1/1000"),
+    ("node_max_concurrent", "topology.nodes[1].max_concurrent", 0, 1),
+    ("node_memory_budget_bytes", "topology.nodes[1].memory_budget_bytes", -1, 0),
+    ("node_admission_cap", "topology.nodes[1].admission_cap", 0, 1),
+    ("node_cache_capacity_bytes", "topology.nodes[1].cache_capacity_bytes", -1, 0),
+    ("node_trust_low", "topology.nodes[1].trust", -1, 0),
+    ("node_trust_high", "topology.nodes[1].trust", 4, 3),
+    ("link_delay", "topology.links[0].propagation_delay_us", -1, 0),
+    ("link_bandwidth", "topology.links[0].bandwidth_bytes_per_us", "0", "1/1000"),
+    ("class_min_trust_low", "catalog.classes[0].security.min_trust", -1, 0),
+    ("class_min_trust_high", "catalog.classes[0].security.min_trust", 4, 3),
+    ("class_preferred_trust_low", "catalog.classes[0].security.preferred_trust", -1, 0),
+    ("preferred_trust", "catalog.classes[0].security.preferred_trust", 4, 3),
+    ("variant_quality", "catalog.classes[0].variants[0].quality", 0, 1),
+    ("variant_min_trust_low", "catalog.classes[0].variants[0].security.min_trust", -1, 0),
+    ("variant_min_trust_high", "catalog.classes[0].variants[0].security.min_trust", 4, 3),
+    ("variant_preferred_trust_low", "catalog.classes[0].variants[0].security.preferred_trust", -1, 0),
+    ("variant_preferred_trust_high", "catalog.classes[0].variants[0].security.preferred_trust", 4, 3),
+    ("artifact_size_bytes", "catalog.classes[0].variants[0].realizations[0].artifact_size_bytes", -1, 0),
+    ("load_time_us", "catalog.classes[0].variants[0].realizations[0].load_time_us", -1, 0),
+    ("prefill_time_per_token_us", "catalog.classes[0].variants[0].realizations[0].prefill_time_per_token_us", 0, 1),
+    ("decode_time_per_token_us", "catalog.classes[0].variants[0].realizations[0].decode_time_per_token_us", 0, 1),
+    ("setup_time_us", "catalog.classes[0].variants[0].realizations[0].setup_time_us", -1, 0),
+    ("kv_bytes_per_token", "catalog.classes[0].variants[0].realizations[0].kv_bytes_per_token", -1, 0),
+    ("alpha", "weights.alpha", "-1/1000000", "0"),
+    ("beta", "weights.beta", "-1/1000000", "0"),
+    ("gamma", "weights.gamma", "-1/1000000", "0"),
+    ("delta", "weights.delta", "-1/1000000", "0"),
+    ("epsilon", "weights.epsilon", "-1/1000000", "0"),
+    ("zeta", "weights.zeta", "-1/1000000", "0"),
+    ("kappa", "weights.kappa", "-1/1000000", "0"),
+    ("pi_soft", "weights.pi_soft", -1, 0),
+    ("tie_epsilon", "weights.tie_epsilon", "-1/1000000", "0"),
+    ("lambda", "weights.lambda", "-1/1000000", "0"),
+    ("mu", "weights.mu", "-1/1000000", "0"),
+    ("nu", "weights.nu", "-1/1000000", "0"),
+    ("p_miss_us", "weights.p_miss_us", -1, 0),
+    ("placement_storage_unit_cost", "weights.storage_unit_cost", "-1/1000000", "0"),
+    ("cache_window_us", "cache.window_us", -1, 0),
+    ("cache_storage_unit_cost", "cache.storage_unit_cost", "-1/1000000", "0"),
+    ("epoch_us", "deployment.epoch_us", 0, 1),
+    ("deployment_window_us", "deployment.window_us", -1, 0),
+    ("local_search_rounds", "deployment.local_search_rounds", -1, 0),
+    ("rate_per_s", "workload.regions[0].rate_per_s", -0.001, 0),
+    ("zipf_s", "workload.regions[0].zipf_s", -0.001, 0),
+    ("turns_g_low", "workload.regions[0].session.turns_g", 0, 0.001),
+    ("turns_g_high", "workload.regions[0].session.turns_g", 1.001, 1),
+    ("region_prefix_tokens", "workload.regions[0].session.prefix_tokens", -1, 0),
+    ("lognormal_value", "workload.regions[0].input_tokens.value", 0, 1),
+    ("input_sigma", "workload.regions[0].input_tokens.sigma", -0.001, 0),
+    ("fixed_value", "workload.regions[0].output_tokens.value", 0, 1),
+    ("output_sigma", "workload.regions[0].output_tokens.sigma", -0.001, 0),
+    ("policy_weight", "workload.regions[0].policy_mix[0].weight", 0, 0.001),
+    ("policy_quality_target", "workload.regions[0].policy_mix[0].quality_target", 0, 1),
+    ("policy_budget", "workload.regions[0].policy_mix[0].budget", -1, 0),
+    ("policy_min_trust_low", "workload.regions[0].policy_mix[0].min_trust", -1, 0),
+    ("policy_min_trust_high", "workload.regions[0].policy_mix[0].min_trust", 4, 3),
+    ("request_quality_target", "requests[0].quality_target", 0, 1),
+    ("request_input_tokens", "requests[0].input_tokens", -1, 0),
+    ("request_output_tokens", "requests[0].output_tokens", 0, 1),
+    ("request_budget", "requests[0].budget", -1, 0),
+    ("request_arrival_time", "requests[0].arrival_time", -1, 0),
+    ("request_min_trust_low", "requests[0].policy.min_trust", -1, 0),
+    ("request_min_trust_high", "requests[0].policy.min_trust", 4, 3),
+    ("request_turn_index", "requests[0].session.turn_index", 0, 1),
+    ("request_total_turns", "requests[0].session.total_turns", 0, 1),
+    ("request_prefix_tokens", "requests[0].session.prefix_tokens", -1, 0),
+    ("attestation_level_low", "trust_script.attestations[0].level", -1, 0),
+    ("attestation_level_high", "trust_script.attestations[0].level", 4, 3),
+    ("attestation_issue_time", "trust_script.attestations[0].issue_time_us", -1, 0),
+    ("revocation_time", "trust_script.revocations[0].time_us", -1, 0),
+    ("node_event_time", "node_events[0].time_us", -1, 0),
+]
+
+
+# The value just outside each bound fails ``validate`` at its path alone,
+# and the value just inside passes.
+@pytest.mark.parametrize("path, outside, inside", [row[1:] for row in BOUND_EDGES], ids=[row[0] for row in BOUND_EDGES])
+def test_validate_checks_each_bound_on_both_sides(tmp_path, capsys, path, outside, inside):
     for value, code in ((outside, 1), (inside, 0)):
-        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        doc = bounds_base()
         _set(path, value)(doc)
-        scenario = tmp_path / f"{value}.json"
+        scenario = tmp_path / f"{code}.json"
         scenario.write_text(json.dumps(doc))
         assert main(["validate", str(scenario)]) == code
         captured = capsys.readouterr()
         if code:
-            assert [line.split(" ", 1)[1].split(": ", 1)[0] for line in captured.err.splitlines()] == fields
+            assert [line.split(" ", 1)[1].split(": ", 1)[0] for line in captured.err.splitlines()] == [path]
         else:
             assert captured.err == "" and captured.out.startswith("ok: ")
 
@@ -253,12 +405,21 @@ def test_catalog_errors_name_the_nested_document_path(name, empty_class_first):
         assert [e.split(": ", 1)[0] for e in Scenario.from_dict(bad).validate()] == [f"{at}.{key}"]
 
 
-def _with_request(path: str, value):
-    def mutate(doc: dict) -> None:
-        _add_request("q1", "s1")(doc)
-        _set(path, value)(doc)
-
-    return mutate
+# The reader gives each variant and realization its parent's id, so only a
+# record built by hand names a parent the scenario lacks; it is reported at
+# its index in the flat list.
+@pytest.mark.parametrize(
+    "item, own_id, parent, field",
+    [
+        ("variants", "variant_id", "parent_class", "catalog.variants[2].parent_class"),
+        ("realizations", "realization_id", "variant_id", "catalog.realizations[2].variant_id"),
+    ],
+)
+def test_a_record_built_by_hand_names_its_unknown_parent(item, own_id, parent, field):
+    scenario = Scenario.load(SCENARIOS / "session_heavy.json")
+    records = getattr(scenario, item)
+    orphan = replace(records[0], **{own_id: "orphan", parent: "ghost"})
+    assert [e.split(": ", 1)[0] for e in replace(scenario, **{item: [*records, orphan]}).validate()] == [field]
 
 
 # Each value has the wrong JSON type for its field; the error names the

@@ -1,19 +1,26 @@
-"""The schema, the reader and the shipped scenarios name the same record keys.
+"""The schema, the reader and the shipped scenarios name the same record keys,
+and the schema states the bounds the record fields declare.
 
 A key listed by only one of ``docs/scenario.schema.json``, the reader
 (``scenario._record`` and its ``_KEYS``) and the scenario files is either
-documented and never read, or read and never documented.
+documented and never read, or read and never documented. A bound stated by
+only one of the schema and a field (``descriptors.bounded``) is either
+documented and never checked, or checked and never documented.
 """
 
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
-from typing import get_type_hints
+from dataclasses import is_dataclass
+from typing import get_args, get_type_hints
 
 import pytest
 
 from capsim.descriptors import CapabilityDescriptor, CapabilityRealization, CapabilityVariant, ResourceProfile
-from capsim.scenario import _fields
+from capsim.scenario import Scenario, _fields, _join
 from capsim.topology import Domain
+from test_scenario_cli import BOUND_EDGES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "scenario.schema.json").read_text())
@@ -25,7 +32,7 @@ def reader_keys(cls: type) -> set[str]:
     from that object itself (key "") adds its own record's keys."""
     hints = get_type_hints(cls)
     keys: set[str] = set()
-    for name, names, _, _ in _fields(cls):
+    for name, names, _, _, _ in _fields(cls):
         for key in names:
             keys |= reader_keys(hints[name]) if key == "" else {key.split(".")[0]}
     return keys
@@ -79,3 +86,63 @@ def test_shipped_scenarios_carry_only_schema_keys(record):
         assert records, (scenario.name, record)
         for i, obj in enumerate(records):
             assert set(obj) <= keys, (scenario.name, record, i, set(obj) - keys)
+
+
+# The catalog lists, which ``Scenario.from_dict`` reads by hand, and their
+# paths in the document.
+CATALOG = {
+    "classes": "catalog.classes",
+    "variants": "catalog.classes.variants",
+    "realizations": "catalog.classes.variants.realizations",
+}
+BOUND_KEYWORDS = ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum")
+
+
+def field_bounds(cls: type = Scenario, path: str = "") -> set[tuple[str, str, object]]:
+    """(document path, schema keyword, value) of each bound that ``cls``'s
+    fields and the records nested in them declare; a list's items share its
+    path."""
+    hints = get_type_hints(cls)
+    out = set()
+    for name, keys, _, _, bound in _fields(cls):
+        at = CATALOG[name] if cls is Scenario and name in CATALOG else _join(path, keys[0])
+        if bound is not None:
+            low, high, above = bound
+            out.add((at, "exclusiveMinimum" if above else "minimum", low))
+            if high is not None:
+                out.add((at, "maximum", high))
+        for tp in (hints[name], *get_args(hints[name])):
+            if is_dataclass(tp):
+                out |= field_bounds(tp, at)
+    return out
+
+
+def schema_bounds(node: dict = SCHEMA, path: str = "") -> set[tuple[str, str, object]]:
+    """The same, as the schema states them."""
+    if "$ref" in node:
+        node = SCHEMA["definitions"][node["$ref"].rsplit("/", 1)[1]]
+    out = {(path, keyword, node[keyword]) for keyword in BOUND_KEYWORDS if keyword in node}
+    for key, child in node.get("properties", {}).items():
+        out |= schema_bounds(child, _join(path, key))
+    if "items" in node:
+        out |= schema_bounds(node["items"], path)
+    return out
+
+
+def test_the_schema_states_exactly_the_field_bounds():
+    fields, schema = field_bounds(), schema_bounds()
+    assert len(fields) > 60
+    assert fields - schema == set()
+    assert schema - fields == set()
+
+
+def test_the_bound_edges_cover_every_side_of_every_bound():
+    """``test_scenario_cli.BOUND_EDGES`` steps over each field bound, on each
+    side that it has."""
+    sides = {(path, "high" if keyword == "maximum" else "low") for path, keyword, _ in field_bounds()}
+    covered = [
+        (re.sub(r"\[\d+\]", "", path), "high" if outside > inside else "low")
+        for _, path, outside, inside in ((*row[:2], *map(Fraction, row[2:])) for row in BOUND_EDGES)
+    ]
+    assert len(covered) == len(set(covered))
+    assert set(covered) == sides
