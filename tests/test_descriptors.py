@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +13,7 @@ from capsim.descriptors import (
 )
 from capsim.scenario import Scenario
 from capsim.workload import Arrival
+from conftest import make_class
 
 
 def make_request(**overrides) -> RequestDescriptor:
@@ -27,6 +28,11 @@ def make_request(**overrides) -> RequestDescriptor:
     )
     base.update(overrides)
     return RequestDescriptor(**base)
+
+
+def test_wellformed_capability_descriptor_validates():
+    scenario = replace(Scenario.from_dict({}), classes=[make_class()])
+    assert scenario.validate() == []
 
 
 # -- parsing -------------------------------------------------------------------
