@@ -57,13 +57,6 @@ class LocalityScope(str, Enum):
     NODE_LOCAL = "node-local"
 
 
-class StateType(str, Enum):
-    ARTIFACT = "artifact"
-    PREFIX = "prefix"
-    TENSOR_STATE = "tensor_state"
-    RESULT = "result"
-
-
 class PlanPhase(str, Enum):
     FULL = "full"
     PREFILL = "prefill"

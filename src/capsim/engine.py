@@ -306,9 +306,6 @@ class Simulation:
             entry = store.lookup(use.entry.compatibility_hash, use.entry.session_id, now)
             entry.pins += 1
             pinned = (use.entry_node, store.entry_key(entry.compatibility_hash, entry.session_id))
-            self.metrics.count_cache_lookup(hit=True)
-        elif request.affinity_token and self.caches.enabled:
-            self.metrics.count_cache_lookup(hit=False)
         self._in_flight[request_id] = (arrival, scored, pinned)
         if use is not None and use.migrate:
             migration_done = now + scored.inbound_net_us + use.transfer_us
@@ -510,6 +507,7 @@ class Simulation:
             parts = self._trust_parts(scored, attest_time, parts)
         use = scored.state_use
         degraded = scored.served_quality < request.quality_target
+        lookup = bool(request.affinity_token and self.caches.enabled)
         self.receipts.emit(
             ExecutionReceipt(
                 request_id=request.request_id,
@@ -531,13 +529,14 @@ class Simulation:
                 ttft_us=ttft,
                 tpot_us=tpot,
                 core_bytes=scored.core_bytes,
-                cache_lookup=bool(request.affinity_token and self.caches.enabled),
+                cache_lookup=lookup,
                 occupancy_us=tuple(proj.duration_us for proj in scored.stages),
             )
         )
-        # The state the turn reused, still stored on the node that serves its
-        # last stage, is what an offer would find there first.
-        if entry is None or pinned[0] != scored.stages[-1].node_id:
+        # Only a session turn with a prefix has state to offer. The state the
+        # turn reused, still stored on the node that serves its last stage, is
+        # what an offer would find there first.
+        if lookup and arrival.prefix_tokens > 0 and (entry is None or pinned[0] != scored.stages[-1].node_id):
             self._offer_session_state(now, arrival, scored)
         self._end_turn(now, arrival)
 
@@ -566,10 +565,9 @@ class Simulation:
         """Offer the turn's prefix state to the store of the node that served
         its last stage, unless that store holds it already. State computed
         by a revoked realization is not offered, as ``drop_by_realization``
-        keeps none."""
+        keeps none. The caller offers only a session turn with a prefix, with
+        caching on."""
         request = arrival.request
-        if not (request.affinity_token and self.caches.enabled and arrival.prefix_tokens > 0):
-            return
         prefill_rid = scored.stages[0].realization_id
         if self.trust.is_revoked(prefill_rid):
             return

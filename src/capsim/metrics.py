@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
-from .descriptors import REASON_HORIZON_TRUNCATED, ExecutionReceipt, StateType, Verdict
+from .descriptors import REASON_HORIZON_TRUNCATED, ExecutionReceipt, Verdict
 
 OUTCOME_SERVED = "served"
 OUTCOME_REJECTED = "rejected"
@@ -24,8 +24,6 @@ OUTCOME_TRUNCATED = "truncated"
 # through the enum's descriptor.
 _REJECTED = Verdict.REJECTED
 _DEGRADED = Verdict.DEGRADED
-_TENSOR_STATE = StateType.TENSOR_STATE.value
-_TENSOR_STATE_JSON = encode_basestring_ascii(_TENSOR_STATE)
 
 
 def percentile(values: list[int], pct: int) -> int:
@@ -69,7 +67,6 @@ def per_request_item(receipt: ExecutionReceipt) -> dict:
         "degraded": receipt.verdict is _DEGRADED,
         "cache_lookup": receipt.cache_lookup,
         "cache_hit": covered > 0,
-        "cache_state_type": _TENSOR_STATE if covered > 0 else None,
         "tokens_covered": covered,
         "stages": [[stage.node_id, occupancy] for stage, occupancy in zip(receipt.plan, receipt.occupancy_us)],
     }
@@ -90,7 +87,6 @@ def _json_item(receipt: ExecutionReceipt) -> str:
         f'      "arrival_us": {receipt.arrival_time},\n'
         f'      "cache_hit": {"true" if covered > 0 else "false"},\n'
         f'      "cache_lookup": {"true" if receipt.cache_lookup else "false"},\n'
-        f'      "cache_state_type": {_TENSOR_STATE_JSON if covered > 0 else "null"},\n'
         f'      "core_bytes": {receipt.core_bytes},\n'
         f'      "degraded": {"true" if receipt.verdict is _DEGRADED else "false"},\n'
         f'      "finish_us": {receipt.finish_time},\n'
@@ -108,24 +104,15 @@ def _json_item(receipt: ExecutionReceipt) -> str:
 
 @dataclass(slots=True, eq=False, repr=False)
 class MetricsFrame:
-    """A run's receipts and the per-node and per-cache tallies ``metrics.json`` is built from."""
+    """A run's receipts and the per-node and placement tallies ``metrics.json`` is built from."""
 
     duration_us: int
     records: list[ExecutionReceipt] = field(default_factory=list)  # the run's ReceiptLog list
     node_capacity: dict[str, int] = field(default_factory=dict)   # node -> max_concurrent
     max_queue_length: dict[str, int] = field(default_factory=dict)
-    cache_lookups: dict[str, int] = field(default_factory=dict)   # per state type
-    cache_hits: dict[str, int] = field(default_factory=dict)
     core_bytes_placement: int = 0
     placement_churn: int = 0
     model_load_overhead_us: int = 0
-
-    def count_cache_lookup(self, hit: bool) -> None:
-        """Count a lookup of session state, the one state type the caches
-        hold (``tensor_state``)."""
-        self.cache_lookups[_TENSOR_STATE] = self.cache_lookups.get(_TENSOR_STATE, 0) + 1
-        if hit:
-            self.cache_hits[_TENSOR_STATE] = self.cache_hits.get(_TENSOR_STATE, 0) + 1
 
     # -- aggregates ---------------------------------------------------------
 
@@ -133,13 +120,14 @@ class MetricsFrame:
         """Every aggregate of ``to_dict``, without the per-request records,
         from one pass over the receipts: outcomes (``outcome_of``), rejections
         by reason, and the served receipts' latencies, TTFTs, TPOTs, core
-        bytes and per-node busy time. The latencies and TTFTs are sorted
-        once, so each ``percentile`` of them re-sorts in linear time."""
+        bytes, session-state lookups and hits, and per-node busy time. The
+        latencies and TTFTs are sorted once, so each ``percentile`` of them
+        re-sorts in linear time."""
         counts = {OUTCOME_SERVED: 0, OUTCOME_REJECTED: 0, OUTCOME_TRUNCATED: 0}
         by_reason: dict[str, int] = {}
         latencies: list[int] = []
         ttfts: list[int] = []
-        tpot_total = core_bytes_requests = 0
+        tpot_total = core_bytes_requests = lookups = hits = 0
         busy_us: dict[str, int] = {}
         for r in self.records:
             outcome = outcome_of(r)
@@ -153,20 +141,14 @@ class MetricsFrame:
             ttfts.append(r.ttft_us)
             tpot_total += r.tpot_us
             core_bytes_requests += r.core_bytes
+            lookups += r.cache_lookup
+            hits += r.cache_tokens_covered > 0
             for stage, occupancy in zip(r.plan, r.occupancy_us):
                 busy_us[stage.node_id] = busy_us.get(stage.node_id, 0) + occupancy
         latencies.sort()
         ttfts.sort()
         arrivals = len(self.records)
         served, rejected = counts[OUTCOME_SERVED], counts[OUTCOME_REJECTED]
-        cache_ratios = {
-            st.value: {
-                "lookups": self.cache_lookups.get(st.value, 0),
-                "hits": self.cache_hits.get(st.value, 0),
-                "ratio": ratio_str(self.cache_hits.get(st.value, 0), self.cache_lookups.get(st.value, 0)),
-            }
-            for st in StateType
-        }
         utilization = {
             node: ratio_str(busy_us.get(node, 0), self.duration_us * cap)
             for node, cap in sorted(self.node_capacity.items())
@@ -194,7 +176,7 @@ class MetricsFrame:
             "tpot_us": {
                 "mean": tpot_total // served if served else 0,
             },
-            "cache": cache_ratios,
+            "cache": {"tensor_state": {"lookups": lookups, "hits": hits, "ratio": ratio_str(hits, lookups)}},
             "node_utilization": utilization,
             "max_queue_length": dict(sorted(self.max_queue_length.items())),
             "core_bytes": {

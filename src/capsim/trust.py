@@ -38,7 +38,7 @@ class AttestationRecord:
     node_id: str
     level: int = bounded(0, TRUST_MIN, TRUST_MAX)
     issue_time_us: int = bounded(0, 0)
-    validity_window_us: int | None = None  # None = never expires
+    validity_window_us: int | None = bounded(None, 0, above=True)  # None = never expires
 
     def valid_at(self, now: int) -> bool:
         if now < self.issue_time_us:

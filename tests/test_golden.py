@@ -53,6 +53,7 @@ from capsim.descriptors import (
     Verdict,
 )
 from capsim.engine import Simulation
+from capsim.metrics import ratio_str
 from capsim.registry import CandidateTable
 from capsim.routing import ExecutionPlan, Rejection, RoutingWeights, ScoredPlan, StageProjection, StateUse, _Row
 from capsim.scenario import CacheConfig, DeploymentConfig, NodeEvent, Revocation, Scenario
@@ -70,32 +71,32 @@ from check import check_outputs  # noqa: E402
 
 GOLDEN = {
     "audit": (
-        "00fd09158986bec169fb4b27da1b70b4eb811faba14a6cf8c2300b3e5340a821",
+        "3798374579c07866a7e1f1ff55d0dfd486a646841aa4a1c11f05c5175214a7a5",
         "cf51828dea1cac6899e7d3d8a4197cc055e5906fb31fce8129e3468d50082c02",
         "970249f17cae8d1827923595fa6d3638a616f50b1548924b04b0be840c6875bf",
     ),
     "locality": (
-        "0704c52ef192b26984ec95bb7796fc3d0d44a3610572b8585e8f72f0eb4a4248",
+        "7c92333c2fc0f1cf1857dd78aefff22967993ded71a5c50de20b9d4188b45828",
         "b3f47a96f9f20e3f00938d7ba843d6ff17aa73028f19b5ddd3054804092f2929",
         "8efba76bb4728154f5ca0446e0ada15a89473179e2ba808ca13d588fe2c539fd",
     ),
     "overload": (
-        "d58a2e0197f36f9cd16d495d32dc78f49bcb79994fa354b19396d70461bbf5cb",
+        "4d904856da28368ba8b353e8fc42edd41b5e3e5513987209904d26543ed07ea6",
         "804bb6d420ba39f7d56f82a164f0667b9344e0d11dba4569031b63c3d5ede014",
         "01571b59055438716a0fdc41698f95532c68cff8424f1b326aeb6690a550d619",
     ),
     "session_heavy": (
-        "1b19ec034adad7e08cdd75987b4c84316acc0f1994c39ecb97c53d805eeb2596",
+        "2c294b716932aa10d4b8450212f430dd85141b47860cebc7c1ae750a63fc6bdd",
         "c997dabc0ee2807534682ec0f2c468a7667367d4225c97f49a0e44053fd43549",
         "6a86f14da11086d64b03cc009241404fe792605ad6f1c1ff0b49c2c73669cace",
     ),
     "small_place": (
-        "d2bd3754502f56a4c82aac192fec1e8cbb027f1e2fd98914d6406fd231eab2f3",
+        "5f87831ec6671a86dc08174f9f990db23565853596c3480e6bc64813cdda1a7e",
         "523f55de2d2cee9b1f76eeac64005600c5885dc46204eec128ca6ab206b7c5aa",
         "c92cd551d13cf01233561465d813623dbb99196380cd83805d9a6e9cbc3b6cf7",
     ),
     "trust_churn": (
-        "f046110d983b72492ffe998abb12a4ea5c317eb89c778d3e976848c36afbd4c1",
+        "6c1790b08425f4f1d4918de49583c4ffc5ff08ff031be872e2d37ac326c4033f",
         "47add689514c1dac37da6911fc8248749578c0430f942a507a508dc591587041",
         "cb8c54895766f98c25d30c0c916d192f58ca759763309db9a674c394349561d9",
     ),
@@ -105,7 +106,7 @@ GOLDEN = {
 # small_place replanning every 2 s: edge-east-1 goes offline for 3 s in every
 # 15 s, and its attestation lapses half-way through the run.
 REPLAN_HEAVY = (
-    "042a52ad50e38ecc0e006db404eed5a5733daf0402f1524b6b3966094818397d",
+    "7d3445f6f88b4d312f81ee19124aec54a7d30a7c7b39b1f467d3a131a3aa206a",
     "98c96349e5ba05676821f93eb2b168403fa11cd9a2e21e07b3c1338775fce482",
     "40757dea030f1f7faab36c238a1e6750c70a36ec620a1a2503be5aae77f291cd",
 )
@@ -134,7 +135,7 @@ def replan_heavy_scenario() -> dict:
 # long 1024-token-prefix sessions and a 512 KiB cache on every node: one
 # chat-small state (1024 tokens x 512 bytes) fills it.
 EVICTION_HEAVY = (
-    "bf9207ea557c9c4bbfd3df383a42583266a6d4741f20e995e8246799e776d421",
+    "0f02361b1f8f812fe62ed841357778ca7fc4e03240da9750cc7c2f6954fc059d",
     "30b049f441addbb291c070fe7440de9e78037dc3dbedaee733520a2f22b4ec83",
     "59026c50e5b23f34f12b556f8dc11ba08384b3740f43908ea1a47c35a036d88e",
 )
@@ -176,7 +177,7 @@ def eviction_heavy_scenario() -> dict:
 # dispatch-time verdict rejects it TrustExpired. The broker's kept hits stop
 # holding at that instant too.
 TRUST_LAPSE = (
-    "190cf43346774c528627922fcefe162cfe7f9d1a3ccf5a1436310e88b10a1e8f",
+    "8471d1f976575ba4f26d2f247c76eb3fb18a33f52cd5855cb1567d7264952bbb",
     "c5365b98f313dae3bbb75d40caae54407746631a1dee1573b5c01318b3cb3f04",
     "86a10b81f4c7eb7d3b20d5013921f08bdc0690730fc82947381172380807b739",
 )
@@ -198,7 +199,7 @@ def trust_lapse_scenario() -> dict:
 # that a finishing turn offers displaces residents; EVICTION_HEAVY displaces
 # only by migration.
 OFFER_DISPLACE = (
-    "f479428af1abd137450ee674c402565e68b8bfab8ecb971972c7f2988d8c3f0b",
+    "6b7f46914990999e2bdd8c0ba39133878e8ac09f0eb4d71df11f330de515fa94",
     "1b2942abf90966c47da211d2a374c4e7b2c830b39a9ddc2b769e6aa8f4f3343f",
     "ccf141d9a5dbad3b263a6c8b08b36c9da38eba6ec1795fa84bf6b7319fb018d8",
 )
@@ -404,9 +405,9 @@ def test_a_request_without_a_trust_floor_skips_the_verdict():
 
 # perfbench's sha256= for each of its workloads at seed 1.
 WORKLOAD_DIGESTS = {
-    "fanout17": "265878c7f23f22a2f213f558c5d5b90cd68803f8a4d9a84cf8a916e76ad490c3",
-    "sessions": "84dcb5e7f0653230561dcd55835a64f96b100d2954ac09614ad426ba7be18149",
-    "replan_churn": "fa7fb54271c8cb3ddc0ec2db69aa1f83cac6e1bae2b8d0aca4407ad689ab0da7",
+    "fanout17": "2c91dbe5973c89ded382333b53449b3f7588b147980a96e937798c12f7f175a9",
+    "sessions": "b247a68a0686a183f4cbb352a2a594c94f87d8104af31cf02178ade86982941b",
+    "replan_churn": "ea5ab86c0f3fa33e1a35005f82333c3c8f0627e36d7746b7819725a38d523b16",
 }
 
 
@@ -495,24 +496,31 @@ def item_of_receipt(receipt: dict) -> dict:
         "latency_us": receipt["finish_time"] - receipt["arrival_time"] if served else 0,
         "degraded": receipt["verdict"] == "degraded",
         "cache_hit": covered > 0,
-        "cache_state_type": "tensor_state" if covered > 0 else None,
         "tokens_covered": covered,
     }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN) + ["replan_heavy", "eviction_heavy"])
+@pytest.mark.parametrize("name", sorted(GOLDEN) + sorted(VARIANTS) + sorted(workloads.WORKLOADS))
 def test_per_request_items_follow_the_receipts(name, tmp_path):
     """``metrics.json``'s ``per_request`` list and ``receipts.jsonl`` name the
-    same requests in the same order, and each item is read from its receipt."""
-    variants = {"replan_heavy": replan_heavy_scenario, "eviction_heavy": eviction_heavy_scenario}
-    if name in variants:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(variants[name]()))
+    same requests in the same order, each item is read from its receipt, and
+    the cache row counts the items' lookups and hits; over every shipped
+    scenario, golden variant and benchmark workload at seed 1."""
+    if name in VARIANTS:
+        doc = VARIANTS[name][0]()
+    elif name in workloads.WORKLOADS:
+        doc = workloads.WORKLOADS[name][0](ROOT, 1)
     else:
-        path = SCENARIOS / f"{name}.json"
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 0
-    items = json.loads((out / "metrics.json").read_text())["per_request"]
+    metrics = json.loads((out / "metrics.json").read_text())
+    items = metrics["per_request"]
+    lookups = sum(item["cache_lookup"] for item in items)
+    hits = sum(item["cache_hit"] for item in items)
+    assert metrics["cache"] == {"tensor_state": {"lookups": lookups, "hits": hits, "ratio": ratio_str(hits, lookups)}}
     with (out / "receipts.jsonl").open() as lines:
         receipts = [json.loads(line) for line in lines]
     assert [i["request_id"] for i in items] == [r["request_id"] for r in receipts]

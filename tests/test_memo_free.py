@@ -15,7 +15,9 @@ Two per-request calls the engine leaves out cannot be bypassed from here,
 since an inline guard skips them. Spies call them where they were left out
 instead, and check that they return what the guard assumes: the
 dispatch-time verdict of a request without a trust floor allows it, and the
-offer a finishing turn skips would store nothing.
+offer a finishing session turn with a prefix skips would store nothing. A
+turn without a session, or without a prefix, has no state to offer, and
+the offer is not asked about it.
 """
 
 import json
@@ -115,11 +117,13 @@ def bypass_every_memo(monkeypatch) -> Counter:
 
     def checked_end_turn(self, now, arrival):
         served = finishing.get(id(self))
-        if served is not None and not served[2]:  # the engine left the offer out
+        request = arrival.request
+        session_state = request.affinity_token and self.caches.enabled and arrival.prefix_tokens > 0
+        if served is not None and not served[2] and session_state:  # the engine left the offer out
             calls["offer_left_out"] += 1
             admits = calls["admit"]
             offer(self, now, arrival, served[1])
-            assert calls["admit"] == admits, arrival.request.request_id
+            assert calls["admit"] == admits, request.request_id
         end_turn(self, now, arrival)
 
     for cls, name, patched in (

@@ -55,8 +55,6 @@ frames = st.builds(
     records=st.lists(receipts, max_size=6),
     node_capacity=st.dictionaries(texts, st.integers(min_value=1, max_value=64), max_size=3),
     max_queue_length=st.dictionaries(texts, counts, max_size=3),
-    cache_lookups=st.dictionaries(st.sampled_from(["tensor_state", "prefix"]), counts, max_size=2),
-    cache_hits=st.dictionaries(st.sampled_from(["tensor_state", "prefix"]), counts, max_size=2),
     core_bytes_placement=counts,
     placement_churn=counts,
     model_load_overhead_us=counts,

@@ -336,6 +336,7 @@ BOUND_EDGES = [
     ("attestation_level_low", "trust_script.attestations[0].level", -1, 0),
     ("attestation_level_high", "trust_script.attestations[0].level", 4, 3),
     ("attestation_issue_time", "trust_script.attestations[0].issue_time_us", -1, 0),
+    ("attestation_validity_window", "trust_script.attestations[0].validity_window_us", 0, 1),
     ("revocation_time", "trust_script.revocations[0].time_us", -1, 0),
     ("node_event_time", "node_events[0].time_us", -1, 0),
 ]
