@@ -307,7 +307,7 @@ class Simulation:
             entry.pins += 1
             pinned = (use.entry_node, store.entry_key(entry.compatibility_hash, entry.session_id))
         self._in_flight[request_id] = (arrival, scored, pinned)
-        if use is not None and use.migrate:
+        if use is not None and use.entry_node != scored.stages[0].node_id:
             migration_done = now + scored.inbound_net_us + use.transfer_us
             self._push(
                 migration_done, self._apply_migration, request, use.entry, use.entry_node, scored.stages[0].node_id

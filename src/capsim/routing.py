@@ -17,6 +17,11 @@ budget filter and the relative tie window need no rationals, and projects
 the schedule of the winner only. ``score`` prices one given plan from the
 same halves.
 
+A prefill reuses session state held on its own node, or state whose bytes
+migrate there from a holder trusted at the select because migrating beats
+recomputing the tokens it covers; T_state is that migration's wait. Any
+other prefill charges its whole prompt as execution.
+
 Weights are >= 0, so every term of J is too, and parts of a plan's
 numerator bound its J from below. A select's work splits in two. What depends
 only on the broker's static candidate table and the origin is a static row
@@ -165,12 +170,12 @@ class StageProjection:
 
 @dataclass(slots=True, repr=False)
 class StateUse:
-    """How the plan satisfies the request's state affinity."""
+    """The stored state a plan reuses: held on its prefill node, or on
+    ``entry_node`` and migrated there in ``transfer_us``."""
 
     entry_node: str
     entry: CacheEntry
     covered_tokens: int
-    migrate: bool            # False = recompute charge
     transfer_us: int
     core_bytes: int
 
@@ -404,9 +409,13 @@ class Router:
         request: RequestDescriptor,
         prefill_node: NodeState,
         realization: CapabilityRealization,
+        now: int,
         held: _Held | None = None,
     ) -> StateUse | None:
-        """Locate reusable affinity state and price making it available.
+        """The request's state held on ``prefill_node``, else the state that
+        migrates there fastest from a holder of effective trust at least 1
+        and the request's ``min_trust`` at ``now``, if migrating beats
+        recomputing its covered tokens; None when the prefill reuses none.
 
         ``held`` memoizes the holders per realization for callers that
         resolve state for many candidates of one request at one instant.
@@ -423,23 +432,22 @@ class Router:
             covered = min(entry.token_count, request.input_tokens)
             if covered <= 0:
                 return None
-            return StateUse(node_id, entry, covered, migrate=False, transfer_us=0, core_bytes=0)
+            return StateUse(node_id, entry, covered, transfer_us=0, core_bytes=0)
+        # Trust lapses without any stamp moving, so it is read here, not kept
+        # with the holders: a node whose attestation lapsed hands over nothing.
+        floor = max(1, request.policy.min_trust)
         best: StateUse | None = None
         for node_id, entry in holders:
             covered = min(entry.token_count, request.input_tokens)
-            if covered <= 0:
+            if covered <= 0 or self.broker.effective_trust(self.broker.nodes[node_id], now) < floor:
                 continue
-            recompute_us = _ceil_time(realization.prefill_time_per_token_us, covered, speed.numerator, speed.denominator)
             try:
                 migrate_us, core = self.topology.transfer_between(node_id, prefill_id, entry.size)
             except Unreachable:
-                migrate_us, core = None, 0
-            if migrate_us is not None and migrate_us < recompute_us:
-                use = StateUse(node_id, entry, covered, migrate=True, transfer_us=migrate_us, core_bytes=core)
-            else:
-                use = StateUse(node_id, entry, covered, migrate=False, transfer_us=recompute_us, core_bytes=0)
-            if best is None or (use.transfer_us, use.entry_node) < (best.transfer_us, best.entry_node):
-                best = use
+                continue
+            recompute_us = _ceil_time(realization.prefill_time_per_token_us, covered, speed.numerator, speed.denominator)
+            if migrate_us < recompute_us and (best is None or (migrate_us, node_id) < (best.transfer_us, best.entry_node)):
+                best = StateUse(node_id, entry, covered, transfer_us=migrate_us, core_bytes=core)
         return best
 
     def _c_load_for(self, state: NodeState, now: int) -> int:
@@ -517,9 +525,7 @@ class Router:
         """The priced plan with its projected schedule, served at ``quality``."""
         _, pre, dec, t_inter, wait = priced
         use = pre.use
-        # Migration is network wait before the stage is ready; the recompute
-        # branch is server work inside the first stage's occupancy.
-        ready = now + pre.t_in + (use.transfer_us if use is not None and use.migrate else 0)
+        ready = now + pre.t_in + pre.t_state
         start = ready + pre.wait
         if dec is None:
             last, core_inter = pre, 0
@@ -689,18 +695,16 @@ class Router:
     def _prefill(self, request: RequestDescriptor, half: _Half, now: int, held: _Held) -> None:
         """Resolve ``half``'s prefill side: state reuse, wait, execution and ``pre_num``."""
         row = half.row
-        use = self._resolve_state(request, row.node, row.realization, held)
+        use = self._resolve_state(request, row.node, row.realization, now, held)
         covered = use.covered_tokens if use else 0
         t_state = use.transfer_us if use else 0
-        migrate_wait = t_state if (use and use.migrate) else 0
-        ready = now + half.t_in + migrate_wait
+        ready = now + half.t_in + t_state
         half.use = use
         half.wait = max(0, half.free_us - ready)
         uncovered = request.input_tokens - covered
         half.prefill_exec = row.setup_us + half.activation - (-row.prefill_us * uncovered // row.speed_num)
         half.t_state = t_state
-        # Recomputing covered tokens occupies the server after the prefill.
-        half.prefill_done_us = ready + half.wait + half.prefill_exec + (t_state - migrate_wait)
+        half.prefill_done_us = ready + half.wait + half.prefill_exec
         m_net, m_queue, m_exec, m_state, m_load, m_policy = self._mult
         half.pre_num = (
             m_net * half.t_in

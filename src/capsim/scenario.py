@@ -9,7 +9,8 @@ field's default is its dataclass default, and a value that does not convert
 raises ``ScenarioParseError`` naming its field path, e.g.
 ``workload.regions[0].policy_mix[0].locality_scope``. ``Scenario.from_dict``
 reads the whole document through it; only the catalog tree, whose variants
-and realizations name their parents, is walked by hand. ``load`` also
+and realizations name their parents, is walked by hand, and each variant's
+and realization's document path is kept for ``validate``. ``load`` also
 surfaces JSON syntax errors with line/position; ``validate`` returns
 referential and range errors as field-path strings, so a scenario either
 parses and validates or the CLI reports exactly what is wrong.
@@ -112,6 +113,9 @@ class Scenario:
     classes: list[CapabilityDescriptor]
     variants: list[CapabilityVariant]
     realizations: list[CapabilityRealization]
+    # Each variant's and realization's path in the document, for validate's reports.
+    variant_paths: tuple[str, ...] = ()
+    realization_paths: tuple[str, ...] = ()
     initial_placement: list[tuple[str, str]] = field(default_factory=list)  # (realization_id, node_id)
     routing_weights: RoutingWeights = RoutingWeights()
     placement_weights: PlacementWeights = PlacementWeights()
@@ -134,6 +138,8 @@ class Scenario:
         classes: list[CapabilityDescriptor] = []
         variants: list[CapabilityVariant] = []
         realizations: list[CapabilityRealization] = []
+        variant_paths: list[str] = []
+        realization_paths: list[str] = []
         for path, cls_d in _items(_object(d.get("catalog", {}), "catalog"), "catalog.classes"):
             classes.append(_record(CapabilityDescriptor, cls_d, path))
             # A variant without its own label takes its class's whole label.
@@ -142,11 +148,23 @@ class Scenario:
                 variants.append(
                     _record(CapabilityVariant, var_d, var_path, parent_class=classes[-1].name, **inherited)
                 )
+                variant_paths.append(var_path)
                 for real_path, real_d in _items(var_d, f"{var_path}.realizations"):
                     realizations.append(
                         _record(CapabilityRealization, real_d, real_path, variant_id=variants[-1].variant_id)
                     )
-        return _record(cls, d, "", classes=classes, variants=variants, realizations=realizations, digest=digest)
+                    realization_paths.append(real_path)
+        return _record(
+            cls,
+            d,
+            "",
+            classes=classes,
+            variants=variants,
+            realizations=realizations,
+            variant_paths=tuple(variant_paths),
+            realization_paths=tuple(realization_paths),
+            digest=digest,
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -230,10 +248,8 @@ class Scenario:
             if _label(errors, cd.security, f"{prefix}.security"):
                 sound_labels.add(cd.security)
         class_labels = {cd.name: cd.security for cd in self.classes}
-        class_paths = [(cd.name, f"catalog.classes[{i}]") for i, cd in enumerate(self.classes)]
-        variant_paths = _nested_paths(class_paths, [var.parent_class for var in self.variants], "variants")
         variant_ids = set()
-        for var, prefix in zip(self.variants, variant_paths):
+        for var, prefix in zip(self.variants, _catalog_paths(self.variant_paths, self.variants, "variants")):
             if var.variant_id in variant_ids:
                 errors.append(f"{prefix}.variant_id: duplicate {var.variant_id}")
             variant_ids.add(var.variant_id)
@@ -245,12 +261,8 @@ class Scenario:
                 errors, var.security, f"{prefix}.security"
             ):
                 sound_labels.add(var.security)
-        realization_paths = _nested_paths(
-            [(var.variant_id, path) for var, path in zip(self.variants, variant_paths)],
-            [real.variant_id for real in self.realizations],
-            "realizations",
-        )
         realization_ids = set()
+        realization_paths = _catalog_paths(self.realization_paths, self.realizations, "realizations")
         for real, prefix in zip(self.realizations, realization_paths):
             if real.realization_id in realization_ids:
                 errors.append(f"{prefix}.realization_id: duplicate {real.realization_id}")
@@ -486,28 +498,11 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path and key else path or key
 
 
-def _nested_paths(parents: list[tuple[str, str]], named: list[str], key: str) -> list[str]:
-    """The document path of each item of a flat catalog list, from the
-    (name, path) of each parent in document order and the parent name each
-    item holds: ``from_dict`` appends a parent's items in document order, so
-    an item belongs to the parent of the item before it, or else to the next
-    parent it names. Items of two parents of one name, a duplicate that
-    ``validate`` reports, may be given the first one's path. An item that
-    names no later parent, as only a record built by hand can, is given its
-    index in the flat list, ``catalog.<key>[i]``."""
-    paths: list[str] = []
-    at, index = -1, 0
-    for i, name in enumerate(named):
-        if at >= 0 and parents[at][0] == name:
-            index += 1
-        else:
-            found = next((p for p in range(at + 1, len(parents)) if parents[p][0] == name), None)
-            if found is None:
-                paths.append(f"catalog.{key}[{i}]")
-                continue
-            at, index = found, 0
-        paths.append(f"{parents[at][1]}.{key}[{index}]")
-    return paths
+def _catalog_paths(paths: tuple[str, ...], items: list, key: str) -> tuple[str, ...]:
+    """The document path of each item of a flat catalog list: ``paths``, as
+    ``from_dict`` recorded them, or for a list built by hand each item's
+    index in it, ``catalog.<key>[i]``."""
+    return paths if len(paths) == len(items) else tuple(f"catalog.{key}[{i}]" for i in range(len(items)))
 
 
 def _items(section: dict, path: str) -> list[tuple[str, dict]]:

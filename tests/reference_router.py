@@ -98,20 +98,16 @@ def score(
         )
     t_net = t_in + t_inter + t_out
 
-    state_use = None if zero_queue else router._resolve_state(request, first_node, stages[0][1])
+    state_use = None if zero_queue else router._resolve_state(request, first_node, stages[0][1], now)
     covered = state_use.covered_tokens if state_use else 0
-    t_state = state_use.transfer_us if state_use else 0
+    t_state = state_use.transfer_us if state_use else 0  # a migration is network wait before the stage is ready
     uncovered = max(0, request.input_tokens - covered)
-    # Migration is network wait before the stage is ready; the recompute
-    # branch is server work folded into the first stage's occupancy.
-    migrate_wait = t_state if (state_use and state_use.migrate) else 0
-    recompute_work = t_state if (state_use and not state_use.migrate) else 0
 
     projections: list[StageProjection] = []
     t_exec = 0
     t_queue = 0
     c_load = 0
-    cursor = now + t_in + migrate_wait
+    cursor = now + t_in + t_state
     first_token_us = 0
     decode_total_us = 0
     for idx, ((node_state, realization), stage) in enumerate(zip(stages, plan.stages)):
@@ -129,13 +125,12 @@ def score(
             decode_us = eff_time_us(realization.decode_time_per_token_us, request.output_tokens, speed)
             exec_us += decode_us
         t_exec += exec_us
-        occupancy_us = exec_us + (recompute_work if idx == 0 else 0)
         if idx == 1:
             cursor += t_inter
         ready = cursor
         wait = 0 if zero_queue else node_state.peek_wait_us(ready)
         start = ready + wait
-        complete = start + occupancy_us
+        complete = start + exec_us
         t_queue += wait
         if not zero_queue:
             c_load += router._c_load_for(node_state, now)
@@ -151,7 +146,7 @@ def score(
                 ready_us=ready,
                 start_us=start,
                 complete_us=complete,
-                duration_us=occupancy_us,
+                duration_us=exec_us,
                 cold=cold,
                 warm_available_at_us=start + activation,
             )
@@ -161,7 +156,6 @@ def score(
     misses = sum(router._soft_misses(request, node_state, realization, now) for node_state, realization in stages)
     p_policy = 0 if zero_queue else router.weights.pi_soft * misses
     finish = cursor + t_out
-    state_core = state_use.core_bytes if (state_use and state_use.migrate) else 0
     return ScoredPlan(
         plan=plan,
         t_net_us=t_net,
@@ -177,7 +171,7 @@ def score(
         first_token_us=first_token_us,
         decode_total_us=decode_total_us,
         state_use=state_use,
-        core_bytes=core_in + core_inter + core_out + state_core,
+        core_bytes=core_in + core_inter + core_out + (state_use.core_bytes if state_use else 0),
         served_quality=request.quality_target,
         alternatives=(),
     )

@@ -535,6 +535,22 @@ def test_cooperative_migration_moves_session_state():
     assert {r["node_id"] for r in session_evictions} == {"edge-1", "edge-2"}
 
 
+def test_a_lapsed_holder_hands_over_no_state():
+    # edge-1, the only holder of st-t1, loses its attestation at 50,000 µs,
+    # before turn 2 is routed at 60,000 µs: turn 2 prefills its whole prompt
+    # on edge-2 and migrates nothing.
+    d = migration_scenario_dict()
+    d["trust_script"] = {
+        "attestations": [{"node_id": "edge-1", "level": 2, "issue_time_us": 0, "validity_window_us": 50_000}]
+    }
+    result = run_scenario(d, trace=True)
+    t2 = {r.request_id: r for r in result.receipts.receipts}["t2"]
+    assert t2.plan[0].node_id == "edge-2"
+    assert (t2.cache_states_reused, t2.cache_tokens_covered, t2.t_state_us) == ((), 0, 0)
+    assert t2.t_exec_us == 1000 + 100 * 50 + 10 * 200
+    assert not [r for r in result.trace if r["kind"] == "cache_migrate" or r.get("transfer") == "state_migration"]
+
+
 def test_affinity_token_of_another_session_fails_validation(tmp_path, capsys):
     from capsim.cli import main
 
@@ -987,7 +1003,7 @@ def test_a_split_turn_offers_its_state_to_its_decode_node():
     sim.run()
     scored = dict(sim.audit)
     assert [(s.node_id, s.phase.value) for s in scored["t2"].stages] == [("hpu-1", "prefill"), ("edge-1", "decode")]
-    assert (scored["t2"].state_use.entry_node, scored["t2"].state_use.migrate) == ("hpu-1", False)
+    assert scored["t2"].state_use.entry_node == "hpu-1"  # held on its prefill node: nothing migrates
     assert offers == ["t1", "t2"]
     admits = [(r["node_id"], r["state_id"]) for r in sim.trace if r["kind"] == "cache_admit"]
     assert admits == [("hpu-1", "st-t1"), ("edge-1", "st-t2")]
@@ -999,8 +1015,8 @@ def test_a_migrated_state_turn_still_offers_its_state():
     sim = Simulation(Scenario.from_dict(migration_scenario_dict()), audit=True)
     offers = record_offers(sim)
     sim.run()
-    use = dict(sim.audit)["t2"].state_use
-    assert (use.entry_node, use.migrate) == ("edge-1", True)
+    scored = dict(sim.audit)["t2"]
+    assert (scored.state_use.entry_node, scored.stages[0].node_id) == ("edge-1", "edge-2")
     assert "t2" in offers
 
 

@@ -96,8 +96,8 @@ GOLDEN = {
         "c92cd551d13cf01233561465d813623dbb99196380cd83805d9a6e9cbc3b6cf7",
     ),
     "trust_churn": (
-        "6c1790b08425f4f1d4918de49583c4ffc5ff08ff031be872e2d37ac326c4033f",
-        "47add689514c1dac37da6911fc8248749578c0430f942a507a508dc591587041",
+        "458f810476dac985dc9076cee824577b13fb796e2a363dd9c2bf0d612404325a",
+        "828aa63c5482f3ce14e7b2118c99efe4eff4259fcdfb88d822364ab5223669ca",
         "cb8c54895766f98c25d30c0c916d192f58ca759763309db9a674c394349561d9",
     ),
 }

@@ -9,7 +9,9 @@ and ``_attestation_values``) and the receipt-line fragments that
 ``parts``). An untraced run also leaves out the completion events that
 nothing reads. Here every one of them is bypassed from outside, on every
 shipped scenario, every golden variant and every benchmark workload at
-seed 1, and the outputs must keep their pinned digests.
+seed 1, and the outputs must keep their pinned digests. Each bypass also
+runs alone on the benchmark workloads, so that one whose bytes hold only
+beside another's still shows.
 
 Two per-request calls the engine leaves out cannot be bypassed from here,
 since an inline guard skips them. Spies call them where they were left out
@@ -22,6 +24,9 @@ the offer is not asked about it.
 
 import json
 from collections import Counter
+from collections.abc import Callable
+
+import pytest
 
 from capsim.caching import StateStore
 from capsim.cli import main
@@ -47,11 +52,9 @@ class _Forgetful(dict):
         return default
 
 
-def bypass_every_memo(monkeypatch) -> Counter:
-    """Bypass each kept value and push every completion; the returned
-    counter counts the calls each bypass and spy saw."""
-    calls: Counter = Counter()
-
+def memo_bypasses(calls: Counter) -> dict[str, tuple[type, str, Callable]]:
+    """Each bypass by the name it counts its calls under in ``calls``: the
+    method it replaces, and the replacement."""
     lookup = Broker.lookup_candidates
 
     def fresh_lookup(self, table, now=0, min_trust=0):
@@ -88,6 +91,19 @@ def bypass_every_memo(monkeypatch) -> Counter:
         calls["line"] += 1
         return to_json_line(self)
 
+    return {
+        "lookup": (Broker, "lookup_candidates", fresh_lookup),
+        "price": (Router, "_price_plans", fresh_price),
+        "holders": (Router, "_holders", fresh_holders),
+        "simulation": (Simulation, "__init__", memo_free_init),
+        "line": (ExecutionReceipt, "to_json_line", unshared_line),
+    }
+
+
+def bypass_every_memo(monkeypatch) -> Counter:
+    """Bypass each kept value and push every completion; the returned
+    counter counts the calls each bypass and spy saw."""
+    calls: Counter = Counter()
     commit = Simulation._commit
 
     def judged_commit(self, now, arrival, scored):
@@ -127,11 +143,7 @@ def bypass_every_memo(monkeypatch) -> Counter:
         end_turn(self, now, arrival)
 
     for cls, name, patched in (
-        (Broker, "lookup_candidates", fresh_lookup),
-        (Router, "_price_plans", fresh_price),
-        (Router, "_holders", fresh_holders),
-        (Simulation, "__init__", memo_free_init),
-        (ExecutionReceipt, "to_json_line", unshared_line),
+        *memo_bypasses(calls).values(),
         (Simulation, "_commit", judged_commit),
         (StateStore, "admit", counted_admit),
         (Simulation, "_finish_served", finish_served),
@@ -155,6 +167,17 @@ def test_a_memo_free_run_writes_the_pinned_bytes(monkeypatch, tmp_path):
             assert main(["run", str(path), "--out", str(out)] + ["--trace"] * trace) == 0, name
             if output_digests(out, FILES[: 2 + trace]) != digests[: 2 + trace]:
                 differ.append((name, trace))
+    differ += workloads_that_differ(tmp_path)
+    assert differ == []
+    # Each bypass and each spy was reached.
+    kinds = ("lookup", "price", "holders", "simulation", "line", "verdict_left_out", "offer_left_out")
+    assert {kind: calls[kind] > 0 for kind in kinds} == dict.fromkeys(kinds, True)
+
+
+def workloads_that_differ(tmp_path) -> list[tuple[str, bool]]:
+    """(workload, traced) for each benchmark workload at seed 1 whose output
+    digest is not its pinned one."""
+    differ = []
     for name, (generate, with_trace) in sorted(workloads.WORKLOADS.items()):
         doc = generate(ROOT, 1)
         scenario = Scenario.from_dict(doc)
@@ -166,7 +189,12 @@ def test_a_memo_free_run_writes_the_pinned_bytes(monkeypatch, tmp_path):
         digest, _ = check_outputs(out, arrivals + len(scenario.scripted_requests), with_trace)
         if digest != WORKLOAD_DIGESTS[name]:
             differ.append((name, with_trace))
-    assert differ == []
-    # Each bypass and each spy was reached.
-    kinds = ("lookup", "price", "holders", "simulation", "line", "verdict_left_out", "offer_left_out")
-    assert {kind: calls[kind] > 0 for kind in kinds} == dict.fromkeys(kinds, True)
+    return differ
+
+
+@pytest.mark.parametrize("bypass", sorted(memo_bypasses(Counter())))
+def test_each_memo_bypassed_alone_keeps_the_workload_digests(monkeypatch, tmp_path, bypass):
+    calls: Counter = Counter()
+    monkeypatch.setattr(*memo_bypasses(calls)[bypass])
+    assert workloads_that_differ(tmp_path) == []
+    assert calls[bypass] > 0

@@ -26,6 +26,7 @@ from capsim.routing import (
     Router,
     RoutingWeights,
     ScoredPlan,
+    StateUse,
 )
 from capsim.scenario import Scenario
 from capsim.topology import Domain, Link, Topology, Unreachable
@@ -312,18 +313,48 @@ def test_state_local_to_plan_node_costs_nothing(simple_broker):
     assert at_holder.t_exec_us == 1000 + (100 - 64) * 50 + 2000
 
 
-def test_remote_state_costs_min_of_migrate_and_recompute(simple_broker):
+@pytest.mark.parametrize(
+    "tokens, migrates",
+    [
+        (64, True),  # 1,000 µs of delay plus 17 µs of bytes beat 64 x 50 µs of prefill
+        (16, False),  # 16 x 50 µs of prefill beat 1,000 µs of delay
+    ],
+    ids=["cheaper-migration", "cheaper-recompute"],
+)
+def test_remote_state_is_reused_only_when_it_migrates(simple_broker, tokens, migrates):
     broker = simple_broker
     broker.install("edge-1", "chat-v1-gpu", 0)
     broker.install("edge-2", "chat-v1-gpu", 0)
     router = make_router(broker, enable_split=False)
     request = chat_request(affinity_token="sess-1:deadbeef")
-    _plant_affinity_state(router, broker, "edge-2", request, tokens=64)
+    _plant_affinity_state(router, broker, "edge-2", request, tokens=tokens)
     scored = feasible_plans(router, request, 0)
     remote = [s for s in scored if s.stages[0].node_id == "edge-1" and not s.stages[0].cold][0]
-    migrate_us, _ = broker.topology.transfer_between("edge-2", "edge-1", 64 * 256)
-    recompute_us = 64 * 50
-    assert remote.t_state_us == min(migrate_us, recompute_us)
+    migrate_us, core = broker.topology.transfer_between("edge-2", "edge-1", tokens * 256)
+    assert (migrate_us < tokens * 50) == migrates
+    if migrates:
+        assert remote.state_use == StateUse("edge-2", remote.state_use.entry, tokens, migrate_us, core)
+        assert (remote.t_state_us, remote.t_exec_us) == (migrate_us, 1000 + (100 - tokens) * 50 + 2000)
+        assert remote.stages[0].ready_us == remote.inbound_net_us + migrate_us
+    else:
+        assert (remote.state_use, remote.t_state_us, remote.t_exec_us) == (None, 0, 1000 + 100 * 50 + 2000)
+
+
+@pytest.mark.parametrize("min_trust, lapsed", [(0, True), (3, False)], ids=["lapsed", "below-min-trust"])
+def test_a_holder_below_the_trust_floor_hands_over_no_state(simple_broker, min_trust, lapsed):
+    # cloud-1 prefills 1,000 tokens in 25,000 µs; edge-2's state migrates
+    # there in 21,280 µs, unless edge-2's attestation has lapsed or its trust
+    # of 2 is below the request's floor.
+    broker = simple_broker
+    router = make_router(broker, enable_split=False)
+    request = chat_request(affinity_token="sess-1:deadbeef", input_tokens=1000)
+    _plant_affinity_state(router, broker, "edge-2", request, tokens=1000)
+    cloud, realization = broker.node("cloud-1"), broker.catalog.realizations["chat-v1-gpu"]
+    assert router._resolve_state(request, cloud, realization, 100).transfer_us == 21_280
+    if lapsed:
+        broker.trust.attest(AttestationRecord("edge-2", 2, 50, 10))
+    request = replace(request, policy=PolicyConstraint(min_trust=min_trust))
+    assert router._resolve_state(request, cloud, realization, 100) is None
 
 
 def test_affinity_prefers_the_holder_node(simple_broker):

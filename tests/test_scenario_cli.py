@@ -203,6 +203,12 @@ def _with_request(path: str, value):
         ("session_heavy", _with_request("requests[0].session.prefix_tokens", 17), "requests[0].session.prefix_tokens"),
         ("trust_churn", _set("catalog.classes[0].security.preferred_trust", 0),
          "catalog.classes[0].security.preferred_trust"),
+        # A repeated class name gave the second class's variant the first
+        # class's path, catalog.classes[0].variants[2].
+        ("small_place", lambda doc: (
+            _set("catalog.classes[1].name", "translate")(doc),
+            _set("catalog.classes[1].variants[0].quality", 0)(doc),
+        ), ("catalog.classes[1].name", "catalog.classes[1].variants[0].quality", "workload.regions[0].classes")),
     ],
     ids=[
         "tie_epsilon", "local_search_rounds", "alpha", "domain_min_trust", "epoch_us", "enable_split", "variant_quality",
@@ -218,7 +224,7 @@ def _with_request(path: str, value):
         "duplicate_realization", "placement_accelerator", "placement_memory_budget", "unknown_region_class",
         "region_classes_required", "unknown_request_class", "node_event_unknown_node", "attestation_unknown_node",
         "revocation_unknown_realization", "turn_index_over_total_turns", "prefix_over_input_tokens",
-        "preferred_below_min_trust",
+        "preferred_below_min_trust", "variant_of_a_repeated_class",
     ],
 )
 def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate, field):
@@ -227,9 +233,9 @@ def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 1
-    # The bad value is reported once, at its document key, and nothing else is.
+    # Each bad value is reported once, at its document key, and nothing else is.
     paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
-    assert paths == [field]
+    assert paths == ([field] if isinstance(field, str) else list(field))
 
 
 def bounds_base() -> dict:
@@ -538,12 +544,12 @@ def parse_digest(scenario: Scenario) -> str:
 # The sha256 of each shipped scenario's parse walk. A change to the reader or
 # to a record's fields that alters what a file parses to changes these.
 PARSE_DIGESTS = {
-    "audit": "003cbf77d6caa80f36fdb6153550644e68caeb30201fc34d1bf0bde0a46c5738",
-    "locality": "eefe58a0e46f77c2fae9dbc73c2667e13e2dde9aa5baa5b2a5e3c18b7176f24c",
-    "overload": "a2f4d34a3768145d9cea2800b9329bb67442e6faccca7f4efb44334d96d7d296",
-    "session_heavy": "c9f7f0d37ea5c0a9eb64a6e13ef7c4881ab97964760d2de894117a38e1329487",
-    "small_place": "c44b597275989682bcd9f79651121dd8b6a26bfe723d6d15124fc3cc49dddaa8",
-    "trust_churn": "5685a3b120f8211a8a0b210ff013e864edb421c437f59dfbb9e6da9327cfc3c8",
+    "audit": "5985ae800dab67987798eb6f677fa0c295f482a750271fef0280f926e2d1618f",
+    "locality": "0c6625b8714adc63ab57ee744a20d1b7f1383420b6e391cdc70d9942a411f99a",
+    "overload": "3d5cbf0ce0e1657ad4515f20b10792708859fea91b7b001b52f96f7996f8abc5",
+    "session_heavy": "43bbdfa5902dbddb78ffaed4851d1029e83ba7f1853f1c7df40646acc5791bec",
+    "small_place": "60ea810af76bf24c2917b8973293932a847b5f28941e0102e90440b0eb6a70c9",
+    "trust_churn": "3c5c572855a002b9861b8ccc289da831bc610fa74ca84a78c65494453c539ac0",
 }
 
 
