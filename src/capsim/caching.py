@@ -2,15 +2,17 @@
 density eviction, and migration between node stores.
 
 The one kind of cached state is a session's prefill KV state, a
-``CacheEntry``. It is private to its session, stored under (state hash,
-session id), and migrating it moves its own ``size`` bytes. Scenario
-validation rejects an affinity token that names another session, so a
-lookup always finds the requester's own entry. Admission values an entry at
-``p_hit * gain - storage``; eviction drops the lowest benefit-density
-residents first. Both are kept as integer numerators over positive
-denominators, so admitting an entry builds no ``Fraction``. Entries a
-selected plan depends on are pinned until the request completes so scored
-coverage cannot be evicted mid-flight.
+``CacheEntry``. It is private to its session, stored under (state key,
+session id), and migrating it moves its own ``size`` bytes. The state key,
+``state_key``, is what identifies the state: the realization that computed
+it and the digest of the prompt prefix it covers. Scenario validation
+rejects an affinity token that names another session, so a lookup always
+finds the requester's own entry. Admission values an entry at ``p_hit *
+gain - storage``; eviction drops the lowest benefit-density residents first.
+Both are kept as integer numerators over positive denominators, so
+admitting an entry builds no ``Fraction``. Entries a selected plan depends
+on are pinned until the request completes so scored coverage cannot be
+evicted mid-flight.
 
 ``CacheSystem`` keeps a session index: per session id, the ids of the nodes
 whose store admitted one of the session's entries, in node-id order. Admission
@@ -29,13 +31,10 @@ entry, has stamp 0.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
 
@@ -46,13 +45,9 @@ REJECT_INSUFFICIENT_SPACE = "InsufficientSpace"
 REJECT_ALREADY_RESIDENT = "AlreadyResident"
 
 
-@lru_cache(maxsize=8192)
-def state_hash(realization_id: str, prefix_digest: str) -> str:
-    """Digest of the prefill state a realization computes for a prompt prefix."""
-    # "default" and null fill fixed slots of the payload: every store key is
-    # derived from these bytes, so changing them changes every key.
-    payload = json.dumps([realization_id, "default", None, prefix_digest], separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+def state_key(realization_id: str, prefix_digest: str) -> tuple[str, str]:
+    """The key of the prefill state a realization computes for a prompt prefix."""
+    return realization_id, prefix_digest
 
 
 @dataclass(slots=True, repr=False)
@@ -60,7 +55,7 @@ class CacheEntry:
     """One session's cached prefill state."""
 
     state_id: str
-    compatibility_hash: str
+    state_key: tuple[str, str]
     size: int                  # bytes held, and moved by a migration
     session_id: str            # the only session the entry serves
     latency_gain_us: int       # per-hit gain frozen at admission
@@ -124,13 +119,13 @@ class StateStore:
         self.node_id = node_id
         self.capacity_bytes = capacity_bytes
         self.window_us = window_us
-        self.entries: dict[str, CacheEntry] = {}  # keyed by entry_key(hash, session)
+        self.entries: dict[tuple, CacheEntry] = {}  # keyed by entry_key(state key, session)
         # The owning CacheSystem, whose session index is told of every entry stored or dropped.
         self._system = system
 
     @staticmethod
-    def entry_key(compat_hash: str, session_id: str) -> str:
-        return f"{compat_hash}|{session_id}"
+    def entry_key(key: tuple[str, str], session_id: str) -> tuple:
+        return key, session_id
 
     def _touch(self, session_id: str) -> None:
         """Tell the session index that one of the session's entries here went."""
@@ -158,7 +153,7 @@ class StateStore:
         Benefits and densities are kept as integer numerators over positive
         denominators; densities are ranked over their least common
         denominator, so the order is the exact rational one."""
-        key = self.entry_key(entry.compatibility_hash, entry.session_id)
+        key = self.entry_key(entry.state_key, entry.session_id)
         if key in self.entries:
             return CacheDecision(REJECT_ALREADY_RESIDENT)
         if node_trust < requester_min_trust:
@@ -199,25 +194,25 @@ class StateStore:
             if freed < entry.size:
                 return CacheDecision(REJECT_INSUFFICIENT_SPACE, (value, den))
             for victim in evicted:
-                del self.entries[self.entry_key(victim.compatibility_hash, victim.session_id)]
+                del self.entries[self.entry_key(victim.state_key, victim.session_id)]
                 self._touch(victim.session_id)
         self.entries[key] = entry
         if self._system is not None:
             self._system._admitted(entry.session_id, self.node_id)
         return CacheDecision(ADMITTED, (value, den), tuple(e.state_id for e in evicted))
 
-    def lookup(self, compat_hash: str, session_id: str, now: int) -> CacheEntry | None:
+    def lookup(self, key: tuple[str, str], session_id: str, now: int) -> CacheEntry | None:
         """The session's entry, its lookup recorded in the reuse window."""
-        entry = self.entries.get(self.entry_key(compat_hash, session_id))
+        entry = self.entries.get(self.entry_key(key, session_id))
         if entry is not None:
             entry.window.append(now)
         return entry
 
-    def peek(self, compat_hash: str, session_id: str) -> CacheEntry | None:
+    def peek(self, key: tuple[str, str], session_id: str) -> CacheEntry | None:
         """Counter-free residency check used by plan scoring."""
-        return self.entries.get(self.entry_key(compat_hash, session_id))
+        return self.entries.get(self.entry_key(key, session_id))
 
-    def remove(self, entry_key: str) -> CacheEntry | None:
+    def remove(self, entry_key: tuple) -> CacheEntry | None:
         """Drop the entry stored under ``entry_key``, if any, and return it."""
         entry = self.entries.pop(entry_key, None)
         if entry is not None:
@@ -286,13 +281,13 @@ class CacheSystem:
         stored or dropped, and is 0 while the session holds none."""
         return self._session_stamps.get(session_id, 0)
 
-    def holders(self, compat_hash: str, session_id: str) -> list[tuple[str, CacheEntry]]:
+    def holders(self, key: tuple[str, str], session_id: str) -> list[tuple[str, CacheEntry]]:
         """Nodes currently holding a matching entry, sorted by node id."""
         if not self.enabled:
             return []
         out = []
         for node_id in self._sessions.get(session_id, ()):
-            entry = self.stores[node_id].peek(compat_hash, session_id)
+            entry = self.stores[node_id].peek(key, session_id)
             if entry is not None:
                 out.append((node_id, entry))
         return out

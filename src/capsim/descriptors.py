@@ -21,7 +21,8 @@ A field with a numeric range declares it where it is defined, through
 each value outside its bound at its document path; docs/scenario.schema.json
 states the same bounds, and ``tests/test_schema.py`` holds the two equal.
 
-Only ``PlanStage`` has a dict form, ``to_dict``, for plan ids.
+No record has a dict form. ``plan_items`` formats a plan's stages as
+JSON, for a receipt's ``plan`` and for plan ids.
 ``ExecutionReceipt`` is the one record of a finished request:
 ``to_json_line`` writes its ``receipts.jsonl`` line, and ``metrics.json``'s
 per-request item is read from it too (``metrics.per_request_item``), with the
@@ -198,12 +199,16 @@ class PlanStage:
     realization_id: str
     phase: PlanPhase
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "node_id": self.node_id,
-            "realization_id": self.realization_id,
-            "phase": self.phase.value,
-        }
+
+def plan_items(stages: tuple[PlanStage, ...]) -> str:
+    """The stages as the items of a JSON list: the bytes ``json.dumps`` with
+    ``sort_keys=True`` and ``separators=(",", ":")`` writes between its
+    brackets. A receipt's ``plan`` holds them, and a plan id hashes them."""
+    return ",".join(
+        f'{{"node_id":{_json_str(s.node_id)},"phase":{_PHASE_JSON[s.phase]},'
+        f'"realization_id":{_json_str(s.realization_id)}}}'
+        for s in stages
+    )
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -253,11 +258,7 @@ class ExecutionReceipt:
             parts = {}
         plan = parts.get(id(self.plan))
         if plan is None:
-            plan = parts[id(self.plan)] = ",".join(
-                f'{{"node_id":{_json_str(s.node_id)},"phase":{_PHASE_JSON[s.phase]},'
-                f'"realization_id":{_json_str(s.realization_id)}}}'
-                for s in self.plan
-            )
+            plan = parts[id(self.plan)] = plan_items(self.plan)
         versions = parts.get(id(self.capability_versions))
         if versions is None:
             versions = parts[id(self.capability_versions)] = ",".join(

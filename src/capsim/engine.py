@@ -303,9 +303,9 @@ class Simulation:
 
         if use is not None:
             store = self.caches.store(use.entry_node)
-            entry = store.lookup(use.entry.compatibility_hash, use.entry.session_id, now)
+            entry = store.lookup(use.entry.state_key, use.entry.session_id, now)
             entry.pins += 1
-            pinned = (use.entry_node, store.entry_key(entry.compatibility_hash, entry.session_id))
+            pinned = (use.entry_node, store.entry_key(entry.state_key, entry.session_id))
         self._in_flight[request_id] = (arrival, scored, pinned)
         if use is not None and use.entry_node != scored.stages[0].node_id:
             migration_done = now + scored.inbound_net_us + use.transfer_us
@@ -573,9 +573,9 @@ class Simulation:
             return
         serving_node = scored.stages[-1].node_id
         realization = self.catalog.realizations[prefill_rid]
-        compat = self.router.state_hash_for(prefill_rid, request)
+        key = self.router.state_key_for(prefill_rid, request)
         store = self.caches.store(serving_node)
-        if store.peek(compat, arrival.session_id) is not None:
+        if store.peek(key, arrival.session_id) is not None:
             return
         size = arrival.prefix_tokens * realization.kv_bytes_per_token
         speed = self.broker.node(serving_node).profile.speed_factor
@@ -583,7 +583,7 @@ class Simulation:
         gain = _ceil_time(per_token, arrival.prefix_tokens, speed.numerator, speed.denominator)
         entry = CacheEntry(
             state_id=f"st-{request.request_id}",
-            compatibility_hash=compat,
+            state_key=key,
             size=size,
             session_id=arrival.session_id,
             latency_gain_us=gain,
@@ -591,12 +591,14 @@ class Simulation:
             token_count=arrival.prefix_tokens,
             source_realization=prefill_rid,
         )
+        # Trust is never below 0: at a floor of 0 the scope check passes unread.
+        min_trust = request.policy.min_trust
         decision = store.admit(
             entry,
             _NEW_ENTRY_P_HIT,
             now,
-            node_trust=self.trust.effective_trust(serving_node, now),
-            requester_min_trust=request.policy.min_trust,
+            node_trust=self.trust.effective_trust(serving_node, now) if min_trust > 0 else 0,
+            requester_min_trust=min_trust,
         )
         if self.trace_enabled:
             layout = _CACHE_ADMIT if decision.admitted else _CACHE_REJECT

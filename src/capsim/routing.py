@@ -90,16 +90,15 @@ it keeps the winner by the same rule.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from hashlib import sha256
 from heapq import heapify, heappop, heappush, heappushpop
 from math import lcm
 from typing import NamedTuple
 
-from .caching import CacheEntry, CacheSystem, state_hash
+from .caching import CacheEntry, CacheSystem, state_key
 from .descriptors import (
     REASON_BUDGET_EXCEEDED,
     REASON_NO_FEASIBLE_PLAN,
@@ -109,6 +108,7 @@ from .descriptors import (
     RequestDescriptor,
     Tier,
     bounded,
+    plan_items,
 )
 from .registry import Broker, CandidateTable, Hit, NodeState
 from .topology import Route, Topology, Unreachable, region_vertex
@@ -141,9 +141,10 @@ class ExecutionPlan:
 
     @classmethod
     def of(cls, stages: tuple[PlanStage, ...]) -> "ExecutionPlan":
-        """The plan of ``stages``, its id hashed afresh; ``Router.plan`` memoizes it."""
-        payload = json.dumps([s.to_dict() for s in stages], sort_keys=True, separators=(",", ":"))
-        return cls(stages=stages, plan_id=hashlib.sha256(payload.encode()).hexdigest()[:32])
+        """The plan of ``stages``, its id hashed afresh; ``Router.plan`` memoizes it.
+        The id is the first 32 hex digits of the SHA-256 of the stages' JSON
+        list, the bytes of a receipt's ``plan``."""
+        return cls(stages=stages, plan_id=sha256(f"[{plan_items(stages)}]".encode()).hexdigest()[:32])
 
 
 def _weight_multipliers(weights: RoutingWeights) -> tuple[int, tuple[int, ...]]:
@@ -365,10 +366,10 @@ class Router:
             return 0, 0
         return self.topology.transfer_between(self.artifact_repository, node_id, realization.artifact_size_bytes)
 
-    def state_hash_for(self, realization_id: str, request: RequestDescriptor) -> str | None:
-        if not request.affinity_token:
-            return None
-        return state_hash(realization_id, request.affinity_token.partition(":")[2])
+    def state_key_for(self, realization_id: str, request: RequestDescriptor) -> tuple[str, str]:
+        """The key of the state ``realization_id`` computes for the prefix of
+        a session turn, a request with an affinity token."""
+        return state_key(realization_id, request.affinity_token.partition(":")[2])
 
     def _holders(
         self, request: RequestDescriptor, realization_id: str, held: _Held
@@ -393,7 +394,7 @@ class Router:
             if last is None or last[0] != stamp or last[1] != broker_stamp:
                 self.holder_rebuilds += 1
                 nodes = self.broker.nodes
-                holders = self.caches.holders(state_hash(realization_id, prefix_digest), session_id)
+                holders = self.caches.holders(state_key(realization_id, prefix_digest), session_id)
                 holders = [(node_id, entry) for node_id, entry in holders if nodes[node_id].online]
                 top = max([entry.token_count for _, entry in holders], default=0)
                 last = kept[realization_id, token] = (stamp, broker_stamp, holders, top)
@@ -427,24 +428,23 @@ class Router:
         profile = prefill_node.profile
         prefill_id, speed = profile.node_id, profile.speed_factor
         local = [(n, e) for n, e in holders if n == prefill_id]
+        # Each holder covers a token: an offer needs a prefix, a migration
+        # copies the count, and ``most > 0`` means the prompt has one.
         if local:
             node_id, entry = local[0]
-            covered = min(entry.token_count, request.input_tokens)
-            if covered <= 0:
-                return None
-            return StateUse(node_id, entry, covered, transfer_us=0, core_bytes=0)
+            return StateUse(node_id, entry, min(entry.token_count, request.input_tokens), transfer_us=0, core_bytes=0)
         # Trust lapses without any stamp moving, so it is read here, not kept
         # with the holders: a node whose attestation lapsed hands over nothing.
         floor = max(1, request.policy.min_trust)
         best: StateUse | None = None
         for node_id, entry in holders:
-            covered = min(entry.token_count, request.input_tokens)
-            if covered <= 0 or self.broker.effective_trust(self.broker.nodes[node_id], now) < floor:
+            if self.broker.effective_trust(self.broker.nodes[node_id], now) < floor:
                 continue
             try:
                 migrate_us, core = self.topology.transfer_between(node_id, prefill_id, entry.size)
             except Unreachable:
                 continue
+            covered = min(entry.token_count, request.input_tokens)
             recompute_us = _ceil_time(realization.prefill_time_per_token_us, covered, speed.numerator, speed.denominator)
             if migrate_us < recompute_us and (best is None or (migrate_us, node_id) < (best.transfer_us, best.entry_node)):
                 best = StateUse(node_id, entry, covered, transfer_us=migrate_us, core_bytes=core)

@@ -1,4 +1,3 @@
-import hashlib
 import random
 from collections import Counter, deque
 from copy import deepcopy
@@ -17,7 +16,7 @@ from capsim.caching import (
     CacheSystem,
     StateStore,
     p_hit_of,
-    state_hash,
+    state_key,
 )
 from capsim.engine import Simulation
 from capsim.scenario import Scenario
@@ -25,25 +24,32 @@ from capsim.scenario import Scenario
 HALF = (1, 2)  # p_hit as (numerator, denominator)
 
 
-def make_entry(state_id="s1", size=1000, compat="h1", session="sess-1", gain=1000, storage=0, tokens=0):
-    return CacheEntry(state_id, compat, size, session, gain, storage, token_count=tokens)
+def make_entry(state_id="s1", size=1000, key="h1", session="sess-1", gain=1000, storage=0, tokens=0):
+    return CacheEntry(state_id, key, size, session, gain, storage, token_count=tokens)
 
 
-# -- state hash ---------------------------------------------------------------------
+# -- state key ----------------------------------------------------------------------
 
 
-def test_hash_deterministic():
-    assert state_hash("real-1", "prefix-1") == state_hash("real-1", "prefix-1")
-    # The hashed payload's bytes are fixed.
-    assert state_hash("real-1", "prefix-1") == hashlib.sha256(b'["real-1","default",null,"prefix-1"]').hexdigest()[:32]
+def test_key_of_equal_inputs_is_equal():
+    assert state_key("real-1", "prefix-1") == state_key("real-1", "prefix-1")
+    assert hash(state_key("real-1", "prefix-1")) == hash(state_key("real-1", "prefix-1"))
 
 
-def test_hash_sensitive_to_realization():
-    assert state_hash("real-1", "prefix-1") != state_hash("real-2", "prefix-1")
+def test_key_differs_per_realization_and_per_prefix():
+    keys = {state_key(rid, digest) for rid in ("real-1", "real-2") for digest in ("prefix-1", "prefix-2")}
+    assert len(keys) == 4
 
 
-def test_hash_sensitive_to_prefix():
-    assert state_hash("real-1", "prefix-1") != state_hash("real-1", "prefix-2")
+def test_sessions_with_one_prefix_hold_separate_entries():
+    store = StateStore("n1", 10_000)
+    key = state_key("real-1", "prefix-1")
+    for session in ("sess-1", "sess-2"):
+        assert store.admit(make_entry(f"st-{session}", 100, key, session), HALF, now=0).admitted
+    assert [store.peek(key, s).state_id for s in ("sess-1", "sess-2")] == ["st-sess-1", "st-sess-2"]
+    assert len(store.entries) == 2
+    store.drop_session("sess-1")
+    assert store.peek(key, "sess-1") is None and store.peek(key, "sess-2").state_id == "st-sess-2"
 
 
 # -- admission value --------------------------------------------------------------
@@ -118,12 +124,12 @@ def test_duplicate_admission_rejected():
 def test_admission_displaces_only_lower_density():
     store = StateStore("n1", 1000)
     # Low-value resident: density (1/2 * 100) / 1000.
-    store.admit(make_entry("weak", compat="h-weak", gain=100), HALF, now=0)
+    store.admit(make_entry("weak", key="h-weak", gain=100), HALF, now=0)
     # High-value newcomer displaces it.
-    strong = store.admit(make_entry("strong", compat="h-strong", gain=1_000_000), HALF, now=0)
+    strong = store.admit(make_entry("strong", key="h-strong", gain=1_000_000), HALF, now=0)
     assert strong.admitted and strong.evicted == ("weak",)
     # A weaker-than-resident newcomer is refused instead.
-    refused = store.admit(make_entry("weaker", compat="h-weaker", gain=10), HALF, now=0)
+    refused = store.admit(make_entry("weaker", key="h-weaker", gain=10), HALF, now=0)
     assert refused.outcome == REJECT_INSUFFICIENT_SPACE
 
 
@@ -134,15 +140,15 @@ def test_admission_displaces_only_lower_density():
 def test_evict_for_with_ample_space_is_empty():
     store = StateStore("n1", 10_000)
     store.admit(make_entry(gain=100_000), HALF, now=0)
-    decision = store.admit(make_entry("s2", compat="h2", gain=100_000), HALF, now=0)
+    decision = store.admit(make_entry("s2", key="h2", gain=100_000), HALF, now=0)
     assert decision.admitted and decision.evicted == ()
 
 
 def test_evict_for_orders_by_benefit_density():
     store = StateStore("n1", 2000)
-    store.admit(make_entry("low", compat="h-low", session="s", gain=200), HALF, now=0)
-    store.admit(make_entry("high", compat="h-high", session="s", gain=1_000_000), HALF, now=0)
-    decision = store.admit(make_entry("new", compat="h-new", session="s", gain=10**9), HALF, now=0)
+    store.admit(make_entry("low", key="h-low", session="s", gain=200), HALF, now=0)
+    store.admit(make_entry("high", key="h-high", session="s", gain=1_000_000), HALF, now=0)
+    decision = store.admit(make_entry("new", key="h-new", session="s", gain=10**9), HALF, now=0)
     assert decision.admitted and decision.evicted == ("low",)
 
 
@@ -154,10 +160,10 @@ def test_admit_larger_than_capacity_rejected():
 
 def test_pinned_entries_survive_eviction():
     store = StateStore("n1", 2000)
-    store.admit(make_entry("pinned", compat="h-p", session="s", gain=10), HALF, now=0)
+    store.admit(make_entry("pinned", key="h-p", session="s", gain=10), HALF, now=0)
     store.peek("h-p", "s").pins = 1
-    store.admit(make_entry("free", compat="h-f", session="s", gain=1_000_000), HALF, now=0)
-    decision = store.admit(make_entry("new", compat="h-new", session="s", gain=10**9), HALF, now=0)
+    store.admit(make_entry("free", key="h-f", session="s", gain=1_000_000), HALF, now=0)
+    decision = store.admit(make_entry("new", key="h-new", session="s", gain=10**9), HALF, now=0)
     assert decision.evicted == ("free",)
     assert store.peek("h-p", "s") is not None
 
@@ -165,8 +171,8 @@ def test_pinned_entries_survive_eviction():
 def test_session_end_drops_private_entries():
     system = CacheSystem()
     store = system.add_store("n1", 10_000)
-    store.admit(make_entry("a", compat="h-a"), HALF, now=0)
-    store.admit(make_entry("b", compat="h-b", session="sess-2"), HALF, now=0)
+    store.admit(make_entry("a", key="h-a"), HALF, now=0)
+    store.admit(make_entry("b", key="h-b", session="sess-2"), HALF, now=0)
     dropped = system.drop_session("sess-1")
     assert dropped == [("n1", "a")]
     assert store.peek("h-b", "sess-2") is not None
@@ -218,7 +224,7 @@ def test_migration_transfer_arithmetic():
     store = system.add_store("n1", 2 << 20)
     system.add_store("n2", 2 << 20)
     one_mib = 1 << 20
-    store.admit(make_entry("kv-1", size=one_mib, compat="h-kv", gain=10_000_000), HALF, now=0)
+    store.admit(make_entry("kv-1", size=one_mib, key="h-kv", gain=10_000_000), HALF, now=0)
     entry = store.peek("h-kv", "sess-1")
     transfer_us, core = topo.transfer_between("n1", "n2", entry.size)
     # 10000 us propagation + ceil(1048576 / 100) serialization.
@@ -231,7 +237,7 @@ def test_capacity_never_exceeded_under_random_ops():
     store = StateStore("n1", 5_000)
     for i in range(300):
         size = rng.randint(100, 2000)
-        entry = make_entry(f"s{i}", compat=f"h{i}", size=size, session="sess", gain=rng.randint(0, 100_000))
+        entry = make_entry(f"s{i}", key=f"h{i}", size=size, session="sess", gain=rng.randint(0, 100_000))
         store.admit(entry, HALF, now=i)
         assert store.used_bytes() <= store.capacity_bytes
         if rng.random() < 0.1 and store.entries:
@@ -263,27 +269,27 @@ def test_session_index_holders_match_a_peek_of_every_store(ops):
     system = CacheSystem()
     for node_id in CACHE_NODES:
         system.add_store(node_id, 6)  # a few entries each, so admissions displace
-    for now, (op, node_id, session, compat, amount) in enumerate(ops):
+    for now, (op, node_id, session, key, amount) in enumerate(ops):
         store = system.store(node_id)
         if op == "admit":
-            entry = make_entry(f"s{now}", size=amount, compat=compat, session=session, gain=100 * (now % 5 + 1))
-            entry.source_realization = compat
+            entry = make_entry(f"s{now}", size=amount, key=key, session=session, gain=100 * (now % 5 + 1))
+            entry.source_realization = key
             store.admit(entry, HALF, now)
         elif op == "migrate":  # a copy of a held entry admitted on the next node, as the engine does
-            held = [e for n, e in system.holders(compat, session) if n != node_id]
+            held = [e for n, e in system.holders(key, session) if n != node_id]
             if held:
                 store.admit(replace(held[0], window=deque(), pins=0), HALF, now)
         elif op == "drop_session":
             want = [(n, e.state_id) for n in sorted(CACHE_NODES) for e in system.store(n).entries.values() if e.session_id == session]
             assert system.drop_session(session) == want
         elif op == "drop_realization":
-            system.drop_by_realization(compat)
+            system.drop_by_realization(key)
         elif op == "pin":
-            entry = store.peek(compat, session)
+            entry = store.peek(key, session)
             if entry is not None:
                 entry.pins = 1 - entry.pins
         else:  # removed outside a drop, as a revoked entry is once its last pin goes
-            store.remove(store.entry_key(compat, session))
+            store.remove(store.entry_key(key, session))
         for s in ("sess-1", "sess-2", "sess-3"):
             for h in ("h1", "h2"):
                 want = [(n, system.store(n).peek(h, s)) for n in sorted(CACHE_NODES)]
@@ -326,8 +332,8 @@ def reference_admit(store: StateStore, entry: CacheEntry, p_hit: Fraction, now: 
         if freed < entry.size:
             return REJECT_INSUFFICIENT_SPACE, value, ()
         for victim in evicted:
-            del store.entries[store.entry_key(victim.compatibility_hash, victim.session_id)]
-    store.entries[store.entry_key(entry.compatibility_hash, entry.session_id)] = entry
+            del store.entries[store.entry_key(victim.state_key, victim.session_id)]
+    store.entries[store.entry_key(entry.state_key, entry.session_id)] = entry
     return ADMITTED, value, tuple(e.state_id for e in evicted)
 
 
@@ -368,16 +374,16 @@ def test_integer_admission_matches_the_fraction_formula(held, newcomer, p_hit, c
     store = StateStore("n1", capacity, window_us=50)
     for i, (size, gain, storage, times, pinned) in enumerate(held):
         if store.used_bytes() + size <= capacity:
-            entry = make_entry(f"r{i}", size=size, compat=f"h{i}", gain=gain, storage=storage)
+            entry = make_entry(f"r{i}", size=size, key=f"h{i}", gain=gain, storage=storage)
             entry.window.extend(times)
             entry.pins = int(pinned)
-            store.entries[store.entry_key(entry.compatibility_hash, entry.session_id)] = entry
+            store.entries[store.entry_key(entry.state_key, entry.session_id)] = entry
     reference = deepcopy(store)
     size, gain, storage = newcomer
     outcome, benefit, evicted = reference_admit(
-        reference, make_entry("new", size=size, compat="h-new", gain=gain, storage=storage), Fraction(*p_hit), now
+        reference, make_entry("new", size=size, key="h-new", gain=gain, storage=storage), Fraction(*p_hit), now
     )
-    entry = make_entry("new", size=size, compat="h-new", gain=gain, storage=storage)
+    entry = make_entry("new", size=size, key="h-new", gain=gain, storage=storage)
     decision = store.admit(entry, p_hit, now)
     assert (decision.outcome, decision.benefit, decision.evicted) == (outcome, benefit, evicted)
     assert decision.benefit_text() == str(benefit)

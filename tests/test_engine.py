@@ -523,7 +523,7 @@ def test_cooperative_migration_moves_session_state():
     migrations = [r for r in result.trace if r["kind"] == "transfer_complete" and r.get("transfer") == "state_migration"]
     assert len(migrations) == 1
     # Cooperative consistency: the copy admitted at the destination is the
-    # same state object (same id, same compatibility hash) as the source's,
+    # same state object (same id, same state key) as the source's,
     # which the turn-1 admission row pins to edge-1.
     migrate_rows = [r for r in result.trace if r["kind"] == "cache_migrate"]
     assert migrate_rows == [

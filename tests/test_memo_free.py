@@ -13,13 +13,14 @@ seed 1, and the outputs must keep their pinned digests. Each bypass also
 runs alone on the benchmark workloads, so that one whose bytes hold only
 beside another's still shows.
 
-Two per-request calls the engine leaves out cannot be bypassed from here,
+Three per-request calls the engine leaves out cannot be bypassed from here,
 since an inline guard skips them. Spies call them where they were left out
 instead, and check that they return what the guard assumes: the
-dispatch-time verdict of a request without a trust floor allows it, and the
-offer a finishing session turn with a prefix skips would store nothing. A
-turn without a session, or without a prefix, has no state to offer, and
-the offer is not asked about it.
+dispatch-time verdict of a request without a trust floor allows it, the
+serving node's trust that an offer for such a request does not read passes
+admission's scope check, and the offer a finishing session turn with a
+prefix skips would store nothing. A turn without a session, or without a
+prefix, has no state to offer, and the offer is not asked about it.
 """
 
 import json
@@ -129,6 +130,10 @@ def bypass_every_memo(monkeypatch) -> Counter:
 
     def offered(self, now, arrival, scored):
         finishing[id(self)][2] = True
+        min_trust = arrival.request.policy.min_trust
+        if min_trust <= 0:  # the engine left the serving node's trust read out
+            calls["trust_left_out"] += 1
+            assert self.trust.effective_trust(scored.stages[-1].node_id, now) >= min_trust
         offer(self, now, arrival, scored)
 
     def checked_end_turn(self, now, arrival):
@@ -170,7 +175,7 @@ def test_a_memo_free_run_writes_the_pinned_bytes(monkeypatch, tmp_path):
     differ += workloads_that_differ(tmp_path)
     assert differ == []
     # Each bypass and each spy was reached.
-    kinds = ("lookup", "price", "holders", "simulation", "line", "verdict_left_out", "offer_left_out")
+    kinds = ("lookup", "price", "holders", "simulation", "line", "verdict_left_out", "trust_left_out", "offer_left_out")
     assert {kind: calls[kind] > 0 for kind in kinds} == dict.fromkeys(kinds, True)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import sys
 from collections import Counter
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from capsim.caching import CacheEntry, CacheSystem, state_hash
+from capsim.caching import CacheEntry, CacheSystem, state_key
 from capsim.descriptors import (
     REASON_BUDGET_EXCEEDED,
     REASON_NO_FEASIBLE_PLAN,
@@ -214,6 +216,22 @@ def test_equal_costs_tie_to_smaller_plan_id(simple_broker):
     assert outcomes[0].plan.plan_id == min(s.plan.plan_id for s in tied)
 
 
+# Ids with the characters JSON escapes or writes as \u escapes: quotes,
+# backslashes, control characters, non-ASCII and astral characters.
+PLAN_ID_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()), max_size=6)
+
+
+@given(st.lists(st.builds(PlanStage, PLAN_ID_TEXT, PLAN_ID_TEXT, st.sampled_from(PlanPhase)), min_size=1, max_size=2))
+@example([PlanStage("edge-1", "chat-v1-gpu", PlanPhase.PREFILL), PlanStage('a"\\', "\u00e9\x01", PlanPhase.DECODE)])
+def test_plan_id_hashes_the_json_of_its_stages(stages):
+    """A plan id is pinned to its JSON definition, on which the plan-id
+    tie-break depends: the first 32 hex digits of the SHA-256 of the stages'
+    JSON list."""
+    doc = [{"node_id": s.node_id, "phase": s.phase.value, "realization_id": s.realization_id} for s in stages]
+    want = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:32]
+    assert ExecutionPlan.of(tuple(stages)).plan_id == want
+
+
 def test_empty_plan_set_rejects_no_feasible_plan(simple_broker):
     router = make_router(simple_broker, enable_split=False)
     request = chat_request(policy=PolicyConstraint(min_trust=3, allowed_domains=("d1",)))
@@ -291,10 +309,10 @@ def test_admission_capped_node_excluded(simple_broker):
 
 def _plant_affinity_state(router, broker, node_id, request, tokens=64):
     rid = "chat-v1-gpu"
-    compat = router.state_hash_for(rid, request)
+    key = router.state_key_for(rid, request)
     session = request.affinity_token.split(":")[0]
     store = router.caches.store(node_id)
-    entry = CacheEntry("st-planted", compat, tokens * 256, session, 10_000, token_count=tokens, source_realization=rid)
+    entry = CacheEntry("st-planted", key, tokens * 256, session, 10_000, token_count=tokens, source_realization=rid)
     decision = store.admit(entry, (1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust)
     assert decision.admitted
 
@@ -578,7 +596,7 @@ def router_states(draw):
             tokens = max(1, request.input_tokens + draw(st.integers(-300, 100)))
             entry = CacheEntry(
                 f"st-{node_id}",
-                router.state_hash_for(rid, request),
+                router.state_key_for(rid, request),
                 tokens * 256,
                 session,
                 10_000_000,
@@ -656,7 +674,7 @@ def held_prefix_state():
     request = chat_request(affinity_token="sess-1:abc", output_tokens=400)
     entry = CacheEntry(
         "st-edge-1",
-        router.state_hash_for("chat-v1-gpu", request),
+        router.state_key_for("chat-v1-gpu", request),
         48 << 20,
         "sess-1",
         10_000_000,
@@ -973,7 +991,7 @@ def test_kept_holders_match_a_fresh_read_of_the_caches(ops):
 
     def fresh(request, rid):
         session_id, _, digest = request.affinity_token.partition(":")
-        holders = [(n, e) for n, e in caches.holders(state_hash(rid, digest), session_id) if broker.node(n).online]
+        holders = [(n, e) for n, e in caches.holders(state_key(rid, digest), session_id) if broker.node(n).online]
         return holders, min(request.input_tokens, max([e.token_count for _, e in holders], default=0))
 
     def read_all():
@@ -985,10 +1003,10 @@ def test_kept_holders_match_a_fresh_read_of_the_caches(ops):
 
     for now, (op, node_id, session, rid, size) in enumerate(ops):
         store = caches.store(node_id)
-        compat = state_hash(rid, "abc")
+        key = state_key(rid, "abc")
         if op == "admit":
             entry = CacheEntry(
-                f"st-{now}", compat, size, session, 100 * (now % 5 + 1), token_count=10 * size, source_realization=rid
+                f"st-{now}", key, size, session, 100 * (now % 5 + 1), token_count=10 * size, source_realization=rid
             )
             store.admit(entry, (1, 2), now)
         elif op == "drop_session":
@@ -1003,9 +1021,9 @@ def test_kept_holders_match_a_fresh_read_of_the_caches(ops):
         elif op == "revoke":
             caches.drop_by_realization(rid)
         elif op == "remove":
-            store.remove(store.entry_key(compat, session))
+            store.remove(store.entry_key(key, session))
         elif op == "pin":  # a pinned entry outlives a revocation
-            entry = store.peek(compat, session)
+            entry = store.peek(key, session)
             if entry is not None:
                 entry.pins = 1 - entry.pins
         else:
