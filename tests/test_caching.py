@@ -36,9 +36,12 @@ def test_key_of_equal_inputs_is_equal():
     assert hash(state_key("real-1", "prefix-1")) == hash(state_key("real-1", "prefix-1"))
 
 
-def test_key_differs_per_realization_and_per_prefix():
-    keys = {state_key(rid, digest) for rid in ("real-1", "real-2") for digest in ("prefix-1", "prefix-2")}
-    assert len(keys) == 4
+def test_hash_sensitive_to_realization():
+    assert state_key("real-1", "prefix-1") != state_key("real-2", "prefix-1")
+
+
+def test_hash_sensitive_to_prefix():
+    assert state_key("real-1", "prefix-1") != state_key("real-1", "prefix-2")
 
 
 def test_sessions_with_one_prefix_hold_separate_entries():
