@@ -14,29 +14,21 @@ admitting an entry builds no ``Fraction``. Entries a selected plan depends
 on are pinned until the request completes so scored coverage cannot be
 evicted mid-flight.
 
-``CacheSystem`` keeps a session index: per session id, the ids of the nodes
-whose store admitted one of the session's entries, in node-id order. Admission
-fills it and the session's end clears it; evictions and invalidations leave it
-as it is. So it lists every node that holds an entry of the session, and
-perhaps some that no longer do. ``holders`` and ``drop_session`` visit only the
-listed nodes and read each store afresh, so a stale listing costs one peek.
-
-The stores are the one writer of their entries. Each insertion or removal
-(admission, displacement, the session's end, a revocation, ``remove``) moves
-the session's stamp, ``session_stamp``, to a value the cache system never
-gave before, so a reader that keeps what it read of a session's entries can
-tell when to read them again. A session with no index entry, which holds no
-entry, has stamp 0.
+The stores are the one writer of their entries, and ``CacheSystem`` keeps
+an exact holder index from what they write: per session id and state key,
+the nodes holding the entry, in node-id order, and the most tokens one of
+them covers. Each insertion or removal (admission, displacement, the
+session's end, a revocation, ``remove``) updates it, so ``holders`` is two
+dict reads and ``drop_session`` visits only the nodes that hold the session.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 from math import gcd, lcm
+from operator import itemgetter
 
 ADMITTED = "Admitted"
 REJECT_NEGATIVE_BENEFIT = "NegativeBenefit"
@@ -120,17 +112,17 @@ class StateStore:
         self.capacity_bytes = capacity_bytes
         self.window_us = window_us
         self.entries: dict[tuple, CacheEntry] = {}  # keyed by entry_key(state key, session)
-        # The owning CacheSystem, whose session index is told of every entry stored or dropped.
+        # The owning CacheSystem, whose holder index is told of every entry stored or dropped.
         self._system = system
 
     @staticmethod
     def entry_key(key: tuple[str, str], session_id: str) -> tuple:
         return key, session_id
 
-    def _touch(self, session_id: str) -> None:
-        """Tell the session index that one of the session's entries here went."""
+    def _dropped(self, entry: CacheEntry) -> None:
+        """Tell the holder index that ``entry`` is no longer stored here."""
         if self._system is not None:
-            self._system._touch(session_id)
+            self._system._dropped(self.node_id, entry)
 
     def used_bytes(self) -> int:
         return sum(e.size for e in self.entries.values())
@@ -195,10 +187,10 @@ class StateStore:
                 return CacheDecision(REJECT_INSUFFICIENT_SPACE, (value, den))
             for victim in evicted:
                 del self.entries[self.entry_key(victim.state_key, victim.session_id)]
-                self._touch(victim.session_id)
+                self._dropped(victim)
         self.entries[key] = entry
         if self._system is not None:
-            self._system._admitted(entry.session_id, self.node_id)
+            self._system._admitted(self.node_id, entry)
         return CacheDecision(ADMITTED, (value, den), tuple(e.state_id for e in evicted))
 
     def lookup(self, key: tuple[str, str], session_id: str, now: int) -> CacheEntry | None:
@@ -216,7 +208,7 @@ class StateStore:
         """Drop the entry stored under ``entry_key``, if any, and return it."""
         entry = self.entries.pop(entry_key, None)
         if entry is not None:
-            self._touch(entry.session_id)
+            self._dropped(entry)
         return entry
 
     def drop_session(self, session_id: str) -> list[str]:
@@ -224,9 +216,8 @@ class StateStore:
         for key, entry in list(self.entries.items()):
             if entry.session_id == session_id:
                 del self.entries[key]
+                self._dropped(entry)
                 dropped.append(entry.state_id)
-        if dropped:
-            self._touch(session_id)
         return dropped
 
     def drop_by_realization(self, realization_id: str) -> list[str]:
@@ -235,25 +226,27 @@ class StateStore:
         for key, entry in list(self.entries.items()):
             if entry.source_realization == realization_id and entry.pins == 0:
                 del self.entries[key]
+                self._dropped(entry)
                 dropped.append(entry.state_id)
-                self._touch(entry.session_id)
         return dropped
 
 
+# A state's holders, (node id, entry) in node-id order, and the most tokens one covers.
+Held = tuple[tuple[tuple[str, CacheEntry], ...], int]
+
+_NONE_HELD: Held = ((), 0)
+
+
 class CacheSystem:
-    """All node stores plus the affinity index routing consults."""
+    """All node stores plus the holder index routing consults."""
 
     def __init__(self, window_us: int = 300_000_000, enabled: bool = True):
         self.window_us = window_us
         self.enabled = enabled
         self.stores: dict[str, StateStore] = {}
         self._node_ids: tuple[str, ...] = ()  # sorted keys of ``stores``
-        # session id -> sorted ids of the nodes that admitted one of its entries
-        self._sessions: dict[str, list[str]] = {}
-        # session id -> its stamp, for the sessions indexed; drawn from a count
-        # that never repeats, so a dropped session's stamp never returns
-        self._session_stamps: dict[str, int] = {}
-        self._stamps = count(1)
+        # session id -> state key -> the holders of the session's entry under that key
+        self._index: dict[str, dict[tuple[str, str], Held]] = {}
 
     def add_store(self, node_id: str, capacity_bytes: int) -> StateStore:
         store = StateStore(node_id, capacity_bytes, self.window_us, self)
@@ -264,39 +257,35 @@ class CacheSystem:
     def store(self, node_id: str) -> StateStore:
         return self.stores[node_id]
 
-    def _admitted(self, session_id: str, node_id: str) -> None:
-        """Index an entry of the session just stored on ``node_id``, and move its stamp."""
-        nodes = self._sessions.setdefault(session_id, [])
-        if node_id not in nodes:
-            insort(nodes, node_id)
-        self._session_stamps[session_id] = next(self._stamps)
+    def _admitted(self, node_id: str, entry: CacheEntry) -> None:
+        """Index ``entry``, just stored on ``node_id``."""
+        by_key = self._index.setdefault(entry.session_id, {})
+        holders, top = by_key.get(entry.state_key, _NONE_HELD)
+        holders = tuple(sorted((*holders, (node_id, entry)), key=itemgetter(0)))
+        by_key[entry.state_key] = holders, max(top, entry.token_count)
 
-    def _touch(self, session_id: str) -> None:
-        """Move the session's stamp: one of its entries was dropped."""
-        if session_id in self._session_stamps:
-            self._session_stamps[session_id] = next(self._stamps)
+    def _dropped(self, node_id: str, entry: CacheEntry) -> None:
+        """Unindex ``entry``, no longer stored on ``node_id``."""
+        by_key = self._index[entry.session_id]
+        holders = tuple(h for h in by_key[entry.state_key][0] if h[0] != node_id)
+        if holders:
+            by_key[entry.state_key] = holders, max(e.token_count for _, e in holders)
+        else:
+            del by_key[entry.state_key]
+            if not by_key:
+                del self._index[entry.session_id]
 
-    def session_stamp(self, session_id: str) -> int:
-        """The session's stamp: it moves whenever one of its entries is
-        stored or dropped, and is 0 while the session holds none."""
-        return self._session_stamps.get(session_id, 0)
-
-    def holders(self, key: tuple[str, str], session_id: str) -> list[tuple[str, CacheEntry]]:
-        """Nodes currently holding a matching entry, sorted by node id."""
-        if not self.enabled:
-            return []
-        out = []
-        for node_id in self._sessions.get(session_id, ()):
-            entry = self.stores[node_id].peek(key, session_id)
-            if entry is not None:
-                out.append((node_id, entry))
-        return out
+    def holders(self, key: tuple[str, str], session_id: str) -> Held:
+        """The nodes holding the session's entry under ``key``, as (node id,
+        entry) in node-id order, and the most tokens one of them covers."""
+        by_key = self._index.get(session_id)
+        return _NONE_HELD if by_key is None else by_key.get(key, _NONE_HELD)
 
     def drop_session(self, session_id: str) -> list[tuple[str, str]]:
-        """Drop every entry of the session, in node-id order, and its index."""
+        """Drop every entry of the session, in node-id order."""
+        nodes = {node_id for holders, _ in self._index.get(session_id, {}).values() for node_id, _ in holders}
         dropped = []
-        self._session_stamps.pop(session_id, None)
-        for node_id in self._sessions.pop(session_id, ()):
+        for node_id in sorted(nodes):
             for state_id in self.stores[node_id].drop_session(session_id):
                 dropped.append((node_id, state_id))
         return dropped

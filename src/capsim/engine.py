@@ -403,10 +403,10 @@ class Simulation:
                 self._push(now, self._row, _TELEMETRY, (node_id, queued_work_us))
 
     def _start_load(self, now: int, node_id: str, rid: str) -> None:
-        """Load ``rid`` on the node, or queue it once until an eviction
-        frees memory there. A cold commit may have installed it meanwhile."""
-        if rid in self.broker.node(node_id).residency:
-            return
+        """Load ``rid``, not resident, on the node, or queue it once until an
+        eviction frees memory there. Only an eviction frees memory, and it
+        starts the node's queued loads at once, so no cold commit can
+        install a queued load meanwhile."""
         if self.broker.free_memory(node_id) < self.broker.footprint(rid):
             self._pending_loads.setdefault(node_id, set()).add(rid)
             return
@@ -436,7 +436,6 @@ class Simulation:
 
     def _on_session_end(self, now: int, session_id: str) -> None:
         dropped = self.caches.drop_session(session_id)
-        self.router.end_session(session_id)
         if self.trace_enabled:
             for node_id, state_id in dropped:
                 self._row(now, _CACHE_EVICT, (node_id, state_id, "session_end"))
@@ -550,7 +549,7 @@ class Simulation:
         trust, stages = self.trust, scored.stages
         if kept is None:
             lineage = trust.lineage_for
-            versions = tuple(sorted({(s.realization_id, lineage(s.realization_id)[-1]) for s in stages}))
+            versions = tuple(sorted({(s.realization_id, lineage(s.realization_id)) for s in stages}))
         else:
             versions = kept[0]
         nodes = sorted({s.node_id for s in stages})

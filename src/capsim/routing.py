@@ -36,18 +36,16 @@ What changes between selects is kept as well, and read again only after an
 event that changes it. The broker returns the same hit list object while
 the hits hold (see ``registry``); ``_Classes.last`` keeps the last list a
 (table, origin) saw with each group's lead, reused while the list is that
-object. A session's state holders are kept per (realization, affinity
-token) with the session's stamp and the broker's, which move when one of
-the session's entries is stored or dropped or a node changes state; the
-engine drops them when the session ends. The token counts are read per
-select. From these, one formula (``_bounds``, also behind ``score`` and
-``idle_cost``) gives each side of a candidate an exact integer lower bound:
-transfer, execution with the most prompt tokens any online holder covers
-reused for free, and decode, leaving out the wait, the state charge and the
-load and policy penalties. Members of a class share it, so a select computes
-it once per (class, warm) group of its hits. Building the candidate's half
-(its queue, load and policy reads), then resolving its state, tighten the
-bound of every plan it is in.
+object. A session's state holders, and the most tokens one of them covers,
+are read from the cache system's holder index, which the stores keep exact,
+once per realization per select. From these, one formula (``_bounds``, also
+behind ``score`` and ``idle_cost``) gives each side of a candidate an exact
+integer lower bound: transfer, execution with the most prompt tokens any
+holder covers reused for free, and decode, leaving out the wait, the state
+charge and the load and policy penalties. Members of a class share it, so a
+select computes it once per (class, warm) group of its hits. Building the
+candidate's half (its queue, load and policy reads), then resolving its
+state, tighten the bound of every plan it is in.
 
 Routing is the one module that prices a candidate. On an idle node with no
 load or policy penalty, a request without session state waits for nothing
@@ -98,7 +96,7 @@ from heapq import heapify, heappop, heappush, heappushpop
 from math import lcm
 from typing import NamedTuple
 
-from .caching import CacheEntry, CacheSystem, state_key
+from .caching import CacheEntry, CacheSystem, Held, state_key
 from .descriptors import (
     REASON_BUDGET_EXCEEDED,
     REASON_NO_FEASIBLE_PLAN,
@@ -295,9 +293,9 @@ class _Half:
     pre_num: int | None = None  # None until resolved
 
 
-# Per realization: the online holders of the request's state and the most
-# prompt tokens one of them covers.
-_Held = dict[str, tuple[list[tuple[str, CacheEntry]], int]]
+# Per realization: the holders of the request's state and the most prompt
+# tokens one of them covers.
+_Held = dict[str, Held]
 
 # A priced plan: (J numerator, prefill-or-only half, decode half or None,
 # KV transfer time, decode wait).
@@ -337,17 +335,12 @@ class Router:
         # The rows of each (candidate table, origin region) as of the broker's ``epoch``.
         self._specialised: dict[tuple[CandidateTable, str], _Classes] = {}
         self._epoch = broker.epoch
-        # Per live session, per (realization, affinity token): the session's
-        # and the broker's stamp, the online holders, the most tokens one holds.
-        self._kept: dict[str, dict[tuple[str, str], tuple[int, int, list[tuple[str, CacheEntry]], int]]] = {}
         # Work counters: halves built, session states resolved for a prefill,
-        # selects that entered their split plans, the search's heap pops, and
-        # holder lists read afresh from the caches.
+        # selects that entered their split plans, and the search's heap pops.
         self.halves_priced = 0
         self.states_resolved = 0
         self.split_entries = 0
         self.search_pops = 0
-        self.holder_rebuilds = 0
 
     def plan(self, stages: tuple[PlanStage, ...]) -> ExecutionPlan:
         """The plan of ``stages``, hashed once per router."""
@@ -371,39 +364,16 @@ class Router:
         a session turn, a request with an affinity token."""
         return state_key(realization_id, request.affinity_token.partition(":")[2])
 
-    def _holders(
-        self, request: RequestDescriptor, realization_id: str, held: _Held
-    ) -> tuple[list[tuple[str, CacheEntry]], int]:
-        """The online nodes holding the request's state for ``realization_id``,
-        and the most prompt tokens one of them covers; memoized in ``held``.
-        The holders and their most tokens are kept per session until its
-        stamp or the broker's moves."""
+    def _holders(self, request: RequestDescriptor, realization_id: str, held: _Held) -> Held:
+        """The nodes holding the request's state for ``realization_id``, and
+        the most prompt tokens one of them covers; memoized in ``held``. Some
+        holders may be offline: ``_resolve_state`` skips them."""
         found = held.get(realization_id)
         if found is None:
-            token = request.affinity_token
-            session_id, _, prefix_digest = (token or "").partition(":")
-            stamp = self.caches.session_stamp(session_id) if token and self.caches.enabled else 0
-            if not stamp:  # no session state, caching off, or a session that holds no entry
-                found = held[realization_id] = ([], 0)
-                return found
-            broker_stamp = self.broker.stamp
-            kept = self._kept.get(session_id)
-            if kept is None:
-                kept = self._kept[session_id] = {}
-            last = kept.get((realization_id, token))
-            if last is None or last[0] != stamp or last[1] != broker_stamp:
-                self.holder_rebuilds += 1
-                nodes = self.broker.nodes
-                holders = self.caches.holders(state_key(realization_id, prefix_digest), session_id)
-                holders = [(node_id, entry) for node_id, entry in holders if nodes[node_id].online]
-                top = max([entry.token_count for _, entry in holders], default=0)
-                last = kept[realization_id, token] = (stamp, broker_stamp, holders, top)
-            found = held[realization_id] = (last[2], min(request.input_tokens, last[3]))
+            session_id, _, prefix_digest = (request.affinity_token or "").partition(":")
+            holders, top = self.caches.holders(state_key(realization_id, prefix_digest), session_id)
+            found = held[realization_id] = (holders, min(request.input_tokens, top))
         return found
-
-    def end_session(self, session_id: str) -> None:
-        """Drop the holders kept for a session that has ended."""
-        self._kept.pop(session_id, None)
 
     def _resolve_state(
         self,
@@ -413,10 +383,11 @@ class Router:
         now: int,
         held: _Held | None = None,
     ) -> StateUse | None:
-        """The request's state held on ``prefill_node``, else the state that
-        migrates there fastest from a holder of effective trust at least 1
-        and the request's ``min_trust`` at ``now``, if migrating beats
-        recomputing its covered tokens; None when the prefill reuses none.
+        """The request's state held on ``prefill_node``, a candidate and so
+        online, else the state that migrates there fastest from an online
+        holder of effective trust at least 1 and the request's ``min_trust``
+        at ``now``, if migrating beats recomputing its covered tokens; None
+        when the prefill reuses none.
 
         ``held`` memoizes the holders per realization for callers that
         resolve state for many candidates of one request at one instant.
@@ -433,12 +404,13 @@ class Router:
         if local:
             node_id, entry = local[0]
             return StateUse(node_id, entry, min(entry.token_count, request.input_tokens), transfer_us=0, core_bytes=0)
-        # Trust lapses without any stamp moving, so it is read here, not kept
-        # with the holders: a node whose attestation lapsed hands over nothing.
+        # A node offline, or whose attestation lapsed, hands over nothing.
         floor = max(1, request.policy.min_trust)
+        nodes = self.broker.nodes
         best: StateUse | None = None
         for node_id, entry in holders:
-            if self.broker.effective_trust(self.broker.nodes[node_id], now) < floor:
+            node = nodes[node_id]
+            if not node.online or self.broker.effective_trust(node, now) < floor:
                 continue
             try:
                 migrate_us, core = self.topology.transfer_between(node_id, prefill_id, entry.size)
@@ -631,8 +603,8 @@ class Router:
 
         Each side charges its transfer and its execution: set-up, the
         activation when cold, and for the prefill side the prompt tokens no
-        online holder covers (``held``, filled on a realization's first
-        miss), for the decode side the decode. The wait, the state charge and
+        holder covers (``held``, filled on a realization's first miss), for
+        the decode side the decode. The wait, the state charge and
         the penalties are >= 0 and left out. A candidate without a row (no
         route from the origin), or cold with no route for its artifact, can
         take no stage and is left out. Times round up as ``Route.time_us`` does.

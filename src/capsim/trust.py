@@ -56,13 +56,13 @@ def lineage_digest(lineage: tuple[tuple[str, str], ...]) -> str:
 class TrustManager:
     def __init__(self) -> None:
         self._attestations: dict[str, list[AttestationRecord]] = {}
-        self._lineage: dict[str, tuple[str, ...]] = {}  # each realization's prefix digests
+        self._lineage: dict[str, str] = {}  # each realization's lineage digest
         self._revoked: set[str] = set()
         self.revocations = 0  # bumped by every revoke; readers that cache lineage state compare it
         self.attestations = 0  # bumped by every attest; readers that keep effective trust compare it
 
     def register_lineage(self, realization_id: str, lineage: tuple[tuple[str, str], ...]) -> None:
-        self._lineage[realization_id] = tuple(lineage_digest(lineage[: i + 1]) for i in range(len(lineage)))
+        self._lineage[realization_id] = lineage_digest(lineage)
 
     def attest(self, record: AttestationRecord) -> None:
         self._attestations.setdefault(record.node_id, []).append(record)
@@ -96,7 +96,7 @@ class TrustManager:
         lapses = [rec.issue_time_us + rec.validity_window_us for rec in records if rec.validity_window_us is not None]
         return starts + lapses
 
-    def lineage_for(self, realization_id: str) -> tuple[str, ...] | None:
+    def lineage_for(self, realization_id: str) -> str | None:
         return self._lineage.get(realization_id)
 
     def is_revoked(self, realization_id: str) -> bool:

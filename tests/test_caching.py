@@ -205,12 +205,13 @@ def test_lookup_other_session_misses():
 
 def test_holders_and_session_drops_follow_node_id_order():
     system = CacheSystem()
-    for node_id in ("n3", "n1", "n2"):  # registration order is not id order
+    for tokens, node_id in enumerate(("n3", "n1", "n2"), 1):  # registration order is not id order
         store = system.add_store(node_id, 10_000)
-        store.admit(make_entry(f"s-{node_id}"), HALF, now=0)
-    assert [node_id for node_id, _ in system.holders("h1", "sess-1")] == ["n1", "n2", "n3"]
+        store.admit(make_entry(f"s-{node_id}", tokens=tokens), HALF, now=0)
+    holders, top = system.holders("h1", "sess-1")
+    assert ([node_id for node_id, _ in holders], top) == (["n1", "n2", "n3"], 3)
     assert system.drop_session("sess-1") == [("n1", "s-n1"), ("n2", "s-n2"), ("n3", "s-n3")]
-    assert system.holders("h1", "sess-1") == []
+    assert system.holders("h1", "sess-1") == ((), 0)
 
 
 def test_migration_transfer_arithmetic():
@@ -265,21 +266,23 @@ CACHE_OPS = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(CACHE_OPS)
+# The holder covering the most tokens goes, and the most falls to the other's.
+@example([("admit", "n1", "sess-1", "h1", 3), ("admit", "n2", "sess-1", "h1", 1), ("pop", "n1", "sess-1", "h1", 1)])
 def test_session_index_holders_match_a_peek_of_every_store(ops):
-    """``holders`` and ``drop_session`` read the session index; a full scan of
-    every store, in node-id order, must give the same after any sequence of
-    admissions, migrations, displacements and drops."""
+    """``holders`` and ``drop_session`` read the holder index; a full scan of
+    every store, in node-id order, must give the same holders and most tokens
+    after any sequence of admissions, migrations, displacements and drops."""
     system = CacheSystem()
     for node_id in CACHE_NODES:
         system.add_store(node_id, 6)  # a few entries each, so admissions displace
     for now, (op, node_id, session, key, amount) in enumerate(ops):
         store = system.store(node_id)
         if op == "admit":
-            entry = make_entry(f"s{now}", size=amount, key=key, session=session, gain=100 * (now % 5 + 1))
+            entry = make_entry(f"s{now}", size=amount, key=key, session=session, gain=100 * (now % 5 + 1), tokens=amount)
             entry.source_realization = key
             store.admit(entry, HALF, now)
         elif op == "migrate":  # a copy of a held entry admitted on the next node, as the engine does
-            held = [e for n, e in system.holders(key, session) if n != node_id]
+            held = [e for n, e in system.holders(key, session)[0] if n != node_id]
             if held:
                 store.admit(replace(held[0], window=deque(), pins=0), HALF, now)
         elif op == "drop_session":
@@ -295,8 +298,8 @@ def test_session_index_holders_match_a_peek_of_every_store(ops):
             store.remove(store.entry_key(key, session))
         for s in ("sess-1", "sess-2", "sess-3"):
             for h in ("h1", "h2"):
-                want = [(n, system.store(n).peek(h, s)) for n in sorted(CACHE_NODES)]
-                assert system.holders(h, s) == [(n, e) for n, e in want if e is not None]
+                want = tuple((n, e) for n in sorted(CACHE_NODES) if (e := system.store(n).peek(h, s)) is not None)
+                assert system.holders(h, s) == (want, max((e.token_count for _, e in want), default=0))
 
 
 # -- integer admission ----------------------------------------------------------------

@@ -355,7 +355,7 @@ def test_receipt_attestations_match_a_fresh_derivation(name):
         expected = tuple(sorted({(s.node_id, sim.trust.effective_trust(s.node_id, start)) for s in stages}))
         assert receipt.node_attestations == expected, receipt.request_id
         assert receipt.capability_versions == tuple(
-            sorted({(s.realization_id, lineage(s.realization_id)[-1]) for s in stages})
+            sorted({(s.realization_id, lineage(s.realization_id)) for s in stages})
         )
         # Receipts of one plan with equal attestations share one tuple.
         assert shared.setdefault((stages, expected), receipt.node_attestations) is receipt.node_attestations

@@ -2,16 +2,15 @@
 
 The run path keeps values between calls, each valid under an invalidation
 rule of its own: the broker's hit lists (``CandidateTable.kept``), the
-router's pricing-class leads (``_Classes.last``) and state holders
-(``Router._kept``), the engine's receipt parts (``Simulation._plan_parts``
-and ``_attestation_values``) and the receipt-line fragments that
-``ReceiptLog.to_jsonl`` shares (``ExecutionReceipt.to_json_line``'s
-``parts``). An untraced run also leaves out the completion events that
-nothing reads. Here every one of them is bypassed from outside, on every
-shipped scenario, every golden variant and every benchmark workload at
-seed 1, and the outputs must keep their pinned digests. Each bypass also
-runs alone on the benchmark workloads, so that one whose bytes hold only
-beside another's still shows.
+router's pricing-class leads (``_Classes.last``), the engine's receipt parts
+(``Simulation._plan_parts`` and ``_attestation_values``) and the receipt-line
+fragments that ``ReceiptLog.to_jsonl`` shares
+(``ExecutionReceipt.to_json_line``'s ``parts``). An untraced run also leaves
+out the completion events that nothing reads. Here every one of them is
+bypassed from outside, on every shipped scenario, every golden variant and
+every benchmark workload at seed 1, and the outputs must keep their pinned
+digests. Each bypass also runs alone on the benchmark workloads, so that one
+whose bytes hold only beside another's still shows.
 
 Three per-request calls the engine leaves out cannot be bypassed from here,
 since an inline guard skips them. Spies call them where they were left out
@@ -70,13 +69,6 @@ def memo_bypasses(calls: Counter) -> dict[str, tuple[type, str, Callable]]:
         classes.last[:] = [None, {}]
         return price(self, request, classes, hits, now, limit)
 
-    holders = Router._holders
-
-    def fresh_holders(self, request, realization_id, held):
-        calls["holders"] += 1
-        self._kept.clear()
-        return holders(self, request, realization_id, held)
-
     init = Simulation.__init__
 
     def memo_free_init(self, *args, **kwargs):
@@ -95,7 +87,6 @@ def memo_bypasses(calls: Counter) -> dict[str, tuple[type, str, Callable]]:
     return {
         "lookup": (Broker, "lookup_candidates", fresh_lookup),
         "price": (Router, "_price_plans", fresh_price),
-        "holders": (Router, "_holders", fresh_holders),
         "simulation": (Simulation, "__init__", memo_free_init),
         "line": (ExecutionReceipt, "to_json_line", unshared_line),
     }
@@ -175,7 +166,7 @@ def test_a_memo_free_run_writes_the_pinned_bytes(monkeypatch, tmp_path):
     differ += workloads_that_differ(tmp_path)
     assert differ == []
     # Each bypass and each spy was reached.
-    kinds = ("lookup", "price", "holders", "simulation", "line", "verdict_left_out", "trust_left_out", "offer_left_out")
+    kinds = ("lookup", "price", "simulation", "line", "verdict_left_out", "trust_left_out", "offer_left_out")
     assert {kind: calls[kind] > 0 for kind in kinds} == dict.fromkeys(kinds, True)
 
 

@@ -607,9 +607,8 @@ def router_states(draw):
                 entry, (1, 2), now=0, node_trust=3, requester_min_trust=request.policy.min_trust
             )
         if holders and draw(st.booleans()):
-            # An offline holder's state is neither reused nor counted in the prefill bound.
+            # An offline holder's state is not reused, though its tokens count in the prefill bound.
             broker.set_online(draw(st.sampled_from(holders)), False)
-    router.caches.enabled = draw(st.sampled_from([True, True, False]))
     return router, request, now
 
 
@@ -957,14 +956,13 @@ def test_one_router_follows_its_hits_from_select_to_select():
 
 
 HOLDER_NODES = ["edge-1", "edge-2", "edge-3"]
+HOLDER_TRUST = {"edge-1": 3, "edge-2": 1}  # edge-3 is never attested: trust 0
 HOLDER_SESSIONS = ["sess-1", "sess-2"]
 HOLDER_REALIZATIONS = ["chat-v1-gpu", "chat-v2-gpu"]
 
 HOLDER_OPS = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["admit", "admit", "drop_session", "end_session", "drop_here", "revoke", "remove", "pin", "toggle"]
-        ),
+        st.sampled_from(["admit", "admit", "drop_session", "drop_here", "revoke", "remove", "pin", "toggle"]),
         st.sampled_from(HOLDER_NODES),
         st.sampled_from(HOLDER_SESSIONS),
         st.sampled_from(HOLDER_REALIZATIONS),
@@ -976,30 +974,58 @@ HOLDER_OPS = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(HOLDER_OPS)
+# The holder covering the most tokens goes, and the most falls to the other's.
+@example(
+    [
+        ("admit", "edge-1", "sess-1", "chat-v1-gpu", 3),
+        ("admit", "edge-2", "sess-1", "chat-v1-gpu", 1),
+        ("remove", "edge-1", "sess-1", "chat-v1-gpu", 1),
+    ]
+)
 def test_kept_holders_match_a_fresh_read_of_the_caches(ops):
-    """A router keeps each session's holders between selects. After any
-    sequence of admissions (some displacing another session's entry), session
-    drops with and without the router told or on one store alone,
-    revocations, removals, pins and liveness flips, they equal ``CacheSystem.holders`` read afresh and
-    filtered by liveness, and reading them again with nothing changed reads
-    nothing afresh."""
+    """The cache system's holder index stays exact. After any sequence of
+    admissions (some displacing another session's entry), session drops
+    system-wide or on one store alone, revocations, removals, pins and
+    liveness flips, ``CacheSystem.holders`` equals a scan of every store in
+    node-id order with the most tokens one of them covers, and the router
+    reads just that. State resolved for an online prefill node is never an
+    offline holder's, nor a remote holder's below the request's trust floor."""
     router = edge_router([("1", 0)] * len(HOLDER_NODES))
     broker = router.broker
+    broker.trust = TrustManager()
+    for node_id, level in HOLDER_TRUST.items():
+        broker.trust.attest(AttestationRecord(node_id, level, 0, None))
     caches = router.caches = CacheSystem()
     for node_id in HOLDER_NODES:
         caches.add_store(node_id, 6)  # a few entries each, so admissions displace
+    realizations = {rid: make_realization(rid, "chat-v1") for rid in HOLDER_REALIZATIONS}
 
-    def fresh(request, rid):
-        session_id, _, digest = request.affinity_token.partition(":")
-        holders = [(n, e) for n, e in caches.holders(state_key(rid, digest), session_id) if broker.node(n).online]
-        return holders, min(request.input_tokens, max([e.token_count for _, e in holders], default=0))
+    def scan(key, session):
+        holders = tuple((n, e) for n in sorted(HOLDER_NODES) if (e := caches.store(n).peek(key, session)) is not None)
+        return holders, max((e.token_count for _, e in holders), default=0)
 
-    def read_all():
+    def check_all(now):
         for session in HOLDER_SESSIONS:
-            for input_tokens in (15, 100):
-                request = chat_request(affinity_token=f"{session}:abc", input_tokens=input_tokens)
-                for rid in HOLDER_REALIZATIONS:
-                    assert router._holders(request, rid, {}) == fresh(request, rid)
+            for rid in HOLDER_REALIZATIONS:
+                holders, top = caches.holders(state_key(rid, "abc"), session)
+                assert (holders, top) == scan(state_key(rid, "abc"), session)
+                for input_tokens, min_trust in ((15, 0), (100, 2)):
+                    request = chat_request(
+                        affinity_token=f"{session}:abc",
+                        input_tokens=input_tokens,
+                        policy=PolicyConstraint(min_trust=min_trust),
+                    )
+                    assert router._holders(request, rid, {}) == (holders, min(input_tokens, top))
+                    for prefill in HOLDER_NODES:
+                        if not broker.node(prefill).online:
+                            continue  # a candidate is online
+                        use = router._resolve_state(request, broker.node(prefill), realizations[rid], now)
+                        if use is None:
+                            continue
+                        assert (use.entry_node, use.entry) in holders
+                        holder = broker.node(use.entry_node)
+                        assert holder.online
+                        assert use.entry_node == prefill or broker.effective_trust(holder, now) >= max(1, min_trust)
 
     for now, (op, node_id, session, rid, size) in enumerate(ops):
         store = caches.store(node_id)
@@ -1009,13 +1035,9 @@ def test_kept_holders_match_a_fresh_read_of_the_caches(ops):
                 f"st-{now}", key, size, session, 100 * (now % 5 + 1), token_count=10 * size, source_realization=rid
             )
             store.admit(entry, (1, 2), now)
-        elif op == "drop_session":
+        elif op == "drop_session":  # as the engine ends a session
             caches.drop_session(session)
-            assert caches.session_stamp(session) == 0
-        elif op == "end_session":  # as the engine ends a session
-            caches.drop_session(session)
-            router.end_session(session)
-            assert session not in router._kept
+            assert session not in caches._index
         elif op == "drop_here":
             store.drop_session(session)
         elif op == "revoke":
@@ -1028,10 +1050,9 @@ def test_kept_holders_match_a_fresh_read_of_the_caches(ops):
                 entry.pins = 1 - entry.pins
         else:
             broker.set_online(node_id, not broker.node(node_id).online)
-        read_all()
-        rebuilds = router.holder_rebuilds
-        read_all()
-        assert router.holder_rebuilds == rebuilds
+        check_all(now)
+    # The index holds only sessions and keys with a holder.
+    assert all(by_key and all(holders for holders, _ in by_key.values()) for by_key in caches._index.values())
 
 
 def test_tied_idle_edges_build_at_most_two_halves():
@@ -1190,14 +1211,11 @@ def test_search_pops_pin_the_lazy_entry_of_identical_candidates(name, pops):
     assert sim.router.search_pops == pops
 
 
-# Hit lists and holder lists read afresh on the benchmark's workloads at seed
-# 1: table walks in ``Broker.lookup_candidates`` and ``CacheSystem.holders``
-# calls. Before they were kept, every lookup walked its table (164, 2,047
-# and 5,180 lookups) and every select read its holders per realization.
-@pytest.mark.parametrize(
-    "name, hit_rebuilds, holder_rebuilds", [("fanout17", 1, 35), ("sessions", 1, 252), ("replan_churn", 322, 0)]
-)
-def test_rebuild_counters_pin_the_kept_hits_and_holders(name, hit_rebuilds, holder_rebuilds, monkeypatch):
+# Hit lists read afresh on the benchmark's workloads at seed 1: table walks
+# in ``Broker.lookup_candidates``. Before they were kept, every lookup walked
+# its table (164, 2,047 and 5,180 lookups).
+@pytest.mark.parametrize("name, hit_rebuilds", [("fanout17", 1), ("sessions", 1), ("replan_churn", 322)])
+def test_rebuild_counters_pin_the_kept_hits_and_holders(name, hit_rebuilds, monkeypatch):
     """Every walk has a cause: the first lookup of its (table, trust floor),
     a change of node state or attestations since its last walk, or ``now``
     reaching the instant its hits stopped holding. So per (table, floor) the
@@ -1224,13 +1242,13 @@ def test_rebuild_counters_pin_the_kept_hits_and_holders(name, hit_rebuilds, hold
     sim = Simulation(scenario_named(name))
     before = sim.broker.stamp + sim.trust.attestations
     sim.run()
-    assert (sim.broker.hit_rebuilds, sim.router.holder_rebuilds) == (hit_rebuilds, holder_rebuilds)
+    assert sim.broker.hit_rebuilds == hit_rebuilds
     changes = sim.broker.stamp + sim.trust.attestations - before
     assert sum(sum(c.values()) for c in causes.values()) == hit_rebuilds
     for c in causes.values():
         assert c["none"] == 0 and c["first"] == 1 and c["changed"] <= changes
-    # The router keeps holders only for sessions with turns still to come.
-    assert set(sim.router._kept) <= set(sim._session_remaining)
+    # The holder index keeps only sessions with turns still to come.
+    assert set(sim.caches._index) <= set(sim._session_remaining)
 
 
 def test_search_pops_per_select_barely_grow_with_identical_nodes(monkeypatch):

@@ -1,10 +1,11 @@
 """One writer for the state that kept lookups read.
 
-``Broker.lookup_candidates`` keeps its hits, and ``Router._holders`` its
-holders, until a stamp moves. Only the writer moves a stamp, so no other
-module may change that state behind it: ``registry.py`` alone assigns a
-node's liveness, residency, draining flags and used memory, and
-``caching.py`` alone inserts into or pops from a store's ``entries``.
+``Broker.lookup_candidates`` keeps its hits until the broker's stamp moves,
+and ``CacheSystem.holders`` reads an index the stores keep as they write.
+Only the writer moves a stamp or updates the index, so no other module may
+change that state behind it: ``registry.py`` alone assigns a node's
+liveness, residency, draining flags and used memory, and ``caching.py``
+alone inserts into or pops from a store's ``entries``.
 """
 
 import ast

@@ -115,11 +115,20 @@ def test_revoke_unknown_realization():
 
 
 def test_lineage_digest_chain_is_prefix_sensitive():
+    """A realization keeps one digest of its whole lineage: a change to the
+    parent or the tag of any step, a step dropped or a step added, changes it."""
     tm = manager_with_lineage()
-    chain = tm.lineage_for("real-2")
-    assert len(chain) == 2
-    assert chain[0] == lineage_digest((("base", "distill"),))
-    assert chain[0] != chain[1]
+    lineage = (("base", "distill"), ("head", "adapter"))
+    digest = tm.lineage_for("real-2")
+    assert digest == lineage_digest(lineage)
+    changed = {lineage[:1], lineage[1:], lineage + (("head", "adapter"),)}
+    for i, step in enumerate(lineage):
+        for j in range(2):
+            edited = tuple(part + "x" if k == j else part for k, part in enumerate(step))
+            changed.add(lineage[:i] + (edited,) + lineage[i + 1 :])
+    assert len(changed) == 7
+    assert digest not in {lineage_digest(other) for other in changed}
+    assert len({lineage_digest(other) for other in changed}) == 7
 
 
 def test_receipt_log_appends_in_order():
