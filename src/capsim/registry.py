@@ -327,9 +327,8 @@ class Broker:
             return True
         if scope is LocalityScope.REGION:
             return state.profile.region == origin_region
-        if scope is LocalityScope.NODE_LOCAL:
-            return state.profile.tier is Tier.LOCAL and state.profile.region == origin_region
-        return False
+        # LocalityScope.NODE_LOCAL, the last member
+        return state.profile.tier is Tier.LOCAL and state.profile.region == origin_region
 
     def lookup_candidates(self, table: CandidateTable, now: int = 0, min_trust: int = 0) -> list[Hit]:
         """The hits of ``table``'s pairs able to serve at ``now`` on a node of

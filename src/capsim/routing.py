@@ -30,22 +30,29 @@ speed as integers, and set-up with and without the cold activation. The rows
 of a (table, origin) are built in table order on its first select and kept
 until the broker clears its tables, and so are their pricing classes: rows
 with the same realization, routes, per-token coefficients, speed, set-up and
-cold cost, as identical servers behind one gateway have.
+cold cost, as identical servers behind one gateway have. Classes that share
+all but their route delays and set-up or activation, as servers at different
+distances behind links of one bandwidth do, form a pricing shape.
 
 What changes between selects is kept as well, and read again only after an
 event that changes it. The broker returns the same hit list object while
 the hits hold (see ``registry``); ``_Classes.last`` keeps the last list a
-(table, origin) saw with each group's lead, reused while the list is that
-object. A session's state holders, and the most tokens one of them covers,
-are read from the cache system's holder index, which the stores keep exact,
-once per realization per select. From these, one formula (``_bounds``, also
-behind ``score`` and ``idle_cost``) gives each side of a candidate an exact
-integer lower bound: transfer, execution with the most prompt tokens any
-holder covers reused for free, and decode, leaving out the wait, the state
-charge and the load and policy penalties. Members of a class share it, so a
-select computes it once per (class, warm) group of its hits. Building the
-candidate's half (its queue, load and policy reads), then resolving its
-state, tighten the bound of every plan it is in.
+(table, origin) saw with each group's lead and each shape's groups in order,
+reused while the list is that object. A session's state holders, and the
+most tokens one of them covers, are read from the cache system's holder
+index, which the stores keep exact, once per realization per select; a
+request without an affinity token has no session and reads none. From these,
+one formula (``_bounds``, also behind ``score`` and ``idle_cost``) gives each
+side of a candidate an exact integer lower bound: transfer, execution with
+the most prompt tokens any holder covers reused for free, and decode, leaving
+out the wait, the state charge and the load and policy penalties. Members of
+a class share it. Within a shape, a (class, warm) group's single-node bound
+is its static offset, m_net times both route delays plus m_exec times set-up
+and activation, plus a per-request part the whole shape shares: every
+ceiling falls in that part, so ``_shifted`` moves one group's bounds to
+another's exactly, and a select calls ``_bounds`` once per shape it enters.
+Building the candidate's half (its queue, load and policy reads), then
+resolving its state, tighten the bound of every plan it is in.
 
 Routing is the one module that prices a candidate. On an idle node with no
 load or policy penalty, a request without session state waits for nothing
@@ -57,20 +64,27 @@ cold activation, the engine's loads and placement's transfer cost.
 ``select`` is one best-first search over these bounds: a heap holds each
 plan at its current bound, and each pop takes one step on the plan with the
 least (build its prefill half, resolve that half's state, for a split build
-its decode half, price it exactly) and pushes it back at its tighter bound.
-Plans enter the heap lazily, each where it would pop had every plan been
-entered at the start, so the search's order, and the work it does, is the
-same. A group's single-node plans enter one at a time in plan-id order: the
-next when the one before first pops, and none once the plan-id tie-break
-rules them out. The split plans wait behind one sentinel entry, at the least
-prefill-side plus the least decode-side static bound, which no split plan's
-bound is below; only a select whose sentinel pops sorts the decode partners
-and pushes its splits. So a select's heap grows with its groups, not with its
-nodes. The first exact plan popped has the least J of all; if it is within
-budget it is J*, otherwise no plan is. After J*, only plans whose bound is
-inside its tie window and the budget, and whose plan id is below the least
-one priced there, can change the plan-id tie-break, so every other plan is
-left unpriced and the outcome is the one full enumeration gives.
+its decode half, price it exactly) and pushes it back at its tighter bound; a
+step that leaves its plan ahead of every other entry takes its next step at
+once, with no push or pop. Plans enter the heap lazily, each where it would
+pop had every plan been entered at the start, so the search's order, and the
+work it does, is the same. A shape is entered, its bounds computed and its
+first group's lead pushed, only once the least key reaches the shape's least
+offset, which its bounds are no less than, and never above the tie window; a
+shape the search never reaches costs nothing. A group enters when the group
+before it in its shape, by (offset, lead plan id), first pops, and a group's
+single-node plans enter one at a time in plan-id order: the next when the one
+before first pops, and none once the plan-id tie-break rules them out. The
+split plans wait behind one sentinel entry, at the least prefill-side plus
+the least decode-side static bound, which no split plan's bound is below;
+with splits on every shape is entered up front for it, and only a select
+whose sentinel pops sorts the decode partners and pushes its splits. So a
+select's work grows with the plans it reaches, not with its nodes. The first
+exact plan popped has the least J of all; if it is within budget it is J*,
+otherwise no plan is. After J*, only plans whose bound is inside its tie
+window and the budget, and whose plan id is below the least one priced
+there, can change the plan-id tie-break, so every other plan is left
+unpriced and the outcome is the one full enumeration gives.
 
 The search keeps the winner as it goes: J*'s tie cut within the budget, set
 at the first exact pop, and the plan with the least id priced inside it. It
@@ -82,8 +96,8 @@ again.
 A node at its admission cap is checked when its half is built and then
 dropped. ``now`` is fixed for the whole select, so this is the same as
 excluding the node before pricing. An auditing router lists every plan, so
-it never stops the search: it builds every half and prices every plan, and
-it keeps the winner by the same rule.
+it never stops the search: it enters every shape up front, builds every half
+and prices every plan, and it keeps the winner by the same rule.
 """
 
 from __future__ import annotations
@@ -242,16 +256,30 @@ class _Classes(NamedTuple):
     request. Class c has a cold group, id 2c, and a warm one, 2c + 1:
     ``groups[warm][position]``, -1 where the candidate can take no stage so
     (no row, or cold with no route for its artifact). ``rank`` gives each
-    position its place in single-node plan-id order, and ``succ`` links it
-    to the next member of its class in that order, -1 after the last.
-    ``last`` holds the hit list of the last select and each of its groups'
-    member with the least plan id, reused while the broker returns that
-    same list object."""
+    position its place in single-node plan-id order.
+
+    Classes with the same realization, bottleneck bandwidth on both routes,
+    per-token coefficients and speed form a pricing shape, ``shape[group]``.
+    They differ only by their route delays and set-up or activation, so each
+    static bound of a group, of its single-node plan, its prefill side and its
+    decode side, is a static part plus a per-request part its whole shape
+    shares. ``offset[group]`` holds the three static parts: m_net times both
+    delays, the inbound delay or the outbound one, plus m_exec times set-up
+    and activation. The first is the group's offset.
+
+    ``last`` holds the hit list of the last select, reused while the broker
+    returns that same list object, with what the search derives from it: each
+    member's successor in its group by plan id; each group's lead, its member
+    with the least plan id, and its successor in its shape by (offset, lead
+    rank); and per shape, its first group as (offset, lead hit, the least
+    prefill-side and the least decode-side static part of its groups less
+    the first's)."""
 
     rows: tuple[_Row | None, ...]
     groups: tuple[tuple[int, ...], tuple[int, ...]]
     rank: tuple[int, ...]
-    succ: tuple[int, ...]
+    shape: tuple[int, ...]
+    offset: tuple[tuple[int, int, int] | None, ...]
     last: list
 
 
@@ -296,6 +324,8 @@ class _Half:
 # Per realization: the holders of the request's state and the most prompt
 # tokens one of them covers.
 _Held = dict[str, Held]
+
+_NO_HOLDERS: Held = ((), 0)
 
 # A priced plan: (J numerator, prefill-or-only half, decode half or None,
 # KV transfer time, decode wait).
@@ -366,13 +396,18 @@ class Router:
 
     def _holders(self, request: RequestDescriptor, realization_id: str, held: _Held) -> Held:
         """The nodes holding the request's state for ``realization_id``, and
-        the most prompt tokens one of them covers; memoized in ``held``. Some
-        holders may be offline: ``_resolve_state`` skips them."""
+        the most prompt tokens one of them covers, none without an affinity
+        token; memoized in ``held``. Some holders may be offline:
+        ``_resolve_state`` skips them."""
         found = held.get(realization_id)
         if found is None:
-            session_id, _, prefix_digest = (request.affinity_token or "").partition(":")
-            holders, top = self.caches.holders(state_key(realization_id, prefix_digest), session_id)
-            found = held[realization_id] = (holders, min(request.input_tokens, top))
+            if request.affinity_token:
+                session_id, _, prefix_digest = request.affinity_token.partition(":")
+                holders, top = self.caches.holders(state_key(realization_id, prefix_digest), session_id)
+                found = (holders, min(request.input_tokens, top))
+            else:  # no session, so no stored state to read
+                found = _NO_HOLDERS
+            held[realization_id] = found
         return found
 
     def _resolve_state(
@@ -573,25 +608,31 @@ class Router:
             self._epoch = self.broker.epoch
         origin = region_vertex(origin_region)
         rows = tuple(self._row(origin, n, r) for n, r in table.pairs)
-        n = len(rows)
-        cold, warm, rank, succ = [-1] * n, [-1] * n, [0] * n, [-1] * n
+        cold, warm, rank = [-1] * len(rows), [-1] * len(rows), [0] * len(rows)
         ids: dict[tuple, int] = {}
-        tails: list[int] = []  # per class, its member latest in single-plan-id order so far
+        shapes: dict[tuple, int] = {}
+        shape: list[int] = []  # per group
+        offset: list[tuple[int, int, int] | None] = []  # per group; None for a cold one no candidate joins
+        m_net, m_exec = self._mult[0], self._mult[2]
         ranked = sorted((row.single.plan_id, p) for p, row in enumerate(rows) if row is not None)
         for r, (_, p) in enumerate(ranked):
             row = rows[p]
-            routes, times = (row.route_in, row.route_out), (row.prefill_us, row.decode_us, row.speed_num)
-            c = ids.setdefault((row.realization.realization_id, routes, times, row.setup_us, row.cold_us), len(ids))
-            if c < len(tails):
-                succ[tails[c]] = p
-                tails[c] = p
-            else:
-                tails.append(p)
+            route_in, route_out = row.route_in, row.route_out
+            times = (row.realization.realization_id, row.prefill_us, row.decode_us, row.speed_num)
+            c = ids.setdefault((times, route_in, route_out, row.cold_us), len(ids))
+            if 2 * c == len(shape):  # a new class: its shape and its groups' static parts
+                bandwidths = (route_in.bw_num, route_in.bw_den, route_out.bw_num, route_out.bw_den)
+                s = shapes.setdefault((times, bandwidths), len(shapes))
+                shape += (s, s)
+                d_in, d_out = m_net * route_in.delay_us, m_net * route_out.delay_us
+                delays = (d_in + d_out, d_in, d_out)
+                for base in (row.cold_us, row.setup_us):
+                    offset.append(None if base is None else tuple(d + m_exec * base for d in delays))
             rank[p] = r
             warm[p] = 2 * c + 1
             if row.cold_us is not None:
                 cold[p] = 2 * c
-        classes = _Classes(rows, (tuple(cold), tuple(warm)), tuple(rank), tuple(succ), [None, {}])
+        classes = _Classes(rows, (tuple(cold), tuple(warm)), tuple(rank), tuple(shape), tuple(offset), [None])
         self._specialised[table, origin_region] = classes
         return classes
 
@@ -633,6 +674,18 @@ class Router:
             pre = m_net * t_in + m_exec * (base + uncovered)
             out.append((row, warm, t_in, t_out, decode_us, base, pre, rest + m_exec * base, rest))
         return out
+
+    def _shifted(self, bound: _Bound, row: _Row, warm: bool) -> _Bound:
+        """The static bounds of ``row``'s candidate, warm or cold, moved from
+        ``bound``, a candidate's of the same pricing shape for the same
+        request: only the route delays and the set-up or activation differ."""
+        m_net, m_exec = self._mult[0], self._mult[2]
+        base = row.setup_us if warm else row.cold_us
+        d_in = row.route_in.delay_us - bound[0].route_in.delay_us
+        d_out = row.route_out.delay_us - bound[0].route_out.delay_us
+        rest = bound[8] + m_net * d_out
+        pre = bound[6] + m_net * d_in + m_exec * (base - bound[5])
+        return row, warm, bound[2] + d_in, bound[3] + d_out, bound[4], base, pre, rest + m_exec * base, rest
 
     def _half(self, request: RequestDescriptor, bound: _Bound, now: int) -> _Half:
         """Price a candidate as a stage half, all but its prefill's state reuse.
@@ -714,23 +767,34 @@ class Router:
         for a split build the decode half, price it exactly) and is pushed
         back at the bound that step gives. Halves are shared, so an entry's
         bound can be stale: such an entry is pushed back at its current bound
-        with no work done.
+        with no work done. An entry pushed back ahead of the heap's least
+        entry, and below the offset of every shape not entered, would pop
+        next, so it takes its next step at once instead.
 
         Candidates enter lazily. The hits fall into groups, a pricing class
-        and a warm flag, whose members share one static bound: it is computed
-        once per group, and each group starts with one entry, for its member
-        with the least single-node plan id. When a member's entry first pops,
-        the group's next member in plan-id order enters, at the key it would
-        have had from the start, which is no less. Splits wait behind one
-        sentinel (i = -1), at the least prefill-side plus the least
-        decode-side static bound of the groups; it sorts after every other
+        and a warm flag, whose members share one static bound, and the groups
+        into pricing shapes, whose groups' bounds differ by their offsets
+        alone. A shape enters once the least key, of the heap and of the entry
+        held out of it, reaches its least offset, capped at ``top`` once that
+        is set: one ``_bounds`` call for its first group, whose lead, its
+        member with the least single-node plan id, gets an entry. Its bound is
+        its offset plus a part that is >= 0, so nothing of the shape could
+        have popped before. When a group's lead first pops, the next group of
+        its shape in (offset, lead plan id) order enters, its bounds shifted
+        from the lead's, and when any member first pops, the group's next
+        member in plan-id order enters: each at the key it would have had from
+        the start, which is no less. Splits wait behind one sentinel (i = -1),
+        at the least prefill-side plus the least decode-side static bound of
+        the groups: each shape's first bound plus its groups' least static
+        parts give it, so with splits on every shape enters up front, as it
+        does for an auditing router. The sentinel sorts after every other
         entry at that bound but before the splits. When it pops, every
-        candidate's bound is built and each prefill side gets one entry for
-        its first partner, and then one for its next partner when the one
-        before is first popped; a partner's static bound is no less than the
-        one before it. So the heap's least entry is the one that would pop if
-        every plan were entered from the start, and every entry pops in that
-        order.
+        group's bound is shifted from its shape's, every candidate's is built
+        and each prefill side gets one entry for its first partner, and then
+        one for its next partner when the one before is first popped; a
+        partner's static bound is no less than the one before it. So the
+        heap's least entry is the one that would pop if every plan were
+        entered from the start, and every entry pops in that order.
 
         The first exact plan popped thus has the least J. Over ``limit``,
         every plan is, and the search stops with no winner. Otherwise it is
@@ -744,38 +808,54 @@ class Router:
         lists every plan, so it never stops or skips, and takes its winner by
         the same rule.
         """
-        rows, groups, rank, succ, last = classes
+        rows, groups, rank, shape, offset, last = classes
         if hits is last[0]:  # the broker returns its kept list while the hits hold
-            lead = last[1]
+            _, later, after, firsts = last
         else:
-            lead = {}  # per group, its hit with the least plan id
+            members: dict[int, list[tuple[int, Hit]]] = {}  # per group, its hits by plan id
             for hit in hits:
-                p = hit[0]
-                g = groups[hit[1]][p]
-                q = lead.get(g)
-                if q is None or rank[p] < rank[q[0]]:
-                    lead[g] = hit
-            lead.pop(-1, None)
-            last[:] = hits, lead
+                g = groups[hit[1]][hit[0]]
+                if g >= 0:
+                    members.setdefault(g, []).append((rank[hit[0]], hit))
+            later: dict[int, Hit] = {}  # per member, the next of its group
+            chains: dict[int, list[tuple[int, int, Hit, int, int]]] = {}  # per shape, its groups
+            for g, ms in members.items():
+                ms.sort()
+                later.update((a[1][0], b[1]) for a, b in zip(ms, ms[1:]))
+                off, pre, dec = offset[g]
+                chains.setdefault(shape[g], []).append((off, ms[0][0], ms[0][1], pre, dec))
+            after: dict[int, Hit] = {}  # per group's lead, the next group's lead in its shape
+            firsts = {}
+            for s, chain in chains.items():
+                chain.sort()
+                off, _, hit, pre, dec = chain[0]
+                firsts[s] = off, hit, min(c[3] for c in chain) - pre, min(c[4] for c in chain) - dec
+                after.update((a[2][0], b[2]) for a, b in zip(chain, chain[1:]))
+            last[:] = hits, later, after, firsts
         held: _Held = {}  # state holders per realization, this instant
-        # Group -1 holds every hit ``_bounds`` would leave out, so it bounds each lead.
-        group_bounds = self._bounds(request, rows, lead.values(), held)
         bounds: list[_Bound | None] = [None] * len(rows)  # by position, once the candidate enters
         # (bound, -steps done, k, single plan id or "", i, priced plan or None):
         # on equal bounds, plans further along pop first, then single-node
-        # plans in plan-id order.
-        heap: list[tuple[int, int, int, str, int, _Priced | None]] = []
-        for (p, _), b in zip(lead.values(), group_bounds):
-            bounds[p] = b
-            heap.append((b[6] + b[8], 0, -1, b[0].single.plan_id, p, None))
-        if self.enable_split and heap:
-            # The sentinel (i = -1) stands for every split until it pops: after
-            # every entry at its bound but the splits, whose bounds are no less.
-            heap.append((min(b[6] for b in group_bounds) + min(b[7] for b in group_bounds), 0, 0, "", -1, None))
+        # plans in plan-id order. A shape not entered waits at its least
+        # offset, before every entry there: (offset, -5, 0, "", -2, its first lead).
+        heap: list[tuple] = []
+        if self.enable_split or self.audit:
+            # Every shape enters now: the sentinel needs every shape's bounds,
+            # and an auditing router reaches every plan.
+            entering = list(zip(firsts.values(), self._bounds(request, rows, [f[1] for f in firsts.values()], held)))
+            for f, b in entering:
+                bounds[f[1][0]] = b
+                heap.append((b[6] + b[8], 0, -1, b[0].single.plan_id, f[1][0], None))
+            if self.enable_split and heap:
+                # The sentinel (i = -1) stands for every split until it pops: after
+                # every entry at its bound but the splits, whose bounds are no less.
+                least = min(b[6] + f[2] for f, b in entering) + min(b[7] + f[3] for f, b in entering)
+                heap.append((least, 0, 0, "", -1, None))
+        else:
+            heap = [(f[0], -5, 0, "", -2, f[1]) for f in firsts.values()]
         heapify(heap)
         built: dict[int, _Half | None] = {}  # None: the node is at its admission cap
 
-        present: dict[int, bool] | None = None  # each hit's warm flag, by position
         decoders: list[list[int]] = []  # per prefill side, its variant's candidates by static decode bound
         entered: list[int] = []  # each prefill side's last partner entered
         plans: list[_Priced] = []
@@ -786,11 +866,19 @@ class Router:
         back = None  # the entry the last step pushes back, held out of the heap until the next pop
         pops = 0
         while heap or back is not None:
-            bound, neg_steps, k, tie, i, priced = heappop(heap) if back is None else heappushpop(heap, back)
+            if back is not None and (not heap or back < heap[0]):
+                entry = back  # ahead of every entry, so it would pop next: its next step is taken at once
+            else:
+                entry = heappop(heap) if back is None else heappushpop(heap, back)
+                pops += 1
+            bound, neg_steps, k, tie, i, priced = entry
             back = None
-            pops += 1
             if stop is not None and bound > stop:
                 break
+            if i == -2:  # a shape the least key reaches: its first group enters
+                b = bounds[priced[0]] = self._bounds(request, rows, (priced,), held)[0]
+                heappush(heap, (b[6] + b[8], 0, -1, b[0].single.plan_id, priced[0], None))
+                continue
             if i < 0:  # the sentinel: build every bound, enter each prefill side's first split
                 self.split_entries += 1
                 candidates = []
@@ -799,7 +887,7 @@ class Router:
                         g = groups[warm][p]
                         if g < 0:
                             continue
-                        bounds[p] = (rows[p],) + bounds[lead[g][0]][1:]
+                        bounds[p] = self._shifted(bounds[firsts[shape[g]][1][0]], rows[p], warm)
                     candidates.append(p)
                 partners: dict[str, list[int]] = {}
                 for _, j in sorted((bounds[j][7], j) for j in candidates):
@@ -811,16 +899,14 @@ class Router:
                 continue
             if k < 0:
                 j = -1
-                if not neg_steps and (q := succ[i]) >= 0:  # its first pop: enter the next member of its group
-                    if present is None:
-                        present = dict(hits)
-                    warm = bounds[i][1]
-                    while q >= 0 and present.get(q) != warm:
-                        q = succ[q]
-                    if q >= 0 and (stop is None or rows[q].single.plan_id < best_id):
-                        if bounds[q] is None:
-                            bounds[q] = (rows[q],) + bounds[i][1:]
-                        heappush(heap, (bound, 0, -1, rows[q].single.plan_id, q, None))
+                # Its first pop: the next member of its group enters, and after a
+                # group's lead, the next group of its shape.
+                if not neg_steps and (h := later.get(i)) and (stop is None or rows[h[0]].single.plan_id < best_id):
+                    bounds[h[0]] = (rows[h[0]],) + bounds[i][1:]
+                    heappush(heap, (bound, 0, -1, rows[h[0]].single.plan_id, h[0], None))
+                if not neg_steps and (h := after.get(i)):
+                    b = bounds[h[0]] = self._shifted(bounds[i], rows[h[0]], h[1])
+                    heappush(heap, (b[6] + b[8], 0, -1, b[0].single.plan_id, h[0], None))
             else:
                 j = decoders[i][k]
                 if k == entered[i] and k + 1 < len(decoders[i]):

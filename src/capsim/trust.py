@@ -41,11 +41,8 @@ class AttestationRecord:
     validity_window_us: int | None = bounded(None, 0, above=True)  # None = never expires
 
     def valid_at(self, now: int) -> bool:
-        if now < self.issue_time_us:
-            return False
-        if self.validity_window_us is None:
-            return True
-        return now < self.issue_time_us + self.validity_window_us
+        """Whether the record, issued at or before ``now``, has not yet expired."""
+        return self.validity_window_us is None or now < self.issue_time_us + self.validity_window_us
 
 
 def lineage_digest(lineage: tuple[tuple[str, str], ...]) -> str:

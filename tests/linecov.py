@@ -48,7 +48,6 @@ ALLOWED: dict[tuple[str, str], str] = {
         "validate rejects duplicates first",
     ("registry.py", 'raise CatalogIntegrityError(f"duplicate realization {realization.realization_id}")'):
         "validate rejects duplicates first",
-    ("registry.py", "return False"): "_in_scope after every LocalityScope member is tested",
     ("scenario.py", 'raise ScenarioParseError("scenario: expected a JSON object")'):
         "no test loads a document whose top level is not an object",
     ("topology.py", 'raise ValueError(f"duplicate node_id {node_id}")'): "validate rejects duplicates first",
@@ -56,7 +55,6 @@ ALLOWED: dict[tuple[str, str], str] = {
     ("topology.py", 'raise ValueError(f"link {link.link_id}: negative delay")'): "validate checks the bound first",
     ("topology.py", 'raise ValueError(f"link {link.link_id}: bandwidth must be > 0")'):
         "validate checks the bound first",
-    ("trust.py", "return False"): "valid_at before the issue time: effective_trust skips such records first",
     ("workload.py", "return len(cdf) - 1"):
         "a draw at or above the float CDF's last value, which rounding may leave below 1",
 }

@@ -644,16 +644,23 @@ def exhaustive_select(router, request, now):
     return REASON_BUDGET_EXCEEDED if saw_budget_only else REASON_NO_FEASIBLE_PLAN
 
 
-def edge_router(edges, audit=False, tie_eps=Fraction(1, 10**9), setup=1000, kv_bytes=256, weights=None):
+def edge_router(
+    edges, audit=False, tie_eps=Fraction(1, 10**9), setup=1000, kv_bytes=256, weights=None, load_time=1_000_000
+):
     """A split-enabled router over warm edges, given as (speed, gateway delay)
-    pairs, behind one metro gateway and all serving one realization."""
+    pairs or (speed, gateway delay, gateway bandwidth) triples, the bandwidth
+    1000 bytes per µs by default, behind one metro gateway and all serving
+    one realization."""
     catalog = CapabilityCatalog()
     catalog.add_class(make_class("chat"))
     catalog.add_variant(make_variant("chat-v1", "chat"))
-    catalog.add_realization(make_realization("chat-v1-gpu", "chat-v1", setup=setup, kv_bytes=kv_bytes))
-    profiles = [make_profile(f"edge-{i}", speed=speed) for i, (speed, _) in enumerate(edges, 1)]
+    catalog.add_realization(
+        make_realization("chat-v1-gpu", "chat-v1", setup=setup, kv_bytes=kv_bytes, load_time=load_time)
+    )
+    profiles = [make_profile(f"edge-{i}", speed=edge[0]) for i, edge in enumerate(edges, 1)]
     links = [
-        Link(f"l-gw-{p.node_id}", "region:metro", p.node_id, delay, Fraction(1000)) for p, (_, delay) in zip(profiles, edges)
+        Link(f"l-gw-{p.node_id}", "region:metro", p.node_id, edge[1], Fraction(edge[2] if len(edge) > 2 else 1000))
+        for p, edge in zip(profiles, edges)
     ]
     broker = Broker(catalog, make_topology(profiles, links))
     for p in profiles:
@@ -933,6 +940,80 @@ def test_identical_clones_select_as_the_auditing_router_and_full_enumeration(sta
     assert_quiet_select_as_auditing_and_exhaustive(*state)
 
 
+@st.composite
+def shaped_edge_states(draw):
+    """3-9 edges whose speed, gateway delay and gateway bandwidth are each
+    drawn from few values, so that a pricing shape holds several classes,
+    and some not installed, so that a class has a cold group beside its warm
+    one; under random reservations and session state, splits on or off, and
+    a budget share as in ``tied_edge_states``. A cold group's offset is the
+    warm one's plus the load time, which the delays can match. With the
+    network or execution weight 0, offsets tie more often, and with both 0
+    every static bound is 0."""
+    k = draw(st.integers(3, 9))
+    router = edge_router(
+        [
+            (
+                draw(st.sampled_from(["1/4", "1", "4"])),
+                draw(st.sampled_from([0, 50, 100, 400])),
+                draw(st.sampled_from([250, 1000])),
+            )
+            for _ in range(k)
+        ],
+        setup=draw(st.sampled_from([0, 1000])),
+        kv_bytes=draw(st.sampled_from([0, 256])),
+        load_time=draw(st.sampled_from([100, 700, 1_000_000])),
+        weights=RoutingWeights(
+            alpha=draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3)])),
+            gamma=draw(st.sampled_from([Fraction(0), Fraction(1)])),
+            tie_eps=draw(st.sampled_from(TIE_EPS_VALUES)),
+        ),
+    )
+    router.enable_split = draw(st.booleans())
+    broker = router.broker
+    now = draw(st.integers(0, 20_000))
+    request = chat_request(
+        input_tokens=draw(st.integers(0, 300)),
+        output_tokens=draw(st.integers(1, 400)),
+        affinity_token=draw(st.sampled_from([None, "sess-1:abc"])),
+        arrival_time=now,
+    )
+    for node_id in sorted(broker.nodes):
+        if draw(st.booleans()):
+            broker.evict(node_id, "chat-v1-gpu")
+        for _ in range(draw(st.integers(0, 2))):
+            broker.node(node_id).reserve(
+                "chat-v1-gpu", ready_us=draw(st.integers(0, 40_000)), duration_us=draw(st.integers(1, 30_000))
+            )
+        if request.affinity_token is not None and draw(st.integers(0, 3)) == 0:
+            tokens = max(1, request.input_tokens + draw(st.integers(-300, 100)))
+            _plant_affinity_state(router, broker, node_id, request, tokens=tokens)
+    return router, request, now, draw(st.sampled_from([None, Fraction(-1), Fraction(0), Fraction(1, 2)]))
+
+
+def tied_offset_state(split):
+    """Two edges of one shape: edge-1 cold at the gateway, edge-2 warm 50 µs
+    from it. With no set-up and a 100 µs load, both groups' offsets are 100."""
+    router = edge_router([("1", 0), ("1", 50)], setup=0, load_time=100)
+    router.broker.evict("edge-1", "chat-v1-gpu")
+    router.enable_split = split
+    return router, chat_request(), 0, None
+
+
+# Two groups of one shape tie on their offset, and so on their static bound:
+# the one whose lead has the smaller plan id pops first.
+@example(tied_offset_state(False))
+@example(tied_offset_state(True))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shaped_edge_states())
+def test_lazy_shape_entry_selects_as_every_shape_entered_up_front(state):
+    """A quiet router enters each pricing shape only when the search reaches
+    it, and each group of a shape after the one before it; an auditing
+    router enters every shape up front. Both select what full enumeration
+    does."""
+    assert_quiet_select_as_auditing_and_exhaustive(*state)
+
+
 def test_one_router_follows_its_hits_from_select_to_select():
     """A router keeps each group's lead between selects while the hits
     repeat; once a node goes offline, is evicted or comes back, the next
@@ -1202,13 +1283,43 @@ def test_split_entries_pin_the_selects_that_enter_splits(name, entered):
 # Heap pops of the search. Entering every single-node plan up front popped
 # 3,323 times on fanout17, whose 17 candidates form two pricing classes (16
 # identical edges and the cloud); the other three have few identical nodes.
+# Entering each plan where it would pop, but pushing back every step, popped
+# 1,120, 10,511, 22,224 and 68,108 times: a step that stays ahead of every
+# other entry is now taken at once, with no pop. A pricing shape the search
+# never reaches costs nothing; one it reaches pops once more, at its least
+# offset, to enter (sessions and replan_churn run with splits off).
 @pytest.mark.parametrize(
-    "name, pops", [("fanout17", 1120), ("sessions", 10511), ("replan_churn", 22224), ("audit", 68108)]
+    "name, pops", [("fanout17", 587), ("sessions", 6702), ("replan_churn", 13070), ("audit", 34748)]
 )
 def test_search_pops_pin_the_lazy_entry_of_identical_candidates(name, pops):
     sim = Simulation(scenario_named(name))
     sim.run()
     assert sim.router.search_pops == pops
+
+
+# Candidates ``_bounds`` prices and the cache system's holder reads on the
+# benchmark's workloads at seed 1. Bounding every (pricing class, warm) group
+# of every select priced 14,329 and 15,178 candidates and read holders 4,094
+# and 7,848 times; every read on replan_churn was for a request without an
+# affinity token, and found none.
+@pytest.mark.parametrize("name, bounded, holder_reads", [("sessions", 2425, 2236), ("replan_churn", 5372, 0)])
+def test_bounds_and_holder_reads_pin_the_shapes_entered(name, bounded, holder_reads, monkeypatch):
+    bounds, holders = Router._bounds, CacheSystem.holders
+    counts = Counter()
+
+    def counted_bounds(router, *args):
+        found = bounds(router, *args)
+        counts["bounded"] += len(found)
+        return found
+
+    def counted_holders(caches, *args):
+        counts["holder_reads"] += 1
+        return holders(caches, *args)
+
+    monkeypatch.setattr(Router, "_bounds", counted_bounds)
+    monkeypatch.setattr(CacheSystem, "holders", counted_holders)
+    Simulation(scenario_named(name)).run()
+    assert (counts["bounded"], counts["holder_reads"]) == (bounded, holder_reads)
 
 
 # Hit lists read afresh on the benchmark's workloads at seed 1: table walks
@@ -1272,8 +1383,9 @@ def test_search_pops_per_select_barely_grow_with_identical_nodes(monkeypatch):
 
 
 def test_a_fanout17_select_bounds_each_group_once(monkeypatch):
-    """A select computes one static bound per (pricing class, warm) group it
-    has: two on fanout17, whose splits are never entered, not 17."""
+    """A select computes one static bound per pricing shape it enters, in
+    one call: with splits on it enters every shape up front, and fanout17
+    has two, the 16 identical edges and the cloud, not 17 candidates."""
     bounds = Router._bounds
     sizes = []
 
@@ -1286,7 +1398,55 @@ def test_a_fanout17_select_bounds_each_group_once(monkeypatch):
     sim = Simulation(scenario_named("fanout17"))
     sim.run()
     assert sim.router.split_entries == 0
-    assert len(sizes) == 164 and max(sizes) == 2
+    assert sizes == [2] * 164
+
+
+def pricing_shape(row):
+    """A static row's pricing shape, as the router defines it: realization,
+    bottleneck bandwidth of both routes, per-token coefficients and speed."""
+    bandwidths = tuple((route.bw_num, route.bw_den) for route in (row.route_in, row.route_out))
+    return row.realization.realization_id, bandwidths, row.prefill_us, row.decode_us, row.speed_num
+
+
+def distinct_delay_fanout(nodes, split):
+    """The benchmark's fanout over ``nodes`` nodes for 1 s, each edge's
+    gateway link 7 µs longer than the one before, splits on or off."""
+    doc = workloads.fanout(ROOT, 1, nodes, duration_us=1_000_000)
+    for i, link in enumerate(l for l in doc["topology"]["links"] if l["link_id"].startswith("l-gw-")):
+        link["propagation_delay_us"] += 7 * i
+    doc["routing"]["enable_split"] = split
+    return Scenario.from_dict(doc)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_candidates_bounded_per_select_are_the_shapes_entered_not_the_nodes(split, monkeypatch):
+    """With distinct gateway delays every edge is its own pricing class, but
+    the edges share one pricing shape and the cloud has another. A select
+    bounds one candidate per shape it enters: every shape of its hits with
+    splits on, and with them off only the edges' shape, which holds every
+    winner here, at 17, 65 and 129 nodes alike."""
+    bounds, price_plans = Router._bounds, Router._price_plans
+    bounded, per_select = [0], []
+
+    def counted_bounds(router, *args):
+        found = bounds(router, *args)
+        bounded[0] += len(found)
+        return found
+
+    def counted(router, request, classes, hits, now, limit):
+        before = bounded[0]
+        outcome = price_plans(router, request, classes, hits, now, limit)
+        rows = [classes.rows[p] for p, _ in hits]
+        classes_hit = {(row.route_in, row.route_out) for row in rows}
+        per_select.append((bounded[0] - before, len({pricing_shape(row) for row in rows}), len(classes_hit)))
+        return outcome
+
+    monkeypatch.setattr(Router, "_bounds", counted_bounds)
+    monkeypatch.setattr(Router, "_price_plans", counted)
+    for nodes in (17, 65, 129):
+        per_select.clear()
+        Simulation(distinct_delay_fanout(nodes, split)).run()
+        assert per_select and set(per_select) == {(2 if split else 1, 2, nodes)}
 
 
 def test_rows_are_built_once_per_table_and_origin(monkeypatch):
