@@ -98,8 +98,6 @@ def parse_fraction(value: Any) -> Fraction:
     Accepts ints, "p/q" strings, and decimal strings/floats; floats go
     through ``str()`` so ``1.5`` means 3/2, not its binary expansion.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
         return Fraction(value)
     return Fraction(str(value))

@@ -19,6 +19,11 @@ that neither replans nor scripts a revocation, completions are not pushed.
 Each event's ``seq`` is taken in push order, so leaving events out keeps the
 order of every other event.
 
+A served request's receipt and the ``CacheEntry`` an offer or a migration
+stores are built with positional arguments, in field order: CPython matches
+each keyword of a generated ``__init__`` by name, which for a receipt's 21
+fields costs more than building it. ``tests/test_records.py`` pins the order.
+
 A session ends when its last turn finishes or is rejected. If no event is
 due at that instant, the session end runs at once: nothing is pushed after a
 turn ends, so as an event it would pop next. Otherwise it is pushed, and
@@ -52,8 +57,6 @@ join the generated ones, which come sorted.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import replace
 from typing import Callable, Protocol
 
 from . import deployment
@@ -358,8 +361,19 @@ class Simulation:
             self._row(now, _MIGRATION, (request.request_id, (src_node, dst_node), "state_migration"))
         if entry.source_realization and self.trust.is_revoked(entry.source_realization):
             return  # the bytes moved, but a revoked realization's state is stored nowhere
+        # A copy with a fresh window and no pins; positional, in CacheEntry's field order.
+        copy = CacheEntry(
+            entry.state_id,
+            entry.state_key,
+            entry.size,
+            entry.session_id,
+            entry.latency_gain_us,
+            entry.storage_cost_us,
+            entry.token_count,
+            entry.source_realization,
+        )
         decision = self.caches.store(dst_node).admit(
-            replace(entry, window=deque(), pins=0),
+            copy,
             p_hit_of(entry, now, self.caches.window_us),
             now,
             node_trust=self.trust.effective_trust(dst_node, now),
@@ -507,35 +521,37 @@ class Simulation:
         use = scored.state_use
         degraded = scored.served_quality < request.quality_target
         lookup = bool(request.affinity_token and self.caches.enabled)
+        stages = scored.stages
+        # Positional, in ExecutionReceipt's field order.
         self.receipts.emit(
             ExecutionReceipt(
-                request_id=request.request_id,
-                verdict=Verdict.DEGRADED if degraded else Verdict.ALLOWED,
-                reason=f"quality-downgrade:{scored.served_quality}" if degraded else None,
-                plan=scored.plan.stages,
-                capability_versions=parts[0],
-                node_attestations=parts[1],
-                cache_states_reused=(use.entry.state_id,) if use else (),
-                cache_tokens_covered=use.covered_tokens if use else 0,
-                t_net_us=scored.t_net_us,
-                t_queue_us=scored.t_queue_us,
-                t_exec_us=scored.t_exec_us,
-                t_state_us=scored.t_state_us,
-                c_load=scored.c_load,
-                p_policy=scored.p_policy,
-                arrival_time=request.arrival_time,
-                finish_time=now,
-                ttft_us=ttft,
-                tpot_us=tpot,
-                core_bytes=scored.core_bytes,
-                cache_lookup=lookup,
-                occupancy_us=tuple(proj.duration_us for proj in scored.stages),
+                request.request_id,
+                Verdict.DEGRADED if degraded else Verdict.ALLOWED,
+                f"quality-downgrade:{scored.served_quality}" if degraded else None,
+                scored.plan.stages,
+                parts[0],
+                parts[1],
+                (use.entry.state_id,) if use else (),
+                use.covered_tokens if use else 0,
+                scored.t_net_us,
+                scored.t_queue_us,
+                scored.t_exec_us,
+                scored.t_state_us,
+                scored.c_load,
+                scored.p_policy,
+                request.arrival_time,
+                now,
+                ttft,
+                tpot,
+                scored.core_bytes,
+                lookup,
+                (stages[0].duration_us,) if len(stages) == 1 else (stages[0].duration_us, stages[1].duration_us),
             )
         )
         # Only a session turn with a prefix has state to offer. The state the
         # turn reused, still stored on the node that serves its last stage, is
         # what an offer would find there first.
-        if lookup and arrival.prefix_tokens > 0 and (entry is None or pinned[0] != scored.stages[-1].node_id):
+        if lookup and arrival.prefix_tokens > 0 and (entry is None or pinned[0] != stages[-1].node_id):
             self._offer_session_state(now, arrival, scored)
         self._end_turn(now, arrival)
 
@@ -580,15 +596,16 @@ class Simulation:
         speed = self.broker.node(serving_node).profile.speed_factor
         per_token = realization.prefill_time_per_token_us
         gain = _ceil_time(per_token, arrival.prefix_tokens, speed.numerator, speed.denominator)
+        # Positional, in CacheEntry's field order; window and pins take their defaults.
         entry = CacheEntry(
-            state_id=f"st-{request.request_id}",
-            state_key=key,
-            size=size,
-            session_id=arrival.session_id,
-            latency_gain_us=gain,
-            storage_cost_us=size * self._storage_num // self._storage_den,
-            token_count=arrival.prefix_tokens,
-            source_realization=prefill_rid,
+            f"st-{request.request_id}",
+            key,
+            size,
+            arrival.session_id,
+            gain,
+            size * self._storage_num // self._storage_den,
+            arrival.prefix_tokens,
+            prefill_rid,
         )
         # Trust is never below 0: at a floor of 0 the scope check passes unread.
         min_trust = request.policy.min_trust

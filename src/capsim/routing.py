@@ -86,6 +86,12 @@ window and the budget, and whose plan id is below the least one priced
 there, can change the plan-id tie-break, so every other plan is left
 unpriced and the outcome is the one full enumeration gives.
 
+The records a select builds per candidate or per request, ``_Half``,
+``StateUse``, ``StageProjection`` and ``ScoredPlan``, take positional
+arguments in field order: CPython matches each keyword of a generated
+``__init__`` by name, which costs more than building the record, and
+``tests/test_records.py`` pins the order they rely on.
+
 The search keeps the winner as it goes: J*'s tie cut within the budget, set
 at the first exact pop, and the plan with the least id priced inside it. It
 returns that plan, None when no plan is within budget, with the plans it
@@ -271,9 +277,10 @@ class _Classes(NamedTuple):
     returns that same list object, with what the search derives from it: each
     member's successor in its group by plan id; each group's lead, its member
     with the least plan id, and its successor in its shape by (offset, lead
-    rank); and per shape, its first group as (offset, lead hit, the least
+    rank); per shape, its first group as (offset, lead hit, the least
     prefill-side and the least decode-side static part of its groups less
-    the first's)."""
+    the first's); and for a router that neither splits nor audits, the heap
+    of the shapes' waiting entries, which each select copies."""
 
     rows: tuple[_Row | None, ...]
     groups: tuple[tuple[int, ...], tuple[int, ...]]
@@ -433,12 +440,11 @@ class Router:
             return None
         profile = prefill_node.profile
         prefill_id, speed = profile.node_id, profile.speed_factor
-        local = [(n, e) for n, e in holders if n == prefill_id]
         # Each holder covers a token: an offer needs a prefix, a migration
         # copies the count, and ``most > 0`` means the prompt has one.
-        if local:
-            node_id, entry = local[0]
-            return StateUse(node_id, entry, min(entry.token_count, request.input_tokens), transfer_us=0, core_bytes=0)
+        for node_id, entry in holders:
+            if node_id == prefill_id:
+                return StateUse(node_id, entry, min(entry.token_count, request.input_tokens), 0, 0)
         # A node offline, or whose attestation lapsed, hands over nothing.
         floor = max(1, request.policy.min_trust)
         nodes = self.broker.nodes
@@ -454,7 +460,7 @@ class Router:
             covered = min(entry.token_count, request.input_tokens)
             recompute_us = _ceil_time(realization.prefill_time_per_token_us, covered, speed.numerator, speed.denominator)
             if migrate_us < recompute_us and (best is None or (migrate_us, node_id) < (best.transfer_us, best.entry_node)):
-                best = StateUse(node_id, entry, covered, transfer_us=migrate_us, core_bytes=core)
+                best = StateUse(node_id, entry, covered, migrate_us, core)
         return best
 
     def _c_load_for(self, state: NodeState, now: int) -> int:
@@ -549,19 +555,26 @@ class Router:
             )
         core_in = pre.row.route_in.core_bytes(request.input_tokens * self.bytes_per_token)
         core_out = last.row.route_out.core_bytes(request.output_tokens * self.bytes_per_token)
+        t_net, t_queue, t_exec, t_state, c_load, p_policy = self._terms_of(pre, dec, t_inter, wait)
+        # Positional, in ScoredPlan's field order.
         return ScoredPlan(
             plan,
-            *self._terms_of(pre, dec, t_inter, wait),
-            stages=stages,
-            inbound_net_us=pre.t_in,
-            interstage_net_us=t_inter,
-            finish_us=complete + last.t_out,
-            first_token_us=complete - last.decode_us - (-last.row.decode_us // last.row.speed_num),
-            decode_total_us=last.decode_us,
-            state_use=use,
-            core_bytes=core_in + core_inter + core_out + (use.core_bytes if use is not None else 0),
-            served_quality=quality,
-            alternatives=alternatives,
+            t_net,
+            t_queue,
+            t_exec,
+            t_state,
+            c_load,
+            p_policy,
+            stages,
+            pre.t_in,
+            t_inter,
+            complete + last.t_out,
+            complete - last.decode_us - (-last.row.decode_us // last.row.speed_num),
+            last.decode_us,
+            use,
+            core_in + core_inter + core_out + (use.core_bytes if use is not None else 0),
+            quality,
+            alternatives,
         )
 
     # -- selection ----------------------------------------------------------------
@@ -701,20 +714,21 @@ class Router:
         c_load = self._c_load_for(node, now)
         p_policy = pi_soft * self._soft_misses(request, node, row.realization, now) if pi_soft else 0
         penalty = self._mult[4] * c_load + self._mult[5] * p_policy
+        # Positional, in _Half's field order.
         return _Half(
             row,
             warm,
-            free_us=node.server_free_us[0],
-            kv_bytes=request.input_tokens * row.realization.kv_bytes_per_token,
-            c_load=c_load,
-            p_policy=p_policy,
-            activation=base - row.setup_us,
-            t_in=t_in,
-            pre_lb=pre + penalty,
-            t_out=t_out,
-            decode_us=decode_us,
-            decode_exec=base + decode_us,
-            dec_num=dec + penalty,
+            node.server_free_us[0],
+            request.input_tokens * row.realization.kv_bytes_per_token,
+            c_load,
+            p_policy,
+            base - row.setup_us,
+            t_in,
+            pre + penalty,
+            t_out,
+            decode_us,
+            base + decode_us,
+            dec + penalty,
         )
 
     def _prefill(self, request: RequestDescriptor, half: _Half, now: int, held: _Held) -> None:
@@ -810,7 +824,7 @@ class Router:
         """
         rows, groups, rank, shape, offset, last = classes
         if hits is last[0]:  # the broker returns its kept list while the hits hold
-            _, later, after, firsts = last
+            _, later, after, firsts, waiting = last
         else:
             members: dict[int, list[tuple[int, Hit]]] = {}  # per group, its hits by plan id
             for hit in hits:
@@ -831,17 +845,22 @@ class Router:
                 off, _, hit, pre, dec = chain[0]
                 firsts[s] = off, hit, min(c[3] for c in chain) - pre, min(c[4] for c in chain) - dec
                 after.update((a[2][0], b[2]) for a, b in zip(chain, chain[1:]))
-            last[:] = hits, later, after, firsts
+            # A shape not entered waits at its least offset, before every entry
+            # there: (offset, -5, 0, "", -2, its first lead).
+            waiting = None
+            if not (self.enable_split or self.audit):
+                waiting = [(f[0], -5, 0, "", -2, f[1]) for f in firsts.values()]
+                heapify(waiting)
+            last[:] = hits, later, after, firsts, waiting
         held: _Held = {}  # state holders per realization, this instant
         bounds: list[_Bound | None] = [None] * len(rows)  # by position, once the candidate enters
         # (bound, -steps done, k, single plan id or "", i, priced plan or None):
         # on equal bounds, plans further along pop first, then single-node
-        # plans in plan-id order. A shape not entered waits at its least
-        # offset, before every entry there: (offset, -5, 0, "", -2, its first lead).
-        heap: list[tuple] = []
-        if self.enable_split or self.audit:
+        # plans in plan-id order.
+        if waiting is None:
             # Every shape enters now: the sentinel needs every shape's bounds,
             # and an auditing router reaches every plan.
+            heap: list[tuple] = []
             entering = list(zip(firsts.values(), self._bounds(request, rows, [f[1] for f in firsts.values()], held)))
             for f, b in entering:
                 bounds[f[1][0]] = b
@@ -851,9 +870,9 @@ class Router:
                 # every entry at its bound but the splits, whose bounds are no less.
                 least = min(b[6] + f[2] for f, b in entering) + min(b[7] + f[3] for f, b in entering)
                 heap.append((least, 0, 0, "", -1, None))
+            heapify(heap)
         else:
-            heap = [(f[0], -5, 0, "", -2, f[1]) for f in firsts.values()]
-        heapify(heap)
+            heap = waiting.copy()  # the shapes' waiting entries, a heap kept with the hit list
         built: dict[int, _Half | None] = {}  # None: the node is at its admission cap
 
         decoders: list[list[int]] = []  # per prefill side, its variant's candidates by static decode bound
@@ -1047,14 +1066,16 @@ def _stage(row: _Row, phase: PlanPhase) -> PlanStage:
 
 
 def _projection(half: _Half, phase: PlanPhase, ready: int, start: int, complete: int) -> StageProjection:
+    row = half.row
+    # Positional, in StageProjection's field order.
     return StageProjection(
-        node_id=half.row.node.node_id,
-        realization_id=half.row.realization.realization_id,
-        phase=phase,
-        ready_us=ready,
-        start_us=start,
-        complete_us=complete,
-        duration_us=complete - start,
-        cold=not half.warm,
-        warm_available_at_us=start + half.activation,
+        row.node.profile.node_id,
+        row.realization.realization_id,
+        phase,
+        ready,
+        start,
+        complete,
+        complete - start,
+        not half.warm,
+        start + half.activation,
     )

@@ -31,7 +31,6 @@ SRC = ROOT / "src" / "capsim"
 # with the reason it stays. A text stands for every line of the module that
 # reads exactly so.
 ALLOWED: dict[tuple[str, str], str] = {
-    ("cli.py", "return EXIT_VALIDATION"): "oracle-place on a scenario that fails validation: no test drives it",
     ("cli.py", "except Exception as exc:"): "oracle-place's catch-all exit: no test makes the exact solve fail",
     ("cli.py", 'print(f"error: {exc}", file=sys.stderr)'): "oracle-place's catch-all exit, as above",
     ("cli.py", "return EXIT_RUNTIME"): "oracle-place's catch-all exit, as above",
@@ -42,21 +41,16 @@ ALLOWED: dict[tuple[str, str], str] = {
         "local search starts from the greedy placement, which is feasible",
     ("deployment.py", "continue  # never placeable on this node"):
         "a realization whose artifact has no route to a node: no test input has one",
-    ("descriptors.py", "return value"): "parse_fraction of a Fraction: JSON never yields one, and no test passes one",
     ("registry.py", 'raise CatalogIntegrityError(f"duplicate class {desc.name}")'): "validate rejects duplicates first",
     ("registry.py", 'raise CatalogIntegrityError(f"duplicate variant {variant.variant_id}")'):
         "validate rejects duplicates first",
     ("registry.py", 'raise CatalogIntegrityError(f"duplicate realization {realization.realization_id}")'):
         "validate rejects duplicates first",
-    ("scenario.py", 'raise ScenarioParseError("scenario: expected a JSON object")'):
-        "no test loads a document whose top level is not an object",
     ("topology.py", 'raise ValueError(f"duplicate node_id {node_id}")'): "validate rejects duplicates first",
     ("topology.py", 'raise ValueError(f"duplicate link_id {link.link_id}")'): "validate rejects duplicates first",
     ("topology.py", 'raise ValueError(f"link {link.link_id}: negative delay")'): "validate checks the bound first",
     ("topology.py", 'raise ValueError(f"link {link.link_id}: bandwidth must be > 0")'):
         "validate checks the bound first",
-    ("workload.py", "return len(cdf) - 1"):
-        "a draw at or above the float CDF's last value, which rounding may leave below 1",
 }
 
 

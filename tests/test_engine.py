@@ -1009,6 +1009,17 @@ def test_a_split_turn_offers_its_state_to_its_decode_node():
     assert admits == [("hpu-1", "st-t1"), ("edge-1", "st-t2")]
 
 
+def test_a_served_receipt_occupies_each_stage_for_its_scored_duration():
+    # t1 runs whole on hpu-1 and t2 splits, so a receipt's occupancy has one
+    # entry per stage, each that stage's own duration.
+    sim = Simulation(Scenario.from_dict(split_session_scenario_dict()), audit=True)
+    sim.run()
+    scored = dict(sim.audit)
+    occupancy = {r.request_id: r.occupancy_us for r in sim.receipts.receipts}
+    assert occupancy == {rid: tuple(s.duration_us for s in plan.stages) for rid, plan in scored.items()}
+    assert occupancy["t2"] == (100 + 10 * (400 - 64), 100 + 100 * 100)
+
+
 def test_a_migrated_state_turn_still_offers_its_state():
     # Turn 2 pins the state on edge-1 and is served on edge-2, where the
     # migrated copy is: the finish offers, and finds that copy.

@@ -572,6 +572,15 @@ def test_malformed_file_reports_line_position(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
 
 
+def test_a_document_that_is_not_an_object_fails_validation(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]\n")
+    with pytest.raises(ScenarioParseError, match="^scenario: expected a JSON object$"):
+        Scenario.load(bad)
+    assert main(["validate", str(bad)]) == 1
+    assert "scenario: expected a JSON object" in capsys.readouterr().err
+
+
 def test_missing_file_is_validation_failure(tmp_path, capsys):
     assert main(["validate", "/nonexistent/path.json"]) == 1
     # A directory in the file's place is reported on one line, not as a traceback.
@@ -707,6 +716,16 @@ def test_oracle_place_prints_placement(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "placement" in doc and "objective" in doc
     assert doc["objective"].count(".") == 1  # fixed-precision decimal string
+
+
+def test_oracle_place_on_an_invalid_scenario_is_a_validation_failure(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "small_place.json").read_text())
+    doc["initial_placement"].append(["ghost-realization", doc["topology"]["nodes"][0]["node_id"]])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["oracle-place", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ghost-realization" in captured.err
 
 
 def test_oracle_place_matches_library_oracle(capsys):

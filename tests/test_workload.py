@@ -7,6 +7,7 @@ from capsim.workload import (
     PolicyTemplate,
     RegionWorkload,
     TokenDist,
+    _sample_index,
     fnv1a32,
     generate_arrivals,
     generate_region_arrivals,
@@ -56,6 +57,15 @@ def test_zipf_skew_orders_class_popularity():
     arrivals = generate_region_arrivals(region(rate=100.0, zipf_s=1.2, classes=("a", "b", "c")), 60_000_000, 9)
     counts = Counter(a.request.capability_class for a in arrivals)
     assert counts["a"] > counts["b"] > counts["c"]
+
+
+def test_a_draw_at_or_above_the_cdfs_last_value_takes_the_last_index():
+    # A float CDF's last value may round to just below 1, so a draw can reach it.
+    cdf = [0.25, 0.5, 0.9999999999999999]
+    assert _sample_index(cdf, 0.9999999999999999) == 2
+    assert _sample_index(cdf, 1.0) == 2
+    assert _sample_index(cdf, 0.5) == 2
+    assert _sample_index(cdf, 0.49) == 1
 
 
 def test_single_turn_sessions_when_g_is_one():
