@@ -324,7 +324,7 @@ def build_problem(
             resident = residency.get(node_id, ())
             for rid, footprint, _, cold in realizations:
                 if cold is None:
-                    continue  # never placeable on this node
+                    continue  # outside the placement tiers, or over the node's memory budget
                 if rid in resident:
                     deploy = net = 0
                 else:

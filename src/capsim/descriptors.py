@@ -16,10 +16,12 @@ Nothing writes to a record once it is built, frozen or not;
 ``tests/test_golden.py`` checks that over whole runs, for the records built
 per request and for those built once and shared.
 A field with a numeric range declares it where it is defined, through
-``bounded``: its default and its bound, kept in the field's metadata.
-``Scenario.validate`` checks every declared bound by one rule and reports
-each value outside its bound at its document path; docs/scenario.schema.json
-states the same bounds, and ``tests/test_schema.py`` holds the two equal.
+``bounded``: its default and its bound, kept in the field's metadata. A
+field that holds an id declares through ``ident`` the kind of record it
+identifies, uniquely, or refers to, and whether a ``trace.csv`` cell holds
+it. ``Scenario.validate`` checks every declared rule in one walk and reports
+each error at its document path; docs/scenario.schema.json states the same
+bounds, and ``tests/test_schema.py`` holds the two equal.
 
 No record has a dict form. ``plan_items`` formats a plan's stages as
 JSON, for a receipt's ``plan`` and for plan ids.
@@ -92,6 +94,17 @@ def bounded(default: Any, low: Any, high: Any = None, *, above: bool = False) ->
     return field(default=default, metadata={"bound": (low, high, above)})
 
 
+def ident(default: Any = MISSING, *, unique: str = "", ref: str = "", cell: bool = False) -> Any:
+    """A dataclass field that holds an id: the id of a ``unique`` kind of
+    record (``"node"``), which no two records of the kind share, or a
+    reference to an id of the ``ref`` kind, each item's for a tuple of ids.
+    ``cell`` marks an id written into a ``trace.csv`` cell, which is not
+    quoted, so it must not hold ``,`` or a line break. ``default`` is the
+    field's default, ``MISSING`` for a required field. ``Scenario.validate``
+    reads the rule from the field's ``"id"`` metadata, ``(unique, ref, cell)``."""
+    return field(default=default, metadata={"id": (unique, ref, cell)})
+
+
 def parse_fraction(value: Any) -> Fraction:
     """Parse a scenario-file number into an exact rational.
 
@@ -117,13 +130,13 @@ class PolicyConstraint:
 class RequestDescriptor:
     """One intelligence request: what is asked for, under which constraints."""
 
-    request_id: str
-    capability_class: str
+    request_id: str = ident(unique="request", cell=True)
+    capability_class: str = ident(ref="class")
     quality_target: int = bounded(MISSING, 1)
     policy: PolicyConstraint = PolicyConstraint()
     affinity_token: str | None = None
     budget: int | None = bounded(None, 0)
-    origin_region: str = ""
+    origin_region: str = ident("", cell=True)
     input_tokens: int = bounded(0, 0)
     output_tokens: int = bounded(1, 1)
     arrival_time: int = bounded(0, 0)
@@ -142,7 +155,7 @@ class SecurityLabel:
 class CapabilityDescriptor:
     """A capability class: the top level of the class/variant/realization tree."""
 
-    name: str
+    name: str = ident(unique="class")
     lineage: tuple[tuple[str, str], ...] = ()  # (parent model id, derivation tag)
     security: SecurityLabel = SecurityLabel()  # the label of each variant without its own
 
@@ -151,8 +164,8 @@ class CapabilityDescriptor:
 class CapabilityVariant:
     """A quality level of a capability class, and the security label its hosts must meet."""
 
-    variant_id: str
-    parent_class: str
+    variant_id: str = ident(unique="variant")
+    parent_class: str = ident(ref="class")
     quality: int = bounded(1, 1)
     security: SecurityLabel = SecurityLabel()
 
@@ -161,8 +174,8 @@ class CapabilityVariant:
 class CapabilityRealization:
     """A variant's deployable artifact for one accelerator: its size and its load and per-token times."""
 
-    realization_id: str
-    variant_id: str
+    realization_id: str = ident(unique="realization", cell=True)
+    variant_id: str = ident(ref="variant")
     accelerator: str = "cpu"
     artifact_size_bytes: int = bounded(0, 0)
     load_time_us: int = bounded(0, 0)
@@ -176,15 +189,15 @@ class CapabilityRealization:
 class ResourceProfile:
     """What a node can execute, how much of it at once, and where."""
 
-    node_id: str
-    domain_id: str = ""
+    node_id: str = ident(unique="node", cell=True)
+    domain_id: str = ident("", ref="domain")
     accelerator: str = "cpu"
     speed_factor: Fraction = bounded(Fraction(1), 0, above=True)  # divides per-token times
     max_concurrent: int = bounded(1, 1)
     memory_budget_bytes: int = bounded(0, 0)
     admission_cap: int = bounded(16, 1)  # max reserved-not-started stages before routing excludes the node
     cache_capacity_bytes: int = bounded(0, 0)
-    region: str = ""
+    region: str = ident("", cell=True)
     tier: Tier = Tier.CLOUD
     trust: int = bounded(0, TRUST_MIN, TRUST_MAX)
 

@@ -81,7 +81,9 @@ class CatalogIntegrityError(Exception):
 
 
 class CapabilityCatalog:
-    """Three-level capability store with referential integrity."""
+    """Three-level capability store: a variant and a realization must name a
+    parent already added. Ids are unique by their fields' declarations, which
+    ``Scenario.validate`` checks; a later record of an id replaces the first."""
 
     def __init__(self) -> None:
         self.classes: dict[str, CapabilityDescriptor] = {}
@@ -89,15 +91,11 @@ class CapabilityCatalog:
         self.realizations: dict[str, CapabilityRealization] = {}
 
     def add_class(self, desc: CapabilityDescriptor) -> None:
-        if desc.name in self.classes:
-            raise CatalogIntegrityError(f"duplicate class {desc.name}")
         self.classes[desc.name] = desc
 
     def add_variant(self, variant: CapabilityVariant) -> None:
         if variant.parent_class not in self.classes:
             raise CatalogIntegrityError(f"variant {variant.variant_id}: unknown class {variant.parent_class}")
-        if variant.variant_id in self.variants:
-            raise CatalogIntegrityError(f"duplicate variant {variant.variant_id}")
         self.variants[variant.variant_id] = variant
 
     def add_realization(self, realization: CapabilityRealization) -> None:
@@ -105,8 +103,6 @@ class CapabilityCatalog:
             raise CatalogIntegrityError(
                 f"realization {realization.realization_id}: unknown variant {realization.variant_id}"
             )
-        if realization.realization_id in self.realizations:
-            raise CatalogIntegrityError(f"duplicate realization {realization.realization_id}")
         self.realizations[realization.realization_id] = realization
 
     def variant_of(self, realization_id: str) -> CapabilityVariant:

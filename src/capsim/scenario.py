@@ -15,13 +15,18 @@ surfaces JSON syntax errors with line/position; ``validate`` returns
 referential and range errors as field-path strings, so a scenario either
 parses and validates or the CLI reports exactly what is wrong.
 
-A numeric range is declared once, on the record field it bounds
-(``descriptors.bounded``). ``_fields`` keeps each type's bounds beside its
-document keys, so ``_bounds`` checks every bounded field of a record by one
-rule and reports it at the key the reader read it from. ``validate`` calls it
-once per record and writes by hand only the rules a bound cannot state:
-references between records, comparisons of two fields, non-empty lists, id
-characters and the token distribution names.
+Each rule on a single field is declared once, on the record field: a
+numeric range through ``descriptors.bounded``, and through
+``descriptors.ident`` an id that is unique among the records of its kind
+(``ResourceProfile.node_id``), a reference to such an id
+(``AttestationRecord.node_id``, ``Scenario.artifact_repository``), and an id
+that a ``trace.csv`` cell holds. ``validate`` walks every record once, at
+the path the reader read it from (``_records``), checks each declared rule
+there by one function (``_check``), and writes by hand only the rules that
+compare two fields or read a derived set: link ends, placements, trust
+floors, non-empty lists, the token distribution names, and the request-id,
+affinity-token and policy rules. ``tests/strategies.py`` draws whole
+scenario documents from the same declarations.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, TypeVar, get_args, get_origin, get_type_hints
 
 from .deployment import PlacementWeights
 from .descriptors import (
@@ -45,12 +50,13 @@ from .descriptors import (
     ResourceProfile,
     SecurityLabel,
     bounded,
+    ident,
     parse_fraction,
 )
 from .routing import RoutingWeights
 from .topology import Domain, Link, Topology, region_vertex
 from .trust import AttestationRecord
-from .workload import Arrival, PolicyTemplate, RegionWorkload
+from .workload import Arrival, PolicyTemplate, RegionWorkload, TokenDist
 
 T = TypeVar("T")
 
@@ -85,7 +91,7 @@ class DeploymentConfig:
 class Revocation:
     """A scripted revocation of a realization's lineage at ``time_us``."""
 
-    realization_id: str
+    realization_id: str = ident(ref="realization")
     time_us: int = bounded(0, 0)
 
 
@@ -93,7 +99,7 @@ class Revocation:
 class NodeEvent:
     """A scripted change of a node's liveness at ``time_us``."""
 
-    node_id: str
+    node_id: str = ident(ref="node")
     time_us: int = bounded(0, 0)
     online: bool = True
 
@@ -106,7 +112,7 @@ class Scenario:
     seed: int = 0
     duration_us: int = bounded(1_000_000, 0, above=True)
     bytes_per_token: int = bounded(4, 0)
-    artifact_repository: str | None = None
+    artifact_repository: str | None = ident(None, ref="node")
     domains: list[Domain] = field(default_factory=list)
     nodes: list[ResourceProfile] = field(default_factory=list)
     links: list[Link] = field(default_factory=list)
@@ -179,109 +185,60 @@ class Scenario:
 
     def validate(self) -> list[str]:
         """Every error of the scenario, as ``path: what is wrong`` strings.
-        Each value outside the bound its field declares is reported by
-        ``_bounds``; the rules written here are referential and cross-field
-        ones. A rule that compares two values runs only where both are
-        inside their bounds, so that one bad value is reported once."""
+        One walk (``_records``) reaches every record at its document path,
+        and ``_check`` checks each rule its fields declare: bounds, unique
+        ids, references and trace cells. The rules written here compare two
+        fields or read a derived set. A rule that compares two values runs
+        only where both are inside their bounds, so that one bad value is
+        reported once."""
         errors: list[str] = []
-        for record, path in (
-            (self, ""),
-            (self.cache, "cache"),
-            (self.deployment, "deployment"),
-            (self.routing_weights, "weights"),
-            (self.placement_weights, "weights"),
-        ):
-            _bounds(errors, record, path)
+        records = _records(self, "", {}, {
+            "classes": _catalog_paths((), self.classes, "classes"),
+            "variants": _catalog_paths(self.variant_paths, self.variants, "variants"),
+            "realizations": _catalog_paths(self.realization_paths, self.realizations, "realizations"),
+        }).values()
+        unsound = _check(errors, records)
+        walked: dict[type, list[tuple[Any, str]]] = {}
+        for record, path in records:
+            walked.setdefault(type(record), []).append((record, path))
 
-        domain_ids = set()
+        def each(cls: type[T]) -> list[tuple[T, str]]:
+            return walked.get(cls, [])
+
         floors: dict[str, int] = {}  # the trust floor of each domain inside its bounds
-        for i, domain in enumerate(self.domains):
-            prefix = f"topology.domains[{i}]"
-            if domain.domain_id in domain_ids:
-                errors.append(f"{prefix}.domain_id: duplicate {domain.domain_id}")
-            domain_ids.add(domain.domain_id)
-            if _bounds(errors, domain, prefix):
+        for domain, _ in each(Domain):
+            if id(domain) not in unsound:
                 floors.setdefault(domain.domain_id, domain.min_trust)
-        node_ids = set()
-        regions = set()
         sound_nodes = set()  # the nodes inside their bounds
-        for i, profile in enumerate(self.nodes):
-            prefix = f"topology.nodes[{i}]"
-            if profile.node_id in node_ids:
-                errors.append(f"{prefix}.node_id: duplicate {profile.node_id}")
-            node_ids.add(profile.node_id)
-            regions.add(profile.region)
-            _check_id(errors, f"{prefix}.node_id", profile.node_id)
-            _check_id(errors, f"{prefix}.region", profile.region)
-            if profile.domain_id not in domain_ids:
-                errors.append(f"{prefix}.domain_id: unknown domain {profile.domain_id}")
-            if _bounds(errors, profile, prefix):
+        for profile, path in each(ResourceProfile):
+            if id(profile) not in unsound:
                 sound_nodes.add(profile.node_id)
                 floor = floors.get(profile.domain_id)
                 if floor is not None and profile.trust < floor:
-                    errors.append(f"{prefix}.trust: below domain {profile.domain_id} min_trust {floor}")
-
-        vertices = node_ids | {region_vertex(r) for r in regions}
-        link_ids = set()
-        for i, link in enumerate(self.links):
-            prefix = f"topology.links[{i}]"
-            if link.link_id in link_ids:
-                errors.append(f"{prefix}.link_id: duplicate {link.link_id}")
-            link_ids.add(link.link_id)
+                    errors.append(f"{path}.trust: below domain {profile.domain_id} min_trust {floor}")
+        profiles = {p.node_id: p for p in self.nodes}
+        vertices = set(profiles) | {region_vertex(p.region) for p in self.nodes}
+        for link, path in each(Link):
             for end, value in (("src", link.src), ("dst", link.dst)):
                 if value not in vertices:
-                    errors.append(f"{prefix}.{end}: unknown vertex {value}")
-            _bounds(errors, link, prefix)
-
-        if self.artifact_repository is not None and self.artifact_repository not in node_ids:
-            errors.append(f"topology.artifact_repository: unknown node {self.artifact_repository}")
-
-        class_names = set()
-        sound_labels = set()  # the security labels inside their bounds
-        for i, cd in enumerate(self.classes):
-            prefix = f"catalog.classes[{i}]"
-            if cd.name in class_names:
-                errors.append(f"{prefix}.name: duplicate {cd.name}")
-            class_names.add(cd.name)
+                    errors.append(f"{path}.{end}: unknown vertex {value}")
+        for cd, path in each(CapabilityDescriptor):
             if not cd.lineage:
-                errors.append(f"{prefix}.lineage: must not be empty")
-            if _label(errors, cd.security, f"{prefix}.security"):
-                sound_labels.add(cd.security)
-        class_labels = {cd.name: cd.security for cd in self.classes}
-        variant_ids = set()
-        for var, prefix in zip(self.variants, _catalog_paths(self.variant_paths, self.variants, "variants")):
-            if var.variant_id in variant_ids:
-                errors.append(f"{prefix}.variant_id: duplicate {var.variant_id}")
-            variant_ids.add(var.variant_id)
-            if var.parent_class not in class_names:
-                errors.append(f"{prefix}.parent_class: unknown class {var.parent_class}")
-            _bounds(errors, var, prefix)
-            # A label it takes from its class is its class's to report.
-            if var.security is not class_labels.get(var.parent_class) and _label(
-                errors, var.security, f"{prefix}.security"
-            ):
-                sound_labels.add(var.security)
-        realization_ids = set()
-        realization_paths = _catalog_paths(self.realization_paths, self.realizations, "realizations")
-        for real, prefix in zip(self.realizations, realization_paths):
-            if real.realization_id in realization_ids:
-                errors.append(f"{prefix}.realization_id: duplicate {real.realization_id}")
-            realization_ids.add(real.realization_id)
-            _check_id(errors, f"{prefix}.realization_id", real.realization_id)
-            if real.variant_id not in variant_ids:
-                errors.append(f"{prefix}.variant_id: unknown variant {real.variant_id}")
-            _bounds(errors, real, prefix)
+                errors.append(f"{path}.lineage: must not be empty")
+        for label, path in each(SecurityLabel):
+            if id(label) not in unsound and label.preferred_trust < label.min_trust:
+                errors.append(f"{path}.preferred_trust: must be >= min_trust")
+                unsound.add(id(label))
 
-        profiles = {p.node_id: p for p in self.nodes}
         placed: dict[str, int] = {}
         realization_by_id = {r.realization_id: r for r in self.realizations}
         variant_by_id = {v.variant_id: v for v in self.variants}
         for i, (rid, node_id) in enumerate(self.initial_placement):
             prefix = f"initial_placement[{i}]"
-            if rid not in realization_ids:
+            if rid not in realization_by_id:
                 errors.append(f"{prefix}: unknown realization {rid}")
                 continue
-            if node_id not in node_ids:
+            if node_id not in profiles:
                 errors.append(f"{prefix}: unknown node {node_id}")
                 continue
             profile = profiles[node_id]
@@ -291,82 +248,46 @@ class Scenario:
             if node_id not in sound_nodes:
                 continue
             variant = variant_by_id.get(realization.variant_id)
-            if variant is not None and variant.security in sound_labels and profile.trust < variant.security.min_trust:
+            if variant is not None and id(variant.security) not in unsound and profile.trust < variant.security.min_trust:
                 floor = variant.security.min_trust
                 errors.append(f"{prefix}: trust {profile.trust} of {node_id} is below the floor {floor} of {rid}")
             placed[node_id] = placed.get(node_id, 0) + realization.artifact_size_bytes
             if placed[node_id] > profile.memory_budget_bytes:
                 errors.append(f"{prefix}: memory budget exceeded on {node_id}")
 
-        # Request ids key the run's in-flight table and its receipts, so no
-        # two arrivals may share one.
-        workload_regions = set()
-        for i, region in enumerate(self.workload):
-            prefix = f"workload.regions[{i}]"
-            if region.region in workload_regions:
-                errors.append(f"{prefix}.region: duplicate {region.region}")
-            workload_regions.add(region.region)
-            _check_id(errors, f"{prefix}.region", region.region)
-            for cname in region.classes:
-                if cname not in class_names:
-                    errors.append(f"{prefix}.classes: unknown class {cname}")
-            if _bounds(errors, region, prefix) and region.rate_per_s and not region.classes:
-                errors.append(f"{prefix}.classes: required when rate_per_s > 0")
-            for key in ("input_tokens", "output_tokens"):
-                tokens = getattr(region, key)
-                if tokens.dist not in ("fixed", "lognormal"):
-                    errors.append(f"{prefix}.{key}.dist: must be fixed or lognormal")
-                _bounds(errors, tokens, f"{prefix}.{key}")
+        for region, path in each(RegionWorkload):
+            if id(region) not in unsound and region.rate_per_s and not region.classes:
+                errors.append(f"{path}.classes: required when rate_per_s > 0")
             if not region.policy_mix:
-                errors.append(f"{prefix}.policy_mix: must not be empty")
-            for j, template in enumerate(region.policy_mix):
-                path = f"{prefix}.policy_mix[{j}]"
-                _bounds(errors, template, path)
-                _policy(errors, template.policy, path)
+                errors.append(f"{path}.policy_mix: must not be empty")
+        for tokens, path in each(TokenDist):
+            if tokens.dist not in ("fixed", "lognormal"):
+                errors.append(f"{path}.dist: must be fixed or lognormal")
+        for policy, path in each(PolicyConstraint):
+            if policy.locality_scope is LocalityScope.DOMAIN and policy.allowed_domains is None:
+                errors.append(f"{_join(path, 'allowed_domains')}: required by locality_scope domain")
 
-        request_ids = set()
-        for i, scripted in enumerate(self.scripted_requests):
-            prefix = f"requests[{i}]"
+        # Request ids key the run's in-flight table and its receipts, so no
+        # scripted id may be one the workload generates: its region's name,
+        # "-" and six or more digits.
+        workload_regions = {region.region for region in self.workload}
+        for scripted, path in each(Arrival):
             request = scripted.request
-            if request.request_id in request_ids:
-                errors.append(f"{prefix}.request_id: duplicate {request.request_id}")
-            request_ids.add(request.request_id)
-            # A generated id is its region's name, "-" and six or more digits.
             region, _, number = request.request_id.rpartition("-")
             if region in workload_regions and len(number) >= 6 and number.isdigit():
-                errors.append(f"{prefix}.request_id: {request.request_id} is a workload id of region {region}")
-            _check_id(errors, f"{prefix}.request_id", request.request_id)
-            _check_id(errors, f"{prefix}.origin_region", request.origin_region)
-            _check_id(errors, f"{prefix}.session.session_id", scripted.session_id)
-            if request.capability_class not in class_names:
-                errors.append(f"{prefix}.capability_class: unknown class {request.capability_class}")
-            _policy(errors, request.policy, f"{prefix}.policy")
-            if _bounds(errors, scripted, prefix) & _bounds(errors, request, prefix):
+                errors.append(f"{path}.request_id: {request.request_id} is a workload id of region {region}")
+            if id(scripted) not in unsound and id(request) not in unsound:
                 if scripted.turn_index > scripted.total_turns:
-                    errors.append(f"{prefix}.session.turn_index: exceeds total_turns")
+                    errors.append(f"{path}.session.turn_index: exceeds total_turns")
                 if scripted.prefix_tokens > request.input_tokens:
-                    errors.append(f"{prefix}.session.prefix_tokens: exceeds input_tokens")
+                    errors.append(f"{path}.session.prefix_tokens: exceeds input_tokens")
             # Routing finds cached state by the token's session part, and
             # admission and lookup by the session id, so the two must agree.
             if request.affinity_token and request.affinity_token.partition(":")[0] != scripted.session_id:
-                errors.append(f"{prefix}.affinity_token: session part differs from session id {scripted.session_id}")
-
-        for i, att in enumerate(self.attestations):
-            prefix = f"trust_script.attestations[{i}]"
-            sound = _bounds(errors, att, prefix)
-            if att.node_id not in node_ids:
-                errors.append(f"{prefix}.node_id: unknown node {att.node_id}")
-            elif sound and att.node_id in sound_nodes and att.level > profiles[att.node_id].trust:
-                errors.append(f"{prefix}.level: exceeds node claimed trust {profiles[att.node_id].trust}")
-        for i, rev in enumerate(self.revocations):
-            if rev.realization_id not in realization_ids:
-                errors.append(f"trust_script.revocations[{i}].realization_id: unknown realization")
-            _bounds(errors, rev, f"trust_script.revocations[{i}]")
-        for i, ev in enumerate(self.node_events):
-            if ev.node_id not in node_ids:
-                errors.append(f"node_events[{i}].node_id: unknown node")
-            _bounds(errors, ev, f"node_events[{i}]")
-
+                errors.append(f"{path}.affinity_token: session part differs from session id {scripted.session_id}")
+        for att, path in each(AttestationRecord):
+            if id(att) not in unsound and att.node_id in sound_nodes and att.level > profiles[att.node_id].trust:
+                errors.append(f"{path}.level: exceeds node claimed trust {profiles[att.node_id].trust}")
         return errors
 
     def build_topology(self) -> Topology:
@@ -417,41 +338,74 @@ def _fields(cls: type) -> tuple[tuple[str, tuple[str, ...], Callable[[Any, str],
     return tuple(out)
 
 
-def _bounds(errors: list[str], record: Any, path: str) -> bool:
-    """Report each field of ``record`` whose value is outside the bound it
-    declares, at its document key under ``path``; True when none is."""
-    sound = True
-    for name, keys, _, _, bound in _fields(type(record)):
-        if bound is None:
-            continue
-        value = getattr(record, name)
-        low, high, above = bound
-        if value is not None and ((value <= low if above else value < low) or (high is not None and value > high)):
-            sound = False
-            if high is None:
-                rule = f"{'>' if above else '>='} {low}"
-            else:
-                rule = f"in {'(' if above else '['}{low}, {high}]"
-            errors.append(f"{_join(path, keys[0])}: must be {rule}")
-    return sound
+def _records(record: Any, path: str, out: dict[int, tuple[Any, str]], paths: dict[str, tuple[str, ...]]) -> dict:
+    """``out`` with ``(record, document path)`` for ``record`` and for each
+    record its fields hold, depth first in field order, keyed by ``id``: a
+    record held twice, as the label a variant takes from its class is, is
+    walked once, at its first path. An item of a list field is at its index
+    under the field's key, or at ``paths[field name]``'s item."""
+    if id(record) not in out:
+        out[id(record)] = (record, path)
+        for name, keys, _, _, _ in _fields(type(record)):
+            value = getattr(record, name)
+            if hasattr(value, "__dataclass_fields__"):
+                _records(value, _join(path, keys[0]), out, {})
+            elif type(value) in (list, tuple) and value and hasattr(value[0], "__dataclass_fields__"):
+                at = _join(path, keys[0])
+                for i, item in enumerate(value):
+                    _records(item, paths[name][i] if name in paths else f"{at}[{i}]", out, {})
+    return out
 
 
-def _label(errors: list[str], label: SecurityLabel, path: str) -> bool:
-    """``_bounds`` of a security label, and a preferred trust no lower than
-    its floor; True when both hold."""
-    if not _bounds(errors, label, path):
-        return False
-    if label.preferred_trust < label.min_trust:
-        errors.append(f"{path}.preferred_trust: must be >= min_trust")
-        return False
-    return True
+@cache
+def _rules(cls: type) -> tuple[tuple[str, str, tuple | None, tuple | None], ...]:
+    """(name, document key, bound, id rule) of each field of ``cls`` that
+    declares a bound (``descriptors.bounded``) or an id rule
+    (``descriptors.ident``)."""
+    return tuple(
+        (name, keys[0], bound, f.metadata.get("id"))
+        for f, (name, keys, _, _, bound) in zip(fields(cls), _fields(cls))
+        if f.metadata
+    )
 
 
-def _policy(errors: list[str], policy: PolicyConstraint, path: str) -> None:
-    """``_bounds`` of a policy, and the allowed domains its domain scope needs."""
-    _bounds(errors, policy, path)
-    if policy.locality_scope is LocalityScope.DOMAIN and policy.allowed_domains is None:
-        errors.append(f"{_join(path, 'allowed_domains')}: required by locality_scope domain")
+def _check(errors: list[str], records: Iterable[tuple[Any, str]]) -> set[int]:
+    """Report each value of ``records`` that breaks the rule its field
+    declares, at its document key under the record's path: a value outside
+    its bound, an id that an earlier record of its kind holds, a reference
+    to an id no record holds, and a trace cell id with ``,`` or a line
+    break. The ``id`` of each record with a value outside its bound."""
+    ids: dict[str, set[str]] = {}  # every id of each kind
+    for record, _ in records:
+        for name, _, _, rule in _rules(type(record)):
+            if rule is not None and rule[0]:
+                ids.setdefault(rule[0], set()).add(getattr(record, name))
+    seen: dict[str, set[str]] = {kind: set() for kind in ids}
+    unsound: set[int] = set()
+    for record, path in records:
+        for name, key, bound, rule in _rules(type(record)):
+            value = getattr(record, name)
+            at = _join(path, key)
+            if bound is not None:
+                low, high, above = bound
+                if value is not None and ((value <= low if above else value < low) or (high is not None and value > high)):
+                    unsound.add(id(record))
+                    if high is None:
+                        errors.append(f"{at}: must be {'>' if above else '>='} {low}")
+                    else:
+                        errors.append(f"{at}: must be in {'(' if above else '['}{low}, {high}]")
+                continue
+            unique, ref, cell = rule
+            if unique:
+                if value in seen[unique]:
+                    errors.append(f"{at}: duplicate {value}")
+                seen[unique].add(value)
+            if cell and any(c in value for c in _ID_FORBIDDEN):
+                errors.append(f"{at}: must not contain ',' or a line break")
+            for item in value if type(value) is tuple else (value,):
+                if ref and item is not None and item not in ids.get(ref, ()):
+                    errors.append(f"{at}: unknown {ref} {item}")
+    return unsound
 
 
 @cache
@@ -545,11 +499,6 @@ def _float(value: Any) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def _check_id(errors: list[str], path: str, value: Any) -> None:
-    if any(c in str(value) for c in _ID_FORBIDDEN):
-        errors.append(f"{path}: must not contain ',' or a line break")
 
 
 # Converters of the leaf annotations; any other leaf is an enum.

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .descriptors import TRUST_MAX, TRUST_MIN, bounded
+from .descriptors import TRUST_MAX, TRUST_MIN, bounded, ident
 
 
 class Unreachable(Exception):
@@ -29,7 +29,7 @@ def region_vertex(region_id: str) -> str:
 class Link:
     """An undirected link between two vertices: its delay, its bandwidth and whether it is a core link."""
 
-    link_id: str
+    link_id: str = ident(unique="link")
     src: str  # node id or region gateway vertex
     dst: str
     propagation_delay_us: int = bounded(0, 0)
@@ -73,27 +73,21 @@ _Entry = tuple[int, tuple[str, ...], str]
 class Domain:
     """A trust domain and the least trust a node it hosts must claim."""
 
-    domain_id: str
+    domain_id: str = ident(unique="domain")
     min_trust: int = bounded(0, TRUST_MIN, TRUST_MAX)  # admission floor for hosted nodes
 
 
 class Topology:
+    """The vertices and links of a scenario, and the paths between them. Its
+    ids and link bounds are the fields' declarations, which
+    ``Scenario.validate`` checks before a topology is built."""
+
     def __init__(self, nodes: list[str], domains: list[Domain], links: list[Link]):
-        self.nodes: set[str] = set()
-        for node_id in nodes:
-            if node_id in self.nodes:
-                raise ValueError(f"duplicate node_id {node_id}")
-            self.nodes.add(node_id)
+        self.nodes: set[str] = set(nodes)
         self.domains: dict[str, Domain] = {d.domain_id: d for d in domains}
         self.links: dict[str, Link] = {}
         self._adjacency: dict[str, list[Link]] = {}
         for link in links:
-            if link.link_id in self.links:
-                raise ValueError(f"duplicate link_id {link.link_id}")
-            if link.propagation_delay_us < 0:
-                raise ValueError(f"link {link.link_id}: negative delay")
-            if link.bandwidth_bytes_per_us <= 0:
-                raise ValueError(f"link {link.link_id}: bandwidth must be > 0")
             self.links[link.link_id] = link
             self._adjacency.setdefault(link.src, []).append(link)
             self._adjacency.setdefault(link.dst, []).append(link)

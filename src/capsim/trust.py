@@ -24,6 +24,7 @@ from .descriptors import (
     PlanStage,
     RequestDescriptor,
     bounded,
+    ident,
 )
 
 
@@ -35,7 +36,7 @@ class UnknownRealization(Exception):
 class AttestationRecord:
     """A node's attested trust level from ``issue_time_us``, for ``validity_window_us`` µs or for ever."""
 
-    node_id: str
+    node_id: str = ident(ref="node")
     level: int = bounded(0, TRUST_MIN, TRUST_MAX)
     issue_time_us: int = bounded(0, 0)
     validity_window_us: int | None = bounded(None, 0, above=True)  # None = never expires

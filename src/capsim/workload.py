@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .descriptors import PolicyConstraint, RequestDescriptor, bounded
+from .descriptors import PolicyConstraint, RequestDescriptor, bounded, ident
 
 
 def fnv1a32(text: str) -> int:
@@ -53,10 +53,10 @@ class PolicyTemplate:
 class RegionWorkload:
     """One region's arrivals: rate, class popularity, sessions, token sizes and policy mix."""
 
-    region: str
+    region: str = ident(unique="region", cell=True)
     rate_per_s: float = bounded(0.0, 0)
     zipf_s: float = bounded(0.0, 0)
-    classes: tuple[str, ...] = ()  # popularity-rank order, most popular first
+    classes: tuple[str, ...] = ident((), ref="class")  # popularity-rank order, most popular first
     session_turns_g: float = bounded(1.0, 0, 1, above=True)  # geometric success parameter; 1.0 = single-turn
     session_prefix_tokens: int = bounded(0, 0)
     input_tokens: TokenDist = TokenDist()
@@ -69,7 +69,7 @@ class Arrival:
     """A request and its session turn, generated or scripted in the scenario."""
 
     request: RequestDescriptor
-    session_id: str
+    session_id: str = ident(cell=True)
     turn_index: int = bounded(1, 1)
     total_turns: int = bounded(1, 1)
     prefix_tokens: int = bounded(0, 0)

@@ -31,26 +31,11 @@ SRC = ROOT / "src" / "capsim"
 # with the reason it stays. A text stands for every line of the module that
 # reads exactly so.
 ALLOWED: dict[tuple[str, str], str] = {
-    ("cli.py", "except Exception as exc:"): "oracle-place's catch-all exit: no test makes the exact solve fail",
-    ("cli.py", 'print(f"error: {exc}", file=sys.stderr)'): "oracle-place's catch-all exit, as above",
-    ("cli.py", "return EXIT_RUNTIME"): "oracle-place's catch-all exit, as above",
     ("cli.py", "sys.exit(main())"): "runs only as a script, in a subprocess",
     ("deployment.py", 'raise InfeasiblePlacement(f"assignment {key} is not a candidate pair")'):
         "a placement is built from the problem's own pairs, so every key is one",
     ("deployment.py", 'raise InfeasiblePlacement("memory budget exceeded")'):
         "local search starts from the greedy placement, which is feasible",
-    ("deployment.py", "continue  # never placeable on this node"):
-        "a realization whose artifact has no route to a node: no test input has one",
-    ("registry.py", 'raise CatalogIntegrityError(f"duplicate class {desc.name}")'): "validate rejects duplicates first",
-    ("registry.py", 'raise CatalogIntegrityError(f"duplicate variant {variant.variant_id}")'):
-        "validate rejects duplicates first",
-    ("registry.py", 'raise CatalogIntegrityError(f"duplicate realization {realization.realization_id}")'):
-        "validate rejects duplicates first",
-    ("topology.py", 'raise ValueError(f"duplicate node_id {node_id}")'): "validate rejects duplicates first",
-    ("topology.py", 'raise ValueError(f"duplicate link_id {link.link_id}")'): "validate rejects duplicates first",
-    ("topology.py", 'raise ValueError(f"link {link.link_id}: negative delay")'): "validate checks the bound first",
-    ("topology.py", 'raise ValueError(f"link {link.link_id}: bandwidth must be > 0")'):
-        "validate checks the bound first",
 }
 
 

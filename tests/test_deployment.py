@@ -412,3 +412,29 @@ def test_replan_candidates_are_pinned_and_priced_in_integers(name, monkeypatch):
         assert all(type(p.deploy_cost) is int for p in problem.pairs)
         assert all(lat is None or type(lat) is int for row in problem.latency for lat in row)
         assert any(lat is not None for row in problem.latency for lat in row)
+
+
+def test_a_cloud_only_baseline_loads_nothing_off_the_cloud(monkeypatch):
+    """``compare``'s baseline restricts cold placement to the cloud tier: a
+    replan passes over the pairs on edge nodes, to which the candidate
+    table gives no cold hit, so every artifact load and every realization
+    held at the end is on the cloud node."""
+    from capsim import deployment
+    from capsim.descriptors import Tier
+    from capsim.engine import Simulation
+    from capsim.scenario import Scenario
+    from test_golden import replan_heavy_scenario
+
+    build_problem = deployment.build_problem
+    problems = []
+
+    def recorded_build(*args, **kwargs):
+        problems.append(build_problem(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(deployment, "build_problem", recorded_build)
+    sim = Simulation(Scenario.from_dict(replan_heavy_scenario()), placement_tiers={Tier.CLOUD}, trace=True).run()
+    assert len(problems) > 1 and {pair.node_id for problem in problems for pair in problem.pairs} == {"cloud-1"}
+    loads = [row for row in sim.trace if row["kind"] == "transfer_complete" and row.get("transfer") == "artifact"]
+    assert {row["node_id"] for row in loads} <= {"cloud-1"}
+    assert {node_id for node_id, state in sim.broker.nodes.items() if state.residency} == {"cloud-1"}

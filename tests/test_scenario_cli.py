@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
@@ -7,11 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from capsim.cli import main
 from capsim.engine import Simulation
 from capsim.metrics import MetricsFrame
 from capsim.scenario import Scenario, ScenarioParseError
+from strategies import CROSS_FIELD, TIER1, scenario_documents
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -236,6 +239,15 @@ def test_validate_rejects_values_a_run_cannot_use(tmp_path, capsys, name, mutate
     # Each bad value is reported once, at its document key, and nothing else is.
     paths = [line.split(" ", 1)[1].split(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
     assert paths == ([field] if isinstance(field, str) else list(field))
+
+
+# A document drawn from the field declarations breaks none of them: it
+# fails validation only on a rule that compares two fields.
+@TIER1
+@given(scenario_documents())
+def test_drawn_documents_fail_only_on_cross_field_rules(doc):
+    errors = Scenario.from_dict(json.loads(json.dumps(doc))).validate()
+    assert [e for e in errors if not any(re.fullmatch(rule, e) for rule in CROSS_FIELD)] == []
 
 
 def bounds_base() -> dict:
@@ -761,6 +773,19 @@ def test_oracle_place_rejects_a_negative_window_end_before_anything_runs(capsys,
     captured = capsys.readouterr()
     assert captured.err == "invalid: --at: must be >= 0\n"
     assert captured.out == ""
+
+
+def test_oracle_place_reports_a_failed_solve_as_a_runtime_failure(capsys, monkeypatch):
+    from capsim import deployment
+
+    def failed_solve(problem):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr(deployment, "solve_exact", failed_solve)
+    assert main(["oracle-place", str(SCENARIOS / "small_place.json"), "--at", "20000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solver broke\n"
 
 
 def test_a_node_the_artifact_repository_cannot_reach_is_never_a_placement_candidate(tmp_path, capsys, monkeypatch):

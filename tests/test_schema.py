@@ -16,11 +16,13 @@ from dataclasses import is_dataclass
 from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import given
 
 from capsim.descriptors import CapabilityDescriptor, CapabilityRealization, CapabilityVariant, ResourceProfile
 from capsim.scenario import Scenario, _fields, _join
 from capsim.topology import Domain
 from capsim.workload import Arrival
+from strategies import TIER1, scenario_documents
 from test_scenario_cli import BOUND_EDGES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,3 +157,33 @@ def test_the_bound_edges_cover_every_side_of_every_bound():
     ]
     assert len(covered) == len(set(covered))
     assert set(covered) == sides
+
+
+def stray_keys(value: object, node: dict = SCHEMA, path: str = "") -> list[str]:
+    """The path of each key of the document ``value`` that the schema
+    ``node`` does not list."""
+    if "$ref" in node:
+        node = SCHEMA["definitions"][node["$ref"].rsplit("/", 1)[1]]
+    if isinstance(value, dict):
+        known = node.get("properties", {})
+        return [
+            stray
+            for key, item in value.items()
+            for stray in (stray_keys(item, known[key], _join(path, key)) if key in known else [_join(path, key)])
+        ]
+    if isinstance(value, list):
+        return [stray for i, item in enumerate(value) for stray in stray_keys(item, node["items"], f"{path}[{i}]")]
+    return []
+
+
+def test_stray_keys_names_a_key_the_schema_lacks():
+    doc = json.loads(SCENARIOS[0].read_text())
+    assert stray_keys(doc) == []
+    doc["topology"]["nodes"][0]["colour"] = "red"
+    assert stray_keys(doc) == ["topology.nodes[0].colour"]
+
+
+@TIER1
+@given(scenario_documents())
+def test_drawn_documents_carry_only_schema_keys(doc):
+    assert stray_keys(doc) == []
